@@ -118,20 +118,28 @@ deliver(Wire, DT, Stop) :-
 % because the first ack raced a timeout), then dedup by sequence number.
 dlv([msg(Seq, Ack, M)|W], Seen, In, Stop) :-
     ack(Ack),
-    seen(Seq, Seen, F),
-    fwd(F, M, Seq, W, Seen, In, Stop).
+    seen(Seq, Seen, F, Seen1),
+    fwd(F, M, W, Seen1, In, Stop).
 
-seen(_, [], F) :- F := no.
-seen(Seq, [S|_], F) :- Seq == S | F := yes.
-seen(Seq, [S|R], F) :- Seq =\= S | seen(Seq, R, F).
+% Seen is sorted newest-first and seen/4 returns it with Seq in place.
+% Sequence numbers come from one run-wide counter, so a fresh envelope
+% beats the head and costs one reduction however long the server has
+% been up; a retransmit or a reordered arrival walks only as far as its
+% own position. The set stays exact: nothing is ever forgotten.
+seen(Seq, [], F, Seen1) :- F := no, Seen1 = [Seq].
+seen(Seq, [S|R], F, Seen1) :- Seq > S | F := no, Seen1 = [Seq, S|R].
+seen(Seq, [S|R], F, Seen1) :- Seq == S | F := yes, Seen1 = [S|R].
+seen(Seq, [S|R], F, Seen1) :- Seq < S |
+    Seen1 = [S|R1],
+    seen(Seq, R, F, R1).
 
-fwd(yes, _, _, W, Seen, In, Stop) :- dlv(W, Seen, In, Stop).
-fwd(no, halt, _, _, _, In, Stop) :-
+fwd(yes, _, W, Seen, In, Stop) :- dlv(W, Seen, In, Stop).
+fwd(no, halt, _, _, In, Stop) :-
     In = [halt|_],
     ack(Stop).
-fwd(no, M, Seq, W, Seen, In, Stop) :- otherwise |
+fwd(no, M, W, Seen, In, Stop) :- otherwise |
     In = [M|In1],
-    dlv(W, [Seq|Seen], In1, Stop).
+    dlv(W, Seen, In1, Stop).
 
 % Reliable send: envelope, timeout, retry with exponential backoff.
 % `Done` is acked on success and on give-up (bounded waiting).
@@ -404,6 +412,103 @@ mod tests {
         );
         assert_eq!(r.report.output, vec!["1", "2", "3"]);
         assert!(r.report.metrics.msgs_duplicated >= 1);
+    }
+
+    /// `seen/4` is the whole dedup: a reordered arrival (7 after 9) is
+    /// new and lands in its sorted place; its retransmit, and a
+    /// retransmit of the oldest entry, are duplicates and change nothing.
+    #[test]
+    fn seen_keeps_an_exact_set_sorted_newest_first() {
+        let src = format!(
+            "{SUPERVISE_LIBRARY}
+            probe(Fs, S) :-
+                seen(5, [], F1, S1), seen(9, S1, F2, S2), seen(7, S2, F3, S3),
+                seen(7, S3, F4, S4), seen(5, S4, F5, S5), seen(11, S5, F6, S),
+                Fs = [F1, F2, F3, F4, F5, F6]."
+        );
+        let p = strand_parse::parse_program(&src).unwrap();
+        let r = run_parsed_goal(&p, "probe(Fs, S)", MachineConfig::with_nodes(1)).unwrap();
+        assert_eq!(r.bindings["Fs"].to_string(), "[no,no,no,yes,yes,no]");
+        assert_eq!(r.bindings["S"].to_string(), "[11,9,7,5]");
+    }
+
+    /// The same through the delivery loop: every envelope is acked,
+    /// the application sees each distinct message exactly once, in
+    /// arrival order.
+    #[test]
+    fn delivery_loop_forwards_a_reordered_message_exactly_once() {
+        let p = strand_parse::parse_program(SUPERVISE_LIBRARY).unwrap();
+        let goal = "dlv([msg(5,A1,a), msg(9,A2,b), msg(7,A3,c), msg(7,A4,c), \
+                    msg(5,A5,a), msg(11,A6,halt)], [], In, Stop)";
+        let r = run_parsed_goal(&p, goal, MachineConfig::with_nodes(1)).unwrap();
+        let stream = r.bindings["In"].to_string();
+        assert!(stream.starts_with("[a,b,c,halt|"), "{stream}");
+        for ack in ["A1", "A2", "A3", "A4", "A5", "A6", "Stop"] {
+            assert_eq!(r.bindings[ack].to_string(), "ok", "{ack}");
+        }
+    }
+
+    /// Server 1 feeds server 2 `N` acked messages one at a time (no
+    /// retransmits: a round trip is far inside the 400-tick window), then
+    /// holds the network open for 4000 ticks before halting — room for a
+    /// crash, a watch timeout and a replay.
+    const FEED: &str = r#"
+        server([go(N)|In]) :- feed(N), server(In).
+        server([tick|In]) :- server(In).
+        server([halt|_]).
+        feed(N) :- N > 0 | send(2, tick, Done), fed(Done, N).
+        feed(0) :- after_unless(_, 4000, T), fin(T).
+        fed(ok, N) :- N1 := N - 1, feed(N1).
+        fin(timeout) :- halt.
+    "#;
+
+    fn feed_run(n: u32, faults: FaultPlan) -> strand_machine::Metrics {
+        let p = supervised_server().apply_src(FEED).unwrap();
+        let goal = format!("create(3, go({n}))");
+        let r = run_parsed_goal(&p, &goal, MachineConfig::with_nodes(3).faults(faults)).unwrap();
+        assert_eq!(
+            r.report.status,
+            RunStatus::Completed,
+            "{:?}",
+            r.report.errors
+        );
+        r.report.metrics
+    }
+
+    /// Doubling the messages must add the same reductions each time, up
+    /// to the heartbeats that tick with virtual time.
+    fn assert_linear(what: &str, r: [u64; 3]) {
+        let (d1, d2) = (r[1] - r[0], r[2] - r[1]);
+        assert!(
+            d2.abs_diff(2 * d1) <= 64,
+            "{what}: reductions {r:?} are not linear in the message count"
+        );
+    }
+
+    /// The regression this guards: dedup used to scan every sequence
+    /// number the server had ever accepted, so a server's cost per
+    /// message grew with its age and total cost was quadratic.
+    #[test]
+    fn cost_per_message_is_flat_in_server_age() {
+        let r = [200, 400, 800].map(|n| feed_run(n, FaultPlan::default()).total_reductions);
+        assert_linear("clean feed", r);
+    }
+
+    /// Crash server 2's node once it holds all `n` messages: the monitor
+    /// restarts it from the wire with an empty `Seen`, and replaying `n`
+    /// in-order messages must cost O(n), not O(n²).
+    #[test]
+    fn wire_replay_after_a_crash_is_linear() {
+        let r = [200u32, 400, 800].map(|n| {
+            let clean = feed_run(n, FaultPlan::default());
+            let crash_at = clean.makespan - 3500;
+            let m = feed_run(n, FaultPlan::default().crash(2, crash_at));
+            assert_eq!(m.nodes_crashed, 1);
+            assert!(m.supervisor_restarts >= 1, "n={n}: no restart");
+            m.total_reductions - clean.total_reductions
+        });
+        assert!(r[0] >= 200, "replay re-delivers every message: {r:?}");
+        assert_linear("replay", r);
     }
 
     #[test]

@@ -197,6 +197,11 @@ impl Drop for Pool {
 fn worker_loop(shared: Arc<Shared>, me: usize, local: Worker<Job>) {
     loop {
         if let Some(job) = find_job(&shared, me, &local) {
+            let stats = &shared.stats[me];
+            // Counted before it runs: the job's last act is usually to
+            // signal a `TaskGroup`, and whoever that wakes may read the
+            // stats at once — a bump after the body could still be missing.
+            stats.tasks.fetch_add(1, Ordering::Relaxed);
             let start = Instant::now();
             // A panicking job must not take the worker thread down with it:
             // queued work behind it (pinned there when stealing is off)
@@ -204,11 +209,9 @@ fn worker_loop(shared: Arc<Shared>, me: usize, local: Worker<Job>) {
             // captured state (tickets, result slots) unwinds normally, so
             // completion still fires via `Ticket::drop`.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-            let stats = &shared.stats[me];
             if outcome.is_err() {
                 stats.panics.fetch_add(1, Ordering::Relaxed);
             }
-            stats.tasks.fetch_add(1, Ordering::Relaxed);
             stats
                 .busy_nanos
                 .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -32,11 +32,40 @@ pub enum Term {
     /// Tuple / compound term `f(T1,…,Tn)` with n ≥ 1.
     Tuple(Atom, Arc<Vec<Term>>),
     /// List cell `[H|T]`.
-    List(Arc<(Term, Term)>),
+    List(Arc<Cons>),
     /// Empty list `[]`.
     Nil,
     /// Write end of a stream (machine-level; see module docs).
     Port(u32),
+}
+
+/// A cons cell `[head|tail]`: `.0` is the head, `.1` the tail.
+///
+/// Its own type only so that it can own a [`Drop`]: the derived drop of a
+/// `[H|T]` chain recurses once per cell, and a long-lived stream or
+/// accumulator list (tens of thousands of cells) overflows a thread's
+/// stack when its last reference goes away.
+#[derive(Clone, PartialEq)]
+pub struct Cons(pub Term, pub Term);
+
+impl Drop for Cons {
+    /// Unlink the spine iteratively: take each uniquely-owned tail cell
+    /// out of its `Arc` and detach *its* tail before it drops, so no drop
+    /// ever sees more than one cell. A shared cell ends the walk (its other
+    /// owner will drop the rest). Heads still drop recursively — their
+    /// depth is the term's nesting, not a stream's length.
+    fn drop(&mut self) {
+        if !matches!(self.1, Term::List(_)) {
+            return;
+        }
+        let mut next = std::mem::replace(&mut self.1, Term::Nil);
+        while let Term::List(cell) = next {
+            match Arc::into_inner(cell) {
+                Some(mut cons) => next = std::mem::replace(&mut cons.1, Term::Nil),
+                None => break,
+            }
+        }
+    }
 }
 
 impl Term {
@@ -72,7 +101,7 @@ impl Term {
 
     /// Construct a cons cell `[head|tail]`.
     pub fn cons(head: Term, tail: Term) -> Term {
-        Term::List(Arc::new((head, tail)))
+        Term::List(Arc::new(Cons(head, tail)))
     }
 
     /// Construct a proper list from an iterator of elements.
@@ -310,5 +339,38 @@ mod tests {
         let small = Term::int(1);
         let big = Term::list((0..100).map(Term::int));
         assert!(big.approx_bytes() > small.approx_bytes() * 50);
+    }
+
+    /// Run `f` on a thread whose stack is far too small for a recursive
+    /// walk of a long list (a derived drop needs ~50 bytes × cells).
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("dropping a deep list must not overflow the stack");
+    }
+
+    #[test]
+    fn million_cell_lists_drop_without_recursion() {
+        on_small_stack(|| drop(Term::list((0..1_000_000).map(Term::int))));
+        on_small_stack(|| {
+            drop((0..1_000_000).fold(Term::Var(VarId(3)), |open, i| {
+                Term::cons(Term::int(i), open)
+            }))
+        });
+    }
+
+    #[test]
+    fn dropping_one_owner_leaves_a_shared_tail_intact() {
+        let tail = Term::list((0..1000).map(Term::int));
+        let a = Term::cons(Term::atom("a"), tail.clone());
+        let b = Term::cons(Term::atom("b"), tail.clone());
+        drop(tail);
+        drop(a);
+        let items = b.as_proper_list().expect("still a proper list");
+        assert_eq!(items.len(), 1001);
+        assert_eq!(items[1000], Term::int(999));
     }
 }

@@ -1389,6 +1389,17 @@ impl Machine {
                     self.deferred_timers.push((NodeId(i as u32), item));
                     continue;
                 }
+                // Idle, so a deadline may fire — the earliest one, which
+                // may be parked. Put the parked ones back and select again:
+                // otherwise a timer loop on one node (a heartbeat: fire, a
+                // few reductions, re-arm) re-fires ahead of every parked
+                // deadline for as long as the gate happens to read nonzero
+                // whenever this drain hands back to the worker.
+                if !self.deferred_timers.is_empty() {
+                    self.insert_local(NodeId(i as u32), item);
+                    self.release_timers();
+                    continue;
+                }
             }
             self.charge_reduction();
             self.current_node = NodeId(i as u32);

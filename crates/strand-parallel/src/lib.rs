@@ -922,6 +922,46 @@ mod tests {
     }
 
     #[test]
+    fn a_timer_loop_cannot_starve_a_parked_deadline() {
+        // A heartbeat on node 1 (fire, `fill` reductions, re-arm) whose
+        // third beat starts a guard on node 3, same worker, with a 1-tick
+        // deadline. The beat body is long enough that the guard's deadline
+        // pops while the beat is still running, so it is parked. It must
+        // fire at the very next idle instant — ahead of the next beat,
+        // being earlier — and stop the heartbeat. It used to wait until a
+        // 64-step drain happened to *end* on an idle instant, which for a
+        // beat cycle of 20 reductions is never: the run spun to its budget.
+        for fill in 11..=20 {
+            let nops = "nop, ".repeat(fill);
+            let src = format!(
+                "go(Done) :- beat(Stop, Done, 0)@1.
+                 beat(Stop, Done, N) :- after_unless(Stop, 500, T), beat1(T, Stop, Done, N).
+                 beat1(_, Stop, _, _) :- Stop == ok | true.
+                 beat1(timeout, Stop, Done, 3) :- unknown(Stop) |
+                     guard(Stop, Done)@3, {nops}beat(Stop, Done, 4).
+                 beat1(timeout, Stop, Done, N) :- unknown(Stop), N =\\= 3 |
+                     N1 := N + 1, {nops}beat(Stop, Done, N1).
+                 nop.
+                 guard(Stop, Done) :- after_unless(_, 1, T), fire(T, Stop, Done).
+                 fire(timeout, Stop, Done) :- ack(Stop), Done := yes."
+            );
+            let mut cfg = par(2);
+            cfg.max_reductions = 100_000;
+            cfg.fail_fast = false;
+            let r = run_goal(&src, "go(Done)", cfg).unwrap();
+            let m = &r.report.metrics;
+            assert!(
+                matches!(r.report.status, RunStatus::Completed),
+                "fill {fill}: {:?} after {} timers",
+                r.report.status,
+                m.timers_fired
+            );
+            assert_eq!(r.bindings["Done"].to_string(), "yes");
+            assert_eq!(m.timers_fired, 5, "fill {fill}: four beats, then the guard");
+        }
+    }
+
+    #[test]
     fn wall_clock_timer_fires_while_fleet_is_parked() {
         // Under TimerSource::WallClock the deadline lands in the shared
         // wheel; every worker goes idle, surrenders its token and parks —

@@ -50,6 +50,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Write as IoWrite};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use strand_core::{StrandError, StrandResult, Term};
@@ -739,6 +740,10 @@ pub struct ServeSummary {
     /// (`sessions_opened/closed`, `requests_admitted/rejected`,
     /// `vars_reclaimed`, `idle_parks`).
     pub report: RunReport,
+    /// The most connection threads the accept loop ever held unjoined,
+    /// live or finished: bounded by peak concurrency (finished ones are
+    /// reaped at the next accept), not by connections served.
+    pub peak_handles: usize,
 }
 
 /// Accept loop: one thread per connection, a session per connection, one
@@ -756,10 +761,23 @@ pub fn serve(
         .map_err(|e| StrandError::Other(format!("listener: {e}")))?;
     let service = Arc::new(service);
     let active = Arc::new(AtomicUsize::new(0));
-    let mut handles = Vec::new();
+    let mut handles: Vec<JoinHandle<()>> = Vec::new();
+    let mut peak_handles = 0;
     while !shutdown.load(Ordering::Acquire) && !service.is_stopping() {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // Join what has finished before adding one more: an
+                // unjoined thread keeps its stack mapped, and a churning
+                // client would otherwise run the process into
+                // vm.max_map_count after ~32k connections.
+                let mut i = 0;
+                while i < handles.len() {
+                    if handles[i].is_finished() {
+                        let _ = handles.swap_remove(i).join();
+                    } else {
+                        i += 1;
+                    }
+                }
                 let service = Arc::clone(&service);
                 let active = Arc::clone(&active);
                 let shutdown = Arc::clone(&shutdown);
@@ -772,6 +790,7 @@ pub fn serve(
                     })
                     .map_err(|e| StrandError::Other(format!("spawn: {e}")))?;
                 handles.push(h);
+                peak_handles = peak_handles.max(handles.len());
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(1));
@@ -790,7 +809,10 @@ pub fn serve(
     let service = Arc::try_unwrap(service)
         .map_err(|_| StrandError::Other("connection thread leaked the service".to_string()))?;
     let report = service.shutdown()?;
-    Ok(ServeSummary { report })
+    Ok(ServeSummary {
+        report,
+        peak_handles,
+    })
 }
 
 /// One connection: a session whose requests are the incoming lines.
@@ -986,6 +1008,36 @@ mod tests {
         let svc = doubler(ServeBackend::Parallel(2));
         assert_eq!(svc.busy_hint(), svc.cfg.retry_ms);
         svc.shutdown().unwrap();
+    }
+
+    #[test]
+    fn accept_loop_reaps_finished_connection_threads() {
+        // 500 connections, one alive at a time: the loop must join each
+        // thread once it is done instead of holding all 500 handles (and
+        // their stacks) until shutdown.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let loop_thread = {
+            let (service, shutdown) = (doubler(ServeBackend::Sim), Arc::clone(&shutdown));
+            std::thread::spawn(move || serve(listener, service, shutdown, Duration::from_secs(10)))
+        };
+        let cycles = 500u64;
+        for q in 0..cycles {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(format!("{q}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            BufReader::new(&stream).read_line(&mut reply).unwrap();
+            assert_eq!(reply, format!("OK {}\n", q * 2));
+        }
+        shutdown.store(true, Ordering::Release);
+        let summary = loop_thread.join().unwrap().unwrap();
+        assert_eq!(summary.report.metrics.sessions_closed, cycles);
+        assert!(
+            summary.peak_handles <= 16,
+            "{} handles retained for one live connection",
+            summary.peak_handles
+        );
     }
 
     #[test]
