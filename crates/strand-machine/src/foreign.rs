@@ -14,28 +14,56 @@
 //! executing node's clock by the returned virtual cost — so an expensive
 //! native computation occupies its simulated processor for a realistic
 //! time.
+//!
+//! A **sink** ([`ForeignLib::register_sink`]) is the variant for native
+//! code that consumes a result instead of producing one — handing a reply
+//! to a socket thread, say. All `n` arguments of `name(In1, …, Inn)` are
+//! inputs; the closure runs once they are ground, returns only its cost,
+//! and the machine binds nothing afterwards. The last store access of the
+//! call is therefore the input resolve that *precedes* the closure: code
+//! the closure wakes may free the call's variables without racing a late
+//! output bind (`strand-serve`'s reply probe depends on exactly that).
 
 use crate::machine::Machine;
-use std::collections::HashMap;
 use std::sync::Arc;
-use strand_core::{StrandResult, Term, Time, VarId};
+use strand_core::{Atom, FxHashMap, StrandResult, Term, Time, VarId};
 
 /// A foreign implementation: resolved ground inputs → (result, virtual
 /// cost in ticks).
 pub type ForeignFn = Box<dyn FnMut(&[Term]) -> StrandResult<(Term, Time)> + Send>;
 
 /// A *pure* foreign implementation: no interior state, callable from any
-/// thread. The multi-threaded backend executes these outside the machine
-/// lock, so native computation genuinely overlaps coordination.
+/// thread. The multi-threaded backend installs the same closure on every
+/// worker's shard, so native computation on one worker genuinely overlaps
+/// coordination on the others.
 pub type PureForeignFn = dyn Fn(&[Term]) -> StrandResult<(Term, Time)> + Send + Sync;
 
-/// A portable library of pure foreign procedures. Unlike closures registered
-/// with [`Machine::register_foreign`], a library is `Clone` and can be
-/// installed on any machine — this is how foreign code travels through the
-/// [`crate::backend::ExecBackend`] interface to whichever engine runs it.
+/// A sink implementation: resolved ground inputs → virtual cost in ticks.
+pub type SinkForeignFn = dyn Fn(&[Term]) -> StrandResult<Time> + Send + Sync;
+
+/// One registered procedure. `Stateful` closures live on a single machine;
+/// the other two are shared by every machine a [`ForeignLib`] is installed
+/// on.
+enum Entry {
+    Stateful(ForeignFn),
+    Pure(Arc<PureForeignFn>),
+    Sink(Arc<SinkForeignFn>),
+}
+
+/// A portable library of pure foreign procedures and sinks. Unlike closures
+/// registered with [`Machine::register_foreign`], a library is `Clone` and
+/// can be installed on any machine — this is how foreign code travels
+/// through the [`crate::backend::ExecBackend`] interface to whichever engine
+/// runs it.
 #[derive(Clone, Default)]
 pub struct ForeignLib {
-    entries: Vec<(String, usize, Arc<PureForeignFn>)>,
+    entries: Vec<(String, usize, LibEntry)>,
+}
+
+#[derive(Clone)]
+enum LibEntry {
+    Pure(Arc<PureForeignFn>),
+    Sink(Arc<SinkForeignFn>),
 }
 
 impl ForeignLib {
@@ -55,30 +83,43 @@ impl ForeignLib {
         f: impl Fn(&[Term]) -> StrandResult<(Term, Time)> + Send + Sync + 'static,
     ) {
         assert!(arity >= 1, "foreign procedures need an output argument");
-        self.entries.push((name.to_string(), arity, Arc::new(f)));
+        self.entries
+            .push((name.to_string(), arity, LibEntry::Pure(Arc::new(f))));
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&str, usize, &Arc<PureForeignFn>)> {
-        self.entries.iter().map(|(n, a, f)| (n.as_str(), *a, f))
+    /// Register the sink `name/arity`: every argument is a ground input and
+    /// nothing is bound after `f` returns its cost.
+    pub fn register_sink(
+        &mut self,
+        name: &str,
+        arity: usize,
+        f: impl Fn(&[Term]) -> StrandResult<Time> + Send + Sync + 'static,
+    ) {
+        self.entries
+            .push((name.to_string(), arity, LibEntry::Sink(Arc::new(f))));
     }
 }
 
-/// Registry of foreign procedures, keyed by name/arity (arity counts the
-/// output argument).
+/// Registry of foreign procedures: one map from name to the arities
+/// registered under it (arity counts the output argument, if any), probed
+/// with the goal's own `&str` so a reduction allocates no key.
 #[derive(Default)]
 pub struct ForeignRegistry {
-    fns: HashMap<(String, usize), ForeignFn>,
-    pure: HashMap<(String, usize), Arc<PureForeignFn>>,
+    procs: FxHashMap<Atom, Vec<(usize, Entry)>>,
 }
 
 impl ForeignRegistry {
     pub fn is_empty(&self) -> bool {
-        self.fns.is_empty() && self.pure.is_empty()
+        self.procs.is_empty()
     }
 
-    pub fn contains(&self, name: &str, arity: usize) -> bool {
-        self.fns.contains_key(&(name.to_string(), arity))
-            || self.pure.contains_key(&(name.to_string(), arity))
+    /// Register `name/arity`, replacing an earlier registration of it.
+    fn insert(&mut self, name: &str, arity: usize, entry: Entry) {
+        let arities = self.procs.entry(Atom::new(name)).or_default();
+        match arities.iter_mut().find(|(a, _)| *a == arity) {
+            Some(slot) => slot.1 = entry,
+            None => arities.push((arity, entry)),
+        }
     }
 }
 
@@ -93,8 +134,7 @@ impl Machine {
     ) {
         assert!(arity >= 1, "foreign procedures need an output argument");
         self.foreign
-            .fns
-            .insert((name.to_string(), arity), Box::new(f));
+            .insert(name, arity, Entry::Stateful(Box::new(f)));
     }
 
     /// Register a *pure* foreign procedure — stateless, callable from any
@@ -109,38 +149,46 @@ impl Machine {
         f: impl Fn(&[Term]) -> StrandResult<(Term, Time)> + Send + Sync + 'static,
     ) {
         assert!(arity >= 1, "foreign procedures need an output argument");
-        self.foreign
-            .pure
-            .insert((name.to_string(), arity), Arc::new(f));
+        self.foreign.insert(name, arity, Entry::Pure(Arc::new(f)));
     }
 
     /// Install every procedure of a [`ForeignLib`] on this machine.
     pub fn install_lib(&mut self, lib: &ForeignLib) {
-        for (name, arity, f) in lib.iter() {
-            self.foreign
-                .pure
-                .insert((name.to_string(), arity), Arc::clone(f));
+        for (name, arity, entry) in &lib.entries {
+            let entry = match entry {
+                LibEntry::Pure(f) => Entry::Pure(Arc::clone(f)),
+                LibEntry::Sink(f) => Entry::Sink(Arc::clone(f)),
+            };
+            self.foreign.insert(name, *arity, entry);
         }
     }
 
-    /// Attempt to run a foreign call. Returns:
-    /// * `None` — not a foreign procedure;
-    /// * `Some(Ok(None))` — executed (or suspended internally);
-    /// * `Some(Err(e))` — machine-fatal error.
+    /// Attempt to run a foreign call. Returns `None` when `name/n` is not
+    /// a foreign procedure; otherwise the outcome (done, suspended on the
+    /// unbound inputs, or a collected error) or a machine-fatal error.
     pub(crate) fn try_foreign(
         &mut self,
         name: &str,
         goal: &Term,
     ) -> Option<StrandResult<ForeignOutcome>> {
         let args = goal.goal_args();
-        if !self.foreign.contains(name, args.len()) {
-            return None;
-        }
-        // Inputs are all but the last argument; they must be ground.
         let n = args.len();
-        let mut inputs = Vec::with_capacity(n - 1);
+        let entry = self
+            .foreign
+            .procs
+            .get_mut(name)?
+            .iter_mut()
+            .find(|(arity, _)| *arity == n)
+            .map(|(_, entry)| entry)?;
+        // A sink reads every argument; the others keep the last for output.
+        let n_in = if matches!(entry, Entry::Sink(_)) {
+            n
+        } else {
+            n - 1
+        };
+        let mut inputs = Vec::with_capacity(n_in);
         let mut pending: Vec<VarId> = Vec::new();
-        for a in &args[..n - 1] {
+        for a in &args[..n_in] {
             let resolved = self.store.resolve(a);
             for v in resolved.vars() {
                 if !pending.contains(&v) {
@@ -152,21 +200,20 @@ impl Machine {
         if !pending.is_empty() {
             return Some(Ok(ForeignOutcome::Suspend(pending)));
         }
-        let out_arg = args[n - 1].clone();
-        if let Some(f) = self.foreign.pure.get(&(name.to_string(), n)) {
-            let f = Arc::clone(f);
-            let result = f(&inputs);
-            return Some(self.finish_foreign_call(name, n, result, out_arg));
-        }
-        // Take the closure out to avoid aliasing self mutably twice.
-        let mut f = self
-            .foreign
-            .fns
-            .remove(&(name.to_string(), n))
-            .expect("checked contains");
-        let result = f(&inputs);
-        self.foreign.fns.insert((name.to_string(), n), f);
-        Some(self.finish_foreign_call(name, n, result, out_arg))
+        let result = match entry {
+            Entry::Stateful(f) => f(&inputs),
+            Entry::Pure(f) => f(&inputs),
+            Entry::Sink(f) => {
+                return Some(Ok(match f(&inputs) {
+                    Ok(cost) => {
+                        self.extra_cost += cost;
+                        ForeignOutcome::Done
+                    }
+                    Err(e) => ForeignOutcome::Error(e),
+                }))
+            }
+        };
+        Some(self.finish_foreign_call(name, n, result, args[n - 1].clone()))
     }
 
     /// Turn a foreign closure's result into an outcome: charge the virtual
@@ -303,6 +350,59 @@ mod tests {
             });
         });
         assert_eq!(r.bindings["Y"].to_string(), "9");
+    }
+
+    /// `note/2` is a sink that records each call's inputs.
+    fn note_lib(seen: &Arc<std::sync::Mutex<Vec<String>>>) -> ForeignLib {
+        let seen = Arc::clone(seen);
+        let mut lib = ForeignLib::new();
+        lib.register_sink("note", 2, move |args| {
+            if args[0] == Term::atom("poison") {
+                return Err(strand_core::StrandError::Other("sink failure".into()));
+            }
+            seen.lock()
+                .unwrap()
+                .push(format!("{} {}", args[0], args[1]));
+            Ok(500)
+        });
+        lib
+    }
+
+    #[test]
+    fn sink_waits_for_every_argument_binds_nothing_and_charges_cost() {
+        // `note/2` precedes both producers, so it suspends first on X (and
+        // Y), then again on whichever is still unbound.
+        let src = "go :- note(X, Y), one(X), other(Y). one(X) :- X := 6. other(Y) :- Y := 7.";
+        let compiled = compile_program(&parse_program(src).unwrap()).unwrap();
+        let mut machine = Machine::new(compiled, MachineConfig::default());
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        machine.install_lib(&note_lib(&seen));
+        machine.start(Term::atom("go"));
+        let report = machine.run().unwrap();
+        assert_eq!(*seen.lock().unwrap(), ["6 7"], "ran once, on ground inputs");
+        assert!(report.metrics.suspensions >= 1, "{:?}", report.metrics);
+        // The only binds of the run are the two producers': a regular
+        // foreign procedure would have added a third for its out-arg.
+        assert_eq!(machine.store().bind_count(), 2);
+        assert!(report.metrics.makespan >= 500, "{:?}", report.metrics);
+    }
+
+    #[test]
+    fn sink_error_is_collected_when_fail_fast_is_off() {
+        let src = "go :- note(poison, 1), note(fine, 2).";
+        let compiled = compile_program(&parse_program(src).unwrap()).unwrap();
+        let config = MachineConfig {
+            fail_fast: false,
+            ..MachineConfig::default()
+        };
+        let mut machine = Machine::new(compiled, config);
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        machine.install_lib(&note_lib(&seen));
+        machine.start(Term::atom("go"));
+        let report = machine.run().unwrap();
+        assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+        assert!(report.errors[0].1.to_string().contains("sink failure"));
+        assert_eq!(*seen.lock().unwrap(), ["fine 2"]);
     }
 
     #[test]

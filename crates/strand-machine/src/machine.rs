@@ -275,6 +275,14 @@ impl StoreHandle {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Successful binds so far (all stripes of a shared store).
+    pub fn bind_count(&self) -> u64 {
+        match self {
+            StoreHandle::Local(s) => s.bind_count(),
+            StoreHandle::Shared(s) => s.shared().bind_count(),
+        }
+    }
 }
 
 impl StoreOps for StoreHandle {

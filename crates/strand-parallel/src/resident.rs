@@ -197,10 +197,7 @@ impl ResidentHandle {
     pub fn with_ingress<R>(&self, f: impl FnOnce(&mut Machine) -> R) -> R {
         let mut m = self.ingress.lock().unwrap_or_else(|e| e.into_inner());
         let out = f(&mut m);
-        let mut bufs: Vec<Vec<Routed>> = (0..self.threads).map(|_| Vec::new()).collect();
-        for r in m.take_outbox() {
-            bufs[r.dest_worker(self.threads)].push(r);
-        }
+        let outbox = m.take_outbox();
         // Ingress never reduces, so it should never *arm* — but if a caller
         // ever drives a reduction through it, losing the deadline silently
         // would be worse than arming it here.
@@ -208,6 +205,15 @@ impl ResidentHandle {
             self.shared.wheel.arm(wt);
         }
         drop(m);
+        // Counter bumps and store reads enqueue nothing: no buffers to
+        // build, no worker to visit.
+        if outbox.is_empty() {
+            return out;
+        }
+        let mut bufs: Vec<Vec<Routed>> = (0..self.threads).map(|_| Vec::new()).collect();
+        for r in outbox {
+            bufs[r.dest_worker(self.threads)].push(r);
+        }
         for (w, batch) in bufs.into_iter().enumerate() {
             if !batch.is_empty() {
                 send_batch(&self.shared, w, batch);
@@ -363,6 +369,51 @@ mod tests {
         assert!(report.metrics.idle_parks >= 1, "{:?}", report.metrics);
         // Session-tagged request variables were swept on reclaim.
         assert!(report.metrics.vars_reclaimed >= 2, "{:?}", report.metrics);
+    }
+
+    #[test]
+    fn a_sink_runs_on_ground_inputs_and_binds_nothing_on_two_workers() {
+        // `note/2` is a sink; the producers of its inputs run on the other
+        // worker's nodes, so it suspends and is woken across shards.
+        let program = parse_program(
+            "boot. go :- note(X, Y)@1, one(X)@2, other(Y)@2. \
+             one(X) :- X := 6. other(Y) :- Y := 7. bad :- note(poison, 0).",
+        )
+        .unwrap();
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        let mut lib = ForeignLib::new();
+        {
+            let seen = Arc::clone(&seen);
+            lib.register_sink("note", 2, move |args| {
+                if args[0] == Term::atom("poison") {
+                    return Err(StrandError::Other("sink failure".to_string()));
+                }
+                seen.lock()
+                    .unwrap()
+                    .push(format!("{} {}", args[0], args[1]));
+                Ok(500)
+            });
+        }
+        let mut cfg = MachineConfig::with_nodes(4).parallel(2);
+        cfg.fail_fast = false;
+        let h = ResidentHandle::start(&program, "boot", cfg, &lib).unwrap();
+        assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
+        let binds = || h.with_ingress(|m| m.store().bind_count());
+        let before = binds();
+        inject_goal(&h, 1, "go");
+        assert!(h.wait_idle(Duration::from_secs(5)), "burst never drained");
+        assert_eq!(*seen.lock().unwrap(), ["6 7"], "ran once, on ground inputs");
+        // The two producers' binds and nothing else: a procedure with an
+        // out-arg would have added a third.
+        assert_eq!(binds() - before, 2);
+        // With `fail_fast` off a failing sink is collected, not fatal.
+        inject_goal(&h, 1, "bad");
+        assert!(h.wait_idle(Duration::from_secs(5)));
+        assert!(!h.is_stopping(), "sink error stopped the fleet");
+        let report = h.shutdown().unwrap();
+        assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+        assert!(report.metrics.makespan >= 500, "cost not charged");
+        assert!(report.metrics.suspensions >= 1, "{:?}", report.metrics);
     }
 
     #[test]

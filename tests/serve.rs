@@ -12,6 +12,9 @@
 //!   bounded: session-close reclamation really does return slots (the
 //!   free list is reused), on both engines. Growth here would be the
 //!   week-long-process leak the region sweep exists to prevent.
+//! * **Close race** — sessions closed the instant their reply arrives, from
+//!   two threads with no sleep anywhere, must never see a late bind land
+//!   in a recycled slot (the reply probe is a sink; nothing follows it).
 //! * **Supervised** — `Supervise ∘ Server` kept resident on wall-clock
 //!   timers must be invisible on clean runs (bit-identical replies to the
 //!   unsupervised tier at 1/2/4 threads) and load-bearing under chaos: a
@@ -200,6 +203,65 @@ fn soak_sim_store_is_bounded_over_1000_sessions() {
 #[test]
 fn soak_parallel_store_is_bounded_over_1000_sessions() {
     soak(ServeBackend::Parallel(2), 1000);
+}
+
+/// Close on the heels of the reply, with no sleep anywhere: two threads
+/// each run 2000 x (open, one request, close at once) against one
+/// `Parallel(2)` service. The reply probe is a sink, so nothing may be
+/// bound on a request's behalf after its reply is delivered; if anything
+/// were, the sweep that follows immediately would recycle the slot and the
+/// late bind would land in the *other* thread's next reply variable — a
+/// wrong reply here, which is how the soak first caught it. Afterwards the
+/// store may hold at most `slots_per_request` slots per request served
+/// beyond its warmed-up size (plus a constant: two sessions live at once
+/// leave a higher free-list water mark than the sequential warm-up).
+fn close_races_reply(cfg: ServeConfig, slots_per_request: usize) {
+    let service = MotifService::start(DOUBLER_APP, cfg).expect("service boots");
+    let cycle = |q: i64| {
+        let s = service.open_session();
+        assert_eq!(
+            service.request(s, &q.to_string()),
+            Response::Ok((q * 2).to_string()),
+            "request {q}"
+        );
+        service.close_session(s);
+    };
+    (0..10).for_each(cycle);
+    assert!(service.wait_idle(Duration::from_secs(10)));
+    let warm = service.store_len();
+    let (threads, per_thread) = (2i64, 2000i64);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let cycle = &cycle;
+            scope.spawn(move || (0..per_thread).for_each(|k| cycle(1000 + t * per_thread + k)));
+        }
+    });
+    // Reclaim events ride the worker channels; idle means they landed.
+    assert!(service.wait_idle(Duration::from_secs(10)));
+    let (len, served) = (service.store_len(), (threads * per_thread) as usize);
+    assert!(
+        len <= warm + 32 + slots_per_request * served,
+        "store grew from {warm} to {len} over {served} closed sessions"
+    );
+    let report = service.shutdown().expect("clean shutdown");
+    assert_eq!(report.metrics.sessions_opened, served as u64 + 10);
+    assert_eq!(report.metrics.sessions_closed, served as u64 + 10);
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+}
+
+#[test]
+fn close_on_the_heels_of_reply_never_corrupts_a_recycled_slot() {
+    // Plain Server: every slot a request allocates is its session's.
+    close_races_reply(serve_cfg(ServeBackend::Parallel(2)), 0);
+}
+
+#[test]
+fn close_on_the_heels_of_reply_never_corrupts_a_recycled_slot_supervised() {
+    // Supervise's delivery bookkeeping keeps three region-0 slots per
+    // accepted message (the `Seen` growth in ROADMAP's reclamation item);
+    // everything else a request allocates is its session's and must be
+    // gone.
+    close_races_reply(supervised_cfg(2), 3);
 }
 
 // ---------------------------------------------------------------------------
