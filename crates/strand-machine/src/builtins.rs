@@ -30,17 +30,10 @@
 //! pending `after_unless` deadline, and `'$deliver'(P, M)` is a delayed
 //! port message en route (fault injection).
 
-use crate::machine::{Delivery, Machine, PortState};
+use crate::machine::{CallOutcome, Delivery, Machine, PortState};
 use crate::trace::{goal_text, TraceEvent};
 use strand_core::arith::{is_arith_expr, Evaled};
 use strand_core::{eval_arith, StrandError, StrandResult, Term, VarId};
-
-/// Outcome of a builtin execution.
-pub(crate) enum BuiltinOutcome {
-    Done,
-    Suspend(Vec<VarId>),
-    Error(StrandError),
-}
 
 /// Is `name/arity` a machine builtin? Checked once per reduction, so the
 /// arity (an integer compare) discriminates before any string compare runs.
@@ -73,8 +66,8 @@ pub(crate) fn is_builtin(name: &str, arity: usize) -> bool {
     }
 }
 
-fn bad(builtin: &str, detail: impl Into<String>) -> BuiltinOutcome {
-    BuiltinOutcome::Error(StrandError::BadBuiltin {
+fn bad(builtin: &str, detail: impl Into<String>) -> CallOutcome {
+    CallOutcome::Error(StrandError::BadBuiltin {
         builtin: builtin.to_string(),
         detail: detail.into(),
     })
@@ -82,20 +75,20 @@ fn bad(builtin: &str, detail: impl Into<String>) -> BuiltinOutcome {
 
 impl Machine {
     /// Execute a builtin goal. Returns `Err` only for machine-fatal
-    /// conditions; program-level problems go through [`BuiltinOutcome`].
-    pub(crate) fn exec_builtin(&mut self, name: &str, goal: &Term) -> StrandResult<BuiltinOutcome> {
+    /// conditions; program-level problems go through [`CallOutcome`].
+    pub(crate) fn exec_builtin(&mut self, name: &str, goal: &Term) -> StrandResult<CallOutcome> {
         // Borrow the argument slice directly — builtins run once per goal
         // and must not pay a Vec clone on every reduction.
         let args: &[Term] = goal.goal_args();
         Ok(match (name, args) {
-            ("true", []) => BuiltinOutcome::Done,
+            ("true", []) => CallOutcome::Done,
 
             // Marks one supervisor restart: the Supervise motif calls this
             // in its heartbeat-timeout rule, so chaos and fault runs can
             // report recovery activity through the metrics.
             ("sup_restart", []) => {
                 self.metrics.supervisor_restarts += 1;
-                BuiltinOutcome::Done
+                CallOutcome::Done
             }
 
             (":=", [lhs, rhs]) => self.assign(lhs, rhs, true)?,
@@ -103,12 +96,12 @@ impl Machine {
 
             ("length", [t, n]) => match self.term_length(t) {
                 LengthOutcome::Len(len) => self.bind_or_err(n, Term::int(len))?,
-                LengthOutcome::Suspend(vs) => BuiltinOutcome::Suspend(vs),
+                LengthOutcome::Suspend(vs) => CallOutcome::Suspend(vs),
                 LengthOutcome::Bad => bad("length/2", "argument is neither tuple nor list"),
             },
 
             ("rand_num", [n, r]) => match self.store.deref(n) {
-                Term::Var(v) => BuiltinOutcome::Suspend(vec![v]),
+                Term::Var(v) => CallOutcome::Suspend(vec![v]),
                 Term::Int(n) if n > 0 => {
                     let val = self.rng.rand_num(n as u64) as i64;
                     self.bind_or_err(r, Term::int(val))?
@@ -121,8 +114,8 @@ impl Machine {
                 let tuple = self.store.deref(dt);
                 let idx = self.store.deref(i);
                 match (&idx, &tuple) {
-                    (Term::Var(v), _) => BuiltinOutcome::Suspend(vec![*v]),
-                    (_, Term::Var(v)) => BuiltinOutcome::Suspend(vec![*v]),
+                    (Term::Var(v), _) => CallOutcome::Suspend(vec![*v]),
+                    (_, Term::Var(v)) => CallOutcome::Suspend(vec![*v]),
                     (Term::Int(ix), Term::Tuple(_, slots)) => {
                         if *ix < 1 || *ix as usize > slots.len() {
                             bad(
@@ -144,13 +137,13 @@ impl Machine {
                                 Term::Port(p) => {
                                     let sent = self.port_send(p, msg.clone())?;
                                     match (sent, ack) {
-                                        (BuiltinOutcome::Done, Some(a)) => {
+                                        (CallOutcome::Done, Some(a)) => {
                                             self.bind_or_err(&a, Term::atom("ok"))?
                                         }
                                         (outcome, _) => outcome,
                                     }
                                 }
-                                Term::Var(v) => BuiltinOutcome::Suspend(vec![v]),
+                                Term::Var(v) => CallOutcome::Suspend(vec![v]),
                                 other => {
                                     bad("distribute/3", format!("slot {ix} is not a port: {other}"))
                                 }
@@ -162,7 +155,7 @@ impl Machine {
             }
 
             ("make_tuple", [n, t]) => match self.store.deref(n) {
-                Term::Var(v) => BuiltinOutcome::Suspend(vec![v]),
+                Term::Var(v) => CallOutcome::Suspend(vec![v]),
                 Term::Int(n) if n > 0 => {
                     let slots: Vec<Term> =
                         (0..n).map(|_| Term::Var(self.store.new_var())).collect();
@@ -176,8 +169,8 @@ impl Machine {
                 let idx = self.store.deref(i);
                 let tuple = self.store.deref(t);
                 match (&idx, &tuple) {
-                    (Term::Var(w), _) => BuiltinOutcome::Suspend(vec![*w]),
-                    (_, Term::Var(w)) => BuiltinOutcome::Suspend(vec![*w]),
+                    (Term::Var(w), _) => CallOutcome::Suspend(vec![*w]),
+                    (_, Term::Var(w)) => CallOutcome::Suspend(vec![*w]),
                     (Term::Int(ix), Term::Tuple(_, slots)) => {
                         if *ix < 1 || *ix as usize > slots.len() {
                             bad("put_arg/3", format!("index {ix} out of range"))
@@ -186,7 +179,7 @@ impl Machine {
                                 Term::Var(slot) => {
                                     let value = self.store.deref(v);
                                     self.bind_now(slot, value)?;
-                                    BuiltinOutcome::Done
+                                    CallOutcome::Done
                                 }
                                 _ => bad("put_arg/3", format!("slot {ix} already filled")),
                             }
@@ -209,14 +202,14 @@ impl Machine {
                 let idx = self.store.deref(i);
                 let tuple = self.store.deref(t);
                 match (&idx, &tuple) {
-                    (Term::Var(w), _) => BuiltinOutcome::Suspend(vec![*w]),
-                    (_, Term::Var(w)) => BuiltinOutcome::Suspend(vec![*w]),
+                    (Term::Var(w), _) => CallOutcome::Suspend(vec![*w]),
+                    (_, Term::Var(w)) => CallOutcome::Suspend(vec![*w]),
                     (Term::Int(ix), Term::Tuple(_, slots)) => {
                         if *ix < 1 || *ix as usize > slots.len() {
                             bad("put_arg/4", format!("index {ix} out of range"))
                         } else {
                             match self.store.deref(v) {
-                                Term::Var(pv) => BuiltinOutcome::Suspend(vec![pv]),
+                                Term::Var(pv) => CallOutcome::Suspend(vec![pv]),
                                 value => match self.store.deref(&slots[*ix as usize - 1]) {
                                     Term::Var(slot) => {
                                         self.bind_now(slot, value)?;
@@ -238,19 +231,19 @@ impl Machine {
                         tail: sv,
                     });
                     self.bind_now(pv, Term::Port(id))?;
-                    BuiltinOutcome::Done
+                    CallOutcome::Done
                 }
                 _ => bad("open_port/2", "both arguments must be unbound variables"),
             },
 
             ("send_port", [p, m]) => match self.store.deref(p) {
-                Term::Var(v) => BuiltinOutcome::Suspend(vec![v]),
+                Term::Var(v) => CallOutcome::Suspend(vec![v]),
                 Term::Port(id) => self.port_send(id, m.clone())?,
                 other => bad("send_port/2", format!("not a port: {other}")),
             },
 
             ("merge", [streams, out]) => match self.store.deref(streams) {
-                Term::Var(v) => BuiltinOutcome::Suspend(vec![v]),
+                Term::Var(v) => CallOutcome::Suspend(vec![v]),
                 list => {
                     // Walk as far as the list is instantiated; suspend on an
                     // unbound tail so late-added streams still join.
@@ -263,7 +256,7 @@ impl Machine {
                                 items.push(cell.0.clone());
                                 cur = self.store.deref(&cell.1);
                             }
-                            Term::Var(v) => return Ok(BuiltinOutcome::Suspend(vec![v])),
+                            Term::Var(v) => return Ok(CallOutcome::Suspend(vec![v])),
                             other => return Ok(bad("merge/2", format!("improper list: {other}"))),
                         }
                     }
@@ -277,7 +270,7 @@ impl Machine {
                             for s in items {
                                 self.spawn(Term::tuple("$forward", vec![s, Term::Port(id)]), node);
                             }
-                            BuiltinOutcome::Done
+                            CallOutcome::Done
                         }
                         _ => bad("merge/2", "output must be an unbound variable"),
                     }
@@ -285,21 +278,21 @@ impl Machine {
             },
 
             ("$forward", [s, p]) => match self.store.deref(s) {
-                Term::Var(v) => BuiltinOutcome::Suspend(vec![v]),
-                Term::Nil => BuiltinOutcome::Done,
+                Term::Var(v) => CallOutcome::Suspend(vec![v]),
+                Term::Nil => CallOutcome::Done,
                 Term::List(cell) => {
                     let port = match self.store.deref(p) {
                         Term::Port(id) => id,
                         other => return Ok(bad("$forward/2", format!("not a port: {other}"))),
                     };
                     match self.port_send(port, cell.0.clone())? {
-                        BuiltinOutcome::Done => {
+                        CallOutcome::Done => {
                             let node = self.current_node;
                             self.spawn(
                                 Term::tuple("$forward", vec![cell.1.clone(), p.clone()]),
                                 node,
                             );
-                            BuiltinOutcome::Done
+                            CallOutcome::Done
                         }
                         other => other,
                     }
@@ -308,28 +301,28 @@ impl Machine {
             },
 
             ("$spawn_at", [place, g]) => match eval_arith(place, &self.store)? {
-                Evaled::Suspend(vs) => BuiltinOutcome::Suspend(vs),
+                Evaled::Suspend(vs) => CallOutcome::Suspend(vs),
                 Evaled::Num(n) => {
                     let target = self.map_node(n.as_f64() as i64);
                     let goal = self.store.deref(g);
                     self.spawn(goal, target);
-                    BuiltinOutcome::Done
+                    CallOutcome::Done
                 }
             },
 
             ("work", [w]) => match eval_arith(w, &self.store)? {
-                Evaled::Suspend(vs) => BuiltinOutcome::Suspend(vs),
+                Evaled::Suspend(vs) => CallOutcome::Suspend(vs),
                 Evaled::Num(n) => {
                     let ticks = n.as_f64().max(0.0) as u64;
                     self.extra_cost += ticks;
-                    BuiltinOutcome::Done
+                    CallOutcome::Done
                 }
             },
 
             ("print", [t]) => {
                 let s = self.store.resolve(t).to_string();
                 self.output.push(s);
-                BuiltinOutcome::Done
+                CallOutcome::Done
             }
 
             ("current_node", [n]) => {
@@ -347,7 +340,7 @@ impl Machine {
             // backend's timer wheel instead — same cancellation contract,
             // but 1 tick = 1 ms of real time and the fleet wakes for it.
             ("after_unless", [cancel, ticks, t]) => match eval_arith(ticks, &self.store)? {
-                Evaled::Suspend(vs) => BuiltinOutcome::Suspend(vs),
+                Evaled::Suspend(vs) => CallOutcome::Suspend(vs),
                 Evaled::Num(n) => {
                     let wait = n.as_f64().max(0.0) as u64;
                     let node = self.current_node;
@@ -362,7 +355,7 @@ impl Machine {
                             deadline,
                         );
                     }
-                    BuiltinOutcome::Done
+                    CallOutcome::Done
                 }
             },
 
@@ -374,7 +367,7 @@ impl Machine {
                     self.bind_or_err(t, Term::atom("timeout"))?
                 } else {
                     self.metrics.timers_cancelled += 1;
-                    BuiltinOutcome::Done
+                    CallOutcome::Done
                 }
             }
 
@@ -389,7 +382,7 @@ impl Machine {
                     self.bind_or_err(t, Term::atom("timeout"))?
                 } else {
                     self.metrics.timers_cancelled += 1;
-                    BuiltinOutcome::Done
+                    CallOutcome::Done
                 }
             }
 
@@ -399,9 +392,9 @@ impl Machine {
             ("ack", [v]) => match self.store.deref(v) {
                 Term::Var(w) => {
                     self.bind_now(w, Term::atom("ok"))?;
-                    BuiltinOutcome::Done
+                    CallOutcome::Done
                 }
-                Term::Atom(a) if a.as_str() == "ok" => BuiltinOutcome::Done,
+                Term::Atom(a) if a.as_str() == "ok" => CallOutcome::Done,
                 other => bad("ack/1", format!("already bound to {other}")),
             },
 
@@ -418,7 +411,7 @@ impl Machine {
             ("$deliver", [p, m]) => match self.store.deref(p) {
                 Term::Port(id) => {
                     self.port_append(id, m.clone())?;
-                    BuiltinOutcome::Done
+                    CallOutcome::Done
                 }
                 other => bad("$deliver/2", format!("not a port: {other}")),
             },
@@ -430,8 +423,8 @@ impl Machine {
                 let idx = self.store.deref(i);
                 let tuple = self.store.deref(t);
                 match (&idx, &tuple) {
-                    (Term::Var(w), _) => BuiltinOutcome::Suspend(vec![*w]),
-                    (_, Term::Var(w)) => BuiltinOutcome::Suspend(vec![*w]),
+                    (Term::Var(w), _) => CallOutcome::Suspend(vec![*w]),
+                    (_, Term::Var(w)) => CallOutcome::Suspend(vec![*w]),
                     (Term::Int(ix), Term::Tuple(_, slots)) => {
                         if *ix < 1 || *ix as usize > slots.len() {
                             bad("arg/3", format!("index {ix} out of range"))
@@ -450,12 +443,12 @@ impl Machine {
             ("gauge", [name_t, value_t]) => {
                 let gname = self.store.deref(name_t);
                 match (gname.functor(), self.store.deref(value_t)) {
-                    (_, Term::Var(v)) => BuiltinOutcome::Suspend(vec![v]),
+                    (_, Term::Var(v)) => CallOutcome::Suspend(vec![v]),
                     (Some((a, 0)), Term::Int(val)) => {
                         let node = self.current_node;
                         self.metrics
                             .record_gauge(a.as_str(), node, val.max(0) as u64);
-                        BuiltinOutcome::Done
+                        CallOutcome::Done
                     }
                     _ => bad("gauge/2", "expects an atom name and integer value"),
                 }
@@ -467,11 +460,11 @@ impl Machine {
 
     /// `:=` / `=`. With `arith` set, an arithmetic-expression RHS is
     /// evaluated before assignment.
-    fn assign(&mut self, lhs: &Term, rhs: &Term, arith: bool) -> StrandResult<BuiltinOutcome> {
+    fn assign(&mut self, lhs: &Term, rhs: &Term, arith: bool) -> StrandResult<CallOutcome> {
         let target = self.store.deref(lhs);
         let Term::Var(v) = target else {
             // Assigning to a bound variable is the paper's run-time error.
-            return Ok(BuiltinOutcome::Error(StrandError::DoubleAssign {
+            return Ok(CallOutcome::Error(StrandError::DoubleAssign {
                 var: VarId(u32::MAX),
                 existing: self.store.resolve(lhs),
                 attempted: self.store.resolve(rhs),
@@ -480,24 +473,24 @@ impl Machine {
         let value = self.store.deref(rhs);
         if arith && is_arith_expr(&value) && !value.is_number() {
             match eval_arith(&value, &self.store)? {
-                Evaled::Suspend(vs) => return Ok(BuiltinOutcome::Suspend(vs)),
+                Evaled::Suspend(vs) => return Ok(CallOutcome::Suspend(vs)),
                 Evaled::Num(n) => {
                     self.bind_now(v, n.to_term())?;
-                    return Ok(BuiltinOutcome::Done);
+                    return Ok(CallOutcome::Done);
                 }
             }
         }
         self.bind_now(v, value)?;
-        Ok(BuiltinOutcome::Done)
+        Ok(CallOutcome::Done)
     }
 
-    fn bind_or_err(&mut self, dest: &Term, value: Term) -> StrandResult<BuiltinOutcome> {
+    fn bind_or_err(&mut self, dest: &Term, value: Term) -> StrandResult<CallOutcome> {
         match self.store.deref(dest) {
             Term::Var(v) => {
                 self.bind_now(v, value)?;
-                Ok(BuiltinOutcome::Done)
+                Ok(CallOutcome::Done)
             }
-            other => Ok(BuiltinOutcome::Error(StrandError::DoubleAssign {
+            other => Ok(CallOutcome::Error(StrandError::DoubleAssign {
                 var: VarId(u32::MAX),
                 existing: other,
                 attempted: value,
@@ -510,7 +503,7 @@ impl Machine {
     /// break: the stream is data in the global store, so sends to a port
     /// whose owner died still append (a restarted consumer can replay
     /// them); only injected drops lose messages.
-    fn port_send(&mut self, port: u32, msg: Term) -> StrandResult<BuiltinOutcome> {
+    fn port_send(&mut self, port: u32, msg: Term) -> StrandResult<CallOutcome> {
         let msg = self.store.deref(&msg);
         let owner = self.ports.owner(port);
         if self.current_node != owner {
@@ -519,7 +512,7 @@ impl Machine {
                 Delivery::Deliver => {}
                 Delivery::Drop => {
                     self.record_drop(owner, &msg);
-                    return Ok(BuiltinOutcome::Done);
+                    return Ok(CallOutcome::Done);
                 }
                 Delivery::Duplicate => {
                     self.metrics.msgs_duplicated += 1;
@@ -549,7 +542,7 @@ impl Machine {
                         node,
                         at,
                     );
-                    return Ok(BuiltinOutcome::Done);
+                    return Ok(CallOutcome::Done);
                 }
             }
             self.count_cross_port(&msg);
@@ -557,7 +550,7 @@ impl Machine {
             self.metrics.port_msgs_local += 1;
         }
         self.port_append(port, msg)?;
-        Ok(BuiltinOutcome::Done)
+        Ok(CallOutcome::Done)
     }
 
     /// Raw stream append: allocate the next cell, atomically swap it in as

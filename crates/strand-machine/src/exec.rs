@@ -35,7 +35,7 @@ use strand_core::{
 };
 use strand_parse::{CompiledProgram, CompiledRule};
 
-fn push_unique(vs: &mut Vec<VarId>, v: VarId) {
+pub(crate) fn push_unique(vs: &mut Vec<VarId>, v: VarId) {
     if !vs.contains(&v) {
         vs.push(v);
     }
@@ -881,8 +881,9 @@ pub enum TryResult {
 }
 
 /// Attempt one lowered rule: match the head, then evaluate the guards.
-/// Mirrors the interpreter's `Machine::try_rule` exactly, including the
-/// rule that a match-time suspension returns before any guard runs.
+/// Mirrors the interpreter's attempt (`TierRule for CompiledRule` in
+/// `machine.rs`) exactly, including the rule that a match-time suspension
+/// returns before any guard runs.
 pub fn try_rule<S: StoreOps>(
     rule: &ExecRule,
     args: &[Term],

@@ -24,7 +24,7 @@
 //! the closure wakes may free the call's variables without racing a late
 //! output bind (`strand-serve`'s reply probe depends on exactly that).
 
-use crate::machine::Machine;
+use crate::machine::{CallOutcome, Machine};
 use std::sync::Arc;
 use strand_core::{Atom, FxHashMap, StrandResult, Term, Time, VarId};
 
@@ -170,7 +170,7 @@ impl Machine {
         &mut self,
         name: &str,
         goal: &Term,
-    ) -> Option<StrandResult<ForeignOutcome>> {
+    ) -> Option<StrandResult<CallOutcome>> {
         let args = goal.goal_args();
         let n = args.len();
         let entry = self
@@ -198,7 +198,7 @@ impl Machine {
             inputs.push(resolved);
         }
         if !pending.is_empty() {
-            return Some(Ok(ForeignOutcome::Suspend(pending)));
+            return Some(Ok(CallOutcome::Suspend(pending)));
         }
         let result = match entry {
             Entry::Stateful(f) => f(&inputs),
@@ -207,9 +207,9 @@ impl Machine {
                 return Some(Ok(match f(&inputs) {
                     Ok(cost) => {
                         self.extra_cost += cost;
-                        ForeignOutcome::Done
+                        CallOutcome::Done
                     }
-                    Err(e) => ForeignOutcome::Error(e),
+                    Err(e) => CallOutcome::Error(e),
                 }))
             }
         };
@@ -224,33 +224,24 @@ impl Machine {
         arity: usize,
         result: StrandResult<(Term, Time)>,
         out_arg: Term,
-    ) -> StrandResult<ForeignOutcome> {
+    ) -> StrandResult<CallOutcome> {
         match result {
             Ok((value, cost)) => {
                 self.extra_cost += cost;
                 match self.store.deref(&out_arg) {
                     Term::Var(v) => match self.bind_now(v, value) {
-                        Ok(()) => Ok(ForeignOutcome::Done),
+                        Ok(()) => Ok(CallOutcome::Done),
                         Err(e) => Err(e),
                     },
-                    other => Ok(ForeignOutcome::Error(
-                        strand_core::StrandError::BadBuiltin {
-                            builtin: format!("{name}/{arity}"),
-                            detail: format!("output argument already bound: {other}"),
-                        },
-                    )),
+                    other => Ok(CallOutcome::Error(strand_core::StrandError::BadBuiltin {
+                        builtin: format!("{name}/{arity}"),
+                        detail: format!("output argument already bound: {other}"),
+                    })),
                 }
             }
-            Err(e) => Ok(ForeignOutcome::Error(e)),
+            Err(e) => Ok(CallOutcome::Error(e)),
         }
     }
-}
-
-/// Result of a foreign execution attempt.
-pub(crate) enum ForeignOutcome {
-    Done,
-    Suspend(Vec<VarId>),
-    Error(strand_core::StrandError),
 }
 
 #[cfg(test)]

@@ -14,9 +14,9 @@
 //! only from the seeded `rand_num` primitive. Two runs with the same program,
 //! goal and config are identical, metric for metric.
 
-use crate::builtins::{is_builtin, BuiltinOutcome};
+use crate::builtins::is_builtin;
 use crate::config::{ExecMode, MachineConfig, TimerSource};
-use crate::exec::{self, ExecProgram, Scratch};
+use crate::exec::{self, ExecProgram, IndexKey, Scratch, TryResult};
 use crate::metrics::Metrics;
 use crate::trace::{goal_text, TraceEvent};
 use std::cmp::Ordering;
@@ -24,10 +24,11 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use strand_core::{
-    match_args, Atom, FxHashMap, GuardOutcome, MatchOutcome, NodeId, SharedStore, SharedStoreView,
-    SplitMix64, Store, StoreOps, StrandError, StrandResult, Term, Time, VarId, Waiter,
+    match_args, Atom, Frame, FxHashMap, GuardOutcome, MatchOutcome, NodeId, SharedStore,
+    SharedStoreView, SplitMix64, Store, StoreOps, StrandError, StrandResult, Term, Time, VarId,
+    Waiter,
 };
-use strand_parse::{CompiledProgram, CompiledRule};
+use strand_parse::{CompiledCall, CompiledProgram, CompiledRule};
 
 /// A queued (runnable) process.
 #[derive(Clone, Debug)]
@@ -70,13 +71,6 @@ pub struct Job {
     pub(crate) node: NodeId,
 }
 
-impl Job {
-    /// The node this process must run on.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-}
-
 /// Bits of a process id reserved for the owning worker's index in sharded
 /// execution. Worker `w` allocates pids starting at `w << WORKER_PID_SHIFT`,
 /// so any worker can route a wake-up from the pid alone — and worker 0's pids
@@ -115,6 +109,12 @@ impl Routed {
             Routed::Reclaim { worker, .. } => *worker,
         }
     }
+}
+
+/// Wrap a 1-based language node number onto one of `nodes` internal ids.
+fn wrap_node(j: i64, nodes: u32) -> NodeId {
+    let v = nodes as i64;
+    NodeId((((j - 1) % v + v) % v) as u32)
 }
 
 fn goal_is_timer(goal: &Term) -> bool {
@@ -307,38 +307,29 @@ pub(crate) enum PortsHandle {
 }
 
 impl PortsHandle {
-    /// Register a port, returning its id.
-    pub(crate) fn push(&mut self, p: PortState) -> u32 {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Vec<PortState>) -> R) -> R {
         match self {
-            PortsHandle::Local(v) => {
-                v.push(p);
-                (v.len() - 1) as u32
-            }
-            PortsHandle::Shared(m) => {
-                let mut v = m.lock().expect("ports mutex poisoned");
-                v.push(p);
-                (v.len() - 1) as u32
-            }
+            PortsHandle::Local(v) => f(v),
+            PortsHandle::Shared(m) => f(&mut m.lock().expect("ports mutex poisoned")),
         }
     }
 
+    /// Register a port, returning its id.
+    pub(crate) fn push(&mut self, p: PortState) -> u32 {
+        self.with(|v| {
+            v.push(p);
+            (v.len() - 1) as u32
+        })
+    }
+
     /// The node a port lives on (fixed at creation).
-    pub(crate) fn owner(&self, id: u32) -> NodeId {
-        match self {
-            PortsHandle::Local(v) => v[id as usize].owner,
-            PortsHandle::Shared(m) => m.lock().expect("ports mutex poisoned")[id as usize].owner,
-        }
+    pub(crate) fn owner(&mut self, id: u32) -> NodeId {
+        self.with(|v| v[id as usize].owner)
     }
 
     /// Atomically replace the port's tail variable, returning the old tail.
     pub(crate) fn swap_tail(&mut self, id: u32, new_tail: VarId) -> VarId {
-        match self {
-            PortsHandle::Local(v) => std::mem::replace(&mut v[id as usize].tail, new_tail),
-            PortsHandle::Shared(m) => {
-                let mut v = m.lock().expect("ports mutex poisoned");
-                std::mem::replace(&mut v[id as usize].tail, new_tail)
-            }
-        }
+        self.with(|v| std::mem::replace(&mut v[id as usize].tail, new_tail))
     }
 }
 
@@ -412,13 +403,11 @@ pub struct ShardReport {
 /// A process suspended on a set of variables.
 #[derive(Clone, Debug)]
 struct Susp {
-    goal: Term,
+    /// The process as it was popped; a wake re-queues it unchanged but for
+    /// its ready time. A session sweep tears out suspensions by its region.
+    item: QItem,
     node: NodeId,
     vars: Vec<VarId>,
-    tracked: bool,
-    /// Session region the process runs under (see [`QItem::region`]); a
-    /// session sweep tears out suspensions with a matching tag.
-    region: u32,
 }
 
 struct Node {
@@ -538,11 +527,12 @@ pub struct Machine {
 impl Machine {
     /// Build a machine for a compiled program.
     pub fn new(program: CompiledProgram, config: MachineConfig) -> Machine {
+        Machine::with_program(Arc::new(program), config)
+    }
+
+    fn with_program(program: Arc<CompiledProgram>, config: MachineConfig) -> Machine {
         let n = config.nodes as usize;
-        let map = |j: u32| {
-            let v = config.nodes as i64;
-            NodeId((((j as i64 - 1) % v + v) % v) as u32)
-        };
+        let map = |j: u32| wrap_node(j as i64, config.nodes);
         let mut pending_crashes: Vec<(NodeId, Time)> = config
             .faults
             .crashes
@@ -555,7 +545,6 @@ impl Machine {
         for &(j, f) in &config.faults.slowdowns {
             slowdown[map(j).0 as usize] = f.max(1);
         }
-        let program = Arc::new(program);
         let exec = Arc::new(ExecProgram::lower(&program));
         Machine {
             rng: SplitMix64::new(config.seed),
@@ -610,15 +599,7 @@ impl Machine {
         threads: usize,
     ) -> Machine {
         debug_assert!(idx < threads);
-        let mut m = Machine::new(CompiledProgram::default(), config);
-        m.program = program;
-        // Re-lower for the worker's actual program (the placeholder above
-        // lowered an empty one). Lowering is linear in program size and runs
-        // once per worker, far off the hot path.
-        m.exec = Arc::new(ExecProgram::lower(&m.program));
-        m.store = StoreHandle::Shared(SharedStoreView::new(Arc::clone(&world.store), idx as u32));
-        m.ports = PortsHandle::Shared(Arc::clone(&world.ports));
-        m.next_pid = (idx as u64) << WORKER_PID_SHIFT;
+        let mut m = Machine::attached(program, config, world, idx as u32, idx, threads);
         // Worker 0 keeps the configured seed so 1-thread runs draw the same
         // `rand_num` sequence as the simulator; other workers decorrelate.
         m.rng = SplitMix64::new(
@@ -626,6 +607,24 @@ impl Machine {
                 .seed
                 .wrapping_add((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
+        m
+    }
+
+    /// The simulator's machine re-homed into a shared `world`: it allocates
+    /// variables from `stripe`, mints pids in shard `idx`'s range and owns
+    /// the nodes with `node mod threads == idx`.
+    fn attached(
+        program: Arc<CompiledProgram>,
+        config: MachineConfig,
+        world: &SharedWorld,
+        stripe: u32,
+        idx: usize,
+        threads: usize,
+    ) -> Machine {
+        let mut m = Machine::with_program(program, config);
+        m.store = StoreHandle::Shared(SharedStoreView::new(Arc::clone(&world.store), stripe));
+        m.ports = PortsHandle::Shared(Arc::clone(&world.ports));
+        m.next_pid = (idx as u64) << WORKER_PID_SHIFT;
         m.shard = Some((idx, threads));
         m.hooks = Some(world.hooks.clone());
         m
@@ -643,8 +642,7 @@ impl Machine {
 
     /// Map a 1-based language node number onto an internal node id.
     pub(crate) fn map_node(&self, j: i64) -> NodeId {
-        let v = self.config.nodes as i64;
-        NodeId((((j - 1) % v + v) % v) as u32)
+        wrap_node(j, self.config.nodes)
     }
 
     fn fresh_pid(&mut self) -> u64 {
@@ -672,11 +670,7 @@ impl Machine {
         // In sharded execution, tracked-process gauges are per-owner: the
         // receiving worker counts the spawn when the job arrives (see
         // `absorb`), so spawn/done pairs always land on the same machine.
-        if tracked
-            && self
-                .shard
-                .is_none_or(|(me, threads)| node.0 as usize % threads == me)
-        {
+        if tracked && self.owns(node) {
             self.metrics.track_spawn(node);
         }
         let pid = self.fresh_pid();
@@ -863,8 +857,7 @@ impl Machine {
 
     /// Bind a variable from the current reduction, waking any waiters.
     pub(crate) fn bind_now(&mut self, v: VarId, value: Term) -> StrandResult<()> {
-        let now = self.nodes[self.current_node.0 as usize].clock;
-        let node = self.current_node;
+        let (now, node) = (self.now(), self.current_node);
         let waiters = self.store.bind(v, value, now, node)?;
         self.wake(waiters, now, node);
         Ok(())
@@ -876,8 +869,8 @@ impl Machine {
                 if (pid >> WORKER_PID_SHIFT) as usize != me {
                     // Another worker owns the suspension: route the wake-up.
                     // It counts against the gate until the owner applies it
-                    // (see `apply_wake`), so quiescence cannot be announced
-                    // with the wake still in flight.
+                    // (see `absorb`), so quiescence cannot be announced with
+                    // the wake still in flight.
                     self.gate_add(1);
                     self.outbox.push(Routed::Wake {
                         pid,
@@ -887,103 +880,119 @@ impl Machine {
                     continue;
                 }
             }
-            let Some(susp) = self.suspended.remove(&pid) else {
-                continue; // already woken through another variable
-            };
-            for v in &susp.vars {
-                self.store.remove_waiter(*v, pid);
-            }
-            let arrival = if susp.node == binder {
-                bind_time
-            } else {
-                self.metrics.count_message(binder, susp.node);
-                bind_time + self.config.latency
-            };
-            if self.config.record_trace {
-                self.trace.push(TraceEvent::Wake {
-                    time: arrival,
-                    binder,
-                    node: susp.node,
-                    pid,
-                });
-            }
-            self.push_item(
-                susp.node,
-                QItem {
-                    ready_at: arrival,
-                    pid,
-                    goal: susp.goal,
-                    tracked: susp.tracked,
-                    region: susp.region,
-                },
-            );
+            self.requeue_woken(pid, bind_time, binder);
         }
+    }
+
+    /// Make a suspension this machine owns runnable again after a binding at
+    /// `bind_time` on `binder`. A stale wake-up — the process already woke
+    /// through another variable — is dropped.
+    fn requeue_woken(&mut self, pid: u64, bind_time: Time, binder: NodeId) {
+        let Some(susp) = self.unsuspend(pid) else {
+            return;
+        };
+        let arrival = if susp.node == binder {
+            bind_time
+        } else {
+            self.metrics.count_message(binder, susp.node);
+            bind_time + self.config.latency
+        };
+        if self.config.record_trace {
+            self.trace.push(TraceEvent::Wake {
+                time: arrival,
+                binder,
+                node: susp.node,
+                pid,
+            });
+        }
+        self.push_item(
+            susp.node,
+            QItem {
+                ready_at: arrival,
+                ..susp.item
+            },
+        );
+    }
+
+    /// Take a suspension out of the table and its waiter registrations out
+    /// of the store.
+    fn unsuspend(&mut self, pid: u64) -> Option<Susp> {
+        let susp = self.suspended.remove(&pid)?;
+        for v in &susp.vars {
+            self.store.remove_waiter(*v, pid);
+        }
+        Some(susp)
+    }
+
+    /// Tear out every suspension matching `doomed`: its wake can never
+    /// matter again.
+    fn tear_out(&mut self, doomed: impl Fn(&Susp) -> bool) -> Vec<Susp> {
+        let pids: Vec<u64> = self
+            .suspended
+            .iter()
+            .filter(|(_, s)| doomed(s))
+            .map(|(&pid, _)| pid)
+            .collect();
+        pids.into_iter()
+            .map(|pid| self.unsuspend(pid).expect("collected above"))
+            .collect()
     }
 
     fn suspend(&mut self, item: QItem, vars: Vec<VarId>) {
         debug_assert!(!vars.is_empty(), "suspending on empty var set");
         let pid = item.pid;
-        // Defensive: if any variable got bound in the meantime (cannot
-        // happen today — reduction is atomic — but cheap to guard), roll
-        // back the waiters registered so far and retry the goal.
+        let (now, node) = (self.now(), self.current_node);
+        // A variable can be bound between the match that found it unbound
+        // and this registration: never on the simulator, where a reduction
+        // is atomic, but on a `SharedStore` a peer worker binds concurrently.
+        // Roll back the waiters registered so far and retry the very same
+        // process — same pid, tracked flag and region, so the tracked gauge
+        // (counted once at spawn, settled once at completion) stays exact.
         for (i, v) in vars.iter().enumerate() {
             if !self.store.add_waiter(*v, pid) {
                 for r in &vars[..i] {
                     self.store.remove_waiter(*r, pid);
                 }
-                let node = self.current_node;
-                let now = self.nodes[node.0 as usize].clock;
-                self.enqueue(item.goal, node, now);
+                self.push_item(
+                    node,
+                    QItem {
+                        ready_at: now,
+                        ..item
+                    },
+                );
                 return;
             }
         }
         self.metrics.suspensions += 1;
         if self.config.record_trace {
             self.trace.push(TraceEvent::Suspend {
-                time: self.nodes[self.current_node.0 as usize].clock,
-                node: self.current_node,
+                time: now,
+                node,
                 pid,
                 goal: goal_text(&item.goal),
                 vars: vars.len(),
             });
         }
-        self.suspended.insert(
-            pid,
-            Susp {
-                goal: item.goal,
-                node: self.current_node,
-                vars,
-                tracked: item.tracked,
-                region: item.region,
-            },
-        );
+        self.suspended.insert(pid, Susp { item, node, vars });
     }
 
     fn record_error(&mut self, e: StrandError) -> StrandResult<()> {
         if self.config.fail_fast {
             return Err(e);
         }
-        let now = self.nodes[self.current_node.0 as usize].clock;
-        self.errors.push((now, e));
+        self.errors.push((self.now(), e));
         Ok(())
     }
 
     /// Run until no process is runnable. The initial goal must have been
     /// enqueued (see [`Machine::start`] or the `run_*` helpers in the crate
-    /// root).
+    /// root). This is the simulator's driver over the shard core: it owns
+    /// every node, advances them in global virtual-time order and fires the
+    /// [`FaultPlan`](crate::config::FaultPlan)'s crashes between steps.
     pub fn run(&mut self) -> StrandResult<RunReport> {
         let mut truncated = false;
         loop {
-            // Pick the node with the earliest next event.
-            let mut best: Option<(Time, usize)> = None;
-            for (i, n) in self.nodes.iter().enumerate() {
-                if let Some(top) = n.queue.peek() {
-                    let key = n.clock.max(top.ready_at);
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, i));
-                    }
-                }
-            }
+            let best = self.next_event();
             // Fire any scheduled crash due before the next event, so crashes
             // hit idle (suspended) nodes too, in global virtual-time order.
             if let Some(&(node, at)) = self.pending_crashes.first() {
@@ -994,12 +1003,7 @@ impl Machine {
                 }
             }
             let Some((start, i)) = best else { break };
-            if self.total_reductions >= self.config.max_reductions {
-                if self.config.fail_fast {
-                    return Err(StrandError::BudgetExhausted {
-                        reductions: self.total_reductions + 1,
-                    });
-                }
+            if self.over_budget()? {
                 self.errors.push((
                     start,
                     StrandError::BudgetExhausted {
@@ -1009,130 +1013,112 @@ impl Machine {
                 truncated = true;
                 break;
             }
-            let item = self.nodes[i].queue.pop().expect("peeked nonempty queue");
-            // A '$timer'(Cancel, T) whose cancel flag is already bound
-            // evaporates without advancing the clock or consuming budget:
-            // cancelled timeouts must not stretch the makespan.
-            if let Some(("$timer", 2)) = item.goal.functor().map(|(n, a)| (n.as_str(), a)) {
-                if !matches!(self.store.deref(&item.goal.goal_args()[0]), Term::Var(_)) {
-                    self.metrics.timers_cancelled += 1;
-                    continue;
+            self.step(i, start)?;
+        }
+        Ok(merge_shard_reports([self.finalize_shard()], truncated))
+    }
+
+    /// The owned node with the earliest next event, and that event's time.
+    /// Ties go to the lowest node index.
+    fn next_event(&self) -> Option<(Time, usize)> {
+        let (me, threads) = self.shard.unwrap_or((0, 1));
+        let mut best: Option<(Time, usize)> = None;
+        // Not `Range::step_by`: its constructor divides, once per step.
+        let mut i = me;
+        while i < self.nodes.len() {
+            if let Some(top) = self.nodes[i].queue.peek() {
+                let key = self.nodes[i].clock.max(top.ready_at);
+                if best.is_none_or(|(bk, _)| key < bk) {
+                    best = Some((key, i));
                 }
             }
-            self.total_reductions += 1;
-            self.current_node = NodeId(i as u32);
-            self.extra_cost = 0;
-            self.nodes[i].clock = start;
-            if self.config.record_trace {
-                self.trace.push(TraceEvent::Reduce {
-                    time: start,
-                    node: self.current_node,
-                    pid: item.pid,
-                    goal: goal_text(&item.goal),
-                });
-            }
-            let step_result = self.reduce(item);
-            let cost = (self.config.reduction_cost + self.extra_cost) * self.slowdown[i];
-            self.nodes[i].clock = start + cost;
-            self.metrics.busy[i] += cost;
-            self.metrics.reductions[i] += 1;
-            step_result?;
+            i += threads;
         }
-        Ok(self.build_report(truncated))
+        best
     }
 
-    /// Snapshot the final report. Public for execution backends that drive
-    /// the machine step-by-step instead of calling [`Machine::run`].
-    pub fn build_report(&mut self, truncated: bool) -> RunReport {
-        self.metrics.makespan = self.nodes.iter().map(|n| n.clock).max().unwrap_or(0);
-        self.metrics.total_reductions = self.total_reductions;
-        let crashed_nodes: Vec<u32> = self
-            .crashed
-            .iter()
-            .enumerate()
-            .filter(|(_, &dead)| dead)
-            .map(|(i, _)| i as u32 + 1)
-            .collect();
-        let status = if truncated {
-            RunStatus::Truncated {
-                reductions: self.total_reductions,
-            }
-        } else if !crashed_nodes.is_empty() && !self.suspended.is_empty() {
-            // Survivors are stuck on bindings a dead node will never make.
-            RunStatus::Partitioned {
-                suspended: self.suspended.len(),
-                dead: self.dead_count,
-                crashed_nodes,
-            }
-        } else if self.suspended.is_empty() {
-            RunStatus::Completed
+    /// Is the run's reduction budget spent? An error under `fail_fast`.
+    fn over_budget(&self) -> StrandResult<bool> {
+        let spent = self.budget_spent();
+        if spent < self.config.max_reductions {
+            Ok(false)
+        } else if self.config.fail_fast {
+            Err(StrandError::BudgetExhausted {
+                reductions: spent + 1,
+            })
         } else {
-            RunStatus::Quiescent {
-                suspended: self.suspended.len(),
-            }
-        };
-        let mut suspended_goals: Vec<Term> = self
-            .suspended
-            .values()
-            .take(16)
-            .map(|s| self.store.resolve(&s.goal))
-            .collect();
-        suspended_goals.sort_by_key(|t| t.to_string());
-        let mut dead_goals = self.dead_goals.clone();
-        dead_goals.sort_by_key(|t| t.to_string());
-        RunReport {
-            status,
-            metrics: self.metrics.clone(),
-            output: self.output.clone(),
-            errors: std::mem::take(&mut self.errors),
-            suspended_goals,
-            dead_goals,
-            trace: std::mem::take(&mut self.trace),
+            Ok(true)
         }
     }
 
-    /// Kill a node: drop its queue, tear out its suspended goals (they will
-    /// never wake), and remember diagnostics snapshots.
+    /// Pop node `i`'s next process and reduce it at time `start`. Returns
+    /// `false` when the process was a `'$timer'` that did not fire, which
+    /// costs no budget, clock or step quantum:
+    ///
+    /// * its cancel flag is already bound — it evaporates, so cancelled
+    ///   timeouts never stretch the makespan;
+    /// * the global in-flight gate is nonzero — it is parked until
+    ///   [`release_timers`](Machine::release_timers) (sharded runs only: the
+    ///   simulator has no gate, its virtual clock orders deadlines).
+    fn step(&mut self, i: usize, start: Time) -> StrandResult<bool> {
+        let item = self.nodes[i].queue.pop().expect("peeked nonempty queue");
+        let regular = !goal_is_timer(&item.goal);
+        if !regular {
+            if self.cancel_is_bound(&item.goal.goal_args()[0]) {
+                self.metrics.timers_cancelled += 1;
+                return Ok(false);
+            }
+            if self
+                .hooks
+                .as_ref()
+                .is_some_and(|h| h.regular.load(AtomicOrdering::SeqCst) > 0)
+            {
+                self.deferred_timers.push((NodeId(i as u32), item));
+                return Ok(false);
+            }
+            // Idle, so a deadline may fire — the earliest one, which
+            // may be parked. Put the parked ones back and select again:
+            // otherwise a timer loop on one node (a heartbeat: fire, a
+            // few reductions, re-arm) re-fires ahead of every parked
+            // deadline for as long as the gate happens to read nonzero
+            // whenever this drain hands back to the worker.
+            if !self.deferred_timers.is_empty() {
+                self.insert_local(NodeId(i as u32), item);
+                self.release_timers();
+                return Ok(false);
+            }
+        }
+        self.charge_reduction();
+        self.current_node = NodeId(i as u32);
+        self.extra_cost = 0;
+        self.nodes[i].clock = start;
+        if self.config.record_trace {
+            self.trace.push(TraceEvent::Reduce {
+                time: start,
+                node: self.current_node,
+                pid: item.pid,
+                goal: goal_text(&item.goal),
+            });
+        }
+        let step_result = self.reduce(item);
+        let cost = (self.config.reduction_cost + self.extra_cost) * self.slowdown[i];
+        self.nodes[i].clock = start + cost;
+        self.metrics.busy[i] += cost;
+        self.metrics.reductions[i] += 1;
+        if regular {
+            self.gate_sub(1);
+        }
+        step_result?;
+        Ok(true)
+    }
+
+    /// Kill a node (a [`FaultPlan`](crate::config::FaultPlan) crash at
+    /// virtual time `at`).
     fn apply_crash(&mut self, node: NodeId, at: Time) {
-        let i = node.0 as usize;
-        if self.crashed[i] {
+        if self.is_crashed(node) {
             return;
         }
-        self.crashed[i] = true;
-        // The node's clock stays where computation stopped: a crash is not
-        // work, and must not stretch the makespan.
-        let lost_queue = self.nodes[i].queue.len();
-        let lost: Vec<QItem> = self.nodes[i].queue.drain().collect();
-        for item in &lost {
-            if item.tracked {
-                self.metrics.track_done(node);
-            }
-            if self.dead_goals.len() < 16 {
-                self.dead_goals.push(self.store.resolve(&item.goal));
-            }
-        }
-        self.dead_count += lost_queue;
-        let dead_pids: Vec<u64> = self
-            .suspended
-            .iter()
-            .filter(|(_, s)| s.node == node)
-            .map(|(&pid, _)| pid)
-            .collect();
-        let lost_suspended = dead_pids.len();
-        for pid in dead_pids {
-            let susp = self.suspended.remove(&pid).expect("collected above");
-            for v in &susp.vars {
-                self.store.remove_waiter(*v, pid);
-            }
-            if susp.tracked {
-                self.metrics.track_done(node);
-            }
-            if self.dead_goals.len() < 16 {
-                self.dead_goals.push(self.store.resolve(&susp.goal));
-            }
-        }
-        self.dead_count += lost_suspended;
-        self.metrics.nodes_crashed += 1;
+        let (lost_queue, lost_suspended) = self.teardown_node(node);
         if self.config.record_trace {
             self.trace.push(TraceEvent::Crash {
                 time: at,
@@ -1140,6 +1126,47 @@ impl Machine {
                 lost_queue,
                 lost_suspended,
             });
+        }
+    }
+
+    /// Tear a dead node down: drop its queue (settling the in-flight gate),
+    /// tear its suspended goals out of the store (they will never wake),
+    /// balance the tracked gauge and remember diagnostic snapshots. Returns
+    /// how many queued and suspended goals were lost.
+    fn teardown_node(&mut self, node: NodeId) -> (usize, usize) {
+        let i = node.0 as usize;
+        self.crashed[i] = true;
+        // The node's clock stays where computation stopped: a crash is not
+        // work, and must not stretch the makespan.
+        let lost: Vec<QItem> = self.nodes[i].queue.drain().collect();
+        for item in &lost {
+            self.settle(item);
+            self.bury(node, item);
+        }
+        let torn = self.tear_out(|s| s.node == node);
+        for susp in &torn {
+            self.bury(node, &susp.item);
+        }
+        self.dead_count += lost.len() + torn.len();
+        self.metrics.nodes_crashed += 1;
+        (lost.len(), torn.len())
+    }
+
+    /// Account for one process lost with `node`.
+    fn bury(&mut self, node: NodeId, item: &QItem) {
+        if item.tracked {
+            self.metrics.track_done(node);
+        }
+        if self.dead_goals.len() < 16 {
+            self.dead_goals.push(self.store.resolve(&item.goal));
+        }
+    }
+
+    /// A queued process is leaving the system unreduced: give back the
+    /// in-flight gate unit it has held since `push_item`.
+    fn settle(&self, item: &QItem) {
+        if !goal_is_timer(&item.goal) {
+            self.gate_sub(1);
         }
     }
 
@@ -1163,15 +1190,7 @@ impl Machine {
         world: &SharedWorld,
         threads: usize,
     ) -> Machine {
-        let mut m = Machine::new(CompiledProgram::default(), config);
-        m.program = program;
-        m.exec = Arc::new(ExecProgram::lower(&m.program));
-        m.store = StoreHandle::Shared(SharedStoreView::new(Arc::clone(&world.store), 0));
-        m.ports = PortsHandle::Shared(Arc::clone(&world.ports));
-        m.next_pid = (threads as u64) << WORKER_PID_SHIFT;
-        m.shard = Some((threads, threads));
-        m.hooks = Some(world.hooks.clone());
-        m
+        Machine::attached(program, config, world, 0, threads, threads)
     }
 
     /// Set the session region for subsequent goal construction and
@@ -1200,18 +1219,8 @@ impl Machine {
     /// Returns the number of store slots freed.
     pub fn reclaim_session(&mut self, region: u32) -> usize {
         debug_assert!(region != 0, "region 0 is the untracked batch region");
-        let pids: Vec<u64> = self
-            .suspended
-            .iter()
-            .filter(|(_, s)| s.region == region)
-            .map(|(&pid, _)| pid)
-            .collect();
-        for pid in pids {
-            let susp = self.suspended.remove(&pid).expect("collected above");
-            for v in &susp.vars {
-                self.store.remove_waiter(*v, pid);
-            }
-            if susp.tracked {
+        for susp in self.tear_out(|s| s.item.region == region) {
+            if susp.item.tracked {
                 self.metrics.track_done(susp.node);
             }
         }
@@ -1226,14 +1235,9 @@ impl Machine {
         freed
     }
 
-    /// Count one idle park (a resident worker reached global quiescence and
-    /// parked instead of exiting).
-    pub fn note_idle_park(&mut self) {
-        self.metrics.idle_parks += 1;
-    }
-
-    /// Mutable metrics access (the service shell counts sessions and
-    /// admissions on the machine that fronts them).
+    /// Mutable metrics access: the service shell counts sessions and
+    /// admissions on the machine that fronts them, the parallel backend's
+    /// workers count idle parks, timer prunes and injected stall time.
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.metrics
     }
@@ -1259,18 +1263,12 @@ impl Machine {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Processes currently suspended on unbound variables.
-    pub fn suspended_count(&self) -> usize {
-        self.suspended.len()
-    }
-
     /// Record the budget-exhausted error once (the worker that first
     /// observes [`DrainState::Budget`] calls this).
     pub fn note_truncated(&mut self) {
-        let now = self.nodes[self.current_node.0 as usize].clock;
         let reductions = self.budget_spent();
         self.errors
-            .push((now, StrandError::BudgetExhausted { reductions }));
+            .push((self.now(), StrandError::BudgetExhausted { reductions }));
     }
 
     /// Does this machine own `node`'s run queue and suspensions?
@@ -1300,7 +1298,10 @@ impl Machine {
                     }
                     self.insert_local(node, item);
                 }
-                Routed::Wake { pid, time, binder } => self.apply_wake(pid, time, binder),
+                Routed::Wake { pid, time, binder } => {
+                    self.gate_sub(1); // the wake has arrived, stale or not
+                    self.requeue_woken(pid, time, binder);
+                }
                 Routed::Reclaim { region, .. } => {
                     self.reclaim_session(region);
                 }
@@ -1308,130 +1309,30 @@ impl Machine {
         }
     }
 
-    /// Apply a routed wake-up for a pid this worker owns. A stale wake-up —
-    /// the process already woke through another variable — is dropped; its
-    /// gate reservation is still settled.
-    fn apply_wake(&mut self, pid: u64, bind_time: Time, binder: NodeId) {
-        self.gate_sub(1); // the wake has arrived
-        let Some(susp) = self.suspended.remove(&pid) else {
-            return;
-        };
-        for v in &susp.vars {
-            self.store.remove_waiter(*v, pid);
-        }
-        let arrival = if susp.node == binder {
-            bind_time
-        } else {
-            self.metrics.count_message(binder, susp.node);
-            bind_time + self.config.latency
-        };
-        if self.config.record_trace {
-            self.trace.push(TraceEvent::Wake {
-                time: arrival,
-                binder,
-                node: susp.node,
-                pid,
-            });
-        }
-        self.push_item(
-            susp.node,
-            QItem {
-                ready_at: arrival,
-                pid,
-                goal: susp.goal,
-                tracked: susp.tracked,
-                region: susp.region,
-            },
-        );
-    }
-
-    /// Reduce up to `max_steps` owned processes, using the same
-    /// earliest-event selection as [`Machine::run`] restricted to this
-    /// shard's nodes. Cancelled `'$timer'` deadlines evaporate as in `run`;
-    /// live ones are parked while the global in-flight gate is nonzero, so a
-    /// timeout only fires once the value it guards has had every chance to
-    /// arrive.
+    /// Reduce up to `max_steps` owned processes — the worker's driver over
+    /// the shard core, using the same earliest-event selection and
+    /// [`step`](Machine::step) as [`Machine::run`] restricted to this shard's
+    /// nodes. Live `'$timer'` deadlines are parked while the global
+    /// in-flight gate is nonzero, so a timeout only fires once the value it
+    /// guards has had every chance to arrive.
     pub fn drain_local(&mut self, max_steps: u32) -> StrandResult<DrainState> {
-        let (me, threads) = self.shard.expect("drain_local requires a sharded machine");
         let mut steps = 0u32;
-        loop {
-            if steps >= max_steps {
-                return Ok(DrainState::More);
-            }
-            let mut best: Option<(Time, usize)> = None;
-            for i in (me..self.nodes.len()).step_by(threads) {
-                if let Some(top) = self.nodes[i].queue.peek() {
-                    let key = self.nodes[i].clock.max(top.ready_at);
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, i));
-                    }
-                }
-            }
-            let Some((start, i)) = best else {
+        while steps < max_steps {
+            let Some((start, i)) = self.next_event() else {
                 return Ok(if self.deferred_timers.is_empty() {
                     DrainState::Idle
                 } else {
                     DrainState::TimersOnly
                 });
             };
-            if self.budget_spent() >= self.config.max_reductions {
-                if self.config.fail_fast {
-                    return Err(StrandError::BudgetExhausted {
-                        reductions: self.budget_spent() + 1,
-                    });
-                }
+            if self.over_budget()? {
                 return Ok(DrainState::Budget);
             }
-            let item = self.nodes[i].queue.pop().expect("peeked nonempty queue");
-            let regular = !goal_is_timer(&item.goal);
-            if !regular {
-                if !matches!(self.store.deref(&item.goal.goal_args()[0]), Term::Var(_)) {
-                    self.metrics.timers_cancelled += 1;
-                    continue; // cancelled: evaporate without budget or clock
-                }
-                if self
-                    .hooks
-                    .as_ref()
-                    .is_some_and(|h| h.regular.load(AtomicOrdering::SeqCst) > 0)
-                {
-                    self.deferred_timers.push((NodeId(i as u32), item));
-                    continue;
-                }
-                // Idle, so a deadline may fire — the earliest one, which
-                // may be parked. Put the parked ones back and select again:
-                // otherwise a timer loop on one node (a heartbeat: fire, a
-                // few reductions, re-arm) re-fires ahead of every parked
-                // deadline for as long as the gate happens to read nonzero
-                // whenever this drain hands back to the worker.
-                if !self.deferred_timers.is_empty() {
-                    self.insert_local(NodeId(i as u32), item);
-                    self.release_timers();
-                    continue;
-                }
+            if self.step(i, start)? {
+                steps += 1;
             }
-            self.charge_reduction();
-            self.current_node = NodeId(i as u32);
-            self.extra_cost = 0;
-            self.nodes[i].clock = start;
-            if self.config.record_trace {
-                self.trace.push(TraceEvent::Reduce {
-                    time: start,
-                    node: self.current_node,
-                    pid: item.pid,
-                    goal: goal_text(&item.goal),
-                });
-            }
-            let step_result = self.reduce(item);
-            let cost = (self.config.reduction_cost + self.extra_cost) * self.slowdown[i];
-            self.nodes[i].clock = start + cost;
-            self.metrics.busy[i] += cost;
-            self.metrics.reductions[i] += 1;
-            if regular {
-                self.gate_sub(1);
-            }
-            step_result?;
-            steps += 1;
         }
+        Ok(DrainState::More)
     }
 
     /// True when at least one `'$timer'` deadline is parked waiting for the
@@ -1484,25 +1385,18 @@ impl Machine {
     /// silent no-op (the deadline died with the shard; supervision recovers
     /// through monitors on live nodes).
     pub fn fire_wall_timer(&mut self, timer: WallTimer) {
-        let WallTimer {
-            node,
-            cancel,
-            timeout,
-            region,
-            ..
-        } = timer;
-        if self.crashed[node.0 as usize] {
+        if self.crashed[timer.node.0 as usize] {
             return;
         }
         let pid = self.fresh_pid();
         self.push_item(
-            node,
+            timer.node,
             QItem {
                 ready_at: 0,
                 pid,
-                goal: Term::tuple("$timer!", vec![cancel, timeout]),
+                goal: Term::tuple("$timer!", vec![timer.cancel, timer.timeout]),
                 tracked: false,
-                region,
+                region: timer.region,
             },
         );
     }
@@ -1522,9 +1416,7 @@ impl Machine {
         for i in 0..self.nodes.len() {
             let items: Vec<QItem> = self.nodes[i].queue.drain().collect();
             for item in items {
-                if !goal_is_timer(&item.goal) {
-                    self.gate_sub(1);
-                }
+                self.settle(&item);
                 if item.tracked {
                     self.metrics.track_done(NodeId(i as u32));
                 }
@@ -1538,11 +1430,7 @@ impl Machine {
     pub fn discard_routed(&mut self, batch: Vec<Routed>) {
         for event in batch {
             match event {
-                Routed::Job(job) => {
-                    if !goal_is_timer(&job.item.goal) {
-                        self.gate_sub(1);
-                    }
-                }
+                Routed::Job(job) => self.settle(&job.item),
                 Routed::Wake { .. } => self.gate_sub(1),
                 // Reclaims carry no gate unit; on an aborted run the region
                 // simply stays allocated (the process is exiting anyway).
@@ -1559,58 +1447,30 @@ impl Machine {
     // fire, tracked-process gauges stay balanced, and drops/dups land in
     // the same metrics counters the simulator uses.
 
-    /// Kill this worker's whole shard: every owned node crashes at once, as
-    /// [`Machine::apply_crash`] does one node at a time — run queues dropped
-    /// (settling the in-flight gate), suspensions torn out of the shared
-    /// store, nodes marked crashed so nothing re-enqueues. The caller must
-    /// keep draining the worker's channel afterwards (discarding deliveries
-    /// via [`Machine::chaos_absorb_dead`]) or peers would park forever.
+    /// Kill this worker's whole shard: every owned node is torn down as a
+    /// [`FaultPlan`](crate::config::FaultPlan) crash tears down one — run
+    /// queues dropped (settling the in-flight gate), suspensions torn out of
+    /// the shared store, nodes marked crashed so nothing re-enqueues. The
+    /// caller must keep draining the worker's channel afterwards (discarding
+    /// deliveries via [`Machine::chaos_absorb_dead`]) or peers would park
+    /// forever.
     pub fn chaos_kill(&mut self) {
-        let mut killed = 0usize;
-        let mut lost_queue = 0usize;
+        let (mut killed, mut lost_queue, mut lost_suspended) = (0, 0, 0);
         for i in 0..self.nodes.len() {
-            if !self.owns(NodeId(i as u32)) || self.crashed[i] {
-                continue;
-            }
-            self.crashed[i] = true;
-            killed += 1;
             let node = NodeId(i as u32);
-            let items: Vec<QItem> = self.nodes[i].queue.drain().collect();
-            for item in &items {
-                if !goal_is_timer(&item.goal) {
-                    self.gate_sub(1);
-                }
-                if item.tracked {
-                    self.metrics.track_done(node);
-                }
-                if self.dead_goals.len() < 16 {
-                    self.dead_goals.push(self.store.resolve(&item.goal));
-                }
+            if self.owns(node) && !self.crashed[i] {
+                let (queue, suspended) = self.teardown_node(node);
+                killed += 1;
+                lost_queue += queue;
+                lost_suspended += suspended;
             }
-            lost_queue += items.len();
-            self.dead_count += items.len();
         }
+        debug_assert!(self.suspended.is_empty(), "suspension on an unowned node");
         // Parked '$timer' deadlines hold no gate units; they die silently.
         // Unharvested wall deadlines likewise: entries already in the wheel
         // fire into the dead shard and are discarded there.
         self.deferred_timers.clear();
         self.pending_wall_timers.clear();
-        // Every suspension in this table lives on an owned node.
-        let lost_suspended = self.suspended.len();
-        let susps: Vec<(u64, Susp)> = self.suspended.drain().collect();
-        for (pid, susp) in susps {
-            for v in &susp.vars {
-                self.store.remove_waiter(*v, pid);
-            }
-            if susp.tracked {
-                self.metrics.track_done(susp.node);
-            }
-            if self.dead_goals.len() < 16 {
-                self.dead_goals.push(self.store.resolve(&susp.goal));
-            }
-        }
-        self.dead_count += lost_suspended;
-        self.metrics.nodes_crashed += killed as u64;
         self.metrics.shards_killed += 1;
         if self.config.record_trace {
             let time = self.nodes.iter().map(|n| n.clock).max().unwrap_or(0);
@@ -1640,23 +1500,18 @@ impl Machine {
     /// that faults model the network, not the shared store (DESIGN.md §8).
     /// Returns how many spawns were removed.
     pub fn chaos_drop_jobs(&mut self, batch: &mut Vec<Routed>) -> usize {
-        let mut kept = Vec::with_capacity(batch.len());
-        let mut dropped = 0usize;
-        for event in batch.drain(..) {
-            match event {
-                Routed::Job(job) => {
-                    if !goal_is_timer(&job.item.goal) {
-                        self.gate_sub(1);
-                    }
-                    dropped += 1;
-                }
-                // Wakes and reclaims are never dropped: faults model the
-                // network's spawn traffic, not the shared store or the
-                // service shell's control plane.
-                other => kept.push(other),
+        let before = batch.len();
+        // Wakes and reclaims are never dropped: faults model the network's
+        // spawn traffic, not the shared store or the service shell's control
+        // plane.
+        batch.retain(|event| match event {
+            Routed::Job(job) => {
+                self.settle(&job.item);
+                false
             }
-        }
-        *batch = kept;
+            _ => true,
+        });
+        let dropped = before - batch.len();
         if dropped > 0 {
             self.metrics.msgs_dropped += dropped as u64;
             self.metrics.batches_dropped += 1;
@@ -1689,25 +1544,19 @@ impl Machine {
         dup
     }
 
-    /// Record injected throttle stall time (chaos straggler injection).
-    pub fn note_throttle(&mut self, ns: u64) {
-        self.metrics.throttle_ns += ns;
-    }
-
     /// Snapshot this worker's slice of the final report.
     pub fn finalize_shard(&mut self) -> ShardReport {
         self.metrics.makespan = self.nodes.iter().map(|n| n.clock).max().unwrap_or(0);
         self.metrics.total_reductions = self.total_reductions;
-        let mut suspended_goals: Vec<Term> = self
+        let suspended_goals: Vec<Term> = self
             .suspended
             .values()
             .take(16)
             .map(|s| {
                 let mut budget = 256u32;
-                resolve_capped(&self.store, &s.goal, &mut budget)
+                resolve_capped(&self.store, &s.item.goal, &mut budget)
             })
             .collect();
-        suspended_goals.sort_by_key(|t| t.to_string());
         let crashed_nodes: Vec<u32> = self
             .crashed
             .iter()
@@ -1750,47 +1599,23 @@ impl Machine {
             return self.record_error(StrandError::NoMatchingRule { goal: resolved });
         };
 
+        // Foreign procedures shadow builtins of the same name.
+        let mut called = None;
         if !self.foreign.is_empty() {
-            if let Some(outcome) = self.try_foreign(name.as_str(), &goal) {
+            called = self.try_foreign(name.as_str(), &goal);
+        }
+        if called.is_none() && is_builtin(name.as_str(), arity) {
+            called = Some(self.exec_builtin(name.as_str(), &goal));
+        }
+        if let Some(outcome) = called {
+            match outcome {
+                Ok(CallOutcome::Done) => self.finish_tracked(&item),
+                Ok(CallOutcome::Suspend(vars)) => self.suspend(item, vars),
                 // Dispatch-level errors go through `record_error` like the
                 // outcome-level ones: with `fail_fast` off they must be
                 // *collected*, not propagated — a resident service survives
                 // a bad request instead of tearing down (DESIGN.md §9).
-                let outcome = match outcome {
-                    Ok(o) => o,
-                    Err(e) => {
-                        self.finish_tracked(&item);
-                        return self.record_error(e);
-                    }
-                };
-                match outcome {
-                    crate::foreign::ForeignOutcome::Done => {
-                        self.finish_tracked(&item);
-                    }
-                    crate::foreign::ForeignOutcome::Suspend(vars) => self.suspend(item, vars),
-                    crate::foreign::ForeignOutcome::Error(e) => {
-                        self.finish_tracked(&item);
-                        self.record_error(e)?;
-                    }
-                }
-                return Ok(());
-            }
-        }
-
-        if is_builtin(name.as_str(), arity) {
-            let outcome = match self.exec_builtin(name.as_str(), &goal) {
-                Ok(o) => o,
-                Err(e) => {
-                    self.finish_tracked(&item);
-                    return self.record_error(e);
-                }
-            };
-            match outcome {
-                BuiltinOutcome::Done => {
-                    self.finish_tracked(&item);
-                }
-                BuiltinOutcome::Suspend(vars) => self.suspend(item, vars),
-                BuiltinOutcome::Error(e) => {
+                Ok(CallOutcome::Error(e)) | Err(e) => {
                     self.finish_tracked(&item);
                     self.record_error(e)?;
                 }
@@ -1798,234 +1623,143 @@ impl Machine {
             return Ok(());
         }
 
+        // The two tiers differ only in what a rule *is*; `dispatch` is
+        // monomorphised per tier (see [`TierRule`]).
+        let undefined = || StrandError::UndefinedProcedure {
+            name: name.as_str().to_string(),
+            arity,
+        };
         match self.config.exec {
-            ExecMode::Compiled => self.reduce_rules_compiled(item, goal, name, arity),
-            ExecMode::Interpreted => self.reduce_rules_interpreted(item, goal, name, arity),
+            ExecMode::Compiled => {
+                let exec = Arc::clone(&self.exec);
+                let Some(proc) = exec.get(name.as_str(), arity) else {
+                    self.finish_tracked(&item);
+                    return self.record_error(undefined());
+                };
+                self.metrics.compiled_reductions += 1;
+                // One up-front deref of the first argument feeds every index
+                // probe.
+                let arg0 = match goal.goal_args().first() {
+                    Some(a) if proc.indexed => Some(self.store.deref(a)),
+                    _ => None,
+                };
+                let otherwise = proc.otherwise.as_deref();
+                self.dispatch(item, &goal, name, proc.rules.iter(), otherwise, arg0)
+            }
+            ExecMode::Interpreted => {
+                let program = Arc::clone(&self.program);
+                let Some(proc) = program.get(name.as_str(), arity) else {
+                    self.finish_tracked(&item);
+                    return self.record_error(undefined());
+                };
+                self.metrics.interpreted_reductions += 1;
+                // Only the first `otherwise` rule is ever tried.
+                let ordinary = proc.rules.iter().filter(|r| !r.otherwise);
+                let otherwise = proc.rules.iter().find(|r| r.otherwise);
+                self.dispatch(item, &goal, name, ordinary, otherwise, None)
+            }
         }
     }
 
-    /// Rule dispatch through the compiled tier (`ExecMode::Compiled`, the
-    /// default): direct-threaded match ops, first-argument clause indexing
-    /// and fused match-then-instantiate (see [`crate::exec`]). Must stay
-    /// observably identical to [`Machine::reduce_rules_interpreted`].
-    fn reduce_rules_compiled(
+    /// Rule dispatch, shared by both tiers: try the ordinary rules in
+    /// order, then commit, suspend on the union of the variables the
+    /// undecided rules wait for, or fail with `NoMatchingRule`.
+    fn dispatch<'r, R: TierRule + 'r>(
         &mut self,
         item: QItem,
-        goal: Term,
+        goal: &Term,
         name: Atom,
-        arity: usize,
+        rules: impl Iterator<Item = &'r R>,
+        otherwise: Option<&'r R>,
+        arg0: Option<Term>,
     ) -> StrandResult<()> {
-        let exec = Arc::clone(&self.exec);
-        let Some(proc) = exec.get(name.as_str(), arity) else {
-            self.finish_tracked(&item);
-            return self.record_error(StrandError::UndefinedProcedure {
-                name: name.as_str().to_string(),
-                arity,
-            });
-        };
-        self.metrics.compiled_reductions += 1;
+        // The goal is a dereferenced local, so its argument slice can be
+        // borrowed directly — no `to_vec`.
         let args: &[Term] = goal.goal_args();
-        // One up-front deref of the first argument feeds every index probe.
-        let arg0 = if proc.indexed {
-            args.first().map(|a| self.store.deref(a))
-        } else {
-            None
-        };
         let mut scratch = std::mem::take(&mut self.scratch);
+        let decided = self.try_rules(args, rules, otherwise, arg0.as_ref(), &mut scratch);
+        self.scratch = scratch;
+        match decided? {
+            Dispatched::Committed => self.finish_tracked(&item),
+            Dispatched::Suspend(vars) => {
+                *self.metrics.susp_by_proc.entry(name).or_insert(0) += 1;
+                self.suspend(item, vars);
+            }
+            Dispatched::NoMatch => {
+                let resolved = self.store.resolve(goal);
+                self.finish_tracked(&item);
+                self.record_error(StrandError::NoMatchingRule { goal: resolved })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The decision half of [`dispatch`](Machine::dispatch); `?` may leave
+    /// early because the caller owns putting `scratch` back.
+    fn try_rules<'r, R: TierRule + 'r>(
+        &mut self,
+        args: &[Term],
+        rules: impl Iterator<Item = &'r R>,
+        otherwise: Option<&'r R>,
+        arg0: Option<&Term>,
+        scratch: &mut Scratch,
+    ) -> StrandResult<Dispatched> {
         scratch.pending.clear();
-        let mut committed: Option<&exec::ExecRule> = None;
-        let mut hard_err: Option<StrandError> = None;
-        for rule in proc.rules.iter() {
-            if let (Some(key), Some(a0)) = (&rule.key, &arg0) {
+        for rule in rules {
+            if let (Some(key), Some(a0)) = (rule.key(), arg0) {
                 if !key.admits(a0) {
                     self.metrics.index_hits += 1;
                     continue;
                 }
                 self.metrics.index_misses += 1;
             }
-            self.metrics.rules_tried += 1;
-            let tried = match &self.store {
-                StoreHandle::Local(s) => exec::try_rule(rule, args, s, &mut scratch),
-                StoreHandle::Shared(s) => exec::try_rule(rule, args, s, &mut scratch),
-            };
-            match tried {
-                Err(e) => {
-                    hard_err = Some(e);
-                    break;
-                }
-                Ok(exec::TryResult::Commit) => {
-                    committed = Some(rule);
-                    break;
-                }
-                Ok(exec::TryResult::Fail) => {}
-                Ok(exec::TryResult::Suspend) => {
+            match self.try_rule(rule, args, scratch)? {
+                TryResult::Commit => return Ok(Dispatched::Committed),
+                TryResult::Fail => {}
+                TryResult::Suspend => {
                     for i in 0..scratch.rule_pending.len() {
-                        let v = scratch.rule_pending[i];
-                        if !scratch.pending.contains(&v) {
-                            scratch.pending.push(v);
-                        }
+                        exec::push_unique(&mut scratch.pending, scratch.rule_pending[i]);
                     }
                 }
             }
         }
-        if let Some(e) = hard_err {
-            self.scratch = scratch;
-            return Err(e);
+        if !scratch.pending.is_empty() {
+            // The buffer is donated to the suspension record and re-grows on
+            // the next suspending reduction (the commit path never pushes,
+            // so it stays allocation-free).
+            return Ok(Dispatched::Suspend(std::mem::take(&mut scratch.pending)));
         }
-        if let Some(rule) = committed {
-            let r = self.commit_exec(rule, &mut scratch.frame);
-            self.scratch = scratch;
-            r?;
-            self.finish_tracked(&item);
-            return Ok(());
-        }
-        if scratch.pending.is_empty() {
-            // All non-otherwise rules failed definitively.
-            if let Some(rule) = &proc.otherwise {
-                self.metrics.rules_tried += 1;
-                let tried = match &self.store {
-                    StoreHandle::Local(s) => exec::try_rule(rule, args, s, &mut scratch),
-                    StoreHandle::Shared(s) => exec::try_rule(rule, args, s, &mut scratch),
-                };
-                match tried {
-                    Err(e) => {
-                        self.scratch = scratch;
-                        return Err(e);
-                    }
-                    Ok(exec::TryResult::Commit) => {
-                        let r = self.commit_exec(rule, &mut scratch.frame);
-                        self.scratch = scratch;
-                        r?;
-                        self.finish_tracked(&item);
-                        return Ok(());
-                    }
-                    Ok(exec::TryResult::Suspend) => {
-                        let vars = std::mem::take(&mut scratch.rule_pending);
-                        self.scratch = scratch;
-                        *self.metrics.susp_by_proc.entry(name).or_insert(0) += 1;
-                        self.suspend(item, vars);
-                        return Ok(());
-                    }
-                    Ok(exec::TryResult::Fail) => {}
+        // All ordinary rules failed definitively: only now may the
+        // `otherwise` rule run.
+        if let Some(rule) = otherwise {
+            match self.try_rule(rule, args, scratch)? {
+                TryResult::Commit => return Ok(Dispatched::Committed),
+                TryResult::Fail => {}
+                TryResult::Suspend => {
+                    let vars = std::mem::take(&mut scratch.rule_pending);
+                    return Ok(Dispatched::Suspend(vars));
                 }
             }
-            let resolved = self.store.resolve(&goal);
-            self.scratch = scratch;
-            self.finish_tracked(&item);
-            self.record_error(StrandError::NoMatchingRule { goal: resolved })
-        } else {
-            let vars = std::mem::take(&mut scratch.pending);
-            self.scratch = scratch;
-            *self.metrics.susp_by_proc.entry(name).or_insert(0) += 1;
-            self.suspend(item, vars);
-            Ok(())
         }
+        Ok(Dispatched::NoMatch)
     }
 
-    /// Rule dispatch through the reference interpreter
-    /// (`ExecMode::Interpreted`): per-reduction `Pat` walking. Kept as the
-    /// executable semantics the compiled tier is diffed against.
-    fn reduce_rules_interpreted(
+    /// Attempt one rule and, if it applies, spawn its body. Inlined, with
+    /// [`TierRule::attempt`], so the matcher call sits in the dispatch loop
+    /// itself: left to the inliner, each attempt went through two more calls.
+    #[inline(always)]
+    fn try_rule<R: TierRule>(
         &mut self,
-        item: QItem,
-        goal: Term,
-        name: Atom,
-        arity: usize,
-    ) -> StrandResult<()> {
-        let program = Arc::clone(&self.program);
-        let Some(proc) = program.get(name.as_str(), arity) else {
-            self.finish_tracked(&item);
-            return self.record_error(StrandError::UndefinedProcedure {
-                name: name.as_str().to_string(),
-                arity,
-            });
-        };
-        self.metrics.interpreted_reductions += 1;
-
-        // Try rules in order; collect suspension variables from rules that
-        // might still become applicable. The goal is a dereferenced local,
-        // so its argument slice can be borrowed directly — no `to_vec`.
-        let args: &[Term] = goal.goal_args();
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        pending.clear();
-        let mut frame = std::mem::take(&mut self.scratch.frame);
-        let mut otherwise: Option<&CompiledRule> = None;
-        for rule in &proc.rules {
-            if rule.otherwise {
-                if otherwise.is_none() {
-                    otherwise = Some(rule);
-                }
-                continue;
-            }
-            self.metrics.rules_tried += 1;
-            frame.reset(rule.n_locals);
-            match self.try_rule(rule, args, &mut frame) {
-                Err(e) => {
-                    self.scratch.frame = frame;
-                    self.scratch.pending = pending;
-                    return Err(e);
-                }
-                Ok(TryOutcome::Commit) => {
-                    let r = self.commit(rule, &mut frame);
-                    self.scratch.frame = frame;
-                    self.scratch.pending = pending;
-                    r?;
-                    self.finish_tracked(&item);
-                    return Ok(());
-                }
-                Ok(TryOutcome::Fail) => {}
-                Ok(TryOutcome::Suspend(vs)) => {
-                    for v in vs {
-                        if !pending.contains(&v) {
-                            pending.push(v);
-                        }
-                    }
-                }
-            }
+        rule: &R,
+        args: &[Term],
+        scratch: &mut Scratch,
+    ) -> StrandResult<TryResult> {
+        self.metrics.rules_tried += 1;
+        let tried = rule.attempt(args, &self.store, scratch)?;
+        if tried == TryResult::Commit {
+            self.commit(rule, &mut scratch.frame)?;
         }
-        if pending.is_empty() {
-            // All non-otherwise rules failed definitively.
-            if let Some(rule) = otherwise {
-                self.metrics.rules_tried += 1;
-                frame.reset(rule.n_locals);
-                match self.try_rule(rule, args, &mut frame) {
-                    Err(e) => {
-                        self.scratch.frame = frame;
-                        self.scratch.pending = pending;
-                        return Err(e);
-                    }
-                    Ok(TryOutcome::Commit) => {
-                        let r = self.commit(rule, &mut frame);
-                        self.scratch.frame = frame;
-                        self.scratch.pending = pending;
-                        r?;
-                        self.finish_tracked(&item);
-                        return Ok(());
-                    }
-                    Ok(TryOutcome::Suspend(vs)) => {
-                        self.scratch.frame = frame;
-                        self.scratch.pending = pending;
-                        *self.metrics.susp_by_proc.entry(name).or_insert(0) += 1;
-                        self.suspend(item, vs);
-                        return Ok(());
-                    }
-                    Ok(TryOutcome::Fail) => {}
-                }
-            }
-            self.scratch.frame = frame;
-            self.scratch.pending = pending;
-            let resolved = self.store.resolve(&goal);
-            self.finish_tracked(&item);
-            self.record_error(StrandError::NoMatchingRule { goal: resolved })
-        } else {
-            self.scratch.frame = frame;
-            *self.metrics.susp_by_proc.entry(name).or_insert(0) += 1;
-            // `pending` is donated to the suspension record; the scratch
-            // buffer re-grows on the next suspending reduction (the commit
-            // path never pushes, so it stays allocation-free).
-            self.suspend(item, pending);
-            Ok(())
-        }
+        Ok(tried)
     }
 
     fn finish_tracked(&mut self, item: &QItem) {
@@ -2034,114 +1768,174 @@ impl Machine {
         }
     }
 
-    fn try_rule(
-        &self,
-        rule: &CompiledRule,
-        args: &[Term],
-        frame: &mut strand_core::Frame,
-    ) -> StrandResult<TryOutcome> {
-        match match_args(args, &rule.head, &self.store, frame) {
-            MatchOutcome::Fail => return Ok(TryOutcome::Fail),
-            MatchOutcome::Suspend(vs) => return Ok(TryOutcome::Suspend(vs)),
-            MatchOutcome::Match => {}
-        }
-        let mut pending = Vec::new();
-        for guard in &rule.guards {
-            // A guard mentioning a variable not bound by the head can never
-            // be decided; treat as failure (and surface a programmer error).
-            let Some(gterm) = guard.instantiate_ro(frame) else {
-                return Ok(TryOutcome::Fail);
+    /// Spawn a committed rule's body, each call on its `@` placement.
+    fn commit<R: TierRule>(&mut self, rule: &R, frame: &mut Frame) -> StrandResult<()> {
+        for call in rule.body() {
+            let (goal, placement) = R::build(call, frame, &mut self.store);
+            let Some(place_term) = placement else {
+                let node = self.current_node;
+                self.spawn(goal, node);
+                continue;
             };
-            match strand_core::eval_guard(&gterm, &self.store)? {
-                GuardOutcome::True => {}
-                GuardOutcome::False => return Ok(TryOutcome::Fail),
-                GuardOutcome::Suspend(vs) => {
-                    for v in vs {
-                        if !pending.contains(&v) {
-                            pending.push(v);
-                        }
-                    }
+            match strand_core::eval_arith(&place_term, &self.store) {
+                Ok(strand_core::arith::Evaled::Num(n)) => {
+                    let target = self.map_node(n.as_f64() as i64);
+                    self.spawn(goal, target);
                 }
-            }
-        }
-        if pending.is_empty() {
-            Ok(TryOutcome::Commit)
-        } else {
-            Ok(TryOutcome::Suspend(pending))
-        }
-    }
-
-    fn commit(&mut self, rule: &CompiledRule, frame: &mut strand_core::Frame) -> StrandResult<()> {
-        for call in &rule.body {
-            let goal = call.goal.instantiate(frame, &mut self.store);
-            match &call.placement {
-                None => {
+                Ok(strand_core::arith::Evaled::Suspend(_)) => {
+                    // Placement not yet known: defer via the internal
+                    // `'$spawn_at'` builtin, which suspends.
                     let node = self.current_node;
-                    self.spawn(goal, node);
+                    self.spawn(Term::tuple("$spawn_at", vec![place_term, goal]), node);
                 }
-                Some(place) => {
-                    let place_term = place.instantiate(frame, &mut self.store);
-                    match strand_core::eval_arith(&place_term, &self.store) {
-                        Ok(strand_core::arith::Evaled::Num(n)) => {
-                            let target = self.map_node(n.as_f64() as i64);
-                            self.spawn(goal, target);
-                        }
-                        Ok(strand_core::arith::Evaled::Suspend(_)) => {
-                            // Placement not yet known: defer via the internal
-                            // `'$spawn_at'` builtin, which suspends.
-                            let node = self.current_node;
-                            self.spawn(Term::tuple("$spawn_at", vec![place_term, goal]), node);
-                        }
-                        Err(e) => self.record_error(e)?,
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Body instantiation for a committed compiled rule: identical spawn and
-    /// placement semantics to [`Machine::commit`], but goals are built from
-    /// pre-lowered [`exec::Tmpl`] templates (ground subtrees pre-built).
-    fn commit_exec(
-        &mut self,
-        rule: &exec::ExecRule,
-        frame: &mut strand_core::Frame,
-    ) -> StrandResult<()> {
-        for call in rule.body.iter() {
-            let goal = call.goal.build(frame, &mut self.store);
-            match &call.placement {
-                None => {
-                    let node = self.current_node;
-                    self.spawn(goal, node);
-                }
-                Some(place) => {
-                    let place_term = place.build(frame, &mut self.store);
-                    match strand_core::eval_arith(&place_term, &self.store) {
-                        Ok(strand_core::arith::Evaled::Num(n)) => {
-                            let target = self.map_node(n.as_f64() as i64);
-                            self.spawn(goal, target);
-                        }
-                        Ok(strand_core::arith::Evaled::Suspend(_)) => {
-                            // Placement not yet known: defer via the internal
-                            // `'$spawn_at'` builtin, which suspends.
-                            let node = self.current_node;
-                            self.spawn(Term::tuple("$spawn_at", vec![place_term, goal]), node);
-                        }
-                        Err(e) => self.record_error(e)?,
-                    }
-                }
+                Err(e) => self.record_error(e)?,
             }
         }
         Ok(())
     }
 }
 
-enum TryOutcome {
-    /// Head matched and guards passed; bindings are in the caller's frame.
-    Commit,
-    Fail,
+/// What rule dispatch needs from an execution tier: how one rule is indexed,
+/// attempted into a [`Scratch`], and how its body is instantiated. The
+/// driver ([`Machine::dispatch`]) is generic over this and monomorphised for
+/// the two implementors, so neither tier pays a dynamic call per rule.
+trait TierRule {
+    type Call;
+    /// First-argument index key; `None` = the rule is never filtered.
+    fn key(&self) -> Option<&IndexKey> {
+        None
+    }
+    /// Match the head and evaluate the guards. On `Commit` the bindings are
+    /// in `scratch.frame`; on `Suspend` the variables are in
+    /// `scratch.rule_pending`.
+    fn attempt(
+        &self,
+        args: &[Term],
+        store: &StoreHandle,
+        scratch: &mut Scratch,
+    ) -> StrandResult<TryResult>;
+    fn body(&self) -> &[Self::Call];
+    /// Instantiate one body call: its goal, then its placement expression.
+    fn build(call: &Self::Call, frame: &mut Frame, store: &mut StoreHandle)
+        -> (Term, Option<Term>);
+}
+
+/// The compiled tier (`ExecMode::Compiled`, the default): direct-threaded
+/// match ops, clause indexing and pre-lowered body templates (see
+/// [`crate::exec`]). Must stay observably identical to the interpreter.
+impl TierRule for exec::ExecRule {
+    type Call = exec::ExecCall;
+
+    fn key(&self) -> Option<&IndexKey> {
+        self.key.as_ref()
+    }
+
+    #[inline(always)]
+    fn attempt(
+        &self,
+        args: &[Term],
+        store: &StoreHandle,
+        scratch: &mut Scratch,
+    ) -> StrandResult<TryResult> {
+        // Store dispatch happens here, once per attempt, so the matcher is
+        // compiled against the concrete store and never re-dispatches per
+        // deref.
+        match store {
+            StoreHandle::Local(s) => exec::try_rule(self, args, s, scratch),
+            StoreHandle::Shared(s) => exec::try_rule(self, args, s, scratch),
+        }
+    }
+
+    fn body(&self) -> &[exec::ExecCall] {
+        &self.body
+    }
+
+    fn build(
+        call: &exec::ExecCall,
+        frame: &mut Frame,
+        store: &mut StoreHandle,
+    ) -> (Term, Option<Term>) {
+        let goal = call.goal.build(frame, store);
+        (goal, call.placement.as_ref().map(|p| p.build(frame, store)))
+    }
+}
+
+/// The reference interpreter (`ExecMode::Interpreted`): per-reduction `Pat`
+/// walking. Kept as the executable semantics the compiled tier is diffed
+/// against.
+impl TierRule for CompiledRule {
+    type Call = CompiledCall;
+
+    fn attempt(
+        &self,
+        args: &[Term],
+        store: &StoreHandle,
+        scratch: &mut Scratch,
+    ) -> StrandResult<TryResult> {
+        scratch.rule_pending.clear();
+        scratch.frame.reset(self.n_locals);
+        match match_args(args, &self.head, store, &mut scratch.frame) {
+            MatchOutcome::Fail => return Ok(TryResult::Fail),
+            // A match-time suspension returns before any guard runs.
+            MatchOutcome::Suspend(vs) => {
+                scratch.rule_pending.extend(vs);
+                return Ok(TryResult::Suspend);
+            }
+            MatchOutcome::Match => {}
+        }
+        for guard in &self.guards {
+            // A guard mentioning a variable not bound by the head can never
+            // be decided; treat as failure (and surface a programmer error).
+            let Some(gterm) = guard.instantiate_ro(&scratch.frame) else {
+                return Ok(TryResult::Fail);
+            };
+            match strand_core::eval_guard(&gterm, store)? {
+                GuardOutcome::True => {}
+                GuardOutcome::False => return Ok(TryResult::Fail),
+                GuardOutcome::Suspend(vs) => {
+                    for v in vs {
+                        exec::push_unique(&mut scratch.rule_pending, v);
+                    }
+                }
+            }
+        }
+        Ok(if scratch.rule_pending.is_empty() {
+            TryResult::Commit
+        } else {
+            TryResult::Suspend
+        })
+    }
+
+    fn body(&self) -> &[CompiledCall] {
+        &self.body
+    }
+
+    fn build(
+        call: &CompiledCall,
+        frame: &mut Frame,
+        store: &mut StoreHandle,
+    ) -> (Term, Option<Term>) {
+        let goal = call.goal.instantiate(frame, store);
+        let placement = call.placement.as_ref().map(|p| p.instantiate(frame, store));
+        (goal, placement)
+    }
+}
+
+/// How rule dispatch ended for one goal.
+enum Dispatched {
+    /// A rule applied; its body has been spawned.
+    Committed,
     Suspend(Vec<VarId>),
+    /// Every rule failed definitively.
+    NoMatch,
+}
+
+/// Outcome of a builtin or foreign call. `Error` is a program-level problem
+/// that `record_error` collects when `fail_fast` is off.
+pub(crate) enum CallOutcome {
+    Done,
+    Suspend(Vec<VarId>),
+    Error(StrandError),
 }
 
 /// Outcome of the fault dice for one cross-node delivery.
@@ -2156,7 +1950,10 @@ pub(crate) enum Delivery {
 /// in worker order, so a 1-thread parallel run reads exactly like the
 /// simulator. Per-node counters add and per-node peaks/gauges take maxima —
 /// both exact, since each node lives on exactly one worker.
-pub fn merge_shard_reports(parts: Vec<ShardReport>, truncated: bool) -> RunReport {
+pub fn merge_shard_reports(
+    parts: impl IntoIterator<Item = ShardReport>,
+    truncated: bool,
+) -> RunReport {
     let mut metrics: Option<Metrics> = None;
     let mut output = Vec::new();
     let mut errors = Vec::new();
@@ -2187,8 +1984,7 @@ pub fn merge_shard_reports(parts: Vec<ShardReport>, truncated: bool) -> RunRepor
             reductions: metrics.total_reductions,
         }
     } else if !crashed_nodes.is_empty() && suspended > 0 {
-        // Same rule as the simulator's `build_report`: survivors stuck with
-        // dead nodes in play means the network partitioned.
+        // Survivors are stuck on bindings a dead node will never make.
         RunStatus::Partitioned {
             suspended,
             dead,
@@ -2211,5 +2007,46 @@ pub fn merge_shard_reports(parts: Vec<ShardReport>, truncated: bool) -> RunRepor
         suspended_goals,
         dead_goals,
         trace,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use strand_parse::{compile_program, parse_program};
+
+    /// On a `SharedStore` a peer can bind a variable between the match that
+    /// found it unbound and `suspend`'s waiter registration. The rollback
+    /// must retry the very same process: same pid, counted once by the
+    /// tracked gauge, holding one gate unit.
+    #[test]
+    fn suspend_rollback_requeues_the_same_process() {
+        let program = compile_program(&parse_program("p(X) :- true.").unwrap()).unwrap();
+        let world = SharedWorld::new(1);
+        let mut cfg = MachineConfig::default();
+        cfg.tracked.insert("p".to_string());
+        let mut m = Machine::new_worker(Arc::new(program), cfg, &world, 0, 1);
+        m.set_session_region(7);
+        let v = m.store.new_var();
+        m.start(Term::tuple("p", vec![Term::Var(v)]));
+        let item = m.nodes[0].queue.pop().unwrap();
+        let pid = item.pid;
+        // The "peer" binds first; then the popped process tries to suspend.
+        m.store.bind(v, Term::int(1), 0, NodeId(0)).unwrap();
+        m.suspend(item, vec![v]);
+        m.gate_sub(1); // `step` settles the popped item's unit after `reduce`
+
+        assert!(m.suspended.is_empty());
+        assert_eq!(m.metrics.suspensions, 0);
+        assert_eq!(m.nodes[0].queue.len(), 1, "one runnable process");
+        let again = m.nodes[0].queue.peek().unwrap();
+        assert_eq!((again.pid, again.tracked, again.region), (pid, true, 7));
+        assert_eq!(m.metrics.live_tracked[0], 1, "spawn counted twice");
+        assert_eq!(world.regular_pending(), 1, "gate out of balance");
+
+        assert_eq!(m.drain_local(8).unwrap(), DrainState::Idle);
+        assert_eq!(m.metrics.live_tracked[0], 0);
+        assert_eq!(m.metrics.peak_tracked[0], 1);
+        assert_eq!(world.regular_pending(), 0);
     }
 }

@@ -91,10 +91,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use strand_core::{SplitMix64, StrandError, StrandResult};
+use strand_core::{SplitMix64, StrandError, StrandResult, Term};
 use strand_machine::{
     ast_to_term, merge_shard_reports, Backend, ChaosPlan, DrainState, ExecBackend, ForeignLib,
-    GoalResult, Machine, MachineConfig, Routed, SharedWorld,
+    GoalResult, Machine, MachineConfig, Routed, RunReport, SharedWorld,
 };
 use strand_parse::{compile_program, parse_term, Program};
 
@@ -236,106 +236,183 @@ fn run_parallel(
     config: MachineConfig,
     lib: &ForeignLib,
 ) -> StrandResult<GoalResult> {
-    if !config.faults.is_empty() {
-        return Err(StrandError::UnsupportedFaultPlan {
-            backend: "parallel".to_string(),
-            plan: "virtual-time (FaultPlan)".to_string(),
-            hint: "virtual-time fault plans need the deterministic simulator's \
-                   clock; for wall-clock fault injection on this backend use \
-                   MachineConfig::chaos (ChaosPlan)"
-                .to_string(),
-        });
-    }
-    let threads = resolve_threads(&config);
-    let goal_ast = parse_term(goal_src).map_err(|e| StrandError::Other(e.to_string()))?;
-    let compiled =
-        Arc::new(compile_program(program).map_err(|e| StrandError::Other(e.to_string()))?);
-    let world = SharedWorld::new(threads);
-    let mut machines: Vec<Machine> = (0..threads)
-        .map(|idx| {
-            let mut m =
-                Machine::new_worker(Arc::clone(&compiled), config.clone(), &world, idx, threads);
-            m.install_lib(lib);
-            m
-        })
-        .collect();
-    let mut vars = BTreeMap::new();
-    let goal = ast_to_term(&goal_ast, &mut machines[0], &mut vars);
-    machines[0].start(goal);
-    // Node 0 belongs to worker 0, so the seed goal lands in its own heap;
-    // anything the goal term routed elsewhere is delivered directly while
-    // the machines are still on this thread.
-    for r in machines[0].take_outbox() {
-        let w = r.dest_worker(threads);
-        machines[w].absorb(vec![r]);
-    }
-
-    let mut senders = Vec::with_capacity(threads);
-    let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (tx, rx) = bounded::<Msg>(CHANNEL_CAP);
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-    let shared = Arc::new(Shared {
-        tokens: Tokens::new(threads as u64),
-        senders,
-        stopping: AtomicBool::new(false),
-        truncated: AtomicBool::new(false),
-        fatal: Mutex::new(None),
-        world,
-        threads,
-        chaos: config.chaos.clone(),
-        resident: false,
-        wheel: timers::TimerWheel::new(),
-        dead: AtomicU64::new(0),
-    });
-    // Each worker takes its machine out of a slot and puts it back on exit
-    // so the shard reports can be merged after the join.
-    let slots: Arc<Vec<Mutex<Option<Machine>>>> =
-        Arc::new(machines.into_iter().map(|m| Mutex::new(Some(m))).collect());
-
-    let t0 = Instant::now();
-    let workers = WorkerSet::spawn(threads, "strand-node", |idx| {
-        let shared = Arc::clone(&shared);
-        let slots = Arc::clone(&slots);
-        let rx = receivers[idx].take().expect("one receiver per worker");
-        Box::new(move || {
-            let mut m = slots[idx].lock().take().expect("one machine per worker");
-            // A panic anywhere in the shard (engine bug, foreign closure)
-            // must not leave peers parked forever: surface it and stop.
-            let outcome = catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, idx, &rx, &mut m)));
-            if outcome.is_err() {
-                fatal(
-                    &shared,
-                    StrandError::Other("worker panicked during reduction".to_string()),
-                );
-            }
-            *slots[idx].lock() = Some(m);
-        })
-    });
-    workers.join();
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-
-    if let Some(e) = shared.fatal.lock().take() {
-        return Err(e);
-    }
-    let truncated = shared.truncated.load(Ordering::Acquire);
-    let mut machines: Vec<Machine> = slots
-        .iter()
-        .map(|s| s.lock().take().expect("worker returned its machine"))
-        .collect();
-    let parts: Vec<_> = machines.iter_mut().map(|m| m.finalize_shard()).collect();
-    let worker_jobs: Vec<u64> = parts.iter().map(|p| p.metrics.total_reductions).collect();
-    let mut report = merge_shard_reports(parts, truncated);
-    report.metrics.wall_ns = wall_ns;
-    report.metrics.threads_used = threads as u32;
-    report.metrics.worker_jobs = worker_jobs;
-    let bindings = vars
+    let (fleet, _) = Fleet::launch(program, goal_src, config, lib, false)?;
+    let (report, machines) = fleet.collect(None)?;
+    let bindings = fleet
+        .vars
         .into_iter()
         .map(|(name, term)| (name, machines[0].store().resolve(&term)))
         .collect();
     Ok(GoalResult { report, bindings })
+}
+
+/// A launched fleet: one worker thread per shard running [`worker_loop`].
+/// A batch run ([`run_parallel`]) collects it straight away — the workers
+/// stop themselves at global quiescence; a resident run
+/// ([`ResidentHandle`]) keeps it, feeds it through the ingress machine and
+/// stops it on shutdown.
+struct Fleet {
+    shared: Arc<Shared>,
+    workers: WorkerSet,
+    /// Each worker takes its machine out of its slot and puts it back on
+    /// exit, so the shard reports can be merged after the join.
+    slots: Arc<Vec<Mutex<Option<Machine>>>>,
+    /// The seed goal's named variables.
+    vars: BTreeMap<String, Term>,
+    t0: Instant,
+}
+
+impl Fleet {
+    /// Compile `program`, seed `goal_src` on node 1 and spawn the workers.
+    /// A resident fleet also gets the ingress machine external threads
+    /// inject through (see [`Machine::new_ingress`]).
+    fn launch(
+        program: &Program,
+        goal_src: &str,
+        config: MachineConfig,
+        lib: &ForeignLib,
+        resident: bool,
+    ) -> StrandResult<(Fleet, Option<Machine>)> {
+        if !config.faults.is_empty() {
+            return Err(StrandError::UnsupportedFaultPlan {
+                backend: if resident { "resident" } else { "parallel" }.to_string(),
+                plan: "virtual-time (FaultPlan)".to_string(),
+                hint: "virtual-time fault plans need the deterministic simulator's \
+                       clock; for wall-clock fault injection on this backend use \
+                       MachineConfig::chaos (ChaosPlan) — a supervised program \
+                       recovers from the injected shard kills"
+                    .to_string(),
+            });
+        }
+        let threads = resolve_threads(&config);
+        let goal_ast = parse_term(goal_src).map_err(|e| StrandError::Other(e.to_string()))?;
+        let compiled =
+            Arc::new(compile_program(program).map_err(|e| StrandError::Other(e.to_string()))?);
+        let world = SharedWorld::new(threads);
+        let mut machines: Vec<Machine> = (0..threads)
+            .map(|idx| {
+                Machine::new_worker(Arc::clone(&compiled), config.clone(), &world, idx, threads)
+            })
+            .collect();
+        let mut ingress =
+            resident.then(|| Machine::new_ingress(compiled, config.clone(), &world, threads));
+        for m in machines.iter_mut().chain(&mut ingress) {
+            m.install_lib(lib);
+        }
+        let mut vars = BTreeMap::new();
+        let goal = ast_to_term(&goal_ast, &mut machines[0], &mut vars);
+        machines[0].start(goal);
+        // Node 0 belongs to worker 0, so the seed goal lands in its own heap;
+        // anything the goal term routed elsewhere is delivered directly while
+        // the machines are still on this thread.
+        for r in machines[0].take_outbox() {
+            let w = r.dest_worker(threads);
+            machines[w].absorb(vec![r]);
+        }
+
+        let mut senders = Vec::with_capacity(threads);
+        let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(threads);
+        for _ in 0..threads {
+            let (tx, rx) = bounded::<Msg>(CHANNEL_CAP);
+            senders.push(tx);
+            receivers.push(Some(rx));
+        }
+        let shared = Arc::new(Shared {
+            tokens: Tokens::new(threads as u64),
+            senders,
+            stopping: AtomicBool::new(false),
+            truncated: AtomicBool::new(false),
+            fatal: Mutex::new(None),
+            world,
+            threads,
+            chaos: config.chaos,
+            resident,
+            wheel: timers::TimerWheel::new(),
+            dead: AtomicU64::new(0),
+        });
+        let slots: Arc<Vec<Mutex<Option<Machine>>>> =
+            Arc::new(machines.into_iter().map(|m| Mutex::new(Some(m))).collect());
+
+        let t0 = Instant::now();
+        let name = if resident {
+            "strand-serve"
+        } else {
+            "strand-node"
+        };
+        let workers = WorkerSet::spawn(threads, name, |idx| {
+            let shared = Arc::clone(&shared);
+            let slots = Arc::clone(&slots);
+            let rx = receivers[idx].take().expect("one receiver per worker");
+            Box::new(move || {
+                let mut m = slots[idx].lock().take().expect("one machine per worker");
+                // A panic anywhere in the shard (engine bug, foreign closure)
+                // must not leave peers parked forever: surface it and stop.
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, idx, &rx, &mut m)));
+                if outcome.is_err() {
+                    fatal(
+                        &shared,
+                        StrandError::Other("worker panicked during reduction".to_string()),
+                    );
+                }
+                *slots[idx].lock() = Some(m);
+            })
+        });
+        let fleet = Fleet {
+            shared,
+            workers,
+            slots,
+            vars,
+            t0,
+        };
+        Ok((fleet, ingress))
+    }
+
+    /// Join the workers (which must have been told, or have decided, to
+    /// stop) and merge every shard's report — plus `ingress`'s, so a
+    /// service's serve counters and reclamation totals survive into the
+    /// summary. Returns the machines too: their stores hold the answers.
+    fn collect(&self, ingress: Option<Machine>) -> StrandResult<(RunReport, Vec<Machine>)> {
+        self.workers.join();
+        let wall_ns = self.t0.elapsed().as_nanos() as u64;
+        if let Some(e) = self.shared.fatal.lock().take() {
+            return Err(e);
+        }
+        let truncated = self.shared.truncated.load(Ordering::Acquire);
+        let threads = self.shared.threads;
+        let mut machines: Vec<Machine> = self
+            .slots
+            .iter()
+            .map(|s| s.lock().take().expect("worker returned its machine"))
+            .chain(ingress)
+            .collect();
+        let parts: Vec<_> = machines.iter_mut().map(|m| m.finalize_shard()).collect();
+        let worker_jobs: Vec<u64> = parts
+            .iter()
+            .take(threads)
+            .map(|p| p.metrics.total_reductions)
+            .collect();
+        let mut report = merge_shard_reports(parts, truncated);
+        report.metrics.wall_ns = wall_ns;
+        report.metrics.threads_used = threads as u32;
+        report.metrics.worker_jobs = worker_jobs;
+        Ok((report, machines))
+    }
+}
+
+/// Route events straight to their owning workers, one batch (and one freshly
+/// minted token) per destination, bypassing the chaos drop/dup filter: used
+/// for scheduler and ingress traffic, which is not a network message.
+fn send_direct(shared: &Shared, events: Vec<Routed>) {
+    let mut bufs: Vec<Vec<Routed>> = (0..shared.threads).map(|_| Vec::new()).collect();
+    for r in events {
+        bufs[r.dest_worker(shared.threads)].push(r);
+    }
+    for (w, buf) in bufs.into_iter().enumerate() {
+        if !buf.is_empty() {
+            send_batch(shared, w, buf);
+        }
+    }
 }
 
 /// One worker's scheduling loop over its own shard. Alternates bounded
@@ -379,7 +456,7 @@ fn worker_loop(shared: &Shared, me: usize, rx: &Receiver<Msg>, m: &mut Machine) 
         // still holds its quiescence token while stalled.
         if chaos.stall_us > 0 {
             std::thread::sleep(Duration::from_micros(chaos.stall_us));
-            m.note_throttle(chaos.stall_us.saturating_mul(1_000));
+            m.metrics_mut().throttle_ns += chaos.stall_us.saturating_mul(1_000);
         }
         // 1. Reduce a bounded burst of the shard's own work.
         let state = match m.drain_local(DRAIN_STEPS) {
@@ -483,7 +560,7 @@ fn worker_loop(shared: &Shared, me: usize, rx: &Receiver<Msg>, m: &mut Machine) 
                         // (only the last releaser ticks it, so one park per
                         // burst) and fall through to the park below — the
                         // next ingress batch re-busies us with its token.
-                        m.note_idle_park();
+                        m.metrics_mut().idle_parks += 1;
                     }
                     // Non-resident with a non-empty wheel: quiescent *now*,
                     // but a pending deadline may still fire — park on it.
@@ -577,18 +654,8 @@ fn park(shared: &Shared, rx: &Receiver<Msg>, m: &mut Machine) -> Parked {
         for wt in fired {
             m.fire_wall_timer(wt);
         }
-        // Route cross-shard fires directly: each batch mints its own token
-        // and bypasses the chaos drop/dup filter, like ingress injections —
-        // a fired deadline is scheduler work, not a network message.
-        let mut bufs: Vec<Vec<Routed>> = (0..shared.threads).map(|_| Vec::new()).collect();
-        for r in m.take_outbox() {
-            bufs[r.dest_worker(shared.threads)].push(r);
-        }
-        for (w, buf) in bufs.into_iter().enumerate() {
-            if !buf.is_empty() {
-                send_batch(shared, w, buf);
-            }
-        }
+        // A fired deadline is scheduler work, not a network message.
+        send_direct(shared, m.take_outbox());
         return Parked::Fired;
     }
 }

@@ -25,10 +25,7 @@
 //! queue contents × counter value) rather than over real atomics. That is
 //! sound here because the protocol's correctness depends only on the
 //! *order* of counter updates relative to channel operations — both
-//! `SeqCst`-equivalent in the model — not on weak-memory effects. A
-//! `#[cfg(loom)]` harness covering the same invariant against real
-//! `loom::sync::atomic` types is kept below for when loom is vendored;
-//! build it with `RUSTFLAGS="--cfg loom" cargo test -p strand-parallel`.
+//! `SeqCst`-equivalent in the model — not on weak-memory effects.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -732,57 +729,5 @@ mod model {
         t.absorb(); // busy receiver dissolves it
         assert!(!t.release()); // first worker idles: one token left
         assert!(t.release()); // last worker idles: quiescence
-    }
-}
-
-/// The same invariant against real atomics under loom's model checker.
-/// Compiled only with `RUSTFLAGS="--cfg loom"`; requires vendoring the
-/// `loom` crate (not present in this offline workspace) and listing it as a
-/// dev-dependency of `strand-parallel`.
-#[cfg(loom)]
-mod loom_check {
-    use loom::sync::atomic::{AtomicU64, Ordering};
-    use loom::sync::Arc;
-    use loom::thread;
-
-    #[test]
-    fn tokens_never_announce_with_batch_in_flight() {
-        loom::model(|| {
-            // Two busy workers; worker 0 sends one batch to worker 1 and
-            // idles, worker 1 absorbs whatever arrived and idles.
-            let tokens = Arc::new(AtomicU64::new(2));
-            let queued = Arc::new(AtomicU64::new(0));
-
-            let t0 = {
-                let tokens = Arc::clone(&tokens);
-                let queued = Arc::clone(&queued);
-                thread::spawn(move || {
-                    tokens.fetch_add(1, Ordering::AcqRel); // inc BEFORE send
-                    queued.fetch_add(1, Ordering::AcqRel); // the send
-                    let announce = tokens.fetch_sub(1, Ordering::AcqRel) == 1;
-                    if announce {
-                        assert_eq!(queued.load(Ordering::Acquire), 0);
-                    }
-                })
-            };
-            let t1 = {
-                let tokens = Arc::clone(&tokens);
-                let queued = Arc::clone(&queued);
-                thread::spawn(move || {
-                    if queued
-                        .compare_exchange(1, 0, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        tokens.fetch_sub(1, Ordering::AcqRel); // busy absorb
-                    }
-                    let announce = tokens.fetch_sub(1, Ordering::AcqRel) == 1;
-                    if announce {
-                        assert_eq!(queued.load(Ordering::Acquire), 0);
-                    }
-                })
-            };
-            t0.join().unwrap();
-            t1.join().unwrap();
-        });
     }
 }

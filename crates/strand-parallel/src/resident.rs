@@ -5,7 +5,8 @@
 //! broadcasts stop and everyone exits. A *service* wants the opposite — the
 //! program (a Server motif, typically) drains to quiescence and then waits,
 //! suspended on its port streams, for the next external request. This
-//! module provides that mode:
+//! module provides that mode over the very `Fleet` a batch run launches
+//! and collects — only who calls `stop` differs:
 //!
 //! * workers run the unmodified [`worker_loop`](crate::worker_loop); the
 //!   only behavioural difference is the `resident` flag on the shared
@@ -34,22 +35,13 @@
 //! injections should consult [`ResidentHandle::dead_shards`] so new
 //! sessions land on shards that will actually reduce them.
 
-use crate::quiesce::Tokens;
-use crate::{resolve_threads, send_batch, stop, worker_loop, Msg, Shared, CHANNEL_CAP};
-use crossbeam::channel::{bounded, Receiver};
-use parking_lot::Mutex;
-use skeletons::WorkerSet;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex as StdMutex;
+use crate::{send_batch, send_direct, stop, Fleet};
+use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use strand_core::{StrandError, StrandResult, Term};
-use strand_machine::{
-    ast_to_term, merge_shard_reports, ForeignLib, Machine, MachineConfig, Routed, RunReport,
-};
-use strand_parse::{compile_program, parse_term, Program};
+use strand_core::{StrandResult, Term};
+use strand_machine::{ForeignLib, Machine, MachineConfig, Routed, RunReport};
+use strand_parse::Program;
 
 /// A running resident machine: worker threads parked-or-reducing behind
 /// channels, plus the ingress machine external threads inject through.
@@ -58,15 +50,10 @@ use strand_parse::{compile_program, parse_term, Program};
 /// connection threads as you like — injection serialises on the ingress
 /// lock, reduction stays parallel across the workers.
 pub struct ResidentHandle {
-    shared: Arc<Shared>,
+    fleet: Fleet,
     /// The ingress machine. Term construction, goal injection and the
     /// serve-side metrics counters all happen under this lock.
-    ingress: StdMutex<Machine>,
-    workers: Option<WorkerSet>,
-    slots: Arc<Vec<Mutex<Option<Machine>>>>,
-    threads: usize,
-    boot_vars: BTreeMap<String, Term>,
-    t0: Instant,
+    ingress: Mutex<Machine>,
 }
 
 impl ResidentHandle {
@@ -81,113 +68,20 @@ impl ResidentHandle {
         config: MachineConfig,
         lib: &ForeignLib,
     ) -> StrandResult<ResidentHandle> {
-        if !config.faults.is_empty() {
-            return Err(StrandError::UnsupportedFaultPlan {
-                backend: "resident".to_string(),
-                plan: "virtual-time (FaultPlan)".to_string(),
-                hint: "virtual-time fault plans need the deterministic \
-                       simulator's clock; for wall-clock fault injection on \
-                       a resident machine use MachineConfig::chaos \
-                       (ChaosPlan) — a supervised program recovers from the \
-                       injected shard kills"
-                    .to_string(),
-            });
-        }
-        let threads = resolve_threads(&config);
-        let goal_ast = parse_term(boot_goal).map_err(|e| StrandError::Other(e.to_string()))?;
-        let compiled =
-            Arc::new(compile_program(program).map_err(|e| StrandError::Other(e.to_string()))?);
-        let world = strand_machine::SharedWorld::new(threads);
-        let mut machines: Vec<Machine> = (0..threads)
-            .map(|idx| {
-                let mut m = Machine::new_worker(
-                    Arc::clone(&compiled),
-                    config.clone(),
-                    &world,
-                    idx,
-                    threads,
-                );
-                m.install_lib(lib);
-                m
-            })
-            .collect();
-        let mut ingress =
-            Machine::new_ingress(Arc::clone(&compiled), config.clone(), &world, threads);
-        ingress.install_lib(lib);
-        let mut boot_vars = BTreeMap::new();
-        let goal = ast_to_term(&goal_ast, &mut machines[0], &mut boot_vars);
-        machines[0].start(goal);
-        for r in machines[0].take_outbox() {
-            let w = r.dest_worker(threads);
-            machines[w].absorb(vec![r]);
-        }
-
-        let mut senders = Vec::with_capacity(threads);
-        let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = bounded::<Msg>(CHANNEL_CAP);
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let shared = Arc::new(Shared {
-            tokens: Tokens::new(threads as u64),
-            senders,
-            stopping: AtomicBool::new(false),
-            truncated: AtomicBool::new(false),
-            fatal: Mutex::new(None),
-            world,
-            threads,
-            chaos: config.chaos.clone(),
-            resident: true,
-            wheel: crate::timers::TimerWheel::new(),
-            dead: AtomicU64::new(0),
-        });
-        let slots: Arc<Vec<Mutex<Option<Machine>>>> =
-            Arc::new(machines.into_iter().map(|m| Mutex::new(Some(m))).collect());
-
-        let t0 = Instant::now();
-        let workers = {
-            let shared = Arc::clone(&shared);
-            let slots = Arc::clone(&slots);
-            WorkerSet::spawn(threads, "strand-serve", move |idx| {
-                let shared = Arc::clone(&shared);
-                let slots = Arc::clone(&slots);
-                let rx = receivers[idx].take().expect("one receiver per worker");
-                Box::new(move || {
-                    let mut m = slots[idx].lock().take().expect("one machine per worker");
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, idx, &rx, &mut m)));
-                    if outcome.is_err() {
-                        crate::fatal(
-                            &shared,
-                            StrandError::Other("worker panicked during reduction".to_string()),
-                        );
-                    }
-                    *slots[idx].lock() = Some(m);
-                })
-            })
-        };
-
-        Ok(ResidentHandle {
-            shared,
-            ingress: StdMutex::new(ingress),
-            workers: Some(workers),
-            slots,
-            threads,
-            boot_vars,
-            t0,
-        })
+        let (fleet, ingress) = Fleet::launch(program, boot_goal, config, lib, true)?;
+        let ingress = Mutex::new(ingress.expect("a resident fleet has an ingress machine"));
+        Ok(ResidentHandle { fleet, ingress })
     }
 
     /// Worker threads behind this handle.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.fleet.shared.threads
     }
 
     /// A named variable from the boot goal (e.g. the server directory tuple
     /// that request goals distribute over).
     pub fn boot_var(&self, name: &str) -> Option<Term> {
-        self.boot_vars.get(name).cloned()
+        self.fleet.vars.get(name).cloned()
     }
 
     /// Run `f` against the ingress machine — build terms, set the session
@@ -202,22 +96,13 @@ impl ResidentHandle {
         // ever drives a reduction through it, losing the deadline silently
         // would be worse than arming it here.
         for wt in m.take_wall_timers() {
-            self.shared.wheel.arm(wt);
+            self.fleet.shared.wheel.arm(wt);
         }
         drop(m);
         // Counter bumps and store reads enqueue nothing: no buffers to
         // build, no worker to visit.
-        if outbox.is_empty() {
-            return out;
-        }
-        let mut bufs: Vec<Vec<Routed>> = (0..self.threads).map(|_| Vec::new()).collect();
-        for r in outbox {
-            bufs[r.dest_worker(self.threads)].push(r);
-        }
-        for (w, batch) in bufs.into_iter().enumerate() {
-            if !batch.is_empty() {
-                send_batch(&self.shared, w, batch);
-            }
+        if !outbox.is_empty() {
+            send_direct(&self.fleet.shared, outbox);
         }
         out
     }
@@ -230,9 +115,13 @@ impl ResidentHandle {
         // Purge the session's wall deadlines first: a wheel entry that
         // outlived its region could fire into a *recycled* store slot and
         // bind some other session's variable.
-        self.shared.wheel.purge_region(region);
-        for w in 0..self.threads {
-            send_batch(&self.shared, w, vec![Routed::Reclaim { region, worker: w }]);
+        self.fleet.shared.wheel.purge_region(region);
+        for w in 0..self.threads() {
+            send_batch(
+                &self.fleet.shared,
+                w,
+                vec![Routed::Reclaim { region, worker: w }],
+            );
         }
     }
 
@@ -242,8 +131,8 @@ impl ResidentHandle {
     /// next plans to wake" beats a fixed hint when the fleet is parked on a
     /// supervision beat.
     pub fn timer_horizon_ms(&self) -> Option<u64> {
-        let due = self.shared.wheel.next_due_raw()?;
-        Some(due.saturating_sub(self.shared.wheel.now_ms()).max(1))
+        let due = self.fleet.shared.wheel.next_due_raw()?;
+        Some(due.saturating_sub(self.fleet.shared.wheel.now_ms()).max(1))
     }
 
     /// Bitmask of workers whose shards a
@@ -251,30 +140,30 @@ impl ResidentHandle {
     /// ⇔ worker `i` is dead). Route external injections at nodes owned by
     /// live workers — a goal delivered to a dead shard is discarded.
     pub fn dead_shards(&self) -> u64 {
-        self.shared.dead.load(Ordering::Acquire)
+        self.fleet.shared.dead.load(Ordering::Acquire)
     }
 
     /// Regular (non-timer) work pending anywhere — the backpressure gauge
     /// admission checks against its budget.
     pub fn pending(&self) -> u64 {
-        self.shared.world.regular_pending()
+        self.fleet.shared.world.regular_pending()
     }
 
     /// Reductions performed so far, all workers combined.
     pub fn reductions(&self) -> u64 {
-        self.shared.world.reductions()
+        self.fleet.shared.world.reductions()
     }
 
     /// True when the machine is globally quiescent: every worker parked,
     /// no batch in flight. New injections flip this false immediately.
     pub fn is_idle(&self) -> bool {
-        self.shared.tokens.is_zero()
+        self.fleet.shared.tokens.is_zero()
     }
 
     /// True once a fatal error (or shutdown) has told the workers to wind
     /// down; the service should stop admitting.
     pub fn is_stopping(&self) -> bool {
-        self.shared.stopping.load(Ordering::Acquire)
+        self.fleet.shared.stopping.load(Ordering::Acquire)
     }
 
     /// Block until the machine reads idle, polling the token counter.
@@ -284,11 +173,11 @@ impl ResidentHandle {
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.shared.tokens.is_zero() || self.is_stopping() {
+            if self.fleet.shared.tokens.is_zero() || self.is_stopping() {
                 return true;
             }
             if Instant::now() >= deadline {
-                return self.shared.tokens.is_zero();
+                return self.fleet.shared.tokens.is_zero();
             }
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -298,41 +187,22 @@ impl ResidentHandle {
     /// stop and join the workers, and merge every shard's report — the
     /// ingress machine's included, so serve counters and reclamation
     /// totals survive into the summary.
-    pub fn shutdown(mut self) -> StrandResult<RunReport> {
+    pub fn shutdown(self) -> StrandResult<RunReport> {
         let _ = self.wait_idle(Duration::from_secs(10));
-        stop(&self.shared);
-        if let Some(ws) = self.workers.take() {
-            ws.join();
-        }
-        if let Some(e) = self.shared.fatal.lock().take() {
-            return Err(e);
-        }
-        let truncated = self.shared.truncated.load(Ordering::Acquire);
-        let mut machines: Vec<Machine> = self
-            .slots
-            .iter()
-            .map(|s| s.lock().take().expect("worker returned its machine"))
-            .collect();
-        machines.push(self.ingress.into_inner().unwrap_or_else(|e| e.into_inner()));
-        let parts: Vec<_> = machines.iter_mut().map(|m| m.finalize_shard()).collect();
-        let worker_jobs: Vec<u64> = parts
-            .iter()
-            .take(self.threads)
-            .map(|p| p.metrics.total_reductions)
-            .collect();
-        let mut report = merge_shard_reports(parts, truncated);
-        report.metrics.wall_ns = self.t0.elapsed().as_nanos() as u64;
-        report.metrics.threads_used = self.threads as u32;
-        report.metrics.worker_jobs = worker_jobs;
-        Ok(report)
+        stop(&self.fleet.shared);
+        let ingress = self.ingress.into_inner().unwrap_or_else(|e| e.into_inner());
+        Ok(self.fleet.collect(Some(ingress))?.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strand_machine::ChaosPlan;
-    use strand_parse::parse_program;
+    use std::collections::BTreeMap;
+    use std::sync::{Arc, Mutex as StdMutex};
+    use strand_core::StrandError;
+    use strand_machine::{ast_to_term, ChaosPlan};
+    use strand_parse::{parse_program, parse_term};
 
     fn handle(threads: u32) -> ResidentHandle {
         let program = parse_program("boot. double(X, Y) :- Y := X * 2.").unwrap();

@@ -6,8 +6,10 @@
 //! produce equivalent results.
 //!
 //! The two tiers share one scheduler, so their comparison is the strictest
-//! in the suite: **bit-identical** bindings, ordered output, status, and
-//! reduction/suspension counts (DESIGN.md, "Compiled execution tier").
+//! in the suite: **bit-identical** bindings, ordered output, status,
+//! reduction/suspension counts and every scheduling metric — makespan,
+//! per-node reductions/busy/peak queue, messages, suspensions by procedure
+//! (DESIGN.md, "Compiled execution tier").
 //!
 //! Equivalence is checked per the contract in DESIGN.md ("Execution
 //! backends"):
@@ -31,7 +33,9 @@ use algorithmic_motifs::motifs::{
     tree_reduce_2, ARITH_EVAL,
 };
 use algorithmic_motifs::strand_core::Term;
-use algorithmic_motifs::strand_machine::{run_parsed_goal, ChaosPlan, GoalResult, MachineConfig};
+use algorithmic_motifs::strand_machine::{
+    run_parsed_goal, ChaosPlan, GoalResult, MachineConfig, RunStatus,
+};
 use algorithmic_motifs::strand_parallel;
 use bench::{FIGURE2_HANDWRITTEN, PAPER_TREE, RING_APP};
 use proptest::prelude::*;
@@ -160,6 +164,26 @@ fn assert_conform(
         ),
         "{label}: compiled tier must perform the same reductions/suspensions"
     );
+    // Both tiers run through one dispatch driver, one step and one spawn
+    // path, so everything the scheduler measures must agree too. (Not
+    // `rules_tried`, `index_*`, `*_reductions` or `wall_ns`: those are
+    // tier-specific by design.)
+    let scheduling = |r: &GoalResult| {
+        let m = &r.report.metrics;
+        (
+            m.makespan,
+            m.reductions.clone(),
+            m.busy.clone(),
+            m.messages.clone(),
+            m.peak_queue.clone(),
+            m.susp_by_proc.clone(),
+        )
+    };
+    assert_eq!(
+        scheduling(&det),
+        scheduling(&interp),
+        "{label}: compiled tier must schedule exactly as the interpreter does"
+    );
     for threads in [1u32, 2, 4, 8] {
         let par = run_parsed_goal(program, goal, cfg.clone().parallel(threads))
             .unwrap_or_else(|e| panic!("{label}: parallel({threads}) run: {e}"));
@@ -248,6 +272,31 @@ fn conform_tree_reduce_2() {
         MachineConfig::with_nodes(4).seed(7),
     );
     assert_eq!(r.bindings["Value"].to_string(), expected);
+}
+
+/// A goal left suspended on a heavily shared term: `d(S,S)` nested 40 deep
+/// is 41 cells as a DAG and 2^41 nodes as a tree. Both backends build their
+/// post-mortem through one report path, which renders suspended goals under
+/// a node budget — the simulator used to expand the tree and never return.
+#[test]
+fn quiescent_goal_on_a_shared_dag_gets_a_capped_post_mortem() {
+    strand_parallel::install();
+    let program = parse_program(
+        "build(0,T) :- T = leaf. \
+         build(N,T) :- N > 0 | N1 := N - 1, build(N1,S), T = d(S,S). \
+         go(N,Never) :- build(N,T), hold(T,Never). \
+         hold(T,go) :- true.",
+    )
+    .unwrap();
+    let run = |cfg: MachineConfig| {
+        let r = run_parsed_goal(&program, "go(40, Never)", cfg).unwrap();
+        assert_eq!(r.report.status, RunStatus::Quiescent { suspended: 1 });
+        r.report.suspended_goals[0].to_string()
+    };
+    let sim = run(MachineConfig::default());
+    assert!(sim.contains('…'), "uncapped: {sim}");
+    assert!(sim.len() < 8 * 1024, "{} bytes", sim.len());
+    assert_eq!(sim, run(MachineConfig::default().parallel(1)));
 }
 
 // ---------------------------------------------------------------------------
