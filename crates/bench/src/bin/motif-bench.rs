@@ -1,220 +1,96 @@
-//! Regenerate the experiment tables of EXPERIMENTS.md.
+//! Regenerate the experiment tables of EXPERIMENTS.md, and record the
+//! wall-clock series behind the committed `BENCH_*.json` snapshots.
 //!
 //! Usage: `motif-bench [experiment...]` — with no arguments, runs them all.
-//! Experiment names: see `motif-bench list`. Machine-readable outputs
-//! (`machine-json`, `parallel-json`) default to files under `out/`, which
-//! is gitignored.
+//! Experiment names: see `motif-bench list`. `motif-bench <series>-json
+//! [path] [--quick] [--require-cores]` records one series; the path
+//! defaults to a file under `out/`, which is gitignored.
 
-/// Counting allocator so `machine-json` can report allocations/reduction.
-#[global_allocator]
-static ALLOC: bench::counting_alloc::CountingAllocator = bench::counting_alloc::CountingAllocator;
+use bench::series::{self, Series};
 
-fn ensure_parent(path: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
+/// A series' measurement function; `true` = the small CI smoke configuration.
+type Measure = fn(bool) -> Series;
+
+/// The recordable series: verb, default output path, measurement function.
+const RECORDERS: &[(&str, &str, Measure)] = &[
+    // B-series: wall-clock speedup of the multi-threaded backend over the
+    // simulator, 1/2/4/8 threads (quick: small workloads, 1/2 threads).
+    (
+        "parallel-json",
+        "out/BENCH_parallel.json",
+        bench::b1_parallel,
+    ),
+    // Interpreted vs compiled rule execution on the same scheduler.
+    (
+        "compiled-json",
+        "out/BENCH_compiled.json",
+        bench::b2_compiled,
+    ),
+    // The supervised ring under the parallel backend's wall-clock fault
+    // injection (shard kill, batch drop/duplication).
+    ("chaos-json", "out/BENCH_chaos.json", bench::b3_chaos),
+    // C-series: the resident service under concurrent TCP load, top burst
+    // 1000 clients.
+    ("serve-json", "out/BENCH_serve.json", bench::c1_serve),
+    // The same bursts through Supervise ∘ Server (acked sends, wall-clock
+    // heartbeat and watch deadlines); its own file so the plain baseline
+    // stays comparable.
+    (
+        "serve-supervised-json",
+        "out/BENCH_serve_supervised.json",
+        bench::c1_serve_supervised,
+    ),
+];
+
+/// Record one series: `[path] [--quick] [--require-cores]`.
+fn record(default_path: &str, run: Measure, args: &[String]) {
+    let (flags, paths): (Vec<&str>, Vec<&str>) = args
+        .iter()
+        .map(String::as_str)
+        .partition(|a| a.starts_with("--"));
+    if paths.len() > 1
+        || flags
+            .iter()
+            .any(|f| !["--quick", "--require-cores"].contains(f))
+    {
+        eprintln!("usage: motif-bench <series>-json [path] [--quick] [--require-cores]");
+        std::process::exit(2);
     }
+    // Every series is wall-clock on real threads: on one core it measures
+    // scheduling overhead. The nightly recording job passes
+    // `--require-cores` to fail loudly instead of recording noise.
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) <= 1 {
+        if flags.contains(&"--require-cores") {
+            eprintln!("error: refusing to record on a single-core host (--require-cores)");
+            std::process::exit(3);
+        }
+        eprintln!(
+            "WARNING: single-core host — the file carries a host_warning and \
+             should not be committed as a recording"
+        );
+    }
+    let json = series::render(&run(flags.contains(&"--quick")));
+    if let Err(e) = series::parse(&json) {
+        eprintln!("error: the recorded series does not re-parse: {e}\n{json}");
+        std::process::exit(1);
+    }
+    let path = std::path::Path::new(paths.first().copied().unwrap_or(default_path));
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create output directory");
+    }
+    std::fs::write(path, &json).expect("write series json");
+    print!("{json}");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("machine-json") {
-        // Machine hot-path throughput, written as JSON with the first
-        // recording preserved as the comparison baseline.
-        let path = args
-            .get(1)
-            .map(String::as_str)
-            .unwrap_or("out/BENCH_machine.json");
-        ensure_parent(path);
-        let previous = std::fs::read_to_string(path).ok();
-        let reports = bench::machine_bench::run_machine_bench(previous.as_deref());
-        let json = bench::machine_bench::render_json(&reports);
-        std::fs::write(path, &json).expect("write bench json");
-        print!("{json}");
-        for r in &reports {
-            eprintln!(
-                "{:<16} {:>12.0} red/s ({:>5.2}x baseline), {:>6.2} allocs/red",
-                r.name,
-                r.reductions_per_sec,
-                r.speedup_vs_baseline(),
-                r.allocs_per_reduction
-            );
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("parallel-json") {
-        // B-series: wall-clock speedup of the multi-threaded backend.
-        // `--quick` is the CI smoke configuration (small workloads, 2
-        // threads); the full run sweeps 1/2/4/8 threads.
-        // `--require-cores` refuses to record on a single-core host —
-        // parallel speedups measured there are meaningless, so the CI
-        // recording job uses it to fail loudly instead of committing noise.
-        let quick = args.iter().any(|a| a == "--quick");
-        let require_cores = args.iter().any(|a| a == "--require-cores");
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if host <= 1 {
-            if require_cores {
-                eprintln!(
-                    "error: refusing to record the B-series on a single-core host \
-                     (--require-cores); parallel speedups here measure scheduling \
-                     overhead, not parallelism"
-                );
-                std::process::exit(3);
-            }
-            eprintln!(
-                "WARNING: single-core host — B-series speedups below are NOT \
-                 parallel speedups; the snapshot is annotated host_parallelism: 1 \
-                 and should not be committed as a recording"
-            );
-        }
-        let path = args
-            .get(1)
-            .filter(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or("out/BENCH_parallel.json");
-        ensure_parent(path);
-        let points = bench::b1_parallel(quick);
-        let json = bench::render_parallel_json(&points);
-        std::fs::write(path, &json).expect("write parallel bench json");
-        print!("{json}");
-        for p in &points {
-            eprintln!(
-                "{:<16} {:<10} {} threads: {:>9.2} ms ({:>5.2}x)",
-                p.workload,
-                p.backend,
-                p.threads,
-                p.wall_ns as f64 / 1e6,
-                p.speedup
-            );
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("compiled-json") {
-        // Compiled-tier series: interpreted vs compiled rule execution on
-        // the same scheduler. `--quick` caps the workloads for CI smoke.
-        let quick = args.iter().any(|a| a == "--quick");
-        let path = args
-            .get(1)
-            .filter(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or("out/BENCH_compiled.json");
-        ensure_parent(path);
-        let points = bench::b2_compiled(quick);
-        let json = bench::render_compiled_json(&points);
-        std::fs::write(path, &json).expect("write compiled bench json");
-        print!("{json}");
-        for p in &points {
-            eprintln!(
-                "{:<16} {:<12} {:<10} {:>9.2} ms, {:>8} red ({:>5.2}x)",
-                p.workload,
-                p.exec,
-                p.backend,
-                p.wall_ns as f64 / 1e6,
-                p.reductions,
-                p.speedup
-            );
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("chaos-json") {
-        // Robustness series: the supervised ring under the parallel
-        // backend's wall-clock fault injection (shard kill, batch
-        // drop/duplication). `--quick` takes one sample per cell.
-        let quick = args.iter().any(|a| a == "--quick");
-        let path = args
-            .get(1)
-            .filter(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or("out/BENCH_chaos.json");
-        ensure_parent(path);
-        let points = bench::b3_chaos(quick);
-        let json = bench::render_chaos_json(&points);
-        std::fs::write(path, &json).expect("write chaos bench json");
-        print!("{json}");
-        for p in &points {
-            eprintln!(
-                "{:<14} {} threads: {:>8.2} ms, {:>7} red ({:>5.2}x), \
-                 delivered {}/{}, restarts {}",
-                p.scenario,
-                p.threads,
-                p.wall_ns as f64 / 1e6,
-                p.reductions,
-                p.overhead,
-                p.delivered,
-                p.expected,
-                p.restarts
-            );
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve-json") {
-        // C-series: the resident service under concurrent TCP load.
-        // `--quick` runs small bursts for CI smoke; the full run's top
-        // burst is 1000 concurrent clients. `--supervised` records the
-        // Supervise ∘ Server variant (acked sends, wall-clock heartbeat
-        // and watch deadlines) — same schema, `scenario: "supervised"`,
-        // conventionally written to its own snapshot so the plain
-        // baseline stays comparable. `--require-cores` refuses to record
-        // on a single-core host, mirroring the B-series recorder
-        // (loss/residency hold anywhere, but latency recorded there is
-        // scheduling noise).
-        let quick = args.iter().any(|a| a == "--quick");
-        let supervised = args.iter().any(|a| a == "--supervised");
-        let require_cores = args.iter().any(|a| a == "--require-cores");
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if host <= 1 {
-            if require_cores {
-                eprintln!(
-                    "error: refusing to record the serve series on a single-core \
-                     host (--require-cores); latencies there measure thread \
-                     scheduling, not the service"
-                );
-                std::process::exit(3);
-            }
-            eprintln!(
-                "WARNING: single-core host — serve latencies below are dominated \
-                 by scheduling; the snapshot is annotated host_parallelism: 1"
-            );
-        }
-        let path = args
-            .get(1)
-            .filter(|a| !a.starts_with("--"))
-            .map(String::as_str)
-            .unwrap_or(if supervised {
-                "out/BENCH_serve_supervised.json"
-            } else {
-                "out/BENCH_serve.json"
-            });
-        ensure_parent(path);
-        let points = if supervised {
-            bench::c1_serve_supervised(quick)
-        } else {
-            bench::c1_serve(quick)
-        };
-        let json = bench::render_serve_json(&points);
-        std::fs::write(path, &json).expect("write serve bench json");
-        print!("{json}");
-        for p in &points {
-            eprintln!(
-                "{:>5} clients × {:>2} req: {:>6}/{:<6} ok ({} lost), p50 {:>7} µs, \
-                 p99 {:>8} µs, {:>9.1} req/s, {} parks, {} reclaimed",
-                p.clients,
-                p.requests / p.clients.max(1),
-                p.completed,
-                p.requests,
-                p.lost,
-                p.p50_us,
-                p.p99_us,
-                p.throughput_rps,
-                p.idle_parks,
-                p.vars_reclaimed
-            );
-        }
+    let verb = args.first().map(String::as_str);
+    if let Some((_, path, run)) = RECORDERS.iter().find(|(v, ..)| Some(*v) == verb) {
+        record(path, *run, &args[1..]);
         return;
     }
     if args.iter().any(|a| a == "list" || a == "--list") {
-        for name in bench::EXPERIMENTS {
+        for name in bench::experiment_names() {
             println!("{name}");
         }
         return;
@@ -227,7 +103,7 @@ fn main() {
             }
             None => {
                 eprintln!("usage: motif-bench show <motif>; motifs:");
-                for m in bench::MOTIF_SOURCES {
+                for m in bench::motif_names() {
                     eprintln!("  {m}");
                 }
                 std::process::exit(2);
@@ -236,7 +112,7 @@ fn main() {
         return;
     }
     let selected: Vec<&str> = if args.is_empty() {
-        bench::EXPERIMENTS.to_vec()
+        bench::experiment_names().collect()
     } else {
         args.iter().map(String::as_str).collect()
     };

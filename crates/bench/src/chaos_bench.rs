@@ -17,39 +17,20 @@
 //! Scenarios: `clean` (calibration), `drop-dup` (10% batch drop + 5%
 //! duplication), `kill` (one of two-plus worker shards killed a third of
 //! the way in), and `kill-drop-dup` (all three at once — the chaos
-//! conformance mix). `render_chaos_json` records the rows
-//! (`out/BENCH_chaos.json` via `motif-bench chaos-json`); the committed
-//! `BENCH_chaos.json` snapshot at the repo root is a full recording.
+//! conformance mix). `motif-bench chaos-json` records the rows
+//! (`out/BENCH_chaos.json`); the committed `BENCH_chaos.json` snapshot at
+//! the repo root is a full recording.
+//!
+//! Per row: `overhead` is reductions over a clean calibration run's
+//! reductions at this thread count — the recovery-latency proxy;
+//! `delivered` counts distinct tokens printed and `expected` is the ring
+//! size.
 
+use crate::series::Series;
 use motifs::supervised_random;
 use std::time::Instant;
 use strand_machine::{run_parsed_goal, ChaosPlan, MachineConfig, RunReport};
 use strand_parse::Program;
-
-/// One measured row: the supervised ring under one fault mix.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChaosPoint {
-    pub scenario: String,
-    pub threads: u32,
-    pub wall_ns: u64,
-    pub reductions: u64,
-    /// Reductions over the clean run's reductions at this thread count
-    /// (1.0 for the clean row itself) — the recovery-latency proxy.
-    pub overhead: f64,
-    /// Distinct tokens printed; `expected` is the ring size.
-    pub delivered: u64,
-    pub expected: u64,
-    pub restarts: u64,
-    pub shards_killed: u64,
-    pub batches_dropped: u64,
-    pub batches_duplicated: u64,
-}
-
-impl ChaosPoint {
-    pub fn delivery_rate(&self) -> f64 {
-        self.delivered as f64 / self.expected as f64
-    }
-}
 
 const RING: u32 = 8;
 
@@ -85,11 +66,11 @@ fn run_once(program: &Program, goal: &str, cfg: MachineConfig) -> (u64, RunRepor
 /// Run the chaos series. `quick` takes one sample per cell (CI smoke);
 /// the full run keeps the fastest of three, which still records the
 /// *sample's* fault counters so rows stay internally consistent.
-pub fn b3_chaos(quick: bool) -> Vec<ChaosPoint> {
+pub fn b3_chaos(quick: bool) -> Series {
     strand_parallel::install();
     let (program, goal) = ring_workload();
     let samples = if quick { 1 } else { 3 };
-    let mut points = Vec::new();
+    let mut series = Series::new("chaos");
     for threads in [2u32, 4] {
         let clean_cfg = base_cfg().parallel(threads);
         let (_, calib) = run_once(&program, &goal, clean_cfg.clone());
@@ -127,204 +108,62 @@ pub fn b3_chaos(quick: bool) -> Vec<ChaosPoint> {
             }
             let (wall_ns, report) = best.expect("at least one sample");
             let m = &report.metrics;
-            points.push(ChaosPoint {
-                scenario: name.to_string(),
-                threads,
-                wall_ns,
-                reductions: m.total_reductions,
-                overhead: m.total_reductions as f64 / clean_red as f64,
-                delivered: distinct_tokens(&report),
-                expected: RING as u64,
-                restarts: m.supervisor_restarts,
-                shards_killed: m.shards_killed,
-                batches_dropped: m.batches_dropped,
-                batches_duplicated: m.batches_duplicated,
-            });
+            series.push([
+                ("scenario", name.into()),
+                ("threads", threads.into()),
+                ("wall_ns", wall_ns.into()),
+                ("reductions", m.total_reductions.into()),
+                (
+                    "overhead",
+                    (m.total_reductions as f64 / clean_red as f64).into(),
+                ),
+                ("delivered", distinct_tokens(&report).into()),
+                ("expected", RING.into()),
+                ("restarts", m.supervisor_restarts.into()),
+                ("shards_killed", m.shards_killed.into()),
+                ("batches_dropped", m.batches_dropped.into()),
+                ("batches_duplicated", m.batches_duplicated.into()),
+            ]);
         }
     }
-    points
-}
-
-/// Serialize chaos points as JSON (no external dependencies).
-pub fn render_chaos_json(points: &[ChaosPoint]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"motif-bench chaos-json v1\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"threads\": {}, \"wall_ns\": {}, \
-             \"reductions\": {}, \"overhead\": {:.4}, \"delivered\": {}, \
-             \"expected\": {}, \"restarts\": {}, \"shards_killed\": {}, \
-             \"batches_dropped\": {}, \"batches_duplicated\": {}}}{comma}\n",
-            p.scenario,
-            p.threads,
-            p.wall_ns,
-            p.reductions,
-            p.overhead,
-            p.delivered,
-            p.expected,
-            p.restarts,
-            p.shards_killed,
-            p.batches_dropped,
-            p.batches_duplicated
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Strict parser for [`render_chaos_json`] output — the same schema-drift
-/// tripwire as the other series parsers.
-pub fn parse_chaos_json(json: &str) -> Result<Vec<ChaosPoint>, String> {
-    fn raw_field<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let start = s
-            .find(&pat)
-            .ok_or_else(|| format!("missing field {key:?}"))?
-            + pat.len();
-        let rest = &s[start..];
-        let end = rest
-            .find([',', '}', '\n'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok(rest[..end].trim())
-    }
-    fn string_field(s: &str, key: &str) -> Result<String, String> {
-        let raw = raw_field(s, key)?;
-        raw.strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} is not a string: {raw}"))
-    }
-    fn num_field<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
-        raw_field(s, key)?
-            .parse()
-            .map_err(|_| format!("field {key:?} is not a number"))
-    }
-
-    if !json.contains("\"schema\": \"motif-bench chaos-json v1\"") {
-        return Err("missing or unknown schema".to_string());
-    }
-    let mut points = Vec::new();
-    for line in json.lines().map(str::trim) {
-        if !line.starts_with("{\"scenario\"") {
-            continue;
-        }
-        points.push(ChaosPoint {
-            scenario: string_field(line, "scenario")?,
-            threads: num_field(line, "threads")?,
-            wall_ns: num_field(line, "wall_ns")?,
-            reductions: num_field(line, "reductions")?,
-            overhead: num_field(line, "overhead")?,
-            delivered: num_field(line, "delivered")?,
-            expected: num_field(line, "expected")?,
-            restarts: num_field(line, "restarts")?,
-            shards_killed: num_field(line, "shards_killed")?,
-            batches_dropped: num_field(line, "batches_dropped")?,
-            batches_duplicated: num_field(line, "batches_duplicated")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no points parsed".to_string());
-    }
-    Ok(points)
+    series
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn sample() -> Vec<ChaosPoint> {
-        vec![
-            ChaosPoint {
-                scenario: "clean".to_string(),
-                threads: 2,
-                wall_ns: 1_234_567,
-                reductions: 900,
-                overhead: 1.0,
-                delivered: 8,
-                expected: 8,
-                restarts: 0,
-                shards_killed: 0,
-                batches_dropped: 0,
-                batches_duplicated: 0,
-            },
-            ChaosPoint {
-                scenario: "kill-drop-dup".to_string(),
-                threads: 2,
-                wall_ns: 7_654_321,
-                reductions: 4200,
-                overhead: 4.6667,
-                delivered: 8,
-                expected: 8,
-                restarts: 4,
-                shards_killed: 1,
-                batches_dropped: 9,
-                batches_duplicated: 2,
-            },
-        ]
-    }
-
-    #[test]
-    fn json_schema_round_trips() {
-        let points = sample();
-        let json = render_chaos_json(&points);
-        let parsed = parse_chaos_json(&json).expect("round-trip parses");
-        assert_eq!(parsed, points);
-        assert_eq!(render_chaos_json(&parsed), json);
-    }
-
-    #[test]
-    fn parser_rejects_schema_drift() {
-        let json = render_chaos_json(&sample());
-        assert!(parse_chaos_json(&json.replace("\"restarts\"", "\"boots\"")).is_err());
-        assert!(parse_chaos_json("{}").is_err());
-    }
+    use crate::series;
 
     #[test]
     fn committed_snapshot_parses_and_meets_targets() {
-        // The repo-root BENCH_chaos.json is a recorded artifact; if it
-        // exists it must parse and must still show the robustness targets:
-        // full delivery under every fault mix, the kill actually landing,
-        // and recovery overhead within an order of magnitude of clean.
-        let Ok(json) = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_chaos.json"
-        )) else {
-            return;
-        };
-        let points = parse_chaos_json(&json).expect("committed snapshot parses");
+        // The repo-root BENCH_chaos.json is a recorded artifact: it must
+        // parse and must still show the robustness targets — full delivery
+        // under every fault mix, the kill actually landing, and recovery
+        // overhead within an order of magnitude of clean.
+        let s = series::committed("chaos").expect("committed snapshot");
         for scenario in ["clean", "drop-dup", "kill", "kill-drop-dup"] {
             assert!(
-                points.iter().any(|p| p.scenario == scenario),
+                s.points.iter().any(|p| p.text("scenario") == scenario),
                 "snapshot missing scenario {scenario}"
             );
         }
-        for p in &points {
-            assert!(
-                (p.delivery_rate() - 1.0).abs() < f64::EPSILON,
-                "{} at {} threads delivered {}/{} tokens",
-                p.scenario,
-                p.threads,
-                p.delivered,
-                p.expected
+        for p in &s.points {
+            let (scenario, threads) = (p.text("scenario"), p.int("threads"));
+            assert_eq!(
+                p.int("delivered"),
+                p.int("expected"),
+                "{scenario} at {threads} threads lost tokens"
             );
-            if p.scenario.contains("kill") {
+            if scenario.contains("kill") {
                 assert_eq!(
-                    p.shards_killed, 1,
-                    "{} at {} threads: the kill must land",
-                    p.scenario, p.threads
+                    p.int("shards_killed"),
+                    1,
+                    "{scenario} at {threads} threads: the kill must land"
                 );
             }
             assert!(
-                p.overhead < 50.0,
-                "{} at {} threads: recovery overhead blew up to {:.1}x",
-                p.scenario,
-                p.threads,
-                p.overhead
+                p.real("overhead") < 50.0,
+                "{scenario} at {threads} threads: recovery overhead blew up to {:.1}x",
+                p.real("overhead")
             );
         }
     }

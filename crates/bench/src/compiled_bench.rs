@@ -28,29 +28,15 @@
 //!   native aligner dominates, so the claim here is only "the compiled
 //!   tier never loses" (≥1×).
 //!
-//! `render_compiled_json` records the rows (`out/BENCH_compiled.json` via
-//! `motif-bench compiled-json`); the committed `BENCH_compiled.json`
-//! snapshot at the repo root is a full recording.
+//! `motif-bench compiled-json` records the rows (`out/BENCH_compiled.json`);
+//! the committed `BENCH_compiled.json` snapshot at the repo root is a full
+//! recording.
 
-use motifs::tree_reduce_1;
+use crate::parallel_bench::seqalign_workload;
+use crate::series::Series;
 use std::time::Instant;
 use strand_machine::{run_parsed_goal_with_lib, ExecMode, ForeignLib, MachineConfig};
 use strand_parse::{parse_program, Program};
-
-/// One measured row: a workload on one execution tier.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CompiledPoint {
-    pub workload: String,
-    /// `"interpreted"` or `"compiled"`.
-    pub exec: String,
-    /// `"simulator"` or `"parallel"`.
-    pub backend: String,
-    pub wall_ns: u64,
-    pub reductions: u64,
-    /// Interpreted wall-clock over this row's wall-clock (1.0 for the
-    /// interpreted row itself).
-    pub speedup: f64,
-}
 
 /// Opcode table width of the tree-reduce row. Wide enough that rule
 /// dispatch dominates the run; `--stats` confirms the interpreter attempts
@@ -108,29 +94,6 @@ fn eval_chain_workload() -> (Program, String) {
     (program, "chain(20000, 0, V)".to_string())
 }
 
-/// Progressive RNA alignment on Tree-Reduce-1 with the native aligner as a
-/// pure foreign procedure (same shape as the B-series `seqalign` row).
-fn seqalign_workload() -> (Program, String, ForeignLib) {
-    use seqalign::{align_lib, generate_family, guide_tree, guide_tree_src, FamilyParams};
-    let params = seqalign::ScoreParams::default();
-    let fam = generate_family(&FamilyParams {
-        leaves: 12,
-        ancestral_len: 80,
-        seed: 21,
-        ..Default::default()
-    });
-    let guide = guide_tree(&fam.sequences, &params);
-    let tree_src = guide_tree_src(&guide, &fam.sequences);
-    let program = tree_reduce_1()
-        .apply_src(seqalign::ALIGN_EVAL)
-        .expect("TR1 applies to align eval");
-    (
-        program,
-        format!("create(8, reduce({tree_src}, Value))"),
-        align_lib(params, 8),
-    )
-}
-
 /// Best-of-batches wall-clock for one (workload, tier) cell — the standard
 /// minimum-time estimator: noise only ever slows a batch down.
 fn measure(
@@ -171,12 +134,12 @@ fn measure(
 
 /// Run the compiled-tier series. `quick` shrinks the sampling for CI smoke;
 /// rows and workloads are identical either way.
-pub fn b2_compiled(quick: bool) -> Vec<CompiledPoint> {
+pub fn b2_compiled(quick: bool) -> Series {
     strand_parallel::install();
     let empty = ForeignLib::new();
     let (tree_prog, tree_goal) = tree_workload();
     let (chain_prog, chain_goal) = eval_chain_workload();
-    let (align_prog, align_goal, align) = seqalign_workload();
+    let (align_prog, align_goal, align) = seqalign_workload(12);
     let sim = MachineConfig::with_nodes(1).seed(7);
     let par = MachineConfig::with_nodes(8).seed(7).parallel(2);
     let cells: Vec<(&str, &Program, &str, MachineConfig, &ForeignLib, &str)> = vec![
@@ -206,7 +169,7 @@ pub fn b2_compiled(quick: bool) -> Vec<CompiledPoint> {
         ),
     ];
 
-    let mut points = Vec::new();
+    let mut series = Series::new("compiled");
     for (name, program, goal, cfg, lib, backend) in &cells {
         // Quick mode (CI smoke): one warmup + one timed run per cell is
         // enough to prove the rows exist and both tiers complete; the
@@ -229,161 +192,37 @@ pub fn b2_compiled(quick: bool) -> Vec<CompiledPoint> {
             interp_red, comp_red,
             "{name}: tiers must perform identical reductions"
         );
-        points.push(CompiledPoint {
-            workload: name.to_string(),
-            exec: "interpreted".to_string(),
-            backend: backend.to_string(),
-            wall_ns: interp_ns,
-            reductions: interp_red,
-            speedup: 1.0,
-        });
-        points.push(CompiledPoint {
-            workload: name.to_string(),
-            exec: "compiled".to_string(),
-            backend: backend.to_string(),
-            wall_ns: comp_ns,
-            reductions: comp_red,
-            speedup: interp_ns as f64 / comp_ns.max(1) as f64,
-        });
-    }
-    points
-}
-
-/// Serialize compiled-tier points as JSON (no external dependencies).
-pub fn render_compiled_json(points: &[CompiledPoint]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"motif-bench compiled-json v1\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"exec\": \"{}\", \"backend\": \"{}\", \
-             \"wall_ns\": {}, \"reductions\": {}, \"speedup\": {:.4}}}{comma}\n",
-            p.workload, p.exec, p.backend, p.wall_ns, p.reductions, p.speedup
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Strict parser for [`render_compiled_json`] output — same schema-drift
-/// tripwire as the B-series parser.
-pub fn parse_compiled_json(json: &str) -> Result<Vec<CompiledPoint>, String> {
-    fn raw_field<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let start = s
-            .find(&pat)
-            .ok_or_else(|| format!("missing field {key:?}"))?
-            + pat.len();
-        let rest = &s[start..];
-        let end = rest
-            .find([',', '}', '\n'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok(rest[..end].trim())
-    }
-    fn string_field(s: &str, key: &str) -> Result<String, String> {
-        let raw = raw_field(s, key)?;
-        raw.strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} is not a string: {raw}"))
-    }
-    fn num_field<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
-        raw_field(s, key)?
-            .parse()
-            .map_err(|_| format!("field {key:?} is not a number"))
-    }
-
-    if !json.contains("\"schema\": \"motif-bench compiled-json v1\"") {
-        return Err("missing or unknown schema".to_string());
-    }
-    let mut points = Vec::new();
-    for line in json.lines().map(str::trim) {
-        if !line.starts_with("{\"workload\"") {
-            continue;
+        for (exec, wall_ns) in [("interpreted", interp_ns), ("compiled", comp_ns)] {
+            series.push([
+                ("workload", (*name).into()),
+                ("exec", exec.into()),
+                ("backend", (*backend).into()),
+                ("wall_ns", wall_ns.into()),
+                ("reductions", interp_red.into()),
+                ("speedup", (interp_ns as f64 / wall_ns.max(1) as f64).into()),
+            ]);
         }
-        points.push(CompiledPoint {
-            workload: string_field(line, "workload")?,
-            exec: string_field(line, "exec")?,
-            backend: string_field(line, "backend")?,
-            wall_ns: num_field(line, "wall_ns")?,
-            reductions: num_field(line, "reductions")?,
-            speedup: num_field(line, "speedup")?,
-        });
     }
-    if points.is_empty() {
-        return Err("no points parsed".to_string());
-    }
-    Ok(points)
+    series
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn json_schema_round_trips() {
-        let points = vec![
-            CompiledPoint {
-                workload: "tree-reduce".to_string(),
-                exec: "interpreted".to_string(),
-                backend: "simulator".to_string(),
-                wall_ns: 123_456_789,
-                reductions: 9001,
-                speedup: 1.0,
-            },
-            CompiledPoint {
-                workload: "tree-reduce".to_string(),
-                exec: "compiled".to_string(),
-                backend: "simulator".to_string(),
-                wall_ns: 42,
-                reductions: 9001,
-                speedup: 5.25,
-            },
-        ];
-        let json = render_compiled_json(&points);
-        let parsed = parse_compiled_json(&json).expect("round-trip parses");
-        assert_eq!(parsed, points);
-        assert_eq!(render_compiled_json(&parsed), json);
-    }
-
-    #[test]
-    fn parser_rejects_schema_drift() {
-        let points = vec![CompiledPoint {
-            workload: "x".to_string(),
-            exec: "compiled".to_string(),
-            backend: "simulator".to_string(),
-            wall_ns: 1,
-            reductions: 1,
-            speedup: 1.0,
-        }];
-        let json = render_compiled_json(&points);
-        assert!(parse_compiled_json(&json.replace("\"wall_ns\"", "\"ns\"")).is_err());
-        assert!(parse_compiled_json("{}").is_err());
-    }
+    use crate::series;
 
     #[test]
     fn committed_snapshot_parses_and_meets_targets() {
-        // The repo-root BENCH_compiled.json is a recorded artifact; if it
-        // exists it must parse and must still show the ISSUE's targets:
-        // tree-reduce ≥5× on the simulator, seqalign ≥1× under the
-        // parallel backend (small tolerance for recording noise).
-        let Ok(json) = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_compiled.json"
-        )) else {
-            return;
-        };
-        let points = parse_compiled_json(&json).expect("committed snapshot parses");
+        // The repo-root BENCH_compiled.json is a recorded artifact: it must
+        // parse and must still show the targets — tree-reduce ≥5× on the
+        // simulator, seqalign ≥1× under the parallel backend (small
+        // tolerance for recording noise).
+        let s = series::committed("compiled").expect("committed snapshot");
         let speedup = |w: &str| {
-            points
+            s.points
                 .iter()
-                .find(|p| p.workload == w && p.exec == "compiled")
+                .find(|p| p.text("workload") == w && p.text("exec") == "compiled")
                 .unwrap_or_else(|| panic!("snapshot missing compiled row for {w}"))
-                .speedup
+                .real("speedup")
         };
         assert!(
             speedup("tree-reduce") >= 5.0,

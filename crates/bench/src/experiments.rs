@@ -1036,114 +1036,108 @@ pub fn a2_faults() -> Table {
 }
 
 /// The consultable archive (§1: motif libraries are *"archives of
-/// expertise that can be consulted, modified, and extended"*): named motif
-/// library sources for `motif-bench show <name>`.
-pub fn motif_source(name: &str) -> Option<(&'static str, String)> {
-    Some(match name {
-        "server" => ("Server (§3.2)", motifs::SERVER_LIBRARY.to_string()),
-        "supervise" => (
-            "Supervise (robustness: acked delivery, heartbeats, restart)",
-            motifs::SUPERVISE_LIBRARY.to_string(),
-        ),
-        "tree1" => ("Tree1 (§3.4)", motifs::TREE1_LIBRARY.to_string()),
-        "tree-reduce-2" => (
-            "Tree-Reduce-2 (§3.5 / Figure 7)",
-            motifs::TREE2_LIBRARY.to_string(),
-        ),
-        "scheduler" => (
-            "Scheduler (ref [6])",
-            motifs::scheduler::SCHEDULER_LIBRARY.to_string(),
-        ),
-        "scheduler-2" => (
-            "Hierarchical scheduler (§1, reuse by modification)",
-            motifs::scheduler::SCHEDULER2_LIBRARY.to_string(),
-        ),
-        "sched" => (
-            "Sched / @task pragma (§2.2)",
-            motifs::TASK_SCHED_LIBRARY.to_string(),
-        ),
-        "dc" => ("DivideAndConquer (§4)", motifs::dc::DC_LIBRARY.to_string()),
-        "search" => ("Search (§4)", motifs::search::SEARCH_LIBRARY.to_string()),
-        "grid" => ("Grid (§4)", motifs::grid::GRID_LIBRARY.to_string()),
-        "graph" => (
-            "Graph components (§4)",
-            motifs::graph::GRAPH_LIBRARY.to_string(),
-        ),
-        "pipeline" => ("Pipeline", motifs::pipeline::PIPELINE_LIBRARY.to_string()),
-        _ => return None,
-    })
+/// expertise that can be consulted, modified, and extended"*): name, title
+/// and library source for `motif-bench show <name>`.
+const MOTIF_SOURCES: &[(&str, &str, &str)] = &[
+    ("server", "Server (§3.2)", motifs::SERVER_LIBRARY),
+    (
+        "supervise",
+        "Supervise (robustness: acked delivery, heartbeats, restart)",
+        motifs::SUPERVISE_LIBRARY,
+    ),
+    ("tree1", "Tree1 (§3.4)", motifs::TREE1_LIBRARY),
+    (
+        "tree-reduce-2",
+        "Tree-Reduce-2 (§3.5 / Figure 7)",
+        motifs::TREE2_LIBRARY,
+    ),
+    (
+        "scheduler",
+        "Scheduler (ref [6])",
+        motifs::scheduler::SCHEDULER_LIBRARY,
+    ),
+    (
+        "scheduler-2",
+        "Hierarchical scheduler (§1, reuse by modification)",
+        motifs::scheduler::SCHEDULER2_LIBRARY,
+    ),
+    (
+        "sched",
+        "Sched / @task pragma (§2.2)",
+        motifs::TASK_SCHED_LIBRARY,
+    ),
+    ("dc", "DivideAndConquer (§4)", motifs::dc::DC_LIBRARY),
+    ("search", "Search (§4)", motifs::search::SEARCH_LIBRARY),
+    ("grid", "Grid (§4)", motifs::grid::GRID_LIBRARY),
+    (
+        "graph",
+        "Graph components (§4)",
+        motifs::graph::GRAPH_LIBRARY,
+    ),
+    ("pipeline", "Pipeline", motifs::pipeline::PIPELINE_LIBRARY),
+];
+
+/// Names accepted by [`motif_source`], in catalog order.
+pub fn motif_names() -> impl Iterator<Item = &'static str> {
+    MOTIF_SOURCES.iter().map(|(name, ..)| *name)
 }
 
-/// Names accepted by [`motif_source`].
-pub const MOTIF_SOURCES: &[&str] = &[
-    "server",
-    "supervise",
-    "tree1",
-    "tree-reduce-2",
-    "scheduler",
-    "scheduler-2",
-    "sched",
-    "dc",
-    "search",
-    "grid",
-    "graph",
-    "pipeline",
-];
+/// Title and source of one catalogued motif library.
+pub fn motif_source(name: &str) -> Option<(&'static str, String)> {
+    MOTIF_SOURCES
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .map(|(_, title, src)| (*title, src.to_string()))
+}
 
 /// Run status sanity helper shared by tests.
 pub fn completed(r: &GoalResult) -> bool {
     r.report.status == RunStatus::Completed
 }
 
-/// Convenience: the names of all printable experiments.
-pub const EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig7",
-    "e1-balance",
-    "e2-memory",
-    "e2-memory-bytes",
-    "e3-comm",
-    "e4-speedup",
-    "e5-loc",
-    "e6-compose",
-    "e7-scheduler",
-    "e8-seqalign",
-    "e9-future",
-    "e10-pragma",
-    "a1-latency",
-    "a2-faults",
-    "e8-sim",
-    "e1-threads",
-    "b1-parallel",
+type Render = fn() -> String;
+
+/// Every printable experiment: name and renderer.
+const EXPERIMENTS: &[(&str, Render)] = &[
+    ("fig1", || fig1().render()),
+    ("fig2", || fig2().render()),
+    ("fig4", || fig4().render()),
+    ("fig5", fig5),
+    ("fig7", || fig7().render()),
+    ("e1-balance", || e1_balance().render()),
+    ("e2-memory", || e2_memory().render()),
+    ("e2-memory-bytes", || e2_memory_bytes().render()),
+    ("e3-comm", || e3_comm().render()),
+    ("e4-speedup", || e4_speedup().render()),
+    ("e5-loc", || e5_loc().render()),
+    ("e6-compose", || e6_compose().render()),
+    ("e7-scheduler", || e7_scheduler().render()),
+    ("e8-seqalign", || e8_seqalign().render()),
+    ("e9-future", || e9_future().render()),
+    ("e10-pragma", || e10_pragma().render()),
+    ("a1-latency", || a1_latency().render()),
+    ("a2-faults", || a2_faults().render()),
+    ("e8-sim", || e8_sim().render()),
+    ("e1-threads", || e1_threads().render()),
+    ("b1-parallel", || {
+        crate::parallel_bench::b1_parallel_table(false).render()
+    }),
 ];
+
+/// Names accepted by [`experiment`], in `motif-bench` run order.
+pub fn experiment_names() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|(name, _)| *name)
+}
+
+/// Resolve an experiment by name without running it.
+pub fn experiment(name: &str) -> Option<Render> {
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, run)| *run)
+}
 
 /// Run one experiment by name, returning its rendered output.
 pub fn run_experiment(name: &str) -> Option<String> {
-    Some(match name {
-        "fig1" => fig1().render(),
-        "fig2" => fig2().render(),
-        "fig4" => fig4().render(),
-        "fig5" => fig5(),
-        "fig7" => fig7().render(),
-        "e1-balance" => e1_balance().render(),
-        "e2-memory" => e2_memory().render(),
-        "e2-memory-bytes" => e2_memory_bytes().render(),
-        "e3-comm" => e3_comm().render(),
-        "e4-speedup" => e4_speedup().render(),
-        "e5-loc" => e5_loc().render(),
-        "e6-compose" => e6_compose().render(),
-        "e7-scheduler" => e7_scheduler().render(),
-        "e8-seqalign" => e8_seqalign().render(),
-        "e9-future" => e9_future().render(),
-        "e10-pragma" => e10_pragma().render(),
-        "a1-latency" => a1_latency().render(),
-        "a2-faults" => a2_faults().render(),
-        "e8-sim" => e8_sim().render(),
-        "e1-threads" => e1_threads().render(),
-        "b1-parallel" => crate::parallel_bench::b1_parallel_table(false).render(),
-        _ => return None,
-    })
+    experiment(name).map(|run| run())
 }

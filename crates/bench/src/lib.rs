@@ -2,9 +2,11 @@
 //!
 //! The experiment harness: one function per experiment in EXPERIMENTS.md
 //! (F1–F7 reproduce the paper's figures as executable artifacts; E1–E9
-//! reproduce its evaluation claims as measured tables). The `motif-bench`
-//! binary prints the tables; the criterion benches under `benches/` time
-//! the hot paths.
+//! reproduce its evaluation claims as measured tables), printed by the
+//! `motif-bench` binary, plus the recorded wall-clock series (`b1_parallel`,
+//! `b2_compiled`, `b3_chaos`, `c1_serve*`) that `motif-bench <series>-json`
+//! writes through the one [`series`] document. Timing of the hot paths
+//! with comparable numbers is `perfbench/`'s job (BENCHMARK.json).
 //!
 //! All simulator experiments are deterministic: fixed seeds, virtual time.
 //! Real-thread experiments report *work distribution* (tasks per worker,
@@ -13,18 +15,15 @@
 
 pub mod chaos_bench;
 pub mod compiled_bench;
-pub mod counting_alloc;
 pub mod experiments;
-pub mod machine_bench;
 pub mod parallel_bench;
+pub mod series;
 pub mod serve_bench;
 pub mod table;
 
-pub use chaos_bench::{b3_chaos, parse_chaos_json, render_chaos_json, ChaosPoint};
-pub use compiled_bench::{b2_compiled, parse_compiled_json, render_compiled_json, CompiledPoint};
+pub use chaos_bench::b3_chaos;
+pub use compiled_bench::b2_compiled;
 pub use experiments::*;
-pub use parallel_bench::{b1_parallel, parse_parallel_json, render_parallel_json, ParallelPoint};
-pub use serve_bench::{
-    c1_serve, c1_serve_supervised, parse_serve_json, render_serve_json, ServePoint,
-};
+pub use parallel_bench::b1_parallel;
+pub use serve_bench::{c1_serve, c1_serve_supervised};
 pub use table::Table;

@@ -20,29 +20,16 @@
 //! * `seqalign` — progressive RNA alignment with the native `align_node`
 //!   as a pure foreign procedure, computed outside the machine lock.
 //!
-//! `write_parallel_json` records the rows machine-readably
-//! (`out/BENCH_parallel.json` via `motif-bench parallel-json`).
+//! `motif-bench parallel-json` records the rows (`out/BENCH_parallel.json`);
+//! the committed `BENCH_parallel_sharded.json` is a full recording.
 
+use crate::series::Series;
 use crate::table::Table;
 use motifs::{random_tree_src, tree_reduce_1};
 use std::time::{Duration, Instant};
 use strand_core::{StrandResult, Term};
 use strand_machine::{run_parsed_goal_with_lib, ForeignLib, GoalResult, MachineConfig};
 use strand_parse::{parse_program, Program};
-
-/// One measured row: a workload on one backend configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParallelPoint {
-    pub workload: String,
-    /// `"simulator"` or `"parallel"`.
-    pub backend: String,
-    /// Worker threads (1 for the simulator).
-    pub threads: u32,
-    pub wall_ns: u64,
-    /// Simulator wall-clock over this row's wall-clock (1.0 for the
-    /// simulator row itself).
-    pub speedup: f64,
-}
 
 /// Timed-work foreign library: `nspin(Ns, Done)` burns CPU for `Ns`
 /// nanoseconds, `nsleep(Ns, Done)` blocks for `Ns` nanoseconds. Both bind
@@ -108,8 +95,8 @@ fn tree_workload(leaves: u32, work_ns: u64, timed_proc: &str) -> (Program, Strin
 }
 
 /// Progressive RNA alignment on Tree-Reduce-1 with the native aligner as a
-/// pure foreign procedure.
-fn seqalign_workload(leaves: usize) -> (Program, String, ForeignLib) {
+/// pure foreign procedure (also the compiled series' `seqalign` row).
+pub(crate) fn seqalign_workload(leaves: usize) -> (Program, String, ForeignLib) {
     use seqalign::{align_lib, generate_family, guide_tree, guide_tree_src, FamilyParams};
     let params = seqalign::ScoreParams::default();
     let fam = generate_family(&FamilyParams {
@@ -143,7 +130,7 @@ fn timed_run(
 
 /// Run the B-series. `quick` shrinks the workloads and stops at 2 threads —
 /// the CI smoke configuration; the full run sweeps 1/2/4/8 threads.
-pub fn b1_parallel(quick: bool) -> Vec<ParallelPoint> {
+pub fn b1_parallel(quick: bool) -> Series {
     strand_parallel::install();
     let thread_counts: &[u32] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
     let (hops, hop_ns) = if quick {
@@ -176,45 +163,42 @@ pub fn b1_parallel(quick: bool) -> Vec<ParallelPoint> {
         ("seqalign", align_prog, align_goal, &align),
     ];
 
-    let mut points = Vec::new();
+    let mut series = Series::new("parallel");
     for (name, program, goal, lib) in &workloads {
         let cfg = MachineConfig::with_nodes(8).seed(7);
         let (_base, base_ns) = timed_run(program, goal, cfg.clone(), lib);
-        points.push(ParallelPoint {
-            workload: name.to_string(),
-            backend: "simulator".to_string(),
-            threads: 1,
-            wall_ns: base_ns,
-            speedup: 1.0,
-        });
+        let mut row = |backend: &str, threads: u32, wall_ns: u64| {
+            series.push([
+                ("workload", (*name).into()),
+                ("backend", backend.into()),
+                ("threads", threads.into()),
+                ("wall_ns", wall_ns.into()),
+                ("speedup", (base_ns as f64 / wall_ns.max(1) as f64).into()),
+            ]);
+        };
+        row("simulator", 1, base_ns);
         for &threads in thread_counts {
             let (_r, wall_ns) = timed_run(program, goal, cfg.clone().parallel(threads), lib);
-            points.push(ParallelPoint {
-                workload: name.to_string(),
-                backend: "parallel".to_string(),
-                threads,
-                wall_ns,
-                speedup: base_ns as f64 / wall_ns.max(1) as f64,
-            });
+            row("parallel", threads, wall_ns);
         }
     }
-    points
+    series
 }
 
 /// Render the B-series as an experiment table.
 pub fn b1_parallel_table(quick: bool) -> Table {
-    let points = b1_parallel(quick);
+    let series = b1_parallel(quick);
     let mut t = Table::new(
         "B1: wall-clock speedup, multi-threaded backend vs simulator",
         &["workload", "backend", "threads", "wall ms", "speedup"],
     );
-    for p in &points {
+    for p in &series.points {
         t.row(vec![
-            p.workload.to_string(),
-            p.backend.to_string(),
-            p.threads.to_string(),
-            format!("{:.2}", p.wall_ns as f64 / 1e6),
-            format!("{:.2}x", p.speedup),
+            p.text("workload").to_string(),
+            p.text("backend").to_string(),
+            p.int("threads").to_string(),
+            format!("{:.2}", p.int("wall_ns") as f64 / 1e6),
+            format!("{:.2}x", p.real("speedup")),
         ]);
     }
     t.note("speedup = simulator wall-clock / this row's wall-clock.");
@@ -223,149 +207,65 @@ pub fn b1_parallel_table(quick: bool) -> Table {
     t
 }
 
-/// Serialize B-series points as JSON (no external dependencies).
-pub fn render_parallel_json(points: &[ParallelPoint]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    if host <= 1 {
-        // Loud in-band annotation: a snapshot recorded on one core measures
-        // scheduling overhead, not parallelism. Tooling that plots speedups
-        // should treat such files as smoke output only.
-        out.push_str(
-            "  \"host_warning\": \"recorded on a single-core host; speedup \
-             columns are not parallel speedups\",\n",
-        );
-    }
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"backend\": \"{}\", \"threads\": {}, \
-             \"wall_ns\": {}, \"speedup\": {:.4}}}{comma}\n",
-            p.workload, p.backend, p.threads, p.wall_ns, p.speedup
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse the JSON produced by [`render_parallel_json`] back into points —
-/// the schema round-trip that plotting scripts and the committed
-/// `BENCH_parallel_sharded.json` snapshot rely on. Hand-rolled (the
-/// workspace vendors no JSON crate) and deliberately strict: a field the
-/// renderer stops emitting, renames or reorders fails here, so schema
-/// drift breaks the round-trip test instead of passing silently.
-pub fn parse_parallel_json(json: &str) -> Result<(usize, Vec<ParallelPoint>), String> {
-    fn raw_field<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let start = s
-            .find(&pat)
-            .ok_or_else(|| format!("missing field {key:?}"))?
-            + pat.len();
-        let rest = &s[start..];
-        let end = rest
-            .find([',', '}', '\n'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok(rest[..end].trim())
-    }
-    fn string_field(s: &str, key: &str) -> Result<String, String> {
-        let raw = raw_field(s, key)?;
-        raw.strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} is not a string: {raw}"))
-    }
-    fn num_field<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
-        raw_field(s, key)?
-            .parse()
-            .map_err(|_| format!("field {key:?} is not a number"))
-    }
-
-    let host: usize = num_field(json, "host_parallelism")?;
-    if !json.contains("\"points\": [") {
-        return Err("missing points array".to_string());
-    }
-    let mut points = Vec::new();
-    for line in json.lines().map(str::trim) {
-        if !line.starts_with("{\"workload\"") {
-            continue;
-        }
-        points.push(ParallelPoint {
-            workload: string_field(line, "workload")?,
-            backend: string_field(line, "backend")?,
-            threads: num_field(line, "threads")?,
-            wall_ns: num_field(line, "wall_ns")?,
-            speedup: num_field(line, "speedup")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no points parsed".to_string());
-    }
-    Ok((host, points))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::{self, Point};
+
+    const WORKLOADS: [&str; 4] = ["ring", "tree-reduce", "tree-reduce-io", "seqalign"];
+
+    fn rows<'a>(s: &'a Series, workload: &str, backend: &str) -> Vec<&'a Point> {
+        s.points
+            .iter()
+            .filter(|p| p.text("workload") == workload && p.text("backend") == backend)
+            .collect()
+    }
 
     #[test]
     fn quick_points_cover_every_workload_and_backend() {
-        let points = b1_parallel(true);
-        for w in ["ring", "tree-reduce", "tree-reduce-io", "seqalign"] {
-            assert!(points
+        let s = b1_parallel(true);
+        for w in WORKLOADS {
+            assert_eq!(rows(&s, w, "simulator").len(), 1);
+            assert!(rows(&s, w, "parallel")
                 .iter()
-                .any(|p| p.workload == w && p.backend == "simulator"));
-            assert!(points
-                .iter()
-                .any(|p| p.workload == w && p.backend == "parallel" && p.threads == 2));
+                .any(|p| p.int("threads") == 2));
         }
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let points = b1_parallel(true);
-        let json = render_parallel_json(&points);
+        let s = b1_parallel(true);
+        let json = series::render(&s);
         assert!(json.contains("\"workload\": \"tree-reduce-io\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let parsed = series::parse(&json).expect("the recorded series re-parses");
+        assert_eq!(parsed.points.len(), s.points.len());
+        assert_eq!(series::render(&parsed), json);
     }
 
     #[test]
-    fn json_schema_round_trips() {
-        // Synthetic points exercise the full value space without running
-        // the workloads: render → parse must reproduce every field (speedup
-        // to its serialized 4-decimal precision), and a second render of
-        // the parsed points must be byte-identical.
-        let points = vec![
-            ParallelPoint {
-                workload: "ring".to_string(),
-                backend: "simulator".to_string(),
-                threads: 1,
-                wall_ns: 123_456_789,
-                speedup: 1.0,
-            },
-            ParallelPoint {
-                workload: "tree-reduce".to_string(),
-                backend: "parallel".to_string(),
-                threads: 8,
-                wall_ns: 42,
-                speedup: 2.5625,
-            },
-        ];
-        let json = render_parallel_json(&points);
-        let (host, parsed) = parse_parallel_json(&json).expect("round-trip parses");
-        assert!(host >= 1);
-        assert_eq!(parsed, points);
-        assert_eq!(render_parallel_json(&parsed), json);
-    }
-
-    #[test]
-    fn parser_rejects_schema_drift() {
-        let points = b1_parallel(true);
-        let json = render_parallel_json(&points);
-        let renamed = json.replace("\"wall_ns\"", "\"wall_nanos\"");
-        assert!(parse_parallel_json(&renamed).is_err());
-        assert!(parse_parallel_json("{}").is_err());
+    fn committed_snapshot_parses_and_is_self_consistent() {
+        // No performance threshold: the B-series is host-shaped. What the
+        // gate pins is that the snapshot is readable, complete, and that
+        // every speedup is the ratio of the two wall-clocks it sits beside.
+        let s = series::committed("parallel").expect("committed snapshot");
+        for w in WORKLOADS {
+            assert_eq!(rows(&s, w, "simulator").len(), 1, "{w}: simulator rows");
+            assert!(!rows(&s, w, "parallel").is_empty(), "{w}: parallel rows");
+        }
+        for p in &s.points {
+            let w = p.text("workload");
+            let base = rows(&s, w, "simulator")
+                .first()
+                .unwrap_or_else(|| panic!("row of unknown workload {w}"))
+                .int("wall_ns");
+            let ratio = base as f64 / p.int("wall_ns") as f64;
+            assert!(
+                (p.real("speedup") - ratio).abs() < 0.000_051,
+                "{w} at {} threads: speedup {} beside a wall-clock ratio of {ratio}",
+                p.int("threads"),
+                p.real("speedup")
+            );
+        }
     }
 }

@@ -22,41 +22,22 @@
 //! the engine — `host_parallelism` is recorded in the snapshot so readers
 //! can judge (the gate checks completeness and residency, which are
 //! host-independent, plus sane latency ordering — not absolute speed).
+//!
+//! Per row: `requests` is clients × requests-per-client, `completed` those
+//! answered `OK` with the correct value, `lost` the difference (the
+//! zero-loss acceptance bar) and `busy_retries` the `BUSY` answers absorbed
+//! by client retries. `idle_parks` counts the engine parking at global
+//! quiescence instead of exiting — nonzero proves the service went *idle*,
+//! not *terminated*; `vars_reclaimed` counts store slots reclaimed by
+//! session close — nonzero proves bounded growth across sessions.
 
+use crate::series::Series;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use strand_serve::{serve, MotifService, ServeBackend, ServeConfig, DOUBLER_APP};
-
-/// One measured row: a burst of concurrent clients against a resident
-/// service.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ServePoint {
-    pub scenario: String,
-    /// Engine worker threads behind the service.
-    pub threads: u32,
-    pub clients: u64,
-    /// Requests attempted (clients × requests-per-client).
-    pub requests: u64,
-    /// Requests answered `OK` with the correct value.
-    pub completed: u64,
-    /// Attempted minus completed — the zero-loss acceptance bar.
-    pub lost: u64,
-    /// `BUSY` backpressure answers absorbed by client retries.
-    pub busy_retries: u64,
-    pub p50_us: u64,
-    pub p99_us: u64,
-    pub throughput_rps: f64,
-    /// Times the engine parked at global quiescence instead of exiting —
-    /// nonzero proves the service went *idle*, not *terminated*.
-    pub idle_parks: u64,
-    /// Store slots reclaimed by session close — nonzero proves bounded
-    /// growth across sessions.
-    pub vars_reclaimed: u64,
-    pub sessions_closed: u64,
-}
 
 /// Drive one client connection: `count` requests of `value`, validating
 /// the doubled reply. Returns (latencies µs, completed, busy retries).
@@ -117,13 +98,13 @@ fn client_burst(addr: std::net::SocketAddr, start: &Barrier, count: u64) -> (Vec
     (latencies, completed, busy)
 }
 
-/// Run one burst against a fresh resident service and fold in the
+/// Run one burst against a fresh resident service and record it with the
 /// service's own post-drain metrics. `supervise` composes `Supervise`
 /// over the servers, so every request rides an acked `rsend` and the
 /// heartbeat/retransmit deadlines live on the wall-clock timer wheel —
 /// the measured delta against the plain series is the cost of residency
 /// with a safety net.
-fn burst_point(clients: u64, per_client: u64, supervise: bool) -> ServePoint {
+fn burst_point(series: &mut Series, clients: u64, per_client: u64, supervise: bool) {
     let cfg = ServeConfig {
         servers: 4,
         backend: ServeBackend::Parallel(0),
@@ -191,242 +172,95 @@ fn burst_point(clients: u64, per_client: u64, supervise: bool) -> ServePoint {
         latencies[idx]
     };
     let m = &summary.report.metrics;
-    ServePoint {
-        scenario: if supervise { "supervised" } else { "burst" }.to_string(),
-        threads,
-        clients,
-        requests,
-        completed,
-        lost: requests - completed,
-        busy_retries,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        throughput_rps: completed as f64 / wall.as_secs_f64().max(1e-9),
-        idle_parks: m.idle_parks,
-        vars_reclaimed: m.vars_reclaimed,
-        sessions_closed: m.sessions_closed,
+    let scenario = if supervise { "supervised" } else { "burst" };
+    series.push([
+        ("scenario", scenario.into()),
+        ("threads", threads.into()),
+        ("clients", clients.into()),
+        ("requests", requests.into()),
+        ("completed", completed.into()),
+        ("lost", (requests - completed).into()),
+        ("busy_retries", busy_retries.into()),
+        ("p50_us", pct(0.50).into()),
+        ("p99_us", pct(0.99).into()),
+        (
+            "throughput_rps",
+            (completed as f64 / wall.as_secs_f64().max(1e-9)).into(),
+        ),
+        ("idle_parks", m.idle_parks.into()),
+        ("vars_reclaimed", m.vars_reclaimed.into()),
+        ("sessions_closed", m.sessions_closed.into()),
+    ]);
+}
+
+fn serve_series(name: &str, quick: bool, supervise: bool) -> Series {
+    strand_parallel::install();
+    let bursts: &[(u64, u64)] = if quick {
+        &[(8, 5), (64, 5)]
+    } else {
+        &[(16, 20), (256, 10), (1000, 5)]
+    };
+    let mut series = Series::new(name);
+    for &(clients, per_client) in bursts {
+        burst_point(&mut series, clients, per_client, supervise);
     }
+    series
 }
 
 /// Run the serve load series. `quick` keeps the bursts small for CI; the
 /// full run's top burst is 1000 concurrent clients (the acceptance bar).
-pub fn c1_serve(quick: bool) -> Vec<ServePoint> {
-    strand_parallel::install();
-    let bursts: &[(u64, u64)] = if quick {
-        &[(8, 5), (64, 5)]
-    } else {
-        &[(16, 20), (256, 10), (1000, 5)]
-    };
-    bursts
-        .iter()
-        .map(|&(clients, per_client)| burst_point(clients, per_client, false))
-        .collect()
+pub fn c1_serve(quick: bool) -> Series {
+    serve_series("serve", quick, false)
 }
 
-/// The supervised variant of [`c1_serve`]: identical burst shapes, same
-/// `serve-json v1` schema (the `scenario` field reads `"supervised"`), but
-/// every request is delivered through `Supervise ∘ Server` with heartbeat,
-/// retransmit and watch deadlines armed on the wall-clock wheel. Recorded
-/// to its own snapshot so the plain baseline stays comparable across runs.
-pub fn c1_serve_supervised(quick: bool) -> Vec<ServePoint> {
-    strand_parallel::install();
-    let bursts: &[(u64, u64)] = if quick {
-        &[(8, 5), (64, 5)]
-    } else {
-        &[(16, 20), (256, 10), (1000, 5)]
-    };
-    bursts
-        .iter()
-        .map(|&(clients, per_client)| burst_point(clients, per_client, true))
-        .collect()
-}
-
-/// Serialize serve points as JSON (no external dependencies).
-pub fn render_serve_json(points: &[ServePoint]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"motif-bench serve-json v1\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"threads\": {}, \"clients\": {}, \
-             \"requests\": {}, \"completed\": {}, \"lost\": {}, \
-             \"busy_retries\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"throughput_rps\": {:.1}, \"idle_parks\": {}, \
-             \"vars_reclaimed\": {}, \"sessions_closed\": {}}}{comma}\n",
-            p.scenario,
-            p.threads,
-            p.clients,
-            p.requests,
-            p.completed,
-            p.lost,
-            p.busy_retries,
-            p.p50_us,
-            p.p99_us,
-            p.throughput_rps,
-            p.idle_parks,
-            p.vars_reclaimed,
-            p.sessions_closed
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Strict parser for [`render_serve_json`] output — the same schema-drift
-/// tripwire as the other series parsers.
-pub fn parse_serve_json(json: &str) -> Result<Vec<ServePoint>, String> {
-    fn raw_field<'a>(s: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": ");
-        let start = s
-            .find(&pat)
-            .ok_or_else(|| format!("missing field {key:?}"))?
-            + pat.len();
-        let rest = &s[start..];
-        let end = rest
-            .find([',', '}', '\n'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok(rest[..end].trim())
-    }
-    fn string_field(s: &str, key: &str) -> Result<String, String> {
-        let raw = raw_field(s, key)?;
-        raw.strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} is not a string: {raw}"))
-    }
-    fn num_field<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, String> {
-        raw_field(s, key)?
-            .parse()
-            .map_err(|_| format!("field {key:?} is not a number"))
-    }
-
-    if !json.contains("\"schema\": \"motif-bench serve-json v1\"") {
-        return Err("missing or unknown schema".to_string());
-    }
-    let mut points = Vec::new();
-    for line in json.lines().map(str::trim) {
-        if !line.starts_with("{\"scenario\"") {
-            continue;
-        }
-        points.push(ServePoint {
-            scenario: string_field(line, "scenario")?,
-            threads: num_field(line, "threads")?,
-            clients: num_field(line, "clients")?,
-            requests: num_field(line, "requests")?,
-            completed: num_field(line, "completed")?,
-            lost: num_field(line, "lost")?,
-            busy_retries: num_field(line, "busy_retries")?,
-            p50_us: num_field(line, "p50_us")?,
-            p99_us: num_field(line, "p99_us")?,
-            throughput_rps: num_field(line, "throughput_rps")?,
-            idle_parks: num_field(line, "idle_parks")?,
-            vars_reclaimed: num_field(line, "vars_reclaimed")?,
-            sessions_closed: num_field(line, "sessions_closed")?,
-        });
-    }
-    if points.is_empty() {
-        return Err("no points parsed".to_string());
-    }
-    Ok(points)
+/// The supervised variant of [`c1_serve`]: identical burst shapes and
+/// fields (`scenario` reads `"supervised"`), but every request is delivered
+/// through `Supervise ∘ Server` with heartbeat, retransmit and watch
+/// deadlines armed on the wall-clock wheel. A series of its own so the
+/// plain baseline stays comparable across runs.
+pub fn c1_serve_supervised(quick: bool) -> Series {
+    serve_series("serve-supervised", quick, true)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn sample() -> Vec<ServePoint> {
-        vec![
-            ServePoint {
-                scenario: "burst".to_string(),
-                threads: 4,
-                clients: 16,
-                requests: 320,
-                completed: 320,
-                lost: 0,
-                busy_retries: 0,
-                p50_us: 180,
-                p99_us: 2400,
-                throughput_rps: 5123.4,
-                idle_parks: 7,
-                vars_reclaimed: 960,
-                sessions_closed: 16,
-            },
-            ServePoint {
-                scenario: "supervised".to_string(),
-                threads: 4,
-                clients: 1000,
-                requests: 5000,
-                completed: 5000,
-                lost: 0,
-                busy_retries: 12,
-                p50_us: 900,
-                p99_us: 41000,
-                throughput_rps: 2100.0,
-                idle_parks: 3,
-                vars_reclaimed: 15000,
-                sessions_closed: 1000,
-            },
-        ]
-    }
-
-    #[test]
-    fn json_schema_round_trips() {
-        let points = sample();
-        let json = render_serve_json(&points);
-        let parsed = parse_serve_json(&json).expect("round-trip parses");
-        assert_eq!(parsed, points);
-        assert_eq!(render_serve_json(&parsed), json);
-    }
-
-    #[test]
-    fn parser_rejects_schema_drift() {
-        let json = render_serve_json(&sample());
-        assert!(parse_serve_json(&json.replace("\"lost\"", "\"dropped\"")).is_err());
-        assert!(parse_serve_json("{}").is_err());
-    }
+    use crate::series;
 
     #[test]
     fn committed_snapshot_parses_and_meets_targets() {
-        // The repo-root BENCH_serve.json is a recorded artifact; if it
-        // exists it must parse and must still show the acceptance bar:
-        // a ≥1000-client burst, zero lost replies anywhere, the engine
-        // parking idle between bursts, session reclamation actually
-        // freeing slots, and coherent percentiles.
-        let Ok(json) = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_serve.json"
-        )) else {
-            return;
-        };
-        let points = parse_serve_json(&json).expect("committed snapshot parses");
+        // The repo-root BENCH_serve.json is a recorded artifact: it must
+        // parse and must still show the acceptance bar — a ≥1000-client
+        // burst, zero lost replies anywhere, the engine parking idle
+        // between bursts, session reclamation actually freeing slots, and
+        // coherent percentiles.
+        let s = series::committed("serve").expect("committed snapshot");
         assert!(
-            points.iter().any(|p| p.clients >= 1000),
+            s.points.iter().any(|p| p.int("clients") >= 1000),
             "snapshot is missing the ≥1000-client burst"
         );
-        for p in &points {
+        for p in &s.points {
+            let clients = p.int("clients");
             assert_eq!(
-                p.lost, 0,
-                "{} clients lost {} of {} replies",
-                p.clients, p.lost, p.requests
+                p.int("lost"),
+                0,
+                "{clients} clients lost replies of {}",
+                p.int("requests")
             );
-            assert_eq!(p.completed, p.requests);
-            assert_eq!(p.sessions_closed, p.clients, "sessions leaked");
+            assert_eq!(p.int("completed"), p.int("requests"));
+            assert_eq!(p.int("sessions_closed"), clients, "sessions leaked");
             assert!(
-                p.idle_parks > 0,
-                "{} clients: the engine never parked idle",
-                p.clients
+                p.int("idle_parks") > 0,
+                "{clients} clients: the engine never parked idle"
             );
             assert!(
-                p.vars_reclaimed > 0,
-                "{} clients: session close reclaimed nothing",
-                p.clients
+                p.int("vars_reclaimed") > 0,
+                "{clients} clients: session close reclaimed nothing"
             );
-            assert!(p.p50_us <= p.p99_us, "percentiles out of order");
-            assert!(p.throughput_rps > 0.0);
+            assert!(
+                p.int("p50_us") <= p.int("p99_us"),
+                "percentiles out of order"
+            );
+            assert!(p.real("throughput_rps") > 0.0);
         }
     }
 }

@@ -7,7 +7,7 @@ use algorithmic_motifs::strand_parse::{parse_program, pretty};
 
 #[test]
 fn every_catalog_source_parses_and_roundtrips() {
-    for name in bench::MOTIF_SOURCES {
+    for name in bench::motif_names() {
         let (title, src) = bench::motif_source(name).expect("catalog entry exists");
         let program =
             parse_program(&src).unwrap_or_else(|e| panic!("{title} source does not parse: {e}"));

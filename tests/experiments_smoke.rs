@@ -4,13 +4,16 @@
 
 #[test]
 fn every_experiment_name_resolves() {
-    for name in bench::EXPERIMENTS {
-        // Resolution only — unknown names must be the only None.
-        assert!(
-            bench::EXPERIMENTS.contains(name),
-            "inconsistent experiment list"
-        );
+    // Resolution only (the expensive ones are not run): every listed name
+    // reaches a renderer through the lookup `motif-bench` uses, no name is
+    // shadowed by an earlier duplicate, and unknown names are the only None.
+    let names: Vec<&str> = bench::experiment_names().collect();
+    assert!(names.len() >= 21, "experiments went missing: {names:?}");
+    for (i, name) in names.iter().enumerate() {
+        assert!(bench::experiment(name).is_some(), "{name} does not resolve");
+        assert!(!names[..i].contains(name), "{name} is listed twice");
     }
+    assert!(bench::experiment("no-such-experiment").is_none());
     assert!(bench::run_experiment("no-such-experiment").is_none());
 }
 
@@ -35,7 +38,7 @@ fn fig5_prints_all_three_stages() {
 
 #[test]
 fn motif_catalog_is_complete_and_exclusive() {
-    for name in bench::MOTIF_SOURCES {
+    for name in bench::motif_names() {
         assert!(bench::motif_source(name).is_some(), "{name} missing");
     }
     assert!(bench::motif_source("not-a-motif").is_none());
