@@ -333,21 +333,9 @@ pub fn e3_comm() -> Table {
         let internal = (leaves - 1) as u64;
         let tree = random_tree_src(leaves, seed);
         let r2 = run_tr2(ARITH_EVAL, &tree, 6, seed, "");
-        let crossings = r2
-            .report
-            .metrics
-            .port_msgs_by_functor
-            .get("value")
-            .copied()
-            .unwrap_or(0);
+        let crossings = r2.report.metrics.port_msgs_for("value");
         let r1 = run_tr1(ARITH_EVAL, &tree, 6, seed, "");
-        let tr1_reduce = r1
-            .report
-            .metrics
-            .port_msgs_by_functor
-            .get("reduce")
-            .copied()
-            .unwrap_or(0);
+        let tr1_reduce = r1.report.metrics.port_msgs_for("reduce");
         t.row(vec![
             seed.to_string(),
             leaves.to_string(),

@@ -448,13 +448,7 @@ mod tests {
             let p2 = tree_reduce_2().apply_src(ARITH_EVAL).unwrap();
             let cfg = MachineConfig::with_nodes(6).seed(seed);
             let r = run_parsed_goal(&p2, &format!("create(6, tr2({tree}, Value))"), cfg).unwrap();
-            let crossings = r
-                .report
-                .metrics
-                .port_msgs_by_functor
-                .get("value")
-                .copied()
-                .unwrap_or(0);
+            let crossings = r.report.metrics.port_msgs_for("value");
             assert!(
                 crossings <= internal as u64,
                 "seed {seed}: {crossings} value crossings > {internal} internal nodes"

@@ -6,8 +6,10 @@
 //! returns three-way: a number, a set of variables to suspend on, or a type
 //! error.
 
+use crate::atom::Atom;
 use crate::error::{StrandError, StrandResult};
 use crate::store::{StoreOps, VarId};
+use crate::sym;
 use crate::term::Term;
 
 /// A numeric value: integers stay exact, floats propagate.
@@ -75,7 +77,7 @@ pub fn eval_arith<S: StoreOps>(expr: &Term, store: &S) -> StrandResult<Evaled> {
     match expr {
         Term::Int(i) => return Ok(Evaled::Num(Num::Int(*i))),
         Term::Float(x) => return Ok(Evaled::Num(Num::Float(*x))),
-        Term::Tuple(op, args) => return eval_arith_tuple(op.as_str(), args, expr, store),
+        Term::Tuple(op, args) => return eval_arith_tuple(*op, args, expr, store),
         _ => {}
     }
     let t = store.deref(expr);
@@ -83,7 +85,7 @@ pub fn eval_arith<S: StoreOps>(expr: &Term, store: &S) -> StrandResult<Evaled> {
         Term::Int(i) => Ok(Evaled::Num(Num::Int(*i))),
         Term::Float(x) => Ok(Evaled::Num(Num::Float(*x))),
         Term::Var(v) => Ok(Evaled::Suspend(vec![*v])),
-        Term::Tuple(op, args) => eval_arith_tuple(op.as_str(), args, expr, store),
+        Term::Tuple(op, args) => eval_arith_tuple(*op, args, expr, store),
         _ => Err(StrandError::ArithType {
             expr: store.resolve(expr),
         }),
@@ -91,7 +93,7 @@ pub fn eval_arith<S: StoreOps>(expr: &Term, store: &S) -> StrandResult<Evaled> {
 }
 
 fn eval_arith_tuple<S: StoreOps>(
-    op: &str,
+    op: Atom,
     args: &[Term],
     expr: &Term,
     store: &S,
@@ -130,37 +132,37 @@ fn eval_arith_tuple<S: StoreOps>(
     let operands: &[Num] = if count <= 2 { &nums[..count] } else { &[] };
     {
         match (op, operands) {
-            ("+", [a, b]) => Ok(Evaled::Num(a.binop(
+            (sym::PLUS, [a, b]) => Ok(Evaled::Num(a.binop(
                 *b,
                 |x, y| x.wrapping_add(y),
                 |x, y| x + y,
             ))),
-            ("-", [a, b]) => Ok(Evaled::Num(a.binop(
+            (sym::MINUS, [a, b]) => Ok(Evaled::Num(a.binop(
                 *b,
                 |x, y| x.wrapping_sub(y),
                 |x, y| x - y,
             ))),
-            ("*", [a, b]) => Ok(Evaled::Num(a.binop(
+            (sym::TIMES, [a, b]) => Ok(Evaled::Num(a.binop(
                 *b,
                 |x, y| x.wrapping_mul(y),
                 |x, y| x * y,
             ))),
-            ("-", [a]) => Ok(Evaled::Num(match a {
+            (sym::MINUS, [a]) => Ok(Evaled::Num(match a {
                 Num::Int(i) => Num::Int(-i),
                 Num::Float(x) => Num::Float(-x),
             })),
-            ("abs", [a]) => Ok(Evaled::Num(match a {
+            (sym::ABS, [a]) => Ok(Evaled::Num(match a {
                 Num::Int(i) => Num::Int(i.abs()),
                 Num::Float(x) => Num::Float(x.abs()),
             })),
-            ("/", [a, b]) => match (a, b) {
+            (sym::DIVIDE, [a, b]) => match (a, b) {
                 (_, Num::Int(0)) => Err(StrandError::DivideByZero {
                     expr: store.resolve(expr),
                 }),
                 (Num::Int(x), Num::Int(y)) => Ok(Evaled::Num(Num::Int(x / y))),
                 (x, y) => Ok(Evaled::Num(Num::Float(x.as_f64() / y.as_f64()))),
             },
-            ("mod", [a, b]) => match (a, b) {
+            (sym::MOD, [a, b]) => match (a, b) {
                 (Num::Int(x), Num::Int(y)) => {
                     if *y == 0 {
                         Err(StrandError::DivideByZero {
@@ -172,8 +174,8 @@ fn eval_arith_tuple<S: StoreOps>(
                 }
                 _ => Err(bad()),
             },
-            ("min", [a, b]) => Ok(Evaled::Num(if a.as_f64() <= b.as_f64() { *a } else { *b })),
-            ("max", [a, b]) => Ok(Evaled::Num(if a.as_f64() >= b.as_f64() { *a } else { *b })),
+            (sym::MIN, [a, b]) => Ok(Evaled::Num(if a.as_f64() <= b.as_f64() { *a } else { *b })),
+            (sym::MAX, [a, b]) => Ok(Evaled::Num(if a.as_f64() >= b.as_f64() { *a } else { *b })),
             _ => Err(bad()),
         }
     }
@@ -189,16 +191,16 @@ pub fn is_arith_expr(t: &Term) -> bool {
     match t {
         Term::Int(_) | Term::Float(_) => true,
         Term::Tuple(op, args) => matches!(
-            (op.as_str(), args.len()),
-            ("+", 2)
-                | ("-", 2)
-                | ("*", 2)
-                | ("/", 2)
-                | ("mod", 2)
-                | ("min", 2)
-                | ("max", 2)
-                | ("-", 1)
-                | ("abs", 1)
+            (*op, args.len()),
+            (sym::PLUS, 2)
+                | (sym::MINUS, 2)
+                | (sym::TIMES, 2)
+                | (sym::DIVIDE, 2)
+                | (sym::MOD, 2)
+                | (sym::MIN, 2)
+                | (sym::MAX, 2)
+                | (sym::MINUS, 1)
+                | (sym::ABS, 1)
         ),
         _ => false,
     }

@@ -10,6 +10,8 @@
 //! that the parser (`strand-parse`), the abstract machine
 //! (`strand-machine`) and the transformation engine (`transform`) share:
 //!
+//! * [`Atom`] — interned symbols (a `Copy` id into one process-wide table),
+//!   with the engine's own names pre-interned in [`sym`];
 //! * [`Term`] — runtime terms (variables, numbers, atoms, strings, tuples,
 //!   lists) with cheap `Arc`-backed cloning;
 //! * [`Pat`] — rule-side *pattern* terms with rule-local variable slots;
@@ -37,10 +39,11 @@ pub mod pat;
 pub mod rng;
 pub mod shared;
 pub mod store;
+pub mod sym;
 pub mod term;
 
 pub use arith::{eval_arith, Num};
-pub use atom::Atom;
+pub use atom::{Atom, AtomError};
 pub use error::{StrandError, StrandResult};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use matching::{eval_guard, match_args, GuardOutcome, MatchOutcome};

@@ -10,6 +10,7 @@ use crate::arith::{eval_arith, Evaled};
 use crate::error::StrandResult;
 use crate::pat::{Frame, Pat};
 use crate::store::{StoreOps, VarId};
+use crate::sym;
 use crate::term::Term;
 
 /// Outcome of matching goal arguments against a rule head.
@@ -243,23 +244,22 @@ fn combine_eq(first: EqOutcome, rest: impl FnOnce() -> EqOutcome) -> EqOutcome {
 /// unknown/1`, and `true/0`. The machine handles `otherwise` itself.
 pub fn eval_guard<S: StoreOps>(guard: &Term, store: &S) -> StrandResult<GuardOutcome> {
     let g = store.deref(guard);
-    let (name, arity) = match g.functor() {
-        Some(f) => (f.0.as_str().to_string(), f.1),
-        None => return Ok(GuardOutcome::False),
+    let Some((&name, arity)) = g.functor() else {
+        return Ok(GuardOutcome::False);
     };
     let args = g.goal_args();
-    match (name.as_str(), arity) {
-        ("true", 0) => Ok(GuardOutcome::True),
-        ("<", 2) | (">", 2) | ("=<", 2) | (">=", 2) => {
+    match (name, arity) {
+        (sym::TRUE, 0) => Ok(GuardOutcome::True),
+        (sym::LT, 2) | (sym::GT, 2) | (sym::LE, 2) | (sym::GE, 2) => {
             let l = eval_arith(&args[0], store)?;
             let r = eval_arith(&args[1], store)?;
             match (l, r) {
                 (Evaled::Num(a), Evaled::Num(b)) => {
                     let (a, b) = (a.as_f64(), b.as_f64());
-                    let res = match name.as_str() {
-                        "<" => a < b,
-                        ">" => a > b,
-                        "=<" => a <= b,
+                    let res = match name {
+                        sym::LT => a < b,
+                        sym::GT => a > b,
+                        sym::LE => a <= b,
                         _ => a >= b,
                     };
                     Ok(if res {
@@ -282,8 +282,8 @@ pub fn eval_guard<S: StoreOps>(guard: &Term, store: &S) -> StrandResult<GuardOut
                 }
             }
         }
-        ("==", 2) | ("=\\=", 2) => {
-            let positive = name == "==";
+        (sym::EQ, 2) | (sym::NEQ, 2) => {
+            let positive = name == sym::EQ;
             match term_eq(&args[0], &args[1], store) {
                 EqOutcome::Eq => Ok(if positive {
                     GuardOutcome::True
@@ -298,28 +298,28 @@ pub fn eval_guard<S: StoreOps>(guard: &Term, store: &S) -> StrandResult<GuardOut
                 EqOutcome::Unknown(vs) => Ok(GuardOutcome::Suspend(vs)),
             }
         }
-        ("integer", 1)
-        | ("float", 1)
-        | ("number", 1)
-        | ("atom", 1)
-        | ("string", 1)
-        | ("list", 1)
-        | ("tuple", 1)
-        | ("data", 1) => {
+        (sym::INTEGER, 1)
+        | (sym::FLOAT, 1)
+        | (sym::NUMBER, 1)
+        | (sym::ATOM, 1)
+        | (sym::STRING, 1)
+        | (sym::LIST, 1)
+        | (sym::TUPLE, 1)
+        | (sym::DATA, 1) => {
             let t = store.deref(&args[0]);
             if let Term::Var(v) = t {
                 // Type tests are dataflow: wait until the datum arrives.
                 return Ok(GuardOutcome::Suspend(vec![v]));
             }
-            let ok = match name.as_str() {
-                "integer" => matches!(t, Term::Int(_)),
-                "float" => matches!(t, Term::Float(_)),
-                "number" => t.is_number(),
-                "atom" => matches!(t, Term::Atom(_)),
-                "string" => matches!(t, Term::Str(_)),
-                "list" => matches!(t, Term::List(_) | Term::Nil),
-                "tuple" => matches!(t, Term::Tuple(_, _)),
-                "data" => true,
+            let ok = match name {
+                sym::INTEGER => matches!(t, Term::Int(_)),
+                sym::FLOAT => matches!(t, Term::Float(_)),
+                sym::NUMBER => t.is_number(),
+                sym::ATOM => matches!(t, Term::Atom(_)),
+                sym::STRING => matches!(t, Term::Str(_)),
+                sym::LIST => matches!(t, Term::List(_) | Term::Nil),
+                sym::TUPLE => matches!(t, Term::Tuple(_, _)),
+                sym::DATA => true,
                 _ => unreachable!(),
             };
             Ok(if ok {
@@ -330,7 +330,7 @@ pub fn eval_guard<S: StoreOps>(guard: &Term, store: &S) -> StrandResult<GuardOut
         }
         // Nonmonotonic test used by some system code: true iff currently
         // unbound. Succeeds/fails immediately, never suspends.
-        ("unknown", 1) => {
+        (sym::UNKNOWN, 1) => {
             let t = store.deref(&args[0]);
             Ok(if t.is_var() {
                 GuardOutcome::True

@@ -29,7 +29,7 @@ pub enum Pat {
     /// String literal.
     Str(Arc<str>),
     /// Compound pattern `f(P1,…,Pn)`.
-    Tuple(Atom, Arc<Vec<Pat>>),
+    Tuple(Atom, Arc<[Pat]>),
     /// List cell pattern `[H|T]`.
     List(Arc<(Pat, Pat)>),
     /// Empty list.
@@ -43,7 +43,7 @@ impl Pat {
         if args.is_empty() {
             Pat::Atom(name.into())
         } else {
-            Pat::Tuple(name.into(), Arc::new(args))
+            Pat::Tuple(name.into(), args.into())
         }
     }
 
@@ -94,13 +94,12 @@ impl Pat {
             Pat::Wild => Term::Var(store.new_var()),
             Pat::Int(i) => Term::Int(*i),
             Pat::Float(x) => Term::Float(*x),
-            Pat::Atom(a) => Term::Atom(a.clone()),
+            Pat::Atom(a) => Term::Atom(*a),
             Pat::Str(s) => Term::Str(s.clone()),
             Pat::Nil => Term::Nil,
-            Pat::Tuple(name, args) => Term::tuple(
-                name.clone(),
-                args.iter().map(|p| p.instantiate(frame, store)).collect(),
-            ),
+            Pat::Tuple(name, args) => {
+                Term::tuple_from(*name, args.iter().map(|p| p.instantiate(frame, store)))
+            }
             Pat::List(cell) => Term::cons(
                 cell.0.instantiate(frame, store),
                 cell.1.instantiate(frame, store),
@@ -117,13 +116,13 @@ impl Pat {
             Pat::Wild => None,
             Pat::Int(i) => Some(Term::Int(*i)),
             Pat::Float(x) => Some(Term::Float(*x)),
-            Pat::Atom(a) => Some(Term::Atom(a.clone())),
+            Pat::Atom(a) => Some(Term::Atom(*a)),
             Pat::Str(s) => Some(Term::Str(s.clone())),
             Pat::Nil => Some(Term::Nil),
             Pat::Tuple(name, args) => {
                 let args: Option<Vec<Term>> =
                     args.iter().map(|p| p.instantiate_ro(frame)).collect();
-                Some(Term::tuple(name.clone(), args?))
+                Some(Term::tuple(*name, args?))
             }
             Pat::List(cell) => Some(Term::cons(
                 cell.0.instantiate_ro(frame)?,

@@ -199,14 +199,7 @@ impl SharedStore {
 
     /// Fully substitute all bound variables in `t`.
     pub fn resolve(&self, t: &Term) -> Term {
-        let top = self.deref(t);
-        match top {
-            Term::Tuple(name, args) => {
-                Term::tuple(name, args.iter().map(|a| self.resolve(a)).collect())
-            }
-            Term::List(cell) => Term::cons(self.resolve(&cell.0), self.resolve(&cell.1)),
-            other => other,
-        }
+        crate::store::resolve_with(t, &|t| self.deref(t))
     }
 
     /// Bind `v` to `value` at virtual `time` on `node`, returning the waiter

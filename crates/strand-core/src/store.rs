@@ -253,14 +253,7 @@ impl Store {
     /// only variables are genuinely unbound. Used for snapshots, result
     /// extraction and error messages.
     pub fn resolve(&self, t: &Term) -> Term {
-        let top = self.deref(t);
-        match top {
-            Term::Tuple(name, args) => {
-                Term::tuple(name, args.iter().map(|a| self.resolve(a)).collect())
-            }
-            Term::List(cell) => Term::cons(self.resolve(&cell.0), self.resolve(&cell.1)),
-            other => other,
-        }
+        resolve_with(t, &|t| self.deref(t))
     }
 
     /// Bind `v` to `value` at virtual `time` on `node`.
@@ -335,6 +328,32 @@ impl Store {
                 _ => None,
             })
             .collect()
+    }
+}
+
+/// Deep substitution under `deref`, shared by [`Store::resolve`] and
+/// [`SharedStore::resolve`](crate::SharedStore::resolve). A list is walked
+/// along its spine in a loop — a stream can be any length, and a flat list
+/// literal as long as a request line allows — so only nesting recurses.
+pub(crate) fn resolve_with(t: &Term, deref: &impl Fn(&Term) -> Term) -> Term {
+    match deref(t) {
+        Term::Tuple(name, args) => {
+            Term::tuple_from(name, args.iter().map(|a| resolve_with(a, deref)))
+        }
+        Term::List(cell) => {
+            let mut heads = vec![resolve_with(&cell.0, deref)];
+            let mut tail = deref(&cell.1);
+            while let Term::List(next) = tail {
+                heads.push(resolve_with(&next.0, deref));
+                tail = deref(&next.1);
+            }
+            let end = resolve_with(&tail, deref);
+            heads
+                .into_iter()
+                .rev()
+                .fold(end, |tail, head| Term::cons(head, tail))
+        }
+        other => other,
     }
 }
 

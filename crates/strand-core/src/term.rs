@@ -3,8 +3,9 @@
 //! A [`Term`] is the value manipulated by Strand processes: an unbound
 //! variable, a number, an atom, a string, a tuple `f(T1,…,Tn)`, or a list
 //! built from cons cells `[H|T]` and `[]`. Terms are immutable and clone in
-//! O(1) (interior `Arc`s); the only mutable state in the system is the
-//! single-assignment [`Store`](crate::store::Store).
+//! O(1) (interior `Arc`s; a tuple is one heap block, its functor a `Copy`
+//! [`Atom`]); the only mutable state in the system is the single-assignment
+//! [`Store`](crate::store::Store).
 //!
 //! Ports ([`Term::Port`]) are the one extension over the paper's surface
 //! language: a port is a handle to the *write end* of a stream, used by the
@@ -30,7 +31,7 @@ pub enum Term {
     /// String literal, e.g. `"acgu"`.
     Str(Arc<str>),
     /// Tuple / compound term `f(T1,…,Tn)` with n ≥ 1.
-    Tuple(Atom, Arc<Vec<Term>>),
+    Tuple(Atom, Arc<[Term]>),
     /// List cell `[H|T]`.
     List(Arc<Cons>),
     /// Empty list `[]`.
@@ -92,10 +93,18 @@ impl Term {
     /// Construct a tuple `name(args…)`. With no arguments this degenerates
     /// to an atom, matching the surface syntax where `f()` is not writable.
     pub fn tuple(name: impl Into<Atom>, args: Vec<Term>) -> Term {
+        Term::tuple_from(name.into(), args)
+    }
+
+    /// [`Term::tuple`] from an iterator of arguments. An iterator that
+    /// knows its exact length (a mapped slice, a `Vec`) fills the tuple's
+    /// one heap block directly, with no intermediate `Vec`.
+    pub fn tuple_from(name: Atom, args: impl IntoIterator<Item = Term>) -> Term {
+        let args: Arc<[Term]> = args.into_iter().collect();
         if args.is_empty() {
-            Term::Atom(name.into())
+            Term::Atom(name)
         } else {
-            Term::Tuple(name.into(), Arc::new(args))
+            Term::Tuple(name, args)
         }
     }
 
@@ -153,7 +162,13 @@ impl Term {
     }
 
     fn collect_vars(&self, out: &mut Vec<VarId>) {
-        match self {
+        let mut cur = self;
+        // Walk a list's spine in a loop: only nesting recurses.
+        while let Term::List(cell) = cur {
+            cell.0.collect_vars(out);
+            cur = &cell.1;
+        }
+        match cur {
             Term::Var(v) if !out.contains(v) => {
                 out.push(*v);
             }
@@ -162,20 +177,23 @@ impl Term {
                     a.collect_vars(out);
                 }
             }
-            Term::List(cell) => {
-                cell.0.collect_vars(out);
-                cell.1.collect_vars(out);
-            }
             _ => {}
         }
     }
 
     /// True if the term contains no variables at all.
     pub fn is_ground(&self) -> bool {
-        match self {
+        let mut cur = self;
+        // Walk a list's spine in a loop: only nesting recurses.
+        while let Term::List(cell) = cur {
+            if !cell.0.is_ground() {
+                return false;
+            }
+            cur = &cell.1;
+        }
+        match cur {
             Term::Var(_) => false,
             Term::Tuple(_, args) => args.iter().all(Term::is_ground),
-            Term::List(cell) => cell.0.is_ground() && cell.1.is_ground(),
             _ => true,
         }
     }
@@ -359,6 +377,38 @@ mod tests {
             drop((0..1_000_000).fold(Term::Var(VarId(3)), |open, i| {
                 Term::cons(Term::int(i), open)
             }))
+        });
+    }
+
+    #[test]
+    fn long_lists_are_walked_and_resolved_without_recursion() {
+        on_small_stack(|| {
+            let ground = Term::list((0..100_000).map(Term::int));
+            assert!(ground.is_ground());
+            assert!(ground.vars().is_empty());
+            let open = (0..100_000).fold(Term::Var(VarId(3)), |tail, i| {
+                Term::cons(Term::int(i), tail)
+            });
+            assert!(!open.is_ground());
+            assert_eq!(open.vars(), vec![VarId(3)]);
+            // `resolve` through a store: the tail variable is bound to more
+            // list, so the spine crosses a binding.
+            let mut store = crate::Store::new();
+            let v = store.new_var();
+            let front = (0..100_000).fold(Term::Var(v), |tail, i| Term::cons(Term::int(i), tail));
+            store
+                .bind(v, Term::list([Term::atom("end")]), 0, crate::NodeId(0))
+                .unwrap();
+            let resolved = store.resolve(&front);
+            assert!(resolved.is_ground());
+            let items = resolved.as_proper_list().expect("proper after resolve");
+            assert_eq!(items.len(), 100_001);
+            assert_eq!(items[100_000], Term::atom("end"));
+            // An improper end is resolved too, not dropped.
+            let w = store.new_var();
+            store.bind(w, Term::int(7), 0, crate::NodeId(0)).unwrap();
+            let improper = Term::cons(Term::int(1), Term::tuple("f", vec![Term::Var(w)]));
+            assert_eq!(store.resolve(&improper).to_string(), "[1|f(7)]");
         });
     }
 

@@ -28,10 +28,10 @@ fn term_to_pat(t: &Term) -> Pat {
     match t {
         Term::Int(i) => Pat::Int(*i),
         Term::Float(x) => Pat::Float(*x),
-        Term::Atom(a) => Pat::Atom(a.clone()),
+        Term::Atom(a) => Pat::Atom(*a),
         Term::Str(s) => Pat::Str(s.clone()),
         Term::Nil => Pat::Nil,
-        Term::Tuple(f, args) => Pat::tuple(f.clone(), args.iter().map(term_to_pat).collect()),
+        Term::Tuple(f, args) => Pat::tuple(*f, args.iter().map(term_to_pat).collect()),
         Term::List(cell) => Pat::cons(term_to_pat(&cell.0), term_to_pat(&cell.1)),
         Term::Var(_) | Term::Port(_) => unreachable!("ground terms only"),
     }

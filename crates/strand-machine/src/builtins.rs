@@ -33,38 +33,7 @@
 use crate::machine::{CallOutcome, Delivery, Machine, PortState};
 use crate::trace::{goal_text, TraceEvent};
 use strand_core::arith::{is_arith_expr, Evaled};
-use strand_core::{eval_arith, StrandError, StrandResult, Term, VarId};
-
-/// Is `name/arity` a machine builtin? Checked once per reduction, so the
-/// arity (an integer compare) discriminates before any string compare runs.
-pub(crate) fn is_builtin(name: &str, arity: usize) -> bool {
-    match arity {
-        0 => matches!(name, "true" | "sup_restart"),
-        1 => matches!(
-            name,
-            "work" | "print" | "current_node" | "ack" | "unique_id"
-        ),
-        2 => matches!(
-            name,
-            ":=" | "="
-                | "length"
-                | "rand_num"
-                | "make_tuple"
-                | "open_port"
-                | "send_port"
-                | "merge"
-                | "gauge"
-                | "$spawn_at"
-                | "$forward"
-                | "$timer"
-                | "$timer!"
-                | "$deliver"
-        ),
-        3 => matches!(name, "distribute" | "put_arg" | "arg" | "after_unless"),
-        4 => matches!(name, "distribute" | "put_arg"),
-        _ => false,
-    }
-}
+use strand_core::{eval_arith, sym, Atom, StrandError, StrandResult, Term, VarId};
 
 fn bad(builtin: &str, detail: impl Into<String>) -> CallOutcome {
     CallOutcome::Error(StrandError::BadBuiltin {
@@ -74,33 +43,41 @@ fn bad(builtin: &str, detail: impl Into<String>) -> CallOutcome {
 }
 
 impl Machine {
-    /// Execute a builtin goal. Returns `Err` only for machine-fatal
-    /// conditions; program-level problems go through [`CallOutcome`].
-    pub(crate) fn exec_builtin(&mut self, name: &str, goal: &Term) -> StrandResult<CallOutcome> {
+    /// Execute `goal` if `name` with its arity is a machine builtin;
+    /// `Ok(None)` if it is not. The one `match` is both the membership test
+    /// and the dispatch, once per reduction: `name` is compared against
+    /// pre-interned symbols (an integer switch, no string compare), then the
+    /// argument count. Returns `Err` only for machine-fatal conditions;
+    /// program-level problems go through [`CallOutcome`].
+    pub(crate) fn exec_builtin(
+        &mut self,
+        name: Atom,
+        goal: &Term,
+    ) -> StrandResult<Option<CallOutcome>> {
         // Borrow the argument slice directly — builtins run once per goal
         // and must not pay a Vec clone on every reduction.
         let args: &[Term] = goal.goal_args();
-        Ok(match (name, args) {
-            ("true", []) => CallOutcome::Done,
+        Ok(Some(match (name, args) {
+            (sym::TRUE, []) => CallOutcome::Done,
 
             // Marks one supervisor restart: the Supervise motif calls this
             // in its heartbeat-timeout rule, so chaos and fault runs can
             // report recovery activity through the metrics.
-            ("sup_restart", []) => {
+            (sym::SUP_RESTART, []) => {
                 self.metrics.supervisor_restarts += 1;
                 CallOutcome::Done
             }
 
-            (":=", [lhs, rhs]) => self.assign(lhs, rhs, true)?,
-            ("=", [lhs, rhs]) => self.assign(lhs, rhs, false)?,
+            (sym::ASSIGN, [lhs, rhs]) => self.assign(lhs, rhs, true)?,
+            (sym::UNIFY, [lhs, rhs]) => self.assign(lhs, rhs, false)?,
 
-            ("length", [t, n]) => match self.term_length(t) {
+            (sym::LENGTH, [t, n]) => match self.term_length(t) {
                 LengthOutcome::Len(len) => self.bind_or_err(n, Term::int(len))?,
                 LengthOutcome::Suspend(vs) => CallOutcome::Suspend(vs),
                 LengthOutcome::Bad => bad("length/2", "argument is neither tuple nor list"),
             },
 
-            ("rand_num", [n, r]) => match self.store.deref(n) {
+            (sym::RAND_NUM, [n, r]) => match self.store.deref(n) {
                 Term::Var(v) => CallOutcome::Suspend(vec![v]),
                 Term::Int(n) if n > 0 => {
                     let val = self.rng.rand_num(n as u64) as i64;
@@ -109,7 +86,7 @@ impl Machine {
                 other => bad("rand_num/2", format!("bad bound {other}")),
             },
 
-            ("distribute", [i, dt, msg]) | ("distribute", [i, dt, msg, _]) => {
+            (sym::DISTRIBUTE, [i, dt, msg]) | (sym::DISTRIBUTE, [i, dt, msg, _]) => {
                 let ack = args.get(3).cloned();
                 let tuple = self.store.deref(dt);
                 let idx = self.store.deref(i);
@@ -138,7 +115,7 @@ impl Machine {
                                     let sent = self.port_send(p, msg.clone())?;
                                     match (sent, ack) {
                                         (CallOutcome::Done, Some(a)) => {
-                                            self.bind_or_err(&a, Term::atom("ok"))?
+                                            self.bind_or_err(&a, Term::Atom(sym::OK))?
                                         }
                                         (outcome, _) => outcome,
                                     }
@@ -154,18 +131,18 @@ impl Machine {
                 }
             }
 
-            ("make_tuple", [n, t]) => match self.store.deref(n) {
+            (sym::MAKE_TUPLE, [n, t]) => match self.store.deref(n) {
                 Term::Var(v) => CallOutcome::Suspend(vec![v]),
                 Term::Int(n) if n > 0 => {
                     let slots: Vec<Term> =
                         (0..n).map(|_| Term::Var(self.store.new_var())).collect();
-                    let tuple = Term::tuple("dt", slots);
+                    let tuple = Term::tuple(sym::DT, slots);
                     self.bind_or_err(t, tuple)?
                 }
                 other => bad("make_tuple/2", format!("bad arity {other}")),
             },
 
-            ("put_arg", [i, t, v]) => {
+            (sym::PUT_ARG, [i, t, v]) => {
                 let idx = self.store.deref(i);
                 let tuple = self.store.deref(t);
                 match (&idx, &tuple) {
@@ -198,7 +175,7 @@ impl Machine {
             // same node serialize: exactly one wins. The Supervise motif
             // uses this to make bootstrap idempotent under duplicated
             // `server_init` delivery.
-            ("put_arg", [i, t, v, won]) => {
+            (sym::PUT_ARG, [i, t, v, won]) => {
                 let idx = self.store.deref(i);
                 let tuple = self.store.deref(t);
                 match (&idx, &tuple) {
@@ -213,9 +190,9 @@ impl Machine {
                                 value => match self.store.deref(&slots[*ix as usize - 1]) {
                                     Term::Var(slot) => {
                                         self.bind_now(slot, value)?;
-                                        self.bind_or_err(won, Term::atom("yes"))?
+                                        self.bind_or_err(won, Term::Atom(sym::YES))?
                                     }
-                                    _ => self.bind_or_err(won, Term::atom("no"))?,
+                                    _ => self.bind_or_err(won, Term::Atom(sym::NO))?,
                                 },
                             }
                         }
@@ -224,7 +201,7 @@ impl Machine {
                 }
             }
 
-            ("open_port", [p, s]) => match (self.store.deref(p), self.store.deref(s)) {
+            (sym::OPEN_PORT, [p, s]) => match (self.store.deref(p), self.store.deref(s)) {
                 (Term::Var(pv), Term::Var(sv)) => {
                     let id = self.ports.push(PortState {
                         owner: self.current_node,
@@ -236,13 +213,13 @@ impl Machine {
                 _ => bad("open_port/2", "both arguments must be unbound variables"),
             },
 
-            ("send_port", [p, m]) => match self.store.deref(p) {
+            (sym::SEND_PORT, [p, m]) => match self.store.deref(p) {
                 Term::Var(v) => CallOutcome::Suspend(vec![v]),
                 Term::Port(id) => self.port_send(id, m.clone())?,
                 other => bad("send_port/2", format!("not a port: {other}")),
             },
 
-            ("merge", [streams, out]) => match self.store.deref(streams) {
+            (sym::MERGE, [streams, out]) => match self.store.deref(streams) {
                 Term::Var(v) => CallOutcome::Suspend(vec![v]),
                 list => {
                     // Walk as far as the list is instantiated; suspend on an
@@ -256,8 +233,10 @@ impl Machine {
                                 items.push(cell.0.clone());
                                 cur = self.store.deref(&cell.1);
                             }
-                            Term::Var(v) => return Ok(CallOutcome::Suspend(vec![v])),
-                            other => return Ok(bad("merge/2", format!("improper list: {other}"))),
+                            Term::Var(v) => return Ok(Some(CallOutcome::Suspend(vec![v]))),
+                            other => {
+                                return Ok(Some(bad("merge/2", format!("improper list: {other}"))))
+                            }
                         }
                     }
                     match self.store.deref(out) {
@@ -268,7 +247,10 @@ impl Machine {
                             });
                             let node = self.current_node;
                             for s in items {
-                                self.spawn(Term::tuple("$forward", vec![s, Term::Port(id)]), node);
+                                self.spawn(
+                                    Term::tuple(sym::FORWARD, vec![s, Term::Port(id)]),
+                                    node,
+                                );
                             }
                             CallOutcome::Done
                         }
@@ -277,19 +259,21 @@ impl Machine {
                 }
             },
 
-            ("$forward", [s, p]) => match self.store.deref(s) {
+            (sym::FORWARD, [s, p]) => match self.store.deref(s) {
                 Term::Var(v) => CallOutcome::Suspend(vec![v]),
                 Term::Nil => CallOutcome::Done,
                 Term::List(cell) => {
                     let port = match self.store.deref(p) {
                         Term::Port(id) => id,
-                        other => return Ok(bad("$forward/2", format!("not a port: {other}"))),
+                        other => {
+                            return Ok(Some(bad("$forward/2", format!("not a port: {other}"))))
+                        }
                     };
                     match self.port_send(port, cell.0.clone())? {
                         CallOutcome::Done => {
                             let node = self.current_node;
                             self.spawn(
-                                Term::tuple("$forward", vec![cell.1.clone(), p.clone()]),
+                                Term::tuple(sym::FORWARD, vec![cell.1.clone(), p.clone()]),
                                 node,
                             );
                             CallOutcome::Done
@@ -300,7 +284,7 @@ impl Machine {
                 other => bad("$forward/2", format!("not a stream: {other}")),
             },
 
-            ("$spawn_at", [place, g]) => match eval_arith(place, &self.store)? {
+            (sym::SPAWN_AT, [place, g]) => match eval_arith(place, &self.store)? {
                 Evaled::Suspend(vs) => CallOutcome::Suspend(vs),
                 Evaled::Num(n) => {
                     let target = self.map_node(n.as_f64() as i64);
@@ -310,7 +294,7 @@ impl Machine {
                 }
             },
 
-            ("work", [w]) => match eval_arith(w, &self.store)? {
+            (sym::WORK, [w]) => match eval_arith(w, &self.store)? {
                 Evaled::Suspend(vs) => CallOutcome::Suspend(vs),
                 Evaled::Num(n) => {
                     let ticks = n.as_f64().max(0.0) as u64;
@@ -319,13 +303,13 @@ impl Machine {
                 }
             },
 
-            ("print", [t]) => {
+            (sym::PRINT, [t]) => {
                 let s = self.store.resolve(t).to_string();
                 self.output.push(s);
                 CallOutcome::Done
             }
 
-            ("current_node", [n]) => {
+            (sym::CURRENT_NODE, [n]) => {
                 let id = self.current_node.0 as i64 + 1;
                 self.bind_or_err(n, Term::int(id))?
             }
@@ -339,7 +323,7 @@ impl Machine {
             // (sharded machines only) the deadline is recorded for the
             // backend's timer wheel instead — same cancellation contract,
             // but 1 tick = 1 ms of real time and the fleet wakes for it.
-            ("after_unless", [cancel, ticks, t]) => match eval_arith(ticks, &self.store)? {
+            (sym::AFTER_UNLESS, [cancel, ticks, t]) => match eval_arith(ticks, &self.store)? {
                 Evaled::Suspend(vs) => CallOutcome::Suspend(vs),
                 Evaled::Num(n) => {
                     let wait = n.as_f64().max(0.0) as u64;
@@ -350,7 +334,7 @@ impl Machine {
                     } else {
                         let deadline = self.now() + wait;
                         self.enqueue(
-                            Term::tuple("$timer", vec![cancel.clone(), t.clone()]),
+                            Term::tuple(sym::TIMER, vec![cancel.clone(), t.clone()]),
                             node,
                             deadline,
                         );
@@ -361,10 +345,10 @@ impl Machine {
 
             // A timer that survived to its deadline (the cancelled case is
             // filtered out by the scheduler before it gets here).
-            ("$timer", [cancel, t]) => {
+            (sym::TIMER, [cancel, t]) => {
                 if matches!(self.store.deref(cancel), Term::Var(_)) {
                     self.metrics.timers_fired += 1;
-                    self.bind_or_err(t, Term::atom("timeout"))?
+                    self.bind_or_err(t, Term::Atom(sym::TIMEOUT))?
                 } else {
                     self.metrics.timers_cancelled += 1;
                     CallOutcome::Done
@@ -376,10 +360,10 @@ impl Machine {
             // its deadline, but this goal is regular gate-counted work: the
             // cancel flag may have been bound while the event was in flight,
             // in which case it evaporates here.
-            ("$timer!", [cancel, t]) => {
+            (sym::WALL_TIMER, [cancel, t]) => {
                 if matches!(self.store.deref(cancel), Term::Var(_)) {
                     self.metrics.timers_fired += 1;
-                    self.bind_or_err(t, Term::atom("timeout"))?
+                    self.bind_or_err(t, Term::Atom(sym::TIMEOUT))?
                 } else {
                     self.metrics.timers_cancelled += 1;
                     CallOutcome::Done
@@ -389,26 +373,26 @@ impl Machine {
             // `ack(V)`: idempotent acknowledgement. First call binds
             // `V := ok`; repeats (duplicate deliveries, replays) are no-ops
             // instead of double-assignment errors.
-            ("ack", [v]) => match self.store.deref(v) {
+            (sym::ACK, [v]) => match self.store.deref(v) {
                 Term::Var(w) => {
-                    self.bind_now(w, Term::atom("ok"))?;
+                    self.bind_now(w, Term::Atom(sym::OK))?;
                     CallOutcome::Done
                 }
-                Term::Atom(a) if a.as_str() == "ok" => CallOutcome::Done,
+                Term::Atom(sym::OK) => CallOutcome::Done,
                 other => bad("ack/1", format!("already bound to {other}")),
             },
 
             // `unique_id(N)`: run-wide fresh integer, for sequence numbers
             // (duplicate suppression in the Supervise motif). Run-global
             // even across workers in sharded execution.
-            ("unique_id", [n]) => {
+            (sym::UNIQUE_ID, [n]) => {
                 let id = self.next_unique_id() as i64;
                 self.bind_or_err(n, Term::int(id))?
             }
 
             // A delayed port message arriving at last (fault injection);
             // accounting happened at send time.
-            ("$deliver", [p, m]) => match self.store.deref(p) {
+            (sym::DELIVER, [p, m]) => match self.store.deref(p) {
                 Term::Port(id) => {
                     self.port_append(id, m.clone())?;
                     CallOutcome::Done
@@ -419,7 +403,7 @@ impl Machine {
             // `arg(I, T, V)`: V is the I-th argument of tuple T (1-based).
             // The selected argument may itself be unbound — it is aliased,
             // not waited for.
-            ("arg", [i, t, v]) => {
+            (sym::ARG, [i, t, v]) => {
                 let idx = self.store.deref(i);
                 let tuple = self.store.deref(t);
                 match (&idx, &tuple) {
@@ -440,7 +424,7 @@ impl Machine {
             // `gauge(Name, Value)`: record a named per-node gauge; the
             // metrics keep the maximum seen (used by experiment E2 to track
             // pending-value queue lengths in Tree-Reduce-2).
-            ("gauge", [name_t, value_t]) => {
+            (sym::GAUGE, [name_t, value_t]) => {
                 let gname = self.store.deref(name_t);
                 match (gname.functor(), self.store.deref(value_t)) {
                     (_, Term::Var(v)) => CallOutcome::Suspend(vec![v]),
@@ -454,8 +438,8 @@ impl Machine {
                 }
             }
 
-            _ => bad(name, "wrong arguments for builtin"),
-        })
+            _ => return Ok(None),
+        }))
     }
 
     /// `:=` / `=`. With `arith` set, an arithmetic-expression RHS is
@@ -538,7 +522,7 @@ impl Machine {
                     let node = self.current_node;
                     let at = self.now() + extra;
                     self.enqueue(
-                        Term::tuple("$deliver", vec![Term::Port(port), msg]),
+                        Term::tuple(sym::DELIVER, vec![Term::Port(port), msg]),
                         node,
                         at,
                     );
@@ -570,11 +554,7 @@ impl Machine {
     fn count_cross_port(&mut self, msg: &Term) {
         self.metrics.port_msgs_cross += 1;
         if let Some((f, _)) = msg.functor() {
-            *self
-                .metrics
-                .port_msgs_by_functor
-                .entry(f.as_str().to_string())
-                .or_insert(0) += 1;
+            *self.metrics.port_msgs_by_functor.entry(*f).or_insert(0) += 1;
         }
     }
 }

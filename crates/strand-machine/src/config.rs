@@ -1,7 +1,6 @@
 //! Machine configuration.
 
-use std::collections::HashSet;
-use strand_core::Time;
+use strand_core::{Atom, FxHashSet, Time};
 
 /// Per-edge message fault probabilities (applied to cross-node deliveries:
 /// remote spawns and port/stream sends; binding notifications stay reliable
@@ -331,7 +330,7 @@ pub struct MachineConfig {
     /// Predicate names whose *live* (spawned but not yet reduced) process
     /// counts are tracked per node — used by experiment E2 to measure
     /// concurrent node evaluations.
-    pub tracked: HashSet<String>,
+    pub tracked: FxHashSet<Atom>,
     /// Stop at the first runtime error (default) instead of collecting.
     pub fail_fast: bool,
     /// Record a [`TraceEvent`](crate::trace::TraceEvent) per scheduler
@@ -363,7 +362,7 @@ impl Default for MachineConfig {
             reduction_cost: 1,
             max_reductions: 50_000_000,
             seed: 0xA4C0_11E5,
-            tracked: HashSet::new(),
+            tracked: FxHashSet::default(),
             fail_fast: true,
             record_trace: false,
             faults: FaultPlan::default(),
@@ -398,7 +397,7 @@ impl MachineConfig {
 
     /// Track live processes of the given predicate name (experiment E2).
     pub fn track(mut self, name: &str) -> Self {
-        self.tracked.insert(name.to_string());
+        self.tracked.insert(Atom::new(name));
         self
     }
 
@@ -477,7 +476,7 @@ mod tests {
         assert_eq!(c.nodes, 8);
         assert_eq!(c.seed, 7);
         assert_eq!(c.latency, 3);
-        assert!(c.tracked.contains("eval"));
+        assert!(c.tracked.contains(&Atom::new("eval")));
     }
 
     #[test]

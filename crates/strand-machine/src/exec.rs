@@ -17,7 +17,12 @@
 //! * body goals become [`Tmpl`] templates whose ground subtrees are
 //!   pre-built `Term`s shared by every instantiation — match and
 //!   instantiate are fused through one slot [`Frame`] with no intermediate
-//!   structure rebuilt per reduction.
+//!   structure rebuilt per reduction; each tuple a template does build is
+//!   one heap block, filled in place from its arguments.
+//!
+//! Functor and guard names are [`Atom`] symbols throughout: a match op
+//! compares ids, guard lowering switches on [`strand_core::sym`] constants,
+//! and [`ExecProgram::lookup`] hashes one `u32`.
 //!
 //! The interpreter in `machine.rs` remains the semantic reference. This
 //! module must be *observably identical* to it: same suspension variable
@@ -30,7 +35,7 @@ use std::sync::Arc;
 use strand_core::arith::Evaled;
 use strand_core::matching::{term_eq, EqOutcome};
 use strand_core::{
-    eval_arith, eval_guard, Atom, Frame, FxHashMap, GuardOutcome, Num, Pat, Store, StoreOps,
+    eval_arith, eval_guard, sym, Atom, Frame, FxHashMap, GuardOutcome, Num, Pat, Store, StoreOps,
     StrandResult, Term, VarId,
 };
 use strand_parse::{CompiledProgram, CompiledRule};
@@ -84,11 +89,11 @@ impl IndexKey {
             Pat::Local(_) | Pat::Wild => None,
             Pat::Int(i) => Some(IndexKey::Int(*i)),
             Pat::Float(x) => Some(IndexKey::Float(*x)),
-            Pat::Atom(a) => Some(IndexKey::Atom(a.clone())),
+            Pat::Atom(a) => Some(IndexKey::Atom(*a)),
             Pat::Str(s) => Some(IndexKey::Str(s.clone())),
             Pat::Nil => Some(IndexKey::Nil),
             Pat::List(_) => Some(IndexKey::Cons),
-            Pat::Tuple(name, args) => Some(IndexKey::Tuple(name.clone(), args.len())),
+            Pat::Tuple(name, args) => Some(IndexKey::Tuple(*name, args.len())),
         }
     }
 
@@ -161,13 +166,13 @@ fn lower_match(p: &Pat, out: &mut Vec<MatchOp>) {
         Pat::Wild => out.push(MatchOp::Wild),
         Pat::Int(i) => out.push(MatchOp::Int(*i)),
         Pat::Float(x) => out.push(MatchOp::Float(*x)),
-        Pat::Atom(a) => out.push(MatchOp::Atom(a.clone())),
+        Pat::Atom(a) => out.push(MatchOp::Atom(*a)),
         Pat::Str(s) => out.push(MatchOp::Str(s.clone())),
         Pat::Nil => out.push(MatchOp::Nil),
         Pat::Tuple(name, args) => {
             let at = out.len();
             out.push(MatchOp::Tuple {
-                name: name.clone(),
+                name: *name,
                 arity: args.len(),
                 skip: 0,
             });
@@ -319,10 +324,9 @@ impl Tmpl {
             }
             Tmpl::Wild => Term::Var(store.new_var()),
             Tmpl::Const(t) => t.clone(),
-            Tmpl::Tuple(name, args) => Term::tuple(
-                name.clone(),
-                args.iter().map(|a| a.build(frame, store)).collect(),
-            ),
+            Tmpl::Tuple(name, args) => {
+                Term::tuple_from(*name, args.iter().map(|a| a.build(frame, store)))
+            }
             Tmpl::Cons(cell) => Term::cons(cell.0.build(frame, store), cell.1.build(frame, store)),
         }
     }
@@ -336,7 +340,7 @@ impl Tmpl {
             Tmpl::Const(t) => Some(t.clone()),
             Tmpl::Tuple(name, args) => {
                 let args: Option<Vec<Term>> = args.iter().map(|a| a.build_ro(frame)).collect();
-                Some(Term::tuple(name.clone(), args?))
+                Some(Term::tuple(*name, args?))
             }
             Tmpl::Cons(cell) => Some(Term::cons(cell.0.build_ro(frame)?, cell.1.build_ro(frame)?)),
         }
@@ -349,12 +353,12 @@ fn pat_ground_term(p: &Pat) -> Option<Term> {
         Pat::Local(_) | Pat::Wild => return None,
         Pat::Int(i) => Term::Int(*i),
         Pat::Float(x) => Term::Float(*x),
-        Pat::Atom(a) => Term::Atom(a.clone()),
+        Pat::Atom(a) => Term::Atom(*a),
         Pat::Str(s) => Term::Str(s.clone()),
         Pat::Nil => Term::Nil,
         Pat::Tuple(name, args) => {
             let args: Option<Vec<Term>> = args.iter().map(pat_ground_term).collect();
-            Term::tuple(name.clone(), args?)
+            Term::tuple(*name, args?)
         }
         Pat::List(cell) => Term::cons(pat_ground_term(&cell.0)?, pat_ground_term(&cell.1)?),
     })
@@ -367,7 +371,7 @@ fn lower_tmpl(p: &Pat) -> Tmpl {
     match p {
         Pat::Local(i) => Tmpl::Slot(*i),
         Pat::Wild => Tmpl::Wild,
-        Pat::Tuple(name, args) => Tmpl::Tuple(name.clone(), args.iter().map(lower_tmpl).collect()),
+        Pat::Tuple(name, args) => Tmpl::Tuple(*name, args.iter().map(lower_tmpl).collect()),
         Pat::List(cell) => Tmpl::Cons(Box::new((lower_tmpl(&cell.0), lower_tmpl(&cell.1)))),
         // Constant leaves are ground and returned above.
         _ => unreachable!(),
@@ -531,26 +535,26 @@ fn lower_guard(p: &Pat) -> GuardOp {
         arg: lower_term_operand(&args[0]),
     };
     let kind = match p {
-        Pat::Atom(a) if a.as_str() == "true" => GuardKind::True,
-        Pat::Tuple(name, args) => match (name.as_str(), args.len()) {
-            ("<", 2) => cmp(CmpOp::Lt, args),
-            (">", 2) => cmp(CmpOp::Gt, args),
-            ("=<", 2) => cmp(CmpOp::Le, args),
-            (">=", 2) => cmp(CmpOp::Ge, args),
-            ("==", 2) | ("=\\=", 2) => GuardKind::Eq {
-                positive: name.as_str() == "==",
+        Pat::Atom(sym::TRUE) => GuardKind::True,
+        Pat::Tuple(name, args) => match (*name, args.len()) {
+            (sym::LT, 2) => cmp(CmpOp::Lt, args),
+            (sym::GT, 2) => cmp(CmpOp::Gt, args),
+            (sym::LE, 2) => cmp(CmpOp::Le, args),
+            (sym::GE, 2) => cmp(CmpOp::Ge, args),
+            (sym::EQ, 2) | (sym::NEQ, 2) => GuardKind::Eq {
+                positive: *name == sym::EQ,
                 lhs: lower_term_operand(&args[0]),
                 rhs: lower_term_operand(&args[1]),
             },
-            ("integer", 1) => ty(TypeTest::Integer, args),
-            ("float", 1) => ty(TypeTest::Float, args),
-            ("number", 1) => ty(TypeTest::Number, args),
-            ("atom", 1) => ty(TypeTest::Atom, args),
-            ("string", 1) => ty(TypeTest::Str, args),
-            ("list", 1) => ty(TypeTest::List, args),
-            ("tuple", 1) => ty(TypeTest::Tuple, args),
-            ("data", 1) => ty(TypeTest::Data, args),
-            ("unknown", 1) => GuardKind::Unknown {
+            (sym::INTEGER, 1) => ty(TypeTest::Integer, args),
+            (sym::FLOAT, 1) => ty(TypeTest::Float, args),
+            (sym::NUMBER, 1) => ty(TypeTest::Number, args),
+            (sym::ATOM, 1) => ty(TypeTest::Atom, args),
+            (sym::STRING, 1) => ty(TypeTest::Str, args),
+            (sym::LIST, 1) => ty(TypeTest::List, args),
+            (sym::TUPLE, 1) => ty(TypeTest::Tuple, args),
+            (sym::DATA, 1) => ty(TypeTest::Data, args),
+            (sym::UNKNOWN, 1) => GuardKind::Unknown {
                 arg: lower_term_operand(&args[0]),
             },
             _ => GuardKind::Other(p.clone()),
@@ -736,7 +740,8 @@ pub struct ExecProc {
     pub indexed: bool,
 }
 
-/// A whole program in lowered form, keyed for allocation-free lookup.
+/// A whole program in lowered form, keyed by symbol: a lookup hashes one
+/// `u32`.
 #[derive(Clone, Debug, Default)]
 pub struct ExecProgram {
     procs: FxHashMap<Atom, Vec<ExecProc>>,
@@ -747,18 +752,15 @@ impl ExecProgram {
     pub fn lower(program: &CompiledProgram) -> ExecProgram {
         let mut out = ExecProgram::default();
         for proc in program.procs() {
-            let lowered = lower_proc(proc.name.as_str(), proc.arity, &proc.rules);
-            out.procs
-                .entry(lowered.name.clone())
-                .or_default()
-                .push(lowered);
+            let lowered = lower_proc(Atom::new(&proc.name), proc.arity, &proc.rules);
+            out.procs.entry(lowered.name).or_default().push(lowered);
         }
         out
     }
 
-    /// Look up a procedure by name and arity without allocating.
-    pub fn get(&self, name: &str, arity: usize) -> Option<&ExecProc> {
-        self.procs.get(name)?.iter().find(|p| p.arity == arity)
+    /// Look up a procedure by symbol and arity.
+    pub fn lookup(&self, name: Atom, arity: usize) -> Option<&ExecProc> {
+        self.procs.get(&name)?.iter().find(|p| p.arity == arity)
     }
 }
 
@@ -798,14 +800,14 @@ fn guard_derived_key(rule: &CompiledRule) -> Option<IndexKey> {
         _ => return None,
     };
     let args = match rule.guards.first()? {
-        Pat::Tuple(n, args) if n.as_str() == "==" && args.len() == 2 => args,
+        Pat::Tuple(sym::EQ, args) if args.len() == 2 => args,
         _ => return None,
     };
     let is_slot = |p: &Pat| matches!(p, Pat::Local(j) if *j == slot);
     let const_key = |p: &Pat| match p {
         Pat::Int(i) => Some(IndexKey::Int(*i)),
         Pat::Float(x) => Some(IndexKey::Float(*x)),
-        Pat::Atom(a) => Some(IndexKey::Atom(a.clone())),
+        Pat::Atom(a) => Some(IndexKey::Atom(*a)),
         Pat::Str(s) => Some(IndexKey::Str(s.clone())),
         Pat::Nil => Some(IndexKey::Nil),
         _ => None,
@@ -845,7 +847,7 @@ fn lower_rule(rule: &CompiledRule) -> ExecRule {
     }
 }
 
-fn lower_proc(name: &str, arity: usize, rules: &[CompiledRule]) -> ExecProc {
+fn lower_proc(name: Atom, arity: usize, rules: &[CompiledRule]) -> ExecProc {
     let mut lowered = Vec::new();
     let mut otherwise = None;
     for r in rules {
@@ -859,7 +861,7 @@ fn lower_proc(name: &str, arity: usize, rules: &[CompiledRule]) -> ExecProc {
     }
     let indexed = lowered.iter().any(|r| r.key.is_some());
     ExecProc {
-        name: Atom::new(name),
+        name,
         arity,
         rules: lowered.into_boxed_slice(),
         otherwise,
@@ -1000,7 +1002,7 @@ mod tests {
         )
         .unwrap();
         let proc = p.get("f", 1).unwrap();
-        let lowered = lower_proc("f", 1, &proc.rules);
+        let lowered = lower_proc(Atom::new("f"), 1, &proc.rules);
         assert_eq!(lowered.rules.len(), 1);
         assert!(lowered.otherwise.is_some());
     }

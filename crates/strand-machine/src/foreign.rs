@@ -102,7 +102,7 @@ impl ForeignLib {
 
 /// Registry of foreign procedures: one map from name to the arities
 /// registered under it (arity counts the output argument, if any), probed
-/// with the goal's own `&str` so a reduction allocates no key.
+/// with the goal's own functor symbol — one `u32` hash per reduction.
 #[derive(Default)]
 pub struct ForeignRegistry {
     procs: FxHashMap<Atom, Vec<(usize, Entry)>>,
@@ -168,7 +168,7 @@ impl Machine {
     /// unbound inputs, or a collected error) or a machine-fatal error.
     pub(crate) fn try_foreign(
         &mut self,
-        name: &str,
+        name: Atom,
         goal: &Term,
     ) -> Option<StrandResult<CallOutcome>> {
         let args = goal.goal_args();
@@ -176,7 +176,7 @@ impl Machine {
         let entry = self
             .foreign
             .procs
-            .get_mut(name)?
+            .get_mut(&name)?
             .iter_mut()
             .find(|(arity, _)| *arity == n)
             .map(|(_, entry)| entry)?;
@@ -220,7 +220,7 @@ impl Machine {
     /// cost and bind the output argument.
     pub(crate) fn finish_foreign_call(
         &mut self,
-        name: &str,
+        name: Atom,
         arity: usize,
         result: StrandResult<(Term, Time)>,
         out_arg: Term,

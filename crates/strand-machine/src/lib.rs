@@ -46,7 +46,7 @@ pub use metrics::Metrics;
 pub use trace::{render_trace, trace_summary, TraceEvent};
 
 use std::collections::BTreeMap;
-use strand_core::{StrandError, StrandResult, Term};
+use strand_core::{Atom, StrandError, StrandResult, Term};
 use strand_parse::{parse_program, Ast};
 
 /// Result of running a goal: the final report plus the resolved values of
@@ -78,11 +78,25 @@ pub fn ast_to_term(ast: &Ast, machine: &mut Machine, vars: &mut BTreeMap<String,
         Ast::Atom(a) => Term::atom(a.as_str()),
         Ast::Str(s) => Term::str(s.as_str()),
         Ast::Nil => Term::Nil,
-        Ast::Tuple(name, args) => Term::tuple(
-            name.as_str(),
-            args.iter().map(|a| ast_to_term(a, machine, vars)).collect(),
+        Ast::Tuple(name, args) => Term::tuple_from(
+            Atom::new(name),
+            args.iter().map(|a| ast_to_term(a, machine, vars)),
         ),
-        Ast::List(h, t) => Term::cons(ast_to_term(h, machine, vars), ast_to_term(t, machine, vars)),
+        Ast::List(..) => {
+            // Along the spine, not down it: a flat list literal can be as
+            // long as a request line allows, and only nesting may recurse.
+            let mut heads = Vec::new();
+            let mut rest = ast;
+            while let Ast::List(head, tail) = rest {
+                heads.push(ast_to_term(head, machine, vars));
+                rest = tail;
+            }
+            let end = ast_to_term(rest, machine, vars);
+            heads
+                .into_iter()
+                .rev()
+                .fold(end, |tail, head| Term::cons(head, tail))
+        }
     }
 }
 

@@ -14,7 +14,6 @@
 //! only from the seeded `rand_num` primitive. Two runs with the same program,
 //! goal and config are identical, metric for metric.
 
-use crate::builtins::is_builtin;
 use crate::config::{ExecMode, MachineConfig, TimerSource};
 use crate::exec::{self, ExecProgram, IndexKey, Scratch, TryResult};
 use crate::metrics::Metrics;
@@ -24,7 +23,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use strand_core::{
-    match_args, Atom, Frame, FxHashMap, GuardOutcome, MatchOutcome, NodeId, SharedStore,
+    match_args, sym, Atom, Frame, FxHashMap, GuardOutcome, MatchOutcome, NodeId, SharedStore,
     SharedStoreView, SplitMix64, Store, StoreOps, StrandError, StrandResult, Term, Time, VarId,
     Waiter,
 };
@@ -118,10 +117,7 @@ fn wrap_node(j: i64, nodes: u32) -> NodeId {
 }
 
 fn goal_is_timer(goal: &Term) -> bool {
-    matches!(
-        goal.functor().map(|(n, a)| (n.as_str(), a)),
-        Some(("$timer", 2))
-    )
+    matches!(goal, Term::Tuple(sym::TIMER, args) if args.len() == 2)
 }
 
 /// Deep-substitute like [`StoreHandle::resolve`], but emit at most `budget`
@@ -134,16 +130,13 @@ fn goal_is_timer(goal: &Term) -> bool {
 /// expansion keeps the report readable and `finalize_shard` O(1).
 fn resolve_capped(store: &StoreHandle, t: &Term, budget: &mut u32) -> Term {
     if *budget == 0 {
-        return Term::atom("…");
+        return Term::Atom(sym::ELIDED);
     }
     *budget -= 1;
     match store.deref(t) {
-        Term::Tuple(name, args) => Term::tuple(
-            name,
-            args.iter()
-                .map(|a| resolve_capped(store, a, budget))
-                .collect(),
-        ),
+        Term::Tuple(name, args) => {
+            Term::tuple_from(name, args.iter().map(|a| resolve_capped(store, a, budget)))
+        }
         Term::List(cell) => Term::cons(
             resolve_capped(store, &cell.0, budget),
             resolve_capped(store, &cell.1, budget),
@@ -666,7 +659,7 @@ impl Machine {
         let tracked = !self.config.tracked.is_empty()
             && goal
                 .functor()
-                .is_some_and(|(name, _)| self.config.tracked.contains(name.as_str()));
+                .is_some_and(|(name, _)| self.config.tracked.contains(name));
         // In sharded execution, tracked-process gauges are per-owner: the
         // receiving worker counts the spawn when the job arrives (see
         // `absorb`), so spawn/done pairs always land on the same machine.
@@ -1394,7 +1387,7 @@ impl Machine {
             QItem {
                 ready_at: 0,
                 pid,
-                goal: Term::tuple("$timer!", vec![timer.cancel, timer.timeout]),
+                goal: Term::tuple(sym::WALL_TIMER, vec![timer.cancel, timer.timeout]),
                 tracked: false,
                 region: timer.region,
             },
@@ -1593,7 +1586,7 @@ impl Machine {
             self.suspend(item, vec![v]);
             return Ok(());
         }
-        let Some((name, arity)) = goal.functor().map(|(n, a)| (n.clone(), a)) else {
+        let Some((&name, arity)) = goal.functor() else {
             let resolved = self.store.resolve(&goal);
             self.finish_tracked(&item);
             return self.record_error(StrandError::NoMatchingRule { goal: resolved });
@@ -1602,10 +1595,10 @@ impl Machine {
         // Foreign procedures shadow builtins of the same name.
         let mut called = None;
         if !self.foreign.is_empty() {
-            called = self.try_foreign(name.as_str(), &goal);
+            called = self.try_foreign(name, &goal);
         }
-        if called.is_none() && is_builtin(name.as_str(), arity) {
-            called = Some(self.exec_builtin(name.as_str(), &goal));
+        if called.is_none() {
+            called = self.exec_builtin(name, &goal).transpose();
         }
         if let Some(outcome) = called {
             match outcome {
@@ -1632,7 +1625,7 @@ impl Machine {
         match self.config.exec {
             ExecMode::Compiled => {
                 let exec = Arc::clone(&self.exec);
-                let Some(proc) = exec.get(name.as_str(), arity) else {
+                let Some(proc) = exec.lookup(name, arity) else {
                     self.finish_tracked(&item);
                     return self.record_error(undefined());
                 };
@@ -1648,7 +1641,7 @@ impl Machine {
             }
             ExecMode::Interpreted => {
                 let program = Arc::clone(&self.program);
-                let Some(proc) = program.get(name.as_str(), arity) else {
+                let Some(proc) = program.lookup(name, arity) else {
                     self.finish_tracked(&item);
                     return self.record_error(undefined());
                 };
@@ -1786,7 +1779,7 @@ impl Machine {
                     // Placement not yet known: defer via the internal
                     // `'$spawn_at'` builtin, which suspends.
                     let node = self.current_node;
-                    self.spawn(Term::tuple("$spawn_at", vec![place_term, goal]), node);
+                    self.spawn(Term::tuple(sym::SPAWN_AT, vec![place_term, goal]), node);
                 }
                 Err(e) => self.record_error(e)?,
             }
@@ -2024,7 +2017,7 @@ mod tests {
         let program = compile_program(&parse_program("p(X) :- true.").unwrap()).unwrap();
         let world = SharedWorld::new(1);
         let mut cfg = MachineConfig::default();
-        cfg.tracked.insert("p".to_string());
+        cfg.tracked.insert(Atom::new("p"));
         let mut m = Machine::new_worker(Arc::new(program), cfg, &world, 0, 1);
         m.set_session_region(7);
         let v = m.store.new_var();

@@ -23,7 +23,7 @@ pub struct Metrics {
     pub messages: Vec<Vec<u64>>,
     /// Cross-node stream (port) messages keyed by the message's principal
     /// functor — experiment E3 counts `value` messages here.
-    pub port_msgs_by_functor: HashMap<String, u64>,
+    pub port_msgs_by_functor: FxHashMap<Atom, u64>,
     /// Total cross-node port messages.
     pub port_msgs_cross: u64,
     /// Total local (same-node) port messages.
@@ -167,6 +167,24 @@ impl Metrics {
         }
     }
 
+    /// Cross-node port messages whose principal functor is `functor`.
+    pub fn port_msgs_for(&self, functor: &str) -> u64 {
+        self.port_msgs_by_functor
+            .get(&Atom::new(functor))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Suspensions by procedure, most first, ties by name: the order to
+    /// render them in (the map's own order varies with what the process
+    /// interned first).
+    pub fn suspensions_by_procedure(&self) -> Vec<(Atom, u64)> {
+        let mut by_proc: Vec<(Atom, u64)> =
+            self.susp_by_proc.iter().map(|(p, n)| (*p, *n)).collect();
+        by_proc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        by_proc
+    }
+
     /// Largest value a named gauge reached on any node (0 if never set).
     pub fn max_gauge(&self, name: &str) -> u64 {
         self.gauges
@@ -230,7 +248,7 @@ impl Metrics {
             add_vec(row, orow);
         }
         for (name, count) in &other.port_msgs_by_functor {
-            *self.port_msgs_by_functor.entry(name.clone()).or_insert(0) += count;
+            *self.port_msgs_by_functor.entry(*name).or_insert(0) += count;
         }
         self.port_msgs_cross += other.port_msgs_cross;
         self.port_msgs_local += other.port_msgs_local;
@@ -273,7 +291,7 @@ impl Metrics {
         self.timers_cancelled += other.timers_cancelled;
         self.wakes_for_deadline += other.wakes_for_deadline;
         for (name, count) in &other.susp_by_proc {
-            *self.susp_by_proc.entry(name.clone()).or_insert(0) += count;
+            *self.susp_by_proc.entry(*name).or_insert(0) += count;
         }
     }
 }

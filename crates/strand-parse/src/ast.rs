@@ -116,6 +116,23 @@ impl Ast {
     }
 }
 
+impl Drop for Ast {
+    /// Unlink a list's spine iteratively, as `strand_core::term::Cons`
+    /// does: the derived drop of `[H|T]` recurses once per cell, and a
+    /// flat 32 000-element list — 64 KB of request line — overflows a
+    /// connection thread's stack, which aborts the process. Each cell's
+    /// tail is detached before the cell drops, so no drop sees more than
+    /// one; heads still drop recursively (their depth is the term's
+    /// nesting, which the parser bounds).
+    fn drop(&mut self) {
+        let Ast::List(_, tail) = self else { return };
+        let mut next = std::mem::replace(&mut **tail, Ast::Nil);
+        while let Ast::List(_, tail) = &mut next {
+            next = std::mem::replace(&mut **tail, Ast::Nil);
+        }
+    }
+}
+
 /// Placement annotation on a body call.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Annotation {
@@ -406,7 +423,7 @@ mod tests {
         );
         assert_eq!(t.vars(), vec!["X".to_string(), "Y".to_string()]);
         let renamed = t.map(&|a| match a {
-            Ast::Var(v) if v == "X" => Ast::var("Z"),
+            Ast::Var(ref v) if v == "X" => Ast::var("Z"),
             other => other,
         });
         assert_eq!(renamed.vars(), vec!["Z".to_string(), "Y".to_string()]);

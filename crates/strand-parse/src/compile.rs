@@ -87,10 +87,9 @@ pub struct CompiledProc {
 /// A compiled program, indexed by name/arity.
 ///
 /// Procedures are keyed by [`Atom`] name with a small per-name vector of
-/// arities. `Atom` hashes and compares as its string content and implements
-/// `Borrow<str>`, so [`CompiledProgram::get`] is allocation-free, and the
-/// table uses [`strand_core::fxhash`] — this lookup sits on the machine's
-/// per-reduction hot path.
+/// arities. An `Atom` hashes and compares as its id, and the table uses
+/// [`strand_core::fxhash`], so [`CompiledProgram::lookup`] — which sits on
+/// the interpreter's per-reduction path — costs one multiply and a probe.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledProgram {
     procs: FxHashMap<Atom, Vec<CompiledProc>>,
@@ -99,12 +98,19 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Look up a procedure by name and arity.
+    /// Look up a procedure by name and arity. Interns `name`: for callers
+    /// holding text, off the reduction path.
     pub fn get(&self, name: &str, arity: usize) -> Option<&CompiledProc> {
-        self.procs.get(name)?.iter().find(|p| p.arity == arity)
+        self.lookup(Atom::new(name), arity)
     }
 
-    /// Iterate over all procedures, in unspecified order.
+    /// Look up a procedure by symbol and arity.
+    pub fn lookup(&self, name: Atom, arity: usize) -> Option<&CompiledProc> {
+        self.procs.get(&name)?.iter().find(|p| p.arity == arity)
+    }
+
+    /// Iterate over all procedures, in unspecified order (it varies with
+    /// what the process interned first: sort by name before rendering).
     pub fn procs(&self) -> impl Iterator<Item = &CompiledProc> {
         self.procs.values().flatten()
     }

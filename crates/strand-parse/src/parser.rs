@@ -53,17 +53,36 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting of parentheses, argument lists, list elements and unary
+/// minus the parser follows before answering a [`ParseError`]. It recurses
+/// once per level, and so do the walks over its output (`ast_to_term`,
+/// `resolve`, `Display`, drop), so unbounded nesting in a request line is a
+/// stack overflow — an abort of the whole process — waiting for a hostile
+/// client. List *length* is not nesting: `[1,2,…]` parses iteratively.
+/// The deepest committed program or goal (the 8192-leaf benchmark trees)
+/// nests under 64 levels.
+pub const MAX_NESTING: u32 = 256;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Live `unary` frames: every nesting cycle passes through `unary`.
+    depth: u32,
+}
+
+impl Parser {
+    fn new(src: &str) -> Result<Parser, ParseError> {
+        Ok(Parser {
+            toks: lex(src)?,
+            pos: 0,
+            depth: 0,
+        })
+    }
 }
 
 /// Parse a complete program.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let mut p = Parser {
-        toks: lex(src)?,
-        pos: 0,
-    };
+    let mut p = Parser::new(src)?;
     let mut program = Program::new();
     while p.peek() != &Tok::Eof {
         program.push_rule(p.clause()?);
@@ -73,10 +92,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 
 /// Parse a single term (used by tests and the machine's goal entry point).
 pub fn parse_term(src: &str) -> Result<Ast, ParseError> {
-    let mut p = Parser {
-        toks: lex(src)?,
-        pos: 0,
-    };
+    let mut p = Parser::new(src)?;
     let t = p.expr()?;
     p.expect(Tok::Eof, "end of input")?;
     Ok(t)
@@ -92,12 +108,16 @@ impl Parser {
         (s.line, s.col)
     }
 
+    /// Take the current token, by value: a consumed slot is never read
+    /// again (`peek`/`here` look at `pos` onward, error positions only at
+    /// `line`/`col`), so its identifier moves out instead of being cloned.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
-        if t != Tok::Eof {
-            self.pos += 1;
+        let slot = &mut self.toks[self.pos].tok;
+        if matches!(slot, Tok::Eof) {
+            return Tok::Eof;
         }
-        t
+        self.pos += 1;
+        std::mem::replace(slot, Tok::Eof)
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -160,8 +180,8 @@ impl Parser {
         let annotation = if self.eat(&Tok::At) {
             let place = self.unary()?;
             Some(match place {
-                Ast::Atom(a) if a == "random" => Annotation::Random,
-                Ast::Atom(a) if a == "task" => Annotation::Task,
+                Ast::Atom(ref a) if a == "random" => Annotation::Random,
+                Ast::Atom(ref a) if a == "task" => Annotation::Task,
                 other => Annotation::Node(other),
             })
         } else {
@@ -219,6 +239,16 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Ast, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("term nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let term = self.unary_unguarded();
+        self.depth -= 1;
+        term
+    }
+
+    fn unary_unguarded(&mut self) -> Result<Ast, ParseError> {
         if self.eat(&Tok::Minus) {
             // Fold negative literals; keep `-(X)` for variables/expressions.
             return Ok(match self.unary()? {
@@ -416,5 +446,66 @@ mod tests {
         // Degenerate but legal in the paper's style: a guard-only rule.
         let p = parse_program("f(X) :- X > 0 | true.").unwrap();
         assert_eq!(p.get("f", 1).unwrap().rules[0].body.len(), 1);
+    }
+
+    /// `open × n`, a `1`, `close × n`.
+    fn nested(open: &str, close: &str, n: usize) -> String {
+        format!("{}1{}", open.repeat(n), close.repeat(n))
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_a_parse_error_not_a_stack_overflow() {
+        // 30 000 levels is a 60 KB line: under strand-serve's request cap,
+        // and far past what a 2 MiB thread stack can recurse through.
+        let deep = 30_000;
+        for (open, close) in [("(", ")"), ("[", "]"), ("f(", ")"), ("-", ""), ("[0|", "]")] {
+            let e = parse_term(&nested(open, close, deep)).unwrap_err();
+            assert!(e.message.contains("nested deeper"), "{open}: {e}");
+            let clause = format!("p(X) :- q({}).", nested(open, close, deep));
+            let e = parse_program(&clause).unwrap_err();
+            assert!(e.message.contains("nested deeper"), "{open}: {e}");
+            let head = format!("p({}).", nested(open, close, deep));
+            assert!(parse_program(&head).is_err(), "{open}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_and_long_flat_lists_parse() {
+        // The goal's own `unary` frame is level 1.
+        let ok = MAX_NESTING as usize - 1;
+        assert!(parse_term(&nested("f(", ")", ok)).is_ok());
+        assert!(parse_term(&nested("f(", ")", ok + 1)).is_err());
+        // Length is not nesting.
+        let list = format!("[{}]", vec!["1"; 8 * MAX_NESTING as usize].join(","));
+        let Ast::List(..) = parse_term(&list).unwrap() else {
+            panic!("expected a list");
+        };
+        // The parser is reusable after a depth error on one clause: depth
+        // is per-parse state, not global.
+        assert!(parse_term("f(g(h(1)))").is_ok());
+    }
+
+    #[test]
+    fn a_request_sized_flat_list_parses_and_drops_on_a_small_stack() {
+        // 32 000 elements is what a 64 KiB request line holds. Neither the
+        // parse (a fold) nor the drop of its `Ast` (iterative along the
+        // spine) may recurse per element.
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let list = format!("[{}]", vec!["1"; 32_000].join(","));
+                let ast = parse_term(&list).unwrap();
+                let mut len = 0;
+                let mut cur = &ast;
+                while let Ast::List(_, tail) = cur {
+                    len += 1;
+                    cur = tail;
+                }
+                assert_eq!(len, 32_000);
+                drop(ast);
+            })
+            .expect("spawn")
+            .join()
+            .expect("a flat list must not overflow the stack");
     }
 }

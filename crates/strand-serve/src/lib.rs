@@ -30,8 +30,11 @@
 //!
 //! ```text
 //! OK <term>      — the resolved reply
-//! ERR <message>  — parse error, non-ground request, timeout, shutdown,
-//!                  or a line over 64 KiB (which also ends the session)
+//! ERR <message>  — parse error (a term nested deeper than the parser's
+//!                  limit included), an atom the symbol table refuses (a
+//!                  name over 255 bytes, or a new name once the table is
+//!                  nearly full), non-ground request, timeout, shutdown, or
+//!                  a line over 64 KiB (which also ends the session)
 //! BUSY <millis>  — backpressured; retry after the given delay
 //! ```
 //!
@@ -55,10 +58,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use strand_core::{StrandError, StrandResult, Term};
+use strand_core::{sym, Atom, AtomError, StrandError, StrandResult, Term};
 use strand_machine::{ast_to_term, ChaosPlan, ForeignLib, Machine, MachineConfig, RunReport};
 use strand_parallel::ResidentHandle;
-use strand_parse::{compile_program, parse_term};
+use strand_parse::{compile_program, parse_term, Ast};
 
 /// Boot rule appended to the application before the Server transformation:
 /// build the port-tuple directory and spawn one server per node, but —
@@ -235,6 +238,32 @@ impl Response {
     }
 }
 
+/// The sink every request's reply probe calls.
+const REPLY_PROBE: &str = "$serve_reply";
+
+/// Intern every atom and functor name of a request as *untrusted* text.
+/// The symbol table never frees a name, so a client must not be able to
+/// fill it: [`Atom::try_new`] refuses names over 255 bytes and, once the
+/// table is within its reserve of capacity, any name it does not already
+/// hold. After this pass `ast_to_term` finds every name present and cannot
+/// grow the table. Iterative along list tails, like the parser.
+fn admit_atoms(mut ast: &Ast) -> Result<(), AtomError> {
+    loop {
+        match ast {
+            Ast::Atom(name) => return Atom::try_new(name).map(drop),
+            Ast::Tuple(name, args) => {
+                Atom::try_new(name)?;
+                return args.iter().try_for_each(admit_atoms);
+            }
+            Ast::List(head, tail) => {
+                admit_atoms(head)?;
+                ast = tail;
+            }
+            _ => return Ok(()),
+        }
+    }
+}
+
 enum Engine {
     Sim(Mutex<Machine>),
     Parallel(ResidentHandle),
@@ -248,6 +277,12 @@ pub struct MotifService {
     /// The port-tuple directory bound by the boot goal; every request
     /// distributes over it.
     dt: Term,
+    /// Functors of the goals a request injects, interned once at start:
+    /// the send (`rsend` under supervision, else `distribute`), the
+    /// `req(Q, R)` envelope and the `'$serve_reply'` probe.
+    send: Atom,
+    req: Atom,
+    reply_probe: Atom,
     cfg: ServeConfig,
     next_sid: AtomicU64,
     next_region: AtomicU32,
@@ -286,7 +321,7 @@ impl MotifService {
             // the connection thread it wakes may close the session and
             // sweep the request's slots at once.
             let replies = Arc::clone(&replies);
-            lib.register_sink("$serve_reply", 2, move |args| {
+            lib.register_sink(REPLY_PROBE, 2, move |args| {
                 let rid = match &args[0] {
                     Term::Int(v) => *v as u64,
                     other => {
@@ -345,6 +380,13 @@ impl MotifService {
             engine,
             replies,
             dt: dt.expect("boot goal names DT"),
+            send: if cfg.supervise {
+                Atom::new("rsend")
+            } else {
+                sym::DISTRIBUTE
+            },
+            req: Atom::new("req"),
+            reply_probe: Atom::new(REPLY_PROBE),
             cfg,
             next_sid: AtomicU64::new(0),
             next_region: AtomicU32::new(1),
@@ -395,6 +437,9 @@ impl MotifService {
             Ok(a) => a,
             Err(e) => return Response::Err(format!("parse: {e}")),
         };
+        if let Err(e) = admit_atoms(&ast) {
+            return Response::Err(format!("atom: {e}"));
+        }
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
         let node = self.pick_node();
         let timeout = Duration::from_millis(self.cfg.reply_timeout_ms);
@@ -436,7 +481,7 @@ impl MotifService {
         &self,
         m: &mut Machine,
         session: Session,
-        ast: &strand_parse::Ast,
+        ast: &Ast,
         rid: u64,
         node: i64,
     ) -> Result<Term, Response> {
@@ -462,24 +507,19 @@ impl MotifService {
     /// so a killed shard's dropped envelope is retried against the
     /// restarted server.
     fn send_request(&self, m: &mut Machine, q: Term, reply: &Term, rid: u64, node: i64) {
-        let send = if self.cfg.supervise {
-            "rsend"
-        } else {
-            "distribute"
-        };
         m.inject(
             Term::tuple(
-                send,
+                self.send,
                 vec![
                     Term::int(node),
                     self.dt.clone(),
-                    Term::tuple("req", vec![q, reply.clone()]),
+                    Term::tuple(self.req, vec![q, reply.clone()]),
                 ],
             ),
             node,
         );
         m.inject(
-            Term::tuple("$serve_reply", vec![Term::int(rid as i64), reply.clone()]),
+            Term::tuple(self.reply_probe, vec![Term::int(rid as i64), reply.clone()]),
             node,
         );
     }
@@ -550,7 +590,7 @@ impl MotifService {
         &self,
         h: &ResidentHandle,
         session: Session,
-        ast: &strand_parse::Ast,
+        ast: &Ast,
         rid: u64,
         node: i64,
         slot: &ReplySlot,

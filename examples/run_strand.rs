@@ -326,14 +326,8 @@ fn main() {
                     );
                 }
                 if !m.susp_by_proc.is_empty() {
-                    let mut by_proc: Vec<(&str, u64)> = m
-                        .susp_by_proc
-                        .iter()
-                        .map(|(name, n)| (name.as_str(), *n))
-                        .collect();
-                    by_proc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
                     println!("suspensions by procedure:");
-                    for (name, n) in by_proc {
+                    for (name, n) in m.suspensions_by_procedure() {
                         println!("  {name}: {n}");
                     }
                 }

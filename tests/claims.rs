@@ -64,13 +64,7 @@ fn e3_tr2_communication_bound_holds_over_seeds() {
         let leaves = 32u32;
         let tree = random_tree_src(leaves, seed);
         let r = tr2(ARITH_EVAL, &tree, 5, seed, "");
-        let crossings = r
-            .report
-            .metrics
-            .port_msgs_by_functor
-            .get("value")
-            .copied()
-            .unwrap_or(0);
+        let crossings = r.report.metrics.port_msgs_for("value");
         assert!(
             crossings <= (leaves - 1) as u64,
             "seed {seed}: {crossings} > {}",

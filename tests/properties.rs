@@ -50,8 +50,7 @@ proptest! {
             &format!("create({p}, tr2({tree}, Value))"),
             MachineConfig::with_nodes(p).seed(seed),
         ).unwrap();
-        let crossings = r.report.metrics.port_msgs_by_functor
-            .get("value").copied().unwrap_or(0);
+        let crossings = r.report.metrics.port_msgs_for("value");
         prop_assert!(crossings <= (leaves - 1) as u64,
             "{crossings} crossings > {} internal nodes", leaves - 1);
     }

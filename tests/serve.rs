@@ -28,10 +28,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use algorithmic_motifs::strand_core;
 use algorithmic_motifs::strand_machine::{run_parsed_goal, ChaosPlan, MachineConfig, RunStatus};
 use algorithmic_motifs::strand_parallel;
 use algorithmic_motifs::strand_serve::{
-    serve, MotifService, Response, ServeBackend, ServeConfig, Session, DOUBLER_APP, ECHO_APP,
+    serve, MotifService, Response, ServeBackend, ServeConfig, ServeSummary, Session, DOUBLER_APP,
+    ECHO_APP,
 };
 
 const SERVERS: u32 = 4;
@@ -77,10 +79,14 @@ fn batch_reply(app: &str, payload: &str) -> String {
     r.bindings["R"].to_string()
 }
 
-/// Replay payloads through a resident service over loopback TCP — the
-/// real accept loop, wire protocol and session lifecycle — and return the
-/// reply payloads (the text after `OK `).
-fn tcp_replay(app: &str, cfg: ServeConfig, payloads: &[&str]) -> Vec<String> {
+/// Run `client` against a resident service over loopback TCP — the real
+/// accept loop, wire protocol and session lifecycle — on one connection.
+/// `client` gets `ask`: send one request line, return the reply line.
+fn tcp_session(
+    app: &str,
+    cfg: ServeConfig,
+    client: impl FnOnce(&mut dyn FnMut(&str) -> String),
+) -> ServeSummary {
     let service = MotifService::start(app, cfg).expect("service boots");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("ephemeral addr");
@@ -97,19 +103,14 @@ fn tcp_replay(app: &str, cfg: ServeConfig, payloads: &[&str]) -> Vec<String> {
     let _ = stream.set_nodelay(true);
     let mut writer = stream.try_clone().expect("clone stream");
     let mut reader = BufReader::new(stream);
-    let mut replies = Vec::new();
-    for payload in payloads {
+    client(&mut |request| {
         writer
-            .write_all(format!("{payload}\n").as_bytes())
+            .write_all(format!("{request}\n").as_bytes())
             .expect("send request");
         let mut line = String::new();
         reader.read_line(&mut line).expect("read reply");
-        let line = line.trim();
-        let reply = line
-            .strip_prefix("OK ")
-            .unwrap_or_else(|| panic!("expected OK for {payload:?}, got {line:?}"));
-        replies.push(reply.to_string());
-    }
+        line.trim().to_string()
+    });
     drop((reader, writer));
     shutdown.store(true, Ordering::Release);
     let summary = serve_thread
@@ -118,11 +119,59 @@ fn tcp_replay(app: &str, cfg: ServeConfig, payloads: &[&str]) -> Vec<String> {
         .expect("serve loop exits cleanly");
     assert_eq!(summary.report.metrics.sessions_opened, 1);
     assert_eq!(summary.report.metrics.sessions_closed, 1);
+    summary
+}
+
+/// Replay payloads through a resident service and return the reply
+/// payloads (the text after `OK `).
+fn tcp_replay(app: &str, cfg: ServeConfig, payloads: &[&str]) -> Vec<String> {
+    let mut replies = Vec::new();
+    let summary = tcp_session(app, cfg, |ask| {
+        for payload in payloads {
+            let line = ask(payload);
+            let reply = line
+                .strip_prefix("OK ")
+                .unwrap_or_else(|| panic!("expected OK for {payload:?}, got {line:?}"));
+            replies.push(reply.to_string());
+        }
+    });
     assert_eq!(
         summary.report.metrics.requests_admitted,
         payloads.len() as u64
     );
     replies
+}
+
+/// Hostile request lines are refused with `ERR` — neither aborting the
+/// process (a 60 KB line of `(` used to overflow the connection thread's
+/// stack in the recursive-descent parser) nor pinning memory in the
+/// never-freed symbol table (a 300-byte atom) — and the same connection
+/// keeps being served.
+#[test]
+fn hostile_lines_get_err_and_the_connection_keeps_serving() {
+    let deep = format!("{}1{}", "(".repeat(30_000), ")".repeat(30_000));
+    let long_atom = "a".repeat(300);
+    for backend in [ServeBackend::Sim, ServeBackend::Parallel(2)] {
+        let summary = tcp_session(ECHO_APP, serve_cfg(backend), |ask| {
+            assert_eq!(ask("f(x)"), "OK f(x)");
+            let reply = ask(&deep);
+            assert!(reply.starts_with("ERR parse: "), "{backend:?}: {reply}");
+            assert!(reply.contains("nested deeper"), "{backend:?}: {reply}");
+            assert_eq!(ask("[1,2]"), "OK [1,2]");
+            // Length is not nesting: a flat list filling the request cap is
+            // served (it used to recurse once per element and abort too).
+            let flat = format!("[{}]", vec!["1"; 32_000].join(","));
+            assert_eq!(ask(&flat), format!("OK {flat}"));
+            for hostile in [long_atom.clone(), format!("f(1, [{long_atom}])")] {
+                let reply = ask(&hostile);
+                assert!(reply.starts_with("ERR atom: "), "{backend:?}: {reply}");
+                assert!(reply.contains("255-byte"), "{backend:?}: {reply}");
+            }
+            assert_eq!(ask("f(x)"), "OK f(x)");
+        });
+        assert_eq!(summary.report.metrics.requests_admitted, 4);
+        assert!(strand_core::Atom::try_new(&long_atom).is_err());
+    }
 }
 
 #[test]
