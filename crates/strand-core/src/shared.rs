@@ -22,33 +22,20 @@
 //! outgoing edge can ever close a cycle — and that case is caught by the
 //! self-binding check after re-dereferencing (see [`SharedStore::bind`]).
 
-use crate::error::{StrandError, StrandResult};
-use crate::store::{Binding, NodeId, Slot, Time, Waiter};
+use crate::error::StrandResult;
+use crate::store::{Binding, NodeId, SlotTable, Time, Waiter};
 use crate::term::Term;
 use crate::{StoreOps, VarId};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// One worker's slice of the shared store.
-#[derive(Default)]
-struct Stripe {
-    slots: Vec<Slot>,
-    /// Per-region slot indices awaiting reclamation (regions ≠ 0 only).
-    region_index: HashMap<u32, Vec<u32>>,
-    /// Reclaimed slot indices available for reuse.
-    free: Vec<u32>,
-    /// Slots from closed regions that still had waiters at reclaim time;
-    /// re-examined on every later reclaim of this stripe.
-    deferred: Vec<u32>,
-}
 
 /// The striped concurrent single-assignment store.
 ///
 /// All methods take `&self`; interior mutability is per-stripe
 /// `std::sync::Mutex` (strand-core deliberately has no dependencies).
 pub struct SharedStore {
-    stripes: Vec<Mutex<Stripe>>,
+    /// One worker's slice of the store each.
+    stripes: Vec<Mutex<SlotTable>>,
     bind_count: AtomicU64,
 }
 
@@ -60,12 +47,14 @@ impl SharedStore {
             "stripe count {owners} out of range"
         );
         SharedStore {
-            stripes: (0..owners).map(|_| Mutex::new(Stripe::default())).collect(),
+            stripes: (0..owners)
+                .map(|_| Mutex::new(SlotTable::default()))
+                .collect(),
             bind_count: AtomicU64::new(0),
         }
     }
 
-    fn stripe(&self, owner: u32) -> std::sync::MutexGuard<'_, Stripe> {
+    fn stripe(&self, owner: u32) -> std::sync::MutexGuard<'_, SlotTable> {
         self.stripes[owner as usize]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -83,10 +72,7 @@ impl SharedStore {
 
     /// Number of variables ever created (all stripes).
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).slots.len())
-            .sum()
+        (0..self.owners()).map(|o| self.stripe(o).len()).sum()
     }
 
     /// True if no variable has been created.
@@ -105,22 +91,11 @@ impl SharedStore {
     /// ever created. See [`Store::reclaim_region`](crate::Store::reclaim_region)
     /// for the reclamation contract.
     pub fn new_var_in(&self, owner: u32, region: u32) -> VarId {
-        let mut stripe = self.stripe(owner);
-        let index = match stripe.free.pop() {
-            Some(i) => i,
-            None => {
-                let i = stripe.slots.len() as u32;
-                assert!(
-                    i < VarId::MAX_INDEX,
-                    "stripe {owner} exhausted its variable index space"
-                );
-                stripe.slots.push(Slot::default());
-                i
-            }
-        };
-        if region != 0 {
-            stripe.region_index.entry(region).or_default().push(index);
-        }
+        let index = self.stripe(owner).alloc(region);
+        assert!(
+            index < VarId::MAX_INDEX,
+            "stripe {owner} exhausted its variable index space"
+        );
         VarId::tagged(owner, index)
     }
 
@@ -130,31 +105,12 @@ impl SharedStore {
     /// are deferred to a later reclaim of this stripe (the striped analogue
     /// of [`Store::reclaim_region`](crate::Store::reclaim_region)).
     pub fn reclaim_region_stripe(&self, owner: u32, region: u32) -> usize {
-        let mut stripe = self.stripe(owner);
-        let mut candidates = stripe.region_index.remove(&region).unwrap_or_default();
-        candidates.append(&mut stripe.deferred);
-        let mut freed = 0;
-        for index in candidates {
-            match &stripe.slots[index as usize] {
-                Slot::Unbound { waiters } if !waiters.is_empty() => {
-                    stripe.deferred.push(index);
-                }
-                _ => {
-                    stripe.slots[index as usize] = Slot::default();
-                    stripe.free.push(index);
-                    freed += 1;
-                }
-            }
-        }
-        freed
+        self.stripe(owner).reclaim(region)
     }
 
     /// The binding of `v`, if any (cloned out of the stripe lock).
     pub fn lookup(&self, v: VarId) -> Option<Binding> {
-        match &self.stripe(v.owner()).slots[v.index()] {
-            Slot::Bound(b) => Some(b.clone()),
-            Slot::Unbound { .. } => None,
-        }
+        self.stripe(v.owner()).lookup(v.index()).cloned()
     }
 
     /// Follow variable-to-variable bindings hop by hop, locking one stripe
@@ -238,86 +194,50 @@ impl SharedStore {
                     (a, Some(b))
                 };
                 let mut v_stripe = first;
-                let w_bound = {
-                    let w_slot = match &second {
-                        Some(ws) => &ws.slots[w.index()],
-                        None => &v_stripe.slots[w.index()],
-                    };
-                    matches!(w_slot, Slot::Bound(_))
-                };
-                if w_bound {
+                let w_stripe = second.as_ref().unwrap_or(&v_stripe);
+                if w_stripe.lookup(w.index()).is_some() {
                     // Lost the race: `w` gained a value. Drop the locks and
                     // re-dereference; the next pass binds to the new tip.
                     continue;
                 }
-                return self.commit(&mut v_stripe.slots[v.index()], v, value, time, node);
+                return self.commit(&mut v_stripe, v, value, time, node);
             }
             // Ground (non-variable) value: only `v`'s stripe is involved.
-            let mut v_stripe = self.stripe(v.owner());
-            return self.commit(&mut v_stripe.slots[v.index()], v, value, time, node);
+            return self.commit(&mut self.stripe(v.owner()), v, value, time, node);
         }
     }
 
     fn commit(
         &self,
-        slot: &mut Slot,
+        stripe: &mut SlotTable,
         v: VarId,
         value: Term,
         time: Time,
         node: NodeId,
     ) -> StrandResult<Vec<Waiter>> {
-        match slot {
-            Slot::Bound(existing) => Err(StrandError::DoubleAssign {
-                var: v,
-                existing: existing.value.clone(),
-                attempted: value,
-            }),
-            unbound @ Slot::Unbound { .. } => {
-                let waiters = match std::mem::take(unbound) {
-                    Slot::Unbound { waiters } => waiters,
-                    Slot::Bound(_) => unreachable!(),
-                };
-                *unbound = Slot::Bound(Binding { value, time, node });
-                self.bind_count.fetch_add(1, Ordering::Relaxed);
-                Ok(waiters)
-            }
-        }
+        let waiters = stripe.commit(v.index(), v, value, time, node)?;
+        self.bind_count.fetch_add(1, Ordering::Relaxed);
+        Ok(waiters)
     }
 
     /// Register `waiter` on `v`; returns `false` (not registered) if `v` is
     /// already bound. See [`Store::add_waiter`](crate::Store::add_waiter).
     pub fn add_waiter(&self, v: VarId, waiter: Waiter) -> bool {
-        match &mut self.stripe(v.owner()).slots[v.index()] {
-            Slot::Unbound { waiters } => {
-                if !waiters.contains(&waiter) {
-                    waiters.push(waiter);
-                }
-                true
-            }
-            Slot::Bound(_) => false,
-        }
+        self.stripe(v.owner()).add_waiter(v.index(), waiter)
     }
 
     /// Remove a waiter registration (no-op if `v` got bound meanwhile).
     pub fn remove_waiter(&self, v: VarId, waiter: Waiter) {
-        if let Slot::Unbound { waiters } = &mut self.stripe(v.owner()).slots[v.index()] {
-            waiters.retain(|w| *w != waiter);
-        }
+        self.stripe(v.owner()).remove_waiter(v.index(), waiter);
     }
 
     /// All variables that currently have at least one waiter (diagnostics;
     /// called only after the workers have quiesced).
     pub fn vars_with_waiters(&self) -> Vec<VarId> {
         let mut out = Vec::new();
-        for (owner, stripe) in self.stripes.iter().enumerate() {
-            let stripe = stripe.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, s) in stripe.slots.iter().enumerate() {
-                if let Slot::Unbound { waiters } = s {
-                    if !waiters.is_empty() {
-                        out.push(VarId::tagged(owner as u32, i as u32));
-                    }
-                }
-            }
+        for owner in 0..self.owners() {
+            let tagged = |i| VarId::tagged(owner, i);
+            out.extend(self.stripe(owner).with_waiters().map(tagged));
         }
         out
     }
@@ -384,6 +304,7 @@ impl StoreOps for SharedStoreView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StrandError;
     use std::sync::Arc;
 
     #[test]

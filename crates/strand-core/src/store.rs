@@ -74,9 +74,150 @@ pub struct Binding {
 /// Opaque waiter token; the abstract machine uses process identifiers.
 pub type Waiter = u64;
 
-pub(crate) enum Slot {
+enum Slot {
     Unbound { waiters: Vec<Waiter> },
     Bound(Binding),
+}
+
+impl Default for Slot {
+    fn default() -> Self {
+        Slot::Unbound {
+            waiters: Vec::new(),
+        }
+    }
+}
+
+/// The slot table both stores are built on: [`Store`] owns one outright,
+/// [`SharedStore`](crate::SharedStore) keeps one per stripe behind a mutex.
+/// Slots are addressed by plain index; the wrappers translate to and from
+/// [`VarId`] (an untagged id *is* the index, a tagged one carries its stripe
+/// beside it).
+#[derive(Default)]
+pub(crate) struct SlotTable {
+    slots: Vec<Slot>,
+    /// Per-region slot indices awaiting reclamation (regions ≠ 0 only).
+    region_index: HashMap<u32, Vec<u32>>,
+    /// Reclaimed slot indices available for reuse by `alloc`.
+    free: Vec<u32>,
+    /// Slots from closed regions that still had waiters at reclaim time
+    /// (e.g. a live port tail); re-examined on every later reclaim.
+    deferred: Vec<u32>,
+}
+
+// The per-reduction methods are `#[inline]`: both wrappers are called from
+// other crates' monomorphised matchers, and left to the inliner the extra
+// hop cost the simulator ~6 % on `eval-chain` (EXPERIMENTS.md, PR 17).
+impl SlotTable {
+    /// Slots ever created (reclaimed ones included: they are reused, so this
+    /// is the table's high-water mark of *live* variables).
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// A fresh unbound slot under `region` (0 = untracked: never recorded,
+    /// never reclaimed, so batch runs pay nothing for the machinery). Reuses
+    /// a reclaimed slot when one is available.
+    #[inline]
+    pub fn alloc(&mut self, region: u32) -> u32 {
+        let index = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                let i = self.slots.len() as u32;
+                self.slots.push(Slot::default());
+                i
+            }
+        };
+        if region != 0 {
+            self.region_index.entry(region).or_default().push(index);
+        }
+        index
+    }
+
+    /// Reclaim every slot allocated under `region`, returning how many were
+    /// freed; see [`Store::reclaim_region`] for the contract.
+    pub fn reclaim(&mut self, region: u32) -> usize {
+        let mut candidates = self.region_index.remove(&region).unwrap_or_default();
+        candidates.append(&mut self.deferred);
+        let mut freed = 0;
+        for index in candidates {
+            match &self.slots[index as usize] {
+                Slot::Unbound { waiters } if !waiters.is_empty() => self.deferred.push(index),
+                _ => {
+                    self.slots[index as usize] = Slot::default();
+                    self.free.push(index);
+                    freed += 1;
+                }
+            }
+        }
+        freed
+    }
+
+    /// The binding in slot `index`, if any.
+    #[inline]
+    pub fn lookup(&self, index: usize) -> Option<&Binding> {
+        match &self.slots[index] {
+            Slot::Bound(b) => Some(b),
+            Slot::Unbound { .. } => None,
+        }
+    }
+
+    /// Move slot `index` from unbound to bound, handing back its waiters.
+    /// `v` only names the variable in the double-assignment error.
+    #[inline]
+    pub fn commit(
+        &mut self,
+        index: usize,
+        v: VarId,
+        value: Term,
+        time: Time,
+        node: NodeId,
+    ) -> StrandResult<Vec<Waiter>> {
+        match &mut self.slots[index] {
+            Slot::Bound(existing) => Err(StrandError::DoubleAssign {
+                var: v,
+                existing: existing.value.clone(),
+                attempted: value,
+            }),
+            slot @ Slot::Unbound { .. } => {
+                let bound = Slot::Bound(Binding { value, time, node });
+                match std::mem::replace(slot, bound) {
+                    Slot::Unbound { waiters } => Ok(waiters),
+                    Slot::Bound(_) => unreachable!(),
+                }
+            }
+        }
+    }
+
+    /// Register `waiter` on slot `index`; `false` (not registered) if the
+    /// slot is already bound.
+    #[inline]
+    pub fn add_waiter(&mut self, index: usize, waiter: Waiter) -> bool {
+        match &mut self.slots[index] {
+            Slot::Unbound { waiters } => {
+                if !waiters.contains(&waiter) {
+                    waiters.push(waiter);
+                }
+                true
+            }
+            Slot::Bound(_) => false,
+        }
+    }
+
+    /// Drop a waiter registration (no-op if absent or the slot is bound).
+    #[inline]
+    pub fn remove_waiter(&mut self, index: usize, waiter: Waiter) {
+        if let Slot::Unbound { waiters } = &mut self.slots[index] {
+            waiters.retain(|w| *w != waiter);
+        }
+    }
+
+    /// Indices of the slots that currently have at least one waiter.
+    pub fn with_waiters(&self) -> impl Iterator<Item = u32> + '_ {
+        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
+            Slot::Unbound { waiters } if !waiters.is_empty() => Some(i as u32),
+            _ => None,
+        })
+    }
 }
 
 /// The single-assignment store.
@@ -93,27 +234,12 @@ pub(crate) enum Slot {
 /// ```
 #[derive(Default)]
 pub struct Store {
-    slots: Vec<Slot>,
+    table: SlotTable,
     bind_count: u64,
     /// Region tag stamped on subsequently allocated variables. Region 0 is
     /// the boot/batch region: allocations there are never tracked and never
-    /// reclaimed, so batch runs pay nothing for the machinery.
+    /// reclaimed.
     region: u32,
-    /// Per-region slot indices awaiting reclamation (regions ≠ 0 only).
-    region_index: HashMap<u32, Vec<u32>>,
-    /// Reclaimed slot indices available for reuse by `new_var`.
-    free: Vec<u32>,
-    /// Slots from closed regions that still had waiters at reclaim time
-    /// (e.g. a live port tail); re-examined on every later reclaim.
-    deferred: Vec<u32>,
-}
-
-impl Default for Slot {
-    fn default() -> Self {
-        Slot::Unbound {
-            waiters: Vec::new(),
-        }
-    }
 }
 
 impl Store {
@@ -124,12 +250,12 @@ impl Store {
 
     /// Number of variables ever created.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.table.len()
     }
 
     /// True if no variable has been created.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
     /// Total number of successful bindings performed.
@@ -144,21 +270,7 @@ impl Store {
     /// When the current [region](Store::set_region) is non-zero the slot is
     /// recorded for [`reclaim_region`](Store::reclaim_region).
     pub fn new_var(&mut self) -> VarId {
-        let index = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                let i = self.slots.len() as u32;
-                self.slots.push(Slot::default());
-                i
-            }
-        };
-        if self.region != 0 {
-            self.region_index
-                .entry(self.region)
-                .or_default()
-                .push(index);
-        }
-        VarId(index)
+        VarId(self.table.alloc(self.region))
     }
 
     /// Set the region tag for subsequent allocations (0 = untracked).
@@ -182,28 +294,12 @@ impl Store {
     /// past it. Safety rests on the session-locality contract (DESIGN.md
     /// §9): server state must not retain session terms beyond the reply.
     pub fn reclaim_region(&mut self, region: u32) -> usize {
-        let mut candidates = self.region_index.remove(&region).unwrap_or_default();
-        candidates.append(&mut self.deferred);
-        let mut freed = 0;
-        for index in candidates {
-            match &self.slots[index as usize] {
-                Slot::Unbound { waiters } if !waiters.is_empty() => self.deferred.push(index),
-                _ => {
-                    self.slots[index as usize] = Slot::default();
-                    self.free.push(index);
-                    freed += 1;
-                }
-            }
-        }
-        freed
+        self.table.reclaim(region)
     }
 
     /// The binding of `v`, if any (no dereferencing of chained variables).
     pub fn lookup(&self, v: VarId) -> Option<&Binding> {
-        match &self.slots[v.0 as usize] {
-            Slot::Bound(b) => Some(b),
-            Slot::Unbound { .. } => None,
-        }
+        self.table.lookup(v.0 as usize)
     }
 
     /// Follow variable-to-variable bindings until reaching either a
@@ -277,57 +373,27 @@ impl Store {
                 return Ok(Vec::new());
             }
         }
-        match &mut self.slots[v.0 as usize] {
-            Slot::Bound(existing) => Err(StrandError::DoubleAssign {
-                var: v,
-                existing: existing.value.clone(),
-                attempted: value,
-            }),
-            slot @ Slot::Unbound { .. } => {
-                let waiters = match std::mem::take(slot) {
-                    Slot::Unbound { waiters } => waiters,
-                    Slot::Bound(_) => unreachable!(),
-                };
-                *slot = Slot::Bound(Binding { value, time, node });
-                self.bind_count += 1;
-                Ok(waiters)
-            }
-        }
+        let waiters = self.table.commit(v.0 as usize, v, value, time, node)?;
+        self.bind_count += 1;
+        Ok(waiters)
     }
 
     /// Register `waiter` to be woken when `v` is bound. If `v` is already
     /// bound the call returns `false` and the waiter is *not* registered —
     /// the caller should treat the data as available.
     pub fn add_waiter(&mut self, v: VarId, waiter: Waiter) -> bool {
-        match &mut self.slots[v.0 as usize] {
-            Slot::Unbound { waiters } => {
-                if !waiters.contains(&waiter) {
-                    waiters.push(waiter);
-                }
-                true
-            }
-            Slot::Bound(_) => false,
-        }
+        self.table.add_waiter(v.0 as usize, waiter)
     }
 
     /// Remove a waiter from a variable's suspension list (used when a
     /// process suspended on several variables is woken by one of them).
     pub fn remove_waiter(&mut self, v: VarId, waiter: Waiter) {
-        if let Slot::Unbound { waiters } = &mut self.slots[v.0 as usize] {
-            waiters.retain(|w| *w != waiter);
-        }
+        self.table.remove_waiter(v.0 as usize, waiter);
     }
 
     /// All variables that currently have at least one waiter (diagnostics).
     pub fn vars_with_waiters(&self) -> Vec<VarId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Slot::Unbound { waiters } if !waiters.is_empty() => Some(VarId(i as u32)),
-                _ => None,
-            })
-            .collect()
+        self.table.with_waiters().map(VarId).collect()
     }
 }
 

@@ -20,15 +20,16 @@
 //! | `print(T)` | append the resolved term to the run's output log |
 //! | `current_node(N)` | the executing node's 1-based number |
 //! | `true` | no-op |
-//! | `after_unless(C, W, T)` | deterministic timer: binds `T := timeout` after `W` ticks unless `C` is bound first (then it evaporates, costing nothing) — the Supervise motif's retry/heartbeat clock |
+//! | `after_unless(C, W, T)` | timer: binds `T := timeout` after `W` ticks unless `C` is bound first (then it evaporates, costing nothing) — the Supervise motif's retry/heartbeat clock; virtual ticks on the simulator, the fleet's deadline queue on the parallel backend |
 //! | `ack(V)` | idempotently bind `V := ok` — safe under duplicate delivery |
 //! | `unique_id(N)` | bind `N` to a fresh machine-wide integer (sequence numbers) |
 //!
 //! Internal (not surface syntax): `'$spawn_at'(NodeExpr, Goal)` defers a
 //! placement whose node expression is not yet bound, `'$forward'(S, P)`
 //! is the per-stream forwarder process of `merge/2`, `'$timer'(C, T)` is a
-//! pending `after_unless` deadline, and `'$deliver'(P, M)` is a delayed
-//! port message en route (fault injection).
+//! pending `after_unless` deadline on the simulator and `'$timer!'(C, T)` one
+//! the parallel backend's deadline queue has fired, and `'$deliver'(P, M)` is
+//! a delayed port message en route (fault injection).
 
 use crate::machine::{CallOutcome, Delivery, Machine, PortState};
 use crate::trace::{goal_text, TraceEvent};
@@ -314,53 +315,29 @@ impl Machine {
                 self.bind_or_err(n, Term::int(id))?
             }
 
-            // `after_unless(Cancel, Ticks, T)`: arm a deterministic timer.
-            // If `Cancel` is still unbound after `Ticks`, `T := timeout`
-            // fires (waking racers); if `Cancel` was bound first the pending
-            // timer evaporates without advancing any clock (see
-            // `Machine::run`). Backbone of the Supervise motif's retry
-            // backoff and heartbeat watchdogs. Under `TimerSource::WallClock`
-            // (sharded machines only) the deadline is recorded for the
-            // backend's timer wheel instead — same cancellation contract,
-            // but 1 tick = 1 ms of real time and the fleet wakes for it.
+            // `after_unless(Cancel, Ticks, T)`: arm a timer. If `Cancel` is
+            // still unbound after `Ticks`, `T := timeout` fires (waking
+            // racers); if `Cancel` was bound first the pending timer
+            // evaporates without advancing any clock. Backbone of the
+            // Supervise motif's retry backoff and heartbeat watchdogs. What a
+            // tick is depends on where the machine runs: see
+            // `Machine::arm_timer`.
             (sym::AFTER_UNLESS, [cancel, ticks, t]) => match eval_arith(ticks, &self.store)? {
                 Evaled::Suspend(vs) => CallOutcome::Suspend(vs),
                 Evaled::Num(n) => {
                     let wait = n.as_f64().max(0.0) as u64;
-                    let node = self.current_node;
-                    self.metrics.timers_armed += 1;
-                    if self.wall_timers_active() {
-                        self.arm_wall_timer(node, wait, cancel.clone(), t.clone());
-                    } else {
-                        let deadline = self.now() + wait;
-                        self.enqueue(
-                            Term::tuple(sym::TIMER, vec![cancel.clone(), t.clone()]),
-                            node,
-                            deadline,
-                        );
-                    }
+                    self.arm_timer(wait, cancel.clone(), t.clone());
                     CallOutcome::Done
                 }
             },
 
-            // A timer that survived to its deadline (the cancelled case is
-            // filtered out by the scheduler before it gets here).
-            (sym::TIMER, [cancel, t]) => {
-                if matches!(self.store.deref(cancel), Term::Var(_)) {
-                    self.metrics.timers_fired += 1;
-                    self.bind_or_err(t, Term::Atom(sym::TIMEOUT))?
-                } else {
-                    self.metrics.timers_cancelled += 1;
-                    CallOutcome::Done
-                }
-            }
-
-            // A wall-clock wheel entry delivered back into the shard
-            // (`Machine::fire_wall_timer`). Same semantics as `'$timer'` at
-            // its deadline, but this goal is regular gate-counted work: the
-            // cancel flag may have been bound while the event was in flight,
-            // in which case it evaporates here.
-            (sym::WALL_TIMER, [cancel, t]) => {
+            // A timer at its deadline: the simulator's own `'$timer'` item
+            // (the scheduler has already filtered out the cancelled case), or
+            // a `'$timer!'` the fleet's deadline queue delivered back into the
+            // shard (`Machine::fire_deadline`) — there the cancel flag may
+            // have been bound while the event was in flight, in which case it
+            // evaporates here.
+            (sym::TIMER | sym::WALL_TIMER, [cancel, t]) => {
                 if matches!(self.store.deref(cancel), Term::Var(_)) {
                     self.metrics.timers_fired += 1;
                     self.bind_or_err(t, Term::Atom(sym::TIMEOUT))?

@@ -283,29 +283,6 @@ pub enum ExecMode {
     Interpreted,
 }
 
-/// Where `after_unless` deadlines come from.
-///
-/// `Virtual` (the default) is the lazy virtual-time rule both backends have
-/// always used: a `'$timer'` deadline fires only once the global in-flight
-/// gate reads zero, so a timeout never races the value it guards. That rule
-/// is exactly wrong for a *resident* fleet, which parks at quiescence — the
-/// state a lazy deadline waits for is the state where nothing will ever
-/// observe it. `WallClock` instead registers deadlines into the parallel
-/// backend's hashed timer wheel (1 virtual tick = 1 ms of wall time); the
-/// idle-park arm consults the wheel before parking and wakes the fleet when
-/// the earliest deadline falls due. Only the parallel backend honors
-/// `WallClock`; the deterministic simulator always runs virtual deadlines.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TimerSource {
-    /// Lazy virtual-time deadlines that fire at quiescence (reference
-    /// semantics, bit-identical replays).
-    #[default]
-    Virtual,
-    /// Wall-clock deadlines from the parallel backend's timer wheel
-    /// (resident services; 1 tick = 1 ms).
-    WallClock,
-}
-
 /// Configuration of the simulated multicomputer.
 ///
 /// The defaults model a modest message-passing machine of the paper's era in
@@ -344,14 +321,15 @@ pub struct MachineConfig {
     /// default). The deterministic simulator rejects non-empty plans — use
     /// [`MachineConfig::faults`] there.
     pub chaos: ChaosPlan,
-    /// Execution engine (default: the deterministic simulator).
+    /// Execution engine (default: the deterministic simulator). The clock
+    /// `after_unless` deadlines run on follows from it and is not configured:
+    /// virtual time on the simulator; on the parallel backend the fleet's
+    /// one deadline queue, which a batch run advances at quiescence and a
+    /// resident one reads off the wall (DESIGN.md §6a).
     pub backend: Backend,
     /// Rule-execution tier (default: compiled; `Interpreted` is the
     /// reference interpreter).
     pub exec: ExecMode,
-    /// Where `after_unless` deadlines come from (default: lazy virtual
-    /// time; `WallClock` is honored by the parallel backend only).
-    pub timer_source: TimerSource,
 }
 
 impl Default for MachineConfig {
@@ -369,7 +347,6 @@ impl Default for MachineConfig {
             chaos: ChaosPlan::default(),
             backend: Backend::default(),
             exec: ExecMode::default(),
-            timer_source: TimerSource::default(),
         }
     }
 }
@@ -439,20 +416,6 @@ impl MachineConfig {
         self.exec = ExecMode::Interpreted;
         self
     }
-
-    /// Builder-style timer-source override.
-    pub fn timer_source(mut self, source: TimerSource) -> Self {
-        self.timer_source = source;
-        self
-    }
-
-    /// Builder: arm `after_unless` deadlines on the parallel backend's
-    /// wall-clock timer wheel instead of lazy virtual time (resident
-    /// services; 1 tick = 1 ms).
-    pub fn wall_clock_timers(mut self) -> Self {
-        self.timer_source = TimerSource::WallClock;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -485,21 +448,6 @@ mod tests {
         assert_eq!(
             MachineConfig::default().interpreted().exec,
             ExecMode::Interpreted
-        );
-    }
-
-    #[test]
-    fn timer_source_defaults_to_virtual() {
-        assert_eq!(MachineConfig::default().timer_source, TimerSource::Virtual);
-        assert_eq!(
-            MachineConfig::default().wall_clock_timers().timer_source,
-            TimerSource::WallClock
-        );
-        assert_eq!(
-            MachineConfig::default()
-                .timer_source(TimerSource::Virtual)
-                .timer_source,
-            TimerSource::Virtual
         );
     }
 

@@ -35,12 +35,11 @@ pub mod metrics;
 pub mod trace;
 
 pub use backend::{backend_for, register_parallel_backend, DeterministicBackend, ExecBackend};
-pub use config::TimerSource;
 pub use config::{Backend, ChaosPlan, EdgeFaults, ExecMode, FaultPlan, MachineConfig};
 pub use foreign::{ForeignFn, ForeignLib};
 pub use machine::{
-    merge_shard_reports, DrainState, Job, Machine, Routed, RunReport, RunStatus, ShardReport,
-    SharedWorld, StoreHandle, WallTimer, WORKER_PID_SHIFT,
+    merge_shard_reports, Deadline, DrainState, Job, Machine, Routed, RunReport, RunStatus,
+    ShardReport, SharedWorld, StoreHandle, WORKER_PID_SHIFT,
 };
 pub use metrics::Metrics;
 pub use trace::{render_trace, trace_summary, TraceEvent};

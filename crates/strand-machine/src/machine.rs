@@ -14,7 +14,7 @@
 //! only from the seeded `rand_num` primitive. Two runs with the same program,
 //! goal and config are identical, metric for metric.
 
-use crate::config::{ExecMode, MachineConfig, TimerSource};
+use crate::config::{ExecMode, MachineConfig};
 use crate::exec::{self, ExecProgram, IndexKey, Scratch, TryResult};
 use crate::metrics::Metrics;
 use crate::trace::{goal_text, TraceEvent};
@@ -79,7 +79,7 @@ pub const WORKER_PID_SHIFT: u32 = 48;
 
 /// A cross-worker event produced by one shard for another. Senders tag every
 /// routed event against the shared in-flight gate before it leaves the
-/// machine (timers excepted); receivers apply it via [`Machine::absorb`].
+/// machine; receivers apply it via [`Machine::absorb`].
 #[derive(Debug)]
 pub enum Routed {
     /// A newly runnable process for a node another worker owns.
@@ -145,20 +145,23 @@ fn resolve_capped(store: &StoreHandle, t: &Term, budget: &mut u32) -> Term {
     }
 }
 
-/// An `after_unless` deadline armed under [`TimerSource::WallClock`]
-/// (`crate::config::TimerSource`): instead of enqueuing a lazy `'$timer'`
-/// item, the machine records the deadline here for the parallel backend to
-/// harvest (see [`Machine::take_wall_timers`]) into its timer wheel. When
-/// the wheel fires the entry, the backend hands it back through
-/// [`Machine::fire_wall_timer`], which enqueues a `'$timer!'` goal — a
-/// *regular* (gate-counted) event, unlike `'$timer'` — so quiescence
-/// accounting treats the fired deadline as ordinary in-flight work.
+/// An `after_unless` deadline armed on a sharded machine. A shard has no
+/// global clock to order a `'$timer'` item by, so it records the deadline
+/// here for the parallel backend to harvest (see
+/// [`Machine::take_deadlines`]) into the fleet's one deadline queue. When
+/// the queue's clock reaches the entry the backend hands it back through
+/// [`Machine::fire_deadline`], which enqueues a `'$timer!'` goal — ordinary
+/// gate-counted work, so the token protocol sees a fired deadline exactly
+/// as it sees any other event.
 #[derive(Clone, Debug)]
-pub struct WallTimer {
+pub struct Deadline {
     /// Node the deadline was armed on; the fired goal runs there.
     pub node: NodeId,
-    /// Virtual ticks to wait (the backend maps 1 tick to 1 ms).
+    /// Ticks to wait; a resident fleet's wall clock maps 1 tick to 1 ms.
     pub wait: Time,
+    /// The arming node's virtual clock plus `wait`: the instant a batch
+    /// fleet's quiescence clock orders this deadline by.
+    pub due: Time,
     /// The unless-var: if bound before the deadline, the timer is cancelled.
     pub cancel: Term,
     /// The timeout var, bound to `timeout` when the deadline fires.
@@ -172,11 +175,8 @@ pub struct WallTimer {
 /// What [`Machine::drain_local`] left behind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DrainState {
-    /// No runnable work and no deferred timers: the shard is idle.
+    /// No runnable work: the shard is idle.
     Idle,
-    /// Only deferred `'$timer'` deadlines remain. They may fire once the
-    /// global in-flight gate reaches zero (see [`Machine::release_timers`]).
-    TimersOnly,
     /// The step quantum expired with runnable work still queued.
     More,
     /// The shared reduction budget is exhausted (`fail_fast` off).
@@ -334,9 +334,9 @@ struct WorldHooks {
     budget: Arc<AtomicU64>,
     /// Global sequence counter backing `unique_id/1`.
     seq: Arc<AtomicU64>,
-    /// Queued-or-in-flight non-timer work across all shards. While nonzero,
-    /// `'$timer'` deadlines are deferred: a timeout fires only once the
-    /// value it guards has had every chance to arrive (lazy-timer rule).
+    /// Queued-or-in-flight work across all shards: the backpressure gauge
+    /// a service's admission control reads (armed deadlines are not work
+    /// until they fire).
     regular: Arc<AtomicU64>,
 }
 
@@ -364,8 +364,7 @@ impl SharedWorld {
         }
     }
 
-    /// Queued or in-flight non-timer work across all workers. Zero means any
-    /// deferred timers may legally fire.
+    /// Queued or in-flight work across all workers.
     pub fn regular_pending(&self) -> u64 {
         self.hooks.regular.load(AtomicOrdering::SeqCst)
     }
@@ -506,12 +505,9 @@ pub struct Machine {
     outbox: Vec<Routed>,
     /// Run-global atomic counters (sharded execution only).
     hooks: Option<WorldHooks>,
-    /// `'$timer'` deadlines parked while the global in-flight gate is
-    /// nonzero (see [`Machine::release_timers`]).
-    deferred_timers: Vec<(NodeId, QItem)>,
-    /// Wall-clock deadlines armed since the last harvest
-    /// (`TimerSource::WallClock` only; see [`Machine::take_wall_timers`]).
-    pending_wall_timers: Vec<WallTimer>,
+    /// Deadlines armed since the last harvest (sharded execution only; see
+    /// [`Machine::take_deadlines`]).
+    armed_deadlines: Vec<Deadline>,
     /// Region the currently reducing process runs under; spawns from the
     /// reduction inherit it (0 outside any session — the batch default).
     current_region: u32,
@@ -573,8 +569,7 @@ impl Machine {
             shard: None,
             outbox: Vec::new(),
             hooks: None,
-            deferred_timers: Vec::new(),
-            pending_wall_timers: Vec::new(),
+            armed_deadlines: Vec::new(),
             current_region: 0,
         }
     }
@@ -680,15 +675,12 @@ impl Machine {
     }
 
     /// Hand a runnable process to the scheduler: the per-node heap when this
-    /// machine owns the node, the outbox otherwise (sharded execution). Every
-    /// non-timer item raises the global in-flight gate; the count drops when
-    /// the item is reduced or discarded, so a zero gate means no regular work
-    /// exists anywhere — the condition for deferred timers to fire.
+    /// machine owns the node, the outbox otherwise (sharded execution). On
+    /// a shard every item raises the global in-flight gate; the count drops
+    /// when the item is reduced or discarded.
     fn push_item(&mut self, node: NodeId, item: QItem) {
         if let Some((me, threads)) = self.shard {
-            if !goal_is_timer(&item.goal) {
-                self.gate_add(1);
-            }
+            self.gate_add(1);
             if node.0 as usize % threads != me {
                 self.outbox.push(Routed::Job(Job { item, node }));
                 return;
@@ -1045,41 +1037,17 @@ impl Machine {
     }
 
     /// Pop node `i`'s next process and reduce it at time `start`. Returns
-    /// `false` when the process was a `'$timer'` that did not fire, which
-    /// costs no budget, clock or step quantum:
-    ///
-    /// * its cancel flag is already bound — it evaporates, so cancelled
-    ///   timeouts never stretch the makespan;
-    /// * the global in-flight gate is nonzero — it is parked until
-    ///   [`release_timers`](Machine::release_timers) (sharded runs only: the
-    ///   simulator has no gate, its virtual clock orders deadlines).
+    /// `false` when the process was a `'$timer'` whose cancel flag is
+    /// already bound: it evaporates at no cost in budget, clock or step
+    /// quantum, so cancelled timeouts never stretch the makespan. (Only the
+    /// simulator queues `'$timer'` items — its virtual clock orders them; a
+    /// shard arms into the fleet's deadline queue instead.)
     fn step(&mut self, i: usize, start: Time) -> StrandResult<bool> {
         let item = self.nodes[i].queue.pop().expect("peeked nonempty queue");
-        let regular = !goal_is_timer(&item.goal);
-        if !regular {
-            if self.cancel_is_bound(&item.goal.goal_args()[0]) {
-                self.metrics.timers_cancelled += 1;
-                return Ok(false);
-            }
-            if self
-                .hooks
-                .as_ref()
-                .is_some_and(|h| h.regular.load(AtomicOrdering::SeqCst) > 0)
-            {
-                self.deferred_timers.push((NodeId(i as u32), item));
-                return Ok(false);
-            }
-            // Idle, so a deadline may fire — the earliest one, which
-            // may be parked. Put the parked ones back and select again:
-            // otherwise a timer loop on one node (a heartbeat: fire, a
-            // few reductions, re-arm) re-fires ahead of every parked
-            // deadline for as long as the gate happens to read nonzero
-            // whenever this drain hands back to the worker.
-            if !self.deferred_timers.is_empty() {
-                self.insert_local(NodeId(i as u32), item);
-                self.release_timers();
-                return Ok(false);
-            }
+        if goal_is_timer(&item.goal) && self.cancel_is_bound(&item.goal.goal_args()[0]) {
+            self.metrics.timers_cancelled += 1;
+            self.gate_sub(1);
+            return Ok(false);
         }
         self.charge_reduction();
         self.current_node = NodeId(i as u32);
@@ -1098,9 +1066,7 @@ impl Machine {
         self.nodes[i].clock = start + cost;
         self.metrics.busy[i] += cost;
         self.metrics.reductions[i] += 1;
-        if regular {
-            self.gate_sub(1);
-        }
+        self.gate_sub(1);
         step_result?;
         Ok(true)
     }
@@ -1132,8 +1098,8 @@ impl Machine {
         // The node's clock stays where computation stopped: a crash is not
         // work, and must not stretch the makespan.
         let lost: Vec<QItem> = self.nodes[i].queue.drain().collect();
+        self.gate_sub(lost.len() as u64);
         for item in &lost {
-            self.settle(item);
             self.bury(node, item);
         }
         let torn = self.tear_out(|s| s.node == node);
@@ -1152,14 +1118,6 @@ impl Machine {
         }
         if self.dead_goals.len() < 16 {
             self.dead_goals.push(self.store.resolve(&item.goal));
-        }
-    }
-
-    /// A queued process is leaving the system unreduced: give back the
-    /// in-flight gate unit it has held since `push_item`.
-    fn settle(&self, item: &QItem) {
-        if !goal_is_timer(&item.goal) {
-            self.gate_sub(1);
         }
     }
 
@@ -1305,18 +1263,12 @@ impl Machine {
     /// Reduce up to `max_steps` owned processes — the worker's driver over
     /// the shard core, using the same earliest-event selection and
     /// [`step`](Machine::step) as [`Machine::run`] restricted to this shard's
-    /// nodes. Live `'$timer'` deadlines are parked while the global
-    /// in-flight gate is nonzero, so a timeout only fires once the value it
-    /// guards has had every chance to arrive.
+    /// nodes.
     pub fn drain_local(&mut self, max_steps: u32) -> StrandResult<DrainState> {
         let mut steps = 0u32;
         while steps < max_steps {
             let Some((start, i)) = self.next_event() else {
-                return Ok(if self.deferred_timers.is_empty() {
-                    DrainState::Idle
-                } else {
-                    DrainState::TimersOnly
-                });
+                return Ok(DrainState::Idle);
             };
             if self.over_budget()? {
                 return Ok(DrainState::Budget);
@@ -1328,79 +1280,64 @@ impl Machine {
         Ok(DrainState::More)
     }
 
-    /// True when at least one `'$timer'` deadline is parked waiting for the
-    /// global in-flight gate to settle.
-    pub fn has_deferred_timers(&self) -> bool {
-        !self.deferred_timers.is_empty()
-    }
-
-    /// Does this machine arm `after_unless` deadlines on the wall clock?
-    /// True only for sharded machines configured with
-    /// [`TimerSource::WallClock`] — the deterministic simulator always runs
-    /// lazy virtual deadlines, whatever the config says.
-    pub(crate) fn wall_timers_active(&self) -> bool {
-        self.config.timer_source == TimerSource::WallClock && self.shard.is_some()
-    }
-
-    /// Record a wall-clock deadline for the backend to harvest
-    /// (`after_unless` under [`TimerSource::WallClock`]).
-    pub(crate) fn arm_wall_timer(&mut self, node: NodeId, wait: Time, cancel: Term, timeout: Term) {
-        self.pending_wall_timers.push(WallTimer {
+    /// Arm an `after_unless` deadline `wait` ticks from the current
+    /// reduction. The simulator queues a `'$timer'` item its virtual clock
+    /// orders; a shard has no such clock and records the deadline for the
+    /// backend's queue instead.
+    pub(crate) fn arm_timer(&mut self, wait: Time, cancel: Term, timeout: Term) {
+        let (node, due) = (self.current_node, self.now() + wait);
+        self.metrics.timers_armed += 1;
+        if self.shard.is_none() {
+            self.enqueue(Term::tuple(sym::TIMER, vec![cancel, timeout]), node, due);
+            return;
+        }
+        self.armed_deadlines.push(Deadline {
             node,
             wait,
+            due,
             cancel,
             timeout,
             region: self.current_region,
         });
     }
 
-    /// Harvest the wall-clock deadlines armed since the last call. The
-    /// parallel backend calls this after every drain and registers the
-    /// entries into its timer wheel.
-    pub fn take_wall_timers(&mut self) -> Vec<WallTimer> {
-        std::mem::take(&mut self.pending_wall_timers)
+    /// Harvest the deadlines armed since the last call. The parallel
+    /// backend calls this after every drain and registers the entries into
+    /// its deadline queue.
+    pub fn take_deadlines(&mut self) -> Vec<Deadline> {
+        std::mem::take(&mut self.armed_deadlines)
     }
 
     /// True once the unless-var of an armed deadline has been bound — the
-    /// wheel prunes such entries instead of firing them. Any machine sharing
+    /// queue prunes such entries instead of firing them. Any machine sharing
     /// the store can answer this, whichever shard armed the timer.
     pub fn cancel_is_bound(&self, cancel: &Term) -> bool {
         !matches!(self.store.deref(cancel), Term::Var(_))
     }
 
-    /// Deliver a due wheel entry back into the shard layer: enqueue a
-    /// `'$timer!'` goal on the entry's node. Unlike `'$timer'`, the fired
-    /// goal is *regular* work — [`Machine::push_item`] raises the in-flight
-    /// gate for it, and it routes through the outbox as an ordinary
-    /// [`Routed::Job`] when another worker owns the node — so the
-    /// mint-before-send token protocol sees a fired deadline exactly as it
-    /// sees any other cross-shard event. Firing at a crashed node is a
-    /// silent no-op (the deadline died with the shard; supervision recovers
-    /// through monitors on live nodes).
-    pub fn fire_wall_timer(&mut self, timer: WallTimer) {
-        if self.crashed[timer.node.0 as usize] {
+    /// Deliver a due queue entry back into the shard layer: enqueue a
+    /// `'$timer!'` goal on the entry's node. It is ordinary work —
+    /// [`Machine::push_item`] raises the in-flight gate for it, and it
+    /// routes through the outbox as a [`Routed::Job`] when another worker
+    /// owns the node — so the mint-before-send token protocol sees a fired
+    /// deadline exactly as it sees any other cross-shard event. Firing at a
+    /// crashed node is a silent no-op (the deadline died with the shard;
+    /// supervision recovers through monitors on live nodes).
+    pub fn fire_deadline(&mut self, deadline: Deadline) {
+        if self.crashed[deadline.node.0 as usize] {
             return;
         }
         let pid = self.fresh_pid();
         self.push_item(
-            timer.node,
+            deadline.node,
             QItem {
                 ready_at: 0,
                 pid,
-                goal: Term::tuple(sym::WALL_TIMER, vec![timer.cancel, timer.timeout]),
+                goal: Term::tuple(sym::WALL_TIMER, vec![deadline.cancel, deadline.timeout]),
                 tracked: false,
-                region: timer.region,
+                region: deadline.region,
             },
         );
-    }
-
-    /// Re-queue parked `'$timer'` deadlines. The worker calls this when the
-    /// global in-flight gate reads zero; a timer whose cancel flag arrived
-    /// in the meantime evaporates on the next drain.
-    pub fn release_timers(&mut self) {
-        for (node, item) in std::mem::take(&mut self.deferred_timers) {
-            self.insert_local(node, item);
-        }
     }
 
     /// Drop all queued work (run aborted or truncated), settling gate and
@@ -1408,23 +1345,21 @@ impl Machine {
     pub fn discard_local(&mut self) {
         for i in 0..self.nodes.len() {
             let items: Vec<QItem> = self.nodes[i].queue.drain().collect();
+            self.gate_sub(items.len() as u64);
             for item in items {
-                self.settle(&item);
                 if item.tracked {
                     self.metrics.track_done(NodeId(i as u32));
                 }
             }
         }
-        self.deferred_timers.clear();
-        self.pending_wall_timers.clear();
+        self.armed_deadlines.clear();
     }
 
     /// Discard a routed batch unapplied (run aborted): settle the gate.
     pub fn discard_routed(&mut self, batch: Vec<Routed>) {
         for event in batch {
             match event {
-                Routed::Job(job) => self.settle(&job.item),
-                Routed::Wake { .. } => self.gate_sub(1),
+                Routed::Job(_) | Routed::Wake { .. } => self.gate_sub(1),
                 // Reclaims carry no gate unit; on an aborted run the region
                 // simply stays allocated (the process is exiting anyway).
                 Routed::Reclaim { .. } => {}
@@ -1436,8 +1371,8 @@ impl Machine {
     //
     // These methods implement the shard-level faults the parallel backend's
     // workers inject. They mirror the virtual-time fault layer's accounting
-    // exactly: gate units settle so surviving shards' deferred timers can
-    // fire, tracked-process gauges stay balanced, and drops/dups land in
+    // exactly: gate units settle so admission control sees the lost work
+    // leave, tracked-process gauges stay balanced, and drops/dups land in
     // the same metrics counters the simulator uses.
 
     /// Kill this worker's whole shard: every owned node is torn down as a
@@ -1459,11 +1394,9 @@ impl Machine {
             }
         }
         debug_assert!(self.suspended.is_empty(), "suspension on an unowned node");
-        // Parked '$timer' deadlines hold no gate units; they die silently.
-        // Unharvested wall deadlines likewise: entries already in the wheel
-        // fire into the dead shard and are discarded there.
-        self.deferred_timers.clear();
-        self.pending_wall_timers.clear();
+        // Unharvested deadlines die silently; entries already in the
+        // backend's queue fire into the dead shard and are discarded there.
+        self.armed_deadlines.clear();
         self.metrics.shards_killed += 1;
         if self.config.record_trace {
             let time = self.nodes.iter().map(|n| n.clock).max().unwrap_or(0);
@@ -1497,15 +1430,10 @@ impl Machine {
         // Wakes and reclaims are never dropped: faults model the network's
         // spawn traffic, not the shared store or the service shell's control
         // plane.
-        batch.retain(|event| match event {
-            Routed::Job(job) => {
-                self.settle(&job.item);
-                false
-            }
-            _ => true,
-        });
+        batch.retain(|event| !matches!(event, Routed::Job(_)));
         let dropped = before - batch.len();
         if dropped > 0 {
+            self.gate_sub(dropped as u64);
             self.metrics.msgs_dropped += dropped as u64;
             self.metrics.batches_dropped += 1;
         }
@@ -1521,9 +1449,6 @@ impl Machine {
         let mut dup = Vec::new();
         for event in batch {
             if let Routed::Job(job) = event {
-                if !goal_is_timer(&job.item.goal) {
-                    self.gate_add(1);
-                }
                 dup.push(Routed::Job(Job {
                     item: job.item.clone(),
                     node: job.node,
@@ -1531,6 +1456,7 @@ impl Machine {
             }
         }
         if !dup.is_empty() {
+            self.gate_add(dup.len() as u64);
             self.metrics.msgs_duplicated += dup.len() as u64;
             self.metrics.batches_duplicated += 1;
         }

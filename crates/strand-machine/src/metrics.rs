@@ -98,18 +98,19 @@ pub struct Metrics {
     /// Times a resident worker reached global quiescence and parked instead
     /// of exiting (the idle-vs-terminated distinction, DESIGN.md §9).
     pub idle_parks: u64,
-    /// `after_unless` deadlines registered, on either timer source (virtual
-    /// lazy deadlines and wall-clock wheel entries both count).
+    /// `after_unless` deadlines registered (the simulator's `'$timer'` items
+    /// and the parallel backend's deadline-queue entries both count).
     pub timers_armed: u64,
     /// Timer deadlines that fired: the cancel flag was still unbound when
     /// the deadline ran, so the timeout value was delivered.
     pub timers_fired: u64,
     /// Timer deadlines cancelled before firing: the cancel flag arrived
-    /// first and the deadline evaporated (scheduler filter, wheel prune, or
+    /// first and the deadline evaporated (scheduler filter, queue prune, or
     /// a fired event that found its flag bound).
     pub timers_cancelled: u64,
-    /// Times a parked worker woke because the timer wheel's earliest
-    /// deadline fell due (wall-clock source only).
+    /// Times a parked worker fired the deadline queue's earliest instant:
+    /// a wall deadline fell due on a resident fleet, or a batch fleet's
+    /// clock jumped at quiescence.
     pub wakes_for_deadline: u64,
     /// Real (wall-clock) duration of the run in nanoseconds. Unlike every
     /// virtual-time metric above this depends on the host; backends fill it

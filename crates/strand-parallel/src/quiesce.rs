@@ -16,7 +16,9 @@
 //! while the batch sits unreceived in a channel. The model checker below
 //! explores every interleaving of the protocol for small worker counts and
 //! confirms (a) the correct order never announces early and (b) the broken
-//! order does — i.e. the checker has the power to catch the bug.
+//! order does — i.e. the checker has the power to catch the bug. Further
+//! variants of the model cross the protocol with a chaos-killed worker and
+//! with the deadline wheel under each of its two clocks.
 //!
 //! # Why an in-repo checker and not loom?
 //!
@@ -58,9 +60,11 @@ impl Tokens {
     }
 
     /// A busy worker goes idle, surrendering its token. Returns `true` when
-    /// it surrendered the last token — global quiescence; the caller must
-    /// broadcast stop (including to itself), or in resident mode park and
-    /// leave the machine alive for the next ingress batch.
+    /// it surrendered the last token — global quiescence. The caller hands
+    /// the answer to `park`: on a batch fleet the last releaser fires the
+    /// next deadline instant or, over a dry wheel, broadcasts stop
+    /// (including to itself); in resident mode it parks like everyone else
+    /// and leaves the machine alive for the next ingress batch.
     #[must_use]
     pub fn release(&self) -> bool {
         self.0.fetch_sub(1, Ordering::AcqRel) == 1
@@ -419,12 +423,14 @@ mod model {
         Ok(seen.len())
     }
 
-    /// Worker states for the *timer* variant of the model: busy workers may
-    /// arm wall-clock deadlines into a shared wheel, and a **parked** worker
-    /// may wake for a due deadline — the new transition PR 10's park loop
-    /// adds. Firing is a two-step critical section, mirroring `park` in
+    /// Worker states for the *wall-clock timer* variant of the model: busy
+    /// workers may arm deadlines into the shared wheel, and any **parked**
+    /// worker may wake for a due deadline — `park` on a resident fleet's
+    /// clock. Firing is a two-step critical section, mirroring `park` in
     /// `lib.rs`: mint the busy token, then pop the wheel entry into
-    /// runnable work.
+    /// runnable work. (A resident fleet never announces; "announce" here
+    /// stands for any observer reading zero — `wait_idle`, `is_idle`. The
+    /// batch fleet's clock is [`check_batch_timers`].)
     #[derive(Clone, PartialEq, Eq, Hash)]
     enum T {
         Busy {
@@ -655,6 +661,231 @@ mod model {
         Ok(seen.len())
     }
 
+    /// Worker states for the *batch timer* variant of the model: the wall
+    /// clock of [`check_timers`] replaced by the quiescence clock, crossed
+    /// with [`check_chaos`]'s dead worker. `dead` marks a killed shard: it
+    /// absorbs-and-discards and surrenders tokens like a live one but never
+    /// sends or arms on its own account.
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    enum B {
+        Busy {
+            dead: bool,
+            sends_left: u8,
+            arms_left: u8,
+            mid_send: Option<u8>,
+        },
+        /// In an unbounded `recv`: wakes for a batch, never for the wheel.
+        Parked {
+            dead: bool,
+        },
+        /// Surrendered the last token over a non-empty wheel: the one worker
+        /// entitled to fire. Holds no token yet.
+        Elected {
+            dead: bool,
+        },
+        /// Minted; the wheel entry is still in place.
+        MidFire {
+            dead: bool,
+        },
+        Done,
+    }
+
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    struct BatchState {
+        tokens: u64,
+        wheel: u8,
+        queues: Vec<u8>,
+        workers: Vec<B>,
+        crashed: bool,
+    }
+
+    /// The batch rule: a deadline may fire only at `tokens == 0`, by the
+    /// worker — live or dead — that surrendered the last token; everyone
+    /// else parks unbounded. Invariants:
+    ///
+    /// 1. *No early announce, no early fire* — quiescence is never declared
+    ///    and no deadline is ever fired while a batch is unreceived or a
+    ///    peer is busy, elected or mid-fire.
+    /// 2. *No stuck state* — a pending deadline never strands the run, even
+    ///    when the worker that surrenders the last token over it is dead.
+    ///
+    /// `dead_fires` picks the protocol variant: `true` is the shipped
+    /// `dead_loop` (a dead last-releaser goes through `park` and fires like
+    /// anyone else); `false` seeds the bug where it merely parks — with its
+    /// live peers in an unbounded `recv`, nobody is left to fire, and the
+    /// checker must report the stuck state.
+    fn check_batch_timers(
+        threads: usize,
+        sends_each: u8,
+        arms_each: u8,
+        dead_fires: bool,
+    ) -> Result<usize, String> {
+        let init = BatchState {
+            tokens: threads as u64,
+            wheel: 0,
+            queues: vec![0; threads],
+            workers: vec![
+                B::Busy {
+                    dead: false,
+                    sends_left: sends_each,
+                    arms_left: arms_each,
+                    mid_send: None
+                };
+                threads
+            ],
+            crashed: false,
+        };
+        // "Nothing else can run": no unreceived batch, and no peer of `i`
+        // that holds, or is about to mint, a token.
+        let alone = |s: &BatchState, i: usize| {
+            s.queues.iter().all(|&q| q == 0)
+                && (0..threads).all(|j| j == i || matches!(s.workers[j], B::Parked { .. }))
+        };
+        let mut seen = HashSet::new();
+        let mut stack = vec![init];
+        while let Some(s) = stack.pop() {
+            if !seen.insert(s.clone()) {
+                continue;
+            }
+            let before = stack.len();
+            for i in 0..threads {
+                let mut n = s.clone();
+                match s.workers[i].clone() {
+                    B::Done => continue,
+                    B::Busy {
+                        dead,
+                        sends_left,
+                        arms_left,
+                        mid_send: Some(to),
+                    } => {
+                        n.queues[to as usize] += 1;
+                        n.workers[i] = B::Busy {
+                            dead,
+                            sends_left,
+                            arms_left,
+                            mid_send: None,
+                        };
+                    }
+                    B::Busy {
+                        dead,
+                        sends_left,
+                        arms_left,
+                        mid_send: None,
+                    } => {
+                        // Crash point: remaining sends and arms die with the
+                        // shard; its busy token must still be surrendered.
+                        if !s.crashed && !dead {
+                            let mut n = s.clone();
+                            n.crashed = true;
+                            n.workers[i] = B::Busy {
+                                dead: true,
+                                sends_left: 0,
+                                arms_left: 0,
+                                mid_send: None,
+                            };
+                            stack.push(n);
+                        }
+                        if sends_left > 0 {
+                            for to in (0..threads).filter(|&to| to != i) {
+                                let mut n = s.clone();
+                                n.tokens += 1; // inc BEFORE send
+                                n.workers[i] = B::Busy {
+                                    dead,
+                                    sends_left: sends_left - 1,
+                                    arms_left,
+                                    mid_send: Some(to as u8),
+                                };
+                                stack.push(n);
+                            }
+                        }
+                        if arms_left > 0 {
+                            let mut n = s.clone();
+                            n.wheel += 1;
+                            n.workers[i] = B::Busy {
+                                dead,
+                                sends_left,
+                                arms_left: arms_left - 1,
+                                mid_send: None,
+                            };
+                            stack.push(n);
+                        }
+                        // Absorb (live) or absorb-and-discard (dead).
+                        if s.queues[i] > 0 {
+                            let mut n = s.clone();
+                            n.queues[i] -= 1;
+                            n.tokens -= 1;
+                            stack.push(n);
+                        }
+                        // Surrender the token and park.
+                        n.tokens -= 1;
+                        n.workers[i] = B::Parked { dead };
+                        if n.tokens == 0 && n.wheel == 0 {
+                            if !alone(&n, i) {
+                                return Err(format!(
+                                    "worker {i} announced quiescence with work still live"
+                                ));
+                            }
+                            for w in &mut n.workers {
+                                *w = B::Done;
+                            }
+                        } else if n.tokens == 0 && (!dead || dead_fires) {
+                            n.workers[i] = B::Elected { dead };
+                        }
+                    }
+                    B::Parked { dead } => {
+                        if s.queues[i] == 0 {
+                            continue;
+                        }
+                        // Adopt the batch's token. A live worker's resumed
+                        // work may send once.
+                        n.queues[i] -= 1;
+                        n.workers[i] = B::Busy {
+                            dead,
+                            sends_left: u8::from(!dead),
+                            arms_left: 0,
+                            mid_send: None,
+                        };
+                    }
+                    B::Elected { dead } => {
+                        if s.tokens != 0 || !alone(&s, i) {
+                            return Err(format!(
+                                "worker {i} fired a batch deadline at tokens={}",
+                                s.tokens
+                            ));
+                        }
+                        n.tokens += 1; // mint BEFORE pop
+                        n.workers[i] = B::MidFire { dead };
+                    }
+                    B::MidFire { dead } => {
+                        // Pop one deadline instant. The fired goal is local
+                        // work, or routes to its owner: either way at most
+                        // one send — from a dead shard too, whose own
+                        // entries simply evaporate.
+                        n.wheel -= 1;
+                        n.workers[i] = B::Busy {
+                            dead,
+                            sends_left: 1,
+                            arms_left: 0,
+                            mid_send: None,
+                        };
+                    }
+                }
+                stack.push(n);
+            }
+            // Terminal-state check: nothing pushed ⇒ no transitions.
+            if stack.len() == before && !s.workers.iter().all(|w| matches!(w, B::Done)) {
+                return Err(format!(
+                    "stuck state: tokens={}, wheel={}, {} unreceived batch(es), \
+                     run never terminates",
+                    s.tokens,
+                    s.wheel,
+                    s.queues.iter().map(|&q| q as u64).sum::<u64>(),
+                ));
+            }
+        }
+        Ok(seen.len())
+    }
+
     #[test]
     fn inc_before_send_never_announces_early_2_workers() {
         let states = check(2, 3, true).expect("protocol invariant");
@@ -720,6 +951,30 @@ mod model {
         // bug — otherwise the two passing tests above prove nothing.
         let err = check_timers(2, 1, 1, false).expect_err("pop-before-mint bug must be caught");
         assert!(err.contains("announced quiescence"), "{err}");
+    }
+
+    #[test]
+    fn batch_deadlines_fire_only_at_quiescence_2_workers() {
+        let states = check_batch_timers(2, 2, 2, true).expect("batch timer protocol invariant");
+        assert!(states > 2000, "trivial state space: {states}");
+    }
+
+    #[test]
+    fn batch_deadlines_fire_only_at_quiescence_3_workers() {
+        let states = check_batch_timers(3, 1, 1, true).expect("batch timer protocol invariant");
+        assert!(states > 10_000, "trivial state space: {states}");
+    }
+
+    #[test]
+    fn checker_catches_a_dead_shard_parking_on_a_live_wheel() {
+        // The trap the quiescence clock sets: a chaos-killed shard that
+        // surrenders the LAST token over a non-empty wheel and merely parks.
+        // Its live peers are in an unbounded `recv` — under this clock they
+        // never look at the wheel — so the deadline never fires and the run
+        // never ends. The checker must see that, or the two passing tests
+        // above prove nothing about the dead worker.
+        let err = check_batch_timers(2, 1, 1, false).expect_err("parked dead shard must strand");
+        assert!(err.contains("stuck state"), "{err}");
     }
 
     #[test]

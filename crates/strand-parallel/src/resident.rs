@@ -95,8 +95,8 @@ impl ResidentHandle {
         // Ingress never reduces, so it should never *arm* — but if a caller
         // ever drives a reduction through it, losing the deadline silently
         // would be worse than arming it here.
-        for wt in m.take_wall_timers() {
-            self.fleet.shared.wheel.arm(wt);
+        for deadline in m.take_deadlines() {
+            self.fleet.shared.wheel.arm(deadline);
         }
         drop(m);
         // Counter bumps and store reads enqueue nothing: no buffers to
@@ -131,8 +131,8 @@ impl ResidentHandle {
     /// next plans to wake" beats a fixed hint when the fleet is parked on a
     /// supervision beat.
     pub fn timer_horizon_ms(&self) -> Option<u64> {
-        let due = self.fleet.shared.wheel.next_due_raw()?;
-        Some(due.saturating_sub(self.fleet.shared.wheel.now_ms()).max(1))
+        let wheel = &self.fleet.shared.wheel;
+        Some(wheel.next_due_raw()?.saturating_sub(wheel.now_ms()?).max(1))
     }
 
     /// Bitmask of workers whose shards a
@@ -143,8 +143,8 @@ impl ResidentHandle {
         self.fleet.shared.dead.load(Ordering::Acquire)
     }
 
-    /// Regular (non-timer) work pending anywhere — the backpressure gauge
-    /// admission checks against its budget.
+    /// Work pending anywhere (armed deadlines are not work until they
+    /// fire) — the backpressure gauge admission checks against its budget.
     pub fn pending(&self) -> u64 {
         self.fleet.shared.world.regular_pending()
     }
@@ -284,6 +284,104 @@ mod tests {
         assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
         assert!(report.metrics.makespan >= 500, "cost not charged");
         assert!(report.metrics.suspensions >= 1, "{:?}", report.metrics);
+    }
+
+    /// A resident fleet over `src` (plus a no-op `boot`), drained to idle.
+    fn timer_fleet(src: &str) -> ResidentHandle {
+        let program = parse_program(&format!("boot. {src}")).unwrap();
+        let cfg = MachineConfig::with_nodes(4).parallel(2);
+        let h = ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()).unwrap();
+        assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
+        h
+    }
+
+    /// Poll until `t` is bound (the fleet reads idle while a deadline is
+    /// pending, so `wait_idle` cannot wait for a timeout).
+    fn await_bound(h: &ResidentHandle, t: &Term) -> Term {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let v = h.with_ingress(|m| m.store().resolve(t));
+            if !matches!(v, Term::Var(_)) {
+                return v;
+            }
+            assert!(Instant::now() < deadline, "deadline never fired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn wall_clock_timer_fires_while_fleet_is_parked() {
+        // The deadline lands in the shared wheel; every worker goes idle,
+        // surrenders its token and parks — and the fleet must wake ~30ms
+        // later to fire the timeout. Quiescence alone must neither fire it
+        // nor lose it.
+        let h = timer_fleet("go(V) :- after_unless(C, 30, V).");
+        let vars = inject_goal(&h, 1, "go(V)");
+        assert_eq!(await_bound(&h, &vars["V"]).to_string(), "timeout");
+        let report = h.shutdown().unwrap();
+        assert!(
+            matches!(report.status, strand_machine::RunStatus::Completed),
+            "{:?}",
+            report.status
+        );
+        assert_eq!(report.metrics.timers_armed, 1, "{:?}", report.metrics);
+        assert_eq!(report.metrics.timers_fired, 1, "{:?}", report.metrics);
+        assert!(report.metrics.wakes_for_deadline >= 1);
+    }
+
+    #[test]
+    fn cancelled_wall_timer_neither_fires_nor_hangs_the_run() {
+        // The cancel binds immediately; the hour-long deadline must be
+        // pruned at the park boundary, and shutdown must not sleep on a
+        // dead wheel entry.
+        let h = timer_fleet("go(V) :- after_unless(C, 3600000, V), C := done.");
+        let t0 = Instant::now();
+        let vars = inject_goal(&h, 1, "go(V)");
+        assert!(h.wait_idle(Duration::from_secs(5)), "burst never drained");
+        let v = h.with_ingress(|m| m.store().resolve(&vars["V"]));
+        let report = h.shutdown().unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(60),
+            "run hung on a cancelled deadline"
+        );
+        assert_ne!(v.to_string(), "timeout");
+        assert_eq!(report.metrics.timers_armed, 1);
+        assert_eq!(report.metrics.timers_fired, 0);
+        assert_eq!(report.metrics.timers_cancelled, 1, "{:?}", report.metrics);
+    }
+
+    #[test]
+    fn an_unsupervised_resident_deadline_waits_out_its_wall_time() {
+        // No Supervise, no configuration: a resident fleet's deadlines run
+        // on the wall clock because it is resident. The fleet goes idle the
+        // moment `go` has armed, and again after every `double` burst below;
+        // none of those idle instants may fire the 30-tick deadline — only
+        // 30 ms of wall time may. (The wheel counts whole milliseconds, so
+        // the bound is 29.)
+        let h = timer_fleet(
+            "go(T) :- after_unless(_, 30, T). \
+             double(X, Y) :- Y := X * 2.",
+        );
+        let armed = Instant::now();
+        let vars = inject_goal(&h, 1, "go(T)");
+        for session in 2..6 {
+            inject_goal(&h, session, "double(1, _)");
+            assert!(h.wait_idle(Duration::from_secs(5)), "burst never drained");
+            let t = h.with_ingress(|m| m.store().resolve(&vars["T"]));
+            let early = armed.elapsed() < Duration::from_millis(29);
+            assert!(
+                !early || matches!(t, Term::Var(_)),
+                "fired at an idle instant, {:?} after arming",
+                armed.elapsed()
+            );
+        }
+        assert_eq!(await_bound(&h, &vars["T"]).to_string(), "timeout");
+        assert!(
+            armed.elapsed() >= Duration::from_millis(29),
+            "fired {:?} after arming",
+            armed.elapsed()
+        );
+        h.shutdown().unwrap();
     }
 
     #[test]

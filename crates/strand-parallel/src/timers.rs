@@ -1,90 +1,89 @@
-//! Wall-clock timer wheel for resident fleets.
+//! The fleet's one deadline queue.
 //!
-//! Under `TimerSource::Virtual` an `after_unless` deadline is lazy: it fires
-//! at quiescence, which is exactly the state a *resident* fleet parks in —
-//! the deadline would wait forever for a wake that never comes. This module
-//! gives the parallel backend a real clock: workers harvest
-//! [`WallTimer`]s from their machines after every drain and register them
-//! here; the idle-park arm consults [`TimerWheel::next_due`] before
-//! blocking, parks with `recv_timeout` instead of `recv` when a deadline is
-//! pending, and on timeout pops the due entries and fires them back into
-//! the shard layer as regular gate-counted events (see
-//! `Machine::fire_wall_timer`).
+//! A shard has no global virtual clock to order `after_unless` deadlines
+//! by, so every sharded machine records them as [`Deadline`]s; workers
+//! harvest those after every drain and register them here. The idle-park
+//! arm consults the queue before blocking, and when the queue's clock
+//! reaches an entry, pops it and fires it back into the shard layer as an
+//! ordinary gate-counted event (see `Machine::fire_deadline`). There is one
+//! queue and one protocol; only the **clock** differs, and it follows from
+//! what the fleet is, not from configuration:
 //!
-//! Shape: a hashed wheel — entries land in `slot = (due / granularity) %
-//! slots`, each slot behind its own mutex, so concurrent arming from many
-//! workers rarely collides on a lock. The wheel is consulted only at park
-//! boundaries (never per reduction), so reads scan every slot for the
-//! minimum rather than maintaining a global order; with the tens of live
-//! timers a supervised service holds, the scan is noise next to a park.
+//! - a **resident** fleet reads the wall (1 tick = [`TICK_MS`] ms): a parked
+//!   worker sleeps in `recv_timeout` until the earliest live deadline, so a
+//!   fully parked service still wakes to fire its timeouts;
+//! - a **batch** fleet runs a *quiescence clock*: it has no reading between
+//!   quiescences and jumps to the earliest live deadline exactly when the
+//!   last quiescence token is surrendered. A timeout therefore fires only
+//!   once nothing else can run — the value it guards has had every chance
+//!   to arrive — earliest first, one deadline instant per quiescence, and
+//!   entries are ordered by the arming node's virtual clock plus the wait.
+//!
+//! Shape: one `Mutex<Vec<Entry>>`. The queue is armed about once per
+//! supervised request and consulted only at park boundaries (never per
+//! reduction), and a supervised service holds tens of live entries, so
+//! every read simply scans; the lock-free `len` lets the common empty case
+//! skip the lock altogether.
 //!
 //! Contracts the proptest below pins down:
 //! - **never early**: `pop_due(now)` returns only entries with `due <= now`;
-//! - **exactly once**: an entry is removed under its slot lock, so racing
-//!   wakers never fire the same deadline twice;
+//! - **exactly once**: an entry is removed under the lock, so racing wakers
+//!   never fire the same deadline twice;
 //! - **cancellation**: entries whose unless-var is bound are pruned, not
 //!   fired, whether the bind lands before `next_due` or between it and
 //!   `pop_due`;
 //! - **earliest wake**: `next_due` after pruning is exactly the minimum due
 //!   time over live entries — what a fully parked fleet sleeps until.
 //!
-//! Granularity caveat: deadlines are millisecond-resolution (1 virtual tick
-//! = [`TICK_MS`] ms) and the wheel promises *not early, possibly late* — a
-//! fire can slip by scheduler latency plus the time a woken worker takes to
-//! reach its park boundary. Equal deadlines fire in arm order (`seq`
-//! breaks ties), which keeps replays stable but is an ordering between
+//! Granularity caveat: wall deadlines are millisecond-resolution and the
+//! queue promises *not early, possibly late* — a fire can slip by scheduler
+//! latency plus the time a woken worker takes to reach its park boundary.
+//! Equal deadlines fire in arm order (the vector keeps it and the pop's
+//! sort is stable), which keeps replays stable but is an ordering between
 //! *timers* only; no ordering is promised against regular work.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use strand_core::Term;
-use strand_machine::WallTimer;
+use strand_machine::Deadline;
 
-/// Wall milliseconds per virtual tick: `after_unless(C, 500, T)` under
-/// `TimerSource::WallClock` is a 500 ms deadline.
+/// Wall milliseconds per tick on a resident fleet: `after_unless(C, 500, T)`
+/// there is a 500 ms deadline.
 pub(crate) const TICK_MS: u64 = 1;
 
-/// Slot count; a power of two so the hash is a mask-friendly modulo.
-const SLOTS: usize = 64;
-
-/// Slot width in milliseconds. Only placement hashes through this —
-/// every entry keeps its exact due time, so granularity affects lock
-/// spread, not firing precision.
-const GRANULARITY_MS: u64 = 16;
-
 struct Entry {
-    /// Absolute due time, in ms since the wheel's epoch.
-    due_ms: u64,
-    /// Arm-order tiebreak for equal deadlines.
-    seq: u64,
-    timer: WallTimer,
+    /// Absolute due time on the queue's clock.
+    due: u64,
+    deadline: Deadline,
 }
 
-/// The shared wheel; one per parallel run, hanging off `Shared`.
+/// The shared queue; one per parallel run, hanging off `Shared`.
 pub(crate) struct TimerWheel {
-    slots: Vec<Mutex<Vec<Entry>>>,
-    /// Live entry count (including not-yet-pruned cancelled entries); lets
-    /// the park arm skip all locks on the common empty wheel.
+    /// In arm order.
+    entries: Mutex<Vec<Entry>>,
+    /// Entry count (including not-yet-pruned cancelled entries), published
+    /// under the lock; lets the park arm skip the lock on the common empty
+    /// queue.
     len: AtomicUsize,
-    seq: AtomicU64,
-    epoch: Instant,
+    /// The wall clock's epoch on a resident fleet; `None` on a batch fleet,
+    /// whose quiescence clock has no reading of its own.
+    epoch: Option<Instant>,
 }
 
 impl TimerWheel {
-    pub fn new() -> TimerWheel {
+    pub fn new(resident: bool) -> TimerWheel {
         TimerWheel {
-            slots: (0..SLOTS).map(|_| Mutex::new(Vec::new())).collect(),
+            entries: Mutex::new(Vec::new()),
             len: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
-            epoch: Instant::now(),
+            epoch: resident.then(Instant::now),
         }
     }
 
-    /// Milliseconds since the wheel's epoch — the `now` every method below
-    /// speaks in.
-    pub fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
+    /// Milliseconds since the wall clock's epoch; `None` on the quiescence
+    /// clock, which is wherever the earliest live deadline is.
+    pub fn now_ms(&self) -> Option<u64> {
+        self.epoch.map(|e| e.elapsed().as_millis() as u64)
     }
 
     /// True when no entries (live or cancelled-but-unpruned) exist.
@@ -92,48 +91,43 @@ impl TimerWheel {
         self.len.load(Ordering::SeqCst) == 0
     }
 
-    /// Register a harvested deadline: due `wait` ticks from now.
-    pub fn arm(&self, timer: WallTimer) {
-        let due = self.now_ms() + timer.wait * TICK_MS;
-        self.arm_at(due, timer);
+    /// Run `f` over the entries under the lock, then publish the new count.
+    fn locked<R>(&self, f: impl FnOnce(&mut Vec<Entry>) -> R) -> R {
+        let mut entries = self.entries.lock();
+        let out = f(&mut entries);
+        self.len.store(entries.len(), Ordering::SeqCst);
+        out
     }
 
-    /// Register a deadline at an absolute due time (tests drive virtual
-    /// clocks through this).
-    pub fn arm_at(&self, due_ms: u64, timer: WallTimer) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let slot = ((due_ms / GRANULARITY_MS) as usize) % SLOTS;
-        self.slots[slot].lock().push(Entry { due_ms, seq, timer });
-        self.len.fetch_add(1, Ordering::SeqCst);
+    /// Register a harvested deadline: `wait` ticks from now on the wall
+    /// clock, at the arming node's virtual instant on the quiescence clock.
+    pub fn arm(&self, deadline: Deadline) {
+        let due = match self.now_ms() {
+            Some(now) => now + deadline.wait * TICK_MS,
+            None => deadline.due,
+        };
+        self.arm_at(due, deadline);
+    }
+
+    /// Register a deadline at an absolute due time (tests drive the clock
+    /// through this).
+    pub fn arm_at(&self, due: u64, deadline: Deadline) {
+        self.locked(|entries| entries.push(Entry { due, deadline }));
     }
 
     /// Earliest live deadline, pruning cancelled entries on the way.
-    /// Returns `(next_due_ms, cancelled_pruned)`; `None` means the wheel
-    /// holds nothing worth waking for and the caller may park unbounded.
+    /// Returns `(next_due, cancelled_pruned)`; `None` means the queue holds
+    /// nothing worth waking for.
     pub fn next_due(&self, is_cancelled: impl Fn(&Term) -> bool) -> (Option<u64>, u64) {
         if self.is_empty() {
             return (None, 0);
         }
-        let mut min: Option<u64> = None;
-        let mut pruned = 0u64;
-        for slot in &self.slots {
-            let mut entries = slot.lock();
-            entries.retain(|e| {
-                if is_cancelled(&e.timer.cancel) {
-                    pruned += 1;
-                    false
-                } else {
-                    if min.is_none_or(|m| e.due_ms < m) {
-                        min = Some(e.due_ms);
-                    }
-                    true
-                }
-            });
-        }
-        if pruned > 0 {
-            self.len.fetch_sub(pruned as usize, Ordering::SeqCst);
-        }
-        (min, pruned)
+        self.locked(|entries| {
+            let before = entries.len();
+            entries.retain(|e| !is_cancelled(&e.deadline.cancel));
+            let min = entries.iter().map(|e| e.due).min();
+            (min, (before - entries.len()) as u64)
+        })
     }
 
     /// Earliest deadline without pruning or cancellation checks — an upper
@@ -143,52 +137,33 @@ impl TimerWheel {
         if self.is_empty() {
             return None;
         }
-        let mut min: Option<u64> = None;
-        for slot in &self.slots {
-            for e in slot.lock().iter() {
-                if min.is_none_or(|m| e.due_ms < m) {
-                    min = Some(e.due_ms);
-                }
-            }
-        }
-        min
+        self.entries.lock().iter().map(|e| e.due).min()
     }
 
-    /// Remove and return every live entry due at or before `now_ms`, in
+    /// Remove and return every live entry due at or before `now`, in
     /// (due, arm-order) order; cancelled entries encountered on the way are
-    /// pruned. Removal happens under the slot lock, so when several parked
+    /// pruned. Removal happens under the lock, so when several parked
     /// workers wake for the same deadline, exactly one pops each entry.
-    /// Returns `(due_timers, cancelled_pruned)`.
-    pub fn pop_due(
-        &self,
-        now_ms: u64,
-        is_cancelled: impl Fn(&Term) -> bool,
-    ) -> (Vec<WallTimer>, u64) {
+    /// Returns `(due_deadlines, cancelled_pruned)`.
+    pub fn pop_due(&self, now: u64, is_cancelled: impl Fn(&Term) -> bool) -> (Vec<Deadline>, u64) {
         if self.is_empty() {
             return (Vec::new(), 0);
         }
-        let mut fired: Vec<(u64, u64, WallTimer)> = Vec::new();
-        let mut pruned = 0u64;
-        for slot in &self.slots {
-            let mut entries = slot.lock();
-            entries.retain_mut(|e| {
-                if is_cancelled(&e.timer.cancel) {
+        self.locked(|entries| {
+            let mut fired: Vec<Entry> = Vec::new();
+            let mut pruned = 0u64;
+            for e in std::mem::take(entries) {
+                if is_cancelled(&e.deadline.cancel) {
                     pruned += 1;
-                    false
-                } else if e.due_ms <= now_ms {
-                    fired.push((e.due_ms, e.seq, e.timer.clone()));
-                    false
+                } else if e.due <= now {
+                    fired.push(e);
                 } else {
-                    true
+                    entries.push(e);
                 }
-            });
-        }
-        let removed = fired.len() + pruned as usize;
-        if removed > 0 {
-            self.len.fetch_sub(removed, Ordering::SeqCst);
-        }
-        fired.sort_by_key(|(due, seq, _)| (*due, *seq));
-        (fired.into_iter().map(|(_, _, t)| t).collect(), pruned)
+            }
+            fired.sort_by_key(|e| e.due);
+            (fired.into_iter().map(|e| e.deadline).collect(), pruned)
+        })
     }
 
     /// Drop every entry armed under `region` (its session closed; firing
@@ -198,17 +173,11 @@ impl TimerWheel {
         if region == 0 || self.is_empty() {
             return 0;
         }
-        let mut purged = 0usize;
-        for slot in &self.slots {
-            let mut entries = slot.lock();
+        self.locked(|entries| {
             let before = entries.len();
-            entries.retain(|e| e.timer.region != region);
-            purged += before - entries.len();
-        }
-        if purged > 0 {
-            self.len.fetch_sub(purged, Ordering::SeqCst);
-        }
-        purged
+            entries.retain(|e| e.deadline.region != region);
+            before - entries.len()
+        })
     }
 }
 
@@ -221,10 +190,11 @@ mod tests {
 
     /// Test entries key their cancel flag with an integer term, so a plain
     /// set stands in for "the unless-var is bound" without a store.
-    fn entry(key: i64, region: u32) -> WallTimer {
-        WallTimer {
+    fn entry(key: i64, region: u32) -> Deadline {
+        Deadline {
             node: NodeId(0),
             wait: 0,
+            due: 0,
             cancel: Term::int(key),
             timeout: Term::atom("t"),
             region,
@@ -244,7 +214,7 @@ mod tests {
 
     #[test]
     fn empty_wheel_answers_without_locking() {
-        let w = TimerWheel::new();
+        let w = TimerWheel::new(true);
         assert!(w.is_empty());
         assert_eq!(w.next_due(never), (None, 0));
         assert_eq!(w.next_due_raw(), None);
@@ -252,9 +222,29 @@ mod tests {
     }
 
     #[test]
-    fn next_due_is_the_minimum_across_slots() {
-        let w = TimerWheel::new();
-        // Spread across distinct slots (and one same-slot collision).
+    fn the_clock_follows_the_fleet() {
+        let timer = |wait, due| Deadline {
+            wait,
+            due,
+            ..entry(0, 0)
+        };
+        // Batch: no reading of its own; an entry is due at the arming
+        // node's virtual instant, whatever the wall says.
+        let batch = TimerWheel::new(false);
+        assert_eq!(batch.now_ms(), None);
+        batch.arm(timer(30, 1_000));
+        assert_eq!(batch.next_due(never).0, Some(1_000));
+        // Resident: `wait` ticks from the wall's now.
+        let resident = TimerWheel::new(true);
+        let before = resident.now_ms().unwrap();
+        resident.arm(timer(30, 1_000));
+        let due = resident.next_due(never).0.unwrap();
+        assert!((before + 30..=resident.now_ms().unwrap() + 30).contains(&due));
+    }
+
+    #[test]
+    fn next_due_is_the_minimum_over_entries() {
+        let w = TimerWheel::new(true);
         for (i, due) in [500u64, 40, 41, 1_000_000, 80].into_iter().enumerate() {
             w.arm_at(due, entry(i as i64, 0));
         }
@@ -264,7 +254,7 @@ mod tests {
 
     #[test]
     fn pop_due_fires_in_deadline_then_arm_order_and_never_early() {
-        let w = TimerWheel::new();
+        let w = TimerWheel::new(true);
         w.arm_at(30, entry(0, 0));
         w.arm_at(10, entry(1, 0));
         w.arm_at(10, entry(2, 0));
@@ -284,7 +274,7 @@ mod tests {
 
     #[test]
     fn cancelled_entries_prune_instead_of_firing() {
-        let w = TimerWheel::new();
+        let w = TimerWheel::new(true);
         w.arm_at(10, entry(0, 0));
         w.arm_at(20, entry(1, 0));
         let cancelled = |t: &Term| key_of(t) == 0;
@@ -299,7 +289,7 @@ mod tests {
 
     #[test]
     fn purge_region_drops_a_sessions_entries_only() {
-        let w = TimerWheel::new();
+        let w = TimerWheel::new(true);
         w.arm_at(10, entry(0, 7));
         w.arm_at(20, entry(1, 0));
         w.arm_at(30, entry(2, 7));
@@ -321,7 +311,7 @@ mod tests {
             cancel_mask in proptest::collection::vec(0u8..4, 1..40),
             step in 1u64..37,
         ) {
-            let w = TimerWheel::new();
+            let w = TimerWheel::new(true);
             let mut cancelled: HashSet<i64> = HashSet::new();
             for (i, due) in dues.iter().enumerate() {
                 w.arm_at(*due, entry(i as i64, 0));

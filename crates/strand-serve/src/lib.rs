@@ -17,10 +17,15 @@
 //!   behind are tagged with it and swept when the connection closes, so
 //!   store growth is bounded by the *live* sessions, not the total ever
 //!   served.
-//! * **Backpressure, not queues.** Admission checks the engine's regular
-//!   work gauge (the same shared gate the lazy-timer rule reads); past the
-//!   configured high-water mark clients get `BUSY <retry-ms>` instead of
-//!   unbounded queueing.
+//! * **Backpressure, not queues.** Admission checks the engine's work
+//!   gauge (the shards' shared in-flight gate, of which it is the only
+//!   reader); past the configured high-water mark clients get
+//!   `BUSY <retry-ms>` instead of unbounded queueing.
+//! * **Deadlines on the wall.** A resident fleet's `after_unless` deadlines
+//!   sit in the same deadline queue a batch run uses; because the fleet is
+//!   resident the queue's clock is the wall (1 tick = 1 ms), so a parked
+//!   service still wakes for its supervision heartbeats. Nothing here
+//!   configures that.
 //!
 //! ## Wire protocol
 //!
@@ -118,8 +123,9 @@ pub struct ServeConfig {
     /// Run the application under `Supervise ∘ Server` instead of plain
     /// `Server`: acked, retried delivery plus heartbeat monitors that
     /// restart a dead server's loop on a surviving node. Requires the
-    /// parallel backend — supervision timers are wall-clock
-    /// (`TimerSource::WallClock`), which the simulator cannot honour.
+    /// parallel backend — supervision timing needs the resident fleet's
+    /// wall clock, and the simulator's virtual clock only advances while a
+    /// burst is reducing.
     pub supervise: bool,
     /// Wall-clock fault plan injected into the resident fleet (shard
     /// kills, batch drop/dup). Only meaningful with `supervise`: an
@@ -342,13 +348,6 @@ impl MotifService {
         // A bad request must not tear the service down mid-session:
         // handler errors are collected, the client times out instead.
         mcfg.fail_fast = false;
-        if cfg.supervise {
-            // Supervision timing (heartbeats, watch windows, retransmit
-            // backoff) must run on real time: a resident fleet parks at
-            // quiescence, which under the lazy virtual rule is exactly
-            // when deadlines would wait forever. 1 tick = 1 ms.
-            mcfg = mcfg.wall_clock_timers();
-        }
         mcfg.chaos = cfg.chaos.clone();
         let boot_goal = format!("serve_boot({}, DT)", cfg.servers);
         let (engine, dt) = match cfg.backend {

@@ -7,8 +7,6 @@
 //!     [--trace] [--stats] [--backend sim|parallel] [--threads N] \
 //!     [--exec compiled|interpreted] \
 //!     [--chaos seed=N,kill=shard@reductions,drop=p,dup=p,slow=shard:us]
-//! cargo run --example run_strand -- [app.str] [servers] --serve HOST:PORT \
-//!     [--backend sim|parallel] [--threads N] [--stats]
 //! # e.g.
 //! echo 'double(X, Y) :- Y := X * 2.' > /tmp/d.str
 //! cargo run --example run_strand -- /tmp/d.str 'double(21, V)'
@@ -18,12 +16,6 @@
 //! # rule-level statistics from the reference interpreter:
 //! cargo run --example run_strand -- /tmp/d.str 'double(21, V)' \
 //!     --exec interpreted --stats
-//! # keep a server/1 application resident and answer TCP clients
-//! # (ctrl-c drains and prints the serve summary; see DESIGN.md §9):
-//! echo 'server([]). server([halt|_]).
-//!       server([req(Q, R)|In]) :- R := Q * 2, server(In).' > /tmp/s.str
-//! cargo run --example run_strand -- /tmp/s.str --serve 127.0.0.1:7464 \
-//!     --backend parallel --threads 2
 //! ```
 //!
 //! With no arguments it runs a built-in demo (the paper's Figure 1).
@@ -61,97 +53,6 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(v)
 }
 
-/// Set on SIGINT in `--serve` mode; installed over `signal(2)` directly so
-/// the example needs no extra dependency (the handler is a lone atomic
-/// store, which is async-signal-safe).
-static SHUTDOWN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-extern "C" fn on_sigint(_sig: i32) {
-    SHUTDOWN.store(true, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// `--serve HOST:PORT`: keep the program resident (DESIGN.md §9) and
-/// answer TCP clients until SIGINT, then drain and print the summary.
-fn run_serve(addr: &str, app: &str, servers: u32, backend: &str, threads: u32, stats: bool) -> ! {
-    use algorithmic_motifs::strand_serve::{serve, MotifService, ServeBackend, ServeConfig};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let serve_backend = if backend == "parallel" {
-        algorithmic_motifs::strand_parallel::install();
-        ServeBackend::Parallel(threads)
-    } else {
-        ServeBackend::Sim
-    };
-    let cfg = ServeConfig {
-        servers,
-        backend: serve_backend,
-        ..ServeConfig::default()
-    };
-    let service = match MotifService::start(app, cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("--serve: boot failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let listener = match std::net::TcpListener::bind(addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("--serve: cannot bind {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    const SIGINT: i32 = 2;
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    let handler = on_sigint as extern "C" fn(i32) as usize;
-    unsafe {
-        signal(SIGINT, handler);
-    }
-    eprintln!(
-        "serving {servers} servers on {} worker thread(s) at {addr} (ctrl-c to stop)",
-        service.threads()
-    );
-    let shutdown: Arc<AtomicBool> = Arc::new(AtomicBool::new(false));
-    {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || loop {
-            if SHUTDOWN.load(Ordering::SeqCst) {
-                shutdown.store(true, Ordering::Release);
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        });
-    }
-    match serve(listener, service, shutdown, Duration::from_secs(10)) {
-        Ok(summary) => {
-            let m = &summary.report.metrics;
-            println!(
-                "\nsessions: {}/{} (opened/closed) | requests: {} admitted, {} rejected\n\
-                 vars reclaimed: {} | idle parks: {} | reductions: {}",
-                m.sessions_opened,
-                m.sessions_closed,
-                m.requests_admitted,
-                m.requests_rejected,
-                m.vars_reclaimed,
-                m.idle_parks,
-                m.total_reductions,
-            );
-            if stats {
-                println!("{m:#?}");
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("--serve: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let trace = args.iter().any(|a| a == "--trace");
@@ -164,7 +65,6 @@ fn main() {
         .unwrap_or(0);
     let exec_arg = take_flag_value(&mut args, "--exec").unwrap_or_else(|| "compiled".to_string());
     let chaos = take_flag_value(&mut args, "--chaos").map(|spec| parse_chaos(&spec));
-    let serve_addr = take_flag_value(&mut args, "--serve");
     if chaos.is_some() && backend != "parallel" {
         eprintln!("--chaos injects wall-clock faults; it requires --backend parallel");
         std::process::exit(2);
@@ -172,29 +72,6 @@ fn main() {
     if !matches!(backend.as_str(), "sim" | "parallel") {
         eprintln!("--backend must be `sim` (deterministic) or `parallel`, got `{backend}`");
         std::process::exit(2);
-    }
-    if let Some(addr) = serve_addr {
-        // Resident service mode: the positional args are [app-file]
-        // [servers]; the app supplies server/1 rules, the goal comes from
-        // the network. Chaos assumes a run that ends — the resident engine
-        // rejects it, so refuse it coherently here too.
-        if chaos.is_some() {
-            eprintln!("--chaos assumes a run that terminates; it cannot combine with --serve");
-            std::process::exit(2);
-        }
-        let (app, label) = match args.first() {
-            Some(file) => (
-                std::fs::read_to_string(file).unwrap_or_else(|e| panic!("cannot read {file}: {e}")),
-                file.clone(),
-            ),
-            None => (
-                algorithmic_motifs::strand_serve::DOUBLER_APP.to_string(),
-                "<built-in doubler>".to_string(),
-            ),
-        };
-        let servers: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
-        println!("program: {label}\nserve:   {addr}\nservers: {servers}\nbackend: {backend}\n");
-        run_serve(&addr, &app, servers, &backend, threads, stats);
     }
     let exec = match exec_arg.as_str() {
         "compiled" => ExecMode::Compiled,
@@ -222,9 +99,7 @@ fn main() {
                 "usage: run_strand <file> <goal> [nodes] [seed] \
                  [--trace] [--stats] [--backend sim|parallel] [--threads N] \
                  [--exec compiled|interpreted] \
-                 [--chaos seed=N,kill=shard@reductions,drop=p,dup=p,slow=shard:us]\n\
-                 \x20      run_strand [app.str] [servers] --serve HOST:PORT \
-                 [--backend sim|parallel] [--threads N] [--stats]"
+                 [--chaos seed=N,kill=shard@reductions,drop=p,dup=p,slow=shard:us]"
             );
             std::process::exit(2);
         }
