@@ -6,41 +6,7 @@
 //! [path] [--quick] [--require-cores]` records one series; the path
 //! defaults to a file under `out/`, which is gitignored.
 
-use bench::series::{self, Series};
-
-/// A series' measurement function; `true` = the small CI smoke configuration.
-type Measure = fn(bool) -> Series;
-
-/// The recordable series: verb, default output path, measurement function.
-const RECORDERS: &[(&str, &str, Measure)] = &[
-    // B-series: wall-clock speedup of the multi-threaded backend over the
-    // simulator, 1/2/4/8 threads (quick: small workloads, 1/2 threads).
-    (
-        "parallel-json",
-        "out/BENCH_parallel.json",
-        bench::b1_parallel,
-    ),
-    // Interpreted vs compiled rule execution on the same scheduler.
-    (
-        "compiled-json",
-        "out/BENCH_compiled.json",
-        bench::b2_compiled,
-    ),
-    // The supervised ring under the parallel backend's wall-clock fault
-    // injection (shard kill, batch drop/duplication).
-    ("chaos-json", "out/BENCH_chaos.json", bench::b3_chaos),
-    // C-series: the resident service under concurrent TCP load, top burst
-    // 1000 clients.
-    ("serve-json", "out/BENCH_serve.json", bench::c1_serve),
-    // The same bursts through Supervise ∘ Server (acked sends, wall-clock
-    // heartbeat and watch deadlines); its own file so the plain baseline
-    // stays comparable.
-    (
-        "serve-supervised-json",
-        "out/BENCH_serve_supervised.json",
-        bench::c1_serve_supervised,
-    ),
-];
+use bench::{series, Measure, RECORDERS};
 
 /// Record one series: `[path] [--quick] [--require-cores]`.
 fn record(default_path: &str, run: Measure, args: &[String]) {

@@ -1,10 +1,10 @@
-//! The `motif-bench chaos-json` mode: wall-clock fault-injection tracking.
+//! The `motif-bench chaos-json` mode: fault injection on real threads.
 //!
-//! The A-series fault sweep measures *virtual-time* faults on the
-//! deterministic simulator; this series measures the same supervised ring
-//! under the parallel backend's *wall-clock* chaos layer (`ChaosPlan`):
-//! real worker threads, a shard killed mid-run, spawn batches dropped and
-//! duplicated at the outbox. Two questions per scenario:
+//! The A-series fault sweep drives a `FaultPlan` through the deterministic
+//! simulator; this series hands the same vocabulary to the parallel
+//! backend and measures the same supervised ring on real worker threads:
+//! two nodes crashed mid-run, cross-node deliveries dropped and duplicated
+//! by the per-delivery dice. Two questions per scenario:
 //!
 //! * **delivery rate** — distinct tokens printed over tokens expected.
 //!   The Supervise contract promises at-least-once delivery, so the rate
@@ -14,22 +14,23 @@
 //!   (failed bootstraps, monitor restarts, replayed wires), so the reduction
 //!   ratio is the wall-clock-noise-free proxy for recovery latency.
 //!
-//! Scenarios: `clean` (calibration), `drop-dup` (10% batch drop + 5%
-//! duplication), `kill` (one of two-plus worker shards killed a third of
-//! the way in), and `kill-drop-dup` (all three at once — the chaos
-//! conformance mix). `motif-bench chaos-json` records the rows
+//! Scenarios: `clean` (calibration), `drop-dup` (10% delivery drop + 5%
+//! duplication), `crash` (nodes 2 and 4 crashed a third of the way in,
+//! whatever worker hosts them), and `crash-drop-dup` (all three at once —
+//! the chaos conformance mix). `motif-bench chaos-json` records the rows
 //! (`out/BENCH_chaos.json`); the committed `BENCH_chaos.json` snapshot at
 //! the repo root is a full recording.
 //!
 //! Per row: `overhead` is reductions over a clean calibration run's
 //! reductions at this thread count — the recovery-latency proxy;
 //! `delivered` counts distinct tokens printed and `expected` is the ring
-//! size.
+//! size; `nodes_crashed` / `msgs_dropped` / `msgs_duplicated` say how much
+//! the plan actually injected.
 
 use crate::series::Series;
 use motifs::supervised_random;
 use std::time::Instant;
-use strand_machine::{run_parsed_goal, ChaosPlan, MachineConfig, RunReport};
+use strand_machine::{run_parsed_goal, FaultPlan, MachineConfig, RunReport};
 use strand_parse::Program;
 
 const RING: u32 = 8;
@@ -75,30 +76,17 @@ pub fn b3_chaos(quick: bool) -> Series {
         let clean_cfg = base_cfg().parallel(threads);
         let (_, calib) = run_once(&program, &goal, clean_cfg.clone());
         let clean_red = calib.metrics.total_reductions.max(1);
-        let kill_at = (clean_red / 3).max(1);
-        let cells: Vec<(&str, Option<ChaosPlan>)> = vec![
-            ("clean", None),
-            (
-                "drop-dup",
-                Some(ChaosPlan::default().drop_prob(0.10).dup_prob(0.05).seed(61)),
-            ),
-            ("kill", Some(ChaosPlan::default().kill(1, kill_at).seed(61))),
-            (
-                "kill-drop-dup",
-                Some(
-                    ChaosPlan::default()
-                        .kill(1, kill_at)
-                        .drop_prob(0.10)
-                        .dup_prob(0.05)
-                        .seed(61),
-                ),
-            ),
+        let crash_at = (clean_red / 3).max(1);
+        let lossy = FaultPlan::default().drop_prob(0.10).dup_prob(0.05).seed(61);
+        let crash = |plan: FaultPlan| plan.crash(2, crash_at).crash(4, crash_at);
+        let cells = [
+            ("clean", FaultPlan::default()),
+            ("drop-dup", lossy.clone()),
+            ("crash", crash(FaultPlan::default().seed(61))),
+            ("crash-drop-dup", crash(lossy)),
         ];
         for (name, plan) in cells {
-            let cfg = match &plan {
-                Some(p) => clean_cfg.clone().chaos(p.clone()),
-                None => clean_cfg.clone(),
-            };
+            let cfg = clean_cfg.clone().faults(plan);
             let mut best: Option<(u64, RunReport)> = None;
             for _ in 0..samples {
                 let (ns, report) = run_once(&program, &goal, cfg.clone());
@@ -120,9 +108,9 @@ pub fn b3_chaos(quick: bool) -> Series {
                 ("delivered", distinct_tokens(&report).into()),
                 ("expected", RING.into()),
                 ("restarts", m.supervisor_restarts.into()),
-                ("shards_killed", m.shards_killed.into()),
-                ("batches_dropped", m.batches_dropped.into()),
-                ("batches_duplicated", m.batches_duplicated.into()),
+                ("nodes_crashed", m.nodes_crashed.into()),
+                ("msgs_dropped", m.msgs_dropped.into()),
+                ("msgs_duplicated", m.msgs_duplicated.into()),
             ]);
         }
     }
@@ -137,10 +125,10 @@ mod tests {
     fn committed_snapshot_parses_and_meets_targets() {
         // The repo-root BENCH_chaos.json is a recorded artifact: it must
         // parse and must still show the robustness targets — full delivery
-        // under every fault mix, the kill actually landing, and recovery
+        // under every fault mix, the crashes actually landing, and recovery
         // overhead within an order of magnitude of clean.
         let s = series::committed("chaos").expect("committed snapshot");
-        for scenario in ["clean", "drop-dup", "kill", "kill-drop-dup"] {
+        for scenario in ["clean", "drop-dup", "crash", "crash-drop-dup"] {
             assert!(
                 s.points.iter().any(|p| p.text("scenario") == scenario),
                 "snapshot missing scenario {scenario}"
@@ -153,11 +141,11 @@ mod tests {
                 p.int("expected"),
                 "{scenario} at {threads} threads lost tokens"
             );
-            if scenario.contains("kill") {
+            if scenario.contains("crash") {
                 assert_eq!(
-                    p.int("shards_killed"),
-                    1,
-                    "{scenario} at {threads} threads: the kill must land"
+                    p.int("nodes_crashed"),
+                    2,
+                    "{scenario} at {threads} threads: both crashes must land"
                 );
             }
             assert!(

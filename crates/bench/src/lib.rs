@@ -27,3 +27,30 @@ pub use experiments::*;
 pub use parallel_bench::b1_parallel;
 pub use serve_bench::{c1_serve, c1_serve_supervised};
 pub use table::Table;
+
+/// A series' measurement function; `true` = the small CI smoke configuration.
+pub type Measure = fn(bool) -> series::Series;
+
+/// The series `motif-bench` records: verb, default output path,
+/// measurement function.
+pub const RECORDERS: &[(&str, &str, Measure)] = &[
+    // B-series: wall-clock speedup of the multi-threaded backend over the
+    // simulator, 1/2/4/8 threads (quick: small workloads, 1/2 threads).
+    ("parallel-json", "out/BENCH_parallel.json", b1_parallel),
+    // Interpreted vs compiled rule execution on the same scheduler.
+    ("compiled-json", "out/BENCH_compiled.json", b2_compiled),
+    // The supervised ring under a fault plan on real threads (two nodes
+    // crashed, per-delivery drop/duplication).
+    ("chaos-json", "out/BENCH_chaos.json", b3_chaos),
+    // C-series: the resident service under concurrent TCP load, top burst
+    // 1000 clients.
+    ("serve-json", "out/BENCH_serve.json", c1_serve),
+    // The same bursts through Supervise ∘ Server (acked sends, wall-clock
+    // heartbeat and watch deadlines); its own file so the plain baseline
+    // stays comparable.
+    (
+        "serve-supervised-json",
+        "out/BENCH_serve_supervised.json",
+        c1_serve_supervised,
+    ),
+];

@@ -299,7 +299,7 @@ mod tests {
             ("overhead", 1.0.into()),
         ]);
         s.push([
-            ("scenario", "kill-drop-dup".into()),
+            ("scenario", "crash-drop-dup".into()),
             ("threads", 8u32.into()),
             ("wall_ns", 42u64.into()),
             ("overhead", 4.6667.into()),
@@ -321,7 +321,7 @@ mod tests {
             assert_eq!(parsed, s);
             assert_eq!(render(&parsed), json);
             let p = &parsed.points[1];
-            assert_eq!(p.text("scenario"), "kill-drop-dup");
+            assert_eq!(p.text("scenario"), "crash-drop-dup");
             assert_eq!(p.int("threads"), 8);
             assert_eq!(parsed.points[0].int("wall_ns"), u64::MAX);
             assert_eq!(p.real("overhead"), 4.6667);

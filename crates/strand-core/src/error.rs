@@ -33,15 +33,6 @@ pub enum StrandError {
     BadBuiltin { builtin: String, detail: String },
     /// Reduction budget exhausted (runaway program guard).
     BudgetExhausted { reductions: u64 },
-    /// A fault-injection plan was handed to an engine that cannot honor it
-    /// (virtual-time `FaultPlan` on the parallel backend, wall-clock
-    /// `ChaosPlan` on the simulator). `hint` names the plan type that the
-    /// rejecting backend *does* support.
-    UnsupportedFaultPlan {
-        backend: String,
-        plan: String,
-        hint: String,
-    },
     /// Parse or transformation error carried through to the caller.
     Other(String),
 }
@@ -89,14 +80,6 @@ impl fmt::Display for StrandError {
                     "reduction budget exhausted after {reductions} reductions"
                 )
             }
-            StrandError::UnsupportedFaultPlan {
-                backend,
-                plan,
-                hint,
-            } => write!(
-                f,
-                "the {backend} backend does not support {plan} fault injection; {hint}"
-            ),
             StrandError::Other(msg) => write!(f, "{msg}"),
         }
     }
@@ -123,19 +106,6 @@ mod tests {
         };
         assert!(e.to_string().contains("double assignment"));
         assert!(e.to_string().contains("_3"));
-    }
-
-    #[test]
-    fn unsupported_fault_plan_names_backend_and_hint() {
-        let e = StrandError::UnsupportedFaultPlan {
-            backend: "parallel".into(),
-            plan: "virtual-time (FaultPlan)".into(),
-            hint: "use MachineConfig::chaos (ChaosPlan) for wall-clock faults".into(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("parallel backend"));
-        assert!(s.contains("fault"));
-        assert!(s.contains("ChaosPlan"));
     }
 
     #[test]

@@ -214,20 +214,6 @@ impl Term {
             }
         }
     }
-
-    /// Approximate heap size of the term in bytes, used by the memory
-    /// experiments (E2) to gauge queued intermediate values.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            Term::Var(_) | Term::Int(_) | Term::Float(_) | Term::Nil | Term::Port(_) => 16,
-            Term::Atom(a) => 16 + a.as_str().len(),
-            Term::Str(s) => 16 + s.len(),
-            Term::Tuple(f, args) => {
-                16 + f.as_str().len() + args.iter().map(Term::approx_bytes).sum::<usize>()
-            }
-            Term::List(cell) => 16 + cell.0.approx_bytes() + cell.1.approx_bytes(),
-        }
-    }
 }
 
 impl fmt::Display for Term {
@@ -350,13 +336,6 @@ mod tests {
         assert!(Term::cons(Term::int(1), Term::Var(VarId(0)))
             .as_proper_list()
             .is_none());
-    }
-
-    #[test]
-    fn approx_bytes_grows_with_structure() {
-        let small = Term::int(1);
-        let big = Term::list((0..100).map(Term::int));
-        assert!(big.approx_bytes() > small.approx_bytes() * 50);
     }
 
     /// Run `f` on a thread whose stack is far too small for a recursive

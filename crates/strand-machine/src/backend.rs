@@ -50,16 +50,6 @@ impl ExecBackend for DeterministicBackend {
         config: MachineConfig,
         lib: &ForeignLib,
     ) -> StrandResult<GoalResult> {
-        if !config.chaos.is_empty() {
-            return Err(StrandError::UnsupportedFaultPlan {
-                backend: "deterministic".to_string(),
-                plan: "wall-clock (ChaosPlan)".to_string(),
-                hint: "chaos plans need real worker threads; run on the parallel \
-                       backend, or use MachineConfig::faults (FaultPlan) for \
-                       virtual-time fault injection here"
-                    .to_string(),
-            });
-        }
         let goal_ast = parse_term(goal_src).map_err(|e| StrandError::Other(e.to_string()))?;
         let compiled = compile_program(program).map_err(|e| StrandError::Other(e.to_string()))?;
         let mut machine = Machine::new(compiled, config);
@@ -116,21 +106,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.bindings["V"].to_string(), "42");
-    }
-
-    #[test]
-    fn deterministic_backend_rejects_chaos_plans() {
-        use crate::config::ChaosPlan;
-        let program = strand_parse::parse_program("noop.").unwrap();
-        let config = MachineConfig::default().chaos(ChaosPlan::default().drop_prob(0.1));
-        let err = DeterministicBackend
-            .run_program(&program, "noop", config, &ForeignLib::new())
-            .unwrap_err();
-        assert!(
-            matches!(err, StrandError::UnsupportedFaultPlan { .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains("parallel"), "{err}");
     }
 
     #[test]

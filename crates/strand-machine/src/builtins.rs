@@ -62,7 +62,7 @@ impl Machine {
             (sym::TRUE, []) => CallOutcome::Done,
 
             // Marks one supervisor restart: the Supervise motif calls this
-            // in its heartbeat-timeout rule, so chaos and fault runs can
+            // in its heartbeat-timeout rule, so fault runs can
             // report recovery activity through the metrics.
             (sym::SUP_RESTART, []) => {
                 self.metrics.supervisor_restarts += 1;

@@ -24,16 +24,23 @@ impl EdgeFaults {
     }
 }
 
-/// A deterministic, seeded fault schedule for a run.
+/// A seeded fault schedule for a run — the one fault vocabulary, injected
+/// in the shard core whatever hosts the nodes: the node and the delivery
+/// are the two things that can misbehave (DESIGN.md §8).
 ///
 /// Node numbers are 1-based, like `Goal@J` placements. An empty plan (the
 /// default) injects nothing and leaves every run bit-identical to a machine
-/// without the fault layer.
+/// without the fault layer. On the simulator, and on a 1-thread fleet for
+/// message faults, a plan replays exactly; on more threads each worker
+/// strides the seed into its own dice stream and the interleaving varies,
+/// so a plan is reproducible in distribution only.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// `(node, T)`: the node dies at virtual time `T` — its run queue is
-    /// dropped, its suspended goals never wake, and later deliveries to it
-    /// are lost.
+    /// `(node, at)`: the node dies at `at` — its run queue is dropped, its
+    /// suspended goals never wake, and later deliveries to it are lost. The
+    /// clock `at` is read on follows from the backend and is not
+    /// configured: the simulator's global virtual time, or, on the
+    /// parallel backend (which has none), the run-global reduction count.
     pub crashes: Vec<(u32, Time)>,
     /// Fault probabilities applied to every cross-node edge.
     pub default_edge: EdgeFaults,
@@ -100,109 +107,17 @@ impl FaultPlan {
         self
     }
 
-    /// The fault probabilities in force on a directed edge (1-based nodes).
-    pub fn edge_faults(&self, from: u32, to: u32) -> EdgeFaults {
-        self.edges
-            .iter()
-            .find(|(f, t, _)| *f == from && *t == to)
-            .map(|(_, _, e)| *e)
-            .unwrap_or(self.default_edge)
-    }
-}
-
-/// A seeded wall-clock fault schedule for the parallel backend — the
-/// real-concurrency analogue of [`FaultPlan`].
-///
-/// Where `FaultPlan` speaks virtual time and 1-based node numbers,
-/// `ChaosPlan` speaks worker shards and reduction counts: shard `w` is the
-/// worker thread owning every node `i` with `i % threads == w` (0-based).
-/// Faults act at the worker boundary — a kill tears down a whole shard,
-/// drop/duplicate act on cross-worker batches at the outbox — because that
-/// is the unit of real concurrency. Binding notifications (wakes) are never
-/// dropped or duplicated, mirroring the virtual-time contract that faults
-/// model the network, not the shared store; only remote spawns are fair
-/// game.
-///
-/// Reproducibility caveat: each worker derives its own RNG from `seed`, so
-/// a given *schedule* replays exactly, but thread interleaving still varies
-/// run to run — chaos runs are reproducible in distribution, not
-/// bit-identical (DESIGN.md §8).
-#[derive(Clone, Debug, Default)]
-pub struct ChaosPlan {
-    /// `(shard, R)`: worker `shard` kills its whole shard once the global
-    /// reduction count reaches `R` — run queues dropped, suspensions torn,
-    /// owned nodes marked crashed (a `Partitioned`-style status surfaces if
-    /// work is left stranded). The dead worker keeps draining its channel,
-    /// discarding deliveries, so peers and the quiescence protocol stay
-    /// live.
-    pub kills: Vec<(u32, u64)>,
-    /// Probability an outgoing cross-worker batch has its remote spawns
-    /// dropped at the outbox (wakes in the batch still ship).
-    pub drop_prob: f64,
-    /// Probability an outgoing cross-worker batch has its remote spawns
-    /// duplicated (the copy arrives as a second batch).
-    pub dup_prob: f64,
-    /// `(shard, stall_us)`: inject `stall_us` microseconds of sleep per
-    /// scheduling turn of the shard's drain loop (straggler injection).
-    pub throttles: Vec<(u32, u64)>,
-    /// Seed of the chaos RNG; each worker decorrelates it by index.
-    /// Separate from [`MachineConfig::seed`] so enabling chaos never
-    /// perturbs the program-visible `rand_num` stream.
-    pub seed: u64,
-}
-
-impl ChaosPlan {
-    /// True when the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.kills.is_empty()
-            && self.drop_prob <= 0.0
-            && self.dup_prob <= 0.0
-            && self.throttles.is_empty()
-    }
-
-    /// Builder: kill worker `shard`'s whole shard once the global reduction
-    /// count reaches `at_reductions`.
-    pub fn kill(mut self, shard: u32, at_reductions: u64) -> Self {
-        self.kills.push((shard, at_reductions));
-        self
-    }
-
-    /// Builder: drop each outgoing batch's remote spawns with probability `p`.
-    pub fn drop_prob(mut self, p: f64) -> Self {
-        self.drop_prob = p;
-        self
-    }
-
-    /// Builder: duplicate each outgoing batch's remote spawns with
-    /// probability `p`.
-    pub fn dup_prob(mut self, p: f64) -> Self {
-        self.dup_prob = p;
-        self
-    }
-
-    /// Builder: stall worker `shard` for `stall_us` µs per scheduling turn.
-    pub fn throttle(mut self, shard: u32, stall_us: u64) -> Self {
-        self.throttles.push((shard, stall_us));
-        self
-    }
-
-    /// Builder: chaos-RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Parse the CLI chaos spec shared by the example runners:
-    /// `seed=N,kill=shard@reductions,drop=p,dup=p,slow=shard:us`. Every key
-    /// is optional; `kill` and `slow` may repeat. The empty string is the
-    /// empty plan.
-    pub fn parse_spec(spec: &str) -> Result<ChaosPlan, String> {
-        let mut plan = ChaosPlan::default();
+    /// Parse the CLI fault spec shared by the example runners:
+    /// `seed=N,crash=node@at,drop=p,dup=p,delay=p:ticks,slow=node:factor`.
+    /// Every key is optional; `crash` and `slow` may repeat. The empty
+    /// string is the empty plan.
+    pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
+        let mut plan = FaultPlan::default();
         for part in spec.split(',').filter(|p| !p.is_empty()) {
             let err = || {
                 format!(
-                    "cannot parse chaos spec element `{part}`; expected a comma list of \
-                     seed=N, kill=shard@reductions, drop=p, dup=p, slow=shard:us"
+                    "cannot parse fault spec element `{part}`; expected a comma list of \
+                     seed=N, crash=node@at, drop=p, dup=p, delay=p:ticks, slow=node:factor"
                 )
             };
             let (key, value) = part.split_once('=').ok_or_else(err)?;
@@ -210,18 +125,25 @@ impl ChaosPlan {
                 "seed" => plan.seed(value.parse().map_err(|_| err())?),
                 "drop" => plan.drop_prob(value.parse().map_err(|_| err())?),
                 "dup" => plan.dup_prob(value.parse().map_err(|_| err())?),
-                "kill" => {
-                    let (shard, at) = value.split_once('@').ok_or_else(err)?;
-                    plan.kill(
-                        shard.parse().map_err(|_| err())?,
+                "crash" => {
+                    let (node, at) = value.split_once('@').ok_or_else(err)?;
+                    plan.crash(
+                        node.parse().map_err(|_| err())?,
                         at.parse().map_err(|_| err())?,
                     )
                 }
+                "delay" => {
+                    let (p, ticks) = value.split_once(':').ok_or_else(err)?;
+                    plan.delay(
+                        p.parse().map_err(|_| err())?,
+                        ticks.parse().map_err(|_| err())?,
+                    )
+                }
                 "slow" => {
-                    let (shard, us) = value.split_once(':').ok_or_else(err)?;
-                    plan.throttle(
-                        shard.parse().map_err(|_| err())?,
-                        us.parse().map_err(|_| err())?,
+                    let (node, factor) = value.split_once(':').ok_or_else(err)?;
+                    plan.slowdown(
+                        node.parse().map_err(|_| err())?,
+                        factor.parse().map_err(|_| err())?,
                     )
                 }
                 _ => return Err(err()),
@@ -230,22 +152,13 @@ impl ChaosPlan {
         Ok(plan)
     }
 
-    /// Earliest kill point scheduled for `shard`, if any.
-    pub fn kill_at(&self, shard: u32) -> Option<u64> {
-        self.kills
+    /// The fault probabilities in force on a directed edge (1-based nodes).
+    pub fn edge_faults(&self, from: u32, to: u32) -> EdgeFaults {
+        self.edges
             .iter()
-            .filter(|(s, _)| *s == shard)
-            .map(|(_, at)| *at)
-            .min()
-    }
-
-    /// Injected stall per scheduling turn for `shard`, in microseconds.
-    pub fn stall_us(&self, shard: u32) -> u64 {
-        self.throttles
-            .iter()
-            .filter(|(s, _)| *s == shard)
-            .map(|(_, us)| *us)
-            .sum()
+            .find(|(f, t, _)| *f == from && *t == to)
+            .map(|(_, _, e)| *e)
+            .unwrap_or(self.default_edge)
     }
 }
 
@@ -313,14 +226,9 @@ pub struct MachineConfig {
     /// Record a [`TraceEvent`](crate::trace::TraceEvent) per scheduler
     /// action (off by default; tracing costs time and memory).
     pub record_trace: bool,
-    /// Deterministic fault schedule (empty by default: a perfect machine).
-    /// Virtual-time only — the parallel backend rejects non-empty plans and
-    /// points at [`MachineConfig::chaos`] instead.
+    /// Fault schedule (empty by default: a perfect machine), honoured by
+    /// every backend.
     pub faults: FaultPlan,
-    /// Wall-clock fault schedule for the parallel backend (empty by
-    /// default). The deterministic simulator rejects non-empty plans — use
-    /// [`MachineConfig::faults`] there.
-    pub chaos: ChaosPlan,
     /// Execution engine (default: the deterministic simulator). The clock
     /// `after_unless` deadlines run on follows from it and is not configured:
     /// virtual time on the simulator; on the parallel backend the fleet's
@@ -344,7 +252,6 @@ impl Default for MachineConfig {
             fail_fast: true,
             record_trace: false,
             faults: FaultPlan::default(),
-            chaos: ChaosPlan::default(),
             backend: Backend::default(),
             exec: ExecMode::default(),
         }
@@ -381,13 +288,6 @@ impl MachineConfig {
     /// Builder-style fault plan override.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Builder-style chaos plan override (wall-clock faults; parallel
-    /// backend only).
-    pub fn chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = plan;
         self
     }
 
@@ -477,42 +377,24 @@ mod tests {
     }
 
     #[test]
-    fn default_chaos_plan_is_empty() {
-        assert!(MachineConfig::default().chaos.is_empty());
-        assert!(ChaosPlan::default().is_empty());
-    }
-
-    #[test]
-    fn chaos_plan_builders_chain() {
-        let plan = ChaosPlan::default()
-            .kill(1, 5_000)
-            .kill(1, 2_000)
-            .drop_prob(0.1)
-            .dup_prob(0.05)
-            .throttle(2, 40)
-            .seed(9);
-        assert!(!plan.is_empty());
-        assert_eq!(plan.kill_at(1), Some(2_000));
-        assert_eq!(plan.kill_at(0), None);
-        assert_eq!(plan.stall_us(2), 40);
-        assert_eq!(plan.stall_us(1), 0);
-        assert_eq!(plan.seed, 9);
-        assert!((plan.drop_prob - 0.1).abs() < 1e-12);
-        assert!((plan.dup_prob - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
     fn chaos_spec_round_trips_the_builders() {
-        let plan = ChaosPlan::parse_spec("seed=9,kill=1@2000,drop=0.1,dup=0.05,slow=2:40").unwrap();
+        let plan = FaultPlan::parse_spec(
+            "seed=9,crash=2@2000,crash=4@2000,drop=0.1,dup=0.05,delay=0.2:50,slow=3:40",
+        )
+        .unwrap();
         assert_eq!(plan.seed, 9);
-        assert_eq!(plan.kill_at(1), Some(2_000));
-        assert_eq!(plan.stall_us(2), 40);
-        assert!((plan.drop_prob - 0.1).abs() < 1e-12);
-        assert!((plan.dup_prob - 0.05).abs() < 1e-12);
-        assert!(ChaosPlan::parse_spec("").unwrap().is_empty());
-        assert!(ChaosPlan::parse_spec("kill=1").is_err());
-        assert!(ChaosPlan::parse_spec("drop=lots").is_err());
-        assert!(ChaosPlan::parse_spec("nope=1").is_err());
+        assert_eq!(plan.crashes, vec![(2, 2_000), (4, 2_000)]);
+        assert_eq!(plan.slowdowns, vec![(3, 40)]);
+        let edge = plan.edge_faults(1, 2);
+        assert!((edge.drop_prob - 0.1).abs() < 1e-12);
+        assert!((edge.dup_prob - 0.05).abs() < 1e-12);
+        assert!((edge.delay_prob - 0.2).abs() < 1e-12);
+        assert_eq!(edge.delay_ticks, 50);
+        assert!(FaultPlan::parse_spec("").unwrap().is_empty());
+        assert!(FaultPlan::parse_spec("crash=1").is_err());
+        assert!(FaultPlan::parse_spec("drop=lots").is_err());
+        assert!(FaultPlan::parse_spec("delay=0.1").is_err());
+        assert!(FaultPlan::parse_spec("nope=1").is_err());
     }
 
     #[test]

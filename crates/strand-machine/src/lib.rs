@@ -35,7 +35,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use backend::{backend_for, register_parallel_backend, DeterministicBackend, ExecBackend};
-pub use config::{Backend, ChaosPlan, EdgeFaults, ExecMode, FaultPlan, MachineConfig};
+pub use config::{Backend, EdgeFaults, ExecMode, FaultPlan, MachineConfig};
 pub use foreign::{ForeignFn, ForeignLib};
 pub use machine::{
     merge_shard_reports, Deadline, DrainState, Job, Machine, Routed, RunReport, RunStatus,

@@ -20,7 +20,7 @@ use crate::metrics::Metrics;
 use crate::trace::{goal_text, TraceEvent};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use strand_core::{
     match_args, sym, Atom, Frame, FxHashMap, GuardOutcome, MatchOutcome, NodeId, SharedStore,
@@ -338,6 +338,11 @@ struct WorldHooks {
     /// a service's admission control reads (armed deadlines are not work
     /// until they fire).
     regular: Arc<AtomicU64>,
+    /// Per-node crash flags, published by the owning worker when a
+    /// [`FaultPlan`](crate::config::FaultPlan) crash tears a node down,
+    /// for whoever routes *external* work to read. `spawn` never looks:
+    /// for program traffic the owner's `absorb` is the authority.
+    crashed: Arc<[AtomicBool]>,
 }
 
 /// Shared state backing one multi-worker run: the striped variable store,
@@ -351,8 +356,9 @@ pub struct SharedWorld {
 }
 
 impl SharedWorld {
-    /// Shared state for `threads` workers (one store stripe per worker).
-    pub fn new(threads: usize) -> SharedWorld {
+    /// Shared state for `threads` workers (one store stripe per worker)
+    /// hosting `nodes` virtual nodes.
+    pub fn new(threads: usize, nodes: usize) -> SharedWorld {
         SharedWorld {
             store: Arc::new(SharedStore::new(threads.max(1) as u32)),
             ports: Arc::new(Mutex::new(Vec::new())),
@@ -360,8 +366,18 @@ impl SharedWorld {
                 budget: Arc::new(AtomicU64::new(0)),
                 seq: Arc::new(AtomicU64::new(0)),
                 regular: Arc::new(AtomicU64::new(0)),
+                crashed: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             },
         }
+    }
+
+    /// Nodes a fault plan has crashed so far (1-based, ascending).
+    pub fn crashed_nodes(&self) -> Vec<u32> {
+        let flags = self.hooks.crashed.iter().zip(1u32..);
+        flags
+            .filter(|(dead, _)| dead.load(AtomicOrdering::Acquire))
+            .map(|(_, node)| node)
+            .collect()
     }
 
     /// Queued or in-flight work across all workers.
@@ -383,8 +399,7 @@ pub struct ShardReport {
     pub suspended_goals: Vec<Term>,
     pub suspended: usize,
     pub trace: Vec<TraceEvent>,
-    /// Nodes of this shard dead at the end of the run (1-based; nonempty
-    /// only under chaos injection).
+    /// Nodes of this shard dead at the end of the run (1-based).
     pub crashed_nodes: Vec<u32>,
     /// Goals lost with this shard's crashed nodes.
     pub dead: usize,
@@ -487,7 +502,8 @@ pub struct Machine {
     /// RNG is separate from `rng` so faults never perturb `rand_num`.
     fault_rng: SplitMix64,
     crashed: Vec<bool>,
-    /// Scheduled crashes not yet fired, as (node, time).
+    /// Scheduled crashes of owned nodes not yet fired, as (node, at),
+    /// earliest first.
     pending_crashes: Vec<(NodeId, Time)>,
     /// Per-node reduction-cost multiplier (≥ 1; straggler injection).
     slowdown: Vec<u64>,
@@ -588,13 +604,12 @@ impl Machine {
     ) -> Machine {
         debug_assert!(idx < threads);
         let mut m = Machine::attached(program, config, world, idx as u32, idx, threads);
-        // Worker 0 keeps the configured seed so 1-thread runs draw the same
-        // `rand_num` sequence as the simulator; other workers decorrelate.
-        m.rng = SplitMix64::new(
-            m.config
-                .seed
-                .wrapping_add((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
+        // Worker 0 keeps the configured seeds so 1-thread runs draw the same
+        // `rand_num` and fault-dice sequences as the simulator; other
+        // workers decorrelate.
+        let stride = (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        m.rng = SplitMix64::new(m.config.seed.wrapping_add(stride));
+        m.fault_rng = SplitMix64::new(m.config.faults.seed.wrapping_add(stride));
         m
     }
 
@@ -615,6 +630,8 @@ impl Machine {
         m.next_pid = (idx as u64) << WORKER_PID_SHIFT;
         m.shard = Some((idx, threads));
         m.hooks = Some(world.hooks.clone());
+        m.pending_crashes
+            .retain(|&(node, _)| node.0 as usize % threads == idx);
         m
     }
 
@@ -1071,8 +1088,8 @@ impl Machine {
         Ok(true)
     }
 
-    /// Kill a node (a [`FaultPlan`](crate::config::FaultPlan) crash at
-    /// virtual time `at`).
+    /// Kill a node (a [`FaultPlan`](crate::config::FaultPlan) crash,
+    /// traced at virtual time `at`).
     fn apply_crash(&mut self, node: NodeId, at: Time) {
         if self.is_crashed(node) {
             return;
@@ -1090,11 +1107,16 @@ impl Machine {
 
     /// Tear a dead node down: drop its queue (settling the in-flight gate),
     /// tear its suspended goals out of the store (they will never wake),
+    /// drop the deadlines it armed but the backend has not harvested,
     /// balance the tracked gauge and remember diagnostic snapshots. Returns
     /// how many queued and suspended goals were lost.
     fn teardown_node(&mut self, node: NodeId) -> (usize, usize) {
         let i = node.0 as usize;
         self.crashed[i] = true;
+        if let Some(h) = &self.hooks {
+            h.crashed[i].store(true, AtomicOrdering::Release);
+        }
+        self.armed_deadlines.retain(|d| d.node != node);
         // The node's clock stays where computation stopped: a crash is not
         // work, and must not stretch the makespan.
         let lost: Vec<QItem> = self.nodes[i].queue.drain().collect();
@@ -1188,7 +1210,7 @@ impl Machine {
 
     /// Mutable metrics access: the service shell counts sessions and
     /// admissions on the machine that fronts them, the parallel backend's
-    /// workers count idle parks, timer prunes and injected stall time.
+    /// workers count idle parks and timer prunes.
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.metrics
     }
@@ -1237,12 +1259,19 @@ impl Machine {
                 Routed::Job(job) => {
                     let Job { mut item, node } = job;
                     debug_assert!(self.owns(node), "job routed to wrong shard");
+                    if self.crashed[node.0 as usize] {
+                        // Senders on other workers cannot see this shard's
+                        // crashes; the owner's check is the authority.
+                        self.gate_sub(1);
+                        self.metrics.msgs_dropped += 1;
+                        continue;
+                    }
                     // Re-mint the pid into this worker's range: the pid
                     // prefix is the wake-routing key, so if this job later
                     // suspends, the binder's wake must route *here* — under
                     // the sender's pid it would route to the sender, miss,
                     // and strand the process. Re-minting also gives
-                    // chaos-duplicated jobs distinct identities.
+                    // fault-duplicated jobs distinct identities.
                     item.pid = self.fresh_pid();
                     if item.tracked {
                         self.metrics.track_spawn(node);
@@ -1263,8 +1292,16 @@ impl Machine {
     /// Reduce up to `max_steps` owned processes — the worker's driver over
     /// the shard core, using the same earliest-event selection and
     /// [`step`](Machine::step) as [`Machine::run`] restricted to this shard's
-    /// nodes.
+    /// nodes. A shard has no global virtual time, so its nodes' scheduled
+    /// crashes fire here, once the run-global reduction count reaches them.
     pub fn drain_local(&mut self, max_steps: u32) -> StrandResult<DrainState> {
+        while let Some(&(node, at)) = self.pending_crashes.first() {
+            if self.budget_spent() < at {
+                break;
+            }
+            self.pending_crashes.remove(0);
+            self.apply_crash(node, self.nodes[node.0 as usize].clock);
+        }
         let mut steps = 0u32;
         while steps < max_steps {
             let Some((start, i)) = self.next_event() else {
@@ -1321,8 +1358,9 @@ impl Machine {
     /// routes through the outbox as a [`Routed::Job`] when another worker
     /// owns the node — so the mint-before-send token protocol sees a fired
     /// deadline exactly as it sees any other cross-shard event. Firing at a
-    /// crashed node is a silent no-op (the deadline died with the shard;
-    /// supervision recovers through monitors on live nodes).
+    /// crashed node is a no-op, here or in its owner's `absorb` (the
+    /// deadline died with the node; supervision recovers through monitors
+    /// on live nodes).
     pub fn fire_deadline(&mut self, deadline: Deadline) {
         if self.crashed[deadline.node.0 as usize] {
             return;
@@ -1365,102 +1403,6 @@ impl Machine {
                 Routed::Reclaim { .. } => {}
             }
         }
-    }
-
-    // --- Wall-clock chaos injection (see `config::ChaosPlan`) ------------
-    //
-    // These methods implement the shard-level faults the parallel backend's
-    // workers inject. They mirror the virtual-time fault layer's accounting
-    // exactly: gate units settle so admission control sees the lost work
-    // leave, tracked-process gauges stay balanced, and drops/dups land in
-    // the same metrics counters the simulator uses.
-
-    /// Kill this worker's whole shard: every owned node is torn down as a
-    /// [`FaultPlan`](crate::config::FaultPlan) crash tears down one — run
-    /// queues dropped (settling the in-flight gate), suspensions torn out of
-    /// the shared store, nodes marked crashed so nothing re-enqueues. The
-    /// caller must keep draining the worker's channel afterwards (discarding
-    /// deliveries via [`Machine::chaos_absorb_dead`]) or peers would park
-    /// forever.
-    pub fn chaos_kill(&mut self) {
-        let (mut killed, mut lost_queue, mut lost_suspended) = (0, 0, 0);
-        for i in 0..self.nodes.len() {
-            let node = NodeId(i as u32);
-            if self.owns(node) && !self.crashed[i] {
-                let (queue, suspended) = self.teardown_node(node);
-                killed += 1;
-                lost_queue += queue;
-                lost_suspended += suspended;
-            }
-        }
-        debug_assert!(self.suspended.is_empty(), "suspension on an unowned node");
-        // Unharvested deadlines die silently; entries already in the
-        // backend's queue fire into the dead shard and are discarded there.
-        self.armed_deadlines.clear();
-        self.metrics.shards_killed += 1;
-        if self.config.record_trace {
-            let time = self.nodes.iter().map(|n| n.clock).max().unwrap_or(0);
-            self.trace.push(TraceEvent::ShardKill {
-                time,
-                worker: self.shard.map_or(0, |(me, _)| me),
-                nodes: killed,
-                lost_queue,
-                lost_suspended,
-            });
-        }
-    }
-
-    /// Discard a batch delivered to a killed shard: settle the gate exactly
-    /// as [`Machine::discard_routed`], counting the lost remote spawns as
-    /// dropped deliveries. Wakes to a dead shard are stale notifications —
-    /// their suspensions died with the shard — and are settled silently.
-    pub fn chaos_absorb_dead(&mut self, batch: Vec<Routed>) {
-        let jobs = batch.iter().filter(|r| matches!(r, Routed::Job(_))).count();
-        self.metrics.msgs_dropped += jobs as u64;
-        self.discard_routed(batch);
-    }
-
-    /// Chaos drop: strip the remote spawns out of an outgoing batch
-    /// (settling their gate units) and leave the wakes intact — binding
-    /// notifications are never dropped, mirroring the virtual-time contract
-    /// that faults model the network, not the shared store (DESIGN.md §8).
-    /// Returns how many spawns were removed.
-    pub fn chaos_drop_jobs(&mut self, batch: &mut Vec<Routed>) -> usize {
-        let before = batch.len();
-        // Wakes and reclaims are never dropped: faults model the network's
-        // spawn traffic, not the shared store or the service shell's control
-        // plane.
-        batch.retain(|event| !matches!(event, Routed::Job(_)));
-        let dropped = before - batch.len();
-        if dropped > 0 {
-            self.gate_sub(dropped as u64);
-            self.metrics.msgs_dropped += dropped as u64;
-            self.metrics.batches_dropped += 1;
-        }
-        dropped
-    }
-
-    /// Chaos duplicate: clone the remote spawns of an outgoing batch into a
-    /// second batch, raising the gate for each copy (the receiver settles
-    /// it when the copy reduces or is discarded). Wakes are never
-    /// duplicated. The receiver re-mints pids on absorption, so each copy
-    /// gets its own process identity. Empty when the batch has no spawns.
-    pub fn chaos_duplicate_jobs(&mut self, batch: &[Routed]) -> Vec<Routed> {
-        let mut dup = Vec::new();
-        for event in batch {
-            if let Routed::Job(job) = event {
-                dup.push(Routed::Job(Job {
-                    item: job.item.clone(),
-                    node: job.node,
-                }));
-            }
-        }
-        if !dup.is_empty() {
-            self.gate_add(dup.len() as u64);
-            self.metrics.msgs_duplicated += dup.len() as u64;
-            self.metrics.batches_duplicated += 1;
-        }
-        dup
     }
 
     /// Snapshot this worker's slice of the final report.
@@ -1941,7 +1883,7 @@ mod tests {
     #[test]
     fn suspend_rollback_requeues_the_same_process() {
         let program = compile_program(&parse_program("p(X) :- true.").unwrap()).unwrap();
-        let world = SharedWorld::new(1);
+        let world = SharedWorld::new(1, 1);
         let mut cfg = MachineConfig::default();
         cfg.tracked.insert(Atom::new("p"));
         let mut m = Machine::new_worker(Arc::new(program), cfg, &world, 0, 1);

@@ -53,21 +53,9 @@ pub struct Metrics {
     pub msgs_delayed: u64,
     /// Nodes killed by the fault plan during the run.
     pub nodes_crashed: u64,
-    /// Worker shards killed by a wall-clock chaos plan (each kill also
-    /// bumps `nodes_crashed` once per node the shard owned).
-    pub shards_killed: u64,
-    /// Outgoing cross-worker batches whose remote spawns were dropped by
-    /// chaos injection (the individual spawns count in `msgs_dropped`).
-    pub batches_dropped: u64,
-    /// Outgoing cross-worker batches whose remote spawns were duplicated by
-    /// chaos injection (the individual copies count in `msgs_duplicated`).
-    pub batches_duplicated: u64,
-    /// Wall-clock nanoseconds of sleep injected into throttled shards'
-    /// drain loops by a chaos plan.
-    pub throttle_ns: u64,
     /// Supervisor restarts observed: reductions of the Supervise motif's
     /// heartbeat-timeout rule (the `sup_restart/0` builtin). Counted by
-    /// every engine, so chaos runs can report recovery activity.
+    /// every engine, so fault runs can report recovery activity.
     pub supervisor_restarts: u64,
     /// Rule attempts that ran a full head match (both tiers; excludes rules
     /// skipped by the first-argument index).
@@ -271,10 +259,6 @@ impl Metrics {
         self.msgs_duplicated += other.msgs_duplicated;
         self.msgs_delayed += other.msgs_delayed;
         self.nodes_crashed += other.nodes_crashed;
-        self.shards_killed += other.shards_killed;
-        self.batches_dropped += other.batches_dropped;
-        self.batches_duplicated += other.batches_duplicated;
-        self.throttle_ns += other.throttle_ns;
         self.supervisor_restarts += other.supervisor_restarts;
         self.rules_tried += other.rules_tried;
         self.index_hits += other.index_hits;
@@ -356,26 +340,6 @@ mod tests {
         assert_eq!(a.interpreted_reductions, 2);
         assert_eq!(a.susp_by_proc[&Atom::new("eval")], 5);
         assert_eq!(a.susp_by_proc[&Atom::new("reduce")], 6);
-    }
-
-    #[test]
-    fn chaos_counters_merge_additively() {
-        let mut a = Metrics::new(2);
-        a.shards_killed = 1;
-        a.batches_dropped = 3;
-        a.throttle_ns = 500;
-        a.supervisor_restarts = 2;
-        let mut b = Metrics::new(2);
-        b.shards_killed = 1;
-        b.batches_duplicated = 4;
-        b.throttle_ns = 250;
-        b.supervisor_restarts = 1;
-        a.merge(&b);
-        assert_eq!(a.shards_killed, 2);
-        assert_eq!(a.batches_dropped, 3);
-        assert_eq!(a.batches_duplicated, 4);
-        assert_eq!(a.throttle_ns, 750);
-        assert_eq!(a.supervisor_restarts, 3);
     }
 
     #[test]

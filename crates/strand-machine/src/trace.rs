@@ -48,16 +48,6 @@ pub enum TraceEvent {
         lost_queue: usize,
         lost_suspended: usize,
     },
-    /// A worker's whole shard was killed by a chaos plan (wall-clock fault
-    /// injection): every node it owned crashed at once. `time` is the
-    /// worker's local virtual clock when the kill landed.
-    ShardKill {
-        time: Time,
-        worker: usize,
-        nodes: usize,
-        lost_queue: usize,
-        lost_suspended: usize,
-    },
     /// A cross-node delivery was lost (fault injection or dead target).
     Drop {
         time: Time,
@@ -83,7 +73,6 @@ impl TraceEvent {
             | TraceEvent::Wake { time, .. }
             | TraceEvent::Spawn { time, .. }
             | TraceEvent::Crash { time, .. }
-            | TraceEvent::ShardKill { time, .. }
             | TraceEvent::Drop { time, .. }
             | TraceEvent::Duplicate { time, .. } => *time,
         }
@@ -147,18 +136,6 @@ impl TraceEvent {
                     node.0 + 1
                 )
             }
-            TraceEvent::ShardKill {
-                time,
-                worker,
-                nodes,
-                lost_queue,
-                lost_suspended,
-            } => {
-                format!(
-                    "[{time:>6}] w{worker} SHARD KILL ({nodes} node(s), \
-                     {lost_queue} queued, {lost_suspended} suspended lost)"
-                )
-            }
             TraceEvent::Drop {
                 time,
                 from,
@@ -214,9 +191,6 @@ pub fn trace_summary(events: &[TraceEvent]) -> String {
                 }
             }
             TraceEvent::Crash { .. } => crashes += 1,
-            // A shard kill is one crash event per the summary's purposes,
-            // however many nodes it took down.
-            TraceEvent::ShardKill { .. } => crashes += 1,
             TraceEvent::Drop { .. } => drops += 1,
             TraceEvent::Duplicate { .. } => dups += 1,
         }

@@ -17,8 +17,10 @@
 //! explores every interleaving of the protocol for small worker counts and
 //! confirms (a) the correct order never announces early and (b) the broken
 //! order does — i.e. the checker has the power to catch the bug. Further
-//! variants of the model cross the protocol with a chaos-killed worker and
-//! with the deadline wheel under each of its two clocks.
+//! variants of the model cross the protocol with the deadline wheel under
+//! each of its two clocks. (A worker whose nodes a fault plan has crashed
+//! needs no variant: it absorbs, surrenders and parks like any other, which
+//! [`model::check`] already covers.)
 //!
 //! # Why an in-repo checker and not loom?
 //!
@@ -218,206 +220,6 @@ mod model {
                         }
                     }
                 }
-            }
-        }
-        Ok(seen.len())
-    }
-
-    /// Worker states for the *crash-point* variant of the model: any worker
-    /// may be killed at a safe point (never mid-send — the implementation
-    /// checks the kill deadline only at the loop top, after every
-    /// `tokens.add()`/send pair has completed), after which it follows the
-    /// dead-shard protocol of `dead_loop`: discard arriving batches while
-    /// absorbing their tokens, surrender its own token, park, adopt tokens
-    /// of later arrivals and surrender those too.
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    enum C {
-        Busy {
-            sends_left: u8,
-            mid_send: Option<u8>,
-        },
-        Parked,
-        /// Killed shard. `holds_token` is true while it still owes the
-        /// counter a `release` for a token it holds.
-        Dead {
-            holds_token: bool,
-        },
-        Done,
-    }
-
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    struct ChaosState {
-        tokens: u64,
-        queues: Vec<u8>,
-        workers: Vec<C>,
-        /// At most one shard dies per run — bounds the state space and
-        /// matches the conformance tier's single-kill plans.
-        crashed: bool,
-    }
-
-    /// Crash-point exploration: like [`check`] but any worker may die at
-    /// any safe point. Two invariants:
-    ///
-    /// 1. *No early announce* — quiescence is never declared while a batch
-    ///    is unreceived or a peer is busy (same as [`check`]).
-    /// 2. *No stuck state* — every terminal state (no transitions) has all
-    ///    workers `Done`, i.e. the quiescence token is not lost with the
-    ///    dead shard and termination is still announced.
-    ///
-    /// `dead_absorbs` picks the protocol variant: `true` is the shipped
-    /// dead-shard loop (discarding a batch still absorbs its token);
-    /// `false` seeds the bug where a dead worker drops batches without
-    /// absorbing tokens — the orphaned token must then be caught as a
-    /// stuck state, proving the checker can see that failure mode.
-    fn check_chaos(threads: usize, sends_each: u8, dead_absorbs: bool) -> Result<usize, String> {
-        let init = ChaosState {
-            tokens: threads as u64,
-            queues: vec![0; threads],
-            workers: vec![
-                C::Busy {
-                    sends_left: sends_each,
-                    mid_send: None
-                };
-                threads
-            ],
-            crashed: false,
-        };
-        let mut seen = HashSet::new();
-        let mut stack = vec![init];
-        while let Some(s) = stack.pop() {
-            if !seen.insert(s.clone()) {
-                continue;
-            }
-            let before = stack.len();
-            for i in 0..threads {
-                match s.workers[i].clone() {
-                    C::Done => {}
-                    C::Busy {
-                        sends_left,
-                        mid_send: Some(to),
-                    } => {
-                        let mut n = s.clone();
-                        n.queues[to as usize] += 1;
-                        n.workers[i] = C::Busy {
-                            sends_left,
-                            mid_send: None,
-                        };
-                        stack.push(n);
-                    }
-                    C::Busy {
-                        sends_left,
-                        mid_send: None,
-                    } => {
-                        // Crash point: the kill check at the loop top. The
-                        // shard's remaining sends die with it (chaos_kill
-                        // drops the run queues); its busy token survives
-                        // and must still be surrendered through release.
-                        if !s.crashed {
-                            let mut n = s.clone();
-                            n.crashed = true;
-                            n.workers[i] = C::Dead { holds_token: true };
-                            stack.push(n);
-                        }
-                        if sends_left > 0 {
-                            for to in (0..threads).filter(|&to| to != i) {
-                                let mut n = s.clone();
-                                n.tokens += 1; // inc BEFORE send
-                                n.workers[i] = C::Busy {
-                                    sends_left: sends_left - 1,
-                                    mid_send: Some(to as u8),
-                                };
-                                stack.push(n);
-                            }
-                        }
-                        if s.queues[i] > 0 {
-                            let mut n = s.clone();
-                            n.queues[i] -= 1;
-                            n.tokens -= 1;
-                            stack.push(n);
-                        }
-                        let mut n = s.clone();
-                        n.tokens -= 1;
-                        if n.tokens == 0 {
-                            let unreceived: u8 = n.queues.iter().sum();
-                            let busy_peer = (0..threads)
-                                .any(|j| j != i && matches!(n.workers[j], C::Busy { .. }));
-                            if unreceived > 0 || busy_peer {
-                                return Err(format!(
-                                    "worker {i} announced quiescence with \
-                                     {unreceived} unreceived batch(es), busy peer: {busy_peer}"
-                                ));
-                            }
-                            for w in &mut n.workers {
-                                *w = C::Done;
-                            }
-                        } else {
-                            n.workers[i] = C::Parked;
-                        }
-                        stack.push(n);
-                    }
-                    C::Parked => {
-                        if s.queues[i] > 0 {
-                            let mut n = s.clone();
-                            n.queues[i] -= 1;
-                            n.workers[i] = C::Busy {
-                                sends_left: 1,
-                                mid_send: None,
-                            };
-                            stack.push(n);
-                        }
-                    }
-                    C::Dead { holds_token: true } => {
-                        // Drain-and-discard an arriving batch.
-                        if s.queues[i] > 0 {
-                            let mut n = s.clone();
-                            n.queues[i] -= 1;
-                            if dead_absorbs {
-                                n.tokens -= 1;
-                            }
-                            stack.push(n);
-                        }
-                        // Surrender the held token; the dead worker may be
-                        // the one to observe and announce quiescence.
-                        let mut n = s.clone();
-                        n.tokens -= 1;
-                        if n.tokens == 0 {
-                            let unreceived: u8 = n.queues.iter().sum();
-                            let busy_peer = (0..threads)
-                                .any(|j| j != i && matches!(n.workers[j], C::Busy { .. }));
-                            if unreceived > 0 || busy_peer {
-                                return Err(format!(
-                                    "dead worker {i} announced quiescence with \
-                                     {unreceived} unreceived batch(es), busy peer: {busy_peer}"
-                                ));
-                            }
-                            for w in &mut n.workers {
-                                *w = C::Done;
-                            }
-                        } else {
-                            n.workers[i] = C::Dead { holds_token: false };
-                        }
-                        stack.push(n);
-                    }
-                    C::Dead { holds_token: false } => {
-                        // Parked-dead: adopt an arriving batch's token (no
-                        // counter change), discard its contents; the loop
-                        // top will release the adopted token.
-                        if s.queues[i] > 0 {
-                            let mut n = s.clone();
-                            n.queues[i] -= 1;
-                            n.workers[i] = C::Dead { holds_token: true };
-                            stack.push(n);
-                        }
-                    }
-                }
-            }
-            // Terminal-state check: nothing pushed ⇒ no transitions.
-            if stack.len() == before && !s.workers.iter().all(|w| matches!(w, C::Done)) {
-                return Err(format!(
-                    "stuck state: tokens={}, {} unreceived batch(es), run never terminates",
-                    s.tokens,
-                    s.queues.iter().map(|&q| q as u64).sum::<u64>(),
-                ));
             }
         }
         Ok(seen.len())
@@ -662,31 +464,21 @@ mod model {
     }
 
     /// Worker states for the *batch timer* variant of the model: the wall
-    /// clock of [`check_timers`] replaced by the quiescence clock, crossed
-    /// with [`check_chaos`]'s dead worker. `dead` marks a killed shard: it
-    /// absorbs-and-discards and surrenders tokens like a live one but never
-    /// sends or arms on its own account.
+    /// clock of [`check_timers`] replaced by the quiescence clock.
     #[derive(Clone, PartialEq, Eq, Hash)]
     enum B {
         Busy {
-            dead: bool,
             sends_left: u8,
             arms_left: u8,
             mid_send: Option<u8>,
         },
         /// In an unbounded `recv`: wakes for a batch, never for the wheel.
-        Parked {
-            dead: bool,
-        },
+        Parked,
         /// Surrendered the last token over a non-empty wheel: the one worker
         /// entitled to fire. Holds no token yet.
-        Elected {
-            dead: bool,
-        },
+        Elected,
         /// Minted; the wheel entry is still in place.
-        MidFire {
-            dead: bool,
-        },
+        MidFire,
         Done,
     }
 
@@ -696,29 +488,27 @@ mod model {
         wheel: u8,
         queues: Vec<u8>,
         workers: Vec<B>,
-        crashed: bool,
     }
 
     /// The batch rule: a deadline may fire only at `tokens == 0`, by the
-    /// worker — live or dead — that surrendered the last token; everyone
-    /// else parks unbounded. Invariants:
+    /// worker that surrendered the last token; everyone else parks
+    /// unbounded. Invariants:
     ///
     /// 1. *No early announce, no early fire* — quiescence is never declared
     ///    and no deadline is ever fired while a batch is unreceived or a
     ///    peer is busy, elected or mid-fire.
-    /// 2. *No stuck state* — a pending deadline never strands the run, even
-    ///    when the worker that surrenders the last token over it is dead.
+    /// 2. *No stuck state* — a pending deadline never strands the run.
     ///
-    /// `dead_fires` picks the protocol variant: `true` is the shipped
-    /// `dead_loop` (a dead last-releaser goes through `park` and fires like
-    /// anyone else); `false` seeds the bug where it merely parks — with its
-    /// live peers in an unbounded `recv`, nobody is left to fire, and the
-    /// checker must report the stuck state.
+    /// `last_fires` picks the protocol variant: `true` is the shipped `park`
+    /// (the last releaser over a non-empty wheel fires the next deadline
+    /// instant); `false` seeds the bug where it merely parks — with its
+    /// peers in an unbounded `recv`, nobody is left to fire, and the checker
+    /// must report the stuck state.
     fn check_batch_timers(
         threads: usize,
         sends_each: u8,
         arms_each: u8,
-        dead_fires: bool,
+        last_fires: bool,
     ) -> Result<usize, String> {
         let init = BatchState {
             tokens: threads as u64,
@@ -726,20 +516,18 @@ mod model {
             queues: vec![0; threads],
             workers: vec![
                 B::Busy {
-                    dead: false,
                     sends_left: sends_each,
                     arms_left: arms_each,
                     mid_send: None
                 };
                 threads
             ],
-            crashed: false,
         };
         // "Nothing else can run": no unreceived batch, and no peer of `i`
         // that holds, or is about to mint, a token.
         let alone = |s: &BatchState, i: usize| {
             s.queues.iter().all(|&q| q == 0)
-                && (0..threads).all(|j| j == i || matches!(s.workers[j], B::Parked { .. }))
+                && (0..threads).all(|j| j == i || matches!(s.workers[j], B::Parked))
         };
         let mut seen = HashSet::new();
         let mut stack = vec![init];
@@ -753,44 +541,27 @@ mod model {
                 match s.workers[i].clone() {
                     B::Done => continue,
                     B::Busy {
-                        dead,
                         sends_left,
                         arms_left,
                         mid_send: Some(to),
                     } => {
                         n.queues[to as usize] += 1;
                         n.workers[i] = B::Busy {
-                            dead,
                             sends_left,
                             arms_left,
                             mid_send: None,
                         };
                     }
                     B::Busy {
-                        dead,
                         sends_left,
                         arms_left,
                         mid_send: None,
                     } => {
-                        // Crash point: remaining sends and arms die with the
-                        // shard; its busy token must still be surrendered.
-                        if !s.crashed && !dead {
-                            let mut n = s.clone();
-                            n.crashed = true;
-                            n.workers[i] = B::Busy {
-                                dead: true,
-                                sends_left: 0,
-                                arms_left: 0,
-                                mid_send: None,
-                            };
-                            stack.push(n);
-                        }
                         if sends_left > 0 {
                             for to in (0..threads).filter(|&to| to != i) {
                                 let mut n = s.clone();
                                 n.tokens += 1; // inc BEFORE send
                                 n.workers[i] = B::Busy {
-                                    dead,
                                     sends_left: sends_left - 1,
                                     arms_left,
                                     mid_send: Some(to as u8),
@@ -802,14 +573,12 @@ mod model {
                             let mut n = s.clone();
                             n.wheel += 1;
                             n.workers[i] = B::Busy {
-                                dead,
                                 sends_left,
                                 arms_left: arms_left - 1,
                                 mid_send: None,
                             };
                             stack.push(n);
                         }
-                        // Absorb (live) or absorb-and-discard (dead).
                         if s.queues[i] > 0 {
                             let mut n = s.clone();
                             n.queues[i] -= 1;
@@ -818,7 +587,7 @@ mod model {
                         }
                         // Surrender the token and park.
                         n.tokens -= 1;
-                        n.workers[i] = B::Parked { dead };
+                        n.workers[i] = B::Parked;
                         if n.tokens == 0 && n.wheel == 0 {
                             if !alone(&n, i) {
                                 return Err(format!(
@@ -828,25 +597,24 @@ mod model {
                             for w in &mut n.workers {
                                 *w = B::Done;
                             }
-                        } else if n.tokens == 0 && (!dead || dead_fires) {
-                            n.workers[i] = B::Elected { dead };
+                        } else if n.tokens == 0 && last_fires {
+                            n.workers[i] = B::Elected;
                         }
                     }
-                    B::Parked { dead } => {
+                    B::Parked => {
                         if s.queues[i] == 0 {
                             continue;
                         }
-                        // Adopt the batch's token. A live worker's resumed
-                        // work may send once.
+                        // Adopt the batch's token; the resumed work may send
+                        // once.
                         n.queues[i] -= 1;
                         n.workers[i] = B::Busy {
-                            dead,
-                            sends_left: u8::from(!dead),
+                            sends_left: 1,
                             arms_left: 0,
                             mid_send: None,
                         };
                     }
-                    B::Elected { dead } => {
+                    B::Elected => {
                         if s.tokens != 0 || !alone(&s, i) {
                             return Err(format!(
                                 "worker {i} fired a batch deadline at tokens={}",
@@ -854,16 +622,14 @@ mod model {
                             ));
                         }
                         n.tokens += 1; // mint BEFORE pop
-                        n.workers[i] = B::MidFire { dead };
+                        n.workers[i] = B::MidFire;
                     }
-                    B::MidFire { dead } => {
+                    B::MidFire => {
                         // Pop one deadline instant. The fired goal is local
                         // work, or routes to its owner: either way at most
-                        // one send — from a dead shard too, whose own
-                        // entries simply evaporate.
+                        // one send.
                         n.wheel -= 1;
                         n.workers[i] = B::Busy {
-                            dead,
                             sends_left: 1,
                             arms_left: 0,
                             mid_send: None,
@@ -907,29 +673,6 @@ mod model {
     }
 
     #[test]
-    fn crash_points_preserve_quiescence_2_workers() {
-        let states = check_chaos(2, 3, true).expect("dead-shard protocol invariant");
-        assert!(states > 100, "trivial state space: {states}");
-    }
-
-    #[test]
-    fn crash_points_preserve_quiescence_3_workers() {
-        let states = check_chaos(3, 2, true).expect("dead-shard protocol invariant");
-        assert!(states > 1000, "trivial state space: {states}");
-    }
-
-    #[test]
-    fn checker_catches_dead_shard_dropping_tokens() {
-        // A dead worker that discards batches WITHOUT absorbing their
-        // tokens orphans a token forever: the counter can never reach
-        // zero and the run never terminates. The checker must see that
-        // as a stuck state — otherwise the two passing tests above prove
-        // nothing about its power over the dead-shard protocol.
-        let err = check_chaos(2, 2, false).expect_err("token-dropping bug must be caught");
-        assert!(err.contains("stuck state"), "{err}");
-    }
-
-    #[test]
     fn timer_wakes_preserve_quiescence_2_workers() {
         let states = check_timers(2, 2, 2, true).expect("timer protocol invariant");
         assert!(states > 100, "trivial state space: {states}");
@@ -962,18 +705,18 @@ mod model {
     #[test]
     fn batch_deadlines_fire_only_at_quiescence_3_workers() {
         let states = check_batch_timers(3, 1, 1, true).expect("batch timer protocol invariant");
-        assert!(states > 10_000, "trivial state space: {states}");
+        assert!(states > 9_000, "trivial state space: {states}");
     }
 
     #[test]
-    fn checker_catches_a_dead_shard_parking_on_a_live_wheel() {
-        // The trap the quiescence clock sets: a chaos-killed shard that
-        // surrenders the LAST token over a non-empty wheel and merely parks.
-        // Its live peers are in an unbounded `recv` — under this clock they
-        // never look at the wheel — so the deadline never fires and the run
-        // never ends. The checker must see that, or the two passing tests
-        // above prove nothing about the dead worker.
-        let err = check_batch_timers(2, 1, 1, false).expect_err("parked dead shard must strand");
+    fn checker_catches_the_last_releaser_parking_on_a_live_wheel() {
+        // The trap the quiescence clock sets: the worker that surrenders
+        // the LAST token over a non-empty wheel merely parks. Its peers are
+        // in an unbounded `recv` — under this clock they never look at the
+        // wheel — so the deadline never fires and the run never ends. The
+        // checker must see that, or the two passing tests above prove
+        // nothing about the election.
+        let err = check_batch_timers(2, 1, 1, false).expect_err("parked last releaser strands");
         assert!(err.contains("stuck state"), "{err}");
     }
 

@@ -26,14 +26,15 @@
 //!   shard's suspensions and store stripe for the region inline with its
 //!   normal scheduling — no stop-the-world.
 //!
-//! Virtual-time fault plans are rejected (they need the simulator's clock),
-//! but wall-clock [`ChaosPlan`](strand_machine::ChaosPlan)s are accepted:
-//! a supervised resident
-//! program (the `Supervise ∘ Server` composition) is exactly the thing that
-//! is *supposed* to survive a killed shard, and the chaos-on-serve
-//! conformance tier drives it through this path. Callers routing external
-//! injections should consult [`ResidentHandle::dead_shards`] so new
-//! sessions land on shards that will actually reduce them.
+//! A [`FaultPlan`](strand_machine::FaultPlan) is honoured like on any
+//! fleet (the shard core injects it): a supervised resident program (the
+//! `Supervise ∘ Server` composition) is exactly the thing that is
+//! *supposed* to survive a crashed node, and the chaos-on-serve conformance
+//! tier drives it through this path. Ingress injections are not network
+//! messages and are never rolled on the dice, but one aimed at a crashed
+//! node is discarded by its owner — callers routing external work should
+//! consult [`ResidentHandle::crashed_nodes`] so new sessions land on nodes
+//! that will actually reduce them.
 
 use crate::{send_batch, send_direct, stop, Fleet};
 use std::sync::atomic::Ordering;
@@ -135,12 +136,11 @@ impl ResidentHandle {
         Some(wheel.next_due_raw()?.saturating_sub(wheel.now_ms()?).max(1))
     }
 
-    /// Bitmask of workers whose shards a
-    /// [`ChaosPlan`](strand_machine::ChaosPlan) has killed (bit `i`
-    /// ⇔ worker `i` is dead). Route external injections at nodes owned by
-    /// live workers — a goal delivered to a dead shard is discarded.
-    pub fn dead_shards(&self) -> u64 {
-        self.fleet.shared.dead.load(Ordering::Acquire)
+    /// Nodes (1-based) the [`FaultPlan`](strand_machine::FaultPlan) has
+    /// crashed so far. Route external injections elsewhere — a goal
+    /// delivered to a crashed node is discarded.
+    pub fn crashed_nodes(&self) -> Vec<u32> {
+        self.fleet.shared.world.crashed_nodes()
     }
 
     /// Work pending anywhere (armed deadlines are not work until they
@@ -201,7 +201,7 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex as StdMutex};
     use strand_core::StrandError;
-    use strand_machine::{ast_to_term, ChaosPlan};
+    use strand_machine::{ast_to_term, FaultPlan};
     use strand_parse::{parse_program, parse_term};
 
     fn handle(threads: u32) -> ResidentHandle {
@@ -211,12 +211,21 @@ mod tests {
     }
 
     fn inject_goal(h: &ResidentHandle, region: u32, src: &str) -> BTreeMap<String, Term> {
+        inject_goal_at(h, region, 1, src)
+    }
+
+    fn inject_goal_at(
+        h: &ResidentHandle,
+        region: u32,
+        node: i64,
+        src: &str,
+    ) -> BTreeMap<String, Term> {
         h.with_ingress(|m| {
             m.set_session_region(region);
             let ast = parse_term(src).unwrap();
             let mut vars = BTreeMap::new();
             let goal = ast_to_term(&ast, m, &mut vars);
-            m.inject(goal, 1);
+            m.inject(goal, node);
             vars
         })
     }
@@ -385,54 +394,103 @@ mod tests {
     }
 
     #[test]
-    fn fault_plans_are_rejected_in_resident_mode() {
-        let program = parse_program("boot.").unwrap();
-        let cfg = MachineConfig::with_nodes(2)
+    fn ingress_goals_are_never_rolled_but_the_deliveries_they_make_are() {
+        // Every delivery is dropped. The injected goal is ingress traffic,
+        // not a network message: it arrives and reduces. Its remote spawn
+        // is a delivery and is lost.
+        let program = parse_program("boot. go(V) :- set(V)@2. set(V) :- V := ok.").unwrap();
+        let cfg = MachineConfig::with_nodes(4)
             .parallel(2)
-            .faults(strand_machine::FaultPlan::default().crash(1, 100));
-        let err = match ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()) {
-            Err(e) => e,
-            Ok(_) => panic!("virtual-time fault plan accepted in resident mode"),
-        };
-        assert!(
-            matches!(err, StrandError::UnsupportedFaultPlan { .. }),
-            "{err}"
-        );
-        // The hint must steer the user to the wall-clock analogue.
-        assert!(err.to_string().contains("ChaosPlan"), "{err}");
+            .faults(FaultPlan::default().drop_prob(1.0));
+        let h = ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()).unwrap();
+        assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
+        let before = h.reductions();
+        let vars = inject_goal(&h, 1, "go(V)");
+        assert!(h.wait_idle(Duration::from_secs(5)), "request never drained");
+        assert_eq!(h.reductions() - before, 1, "go/1 reduced, set/1 never ran");
+        let v = h.with_ingress(|m| m.store().resolve(&vars["V"]));
+        assert!(matches!(v, Term::Var(_)), "{v}");
+        let report = h.shutdown().unwrap();
+        assert_eq!(report.metrics.msgs_dropped, 1, "{:?}", report.metrics);
     }
 
     #[test]
-    fn chaos_plans_are_accepted_and_kills_surface_in_dead_shards() {
-        // Kill worker 1 immediately. The resident machine must (a) start,
-        // (b) keep answering on the surviving shard, and (c) report the
-        // dead worker through `dead_shards` so callers can route around it.
+    fn a_crashed_node_surfaces_in_crashed_nodes_and_its_worker_carries_on() {
+        // Crash node 2 immediately. The resident machine must (a) start,
+        // (b) report the dead node through `crashed_nodes` so callers can
+        // route around it, (c) discard a goal injected at it anyway, and
+        // (d) keep answering on node 4, which the same worker owns.
         let program = parse_program("boot. double(X, Y) :- Y := X * 2.").unwrap();
         let cfg = MachineConfig::with_nodes(4)
             .parallel(2)
-            .chaos(ChaosPlan::default().kill(1, 0));
+            .faults(FaultPlan::default().crash(2, 0));
         let h = ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()).unwrap();
         assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
-        // Worker 1's kill deadline is reduction 0; it dies at its first
-        // loop top. Wait for the bit to show up.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while h.dead_shards() & 0b10 == 0 {
-            assert!(Instant::now() < deadline, "worker 1 never died");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // The surviving shard still answers: node 1 belongs to worker 0.
-        let vars = h.with_ingress(|m| {
-            m.set_session_region(8);
-            let ast = parse_term("double(21, V)").unwrap();
-            let mut vars = BTreeMap::new();
-            let goal = ast_to_term(&ast, m, &mut vars);
-            m.inject(goal, 1);
-            vars
-        });
-        assert!(h.wait_idle(Duration::from_secs(5)), "request never drained");
-        let v = h.with_ingress(|m| m.store().resolve(&vars["V"]));
-        assert_eq!(v.to_string(), "42");
+        // The crash is due at reduction 0: worker 1 fires it at the top of
+        // its first drain, before it first parks.
+        assert_eq!(h.crashed_nodes(), vec![2]);
+        let ask = |node: i64| {
+            let vars = inject_goal_at(&h, 8, node, "double(21, V)");
+            assert!(h.wait_idle(Duration::from_secs(5)), "request never drained");
+            h.with_ingress(|m| m.store().resolve(&vars["V"]))
+        };
+        assert!(matches!(ask(2), Term::Var(_)), "a dead node answered");
+        assert_eq!(ask(4).to_string(), "42");
         let report = h.shutdown().unwrap();
-        assert_eq!(report.metrics.shards_killed, 1, "{:?}", report.metrics);
+        assert_eq!(report.metrics.nodes_crashed, 1, "{:?}", report.metrics);
+        assert_eq!(report.metrics.msgs_dropped, 1, "{:?}", report.metrics);
+    }
+
+    #[test]
+    fn a_session_closed_after_its_nodes_crashed_is_still_swept() {
+        // The handler shape `server([req(Q, R)|In]) :- T := Q * 2, R := T,
+        // ...`: `T` is a body variable, allocated under the session's
+        // region on the stripe of the worker that served the request. Both
+        // of that worker's nodes then crash. It is still a worker: the
+        // close-time `Routed::Reclaim` must sweep its stripe. (A killed
+        // shard used to discard the event and leak the slot.)
+        let program = parse_program(
+            "boot. serve(Q, R) :- T := Q * 2, R := T. \
+             walk([]). walk([_|Xs]) :- walk(Xs).",
+        )
+        .unwrap();
+        let crash_at = 40;
+        let cfg = MachineConfig::with_nodes(4)
+            .parallel(2)
+            .faults(FaultPlan::default().crash(2, crash_at).crash(4, crash_at));
+        let h = ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()).unwrap();
+        let idle = || assert!(h.wait_idle(Duration::from_secs(5)), "never drained");
+        idle();
+        let store_len = || h.with_ingress(|m| m.store_len());
+        let before = store_len();
+
+        let session = 5;
+        let vars = inject_goal_at(&h, session, 2, "serve(21, R)");
+        idle();
+        let r = h.with_ingress(|m| m.store().resolve(&vars["R"]));
+        assert_eq!(r.to_string(), "42", "answered before the crash");
+        assert_eq!(
+            store_len(),
+            before + 2,
+            "R on the ingress stripe, T on worker 1's"
+        );
+        assert!(h.reductions() < crash_at && h.crashed_nodes().is_empty());
+
+        // Run the reduction count past the crash point on node 1 (a ground
+        // list walk allocates nothing), then give worker 1 a reason to look.
+        let steps = "a,".repeat(crash_at as usize);
+        inject_goal(&h, session, &format!("walk([{steps}a])"));
+        idle();
+        inject_goal_at(&h, session, 2, "boot");
+        idle();
+        assert_eq!(h.crashed_nodes(), vec![2, 4]);
+
+        // `store_len` is a high-water mark (freed slots wait on a free
+        // list), so the sweep shows in the reclaim count: both slots, not
+        // just the ingress stripe's.
+        h.reclaim(session);
+        idle();
+        let report = h.shutdown().unwrap();
+        assert_eq!(report.metrics.vars_reclaimed, 2, "{:?}", report.metrics);
     }
 }

@@ -64,7 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use strand_core::{sym, Atom, AtomError, StrandError, StrandResult, Term};
-use strand_machine::{ast_to_term, ChaosPlan, ForeignLib, Machine, MachineConfig, RunReport};
+use strand_machine::{ast_to_term, FaultPlan, ForeignLib, Machine, MachineConfig, RunReport};
 use strand_parallel::ResidentHandle;
 use strand_parse::{compile_program, parse_term, Ast};
 
@@ -127,11 +127,10 @@ pub struct ServeConfig {
     /// wall clock, and the simulator's virtual clock only advances while a
     /// burst is reducing.
     pub supervise: bool,
-    /// Wall-clock fault plan injected into the resident fleet (shard
-    /// kills, batch drop/dup). Only meaningful with `supervise`: an
-    /// unsupervised service black-holes every session routed to a killed
-    /// shard.
-    pub chaos: ChaosPlan,
+    /// Fault plan injected into the resident fleet (node crashes,
+    /// per-delivery drop/dup/delay). Only meaningful with `supervise`: an
+    /// unsupervised service black-holes every request a crashed node held.
+    pub faults: FaultPlan,
 }
 
 impl Default for ServeConfig {
@@ -143,7 +142,7 @@ impl Default for ServeConfig {
             retry_ms: 25,
             reply_timeout_ms: 10_000,
             supervise: false,
-            chaos: ChaosPlan::default(),
+            faults: FaultPlan::default(),
         }
     }
 }
@@ -301,9 +300,9 @@ impl MotifService {
     /// with no initial traffic, and leave it resident (idle) awaiting
     /// requests.
     pub fn start(app_src: &str, cfg: ServeConfig) -> StrandResult<MotifService> {
-        if matches!(cfg.backend, ServeBackend::Sim) && (cfg.supervise || !cfg.chaos.is_empty()) {
+        if matches!(cfg.backend, ServeBackend::Sim) && (cfg.supervise || !cfg.faults.is_empty()) {
             return Err(StrandError::Other(
-                "supervised / chaos serving needs the parallel backend: \
+                "supervised / fault-injected serving needs the parallel backend: \
                  supervision heartbeats are wall-clock timers and the \
                  simulator's virtual clock only advances while a burst is \
                  reducing"
@@ -348,7 +347,7 @@ impl MotifService {
         // A bad request must not tear the service down mid-session:
         // handler errors are collected, the client times out instead.
         mcfg.fail_fast = false;
-        mcfg.chaos = cfg.chaos.clone();
+        mcfg.faults = cfg.faults.clone();
         let boot_goal = format!("serve_boot({}, DT)", cfg.servers);
         let (engine, dt) = match cfg.backend {
             ServeBackend::Sim => {
@@ -503,7 +502,7 @@ impl MotifService {
     /// probe that suspends until the handler grounds `R`. Supervised
     /// services route through `rsend` — the motif library's acked,
     /// retransmitted send — instead of the fire-and-forget `distribute`,
-    /// so a killed shard's dropped envelope is retried against the
+    /// so an envelope lost with a crashed node is retried against the
     /// restarted server.
     fn send_request(&self, m: &mut Machine, q: Term, reply: &Term, rid: u64, node: i64) {
         m.inject(
@@ -524,9 +523,9 @@ impl MotifService {
     }
 
     /// The entry node for the next request: round-robin over the server
-    /// directory, skipping nodes whose owning worker a chaos plan has
-    /// killed — a goal injected at a dead shard is silently discarded,
-    /// which for an ingress request means a lost client.
+    /// directory, skipping nodes the fault plan has crashed — a goal
+    /// injected at a dead node is silently discarded, which for an ingress
+    /// request means a lost client.
     fn pick_node(&self) -> i64 {
         let servers = i64::from(self.cfg.servers);
         let start =
@@ -534,21 +533,13 @@ impl MotifService {
         let Engine::Parallel(h) = &self.engine else {
             return start + 1;
         };
-        let dead = h.dead_shards();
-        if dead == 0 {
-            return start + 1;
-        }
-        let threads = h.threads();
-        for k in 0..servers {
-            let node = (start + k) % servers + 1;
-            let worker = (node - 1) as usize % threads;
-            if worker >= 64 || dead & (1 << worker) == 0 {
-                return node;
-            }
-        }
-        // Every worker is dead; nothing can answer. Inject anywhere and
-        // let the reply timeout surface the outage.
-        start + 1
+        let dead = h.crashed_nodes();
+        // Every node dead: nothing can answer. Inject anywhere and let the
+        // reply timeout surface the outage.
+        (0..servers)
+            .map(|k| (start + k) % servers + 1)
+            .find(|&node| !dead.contains(&(node as u32)))
+            .unwrap_or(start + 1)
     }
 
     /// The delay a `BUSY` response advertises. Unsupervised services
@@ -569,16 +560,16 @@ impl MotifService {
     }
 
     /// One supervised request. Beyond the plain path's inject-and-wait,
-    /// this survives a shard kill mid-request: the reply is awaited in
+    /// this survives a node crash mid-request: the reply is awaited in
     /// slices, and on each slice boundary (a) the reply variable itself is
     /// ground-checked through the ingress machine — the handler's bind is
     /// durable in the shared store even when the `'$serve_reply'` probe
-    /// suspension died with its shard — and (b) if the dead-shard mask
-    /// grew since the last send, or a quiet re-send period elapsed, the
+    /// suspension died with its node — and (b) if another node crashed
+    /// since the last send, or a quiet re-send period elapsed, the
     /// whole request (`rsend` plus a fresh reply probe, same reply
     /// variable) is re-injected at a live node. The re-send is the ingress
     /// mirror of the supervisor's own restart-and-replay: the original
-    /// `rsend` goal itself can be lost — injected at a node whose worker
+    /// `rsend` goal itself can be lost — injected at a node that
     /// died before reducing it, or its retransmits exhausted during the
     /// restart window — and no amount of probe re-registration recovers a
     /// request that no server ever saw. At-least-once delivery is exactly
@@ -595,7 +586,7 @@ impl MotifService {
         slot: &ReplySlot,
         timeout: Duration,
     ) -> Result<Option<Term>, Response> {
-        let mut dead_seen = h.dead_shards();
+        let mut dead_seen = h.crashed_nodes().len();
         let reply = h.with_ingress(|m| self.inject_request(m, session, ast, rid, node))?;
         let deadline = Instant::now() + timeout;
         let slice = Duration::from_millis(250);
@@ -613,18 +604,18 @@ impl MotifService {
                 return Ok(None);
             }
             // Fallback: the handler may have answered durably while the
-            // probe died with its shard.
+            // probe died with its node.
             let resolved = h.with_ingress(|m| m.store().resolve(&reply));
             if resolved.is_ground() {
                 return Ok(Some(resolved));
             }
-            let dead_now = h.dead_shards();
+            let dead_now = h.crashed_nodes().len();
             if dead_now != dead_seen || last_send.elapsed() >= resend_every {
-                // A shard died since the last send (or the request has sat
+                // A node died since the last send (or the request has sat
                 // unanswered for a full re-send period). Re-send the whole
                 // request — the acked send AND a fresh reply probe, bound
-                // to the same reply variable — at a node a live worker
-                // owns. `requests_admitted` is not bumped: this is a
+                // to the same reply variable — at a live node.
+                // `requests_admitted` is not bumped: this is a
                 // retransmit of an admitted request, not a new one. Of the
                 // probes now racing, the first to fire takes the slot's
                 // registration and the rest deliver to nobody.

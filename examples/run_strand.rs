@@ -6,7 +6,7 @@
 //! cargo run --example run_strand -- <file> <goal> [nodes] [seed] \
 //!     [--trace] [--stats] [--backend sim|parallel] [--threads N] \
 //!     [--exec compiled|interpreted] \
-//!     [--chaos seed=N,kill=shard@reductions,drop=p,dup=p,slow=shard:us]
+//!     [--faults seed=N,crash=node@at,drop=p,dup=p,delay=p:ticks,slow=node:factor]
 //! # e.g.
 //! echo 'double(X, Y) :- Y := X * 2.' > /tmp/d.str
 //! cargo run --example run_strand -- /tmp/d.str 'double(21, V)'
@@ -21,7 +21,7 @@
 //! With no arguments it runs a built-in demo (the paper's Figure 1).
 
 use algorithmic_motifs::strand_machine::{
-    render_trace, run_goal, trace_summary, ChaosPlan, ExecMode, MachineConfig, RunStatus,
+    render_trace, run_goal, trace_summary, ExecMode, FaultPlan, MachineConfig, RunStatus,
 };
 
 const DEMO: &str = r#"
@@ -35,9 +35,9 @@ consumer([X|Xs]) :- X := sync, consumer(Xs).
 consumer([]).
 "#;
 
-fn parse_chaos(spec: &str) -> ChaosPlan {
-    ChaosPlan::parse_spec(spec).unwrap_or_else(|e| {
-        eprintln!("--chaos: {e}");
+fn parse_faults(spec: &str) -> FaultPlan {
+    FaultPlan::parse_spec(spec).unwrap_or_else(|e| {
+        eprintln!("--faults: {e}");
         std::process::exit(2);
     })
 }
@@ -64,11 +64,7 @@ fn main() {
         .map(|v| v.parse().expect("--threads wants a number"))
         .unwrap_or(0);
     let exec_arg = take_flag_value(&mut args, "--exec").unwrap_or_else(|| "compiled".to_string());
-    let chaos = take_flag_value(&mut args, "--chaos").map(|spec| parse_chaos(&spec));
-    if chaos.is_some() && backend != "parallel" {
-        eprintln!("--chaos injects wall-clock faults; it requires --backend parallel");
-        std::process::exit(2);
-    }
+    let faults = take_flag_value(&mut args, "--faults").map(|spec| parse_faults(&spec));
     if !matches!(backend.as_str(), "sim" | "parallel") {
         eprintln!("--backend must be `sim` (deterministic) or `parallel`, got `{backend}`");
         std::process::exit(2);
@@ -99,7 +95,7 @@ fn main() {
                 "usage: run_strand <file> <goal> [nodes] [seed] \
                  [--trace] [--stats] [--backend sim|parallel] [--threads N] \
                  [--exec compiled|interpreted] \
-                 [--chaos seed=N,kill=shard@reductions,drop=p,dup=p,slow=shard:us]"
+                 [--faults seed=N,crash=node@at,drop=p,dup=p,delay=p:ticks,slow=node:factor]"
             );
             std::process::exit(2);
         }
@@ -123,9 +119,9 @@ fn main() {
         algorithmic_motifs::strand_parallel::install();
         config = config.parallel(threads);
     }
-    if let Some(plan) = chaos {
+    if let Some(plan) = faults {
         // Faults make failure normal: keep partial results reportable.
-        config = config.chaos(plan);
+        config = config.faults(plan);
         config.fail_fast = false;
     }
     let result = run_goal(&source, &goal, config);
@@ -182,21 +178,16 @@ fn main() {
                 } else {
                     println!("first-arg index: no keyed rules probed");
                 }
-                if m.shards_killed > 0
-                    || m.batches_dropped > 0
-                    || m.batches_duplicated > 0
-                    || m.throttle_ns > 0
-                    || m.supervisor_restarts > 0
-                {
-                    println!("chaos:");
-                    println!("  shards killed: {}", m.shards_killed);
+                let injected =
+                    m.nodes_crashed + m.msgs_dropped + m.msgs_duplicated + m.msgs_delayed;
+                if injected + m.supervisor_restarts > 0 {
                     println!(
-                        "  batches dropped: {} ({} spawns) | duplicated: {} ({} spawns)",
-                        m.batches_dropped, m.msgs_dropped, m.batches_duplicated, m.msgs_duplicated
-                    );
-                    println!(
-                        "  throttle stalls: {:.2} ms | supervisor restarts: {}",
-                        m.throttle_ns as f64 / 1e6,
+                        "faults: {} nodes crashed | deliveries: {} dropped, {} duplicated, \
+                         {} delayed | supervisor restarts: {}",
+                        m.nodes_crashed,
+                        m.msgs_dropped,
+                        m.msgs_duplicated,
+                        m.msgs_delayed,
                         m.supervisor_restarts
                     );
                 }

@@ -10,17 +10,16 @@
 //!
 //! ```sh
 //! cargo run --example supervised_ring
-//! # the same ring on real worker threads under wall-clock fault injection
-//! # (kill one of two shards a few hundred reductions in, drop 10% of
-//! # cross-worker batches, duplicate 5%):
+//! # an 8-server ring under a plan of your own (crash nodes 2 and 4, drop
+//! # 10% of cross-node deliveries, duplicate 5%) — on the simulator, where
+//! # `@500` is virtual time, or with `--threads` on real worker threads,
+//! # where it is the run's reduction count:
 //! cargo run --example supervised_ring -- \
-//!     --chaos seed=61,kill=1@500,drop=0.10,dup=0.05 --threads 2
+//!     --faults seed=61,crash=2@500,crash=4@500,drop=0.10,dup=0.05 --threads 2
 //! ```
 
 use algorithmic_motifs::motifs::{random, supervised_random};
-use algorithmic_motifs::strand_machine::{
-    run_parsed_goal, ChaosPlan, FaultPlan, MachineConfig, RunStatus,
-};
+use algorithmic_motifs::strand_machine::{run_parsed_goal, FaultPlan, MachineConfig, RunStatus};
 use algorithmic_motifs::strand_parse::pretty;
 
 /// A token ring: each server prints its number and forwards the token;
@@ -47,41 +46,52 @@ fn main() {
         args.drain(i..=i + 1);
         Some(v)
     };
-    let chaos = take(&mut args, "--chaos").map(|spec| {
-        ChaosPlan::parse_spec(&spec).unwrap_or_else(|e| {
-            eprintln!("--chaos: {e}");
+    let faults = take(&mut args, "--faults").map(|spec| {
+        FaultPlan::parse_spec(&spec).unwrap_or_else(|e| {
+            eprintln!("--faults: {e}");
             std::process::exit(2);
         })
     });
-    let threads: u32 = take(&mut args, "--threads")
-        .map(|v| v.parse().expect("--threads wants a number"))
-        .unwrap_or(2);
+    let threads: Option<u32> =
+        take(&mut args, "--threads").map(|v| v.parse().expect("--threads wants a number"));
 
     let plain = random().apply_src(RING).expect("Server o Rand applies");
     let sup = supervised_random()
         .apply_src(RING)
         .expect("Supervise o Server o Rand applies");
 
-    // With a chaos spec the demo moves to the real multi-threaded backend:
-    // the same supervised program, but the faults are wall-clock — a worker
-    // shard dies mid-run and the outbox drops/duplicates spawn batches.
-    if let Some(plan) = chaos {
-        algorithmic_motifs::strand_parallel::install();
+    // One seeded fault plan for both demo runs: node 3 dies at t=60, and
+    // every edge drops 5% of its messages.
+    let plan = || FaultPlan::default().crash(3, 60).drop_prob(0.05).seed(7);
+
+    // With a plan or a thread count of the caller's, run just the
+    // supervised 8-server ring under it — the same program and the same
+    // plan on either backend.
+    if faults.is_some() || threads.is_some() {
         let goal = "create(8, token(1))";
         let mut cfg = MachineConfig::with_nodes(8)
             .seed(47)
-            .parallel(threads)
-            .chaos(plan);
+            .faults(faults.unwrap_or_else(plan));
+        let mut backend = "the simulator".to_string();
+        if let Some(threads) = threads {
+            algorithmic_motifs::strand_parallel::install();
+            cfg = cfg.parallel(threads);
+            backend = format!("{threads} worker threads");
+        }
         cfg.fail_fast = false;
         cfg.max_reductions = 2_000_000;
-        let r = run_parsed_goal(&sup, goal, cfg).expect("supervised ring runs under chaos");
+        let r = run_parsed_goal(&sup, goal, cfg).expect("supervised ring runs under faults");
         let m = &r.report.metrics;
-        println!("%% Supervise o Server o Rand under wall-clock chaos ({threads} threads):");
+        println!("%% Supervise o Server o Rand under the fault plan on {backend}:");
         println!("%%   status  {:?}", r.report.status);
         println!("%%   output  {:?}", r.report.output);
         println!(
-            "%%   chaos   {} shard(s) killed, {} batches dropped, {} duplicated, {} restart(s)",
-            m.shards_killed, m.batches_dropped, m.batches_duplicated, m.supervisor_restarts
+            "%%   faults  {} node(s) crashed, {} deliveries dropped, {} duplicated, {} restart(s)",
+            m.nodes_crashed, m.msgs_dropped, m.msgs_duplicated, m.supervisor_restarts
+        );
+        assert!(
+            !matches!(r.report.status, RunStatus::Truncated { .. }),
+            "recovery must not exhaust the budget"
         );
         for k in 1..=8 {
             assert!(
@@ -107,9 +117,6 @@ fn main() {
         println!("%%   {}", line.trim());
     }
 
-    // One seeded fault plan for both runs: node 3 dies at t=60, and every
-    // edge drops 5% of its messages.
-    let plan = || FaultPlan::default().crash(3, 60).drop_prob(0.05).seed(7);
     let goal = "create(6, token(1))";
 
     let r = run_parsed_goal(&plain, goal, MachineConfig::with_nodes(6).faults(plan()))

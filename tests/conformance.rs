@@ -34,7 +34,7 @@ use algorithmic_motifs::motifs::{
 };
 use algorithmic_motifs::strand_core::Term;
 use algorithmic_motifs::strand_machine::{
-    run_parsed_goal, ChaosPlan, GoalResult, MachineConfig, RunStatus,
+    run_parsed_goal, FaultPlan, GoalResult, MachineConfig, RunStatus,
 };
 use algorithmic_motifs::strand_parallel;
 use bench::{FIGURE2_HANDWRITTEN, PAPER_TREE, RING_APP};
@@ -303,17 +303,18 @@ fn quiescent_goal_on_a_shared_dag_gets_a_capped_post_mortem() {
 // Inventory motifs
 // ---------------------------------------------------------------------------
 
+/// Fig. 4 shape: every node probes every higher-numbered node.
+const FLOOD_APP: &str = r#"
+    server([probe(K)|In]) :- fan(K), server(In).
+    server([]).
+    fan(K) :- fan1(K, 4).
+    fan1(K, N) :- K < N | K1 := K + 1, send(K1, probe(K1)), fan1(K1, N).
+    fan1(K, N) :- K >= N | true.
+"#;
+
 #[test]
 fn conform_server_flood() {
-    // Fig. 4 shape: every node probes every higher-numbered node.
-    let flood = r#"
-        server([probe(K)|In]) :- fan(K), server(In).
-        server([]).
-        fan(K) :- fan1(K, 4).
-        fan1(K, N) :- K < N | K1 := K + 1, send(K1, probe(K1)), fan1(K1, N).
-        fan1(K, N) :- K >= N | true.
-    "#;
-    let p = motifs::server().apply_src(flood).unwrap();
+    let p = motifs::server().apply_src(FLOOD_APP).unwrap();
     assert_conform(
         "server-flood",
         &p,
@@ -497,30 +498,131 @@ fn conform_supervise_ring() {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos tier: supervised programs under wall-clock fault injection
+// Exact tier under faults: one plan, one dice stream, simulator ≡ 1 thread
 // ---------------------------------------------------------------------------
 
-/// Pick a kill deadline that lands mid-run: a clean run's reduction count
-/// scaled down. `kill_at` triggers on the *global* reduction counter, so it
-/// is a progress trigger, not a timer — by the time it fires the supervised
-/// network has necessarily made that much progress (bootstrap included),
-/// and the chaos run always reaches it (faults only add reductions).
-fn mid_run_kill_at(
-    program: &strand_parse::Program,
-    goal: &str,
-    cfg: &MachineConfig,
-    threads: u32,
-) -> u64 {
-    let clean = run_parsed_goal(program, goal, cfg.clone().parallel(threads))
+/// Message faults are rolled in the shard core both backends run, and a
+/// 1-thread fleet's worker 0 keeps the plan's seed: under the same lossy
+/// plan the two must roll the same dice on the same deliveries and so agree
+/// exactly — on what was injected, and on everything the program did about
+/// it. (Crashes are left out: the backends read `at` on different clocks.
+/// So are `after_unless` programs, whose deadlines do.)
+#[test]
+fn lossy_plans_replay_exactly_on_a_one_thread_fleet() {
+    strand_parallel::install();
+    let tree = random_tree_src(20, 5);
+    let cases = [
+        (
+            "server-flood",
+            motifs::server().apply_src(FLOOD_APP).unwrap(),
+            "create(4, probe(1))".to_string(),
+        ),
+        (
+            "tree-reduce-1",
+            tree_reduce_1().apply_src(ARITH_EVAL).unwrap(),
+            format!("create(4, reduce({tree}, Value))"),
+        ),
+        (
+            "tree-reduce-2",
+            tree_reduce_2().apply_src(ARITH_EVAL).unwrap(),
+            format!("create(4, tr2({tree}, Value))"),
+        ),
+        (
+            "dc-mergesort",
+            dc::divide_and_conquer()
+                .apply_src(dc::MERGESORT_APP)
+                .unwrap(),
+            format!(
+                "create(4, dc({}, S))",
+                dc::int_list_src(&[9, 2, 7, 4, 1, 8])
+            ),
+        ),
+        (
+            "pipeline",
+            pipeline::pipeline()
+                .apply_src("stage(K, X, Y) :- Y := X + K.")
+                .unwrap(),
+            "pipe(3, [0, 10, 20, 30], Out)".to_string(),
+        ),
+    ];
+    let mut injected = [0u64; 3];
+    for (label, program, goal) in &cases {
+        for seed in [1u64, 2, 3] {
+            let plan = FaultPlan::default()
+                .drop_prob(0.2)
+                .dup_prob(0.1)
+                .delay(0.1, 50)
+                .seed(seed);
+            let mut cfg = MachineConfig::with_nodes(4).seed(5).faults(plan);
+            // A duplicated delivery may double-assign: collect, don't stop.
+            cfg.fail_fast = false;
+            let sim = run_parsed_goal(program, goal, cfg.clone())
+                .unwrap_or_else(|e| panic!("{label}: simulator: {e}"));
+            let par = run_parsed_goal(program, goal, cfg.parallel(1))
+                .unwrap_or_else(|e| panic!("{label}: 1-thread fleet: {e}"));
+            let faults = |r: &GoalResult| {
+                let m = &r.report.metrics;
+                [m.msgs_dropped, m.msgs_duplicated, m.msgs_delayed]
+            };
+            assert_eq!(faults(&sim), faults(&par), "{label} seed {seed}: dice");
+            assert_eq!(
+                sim.report.status, par.report.status,
+                "{label} seed {seed}: status"
+            );
+            assert_eq!(sim.bindings, par.bindings, "{label} seed {seed}: bindings");
+            assert_eq!(
+                sim.report.output, par.report.output,
+                "{label} seed {seed}: ordered output"
+            );
+            assert_eq!(
+                sim.report.errors, par.report.errors,
+                "{label} seed {seed}: collected errors"
+            );
+            for (sum, n) in injected.iter_mut().zip(faults(&sim)) {
+                *sum += n;
+            }
+        }
+    }
+    assert!(
+        injected.iter().all(|&n| n >= 5),
+        "the plans barely injected (dropped, duplicated, delayed): {injected:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Chaos tier: supervised programs under a fault plan on real threads
+// ---------------------------------------------------------------------------
+
+/// Pick a crash point that lands mid-run: a clean run's reduction count
+/// scaled down. On a fleet `crash(node, at)` triggers on the *global*
+/// reduction counter, so it is a progress trigger, not a timer — by the
+/// time it fires the supervised network has necessarily made that much
+/// progress (bootstrap included), and the chaos run always reaches it
+/// (faults only add reductions).
+fn mid_run_crash_at(program: &strand_parse::Program, goal: &str, cfg: &MachineConfig) -> u64 {
+    let clean = run_parsed_goal(program, goal, cfg.clone().parallel(2))
         .unwrap_or_else(|e| panic!("clean calibration run: {e}"));
     (clean.report.metrics.total_reductions / 3).max(1)
 }
 
+/// The chaos mix: nodes 2 and 4 crash mid-run on top of 10% delivery drop
+/// and 5% duplication. Built once per test and handed unchanged to every
+/// thread count — a plan names nodes and deliveries, so it means the same
+/// thing whatever hosts them.
+fn chaos_plan(crash_at: u64, seed: u64) -> FaultPlan {
+    FaultPlan::default()
+        .crash(2, crash_at)
+        .crash(4, crash_at)
+        .drop_prob(0.10)
+        .dup_prob(0.05)
+        .seed(seed)
+}
+
 /// The chaos acceptance scenario, ring half: the `Supervise ∘ Server ∘
-/// Rand` ring must still visit every server when one worker shard is
-/// killed mid-run on top of 10% batch drop and 5% duplication. Recovery is
-/// wall-clock real: the dead shard's servers restart from their durable
-/// wires on the monitors' (surviving) nodes.
+/// Rand` ring must still visit every server when two nodes crash mid-run
+/// on top of delivery loss and duplication. Recovery is real: the dead
+/// nodes' servers restart from their durable wires on the monitors'
+/// (surviving) nodes.
 #[test]
 fn chaos_supervised_ring_survives_kill_drop_dup() {
     strand_parallel::install();
@@ -528,15 +630,9 @@ fn chaos_supervised_ring_survives_kill_drop_dup() {
     let goal = "create(8, token(1))";
     let base = MachineConfig::with_nodes(8).seed(47);
     let expected: Vec<String> = (1..=8).map(|k| k.to_string()).collect();
+    let plan = chaos_plan(mid_run_crash_at(&program, goal, &base), 61);
     for threads in [2u32, 4, 8] {
-        let kill_at = mid_run_kill_at(&program, goal, &base, threads);
-        let mut cfg = base.clone().parallel(threads).chaos(
-            ChaosPlan::default()
-                .kill(1, kill_at)
-                .drop_prob(0.10)
-                .dup_prob(0.05)
-                .seed(61),
-        );
+        let mut cfg = base.clone().parallel(threads).faults(plan.clone());
         cfg.fail_fast = false;
         // A recovery regression diverges (beat loops mint variables without
         // bound); a modest budget turns that into `Truncated` + a readable
@@ -545,22 +641,20 @@ fn chaos_supervised_ring_survives_kill_drop_dup() {
         let r = run_parsed_goal(&program, goal, cfg)
             .unwrap_or_else(|e| panic!("chaos ring at {threads} threads: {e}"));
         assert_eq!(
-            r.report.metrics.shards_killed, 1,
-            "the kill must land at {threads} threads (kill_at={kill_at})"
+            r.report.metrics.nodes_crashed, 2,
+            "both crashes must land at {threads} threads ({:?})",
+            plan.crashes
         );
         let mut distinct = sorted(&r.report.output);
         distinct.dedup();
         assert_eq!(
             distinct, expected,
             "token must visit every server at {threads} threads despite the \
-             dead shard; status {:?}, errors {:?}",
+             dead nodes; status {:?}, errors {:?}",
             r.report.status, r.report.errors
         );
         assert!(
-            !matches!(
-                r.report.status,
-                algorithmic_motifs::strand_machine::RunStatus::Truncated { .. }
-            ),
+            !matches!(r.report.status, RunStatus::Truncated { .. }),
             "chaos must not exhaust the budget: {:?}",
             r.report.status
         );
@@ -570,9 +664,9 @@ fn chaos_supervised_ring_survives_kill_drop_dup() {
 /// The chaos acceptance scenario, task half: a supervised task scheduler
 /// (Supervise ∘ Server ∘ Sched) completing a fan of idempotent tasks. The
 /// tasks acknowledge into test-and-set slots (`arg/3` + `ack/1`), per the
-/// Supervise contract that handlers tolerate replay — so a killed worker
-/// shard, replayed wires and duplicated submissions must still fill every
-/// slot exactly to `ok`.
+/// Supervise contract that handlers tolerate replay — so crashed nodes,
+/// replayed wires and duplicated submissions must still fill every slot
+/// exactly to `ok`.
 #[test]
 fn chaos_supervised_task_sched_reaches_answers() {
     strand_parallel::install();
@@ -592,22 +686,17 @@ fn chaos_supervised_task_sched_reaches_answers() {
         .unwrap();
     let goal = motifs::boot_goal(9, "gen", &["8", "t(S1, S2, S3, S4, S5, S6, S7, S8)"]);
     let base = MachineConfig::with_nodes(9).seed(53);
+    let plan = chaos_plan(mid_run_crash_at(&program, &goal, &base), 67);
     for threads in [2u32, 4, 8] {
-        let kill_at = mid_run_kill_at(&program, &goal, &base, threads);
-        let mut cfg = base.clone().parallel(threads).chaos(
-            ChaosPlan::default()
-                .kill(1, kill_at)
-                .drop_prob(0.10)
-                .dup_prob(0.05)
-                .seed(67),
-        );
+        let mut cfg = base.clone().parallel(threads).faults(plan.clone());
         cfg.fail_fast = false;
         cfg.max_reductions = 2_000_000;
         let r = run_parsed_goal(&program, &goal, cfg)
             .unwrap_or_else(|e| panic!("chaos task_sched at {threads} threads: {e}"));
         assert_eq!(
-            r.report.metrics.shards_killed, 1,
-            "the kill must land at {threads} threads (kill_at={kill_at})"
+            r.report.metrics.nodes_crashed, 2,
+            "both crashes must land at {threads} threads ({:?})",
+            plan.crashes
         );
         for slot in ["S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8"] {
             assert_eq!(
@@ -623,21 +712,21 @@ fn chaos_supervised_task_sched_reaches_answers() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 3: acked sends apply exactly once under duplicated batches
+// Satellite 3: acked sends apply exactly once under duplicated deliveries
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Supervise's retry/backoff against wall-clock batch duplication:
-    /// every duplicated spawn batch is re-delivered with fresh pids, yet
-    /// the sequence-numbered envelopes and the test-and-set bootstrap must
-    /// keep *application* effects exactly-once. Absent a supervisor
-    /// restart (none is triggered without a kill — heartbeats ride
-    /// reliable wakes), each token must print exactly once; with one, the
-    /// replay may legally repeat a print but never lose one.
+    /// Supervise's retry/backoff against delivery duplication on real
+    /// threads: three deliveries in four arrive twice (a duplicated spawn
+    /// gets a fresh pid), yet the sequence-numbered envelopes and the
+    /// test-and-set bootstrap must keep *application* effects exactly-once.
+    /// Absent a supervisor restart (nothing here crashes or drops, so no
+    /// heartbeat goes missing), each token must print exactly once; with
+    /// one, the replay may legally repeat a print but never lose one.
     #[test]
-    fn duplicated_batches_keep_acked_sends_exactly_once(
+    fn duplicated_deliveries_keep_acked_sends_exactly_once(
         chaos_seed in 0u64..10_000,
         threads_ix in 0usize..3,
     ) {
@@ -648,13 +737,14 @@ proptest! {
         let mut cfg = MachineConfig::with_nodes(4)
             .seed(47)
             .parallel(threads)
-            .chaos(ChaosPlan::default().dup_prob(0.75).seed(chaos_seed));
+            .faults(FaultPlan::default().dup_prob(0.75).seed(chaos_seed));
         cfg.fail_fast = false;
         let r = run_parsed_goal(&program, goal, cfg).unwrap();
         let expected: Vec<String> = (1..=4).map(|k| k.to_string()).collect();
         let mut distinct = sorted(&r.report.output);
         distinct.dedup();
         prop_assert_eq!(&distinct, &expected, "every token must arrive");
+        prop_assert!(r.report.metrics.msgs_duplicated > 0, "the plan did inject");
         if r.report.metrics.supervisor_restarts == 0 {
             prop_assert_eq!(
                 sorted(&r.report.output),

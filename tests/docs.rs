@@ -9,6 +9,10 @@
 //! a file or directory in the tree, which admits the crate-relative
 //! (`strand-parallel/src/quiesce.rs`) and bare (`machine.rs`) spellings the
 //! docs use. `out/…` is where the recorders write and is never committed.
+//!
+//! Likewise every backticked `motif-bench <verb> …` names a verb the binary
+//! takes: an experiment, a recorder, `list` or `show`. (`<placeholders>`,
+//! flags and shell redirections after `motif-bench` are not verbs.)
 
 use std::path::Path;
 
@@ -96,5 +100,37 @@ fn every_backticked_path_in_the_docs_resolves() {
         }
     }
     assert!(checked > 50, "the scan found only {checked} paths");
+    assert!(broken.is_empty(), "\n{}", broken.join("\n"));
+}
+
+#[test]
+fn every_backticked_motif_bench_verb_in_the_docs_resolves() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let verbs: Vec<&str> = bench::experiment_names()
+        .chain(bench::RECORDERS.iter().map(|(verb, ..)| *verb))
+        .chain(["list", "show"])
+        .collect();
+    let mut broken = Vec::new();
+    let mut checked = 0;
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc exists");
+        for (line, span) in backticked(&text) {
+            let mut words = span.split_whitespace();
+            // The series schema string starts with the binary's name too.
+            let schema = bench::series::SCHEMA.split_whitespace();
+            if words.next() != Some("motif-bench") || span.split_whitespace().eq(schema) {
+                continue;
+            }
+            let Some(verb) = words.next() else { continue };
+            if !verb.starts_with(|c: char| c.is_ascii_alphanumeric()) {
+                continue;
+            }
+            checked += 1;
+            if !verbs.contains(&verb) {
+                broken.push(format!("{doc}:{line}: `{span}`: no verb `{verb}`"));
+            }
+        }
+    }
+    assert!(checked > 30, "the scan found only {checked} verbs");
     assert!(broken.is_empty(), "\n{}", broken.join("\n"));
 }

@@ -17,10 +17,13 @@
 //!   in a recycled slot (the reply probe is a sink; nothing follows it).
 //! * **Supervised** — `Supervise ∘ Server` kept resident on wall-clock
 //!   timers must be invisible on clean runs (bit-identical replies to the
-//!   unsupervised tier at 1/2/4 threads) and load-bearing under chaos: a
-//!   worker shard killed mid-load on top of 10% batch drop must cost no
+//!   unsupervised tier at 1/2/4 threads) and load-bearing under chaos: two
+//!   nodes crashed mid-load on top of 10% delivery drop must cost no
 //!   client its reply — retransmission, restart and the re-registered
-//!   reply probe together make the kill a latency event, not a loss.
+//!   reply probe together make the crash a latency event, not a loss.
+//! * **Reclaim after a crash** — a crashed node's worker is an ordinary
+//!   worker: a session closed after the crash still has its slots on that
+//!   worker's store stripe swept.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -29,7 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use algorithmic_motifs::strand_core;
-use algorithmic_motifs::strand_machine::{run_parsed_goal, ChaosPlan, MachineConfig, RunStatus};
+use algorithmic_motifs::strand_machine::{run_parsed_goal, FaultPlan, MachineConfig, RunStatus};
 use algorithmic_motifs::strand_parallel;
 use algorithmic_motifs::strand_serve::{
     serve, MotifService, Response, ServeBackend, ServeConfig, ServeSummary, Session, DOUBLER_APP,
@@ -373,22 +376,22 @@ server([req(Q, R)|In]) :- put_reply(Q, R), server(In).
 put_reply(Q, R) :- D := Q * 2, T := t(R), put_arg(1, T, D, _).
 "#;
 
-/// The acceptance scenario: kill a worker shard mid-load, on top of 10%
-/// cross-worker batch drop, while concurrent clients stream requests. No
-/// client may lose its reply — requests routed at the dead shard are
+/// The acceptance scenario: crash nodes 2 and 4 mid-load, on top of 10%
+/// cross-node delivery drop, while concurrent clients stream requests. No
+/// client may lose its reply — requests routed at the dead nodes are
 /// retransmitted by `rsend` until the supervisor's watch window expires
-/// and restarts the shard's servers from their durable wires, and the
+/// and restarts their servers from their durable wires, and the
 /// service re-sends any still-unanswered request (same reply variable) at
-/// a live node. The kill must demonstrably land (`shards_killed`), and
+/// a live node. The crashes must demonstrably land (`nodes_crashed`), and
 /// recovery must run through the supervisor (`supervisor_restarts`), not
 /// luck — so the clients pace their stream to hold the fleet resident
 /// past the supervisor's watch window instead of finishing in a burst
 /// that drains before any wall-clock deadline can expire.
 fn chaos_serve_loses_no_client(threads: u32) {
-    // Calibrate "mid-load": the kill triggers on the global reduction
-    // counter, so measure what a clean boot plus the clients' first round
-    // of requests costs and aim just past it. The fleet is then
-    // necessarily booted (give or take chaos-retry noise) and the kill
+    // Calibrate "mid-load": on a fleet a crash triggers on the global
+    // reduction counter, so measure what a clean boot plus the clients'
+    // first round of requests costs and aim just past it. The fleet is then
+    // necessarily booted (give or take chaos-retry noise) and the crash
     // lands no later than the second round, 0.4s into the paced load —
     // which leaves the fleet resident for more than a whole watch window
     // afterwards. Measured rather than a constant: what a request costs
@@ -410,8 +413,10 @@ fn chaos_serve_loses_no_client(threads: u32) {
         report.metrics.total_reductions
     };
     let mut cfg = supervised_cfg(threads);
-    cfg.chaos = ChaosPlan::default()
-        .kill(1, first_round_reductions + 10)
+    let crash_at = first_round_reductions + 10;
+    cfg.faults = FaultPlan::default()
+        .crash(2, crash_at)
+        .crash(4, crash_at)
         .drop_prob(0.10)
         .seed(71);
     cfg.reply_timeout_ms = 30_000;
@@ -448,8 +453,8 @@ fn chaos_serve_loses_no_client(threads: u32) {
     let service = Arc::try_unwrap(service).ok().expect("all clients joined");
     let report = service.shutdown().expect("chaos shutdown");
     assert_eq!(
-        report.metrics.shards_killed, 1,
-        "the kill must land at {threads} threads"
+        report.metrics.nodes_crashed, 2,
+        "both crashes must land at {threads} threads"
     );
     assert!(
         report.metrics.supervisor_restarts > 0,
