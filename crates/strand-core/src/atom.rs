@@ -20,6 +20,7 @@
 //! The names every engine step dispatches on are interned at fixed ids at
 //! compile time: see [`crate::sym`].
 
+use crate::chunks::Chunks;
 use crate::sym;
 use std::collections::HashMap;
 use std::fmt;
@@ -36,15 +37,12 @@ pub const UNTRUSTED_RESERVE: usize = 1 << 14;
 /// Longest name, in bytes, [`Atom::try_new`] accepts.
 pub const MAX_UNTRUSTED_NAME: usize = 255;
 
-const CHUNK_BITS: u32 = 10;
-const CHUNK: usize = 1 << CHUNK_BITS;
-
-type Chunk = Box<[OnceLock<&'static str>]>;
-
-/// Names by id, in chunks allocated on demand. A slot is written exactly
-/// once, under the `IDS` lock, before its id is handed to anyone; readers
-/// go through `OnceLock::get` and take no lock.
-static NAMES: [OnceLock<Chunk>; CAPACITY / CHUNK] = [const { OnceLock::new() }; CAPACITY / CHUNK];
+/// Names by id, in chunks allocated on demand (1024 names, then doubling).
+/// A slot is written exactly once, under the `IDS` lock, before its id is
+/// handed to anyone; readers go through `OnceLock::get` and take no lock.
+type Names = Chunks<OnceLock<&'static str>, 10, 9>;
+static NAMES: Names = Names::new();
+const _: () = assert!(Names::CAPACITY >= CAPACITY);
 
 /// Ids by name. The default SipHash is kept on purpose: names may come from
 /// a socket. Interning is off the reduction path, so its cost does not
@@ -110,9 +108,8 @@ fn intern(name: &str, limit: usize) -> Result<Atom, AtomError> {
         return Err(AtomError::TableFull);
     }
     let name: &'static str = Box::leak(Box::from(name));
-    let chunk =
-        NAMES[id >> CHUNK_BITS].get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect());
-    chunk[id & (CHUNK - 1)]
+    NAMES
+        .get_or_grow(id)
         .set(name)
         .expect("a slot is written once, under the intern lock");
     ids.insert(name, id as u32);
@@ -144,9 +141,15 @@ impl Atom {
         intern(name, CAPACITY - UNTRUSTED_RESERVE)
     }
 
-    /// The well-known symbol with this id (see [`crate::sym`]).
-    pub(crate) const fn well_known(id: u32) -> Atom {
+    /// The atom with this id: a well-known symbol's fixed one (see
+    /// [`crate::sym`]) or one [`Atom::id`] gave out.
+    pub(crate) const fn from_id(id: u32) -> Atom {
         Atom(id)
+    }
+
+    /// The atom's index in the symbol table.
+    pub(crate) fn id(self) -> u32 {
+        self.0
     }
 
     /// The atom's textual name.
@@ -155,9 +158,9 @@ impl Atom {
         if let Some(name) = sym::NAMES.get(id) {
             return name;
         }
-        NAMES[id >> CHUNK_BITS]
-            .get()
-            .and_then(|chunk| chunk[id & (CHUNK - 1)].get())
+        NAMES
+            .get(id)
+            .and_then(OnceLock::get)
             .expect("an Atom is only made by interning its name")
     }
 }
@@ -267,7 +270,7 @@ mod tests {
     fn well_known_symbols_are_their_own_names() {
         for (id, name) in sym::NAMES.iter().enumerate() {
             let atom = Atom::new(name);
-            assert_eq!(atom, Atom::well_known(id as u32), "{name}");
+            assert_eq!(atom, Atom::from_id(id as u32), "{name}");
             assert_eq!(atom.as_str(), *name);
         }
         assert_eq!(sym::ASSIGN.as_str(), ":=");

@@ -15,9 +15,8 @@
 //! * [`Term`] — runtime terms (variables, numbers, atoms, strings, tuples,
 //!   lists) with cheap `Arc`-backed cloning;
 //! * [`Pat`] — rule-side *pattern* terms with rule-local variable slots;
-//! * [`Store`] — the single-assignment variable store with binding
-//!   timestamps (for the discrete-event multicomputer simulation) and
-//!   suspension lists;
+//! * [`Store`] — the single-assignment variable store with suspension
+//!   lists ([`SharedStore`] is its striped, concurrently readable form);
 //! * [`matching`] — one-way head matching and guard evaluation, returning
 //!   `Fail` / `Suspend(vars)` / a binding frame, exactly the dataflow
 //!   synchronization the paper relies on (§2.1: *"the availability of data
@@ -32,6 +31,7 @@
 
 pub mod arith;
 pub mod atom;
+mod chunks;
 pub mod error;
 pub mod fxhash;
 pub mod matching;

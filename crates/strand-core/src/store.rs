@@ -2,13 +2,13 @@
 //!
 //! Strand variables *"have the single assignment property: the value of a
 //! variable is initially undefined and, once provided, cannot be modified"*
-//! (paper §2.1). The store owns every variable created during a run, records
-//! *when* and *on which virtual node* each binding happened (the
-//! discrete-event simulation in `strand-machine` uses these timestamps to
-//! model communication latency), and keeps the suspension lists used for
-//! dataflow synchronization: a process that needs the value of an unbound
-//! variable registers a waiter token and is re-scheduled when the binding
-//! arrives.
+//! (paper §2.1). The store owns every variable created during a run and
+//! keeps the suspension lists used for dataflow synchronization: a process
+//! that needs the value of an unbound variable registers a waiter token and
+//! is re-scheduled when the binding arrives. A binding also records *when*
+//! and *on which virtual node* it was made, for whoever inspects the store;
+//! the machine does not read them back (it models latency from the bind
+//! time it hands to the wake-up, not from the stored stamp).
 
 use crate::error::{StrandError, StrandResult};
 use crate::term::Term;
@@ -60,7 +60,7 @@ pub type Time = u64;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct NodeId(pub u32);
 
-/// A committed binding: the value plus provenance used for latency modeling.
+/// A committed binding: the value plus where and when it was made.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Binding {
     /// The bound value (may itself contain unbound variables).
@@ -102,6 +102,7 @@ pub(crate) struct SlotTable {
     /// Slots from closed regions that still had waiters at reclaim time
     /// (e.g. a live port tail); re-examined on every later reclaim.
     deferred: Vec<u32>,
+    binds: u64,
 }
 
 // The per-reduction methods are `#[inline]`: both wrappers are called from
@@ -133,9 +134,16 @@ impl SlotTable {
         index
     }
 
+    /// Successful commits so far (bumped by `commit`, so under whatever
+    /// lock guards the table).
+    pub fn binds(&self) -> u64 {
+        self.binds
+    }
+
     /// Reclaim every slot allocated under `region`, returning how many were
-    /// freed; see [`Store::reclaim_region`] for the contract.
-    pub fn reclaim(&mut self, region: u32) -> usize {
+    /// freed; see [`Store::reclaim_region`] for the contract. `on_free` sees
+    /// each freed index before `alloc` can hand it out again.
+    pub fn reclaim(&mut self, region: u32, mut on_free: impl FnMut(usize)) -> usize {
         let mut candidates = self.region_index.remove(&region).unwrap_or_default();
         candidates.append(&mut self.deferred);
         let mut freed = 0;
@@ -144,6 +152,7 @@ impl SlotTable {
                 Slot::Unbound { waiters } if !waiters.is_empty() => self.deferred.push(index),
                 _ => {
                     self.slots[index as usize] = Slot::default();
+                    on_free(index as usize);
                     self.free.push(index);
                     freed += 1;
                 }
@@ -179,6 +188,7 @@ impl SlotTable {
                 attempted: value,
             }),
             slot @ Slot::Unbound { .. } => {
+                self.binds += 1;
                 let bound = Slot::Bound(Binding { value, time, node });
                 match std::mem::replace(slot, bound) {
                     Slot::Unbound { waiters } => Ok(waiters),
@@ -235,7 +245,6 @@ impl SlotTable {
 #[derive(Default)]
 pub struct Store {
     table: SlotTable,
-    bind_count: u64,
     /// Region tag stamped on subsequently allocated variables. Region 0 is
     /// the boot/batch region: allocations there are never tracked and never
     /// reclaimed.
@@ -260,7 +269,7 @@ impl Store {
 
     /// Total number of successful bindings performed.
     pub fn bind_count(&self) -> u64 {
-        self.bind_count
+        self.table.binds()
     }
 
     /// Allocate a fresh, unbound variable.
@@ -294,7 +303,7 @@ impl Store {
     /// past it. Safety rests on the session-locality contract (DESIGN.md
     /// §9): server state must not retain session terms beyond the reply.
     pub fn reclaim_region(&mut self, region: u32) -> usize {
-        self.table.reclaim(region)
+        self.table.reclaim(region, |_| {})
     }
 
     /// The binding of `v`, if any (no dereferencing of chained variables).
@@ -319,28 +328,6 @@ impl Store {
                     None => return Term::Var(v),
                 },
                 other => return other,
-            }
-        }
-    }
-
-    /// Like [`deref`](Store::deref), but also reports the binding time of
-    /// the *last* link followed — i.e. when the data became available.
-    pub fn deref_timed(&self, t: &Term) -> (Term, Option<(Time, NodeId)>) {
-        let mut cur = t.clone();
-        let mut stamp = None;
-        loop {
-            match cur {
-                Term::Var(v) => match self.lookup(v) {
-                    Some(b) => {
-                        stamp = Some((b.time, b.node));
-                        match &b.value {
-                            Term::Var(next) => cur = Term::Var(*next),
-                            other => return (other.clone(), stamp),
-                        }
-                    }
-                    None => return (Term::Var(v), stamp),
-                },
-                other => return (other, stamp),
             }
         }
     }
@@ -373,9 +360,7 @@ impl Store {
                 return Ok(Vec::new());
             }
         }
-        let waiters = self.table.commit(v.0 as usize, v, value, time, node)?;
-        self.bind_count += 1;
-        Ok(waiters)
+        self.table.commit(v.0 as usize, v, value, time, node)
     }
 
     /// Register `waiter` to be woken when `v` is bound. If `v` is already
@@ -435,6 +420,16 @@ pub(crate) fn resolve_with(t: &Term, deref: &impl Fn(&Term) -> Term) -> Term {
 pub trait StoreOps {
     /// See [`Store::deref`].
     fn deref(&self, t: &Term) -> Term;
+    /// [`deref`](StoreOps::deref) of a term the caller is done with: a
+    /// non-variable comes back as it went in, so an `Arc`-backed term is
+    /// moved, not cloned and dropped — no write to a reference count
+    /// another thread may be writing too.
+    fn deref_owned(&self, t: Term) -> Term {
+        match t {
+            Term::Var(_) => self.deref(&t),
+            other => other,
+        }
+    }
     /// See [`Store::resolve`].
     fn resolve(&self, t: &Term) -> Term;
     /// See [`Store::new_var`].
@@ -489,9 +484,6 @@ mod tests {
         assert_eq!(s.deref(&Term::Var(x)), Term::Var(z));
         s.bind(z, Term::atom("done"), 3, NodeId(1)).unwrap();
         assert_eq!(s.deref(&Term::Var(x)), Term::atom("done"));
-        let (val, stamp) = s.deref_timed(&Term::Var(x));
-        assert_eq!(val, Term::atom("done"));
-        assert_eq!(stamp, Some((3, NodeId(1))));
     }
 
     #[test]

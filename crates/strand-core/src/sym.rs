@@ -17,7 +17,7 @@ macro_rules! symbols {
 
         $(
             #[doc = concat!("`", $name, "`")]
-            pub const $ident: Atom = Atom::well_known(Id::$ident as u32);
+            pub const $ident: Atom = Atom::from_id(Id::$ident as u32);
         )*
 
         /// The names above, indexed by id: the symbol table's first entries.

@@ -41,6 +41,11 @@ pub struct FaultPlan {
     /// clock `at` is read on follows from the backend and is not
     /// configured: the simulator's global virtual time, or, on the
     /// parallel backend (which has none), the run-global reduction count.
+    /// A worker knows its own share of that count exactly and its peers'
+    /// as of the top of its current drain, so on `threads` workers a crash
+    /// — like the `max_reductions` cut-off, which reads the same clock —
+    /// fires at most `DRAIN_STEPS × (threads − 1)` reductions (64 per peer)
+    /// after `at`, and exactly at `at` on one.
     pub crashes: Vec<(u32, Time)>,
     /// Fault probabilities applied to every cross-node edge.
     pub default_edge: EdgeFaults,

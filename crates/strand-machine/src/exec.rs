@@ -217,7 +217,7 @@ pub fn run_match<S: StoreOps>(
         let op = &ops[pc];
         pc += 1;
         let t = stack.pop().expect("op stream aligned with term stream");
-        let g = store.deref(&t);
+        let g = store.deref_owned(t);
         match op {
             MatchOp::Wild => {}
             MatchOp::Slot(i) => {

@@ -20,7 +20,7 @@ use crate::metrics::Metrics;
 use crate::trace::{goal_text, TraceEvent};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use strand_core::{
     match_args, sym, Atom, Frame, FxHashMap, GuardOutcome, MatchOutcome, NodeId, SharedStore,
@@ -326,23 +326,47 @@ impl PortsHandle {
     }
 }
 
-/// Atomic counters one sharded run's workers share.
+/// One machine's share of the two run-global counters a reduction moves,
+/// on a cache line of its own. Only the owning machine writes it — a plain
+/// load and store, no read-modify-write — so no reduction writes a line a
+/// peer reads; readers sum the lanes. Everything is `Relaxed`: a lane
+/// publishes nothing but itself, and a reader that needs an exact sum reads
+/// at quiescence, which it learns through the token counter's
+/// acquire/release (`strand-parallel`'s `quiesce.rs`) or a thread join.
+#[repr(align(128))]
+#[derive(Default)]
+struct Lane {
+    /// Reductions this machine has performed.
+    budget: AtomicU64,
+    /// This machine's contribution to the in-flight gate: +1 per item it
+    /// queued or routed, −1 per item it reduced or discarded. An item sent
+    /// across shards is added on one lane and subtracted on another, so a
+    /// lane on its own may be negative; the sum over all lanes is the work
+    /// queued or in flight.
+    regular: AtomicI64,
+}
+
+/// Run-global state one sharded run's machines share.
 #[derive(Clone)]
 struct WorldHooks {
-    /// Global reduction count: the budget is a property of the run, not of
-    /// any one worker.
-    budget: Arc<AtomicU64>,
+    /// One lane per machine, indexed by shard: the workers, then the
+    /// ingress machine.
+    lanes: Arc<[Lane]>,
     /// Global sequence counter backing `unique_id/1`.
     seq: Arc<AtomicU64>,
-    /// Queued-or-in-flight work across all shards: the backpressure gauge
-    /// a service's admission control reads (armed deadlines are not work
-    /// until they fire).
-    regular: Arc<AtomicU64>,
     /// Per-node crash flags, published by the owning worker when a
     /// [`FaultPlan`](crate::config::FaultPlan) crash tears a node down,
     /// for whoever routes *external* work to read. `spawn` never looks:
     /// for program traffic the owner's `absorb` is the authority.
     crashed: Arc<[AtomicBool]>,
+}
+
+impl WorldHooks {
+    /// Reductions performed so far by every machine of the run.
+    fn reductions(&self) -> u64 {
+        let spent = |lane: &Lane| lane.budget.load(AtomicOrdering::Relaxed);
+        self.lanes.iter().map(spent).sum()
+    }
 }
 
 /// Shared state backing one multi-worker run: the striped variable store,
@@ -363,9 +387,8 @@ impl SharedWorld {
             store: Arc::new(SharedStore::new(threads.max(1) as u32)),
             ports: Arc::new(Mutex::new(Vec::new())),
             hooks: WorldHooks {
-                budget: Arc::new(AtomicU64::new(0)),
+                lanes: (0..=threads.max(1)).map(|_| Lane::default()).collect(),
                 seq: Arc::new(AtomicU64::new(0)),
-                regular: Arc::new(AtomicU64::new(0)),
                 crashed: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             },
         }
@@ -380,14 +403,20 @@ impl SharedWorld {
             .collect()
     }
 
-    /// Queued or in-flight work across all workers.
+    /// Queued or in-flight work across all machines: the signed sum of the
+    /// lanes, clamped at zero. Exact whenever the fleet is quiescent. While
+    /// it runs, a sender's +1 and the receiver's −1 sit on different lanes,
+    /// so a reader racing them may see the −1 first and read low, or count
+    /// an item that finished while it was summing — never more than the
+    /// items alive at some point during the read.
     pub fn regular_pending(&self) -> u64 {
-        self.hooks.regular.load(AtomicOrdering::SeqCst)
+        let held = |lane: &Lane| lane.regular.load(AtomicOrdering::Relaxed);
+        self.hooks.lanes.iter().map(held).sum::<i64>().max(0) as u64
     }
 
     /// Reductions performed so far across all workers.
     pub fn reductions(&self) -> u64 {
-        self.hooks.budget.load(AtomicOrdering::Relaxed)
+        self.hooks.reductions()
     }
 }
 
@@ -473,7 +502,9 @@ pub struct Machine {
     pub(crate) program: Arc<CompiledProgram>,
     /// Lowered (direct-threaded) form of `program` for the compiled tier;
     /// rebuilt whenever the program is replaced (see [`Machine::new_worker`]).
-    exec: Arc<ExecProgram>,
+    /// `reduce` takes it out for the length of a dispatch, as `dispatch`
+    /// does `scratch`.
+    exec: ExecProgram,
     /// Reusable hot-path buffers: rule frame, pending-variable sets and the
     /// match stack. One per machine, so each shard of a parallel run owns
     /// its own and no reduction allocates on the commit path.
@@ -519,8 +550,12 @@ pub struct Machine {
     shard: Option<(usize, usize)>,
     /// Cross-shard events awaiting routing (sharded execution only).
     outbox: Vec<Routed>,
-    /// Run-global atomic counters (sharded execution only).
+    /// Run-global shared state (sharded execution only); this machine's
+    /// lane is `hooks.lanes[shard.0]`.
     hooks: Option<WorldHooks>,
+    /// What the peers' budget lanes summed to at the top of the current
+    /// drain (sharded execution only; see [`Machine::budget_spent`]).
+    peers_spent: u64,
     /// Deadlines armed since the last harvest (sharded execution only; see
     /// [`Machine::take_deadlines`]).
     armed_deadlines: Vec<Deadline>,
@@ -550,7 +585,7 @@ impl Machine {
         for &(j, f) in &config.faults.slowdowns {
             slowdown[map(j).0 as usize] = f.max(1);
         }
-        let exec = Arc::new(ExecProgram::lower(&program));
+        let exec = ExecProgram::lower(&program);
         Machine {
             rng: SplitMix64::new(config.seed),
             fault_rng: SplitMix64::new(config.faults.seed),
@@ -585,6 +620,7 @@ impl Machine {
             shard: None,
             outbox: Vec::new(),
             hooks: None,
+            peers_spent: 0,
             armed_deadlines: Vec::new(),
             current_region: 0,
         }
@@ -717,31 +753,45 @@ impl Machine {
         }
     }
 
-    fn gate_add(&self, n: u64) {
-        if let Some(h) = &self.hooks {
-            h.regular.fetch_add(n, AtomicOrdering::SeqCst);
+    /// This machine's lane of the run-global counters (sharded execution).
+    fn lane(&self) -> Option<&Lane> {
+        let (me, _) = self.shard?;
+        Some(&self.hooks.as_ref()?.lanes[me])
+    }
+
+    /// Move this machine's gate lane by `delta`. The lane has one writer
+    /// (the ingress lane's are serialised by the ingress mutex), so a load
+    /// and a store do; see [`Lane`].
+    fn gate_move(&self, delta: i64) {
+        if let Some(lane) = self.lane() {
+            let held = lane.regular.load(AtomicOrdering::Relaxed);
+            lane.regular.store(held + delta, AtomicOrdering::Relaxed);
         }
+    }
+
+    fn gate_add(&self, n: u64) {
+        self.gate_move(n as i64);
     }
 
     fn gate_sub(&self, n: u64) {
-        if let Some(h) = &self.hooks {
-            let prev = h.regular.fetch_sub(n, AtomicOrdering::SeqCst);
-            debug_assert!(prev >= n, "in-flight gate underflow");
-        }
+        self.gate_move(-(n as i64));
     }
 
-    /// Reductions performed so far — run-global in sharded execution.
+    /// Reductions performed so far — run-global in sharded execution: this
+    /// machine's own count, exact, plus what its peers had done when it
+    /// last began a drain. The peers' share is at most one drain quantum
+    /// per peer stale, so anything that compares against it (the budget,
+    /// a crash's `at`) fires that much late at worst — and never on a
+    /// 1-thread fleet, whose only peer is the ingress machine.
     fn budget_spent(&self) -> u64 {
-        match &self.hooks {
-            Some(h) => h.budget.load(AtomicOrdering::Relaxed),
-            None => self.total_reductions,
-        }
+        self.total_reductions + self.peers_spent
     }
 
     fn charge_reduction(&mut self) {
         self.total_reductions += 1;
-        if let Some(h) = &self.hooks {
-            h.budget.fetch_add(1, AtomicOrdering::Relaxed);
+        if let Some(lane) = self.lane() {
+            lane.budget
+                .store(self.total_reductions, AtomicOrdering::Relaxed);
         }
     }
 
@@ -1226,7 +1276,11 @@ impl Machine {
     // The multi-threaded backend (crate `strand-parallel`) runs one Machine
     // per worker. Each worker owns the nodes with `node mod threads == idx`
     // outright — run queues, suspension tables, clocks — and shares only the
-    // striped variable store, the port table and three atomic counters.
+    // striped variable store, the port table, the `unique_id` sequence and
+    // one counter lane per machine (reductions, in-flight gate) that only
+    // its owner writes and readers sum. A reduction therefore writes no
+    // cache line a peer reads, and reads a peer's line only where the
+    // program itself shares data: a variable's published binding.
     // Workers alternate `drain_local` (reduce owned work; no lock wider than
     // a store stripe is ever held) with routing the outbox to peers and
     // absorbing their batches. There is no global machine lock.
@@ -1293,8 +1347,14 @@ impl Machine {
     /// the shard core, using the same earliest-event selection and
     /// [`step`](Machine::step) as [`Machine::run`] restricted to this shard's
     /// nodes. A shard has no global virtual time, so its nodes' scheduled
-    /// crashes fire here, once the run-global reduction count reaches them.
+    /// crashes fire here, once the run-global reduction count reaches them;
+    /// the peers' share of that count is sampled once, here, and held for
+    /// the whole drain (see [`Machine::budget_spent`]).
     pub fn drain_local(&mut self, max_steps: u32) -> StrandResult<DrainState> {
+        if let Some(h) = &self.hooks {
+            // Our own lane holds exactly `total_reductions`.
+            self.peers_spent = h.reductions() - self.total_reductions;
+        }
         while let Some(&(node, at)) = self.pending_crashes.first() {
             if self.budget_spent() < at {
                 break;
@@ -1492,20 +1552,28 @@ impl Machine {
         };
         match self.config.exec {
             ExecMode::Compiled => {
-                let exec = Arc::clone(&self.exec);
-                let Some(proc) = exec.lookup(name, arity) else {
-                    self.finish_tracked(&item);
-                    return self.record_error(undefined());
+                // Lent to the dispatch (which needs `&mut self`) and put
+                // back: no reference count to write per reduction.
+                let exec = std::mem::take(&mut self.exec);
+                let done = match exec.lookup(name, arity) {
+                    Some(proc) => {
+                        self.metrics.compiled_reductions += 1;
+                        // One up-front deref of the first argument feeds
+                        // every index probe.
+                        let arg0 = match goal.goal_args().first() {
+                            Some(a) if proc.indexed => Some(self.store.deref(a)),
+                            _ => None,
+                        };
+                        let otherwise = proc.otherwise.as_deref();
+                        self.dispatch(item, &goal, name, proc.rules.iter(), otherwise, arg0)
+                    }
+                    None => {
+                        self.finish_tracked(&item);
+                        self.record_error(undefined())
+                    }
                 };
-                self.metrics.compiled_reductions += 1;
-                // One up-front deref of the first argument feeds every index
-                // probe.
-                let arg0 = match goal.goal_args().first() {
-                    Some(a) if proc.indexed => Some(self.store.deref(a)),
-                    _ => None,
-                };
-                let otherwise = proc.otherwise.as_deref();
-                self.dispatch(item, &goal, name, proc.rules.iter(), otherwise, arg0)
+                self.exec = exec;
+                done
             }
             ExecMode::Interpreted => {
                 let program = Arc::clone(&self.program);
@@ -1909,5 +1977,53 @@ mod tests {
         assert_eq!(m.metrics.live_tracked[0], 0);
         assert_eq!(m.metrics.peak_tracked[0], 1);
         assert_eq!(world.regular_pending(), 0);
+    }
+
+    /// The in-flight gate is a sum of per-machine lanes. An item injected by
+    /// the ingress machine, forwarded by worker 0 and finished on worker 1
+    /// is added on two lanes and subtracted on two others: a lane on its own
+    /// may go negative, the sum is exact at every quiescent instant.
+    #[test]
+    fn gate_lanes_sum_exactly_across_two_workers_and_an_ingress_machine() {
+        let src = "go(V) :- set(V)@2. set(V) :- V := ok.";
+        let program = Arc::new(compile_program(&parse_program(src).unwrap()).unwrap());
+        let world = SharedWorld::new(2, 4);
+        let cfg = MachineConfig::with_nodes(4);
+        let mut workers: Vec<Machine> = (0..2)
+            .map(|i| Machine::new_worker(Arc::clone(&program), cfg.clone(), &world, i, 2))
+            .collect();
+        let mut ingress = Machine::new_ingress(program, cfg, &world, 2);
+        let lanes = || -> Vec<i64> {
+            let held = |l: &Lane| l.regular.load(AtomicOrdering::Relaxed);
+            world.hooks.lanes.iter().map(held).collect()
+        };
+        let deliver = |events: Vec<Routed>, workers: &mut [Machine]| {
+            for r in events {
+                workers[r.dest_worker(2)].absorb(vec![r]);
+            }
+        };
+
+        let v = ingress.store.new_var();
+        ingress.inject(Term::tuple("go", vec![Term::Var(v)]), 1);
+        deliver(ingress.take_outbox(), &mut workers);
+        assert_eq!((lanes(), world.regular_pending()), (vec![0, 0, 1], 1));
+
+        // Worker 0 reduces go/1 (-1) and spawns set/1 at node 2 (+1).
+        assert_eq!(workers[0].drain_local(8).unwrap(), DrainState::Idle);
+        let routed = workers[0].take_outbox();
+        deliver(routed, &mut workers);
+        assert_eq!((lanes(), world.regular_pending()), (vec![0, 0, 1], 1));
+
+        // Worker 1 reduces it (and the `:=` it spawns): its lane never held
+        // the +1 it settles.
+        assert_eq!(workers[1].drain_local(8).unwrap(), DrainState::Idle);
+        assert_eq!((lanes(), world.regular_pending()), (vec![0, -1, 1], 0));
+        assert_eq!(ingress.store.deref(&Term::Var(v)), Term::atom("ok"));
+
+        // go/1 on worker 0; set/1 and its `:=` on worker 1. Each worker's
+        // clock is its own count plus the peer's as of its last drain.
+        assert_eq!(world.reductions(), 3);
+        let clocks: Vec<u64> = workers.iter().map(Machine::budget_spent).collect();
+        assert_eq!(clocks, [1, 3]);
     }
 }

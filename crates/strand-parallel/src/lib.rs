@@ -770,6 +770,34 @@ mod tests {
     }
 
     #[test]
+    fn budget_lanes_cut_off_exactly_at_one_thread_and_within_a_drain_per_peer_above() {
+        // Each worker counts its own reductions exactly and its peers' as of
+        // the top of its drain, so the cut-off can run late by one drain
+        // quantum per peer — and not at all on one thread, the exact tier.
+        let src = "go :- spin@1, spin@2. spin :- spin.";
+        let budget = 5_000;
+        let truncated_at = |mut cfg: MachineConfig| {
+            cfg.max_reductions = budget;
+            cfg.fail_fast = false;
+            match run_goal(src, "go", cfg).unwrap().report.status {
+                RunStatus::Truncated { reductions } => reductions,
+                other => panic!("expected Truncated, got {other:?}"),
+            }
+        };
+        assert_eq!(truncated_at(MachineConfig::with_nodes(4)), budget);
+        assert_eq!(truncated_at(par(1)), budget);
+        let threads = 2;
+        let late = u64::from(DRAIN_STEPS * (threads - 1));
+        for round in 0..20 {
+            let spent = truncated_at(par(threads));
+            assert!(
+                (budget..=budget + late).contains(&spent),
+                "round {round}: cut off at {spent}"
+            );
+        }
+    }
+
+    #[test]
     fn cross_worker_spawns_complete() {
         // Fan work across all four nodes (two per worker at 2 threads) and
         // join the results through shared variables.

@@ -239,9 +239,12 @@ mod tests {
             assert!(h.wait_idle(Duration::from_secs(5)), "burst never drained");
             let v = h.with_ingress(|m| m.store().resolve(&vars["V"]));
             assert_eq!(v.to_string(), (x * 2).to_string());
+            // Injected on the ingress lane, settled on a worker's.
+            assert_eq!(h.pending(), 0, "gate lanes out of balance");
             h.reclaim(session);
         }
         assert!(h.wait_idle(Duration::from_secs(5)));
+        assert_eq!(h.pending(), 0);
         let report = h.shutdown().unwrap();
         // Each drained burst parks the fleet exactly once (boot + two
         // requests + reclaim wakes ⇒ at least one, typically several).
@@ -293,6 +296,43 @@ mod tests {
         assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
         assert!(report.metrics.makespan >= 500, "cost not charged");
         assert!(report.metrics.suspensions >= 1, "{:?}", report.metrics);
+    }
+
+    #[test]
+    fn pending_lanes_never_wrap_while_two_workers_trade_spawns() {
+        // Every hop is spawned on one worker's lane and settled on the
+        // other's, so a reader summing the lanes mid-run can catch a -1
+        // before its +1. The sum is clamped, never wrapped: it reads at most
+        // the goals the run ever holds, and exactly zero once idle.
+        let program = parse_program(
+            "boot. \
+             ping(0). ping(N) :- N > 0 | M := N - 1, pong(M)@2. \
+             pong(0). pong(N) :- N > 0 | M := N - 1, ping(M)@1.",
+        )
+        .unwrap();
+        let cfg = MachineConfig::with_nodes(4).parallel(2);
+        let h = ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()).unwrap();
+        assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
+        let (chains, hops) = (8u64, 2_000u64);
+        // A hop is the ping/pong goal and its `:=`.
+        let ever = chains * (2 * hops + 1);
+        for _ in 0..chains {
+            inject_goal(&h, 1, &format!("ping({hops})"));
+        }
+        let (mut peak, mut reads) = (0, 0u64);
+        while !h.is_idle() {
+            let pending = h.pending();
+            assert!(
+                pending <= ever,
+                "gate read {pending} with {ever} goals ever made"
+            );
+            peak = peak.max(pending);
+            reads += 1;
+        }
+        assert_eq!(h.pending(), 0, "after {reads} reads peaking at {peak}");
+        // (More only if a hop outran its `:=` and had to suspend once.)
+        assert!(h.reductions() > ever, "boot, then every hop");
+        h.shutdown().unwrap();
     }
 
     /// A resident fleet over `src` (plus a no-op `boot`), drained to idle.
@@ -408,6 +448,7 @@ mod tests {
         let vars = inject_goal(&h, 1, "go(V)");
         assert!(h.wait_idle(Duration::from_secs(5)), "request never drained");
         assert_eq!(h.reductions() - before, 1, "go/1 reduced, set/1 never ran");
+        assert_eq!(h.pending(), 0, "a dropped delivery holds no gate unit");
         let v = h.with_ingress(|m| m.store().resolve(&vars["V"]));
         assert!(matches!(v, Term::Var(_)), "{v}");
         let report = h.shutdown().unwrap();
@@ -435,6 +476,7 @@ mod tests {
             h.with_ingress(|m| m.store().resolve(&vars["V"]))
         };
         assert!(matches!(ask(2), Term::Var(_)), "a dead node answered");
+        assert_eq!(h.pending(), 0, "the discarded goal's gate unit was settled");
         assert_eq!(ask(4).to_string(), "42");
         let report = h.shutdown().unwrap();
         assert_eq!(report.metrics.nodes_crashed, 1, "{:?}", report.metrics);
