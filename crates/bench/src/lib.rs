@@ -4,7 +4,7 @@
 //! (F1–F7 reproduce the paper's figures as executable artifacts; E1–E9
 //! reproduce its evaluation claims as measured tables), printed by the
 //! `motif-bench` binary, plus the recorded wall-clock series (`b1_parallel`,
-//! `b2_compiled`, `b3_chaos`, `c1_serve*`) that `motif-bench <series>-json`
+//! `b2_compiled`, `c1_serve*`) that `motif-bench <series>-json`
 //! writes through the one [`series`] document. Timing of the hot paths
 //! with comparable numbers is `perfbench/`'s job (BENCHMARK.json).
 //!
@@ -13,7 +13,6 @@
 //! crossings, live bytes); on a single-core CI box wall-clock speedup is
 //! meaningless, and EXPERIMENTS.md says so.
 
-pub mod chaos_bench;
 pub mod compiled_bench;
 pub mod experiments;
 pub mod parallel_bench;
@@ -21,7 +20,6 @@ pub mod series;
 pub mod serve_bench;
 pub mod table;
 
-pub use chaos_bench::b3_chaos;
 pub use compiled_bench::b2_compiled;
 pub use experiments::*;
 pub use parallel_bench::b1_parallel;
@@ -39,9 +37,6 @@ pub const RECORDERS: &[(&str, &str, Measure)] = &[
     ("parallel-json", "out/BENCH_parallel.json", b1_parallel),
     // Interpreted vs compiled rule execution on the same scheduler.
     ("compiled-json", "out/BENCH_compiled.json", b2_compiled),
-    // The supervised ring under a fault plan on real threads (two nodes
-    // crashed, per-delivery drop/duplication).
-    ("chaos-json", "out/BENCH_chaos.json", b3_chaos),
     // C-series: the resident service under concurrent TCP load, top burst
     // 1000 clients.
     ("serve-json", "out/BENCH_serve.json", c1_serve),

@@ -38,7 +38,6 @@ const HOST_WARNING: &str =
 const KNOWN: &[(&str, Option<&str>)] = &[
     ("parallel", Some("BENCH_parallel_sharded.json")),
     ("compiled", Some("BENCH_compiled.json")),
-    ("chaos", Some("BENCH_chaos.json")),
     ("serve", Some("BENCH_serve.json")),
     ("serve-supervised", None),
 ];
@@ -291,7 +290,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Series {
-        let mut s = Series::new("chaos");
+        let mut s = Series::new("compiled");
         s.push([
             ("scenario", "clean".into()),
             ("threads", 2u32.into()),
@@ -346,7 +345,7 @@ mod tests {
             ),
             json.replace("  \"schema\": \"motif-bench series v2\",\n", ""),
             json.replace("v2", "v1"),
-            json.replace("\"series\": \"chaos\"", "\"series\": \"chaoss\""),
+            json.replace("\"series\": \"compiled\"", "\"series\": \"compiledd\""),
             json.replace("\"host_parallelism\": ", "\"host_parallelism\": x"),
             // Malformed values: a negative Int, a Real off the rendered
             // precision, an unterminated Text.

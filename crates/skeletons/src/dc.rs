@@ -7,9 +7,10 @@
 //! sequential cutoff (below the cutoff the recursion stays on the current
 //! worker — the standard grain-size control the paper's era lacked).
 
+use crate::pool::lock;
 use crate::pool::{Pool, TaskGroup};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// What a problem divides into.
 pub enum Case<P, S> {
@@ -58,14 +59,12 @@ pub fn run<P: DcProblem>(pool: &Pool, problem: P) -> P::Solution {
     spawn_dc(pool, &group, problem, {
         let slot = Arc::clone(&slot);
         Box::new(move |s| {
-            *slot.lock() = Some(s);
+            *lock(&slot) = Some(s);
         })
     });
     group.wait();
-    match Arc::try_unwrap(slot) {
-        Ok(m) => m.into_inner().expect("root solution delivered"),
-        Err(arc) => arc.lock().take().expect("root solution delivered"),
-    }
+    let solution = lock(&slot).take();
+    solution.expect("root solution delivered")
 }
 
 type Sink<S> = Box<dyn FnOnce(S) + Send>;
@@ -96,7 +95,7 @@ fn solve<P: DcProblem>(pool: &Pool, group: &TaskGroup, problem: P, sink: Sink<P:
                 let sink = Arc::clone(&sink);
                 Box::new(move |s: P::Solution| {
                     let other = {
-                        let mut slot = pending.lock();
+                        let mut slot = lock(&pending);
                         match slot.take() {
                             None => {
                                 *slot = Some(s);
@@ -110,7 +109,7 @@ fn solve<P: DcProblem>(pool: &Pool, group: &TaskGroup, problem: P, sink: Sink<P:
                     } else {
                         P::merge(other, s)
                     };
-                    let sink = sink.lock().take().expect("sink used once");
+                    let sink = lock(&sink).take().expect("sink used once");
                     sink(merged);
                 })
             };

@@ -12,9 +12,10 @@
 //!   when idle;
 //! * [`Policy::Stealing`] — the modern work-stealing baseline.
 
+use crate::pool::lock;
 use crate::pool::{Pool, TaskGroup};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 use strand_core::SplitMix64;
 
 /// How tasks are mapped onto workers.
@@ -56,7 +57,7 @@ where
         let ticket = group.add();
         let job = move || {
             let r = f(task);
-            *results[i].lock() = Some(r);
+            *lock(&results[i]) = Some(r);
             // Release our Arc clones before signalling completion so the
             // caller can usually unwrap the results without contention.
             drop(results);
@@ -85,18 +86,12 @@ where
     // surface that as a caller-side panic rather than a hang or a corrupt
     // result vector.
     let missing = "farm task panicked before producing a result";
-    match Arc::try_unwrap(results) {
-        Ok(v) => v
-            .into_iter()
-            .map(|slot| slot.into_inner().expect(missing))
-            .collect(),
-        // A worker may still hold its clone for an instant after the last
-        // ticket fired; take the values through the locks instead.
-        Err(arc) => arc
-            .iter()
-            .map(|slot| slot.lock().take().expect(missing))
-            .collect(),
-    }
+    // Through the locks, not `Arc::try_unwrap`: a worker may still hold its
+    // clone for an instant after the last ticket fired.
+    results
+        .iter()
+        .map(|slot| lock(slot).take().expect(missing))
+        .collect()
 }
 
 /// Like [`farm`], but groups tasks into chunks of `chunk` before

@@ -1,9 +1,10 @@
 //! Parallel map + reduction over slices — the semi-SIMD workhorse the
 //! paper's introduction contrasts MIMD programming against.
 
+use crate::pool::lock;
 use crate::pool::{Pool, TaskGroup};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Apply `f` to every element in parallel, preserving order.
 pub fn par_map<T, R, F>(pool: &Pool, items: Vec<T>, f: F) -> Vec<R>
@@ -47,24 +48,17 @@ where
         let ticket = group.add();
         pool.spawn(move || {
             let acc = chunk_items.into_iter().fold(id, |a, x| fold(a, x));
-            *partials[i].lock() = Some(acc);
+            *lock(&partials[i]) = Some(acc);
             drop(partials);
             drop(fold);
             ticket.done();
         });
     }
     group.wait();
-    let collected: Vec<A> = match Arc::try_unwrap(partials) {
-        Ok(v) => v
-            .into_iter()
-            .map(|m| m.into_inner().expect("partial computed"))
-            .collect(),
-        Err(arc) => arc
-            .iter()
-            .map(|m| m.lock().take().expect("partial computed"))
-            .collect(),
-    };
-    collected.into_iter().fold(identity, combine)
+    partials
+        .iter()
+        .map(|m| lock(m).take().expect("partial computed"))
+        .fold(identity, combine)
 }
 
 #[cfg(test)]

@@ -15,12 +15,19 @@
 //! load-balance experiments (E1/E4 at real-thread level).
 
 use crossbeam::deque::{Injector, Stealer, Worker};
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Lock a mutex a panicked holder cannot leave invalid: every mutex in this
+/// crate guards a slot, a list or nothing at all, updated in one store, and
+/// a task that panics must not wedge the pool that ran it.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A set of named OS worker threads with idempotent teardown — the
 /// spawn/join scaffolding shared by the skeleton [`Pool`] and the
@@ -56,7 +63,7 @@ impl WorkerSet {
     /// Join every worker. Idempotent: later calls (and calls racing from
     /// several clones of an owner) are no-ops.
     pub fn join(&self) {
-        let mut handles = self.handles.lock();
+        let mut handles = lock(&self.handles);
         for h in handles.drain(..) {
             let _ = h.join();
         }
@@ -224,8 +231,9 @@ fn worker_loop(shared: Arc<Shared>, me: usize, local: Worker<Job>) {
             }
             continue;
         }
-        let mut guard = shared.sleep_lock.lock();
-        shared.wakeup.wait_for(&mut guard, Duration::from_millis(1));
+        let guard = lock(&shared.sleep_lock);
+        // Woken, timed out or poisoned: the loop re-checks everything.
+        let _ = shared.wakeup.wait_timeout(guard, Duration::from_millis(1));
     }
 }
 
@@ -324,9 +332,13 @@ impl TaskGroup {
 
     /// Block until every registered unit completed.
     pub fn wait(&self) {
-        let mut guard = self.inner.lock.lock();
+        let mut guard = lock(&self.inner.lock);
         while self.inner.pending.load(Ordering::SeqCst) > 0 {
-            self.inner.done.wait(&mut guard);
+            guard = self
+                .inner
+                .done
+                .wait(guard)
+                .unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -347,7 +359,7 @@ impl Ticket {
 impl Drop for Ticket {
     fn drop(&mut self) {
         if self.inner.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = self.inner.lock.lock();
+            let _guard = lock(&self.inner.lock);
             self.inner.done.notify_all();
         }
     }

@@ -6,9 +6,10 @@
 //! in parallel, with a barrier between iterations — the classic BSP
 //! formulation of the paper's mesh computations.
 
+use crate::pool::lock;
 use crate::pool::{Pool, TaskGroup};
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Run `steps` iterations over `values`; returns the final array.
 pub fn stencil_1d(pool: &Pool, values: Vec<f64>, steps: u32) -> Vec<f64> {
@@ -31,13 +32,13 @@ pub fn stencil_1d(pool: &Pool, values: Vec<f64>, steps: u32) -> Vec<f64> {
                 for i in start..end {
                     let left = if i == 0 { 0.0 } else { cur[i - 1] };
                     let right = if i + 1 == n { 0.0 } else { cur[i + 1] };
-                    *next[i].lock() = (left + cur[i] + right) / 3.0;
+                    *lock(&next[i]) = (left + cur[i] + right) / 3.0;
                 }
                 ticket.done();
             });
         }
         group.wait(); // barrier
-        let next_vals: Vec<f64> = next.iter().map(|m| *m.lock()).collect();
+        let next_vals: Vec<f64> = next.iter().map(|m| *lock(m)).collect();
         cur = Arc::new(next_vals);
     }
     Arc::try_unwrap(cur).unwrap_or_else(|arc| (*arc).clone())
@@ -120,14 +121,14 @@ pub fn stencil_2d(pool: &Pool, grid: Grid2d, steps: u32) -> Grid2d {
             pool.spawn(move || {
                 let mut out = vec![0.0; (r1 - r0) * cur2.cols];
                 step_rows(&cur2, &mut out, r0, r1);
-                *slices2[bi].lock() = out;
+                *lock(&slices2[bi]) = out;
                 ticket.done();
             });
         }
         group.wait();
         let mut data = Vec::with_capacity(cur.rows * cur.cols);
         for s in slices.iter() {
-            data.extend_from_slice(&s.lock());
+            data.extend_from_slice(&lock(s));
         }
         cur = Arc::new(Grid2d {
             rows: cur.rows,

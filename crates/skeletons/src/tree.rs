@@ -18,10 +18,11 @@
 //! The engine tracks the peak of live intermediate bytes
 //! ([`MemSize`]), the measurable form of §3.5's memory argument.
 
+use crate::pool::lock;
 use crate::pool::{Pool, TaskGroup};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use strand_core::SplitMix64;
 
 /// A binary reduction tree with leaf values `V` and operators `O`.
@@ -270,16 +271,14 @@ where
     // Pre-register every internal evaluation so wait() releases only when
     // the root value exists.
     let tickets: Vec<_> = (0..n).map(|_| engine.group.add()).collect();
-    *engine.tickets.lock() = tickets;
+    *lock(&engine.tickets) = tickets;
 
     // Feed the leaves.
     for (node, side, v) in flat.leaf_feeds {
         Engine::deliver(&engine, node, side, v);
     }
     engine.group.wait();
-    let value = engine
-        .result
-        .lock()
+    let value = lock(&engine.result)
         .take()
         .expect("root evaluation stored its result");
     ReduceOutcome {
@@ -327,24 +326,24 @@ where
     /// both halves are present.
     fn deliver(self: &Arc<Self>, node: usize, side: u8, v: V) {
         self.gauge_add(v.mem_bytes() as i64);
-        *self.slots[node][side as usize].lock() = Some(v);
+        *lock(&self.slots[node][side as usize]) = Some(v);
         if self.arrived[node].fetch_add(1, Ordering::SeqCst) == 1 {
             let this = Arc::clone(self);
             let worker = self.labels[node];
             self.pool.spawn_at(worker, move || {
-                let lv = this.slots[node][0].lock().take().expect("left value");
-                let rv = this.slots[node][1].lock().take().expect("right value");
+                let lv = lock(&this.slots[node][0]).take().expect("left value");
+                let rv = lock(&this.slots[node][1]).take().expect("right value");
                 this.gauge_add(-((lv.mem_bytes() + rv.mem_bytes()) as i64));
                 let out = (this.eval)(&this.ops[node], lv, rv);
                 this.evals[worker].fetch_add(1, Ordering::SeqCst);
                 let parent = this.parent[node];
                 if parent == usize::MAX {
                     this.gauge_add(out.mem_bytes() as i64);
-                    *this.result.lock() = Some(out);
+                    *lock(&this.result) = Some(out);
                 } else {
                     Self::deliver(&this, parent, this.side[node], out);
                 }
-                let ticket = this.tickets.lock().pop();
+                let ticket = lock(&this.tickets).pop();
                 drop(ticket);
             });
         }

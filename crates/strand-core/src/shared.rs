@@ -418,11 +418,6 @@ impl SharedStoreView {
         &self.store
     }
 
-    /// The stripe this view allocates into.
-    pub fn owner(&self) -> u32 {
-        self.owner
-    }
-
     /// Set the region tag for subsequent allocations (0 = untracked).
     pub fn set_region(&mut self, region: u32) {
         self.region = region;

@@ -128,6 +128,9 @@ fn engine_hot_files_spell_no_atom_as_a_literal() {
         "src/arith.rs",
         "../strand-machine/src/builtins.rs",
         "../strand-machine/src/machine.rs",
+        "../strand-machine/src/sim.rs",
+        "../strand-machine/src/worker.rs",
+        "../strand-machine/src/tier.rs",
         "../strand-machine/src/exec.rs",
     ];
     let banned = [

@@ -31,8 +31,10 @@
 //! the parallel backend's deadline queue has fired, and `'$deliver'(P, M)` is
 //! a delayed port message en route (fault injection).
 
-use crate::machine::{CallOutcome, Delivery, Machine, PortState};
+use crate::config::Delivery;
+use crate::machine::{CallOutcome, Machine};
 use crate::trace::{goal_text, TraceEvent};
+use crate::world::PortState;
 use strand_core::arith::{is_arith_expr, Evaled};
 use strand_core::{eval_arith, sym, Atom, StrandError, StrandResult, Term, VarId};
 
@@ -204,10 +206,8 @@ impl Machine {
 
             (sym::OPEN_PORT, [p, s]) => match (self.store.deref(p), self.store.deref(s)) {
                 (Term::Var(pv), Term::Var(sv)) => {
-                    let id = self.ports.push(PortState {
-                        owner: self.current_node,
-                        tail: sv,
-                    });
+                    let owner = self.current_node;
+                    let id = self.role_mut().open_port(PortState { owner, tail: sv });
                     self.bind_now(pv, Term::Port(id))?;
                     CallOutcome::Done
                 }
@@ -242,11 +242,12 @@ impl Machine {
                     }
                     match self.store.deref(out) {
                         Term::Var(ov) => {
-                            let id = self.ports.push(PortState {
-                                owner: self.current_node,
-                                tail: ov,
-                            });
                             let node = self.current_node;
+                            let port = PortState {
+                                owner: node,
+                                tail: ov,
+                            };
+                            let id = self.role_mut().open_port(port);
                             for s in items {
                                 self.spawn(
                                     Term::tuple(sym::FORWARD, vec![s, Term::Port(id)]),
@@ -363,7 +364,7 @@ impl Machine {
             // (duplicate suppression in the Supervise motif). Run-global
             // even across workers in sharded execution.
             (sym::UNIQUE_ID, [n]) => {
-                let id = self.next_unique_id() as i64;
+                let id = self.role_mut().next_unique_id() as i64;
                 self.bind_or_err(n, Term::int(id))?
             }
 
@@ -466,7 +467,7 @@ impl Machine {
     /// them); only injected drops lose messages.
     fn port_send(&mut self, port: u32, msg: Term) -> StrandResult<CallOutcome> {
         let msg = self.store.deref(&msg);
-        let owner = self.ports.owner(port);
+        let owner = self.role_mut().port_owner(port);
         if self.current_node != owner {
             self.metrics.count_message(self.current_node, owner);
             match self.edge_delivery(self.current_node, owner) {
@@ -484,7 +485,7 @@ impl Machine {
                             to: owner,
                             goal: goal_text(&msg),
                         };
-                        self.push_trace(ev);
+                        self.trace.push(ev);
                     }
                     self.count_cross_port(&msg);
                     self.port_append(port, msg.clone())?;
@@ -522,7 +523,7 @@ impl Machine {
     /// faults.
     pub(crate) fn port_append(&mut self, port: u32, msg: Term) -> StrandResult<()> {
         let new_tail = self.store.new_var();
-        let old_tail = self.ports.swap_tail(port, new_tail);
+        let old_tail = self.role_mut().swap_port_tail(port, new_tail);
         let cell = Term::cons(msg, Term::Var(new_tail));
         self.bind_now(old_tail, cell)?;
         Ok(())

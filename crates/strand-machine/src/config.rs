@@ -1,6 +1,6 @@
 //! Machine configuration.
 
-use strand_core::{Atom, FxHashSet, Time};
+use strand_core::{Atom, FxHashSet, SplitMix64, Time};
 
 /// Per-edge message fault probabilities (applied to cross-node deliveries:
 /// remote spawns and port/stream sends; binding notifications stay reliable
@@ -22,6 +22,32 @@ impl EdgeFaults {
     pub fn is_quiet(&self) -> bool {
         self.drop_prob <= 0.0 && self.dup_prob <= 0.0 && self.delay_prob <= 0.0
     }
+
+    /// Roll the fault dice for one delivery over this edge. A quiet edge
+    /// consumes no randomness, so an empty plan leaves runs bit-identical.
+    pub(crate) fn roll(&self, dice: &mut SplitMix64) -> Delivery {
+        if self.is_quiet() {
+            return Delivery::Deliver;
+        }
+        let roll = dice.next_f64();
+        if roll < self.drop_prob {
+            Delivery::Drop
+        } else if roll < self.drop_prob + self.dup_prob {
+            Delivery::Duplicate
+        } else if roll < self.drop_prob + self.dup_prob + self.delay_prob {
+            Delivery::Delay(self.delay_ticks)
+        } else {
+            Delivery::Deliver
+        }
+    }
+}
+
+/// Outcome of the fault dice for one cross-node delivery.
+pub(crate) enum Delivery {
+    Deliver,
+    Drop,
+    Duplicate,
+    Delay(Time),
 }
 
 /// A seeded fault schedule for a run — the one fault vocabulary, injected
@@ -215,8 +241,6 @@ pub struct MachineConfig {
     /// Virtual time added to deliver anything across nodes (process spawns,
     /// stream messages, binding notifications).
     pub latency: Time,
-    /// Virtual time consumed by one reduction.
-    pub reduction_cost: Time,
     /// Hard cap on total reductions; exceeding it is an error (guards
     /// against runaway programs in tests).
     pub max_reductions: u64,
@@ -250,7 +274,6 @@ impl Default for MachineConfig {
         MachineConfig {
             nodes: 1,
             latency: 10,
-            reduction_cost: 1,
             max_reductions: 50_000_000,
             seed: 0xA4C0_11E5,
             tracked: FxHashSet::default(),
@@ -331,7 +354,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = MachineConfig::default();
         assert_eq!(c.nodes, 1);
-        assert!(c.reduction_cost > 0);
         assert!(c.fail_fast);
     }
 

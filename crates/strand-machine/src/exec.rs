@@ -24,7 +24,7 @@
 //! compares ids, guard lowering switches on [`strand_core::sym`] constants,
 //! and [`ExecProgram::lookup`] hashes one `u32`.
 //!
-//! The interpreter in `machine.rs` remains the semantic reference. This
+//! The interpreter in `tier.rs` remains the semantic reference. This
 //! module must be *observably identical* to it: same suspension variable
 //! sets in the same order, same fresh-variable allocation order, same
 //! errors surfaced at the same time. The conformance suite diffs the two
@@ -884,7 +884,7 @@ pub enum TryResult {
 
 /// Attempt one lowered rule: match the head, then evaluate the guards.
 /// Mirrors the interpreter's attempt (`TierRule for CompiledRule` in
-/// `machine.rs`) exactly, including the rule that a match-time suspension
+/// `tier.rs`) exactly, including the rule that a match-time suspension
 /// returns before any guard runs.
 pub fn try_rule<S: StoreOps>(
     rule: &ExecRule,

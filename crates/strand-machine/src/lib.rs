@@ -30,9 +30,15 @@ pub mod builtins;
 pub mod config;
 pub mod exec;
 pub mod foreign;
+mod ingress;
 pub mod machine;
 pub mod metrics;
+mod report;
+mod sim;
+mod tier;
 pub mod trace;
+mod worker;
+mod world;
 
 pub use backend::{backend_for, register_parallel_backend, DeterministicBackend, ExecBackend};
 pub use config::{Backend, EdgeFaults, ExecMode, FaultPlan, MachineConfig};

@@ -89,13 +89,12 @@ mod timers;
 pub use resident::ResidentHandle;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
 use quiesce::Tokens;
 use skeletons::WorkerSet;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use strand_core::{StrandError, StrandResult, Term};
 use strand_machine::{
@@ -120,6 +119,13 @@ const BATCH_MAX: usize = 32;
 /// channel and flushes outbound batches. Bounds the latency between a peer
 /// sending us work and us seeing it.
 const DRAIN_STEPS: u32 = 64;
+
+/// Lock a mutex a panicked holder cannot leave invalid (an `Option` swap, a
+/// list push or removal): a worker that panics is reported through `fatal`,
+/// and must not take the locks it held down with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 enum Msg {
     /// Cross-worker events for the receiving worker's shard. Carries one
@@ -256,14 +262,8 @@ impl Fleet {
         }
         let mut vars = BTreeMap::new();
         let goal = ast_to_term(&goal_ast, &mut machines[0], &mut vars);
+        // Node 0 belongs to worker 0, so the seed goal lands in its own heap.
         machines[0].start(goal);
-        // Node 0 belongs to worker 0, so the seed goal lands in its own heap;
-        // anything the goal term routed elsewhere is delivered directly while
-        // the machines are still on this thread.
-        for r in machines[0].take_outbox() {
-            let w = r.dest_worker(threads);
-            machines[w].absorb(vec![r]);
-        }
 
         let mut senders = Vec::with_capacity(threads);
         let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(threads);
@@ -297,7 +297,7 @@ impl Fleet {
             let slots = Arc::clone(&slots);
             let rx = receivers[idx].take().expect("one receiver per worker");
             Box::new(move || {
-                let mut m = slots[idx].lock().take().expect("one machine per worker");
+                let mut m = lock(&slots[idx]).take().expect("one machine per worker");
                 // A panic anywhere in the shard (engine bug, foreign closure)
                 // must not leave peers parked forever: surface it and stop.
                 let outcome =
@@ -308,7 +308,7 @@ impl Fleet {
                         StrandError::Other("worker panicked during reduction".to_string()),
                     );
                 }
-                *slots[idx].lock() = Some(m);
+                *lock(&slots[idx]) = Some(m);
             })
         });
         let fleet = Fleet {
@@ -328,7 +328,7 @@ impl Fleet {
     fn collect(&self, ingress: Option<Machine>) -> StrandResult<(RunReport, Vec<Machine>)> {
         self.workers.join();
         let wall_ns = self.t0.elapsed().as_nanos() as u64;
-        if let Some(e) = self.shared.fatal.lock().take() {
+        if let Some(e) = lock(&self.shared.fatal).take() {
             return Err(e);
         }
         let truncated = self.shared.truncated.load(Ordering::Acquire);
@@ -336,7 +336,7 @@ impl Fleet {
         let mut machines: Vec<Machine> = self
             .slots
             .iter()
-            .map(|s| s.lock().take().expect("worker returned its machine"))
+            .map(|s| lock(s).take().expect("worker returned its machine"))
             .chain(ingress)
             .collect();
         let parts: Vec<_> = machines.iter_mut().map(|m| m.finalize_shard()).collect();
@@ -580,7 +580,7 @@ fn stop(shared: &Shared) {
 }
 
 fn fatal(shared: &Shared, e: StrandError) {
-    let mut slot = shared.fatal.lock();
+    let mut slot = lock(&shared.fatal);
     if slot.is_none() {
         *slot = Some(e);
     }

@@ -36,7 +36,7 @@
 //! consult [`ResidentHandle::crashed_nodes`] so new sessions land on nodes
 //! that will actually reduce them.
 
-use crate::{send_batch, send_direct, stop, Fleet};
+use crate::{lock, send_batch, send_direct, stop, Fleet};
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -90,15 +90,11 @@ impl ResidentHandle {
     /// then flush everything it enqueued to the owning workers (minting
     /// quiescence tokens per batch, so a parked fleet wakes).
     pub fn with_ingress<R>(&self, f: impl FnOnce(&mut Machine) -> R) -> R {
-        let mut m = self.ingress.lock().unwrap_or_else(|e| e.into_inner());
+        let mut m = lock(&self.ingress);
         let out = f(&mut m);
+        // An ingress machine owns no node, so it never reduces and has no
+        // deadlines to harvest: the outbox is all it produces.
         let outbox = m.take_outbox();
-        // Ingress never reduces, so it should never *arm* — but if a caller
-        // ever drives a reduction through it, losing the deadline silently
-        // would be worse than arming it here.
-        for deadline in m.take_deadlines() {
-            self.fleet.shared.wheel.arm(deadline);
-        }
         drop(m);
         // Counter bumps and store reads enqueue nothing: no buffers to
         // build, no worker to visit.
@@ -503,7 +499,7 @@ mod tests {
         let h = ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()).unwrap();
         let idle = || assert!(h.wait_idle(Duration::from_secs(5)), "never drained");
         idle();
-        let store_len = || h.with_ingress(|m| m.store_len());
+        let store_len = || h.with_ingress(|m| m.store().len());
         let before = store_len();
 
         let session = 5;

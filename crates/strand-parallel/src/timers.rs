@@ -42,8 +42,9 @@
 //! sort is stable), which keeps replays stable but is an ordering between
 //! *timers* only; no ordering is promised against regular work.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 use strand_core::Term;
 use strand_machine::Deadline;
@@ -93,7 +94,7 @@ impl TimerWheel {
 
     /// Run `f` over the entries under the lock, then publish the new count.
     fn locked<R>(&self, f: impl FnOnce(&mut Vec<Entry>) -> R) -> R {
-        let mut entries = self.entries.lock();
+        let mut entries = lock(&self.entries);
         let out = f(&mut entries);
         self.len.store(entries.len(), Ordering::SeqCst);
         out
@@ -137,7 +138,7 @@ impl TimerWheel {
         if self.is_empty() {
             return None;
         }
-        self.entries.lock().iter().map(|e| e.due).min()
+        lock(&self.entries).iter().map(|e| e.due).min()
     }
 
     /// Remove and return every live entry due at or before `now`, in

@@ -8,10 +8,9 @@
 //! exits. See DESIGN.md §9 for the full model; the short version:
 //!
 //! * **Idle, not terminated.** The engine's quiescence detector normally
-//!   ends the run; in resident mode (simulator: `Machine::run` is simply
-//!   re-entered per burst; parallel: [`strand_parallel::ResidentHandle`])
-//!   quiescence parks the workers and the suspended Server loops wait on
-//!   their port streams for the next request.
+//!   ends the run; a resident fleet ([`strand_parallel::ResidentHandle`])
+//!   parks its workers at quiescence instead, and the suspended Server loops
+//!   wait on their port streams for the next request.
 //! * **Sessions are regions.** Every TCP connection gets a session region;
 //!   variables allocated for its requests and the suspensions they leave
 //!   behind are tagged with it and swept when the connection closes, so
@@ -66,7 +65,7 @@ use std::time::{Duration, Instant};
 use strand_core::{sym, Atom, AtomError, StrandError, StrandResult, Term};
 use strand_machine::{ast_to_term, FaultPlan, ForeignLib, Machine, MachineConfig, RunReport};
 use strand_parallel::ResidentHandle;
-use strand_parse::{compile_program, parse_term, Ast};
+use strand_parse::{parse_term, Ast};
 
 /// Boot rule appended to the application before the Server transformation:
 /// build the port-tuple directory and spawn one server per node, but —
@@ -92,12 +91,11 @@ server([halt|_]).
 server([req(Q, R)|In]) :- R = Q, server(In).
 "#;
 
-/// Which engine keeps the program resident.
+/// How the fleet that keeps the program resident is sized. (The
+/// conformance reference is the *batch* run of the same program on the
+/// simulator; residency is the fleet's alone.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeBackend {
-    /// The deterministic simulator: requests reduce synchronously under
-    /// the service lock, one burst per request. The conformance reference.
-    Sim,
     /// The sharded parallel backend with the given worker threads
     /// (0 = host parallelism): workers stay parked between bursts.
     Parallel(u32),
@@ -122,10 +120,8 @@ pub struct ServeConfig {
     pub reply_timeout_ms: u64,
     /// Run the application under `Supervise ∘ Server` instead of plain
     /// `Server`: acked, retried delivery plus heartbeat monitors that
-    /// restart a dead server's loop on a surviving node. Requires the
-    /// parallel backend — supervision timing needs the resident fleet's
-    /// wall clock, and the simulator's virtual clock only advances while a
-    /// burst is reducing.
+    /// restart a dead server's loop on a surviving node, timed on the
+    /// resident fleet's wall clock.
     pub supervise: bool,
     /// Fault plan injected into the resident fleet (node crashes,
     /// per-delivery drop/dup/delay). Only meaningful with `supervise`: an
@@ -148,8 +144,8 @@ impl Default for ServeConfig {
 }
 
 /// Lock a mutex whose data every update leaves valid (a map insert or
-/// remove, an `Option` swap, the simulator between bursts), so a panicked
-/// holder is no reason to stop serving.
+/// remove, an `Option` swap), so a panicked holder is no reason to stop
+/// serving.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -269,15 +265,10 @@ fn admit_atoms(mut ast: &Ast) -> Result<(), AtomError> {
     }
 }
 
-enum Engine {
-    Sim(Mutex<Machine>),
-    Parallel(ResidentHandle),
-}
-
 /// A resident Server-motif program plus the session plumbing around it.
 /// `Sync`: share behind an `Arc` across connection threads.
 pub struct MotifService {
-    engine: Engine,
+    engine: ResidentHandle,
     replies: Arc<ReplySlots>,
     /// The port-tuple directory bound by the boot goal; every request
     /// distributes over it.
@@ -300,15 +291,6 @@ impl MotifService {
     /// with no initial traffic, and leave it resident (idle) awaiting
     /// requests.
     pub fn start(app_src: &str, cfg: ServeConfig) -> StrandResult<MotifService> {
-        if matches!(cfg.backend, ServeBackend::Sim) && (cfg.supervise || !cfg.faults.is_empty()) {
-            return Err(StrandError::Other(
-                "supervised / fault-injected serving needs the parallel backend: \
-                 supervision heartbeats are wall-clock timers and the \
-                 simulator's virtual clock only advances while a burst is \
-                 reducing"
-                    .to_string(),
-            ));
-        }
         let full_src = format!("{app_src}{SERVE_BOOT}");
         let motif = if cfg.supervise {
             motifs::supervised_server()
@@ -349,35 +331,18 @@ impl MotifService {
         mcfg.fail_fast = false;
         mcfg.faults = cfg.faults.clone();
         let boot_goal = format!("serve_boot({}, DT)", cfg.servers);
-        let (engine, dt) = match cfg.backend {
-            ServeBackend::Sim => {
-                let compiled =
-                    compile_program(&program).map_err(|e| StrandError::Other(e.to_string()))?;
-                let mut m = Machine::new(compiled, mcfg);
-                m.install_lib(&lib);
-                let ast = parse_term(&boot_goal).map_err(|e| StrandError::Other(e.to_string()))?;
-                let mut vars = BTreeMap::new();
-                let goal = ast_to_term(&ast, &mut m, &mut vars);
-                m.start(goal);
-                m.run()?;
-                (Engine::Sim(Mutex::new(m)), vars.remove("DT"))
-            }
-            ServeBackend::Parallel(threads) => {
-                let handle =
-                    ResidentHandle::start(&program, &boot_goal, mcfg.parallel(threads), &lib)?;
-                if !handle.wait_idle(Duration::from_secs(30)) {
-                    return Err(StrandError::Other(
-                        "resident boot did not reach idle within 30s".to_string(),
-                    ));
-                }
-                let dt = handle.boot_var("DT");
-                (Engine::Parallel(handle), dt)
-            }
-        };
+        let ServeBackend::Parallel(threads) = cfg.backend;
+        let engine = ResidentHandle::start(&program, &boot_goal, mcfg.parallel(threads), &lib)?;
+        if !engine.wait_idle(Duration::from_secs(30)) {
+            return Err(StrandError::Other(
+                "resident boot did not reach idle within 30s".to_string(),
+            ));
+        }
+        let dt = engine.boot_var("DT").expect("boot goal names DT");
         Ok(MotifService {
             engine,
             replies,
-            dt: dt.expect("boot goal names DT"),
+            dt,
             send: if cfg.supervise {
                 Atom::new("rsend")
             } else {
@@ -397,24 +362,17 @@ impl MotifService {
     pub fn open_session(&self) -> Session {
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed) + 1;
         let region = self.next_region.fetch_add(1, Ordering::Relaxed);
-        self.with_front(|m| m.metrics_mut().sessions_opened += 1);
+        self.engine
+            .with_ingress(|m| m.metrics_mut().sessions_opened += 1);
         Session { sid, region }
     }
 
     /// Close a session: sweep every shard's suspensions and store slots
     /// tagged with its region.
     pub fn close_session(&self, session: Session) {
-        match &self.engine {
-            Engine::Sim(m) => {
-                let mut m = lock(m);
-                m.reclaim_session(session.region);
-                m.metrics_mut().sessions_closed += 1;
-            }
-            Engine::Parallel(h) => {
-                h.reclaim(session.region);
-                h.with_ingress(|m| m.metrics_mut().sessions_closed += 1);
-            }
-        }
+        self.engine.reclaim(session.region);
+        self.engine
+            .with_ingress(|m| m.metrics_mut().sessions_closed += 1);
     }
 
     /// Serve one request line: admission check, parse, inject
@@ -425,10 +383,10 @@ impl MotifService {
             return Response::Err("service is shutting down".to_string());
         }
         // Backpressure: consult the engine's regular-work gauge before
-        // adding to it. The simulator drains synchronously per request,
-        // so its gauge only matters under concurrent sessions.
+        // adding to it.
         if self.pending() > self.cfg.max_pending {
-            self.with_front(|m| m.metrics_mut().requests_rejected += 1);
+            self.engine
+                .with_ingress(|m| m.metrics_mut().requests_rejected += 1);
             return Response::Busy(self.busy_hint());
         }
         let ast = match parse_term(line) {
@@ -442,25 +400,12 @@ impl MotifService {
         let node = self.pick_node();
         let timeout = Duration::from_millis(self.cfg.reply_timeout_ms);
         let slot = self.replies.register(rid);
-        let got = match &self.engine {
-            Engine::Parallel(h) if self.cfg.supervise => {
-                self.supervised_request(h, session, &ast, rid, node, &slot, timeout)
-            }
-            Engine::Parallel(h) => h
+        let got = if self.cfg.supervise {
+            self.supervised_request(session, &ast, rid, node, &slot, timeout)
+        } else {
+            self.engine
                 .with_ingress(|m| self.inject_request(m, session, &ast, rid, node))
-                .map(|_| slot.wait(timeout)),
-            Engine::Sim(m) => {
-                let mut m = lock(m);
-                let injected = self.inject_request(&mut m, session, &ast, rid, node);
-                injected.and_then(|_| match m.run() {
-                    // The burst has drained: the reply is in the slot or
-                    // the handler never produced one.
-                    Ok(_) => slot.wait(Duration::ZERO).map(Some).ok_or_else(|| {
-                        Response::Err("handler did not answer the request".to_string())
-                    }),
-                    Err(e) => Err(Response::Err(format!("engine: {e}"))),
-                })
-            }
+                .map(|_| slot.wait(timeout))
         };
         if !matches!(got, Ok(Some(_))) {
             self.replies.forget(rid); // a delivery removes its own entry
@@ -472,8 +417,8 @@ impl MotifService {
         }
     }
 
-    /// Build and enqueue one request on `m` (the ingress machine or the
-    /// simulator) under the session's region. `Ok` carries the reply
+    /// Build and enqueue one request on `m` (the ingress machine) under the
+    /// session's region. `Ok` carries the reply
     /// variable; `Err` carries the client-facing response.
     fn inject_request(
         &self,
@@ -530,10 +475,7 @@ impl MotifService {
         let servers = i64::from(self.cfg.servers);
         let start =
             (self.round_robin.fetch_add(1, Ordering::Relaxed) % u64::from(self.cfg.servers)) as i64;
-        let Engine::Parallel(h) = &self.engine else {
-            return start + 1;
-        };
-        let dead = h.crashed_nodes();
+        let dead = self.engine.crashed_nodes();
         // Every node dead: nothing can answer. Inject anywhere and let the
         // reply timeout surface the outage.
         (0..servers)
@@ -550,11 +492,8 @@ impl MotifService {
     /// the two rather than a hint that is stale the moment the wheel
     /// fires.
     pub fn busy_hint(&self) -> u64 {
-        match &self.engine {
-            Engine::Parallel(h) if self.cfg.supervise => match h.timer_horizon_ms() {
-                Some(horizon) => horizon.clamp(1, self.cfg.retry_ms),
-                None => self.cfg.retry_ms,
-            },
+        match self.engine.timer_horizon_ms() {
+            Some(horizon) if self.cfg.supervise => horizon.clamp(1, self.cfg.retry_ms),
             _ => self.cfg.retry_ms,
         }
     }
@@ -575,10 +514,8 @@ impl MotifService {
     /// request that no server ever saw. At-least-once delivery is exactly
     /// what `Supervise` demands of its handlers anyway (replay-tolerant,
     /// test-and-set binds), so a duplicate arrival is benign.
-    #[allow(clippy::too_many_arguments)]
     fn supervised_request(
         &self,
-        h: &ResidentHandle,
         session: Session,
         ast: &Ast,
         rid: u64,
@@ -586,6 +523,7 @@ impl MotifService {
         slot: &ReplySlot,
         timeout: Duration,
     ) -> Result<Option<Term>, Response> {
+        let h = &self.engine;
         let mut dead_seen = h.crashed_nodes().len();
         let reply = h.with_ingress(|m| self.inject_request(m, session, ast, rid, node))?;
         let deadline = Instant::now() + timeout;
@@ -633,70 +571,40 @@ impl MotifService {
 
     /// Regular work pending in the engine (the backpressure gauge).
     pub fn pending(&self) -> u64 {
-        match &self.engine {
-            Engine::Sim(_) => 0,
-            Engine::Parallel(h) => h.pending(),
-        }
+        self.engine.pending()
     }
 
     /// True when the engine is globally quiescent — parked workers, no
-    /// in-flight batches; the simulator is idle whenever unlocked.
+    /// in-flight batches.
     pub fn is_idle(&self) -> bool {
-        match &self.engine {
-            Engine::Sim(_) => true,
-            Engine::Parallel(h) => h.is_idle(),
-        }
+        self.engine.is_idle()
     }
 
     /// Block (bounded) until the engine reads idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        match &self.engine {
-            Engine::Sim(_) => true,
-            Engine::Parallel(h) => h.wait_idle(timeout),
-        }
+        self.engine.wait_idle(timeout)
     }
 
     /// A fatal engine error has begun winding the workers down.
     pub fn is_stopping(&self) -> bool {
-        match &self.engine {
-            Engine::Sim(_) => false,
-            Engine::Parallel(h) => h.is_stopping(),
-        }
+        self.engine.is_stopping()
     }
 
     /// Live store size (all stripes) — the soak tier's bounded-growth
     /// probe.
     pub fn store_len(&self) -> usize {
-        self.with_front(|m| m.store_len())
+        self.engine.with_ingress(|m| m.store().len())
     }
 
-    /// Worker threads behind the service (1 for the simulator).
+    /// Worker threads behind the service.
     pub fn threads(&self) -> usize {
-        match &self.engine {
-            Engine::Sim(_) => 1,
-            Engine::Parallel(h) => h.threads(),
-        }
+        self.engine.threads()
     }
 
     /// Stop the engine and merge every shard's report (serve counters
     /// included).
     pub fn shutdown(self) -> StrandResult<RunReport> {
-        match self.engine {
-            Engine::Sim(m) => {
-                let mut m = m.into_inner().unwrap_or_else(|e| e.into_inner());
-                m.run()
-            }
-            Engine::Parallel(h) => h.shutdown(),
-        }
-    }
-
-    /// Run `f` on the machine that fronts the service: the simulator
-    /// itself, or the parallel ingress machine.
-    fn with_front<R>(&self, f: impl FnOnce(&mut Machine) -> R) -> R {
-        match &self.engine {
-            Engine::Sim(m) => f(&mut lock(m)),
-            Engine::Parallel(h) => h.with_ingress(f),
-        }
+        self.engine.shutdown()
     }
 }
 
@@ -877,9 +785,7 @@ mod tests {
     use super::*;
 
     fn doubler(backend: ServeBackend) -> MotifService {
-        if matches!(backend, ServeBackend::Parallel(_)) {
-            strand_parallel::install();
-        }
+        strand_parallel::install();
         let cfg = ServeConfig {
             servers: 4,
             backend,
@@ -889,8 +795,8 @@ mod tests {
     }
 
     #[test]
-    fn sim_service_answers_requests_and_reclaims() {
-        let svc = doubler(ServeBackend::Sim);
+    fn one_thread_service_answers_requests_and_reclaims() {
+        let svc = doubler(ServeBackend::Parallel(1));
         let s = svc.open_session();
         assert_eq!(svc.request(s, "21"), Response::Ok("42".to_string()));
         assert_eq!(svc.request(s, "100"), Response::Ok("200".to_string()));
@@ -920,7 +826,7 @@ mod tests {
 
     #[test]
     fn malformed_and_nonground_requests_are_rejected_politely() {
-        let svc = doubler(ServeBackend::Sim);
+        let svc = doubler(ServeBackend::Parallel(1));
         let s = svc.open_session();
         assert!(matches!(svc.request(s, "req(1,"), Response::Err(_)));
         assert!(matches!(svc.request(s, "f(X)"), Response::Err(_)));
@@ -975,22 +881,6 @@ mod tests {
         // retransmit windows all sit in the wheel.
         assert!(report.metrics.timers_armed > 0, "{:?}", report.metrics);
         assert_eq!(report.metrics.requests_admitted, 2);
-    }
-
-    #[test]
-    fn supervision_refuses_the_simulator_backend() {
-        let cfg = ServeConfig {
-            supervise: true,
-            backend: ServeBackend::Sim,
-            ..ServeConfig::default()
-        };
-        match MotifService::start(DOUBLER_APP, cfg) {
-            Err(err) => assert!(
-                err.to_string().contains("parallel backend"),
-                "unhelpful refusal: {err}"
-            ),
-            Ok(_) => panic!("simulator accepted a supervised config"),
-        }
     }
 
     #[test]
@@ -1067,7 +957,7 @@ mod tests {
     #[test]
     fn the_registry_is_empty_again_after_1000_requests() {
         for svc in [
-            doubler(ServeBackend::Sim),
+            doubler(ServeBackend::Parallel(1)),
             doubler(ServeBackend::Parallel(2)),
             supervised_doubler(2, 25),
         ] {
@@ -1084,7 +974,7 @@ mod tests {
         }
     }
 
-    /// Run `serve` over a fresh loopback listener on a simulator doubler.
+    /// Run `serve` over a fresh loopback listener on a 1-thread doubler.
     fn spawn_serve() -> (
         std::net::SocketAddr,
         Arc<AtomicBool>,
@@ -1093,7 +983,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (service, flag) = (doubler(ServeBackend::Sim), Arc::clone(&shutdown));
+        let (service, flag) = (doubler(ServeBackend::Parallel(1)), Arc::clone(&shutdown));
         let thread =
             std::thread::spawn(move || serve(listener, service, flag, Duration::from_secs(10)));
         (addr, shutdown, thread)
@@ -1182,7 +1072,7 @@ mod tests {
         let svc = {
             let cfg = ServeConfig {
                 servers: 2,
-                backend: ServeBackend::Sim,
+                backend: ServeBackend::Parallel(1),
                 ..ServeConfig::default()
             };
             MotifService::start(ECHO_APP, cfg).unwrap()

@@ -1,21 +1,8 @@
 //! `strand-serve` — keep a Server-motif program resident and answer TCP
 //! clients. See the library docs (and DESIGN.md §9) for the model.
 //!
-//! ```text
-//! strand-serve [--addr HOST:PORT] [--app FILE] [--servers N]
-//!              [--threads T | --sim] [--supervise] [--max-pending P]
-//!              [--stats]
-//!
-//!   --addr HOST:PORT   listen address            (default 127.0.0.1:7464)
-//!   --app FILE         server/1 application file (default: built-in doubler)
-//!   --servers N        server-motif nodes        (default 4)
-//!   --threads T        parallel worker threads; 0 = host parallelism
-//!   --sim              deterministic simulator instead of worker threads
-//!   --supervise        compose Supervise over the servers: heartbeats,
-//!                      acked sends and restart run on wall-clock timers
-//!   --max-pending P    backpressure high-water mark (default 10000)
-//!   --stats            full metrics table in the shutdown summary
-//! ```
+//! `strand-serve --help` prints the options and the wire protocol (`usage`
+//! below is the one copy of both).
 //!
 //! Ctrl-C (SIGINT) shuts down gracefully: new connections are rejected,
 //! in-flight sessions drain, and a summary of the run is printed.
@@ -87,7 +74,6 @@ fn main() -> ExitCode {
     let servers: u32 = take_flag_value(&mut args, "--servers")
         .map(|v| v.parse().expect("--servers wants a number"))
         .unwrap_or(4);
-    let sim = take_flag(&mut args, "--sim");
     let supervise = take_flag(&mut args, "--supervise");
     let threads: u32 = take_flag_value(&mut args, "--threads")
         .map(|v| v.parse().expect("--threads wants a number"))
@@ -101,15 +87,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let backend = if sim {
-        ServeBackend::Sim
-    } else {
-        strand_parallel::install();
-        ServeBackend::Parallel(threads)
-    };
     let cfg = ServeConfig {
         servers,
-        backend,
+        backend: ServeBackend::Parallel(threads),
         supervise,
         max_pending,
         ..ServeConfig::default()
@@ -193,18 +173,15 @@ fn usage() -> String {
 
 USAGE:
   strand-serve [--addr HOST:PORT] [--app FILE] [--servers N]
-               [--threads T | --sim] [--supervise] [--max-pending P]
-               [--stats]
+               [--threads T] [--supervise] [--max-pending P] [--stats]
 
 OPTIONS:
   --addr HOST:PORT   listen address            (default 127.0.0.1:7464)
   --app FILE         server/1 application file (default: built-in doubler)
   --servers N        server-motif nodes        (default 4)
-  --threads T        parallel worker threads; 0 = host parallelism
-  --sim              deterministic simulator instead of worker threads
+  --threads T        worker threads; 0 = host parallelism (default)
   --supervise        compose Supervise over the servers: heartbeats, acked
-                     sends and restart run on wall-clock timers (parallel
-                     backend only)
+                     sends and restart run on wall-clock timers
   --max-pending P    backpressure high-water mark (default 10000)
   --stats            full metrics table in the shutdown summary
 

@@ -27,7 +27,7 @@ const PER_REQUEST: usize = 1000;
 fn a_flood_of_fresh_atoms_is_refused_at_the_reserve_and_the_service_keeps_serving() {
     let cfg = ServeConfig {
         servers: 2,
-        backend: ServeBackend::Sim,
+        backend: ServeBackend::Parallel(1),
         ..ServeConfig::default()
     };
     let service = MotifService::start(ECHO_APP, cfg).expect("service boots");

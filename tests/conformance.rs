@@ -630,7 +630,8 @@ fn chaos_supervised_ring_survives_kill_drop_dup() {
     let goal = "create(8, token(1))";
     let base = MachineConfig::with_nodes(8).seed(47);
     let expected: Vec<String> = (1..=8).map(|k| k.to_string()).collect();
-    let plan = chaos_plan(mid_run_crash_at(&program, goal, &base), 61);
+    let crash_at = mid_run_crash_at(&program, goal, &base);
+    let plan = chaos_plan(crash_at, 61);
     for threads in [2u32, 4, 8] {
         let mut cfg = base.clone().parallel(threads).faults(plan.clone());
         cfg.fail_fast = false;
@@ -657,6 +658,17 @@ fn chaos_supervised_ring_survives_kill_drop_dup() {
             !matches!(r.report.status, RunStatus::Truncated { .. }),
             "chaos must not exhaust the budget: {:?}",
             r.report.status
+        );
+        // Recovery is retry and backoff work — failed bootstraps, monitor
+        // restarts, replayed wires — so reductions over the clean run's are
+        // the wall-clock-free measure of what it costs: within 50x of clean
+        // (`crash_at` is a third of the clean calibration run).
+        let spent = r.report.metrics.total_reductions;
+        assert!(
+            spent < 50 * 3 * crash_at,
+            "recovery at {threads} threads took {spent} reductions against \
+             a clean run of {}",
+            3 * crash_at
         );
     }
 }

@@ -4,14 +4,14 @@
 //!   (over loopback TCP, through the real accept loop and wire protocol)
 //!   must yield the **bit-identical** reply to the same message run batch
 //!   through `create/2` on the deterministic simulator — and the resident
-//!   engine must agree whether it is the simulator or the parallel
-//!   backend at 1, 2 or 4 worker threads. The doubler exercises arithmetic
-//!   handlers, the echo app round-trips arbitrary ground terms through
-//!   the store and back out of the renderer.
+//!   fleet must agree at 1, 2 and 4 worker threads (1 is the simulator's
+//!   exact replica). The doubler exercises arithmetic handlers, the echo
+//!   app round-trips arbitrary ground terms through the store and back out
+//!   of the renderer.
 //! * **Soak** — ≥1000 open/close session cycles must leave the store
 //!   bounded: session-close reclamation really does return slots (the
-//!   free list is reused), on both engines. Growth here would be the
-//!   week-long-process leak the region sweep exists to prevent.
+//!   free list is reused), at one worker thread and at two. Growth here
+//!   would be the week-long-process leak the region sweep exists to prevent.
 //! * **Close race** — sessions closed the instant their reply arrives, from
 //!   two threads with no sleep anywhere, must never see a late bind land
 //!   in a recycled slot (the reply probe is a sink; nothing follows it).
@@ -42,9 +42,7 @@ use algorithmic_motifs::strand_serve::{
 const SERVERS: u32 = 4;
 
 fn serve_cfg(backend: ServeBackend) -> ServeConfig {
-    if matches!(backend, ServeBackend::Parallel(_)) {
-        strand_parallel::install();
-    }
+    strand_parallel::install();
     ServeConfig {
         servers: SERVERS,
         backend,
@@ -52,11 +50,10 @@ fn serve_cfg(backend: ServeBackend) -> ServeConfig {
     }
 }
 
-/// Every engine the service can keep resident. Parallel thread counts
-/// follow the conformance ladder (1 is the exact-replica configuration).
+/// Every fleet size the service is checked at: the conformance ladder
+/// (1 is the exact-replica configuration).
 fn backends() -> Vec<ServeBackend> {
     vec![
-        ServeBackend::Sim,
         ServeBackend::Parallel(1),
         ServeBackend::Parallel(2),
         ServeBackend::Parallel(4),
@@ -154,7 +151,7 @@ fn tcp_replay(app: &str, cfg: ServeConfig, payloads: &[&str]) -> Vec<String> {
 fn hostile_lines_get_err_and_the_connection_keeps_serving() {
     let deep = format!("{}1{}", "(".repeat(30_000), ")".repeat(30_000));
     let long_atom = "a".repeat(300);
-    for backend in [ServeBackend::Sim, ServeBackend::Parallel(2)] {
+    for backend in [ServeBackend::Parallel(1), ServeBackend::Parallel(2)] {
         let summary = tcp_session(ECHO_APP, serve_cfg(backend), |ask| {
             assert_eq!(ask("f(x)"), "OK f(x)");
             let reply = ask(&deep);
@@ -248,8 +245,8 @@ fn soak(backend: ServeBackend, cycles: usize) {
 }
 
 #[test]
-fn soak_sim_store_is_bounded_over_1000_sessions() {
-    soak(ServeBackend::Sim, 1000);
+fn soak_one_thread_store_is_bounded_over_1000_sessions() {
+    soak(ServeBackend::Parallel(1), 1000);
 }
 
 #[test]
