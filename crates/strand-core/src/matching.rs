@@ -164,10 +164,29 @@ pub enum EqOutcome {
 }
 
 /// Compare two terms structurally, dereferencing through the store.
+/// Variables that leave the answer open are listed in first-occurrence
+/// order, left to right.
 pub fn term_eq<S: StoreOps>(a: &Term, b: &Term, store: &S) -> EqOutcome {
-    let a = store.deref(a);
-    let b = store.deref(b);
-    match (&a, &b) {
+    let mut a = store.deref(a);
+    let mut b = store.deref(b);
+    // Along list spines in a loop, so only nesting recurses: what the
+    // heads so far left open waits in `pending` (empty, and never
+    // allocated, when the terms are not lists).
+    let mut pending = Vec::new();
+    while let (Term::List(ca), Term::List(cb)) = (&a, &b) {
+        match term_eq(&ca.0, &cb.0, store) {
+            EqOutcome::Eq => {}
+            EqOutcome::Neq => return EqOutcome::Neq,
+            EqOutcome::Unknown(vs) => {
+                for v in vs {
+                    push_unique(&mut pending, v);
+                }
+            }
+        }
+        let tails = (store.deref(&ca.1), store.deref(&cb.1));
+        (a, b) = tails;
+    }
+    let last = match (&a, &b) {
         (Term::Var(x), Term::Var(y)) => {
             if x == y {
                 EqOutcome::Eq
@@ -183,32 +202,40 @@ pub fn term_eq<S: StoreOps>(a: &Term, b: &Term, store: &S) -> EqOutcome {
         (Term::Str(x), Term::Str(y)) => bool_eq(x == y),
         (Term::Nil, Term::Nil) => EqOutcome::Eq,
         (Term::Port(x), Term::Port(y)) => bool_eq(x == y),
-        (Term::List(ca), Term::List(cb)) => combine_eq(term_eq(&ca.0, &cb.0, store), || {
-            term_eq(&ca.1, &cb.1, store)
-        }),
         (Term::Tuple(fa, aa), Term::Tuple(fb, ab)) => {
             if fa != fb || aa.len() != ab.len() {
                 return EqOutcome::Neq;
             }
-            let mut pending = Vec::new();
+            let mut open = Vec::new();
             for (x, y) in aa.iter().zip(ab.iter()) {
                 match term_eq(x, y, store) {
                     EqOutcome::Eq => {}
                     EqOutcome::Neq => return EqOutcome::Neq,
                     EqOutcome::Unknown(vs) => {
                         for v in vs {
-                            push_unique(&mut pending, v);
+                            push_unique(&mut open, v);
                         }
                     }
                 }
             }
-            if pending.is_empty() {
+            if open.is_empty() {
                 EqOutcome::Eq
             } else {
-                EqOutcome::Unknown(pending)
+                EqOutcome::Unknown(open)
             }
         }
         _ => EqOutcome::Neq,
+    };
+    match last {
+        EqOutcome::Neq => EqOutcome::Neq,
+        _ if pending.is_empty() => last,
+        EqOutcome::Eq => EqOutcome::Unknown(pending),
+        EqOutcome::Unknown(ws) => {
+            for w in ws {
+                push_unique(&mut pending, w);
+            }
+            EqOutcome::Unknown(pending)
+        }
     }
 }
 
@@ -217,23 +244,6 @@ fn bool_eq(b: bool) -> EqOutcome {
         EqOutcome::Eq
     } else {
         EqOutcome::Neq
-    }
-}
-
-fn combine_eq(first: EqOutcome, rest: impl FnOnce() -> EqOutcome) -> EqOutcome {
-    match first {
-        EqOutcome::Neq => EqOutcome::Neq,
-        EqOutcome::Eq => rest(),
-        EqOutcome::Unknown(mut vs) => match rest() {
-            EqOutcome::Neq => EqOutcome::Neq,
-            EqOutcome::Eq => EqOutcome::Unknown(vs),
-            EqOutcome::Unknown(ws) => {
-                for w in ws {
-                    push_unique(&mut vs, w);
-                }
-                EqOutcome::Unknown(vs)
-            }
-        },
     }
 }
 
@@ -522,6 +532,54 @@ mod tests {
             eval_guard(&Term::tuple("=\\=", vec![a, b]), &store).unwrap(),
             GuardOutcome::False
         );
+    }
+
+    /// A list is compared along its spine, not down it: two million-cell
+    /// lists on a 256 KiB stack, through bindings, with the variables left
+    /// open reported in first-occurrence order — the order the recursive
+    /// definition gives.
+    #[test]
+    fn long_lists_compare_without_recursion_in_first_occurrence_order() {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut store = Store::new();
+                let (x, y, z, w) = (
+                    store.new_var(),
+                    store.new_var(),
+                    store.new_var(),
+                    store.new_var(),
+                );
+                let n = 1_000_000;
+                // `b`'s tail runs through a bound variable halfway down.
+                let b_back = Term::list((n / 2..n).map(Term::int));
+                store.bind(w, b_back, 0, NodeId(0)).unwrap();
+                let a = (0..n).rev().fold(Term::Var(z), |tail, i| {
+                    let head = match i {
+                        10 => Term::Var(y),
+                        700_000 => Term::Var(x),
+                        _ => Term::int(i),
+                    };
+                    Term::cons(head, tail)
+                });
+                let b_front = (0..n / 2).rev().fold(Term::Var(w), |tail, i| {
+                    let head = if i == 20 { Term::Var(y) } else { Term::int(i) };
+                    Term::cons(head, tail)
+                });
+                // Heads 10 (y vs 10), 20 (20 vs y), 700 000 (x vs 700 000),
+                // then the tails (z vs []).
+                assert_eq!(
+                    term_eq(&a, &b_front, &store),
+                    EqOutcome::Unknown(vec![y, x, z])
+                );
+                assert_eq!(term_eq(&b_front, &b_front, &store), EqOutcome::Eq);
+                // A difference anywhere decides, open variables or not.
+                let c = Term::list((0..n).map(|i| Term::int(if i == n - 1 { -1 } else { i })));
+                assert_eq!(term_eq(&a, &c, &store), EqOutcome::Neq);
+            })
+            .expect("spawn")
+            .join()
+            .expect("comparing long lists must not overflow the stack");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A runtime term.
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub enum Term {
     /// An occurrence of a store variable (may be bound or unbound).
     Var(VarId),
@@ -65,6 +65,31 @@ impl Drop for Cons {
                 Some(mut cons) => next = std::mem::replace(&mut cons.1, Term::Nil),
                 None => break,
             }
+        }
+    }
+}
+
+impl PartialEq for Term {
+    /// Structural equality with no store: a variable equals only itself.
+    /// Along list spines in a loop, so only nesting recurses.
+    fn eq(&self, other: &Term) -> bool {
+        let (mut a, mut b) = (self, other);
+        while let (Term::List(x), Term::List(y)) = (a, b) {
+            if x.0 != y.0 {
+                return false;
+            }
+            (a, b) = (&x.1, &y.1);
+        }
+        match (a, b) {
+            (Term::Var(x), Term::Var(y)) => x == y,
+            (Term::Int(x), Term::Int(y)) => x == y,
+            (Term::Float(x), Term::Float(y)) => x == y,
+            (Term::Atom(x), Term::Atom(y)) => x == y,
+            (Term::Str(x), Term::Str(y)) => x == y,
+            (Term::Tuple(f, xs), Term::Tuple(g, ys)) => f == g && xs == ys,
+            (Term::Nil, Term::Nil) => true,
+            (Term::Port(x), Term::Port(y)) => x == y,
+            _ => false,
         }
     }
 }
@@ -356,6 +381,20 @@ mod tests {
             drop((0..1_000_000).fold(Term::Var(VarId(3)), |open, i| {
                 Term::cons(Term::int(i), open)
             }))
+        });
+    }
+
+    #[test]
+    fn million_cell_lists_compare_without_recursion() {
+        on_small_stack(|| {
+            let a = Term::list((0..1_000_000).map(Term::int));
+            let b = Term::list((0..1_000_000).map(Term::int));
+            assert!(a == b);
+            let last_differs = Term::list((0..1_000_000).map(|i| Term::int(i.min(999_998))));
+            assert!(a != last_differs);
+            let longer = Term::cons(Term::int(-1), b.clone());
+            assert_ne!(longer, b);
+            assert_ne!(b, longer);
         });
     }
 

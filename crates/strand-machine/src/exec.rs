@@ -7,8 +7,11 @@
 //! * head patterns become pre-order [`MatchOp`] streams with subtree skip
 //!   counts, run against an explicit reusable term stack;
 //! * the outermost constructor of each rule's first head pattern becomes an
-//!   [`IndexKey`], letting the machine skip rules that cannot possibly
-//!   match without attempting them (first-argument clause indexing);
+//!   [`IndexKey`], and each procedure's keys become a [`Switch`]: a table
+//!   from the constructor of a goal's dereferenced first argument to the
+//!   [`Arm`] of rules that could match it, so selecting the candidate rules
+//!   costs one hash lookup however many clauses the procedure has
+//!   (first-argument clause indexing);
 //! * guards become [`GuardOp`]s: a pre-computed set of required slots
 //!   checked before any evaluation, plus a specialized evaluator for the
 //!   common comparison / equality / type tests (generic over [`StoreOps`],
@@ -102,7 +105,8 @@ impl IndexKey {
     /// certain to fail at the first argument: an unbound goal variable
     /// always admits (the rule must get its chance to suspend on it), and
     /// int/float keys admit cross-type numeric equality, mirroring
-    /// `match_one`.
+    /// `match_one`. The specification a [`Switch`] is checked against: an
+    /// arm holds exactly the rules this lets through.
     pub fn admits(&self, arg: &Term) -> bool {
         match arg {
             Term::Var(_) => true,
@@ -123,6 +127,209 @@ impl IndexKey {
             }
             Term::Port(_) => false,
         }
+    }
+}
+
+/// One rule an [`Arm`] lets through, with the number of rules the filter
+/// skips just before it — the `index_hits` a linear walk over the
+/// procedure counts on its way there.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cand {
+    pub rule: u32,
+    pub skipped: u32,
+}
+
+/// The rules, in source order, that [`IndexKey::admits`] lets through for
+/// one kind of first argument, and `tail`, the rules it skips after the
+/// last of them.
+#[derive(Clone, Copy, Debug)]
+pub struct Arm<'s> {
+    pub cands: &'s [Cand],
+    pub tail: u32,
+}
+
+impl<'s> Arm<'s> {
+    /// The candidates in order, each with its skip count.
+    pub fn walk(self, rules: &'s [ExecRule]) -> impl Iterator<Item = (&'s ExecRule, u32)> {
+        self.cands
+            .iter()
+            .map(move |c| (&rules[c.rule as usize], c.skipped))
+    }
+}
+
+/// What a [`Switch`] looks a first argument up by: its outermost
+/// constructor, a number by value.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Ctor {
+    /// An integer equal to some `Int` key.
+    Int(i64),
+    /// An integer equal to no `Int` key, by its value as a float: only
+    /// `Float` keys can admit it.
+    IntAsFloat(u64),
+    /// A float, by value.
+    Float(u64),
+    Atom(Atom),
+    Str(Arc<str>),
+    Nil,
+    Cons,
+    Tuple(Atom, usize),
+}
+
+/// The bits a float value is looked up by: `0.0` and `-0.0` are equal, and
+/// so share them. (No key is a NaN — a NaN key admits nothing bound — so a
+/// NaN argument finds no entry.)
+fn float_bits(x: f64) -> u64 {
+    if x == 0.0 {
+        0
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Where an arm's candidates sit in [`Switch::cands`].
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    end: u32,
+    tail: u32,
+}
+
+/// The arm of every rule: an unbound first argument is admitted by all.
+const ALL: usize = 0;
+/// The arm of the unkeyed rules alone: for a first argument no key admits.
+const UNKEYED: usize = 1;
+
+/// First-argument clause selection for one procedure, built at lowering: the
+/// [`Arm`] for every constructor some key admits, so that choosing the rules
+/// to try is one lookup, not an [`IndexKey::admits`] test per clause.
+#[derive(Clone, Debug)]
+pub struct Switch {
+    /// The arm of each constructor some key admits.
+    table: FxHashMap<Ctor, u32>,
+    /// Arms by number: [`ALL`], [`UNKEYED`], then the table's.
+    arms: Box<[Span]>,
+    cands: Box<[Cand]>,
+}
+
+impl Switch {
+    fn build(rules: &[ExecRule]) -> Switch {
+        let n = rules.len() as u32;
+        // Integer keys by their value as a float, sorted: a float key equal
+        // to that value admits the same integer goals they do.
+        let mut ints_by_value: Vec<(u64, i64)> = rules
+            .iter()
+            .filter_map(|r| match r.key {
+                Some(IndexKey::Int(i)) => Some((float_bits(i as f64), i)),
+                _ => None,
+            })
+            .collect();
+        ints_by_value.sort_unstable();
+        // (arm, rule) for every keyed rule each entry admits.
+        let mut table: FxHashMap<Ctor, u32> = FxHashMap::default();
+        table.reserve(2 * rules.len());
+        let mut members: Vec<(u32, u32)> = Vec::with_capacity(2 * rules.len());
+        let mut unkeyed = Vec::new();
+        for (rule, r) in (0..n).zip(rules) {
+            let mut enter = |ctor: Ctor| {
+                let next = (UNKEYED + 1 + table.len()) as u32;
+                members.push((*table.entry(ctor).or_insert(next), rule));
+            };
+            match &r.key {
+                None => unkeyed.push(rule),
+                Some(IndexKey::Int(i)) => {
+                    enter(Ctor::Int(*i));
+                    enter(Ctor::Float(float_bits(*i as f64)));
+                }
+                Some(IndexKey::Float(y)) if y.is_nan() => {}
+                Some(IndexKey::Float(y)) => {
+                    let bits = float_bits(*y);
+                    enter(Ctor::Float(bits));
+                    enter(Ctor::IntAsFloat(bits));
+                    let from = ints_by_value.partition_point(|&(b, _)| b < bits);
+                    for &(_, i) in ints_by_value[from..]
+                        .iter()
+                        .take_while(|&&(b, _)| b == bits)
+                    {
+                        enter(Ctor::Int(i));
+                    }
+                }
+                Some(IndexKey::Atom(a)) => enter(Ctor::Atom(*a)),
+                Some(IndexKey::Str(s)) => enter(Ctor::Str(s.clone())),
+                Some(IndexKey::Nil) => enter(Ctor::Nil),
+                Some(IndexKey::Cons) => enter(Ctor::Cons),
+                Some(IndexKey::Tuple(name, arity)) => enter(Ctor::Tuple(*name, *arity)),
+            }
+        }
+        // Arms are numbered in order of first sight, so sorting groups each
+        // table arm's members, in source order, after the one before.
+        members.sort_unstable();
+        members.dedup();
+        let mut arms = Vec::with_capacity(UNKEYED + 1 + table.len());
+        let mut cands = Vec::new();
+        let mut admitted = Vec::new();
+        let mut push_arm = |admitted: &mut Vec<u32>| {
+            admitted.sort_unstable();
+            let start = cands.len() as u32;
+            let mut next = 0;
+            for &rule in admitted.iter() {
+                cands.push(Cand {
+                    rule,
+                    skipped: rule - next,
+                });
+                next = rule + 1;
+            }
+            arms.push(Span {
+                start,
+                end: cands.len() as u32,
+                tail: n - next,
+            });
+        };
+        admitted.extend(0..n);
+        push_arm(&mut admitted);
+        admitted.clone_from(&unkeyed);
+        push_arm(&mut admitted);
+        for group in members.chunk_by(|a, b| a.0 == b.0) {
+            admitted.clone_from(&unkeyed);
+            admitted.extend(group.iter().map(|&(_, rule)| rule));
+            push_arm(&mut admitted);
+        }
+        Switch {
+            table,
+            arms: arms.into(),
+            cands: cands.into(),
+        }
+    }
+
+    fn arm_at(&self, i: usize) -> Arm<'_> {
+        let span = self.arms[i];
+        Arm {
+            cands: &self.cands[span.start as usize..span.end as usize],
+            tail: span.tail,
+        }
+    }
+
+    /// The arm for a goal whose *dereferenced* first argument is `arg`.
+    pub fn arm(&self, arg: &Term) -> Arm<'_> {
+        let found = match arg {
+            Term::Var(_) => return self.all(),
+            Term::Int(i) => self
+                .table
+                .get(&Ctor::Int(*i))
+                .or_else(|| self.table.get(&Ctor::IntAsFloat(float_bits(*i as f64)))),
+            Term::Float(x) => self.table.get(&Ctor::Float(float_bits(*x))),
+            Term::Atom(a) => self.table.get(&Ctor::Atom(*a)),
+            Term::Str(s) => self.table.get(&Ctor::Str(s.clone())),
+            Term::Nil => self.table.get(&Ctor::Nil),
+            Term::List(_) => self.table.get(&Ctor::Cons),
+            Term::Tuple(name, args) => self.table.get(&Ctor::Tuple(*name, args.len())),
+            Term::Port(_) => None,
+        };
+        self.arm_at(found.map_or(UNKEYED, |&i| i as usize))
+    }
+
+    /// Every rule, for a goal whose first argument is not looked at.
+    pub fn all(&self) -> Arm<'_> {
+        self.arm_at(ALL)
     }
 }
 
@@ -735,9 +942,10 @@ pub struct ExecProc {
     /// The first `otherwise` rule, if any — the machine only ever tries the
     /// first, matching the interpreter.
     pub otherwise: Option<Box<ExecRule>>,
-    /// At least one rule carries an index key, so dereferencing the first
-    /// argument up front can pay off.
+    /// At least one rule carries an index key, so the first argument
+    /// selects the arm of `switch` to walk.
     pub indexed: bool,
+    pub switch: Switch,
 }
 
 /// A whole program in lowered form, keyed by symbol: a lookup hashes one
@@ -860,12 +1068,14 @@ fn lower_proc(name: Atom, arity: usize, rules: &[CompiledRule]) -> ExecProc {
         }
     }
     let indexed = lowered.iter().any(|r| r.key.is_some());
+    let switch = Switch::build(&lowered);
     ExecProc {
         name,
         arity,
         rules: lowered.into_boxed_slice(),
         otherwise,
         indexed,
+        switch,
     }
 }
 
@@ -1005,6 +1215,139 @@ mod tests {
         let lowered = lower_proc(Atom::new("f"), 1, &proc.rules);
         assert_eq!(lowered.rules.len(), 1);
         assert!(lowered.otherwise.is_some());
+    }
+
+    // -- the switch table against its specification, `admits` -------------
+
+    /// A procedure whose rules carry `keys` and nothing else.
+    fn keyed(keys: &[Option<IndexKey>]) -> Vec<ExecRule> {
+        keys.iter()
+            .map(|key| ExecRule {
+                key: key.clone(),
+                ops: Box::new([]),
+                guards: Box::new([]),
+                body: Box::new([]),
+                n_locals: 0,
+            })
+            .collect()
+    }
+
+    /// What a walk over every rule that tests each key with `admits` does:
+    /// the rules it tries, each with how many it skipped just before, and
+    /// how many it skipped after the last.
+    fn linear_walk(rules: &[ExecRule], arg: &Term) -> (Vec<Cand>, u32) {
+        let mut cands = Vec::new();
+        let mut skipped = 0;
+        for (rule, r) in (0..).zip(rules) {
+            if r.key.as_ref().is_some_and(|k| !k.admits(arg)) {
+                skipped += 1;
+            } else {
+                cands.push(Cand { rule, skipped });
+                skipped = 0;
+            }
+        }
+        (cands, skipped)
+    }
+
+    const TWO_53: i64 = 1 << 53;
+
+    /// Keys that collide in every way `admits` distinguishes: integers
+    /// equal as floats but not as integers (beyond 2^53), floats equal to
+    /// integers, `0.0` and `-0.0`, a NaN, and each constructor kind.
+    fn key_pool() -> Vec<Option<IndexKey>> {
+        vec![
+            None,
+            Some(IndexKey::Int(0)),
+            Some(IndexKey::Int(3)),
+            Some(IndexKey::Int(-1)),
+            Some(IndexKey::Int(TWO_53)),
+            Some(IndexKey::Int(TWO_53 + 1)),
+            Some(IndexKey::Int(i64::MAX)),
+            Some(IndexKey::Int(i64::MIN)),
+            Some(IndexKey::Float(0.0)),
+            Some(IndexKey::Float(-0.0)),
+            Some(IndexKey::Float(3.0)),
+            Some(IndexKey::Float(0.5)),
+            Some(IndexKey::Float(TWO_53 as f64)),
+            Some(IndexKey::Float(i64::MAX as f64)),
+            Some(IndexKey::Float(f64::NAN)),
+            Some(IndexKey::Atom(Atom::new("a"))),
+            Some(IndexKey::Atom(Atom::new("b"))),
+            Some(IndexKey::Str(Arc::from("a"))),
+            Some(IndexKey::Nil),
+            Some(IndexKey::Cons),
+            Some(IndexKey::Tuple(Atom::new("a"), 1)),
+            Some(IndexKey::Tuple(Atom::new("a"), 2)),
+            Some(IndexKey::Tuple(Atom::new("b"), 1)),
+        ]
+    }
+
+    /// First arguments: one of each kind the keys meet, an unbound
+    /// variable, a port, and numbers on both sides of every collision.
+    fn arg_pool() -> Vec<Term> {
+        let mut args = vec![
+            Term::Var(VarId(0)),
+            Term::Port(1),
+            Term::Float(f64::NAN),
+            Term::Float(1e300),
+            Term::Int(7),
+            Term::atom("a"),
+            Term::atom("c"),
+            Term::str("a"),
+            Term::str("b"),
+            Term::Nil,
+            Term::cons(Term::Nil, Term::Nil),
+            Term::tuple("a", vec![Term::Nil]),
+            Term::tuple("a", vec![Term::Nil, Term::Nil]),
+            Term::tuple("c", vec![Term::Nil]),
+        ];
+        for i in [0, 3, -1, TWO_53, TWO_53 + 1, TWO_53 - 1, i64::MAX, i64::MIN] {
+            args.push(Term::Int(i));
+            args.push(Term::Float(i as f64));
+        }
+        args.extend([-0.0, 0.5, 3.5].map(Term::Float));
+        args
+    }
+
+    #[test]
+    fn every_argument_against_every_key_gets_the_linear_walks_arm() {
+        let rules = keyed(&key_pool());
+        let switch = Switch::build(&rules);
+        for arg in arg_pool() {
+            let arm = switch.arm(&arg);
+            assert_eq!(
+                (arm.cands.to_vec(), arm.tail),
+                linear_walk(&rules, &arg),
+                "{arg}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Random key sets — repeats, any order, unkeyed rules anywhere —
+        /// against every argument: the arm holds exactly the rules
+        /// `admits` lets through, with the skip counts a linear walk
+        /// records.
+        #[test]
+        fn switch_arms_select_exactly_what_admits_lets_through(
+            picks in proptest::collection::vec(0..key_pool().len(), 0..24)
+        ) {
+            let pool = key_pool();
+            let keys: Vec<Option<IndexKey>> = picks.iter().map(|&i| pool[i].clone()).collect();
+            let rules = keyed(&keys);
+            let switch = Switch::build(&rules);
+            for arg in arg_pool() {
+                let arm = switch.arm(&arg);
+                proptest::prop_assert_eq!(
+                    (arm.cands.to_vec(), arm.tail),
+                    linear_walk(&rules, &arg),
+                    "{} with keys {:?}", arg, keys
+                );
+            }
+            proptest::prop_assert_eq!(switch.all().cands.len(), rules.len());
+        }
     }
 
     // -- match op execution vs the interpreter ----------------------------

@@ -24,7 +24,7 @@ use crate::metrics::Metrics;
 use crate::tier::TierRule;
 use crate::trace::{goal_text, TraceEvent};
 use crate::world::{QItem, Role};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use strand_core::{
@@ -59,7 +59,82 @@ pub(crate) struct Susp {
 
 struct Node {
     clock: Time,
-    queue: BinaryHeap<QItem>,
+    queue: RunQueue,
+}
+
+/// A node's runnable processes, popped in `(ready_at, pid)` order.
+///
+/// Most arrivals come in that order already — a reduction's spawns are
+/// ready at the node's own clock, which only grows, under pids that only
+/// grow — and go to the back of a FIFO for free. The rest (a woken process
+/// keeps its old pid; a delivery from another node is ready at the
+/// sender's time plus latency) go to a heap. The next process is the
+/// smaller of the two fronts; keys are unique per node, so the pop order
+/// is exactly that of one heap holding everything.
+#[derive(Default)]
+struct RunQueue {
+    /// Sorted: each item's key is above the one before it.
+    fifo: VecDeque<QItem>,
+    heap: BinaryHeap<QItem>,
+    /// The smallest key queued: what `next_event` asks of every node at
+    /// every step, answered without touching an item.
+    first: Option<(Time, u64)>,
+}
+
+fn key(item: &QItem) -> (Time, u64) {
+    (item.ready_at, item.pid)
+}
+
+impl RunQueue {
+    fn push(&mut self, item: QItem) {
+        let k = key(&item);
+        if self.first.is_none_or(|f| k < f) {
+            self.first = Some(k);
+        }
+        match self.fifo.back() {
+            Some(last) if k < key(last) => self.heap.push(item),
+            _ => self.fifo.push_back(item),
+        }
+    }
+
+    /// Whether the next process is the FIFO's front.
+    fn fifo_first(&self) -> bool {
+        match (self.fifo.front(), self.heap.peek()) {
+            (Some(f), Some(h)) => key(f) < key(h),
+            (f, _) => f.is_some(),
+        }
+    }
+
+    fn peek(&self) -> Option<&QItem> {
+        if self.fifo_first() {
+            self.fifo.front()
+        } else {
+            self.heap.peek()
+        }
+    }
+
+    fn pop(&mut self) -> Option<QItem> {
+        let item = if self.fifo_first() {
+            self.fifo.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        self.first = self.peek().map(key);
+        item
+    }
+
+    fn len(&self) -> usize {
+        self.fifo.len() + self.heap.len()
+    }
+
+    /// Empty the queue, in pop order.
+    fn drain(&mut self) -> Vec<QItem> {
+        let mut items: Vec<QItem> = self.fifo.drain(..).collect();
+        items.extend(self.heap.drain());
+        items.sort_unstable_by_key(key);
+        self.first = None;
+        items
+    }
 }
 
 /// The abstract machine.
@@ -150,7 +225,7 @@ impl Machine {
             nodes: (0..n)
                 .map(|_| Node {
                     clock: 0,
-                    queue: BinaryHeap::new(),
+                    queue: RunQueue::default(),
                 })
                 .collect(),
             suspended: FxHashMap::default(),
@@ -256,7 +331,7 @@ impl Machine {
         );
     }
 
-    /// Hand a runnable process to the scheduler: the per-node heap when this
+    /// Hand a runnable process to the scheduler: the node's run queue when this
     /// machine owns the node, the outbox otherwise (sharded execution). On
     /// a shard every item raises the global in-flight gate; the count drops
     /// when the item is reduced or discarded.
@@ -271,7 +346,7 @@ impl Machine {
         self.insert_local(node, item);
     }
 
-    /// Insert into the node's heap without gate accounting (the sender
+    /// Insert into the node's run queue without gate accounting (the sender
     /// already counted routed items).
     pub(crate) fn insert_local(&mut self, node: NodeId, item: QItem) {
         let nq = &mut self.nodes[node.0 as usize];
@@ -295,9 +370,10 @@ impl Machine {
         }
     }
 
-    /// Empty node `i`'s queue unreduced, settling the gate.
+    /// Empty node `i`'s queue unreduced, in the order it would have run,
+    /// settling the gate.
     pub(crate) fn take_queue(&mut self, i: usize) -> Vec<QItem> {
-        let items: Vec<QItem> = self.nodes[i].queue.drain().collect();
+        let items = self.nodes[i].queue.drain();
         self.gate_sub(items.len() as u64);
         items
     }
@@ -604,8 +680,8 @@ impl Machine {
         // Not `Range::step_by`: its constructor divides, once per step.
         let mut i = me;
         while i < self.nodes.len() {
-            if let Some(top) = self.nodes[i].queue.peek() {
-                let key = self.nodes[i].clock.max(top.ready_at);
+            if let Some((ready_at, _)) = self.nodes[i].queue.first {
+                let key = self.nodes[i].clock.max(ready_at);
                 if best.is_none_or(|(bk, _)| key < bk) {
                     best = Some((key, i));
                 }
@@ -791,14 +867,15 @@ impl Machine {
                 let done = match exec.lookup(name, arity) {
                     Some(proc) => {
                         self.metrics.compiled_reductions += 1;
-                        // One up-front deref of the first argument feeds
-                        // every index probe.
-                        let arg0 = match goal.goal_args().first() {
-                            Some(a) if proc.indexed => Some(self.store.deref(a)),
-                            _ => None,
+                        // The first argument, dereferenced, picks the rules
+                        // to try.
+                        let arm = match goal.goal_args().first() {
+                            Some(a) if proc.indexed => proc.switch.arm(&self.store.deref(a)),
+                            _ => proc.switch.all(),
                         };
                         let otherwise = proc.otherwise.as_deref();
-                        self.dispatch(item, &goal, name, proc.rules.iter(), otherwise, arg0)
+                        let cands = arm.walk(&proc.rules);
+                        self.dispatch(item, &goal, name, cands, arm.tail, otherwise)
                     }
                     None => {
                         self.finish_tracked(&item);
@@ -818,28 +895,30 @@ impl Machine {
                 // Only the first `otherwise` rule is ever tried.
                 let ordinary = proc.rules.iter().filter(|r| !r.otherwise);
                 let otherwise = proc.rules.iter().find(|r| r.otherwise);
-                self.dispatch(item, &goal, name, ordinary, otherwise, None)
+                self.dispatch(item, &goal, name, ordinary.map(|r| (r, 0)), 0, otherwise)
             }
         }
     }
 
-    /// Rule dispatch, shared by both tiers: try the ordinary rules in
+    /// Rule dispatch, shared by both tiers: try the candidate rules in
     /// order, then commit, suspend on the union of the variables the
-    /// undecided rules wait for, or fail with `NoMatchingRule`.
+    /// undecided rules wait for, or fail with `NoMatchingRule`. Each
+    /// candidate comes with the rules the first-argument index skipped
+    /// before it, and `tail` is those it skipped after the last one.
     fn dispatch<'r, R: TierRule + 'r>(
         &mut self,
         item: QItem,
         goal: &Term,
         name: Atom,
-        rules: impl Iterator<Item = &'r R>,
+        cands: impl Iterator<Item = (&'r R, u32)>,
+        tail: u32,
         otherwise: Option<&'r R>,
-        arg0: Option<Term>,
     ) -> StrandResult<()> {
         // The goal is a dereferenced local, so its argument slice can be
         // borrowed directly — no `to_vec`.
         let args: &[Term] = goal.goal_args();
         let mut scratch = std::mem::take(&mut self.scratch);
-        let decided = self.try_rules(args, rules, otherwise, arg0.as_ref(), &mut scratch);
+        let decided = self.try_rules(args, cands, tail, otherwise, &mut scratch);
         self.scratch = scratch;
         match decided? {
             Dispatched::Committed => self.finish_tracked(&item),
@@ -857,22 +936,22 @@ impl Machine {
     }
 
     /// The decision half of [`dispatch`](Machine::dispatch); `?` may leave
-    /// early because the caller owns putting `scratch` back.
+    /// early because the caller owns putting `scratch` back. The index
+    /// counters come out as a walk over every rule that tests each key
+    /// with [`IndexKey::admits`](exec::IndexKey::admits) and stops at the
+    /// committing rule would count them.
     fn try_rules<'r, R: TierRule + 'r>(
         &mut self,
         args: &[Term],
-        rules: impl Iterator<Item = &'r R>,
+        cands: impl Iterator<Item = (&'r R, u32)>,
+        tail: u32,
         otherwise: Option<&'r R>,
-        arg0: Option<&Term>,
         scratch: &mut Scratch,
     ) -> StrandResult<Dispatched> {
         scratch.pending.clear();
-        for rule in rules {
-            if let (Some(key), Some(a0)) = (rule.key(), arg0) {
-                if !key.admits(a0) {
-                    self.metrics.index_hits += 1;
-                    continue;
-                }
+        for (rule, skipped) in cands {
+            self.metrics.index_hits += u64::from(skipped);
+            if rule.key().is_some() {
                 self.metrics.index_misses += 1;
             }
             match self.try_rule(rule, args, scratch)? {
@@ -885,6 +964,7 @@ impl Machine {
                 }
             }
         }
+        self.metrics.index_hits += u64::from(tail);
         if !scratch.pending.is_empty() {
             // The buffer is donated to the suspension record and re-grows on
             // the next suspending reduction (the commit path never pushes,
@@ -1012,5 +1092,83 @@ mod tests {
         assert_eq!(m.metrics.live_tracked[0], 0);
         assert_eq!(m.metrics.peak_tracked[0], 1);
         assert_eq!(world.regular_pending(), 0);
+    }
+
+    fn item(ready_at: Time, pid: u64) -> QItem {
+        QItem {
+            ready_at,
+            pid,
+            goal: Term::tuple("g", vec![Term::int(ready_at as i64), Term::int(pid as i64)]),
+            tracked: false,
+            region: 0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The FIFO beside the heap changes nothing but cost: over random
+        /// interleavings of pushes and pops it pops exactly what one heap
+        /// holding everything pops, and drains in the same order. Pushes
+        /// are in order (a spawn: ready now, a fresh pid) or not (a wake:
+        /// a pid popped before, ready at any time, often below the last
+        /// pop); no two items queued at once share a key, as on a node.
+        #[test]
+        fn run_queue_pops_exactly_what_one_heap_pops(
+            ops in proptest::collection::vec((0u8..4, 0u64..6, 0usize..64), 0..200)
+        ) {
+            let mut queue = RunQueue::default();
+            let mut heap = BinaryHeap::new();
+            let (mut now, mut next_pid) = (0, 0);
+            let mut popped: Vec<u64> = Vec::new();
+            for (kind, dt, pick) in ops {
+                let pushed = match kind {
+                    0 => {
+                        let Some(a) = heap.pop() else { continue };
+                        let b = queue.pop().expect("both hold the same items");
+                        proptest::prop_assert_eq!(key(&a), key(&b));
+                        proptest::prop_assert_eq!(heap.peek().map(key), queue.first);
+                        now = now.max(a.ready_at);
+                        popped.push(a.pid);
+                        continue;
+                    }
+                    1 | 2 => {
+                        next_pid += 1;
+                        item(now + dt * u64::from(kind - 1), next_pid)
+                    }
+                    _ if popped.is_empty() => continue,
+                    _ => {
+                        let pid = popped.swap_remove(pick % popped.len());
+                        item(now.saturating_sub(dt * 2) + dt, pid)
+                    }
+                };
+                heap.push(pushed.clone());
+                queue.push(pushed);
+                proptest::prop_assert_eq!(heap.peek().map(key), queue.peek().map(key));
+                proptest::prop_assert_eq!(heap.peek().map(key), queue.first);
+                proptest::prop_assert_eq!(heap.len(), queue.len());
+            }
+            let want: Vec<_> = heap.into_sorted_vec().iter().rev().map(key).collect();
+            let got: Vec<_> = queue.drain().iter().map(key).collect();
+            proptest::prop_assert_eq!(want, got);
+        }
+    }
+
+    /// A crash buries a node's queue in the order it would have run, so
+    /// the 16 goals kept for the post-mortem are its 16 earliest — whatever
+    /// order they arrived in.
+    #[test]
+    fn a_crash_keeps_the_16_earliest_dead_goals_by_key_order() {
+        let program = compile_program(&parse_program("g(_, _).").unwrap()).unwrap();
+        let mut m = Machine::new(program, MachineConfig::with_nodes(2));
+        // Latest first: each arrival is the new earliest.
+        for k in 0..40 {
+            m.insert_local(NodeId(1), item(100 - k, k + 1));
+        }
+        m.teardown_node(NodeId(1));
+        let (lost, kept) = m.take_dead();
+        assert_eq!(lost, 40);
+        let want: Vec<Term> = (24..40).rev().map(|k| item(100 - k, k + 1).goal).collect();
+        assert_eq!(kept, want);
     }
 }

@@ -172,3 +172,34 @@ fn large_program_within_budget() {
     let r = run(src, "go(5000, Len)");
     assert_eq!(r.bindings["Len"].to_string(), "5000");
 }
+
+/// First-argument selection counts its work as a clause-by-clause walk
+/// that tests every key and stops at the committing rule does: keyed and
+/// unkeyed clauses mixed, a guard-derived key, an integer goal against a
+/// float key and a float goal against integer keys (`-0.0` included), a
+/// goal that suspends on its unbound first argument, and one that falls
+/// through to `otherwise` after skipping clauses past the last it tried.
+/// The counts are those the walk recorded before selection became a table.
+#[test]
+fn index_counters_are_those_of_a_clause_by_clause_walk() {
+    let src = r#"
+        go(V) :- t(3, A), t(2.0, B), t(x, C), t(Z, D), t(f(1), E), t(9, F), t(y, G),
+            t(-0.0, H), Z := 1, V := r(A, B, C, D, E, F, G, H).
+        t(K, V) :- K == 0 | V := zero.
+        t(1, V) :- V := one.
+        t(K, V) :- K == 2 | V := two.
+        t(x, V) :- V := ex.
+        t(K, V) :- integer(K), K > 2 | V := big.
+        t(f(_), V) :- V := eff.
+        t(3.0, V) :- V := three.
+        t(_, V) :- otherwise | V := other.
+    "#;
+    let r = run(src, "go(V)");
+    assert_eq!(
+        r.bindings["V"].to_string(),
+        "r(big,two,ex,one,eff,big,other,zero)"
+    );
+    let m = &r.report.metrics;
+    assert_eq!((m.index_hits, m.index_misses, m.rules_tried), (24, 11, 18));
+    assert_eq!((m.total_reductions, m.suspensions), (20, 1));
+}

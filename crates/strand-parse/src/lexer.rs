@@ -1,15 +1,24 @@
 //! Tokenizer for the motif language.
+//!
+//! The lexer is a stream: the parser pulls one token at a time and holds
+//! one of lookahead, so reading a goal builds no token array. A token
+//! borrows its identifier from the source text (a quoted atom or a string
+//! literal owns its text, which escapes rewrite), and a number is parsed
+//! straight from the source bytes.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// A lexical token.
+/// A lexical token, borrowing from the source text `'a`.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
-    Var(String),
+pub(crate) enum Tok<'a> {
+    Var(&'a str),
     Wild,
     Int(i64),
     Float(f64),
-    Atom(String),
+    /// A plain atom borrows its name; a quoted one owns it.
+    Atom(Cow<'a, str>),
+    /// Owned: escapes rewrite the text.
     Str(String),
     LParen,
     RParen,
@@ -35,7 +44,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Var(v) => write!(f, "{v}"),
@@ -72,8 +81,8 @@ impl fmt::Display for Tok {
 
 /// A token with its source position (1-based line and column).
 #[derive(Clone, Debug, PartialEq)]
-pub struct Spanned {
-    pub tok: Tok,
+pub(crate) struct Spanned<'a> {
+    pub tok: Tok<'a>,
     pub line: u32,
     pub col: u32,
 }
@@ -98,39 +107,40 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-struct Lexer<'a> {
+/// The token stream over one source text. After [`Tok::Eof`] it keeps
+/// answering `Eof`.
+pub(crate) struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: u32,
     col: u32,
 }
 
-/// Tokenize a full source text.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
-    let mut lx = Lexer {
-        src: src.as_bytes(),
-        pos: 0,
-        line: 1,
-        col: 1,
-    };
-    let mut out = Vec::new();
-    loop {
-        let t = lx.next_token()?;
-        let eof = t.tok == Tok::Eof;
-        out.push(t);
-        if eof {
-            return Ok(out);
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(text: &'a str) -> Lexer<'a> {
+        Lexer {
+            text,
+            src: text.as_bytes(),
+            pos: 0,
+            line: 1,
+            col: 1,
         }
     }
-}
 
-impl<'a> Lexer<'a> {
     fn peek(&self) -> Option<u8> {
         self.src.get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
         self.src.get(self.pos + 1).copied()
+    }
+
+    /// The source text from byte `start` to the current position. Both
+    /// ends sit on ASCII bytes or the end of the text — every token this
+    /// slices is made of ASCII bytes — so they are character boundaries.
+    fn since(&self, start: usize) -> &'a str {
+        &self.text[start..self.pos]
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -172,7 +182,8 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Spanned, LexError> {
+    /// The next token and where it starts.
+    pub(crate) fn next_token(&mut self) -> Result<Spanned<'a>, LexError> {
         self.skip_trivia();
         let (line, col) = (self.line, self.col);
         let mk = |tok| Spanned { tok, line, col };
@@ -285,8 +296,8 @@ impl<'a> Lexer<'a> {
                 self.bump();
                 Tok::Dot
             }
-            b'"' => self.lex_string()?,
-            b'\'' => self.lex_quoted_atom()?,
+            b'"' => Tok::Str(self.lex_delimited(b'"')?),
+            b'\'' => Tok::Atom(Cow::Owned(self.lex_delimited(b'\'')?)),
             b'_' => {
                 // `_` alone is the wildcard; `_Foo` is a named variable.
                 let word = self.lex_word();
@@ -297,7 +308,7 @@ impl<'a> Lexer<'a> {
                 }
             }
             c if c.is_ascii_uppercase() => Tok::Var(self.lex_word()),
-            c if c.is_ascii_lowercase() => Tok::Atom(self.lex_word()),
+            c if c.is_ascii_lowercase() => Tok::Atom(Cow::Borrowed(self.lex_word())),
             c if c.is_ascii_digit() => self.lex_number()?,
             other => {
                 return Err(self.err(format!("unexpected character {:?}", other as char)));
@@ -306,32 +317,32 @@ impl<'a> Lexer<'a> {
         Ok(mk(tok))
     }
 
-    fn lex_word(&mut self) -> String {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+    /// Step over the bytes `class` accepts, none of them a newline.
+    fn skip_while(&mut self, class: impl Fn(u8) -> bool) {
+        let n = self.src[self.pos..]
+            .iter()
+            .take_while(|&&c| class(c))
+            .count();
+        self.pos += n;
+        self.col += n as u32;
     }
 
-    fn lex_number(&mut self) -> Result<Tok, LexError> {
+    fn lex_word(&mut self) -> &'a str {
         let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.bump();
-        }
+        self.skip_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+        self.since(start)
+    }
+
+    fn lex_number(&mut self) -> Result<Tok<'a>, LexError> {
+        let start = self.pos;
+        self.skip_while(|c| c.is_ascii_digit());
         // A float only if `.` is followed by a digit — otherwise the dot
         // terminates the clause (`f(3).`).
         let mut is_float = false;
         if self.peek() == Some(b'.') && self.peek2().is_some_and(|c| c.is_ascii_digit()) {
             is_float = true;
             self.bump();
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.bump();
-            }
+            self.skip_while(|c| c.is_ascii_digit());
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E'))
             && (self.peek2().is_some_and(|c| c.is_ascii_digit())
@@ -346,11 +357,9 @@ impl<'a> Lexer<'a> {
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.bump();
             }
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.bump();
-            }
+            self.skip_while(|c| c.is_ascii_digit());
         }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+        let text = self.since(start);
         if is_float {
             text.parse::<f64>()
                 .map(Tok::Float)
@@ -360,14 +369,6 @@ impl<'a> Lexer<'a> {
                 .map(Tok::Int)
                 .map_err(|e| self.err(format!("bad integer literal {text}: {e}")))
         }
-    }
-
-    fn lex_string(&mut self) -> Result<Tok, LexError> {
-        self.lex_delimited(b'"').map(Tok::Str)
-    }
-
-    fn lex_quoted_atom(&mut self) -> Result<Tok, LexError> {
-        self.lex_delimited(b'\'').map(Tok::Atom)
     }
 
     fn lex_delimited(&mut self, delim: u8) -> Result<String, LexError> {
@@ -397,7 +398,21 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    /// The whole stream, through `Eof`.
+    fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
+        let mut lexer = Lexer::new(src);
+        let mut out = Vec::new();
+        loop {
+            let t = lexer.next_token()?;
+            let eof = t.tok == Tok::Eof;
+            out.push(t);
+            if eof {
+                return Ok(out);
+            }
+        }
+    }
+
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
@@ -409,21 +424,21 @@ mod tests {
             vec![
                 Tok::Atom("producer".into()),
                 Tok::LParen,
-                Tok::Var("N".into()),
+                Tok::Var("N"),
                 Tok::Comma,
-                Tok::Var("Xs".into()),
+                Tok::Var("Xs"),
                 Tok::RParen,
                 Tok::Implies,
-                Tok::Var("N".into()),
+                Tok::Var("N"),
                 Tok::Gt,
                 Tok::Int(0),
                 Tok::Bar,
-                Tok::Var("Xs".into()),
+                Tok::Var("Xs"),
                 Tok::Assign,
                 Tok::LBracket,
-                Tok::Var("X".into()),
+                Tok::Var("X"),
                 Tok::Bar,
-                Tok::Var("Xs1".into()),
+                Tok::Var("Xs1"),
                 Tok::RBracket,
                 Tok::Dot,
                 Tok::Eof,
@@ -488,7 +503,7 @@ mod tests {
     #[test]
     fn wildcard_vs_named_underscore() {
         assert_eq!(toks("_")[0], Tok::Wild);
-        assert_eq!(toks("_Tmp")[0], Tok::Var("_Tmp".into()));
+        assert_eq!(toks("_Tmp")[0], Tok::Var("_Tmp"));
     }
 
     #[test]

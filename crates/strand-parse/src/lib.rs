@@ -28,6 +28,15 @@
 //!
 //! Programs are ordinary data ([`Program`]), so transformations are plain
 //! Rust functions over them — the programs-as-terms architecture of §2.2.
+//!
+//! Reading is one pass. The parser pulls tokens from a streaming lexer,
+//! one token ahead: a token borrows its identifier from the source text
+//! and a number is parsed in place, so a goal of any size builds no token
+//! array and allocates nothing for a token. The [`Ast`] keeps owned names
+//! (transformations rename and rebuild them); a reader that interns them
+//! does so once per distinct name (`strand_machine::ast_to_term`). Errors
+//! carry the line and column where they occur, and when the text has more
+//! than one, the first in the text is reported.
 
 pub mod ast;
 pub mod compile;

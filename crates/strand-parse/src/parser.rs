@@ -18,9 +18,15 @@
 //! Relational/assignment operators (`:= = == =\= < > =< >=`) and arithmetic
 //! operators build ordinary [`Ast::Tuple`] terms, so transformations can
 //! treat them uniformly as structured data (programs-as-terms, §2.2).
+//!
+//! The parser pulls tokens one at a time from the lexer's stream — no pass
+//! over the whole text happens before parsing begins — and climbs the three
+//! operator levels of `expr` by precedence in one function, entered only
+//! when an operator follows: a term with none costs the same few calls
+//! however many levels the grammar has.
 
 use crate::ast::{Annotation, Ast, Call, Program, Rule};
-use crate::lexer::{lex, LexError, Spanned, Tok};
+use crate::lexer::{LexError, Lexer, Tok};
 use std::fmt;
 
 /// Parse error with source position.
@@ -63,88 +69,130 @@ impl From<LexError> for ParseError {
 /// nests under 64 levels.
 pub const MAX_NESTING: u32 = 256;
 
-struct Parser {
-    toks: Vec<Spanned>,
-    pos: usize,
+/// A recursive-descent parser over the token stream, one token ahead.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The lookahead token and where it starts.
+    tok: Tok<'a>,
+    at: (u32, u32),
+    /// Where the most recently consumed token starts.
+    last: Option<(u32, u32)>,
+    /// A lexical error ends the stream: the lookahead turns into `Eof`, and
+    /// an error the parser then finds *at* the lookahead is reported as
+    /// this one. An error about a token already consumed comes earlier in
+    /// the text and wins, so whichever error is first in the text is the
+    /// one reported.
+    lex_error: Option<LexError>,
     /// Live `unary` frames: every nesting cycle passes through `unary`.
     depth: u32,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser, ParseError> {
-        Ok(Parser {
-            toks: lex(src)?,
-            pos: 0,
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        let mut p = Parser {
+            lexer: Lexer::new(src),
+            tok: Tok::Eof,
+            at: (1, 1),
+            last: None,
+            lex_error: None,
             depth: 0,
-        })
+        };
+        p.pull();
+        p
+    }
+
+    /// The end of the text: a lexical error that stopped the stream is
+    /// still an error.
+    fn finish(self) -> Result<(), ParseError> {
+        self.lex_error.map_or(Ok(()), |e| Err(e.into()))
     }
 }
 
 /// Parse a complete program.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let mut p = Parser::new(src)?;
+    let mut p = Parser::new(src);
     let mut program = Program::new();
     while p.peek() != &Tok::Eof {
         program.push_rule(p.clause()?);
     }
+    p.finish()?;
     Ok(program)
 }
 
 /// Parse a single term (used by tests and the machine's goal entry point).
 pub fn parse_term(src: &str) -> Result<Ast, ParseError> {
-    let mut p = Parser::new(src)?;
+    let mut p = Parser::new(src);
     let t = p.expr()?;
-    p.expect(Tok::Eof, "end of input")?;
+    p.expect(&Tok::Eof, "end of input")?;
+    p.finish()?;
     Ok(t)
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Tok<'a> {
+        &self.tok
     }
 
     fn here(&self) -> (u32, u32) {
-        let s = &self.toks[self.pos];
-        (s.line, s.col)
+        self.at
     }
 
-    /// Take the current token, by value: a consumed slot is never read
-    /// again (`peek`/`here` look at `pos` onward, error positions only at
-    /// `line`/`col`), so its identifier moves out instead of being cloned.
-    fn bump(&mut self) -> Tok {
-        let slot = &mut self.toks[self.pos].tok;
-        if matches!(slot, Tok::Eof) {
+    /// Make the lexer's next token the lookahead.
+    fn pull(&mut self) {
+        match self.lexer.next_token() {
+            Ok(next) => {
+                self.tok = next.tok;
+                self.at = (next.line, next.col);
+            }
+            Err(e) => {
+                self.tok = Tok::Eof;
+                self.lex_error = Some(e);
+            }
+        }
+    }
+
+    /// Take the lookahead token. At `Eof` the stream stays put.
+    fn bump(&mut self) -> Tok<'a> {
+        if matches!(self.tok, Tok::Eof) {
             return Tok::Eof;
         }
-        self.pos += 1;
-        std::mem::replace(slot, Tok::Eof)
+        self.last = Some(self.at);
+        let tok = std::mem::replace(&mut self.tok, Tok::Eof);
+        self.pull();
+        tok
     }
 
+    /// An error at the lookahead.
     fn err(&self, message: impl Into<String>) -> ParseError {
-        let (line, col) = self.here();
-        ParseError {
-            message: message.into(),
-            line,
-            col,
+        self.err_at(self.here(), message)
+    }
+
+    fn err_at(&self, (line, col): (u32, u32), message: impl Into<String>) -> ParseError {
+        match &self.lex_error {
+            Some(e) => e.clone().into(),
+            None => ParseError {
+                message: message.into(),
+                line,
+                col,
+            },
         }
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<(), ParseError> {
-        if self.peek() == &tok {
-            self.bump();
+    fn expect(&mut self, tok: &Tok<'_>, what: &str) -> Result<(), ParseError> {
+        if self.eat(tok) {
             Ok(())
         } else {
             Err(self.err(format!("expected {what}, found `{}`", self.peek())))
         }
     }
 
-    fn eat(&mut self, tok: &Tok) -> bool {
-        if self.peek() == tok {
+    /// Take the lookahead if it is `tok`, a token that carries no value.
+    fn eat(&mut self, tok: &Tok<'_>) -> bool {
+        let hit = std::mem::discriminant(self.peek()) == std::mem::discriminant(tok);
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
 
     fn clause(&mut self) -> Result<Rule, ParseError> {
@@ -163,7 +211,7 @@ impl Parser {
                 body = first;
             }
         }
-        self.expect(Tok::Dot, "`.` at end of clause")?;
+        self.expect(&Tok::Dot, "`.` at end of clause")?;
         Ok(Rule { head, guards, body })
     }
 
@@ -190,52 +238,55 @@ impl Parser {
         Ok(Call { goal, annotation })
     }
 
+    /// An expression: a unary term, then binary operators climbed by
+    /// precedence — relations `:= = == =\= < > =< >=` (1, non-associative),
+    /// `+ -` (2) and `* / mod` (3), the last two left-associative. One
+    /// function for all three levels, entered only when an operator
+    /// follows: a term in argument position passes through none of it.
     fn expr(&mut self) -> Result<Ast, ParseError> {
-        let lhs = self.additive()?;
-        let op = match self.peek() {
-            Tok::Assign => ":=",
-            Tok::Eq => "=",
-            Tok::EqEq => "==",
-            Tok::Neq => "=\\=",
-            Tok::Lt => "<",
-            Tok::Gt => ">",
-            Tok::Le => "=<",
-            Tok::Ge => ">=",
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.additive()?;
-        Ok(Ast::Tuple(op.to_string(), vec![lhs, rhs]))
-    }
-
-    fn additive(&mut self) -> Result<Ast, ParseError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => "+",
-                Tok::Minus => "-",
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Ast::Tuple(op.to_string(), vec![lhs, rhs]);
+        let lhs = self.unary()?;
+        if self.binop().is_none() {
+            return Ok(lhs);
         }
+        self.climb(lhs, 1)
     }
 
-    fn multiplicative(&mut self) -> Result<Ast, ParseError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => "*",
-                Tok::Slash => "/",
-                // `mod` is an atom in operator position: `X mod 2`.
-                Tok::Atom(a) if a == "mod" => "mod",
-                _ => return Ok(lhs),
-            };
+    /// The lookahead as a binary operator, with its precedence.
+    fn binop(&self) -> Option<(&'static str, u8)> {
+        Some(match self.peek() {
+            Tok::Assign => (":=", 1),
+            Tok::Eq => ("=", 1),
+            Tok::EqEq => ("==", 1),
+            Tok::Neq => ("=\\=", 1),
+            Tok::Lt => ("<", 1),
+            Tok::Gt => (">", 1),
+            Tok::Le => ("=<", 1),
+            Tok::Ge => (">=", 1),
+            Tok::Plus => ("+", 2),
+            Tok::Minus => ("-", 2),
+            Tok::Star => ("*", 3),
+            Tok::Slash => ("/", 3),
+            // `mod` is an atom in operator position: `X mod 2`.
+            Tok::Atom(a) if a == "mod" => ("mod", 3),
+            _ => return None,
+        })
+    }
+
+    /// Extend `lhs` by the operators that bind at least as tightly as `min`.
+    fn climb(&mut self, mut lhs: Ast, min: u8) -> Result<Ast, ParseError> {
+        while let Some((op, prec)) = self.binop() {
+            if prec < min {
+                break;
+            }
             self.bump();
             let rhs = self.unary()?;
+            let rhs = self.climb(rhs, prec + 1)?;
             lhs = Ast::Tuple(op.to_string(), vec![lhs, rhs]);
+            if prec == 1 {
+                break;
+            }
         }
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Ast, ParseError> {
@@ -243,53 +294,62 @@ impl Parser {
             return Err(self.err(format!("term nested deeper than {MAX_NESTING} levels")));
         }
         self.depth += 1;
-        let term = self.unary_unguarded();
+        let term = if self.eat(&Tok::Minus) {
+            // Fold negative literals; keep `-(X)` for variables/expressions.
+            self.unary().map(|t| match t {
+                Ast::Int(i) => Ast::Int(-i),
+                Ast::Float(x) => Ast::Float(-x),
+                other => Ast::Tuple("-".into(), vec![other]),
+            })
+        } else {
+            self.primary()
+        };
         self.depth -= 1;
         term
     }
 
-    fn unary_unguarded(&mut self) -> Result<Ast, ParseError> {
-        if self.eat(&Tok::Minus) {
-            // Fold negative literals; keep `-(X)` for variables/expressions.
-            return Ok(match self.unary()? {
-                Ast::Int(i) => Ast::Int(-i),
-                Ast::Float(x) => Ast::Float(-x),
-                other => Ast::Tuple("-".into(), vec![other]),
-            });
-        }
-        self.primary()
-    }
-
     fn primary(&mut self) -> Result<Ast, ParseError> {
+        let at = self.here();
         match self.bump() {
             Tok::Int(i) => Ok(Ast::Int(i)),
             Tok::Float(x) => Ok(Ast::Float(x)),
-            Tok::Var(v) => Ok(Ast::Var(v)),
+            Tok::Var(v) => Ok(Ast::Var(v.to_owned())),
             Tok::Wild => Ok(Ast::Wild),
             Tok::Str(s) => Ok(Ast::Str(s)),
             Tok::LParen => {
                 let inner = self.expr()?;
-                self.expect(Tok::RParen, "`)`")?;
+                self.expect(&Tok::RParen, "`)`")?;
                 Ok(inner)
             }
             Tok::LBracket => self.list_tail(),
             Tok::Atom(name) => {
-                if self.peek() == &Tok::LParen {
-                    self.bump();
-                    let mut args = vec![self.expr()?];
-                    while self.eat(&Tok::Comma) {
-                        args.push(self.expr()?);
-                    }
-                    self.expect(Tok::RParen, "`)`")?;
-                    Ok(Ast::Tuple(name, args))
-                } else {
-                    Ok(Ast::Atom(name))
+                let name = name.into_owned();
+                if !self.eat(&Tok::LParen) {
+                    return Ok(Ast::Atom(name));
                 }
+                let first = self.expr()?;
+                let mut args = if self.eat(&Tok::Comma) {
+                    // The capacity a second push would grow a vector to.
+                    let mut args = Vec::with_capacity(4);
+                    args.push(first);
+                    args.push(self.expr()?);
+                    args
+                } else {
+                    vec![first]
+                };
+                while self.eat(&Tok::Comma) {
+                    args.push(self.expr()?);
+                }
+                self.expect(&Tok::RParen, "`)`")?;
+                Ok(Ast::Tuple(name, args))
             }
+            // A term missing at the end of the text is reported where the
+            // last token starts.
+            Tok::Eof => Err(self.err_at(self.last.unwrap_or(at), "expected a term, found `<eof>`")),
             other => Err(ParseError {
                 message: format!("expected a term, found `{other}`"),
-                line: self.toks[self.pos.saturating_sub(1)].line,
-                col: self.toks[self.pos.saturating_sub(1)].col,
+                line: at.0,
+                col: at.1,
             }),
         }
     }
@@ -308,7 +368,7 @@ impl Parser {
         } else {
             Ast::Nil
         };
-        self.expect(Tok::RBracket, "`]`")?;
+        self.expect(&Tok::RBracket, "`]`")?;
         Ok(items.into_iter().rev().fold(tail, |t, h| Ast::cons(h, t)))
     }
 }
@@ -427,6 +487,95 @@ mod tests {
     fn missing_dot_is_an_error() {
         let e = parse_program("f(X) :- g(X)").unwrap_err();
         assert!(e.message.contains('.'), "got: {}", e.message);
+    }
+
+    /// `line:col message` of every error below, as reported when the whole
+    /// text was lexed before parsing began — except the rows marked
+    /// "first in the text": there a lexical error further on used to win
+    /// over an earlier parse error.
+    #[test]
+    fn error_messages_and_positions_are_fixed() {
+        let terms = [
+            ("f(\n  #)", "2:3 unexpected character '#'"),
+            ("\"abc", "1:5 unterminated literal"),
+            ("'abc", "1:5 unterminated literal"),
+            ("\"a\\q\"", "1:5 unknown escape \\q"),
+            ("\"a\\", "1:4 unterminated escape"),
+            ("'a\\", "1:4 unterminated escape"),
+            ("\"é", "1:4 unterminated literal"),
+            ("a =\\ b", "1:5 expected `=` after `=\\`"),
+            ("a : b", "1:4 expected `:-` or `:=`"),
+            (
+                "99999999999999999999",
+                "1:21 bad integer literal 99999999999999999999: \
+                 number too large to fit in target type",
+            ),
+            ("f(a) ; g", "1:6 unexpected character ';'"),
+            ("\n\n   $", "3:4 unexpected character '$'"),
+            ("f(a", "1:4 expected `)`, found `<eof>`"),
+            ("f(a,)", "1:5 expected a term, found `)`"),
+            ("[1,2", "1:5 expected `]`, found `<eof>`"),
+            (")", "1:1 expected a term, found `)`"),
+            ("a b", "1:3 expected end of input, found `b`"),
+            ("f(1) 2", "1:6 expected end of input, found `2`"),
+            ("", "1:1 expected a term, found `<eof>`"),
+            ("   ", "1:4 expected a term, found `<eof>`"),
+            ("X := ", "1:3 expected a term, found `<eof>`"),
+            ("- ", "1:1 expected a term, found `<eof>`"),
+            ("f(\"str\" x)", "1:9 expected `)`, found `x`"),
+            ("f('q' 3.5)", "1:7 expected `)`, found `3.5`"),
+            ("[1|2,3]", "1:5 expected `]`, found `,`"),
+            ("f(X) @", "1:6 expected end of input, found `@`"),
+            ("1 + * 2", "1:5 expected a term, found `*`"),
+            ("f(a))", "1:5 expected end of input, found `)`"),
+            ("g(\n  a,\n  ]\n)", "3:3 expected a term, found `]`"),
+            ("[a|]", "1:4 expected a term, found `]`"),
+            ("X == Y == Z", "1:8 expected end of input, found `==`"),
+            ("(a", "1:3 expected `)`, found `<eof>`"),
+            ("f(,)", "1:3 expected a term, found `,`"),
+            // First in the text: a parse error ahead of a lexical one.
+            ("f(a,) #", "1:5 expected a term, found `)`"),
+            ("a b #", "1:3 expected end of input, found `b`"),
+        ];
+        let programs = [
+            (
+                "f(X) :- g(X)",
+                "1:13 expected `.` at end of clause, found `<eof>`",
+            ),
+            (
+                "3 :- g(X).",
+                "1:3 rule head must be an atom or compound term",
+            ),
+            (
+                "[a] :- g(X).",
+                "1:5 rule head must be an atom or compound term",
+            ),
+            ("f(X) :- | g.", "1:9 expected a term, found `|`"),
+            ("f(X) :- g(X) | .", "1:16 expected a term, found `.`"),
+            (
+                "f(X) :- g(X).\n  g(Y) :- h(Y)\n",
+                "3:1 expected `.` at end of clause, found `<eof>`",
+            ),
+            ("f(X) :- g(X)@.", "1:14 expected a term, found `.`"),
+            ("f :- g. #", "1:9 unexpected character '#'"),
+            ("f(X :- g.", "1:5 expected `)`, found `:-`"),
+            // First in the text: a parse error ahead of a lexical one.
+            (
+                "f(X) :- g(X) h #.",
+                "1:14 expected `.` at end of clause, found `h`",
+            ),
+        ];
+        let shown = |e: ParseError| format!("{}:{} {}", e.line, e.col, e.message);
+        for (src, want) in terms {
+            assert_eq!(shown(parse_term(src).unwrap_err()), want, "term {src:?}");
+        }
+        for (src, want) in programs {
+            assert_eq!(
+                shown(parse_program(src).unwrap_err()),
+                want,
+                "program {src:?}"
+            );
+        }
     }
 
     #[test]

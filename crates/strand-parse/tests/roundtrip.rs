@@ -3,7 +3,9 @@
 //! parser produces (minus unresolved pragmas).
 
 use proptest::prelude::*;
-use strand_parse::{compile_program, parse_program, pretty, Annotation, Ast, Call, Program, Rule};
+use strand_parse::{
+    compile_program, parse_program, parse_term, pretty, Annotation, Ast, Call, Program, Rule,
+};
 
 /// Strategy: plausible identifier atoms.
 fn atom_name() -> impl Strategy<Value = String> {
@@ -32,6 +34,70 @@ fn ast() -> impl Strategy<Value = Ast> {
             proptest::collection::vec(inner, 0..3).prop_map(Ast::list),
         ]
     })
+}
+
+/// Any finite float: raw bit patterns reach the exponent extremes and the
+/// subnormals, short decimals the everyday ones.
+fn finite_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>()
+            .prop_map(f64::from_bits)
+            .prop_filter("finite", |x| x.is_finite()),
+        (any::<i32>(), 0u32..6).prop_map(|(m, k)| m as f64 / 10f64.powi(k as i32)),
+    ]
+}
+
+/// Strategy: every surface term the printer writes back as parseable text
+/// — operators included — covering each token the lexer makes: plain and
+/// quoted atoms, `_` and named variables, integers over all of `i64` but
+/// its minimum (whose magnitude is no literal), finite floats, strings
+/// with escapes. Excluded, because the printer does not invert them:
+/// unary minus over a number literal (the parser folds `-3`), and a
+/// relation as the left operand of a relation (relations do not nest).
+fn printable_term() -> impl Strategy<Value = Ast> {
+    let leaf = prop_oneof![
+        var_name().prop_map(Ast::var),
+        "_[A-Za-z0-9]{1,4}".prop_map(Ast::var),
+        atom_name().prop_map(Ast::atom),
+        "[ -~]{0,6}".prop_map(Ast::atom),
+        any::<i64>()
+            .prop_filter("has a literal", |i| *i != i64::MIN)
+            .prop_map(Ast::Int),
+        finite_float().prop_map(Ast::Float),
+        Just(Ast::Wild),
+        Just(Ast::Nil),
+        "[ -~\\n\\t]{0,6}".prop_map(Ast::Str),
+    ];
+    let term = leaf.prop_recursive(4, 24, 3, |inner| {
+        prop_oneof![
+            (
+                "[A-Z ][ -~]{0,4}",
+                proptest::collection::vec(inner.clone(), 1..4)
+            )
+                .prop_map(|(n, args)| Ast::tuple(n, args)),
+            (atom_name(), proptest::collection::vec(inner.clone(), 1..4))
+                .prop_map(|(n, args)| Ast::tuple(n, args)),
+            (
+                proptest::collection::vec(inner.clone(), 0..4),
+                inner.clone()
+            )
+                .prop_map(|(items, tail)| {
+                    items.into_iter().rev().fold(tail, |t, h| Ast::cons(h, t))
+                }),
+            (0usize..5, inner.clone(), inner.clone())
+                .prop_map(|(op, l, r)| { Ast::tuple(["+", "-", "*", "/", "mod"][op], vec![l, r]) }),
+            inner
+                .prop_filter("the parser folds a negated literal", |a| {
+                    !matches!(a, Ast::Int(_) | Ast::Float(_))
+                })
+                .prop_map(|a| Ast::tuple("-", vec![a])),
+        ]
+    });
+    let rel = ["=", ":=", "==", "=\\=", "<", ">", "=<", ">="];
+    prop_oneof![
+        term.clone(),
+        (0usize..8, term.clone(), term).prop_map(move |(op, l, r)| Ast::tuple(rel[op], vec![l, r])),
+    ]
 }
 
 fn call() -> impl Strategy<Value = Call> {
@@ -106,6 +172,16 @@ proptest! {
         } else {
             prop_assert!(result.is_ok(), "{:?}", result.err());
         }
+    }
+
+    /// print ∘ parse = identity on terms: the parser reads back every
+    /// token the printer writes.
+    #[test]
+    fn printed_terms_parse_back(t in printable_term()) {
+        let printed = t.to_string();
+        let reparsed = parse_term(&printed)
+            .unwrap_or_else(|e| panic!("printed term failed to reparse: {e}\n{printed}"));
+        prop_assert_eq!(t, reparsed);
     }
 
     /// Guard expressions round-trip with operators at every precedence.
