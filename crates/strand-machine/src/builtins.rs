@@ -421,7 +421,8 @@ impl Machine {
     }
 
     /// `:=` / `=`. With `arith` set, an arithmetic-expression RHS is
-    /// evaluated before assignment.
+    /// evaluated before assignment. The RHS is read where it is: only a
+    /// data value, which the binding keeps, is cloned.
     fn assign(&mut self, lhs: &Term, rhs: &Term, arith: bool) -> StrandResult<CallOutcome> {
         let target = self.store.deref(lhs);
         let Term::Var(v) = target else {
@@ -432,7 +433,7 @@ impl Machine {
                 attempted: self.store.resolve(rhs),
             }));
         };
-        let value = self.store.deref(rhs);
+        let value = self.store.deref_cow(rhs);
         if arith && is_arith_expr(&value) && !value.is_number() {
             match eval_arith(&value, &self.store)? {
                 Evaled::Suspend(vs) => return Ok(CallOutcome::Suspend(vs)),
@@ -442,7 +443,7 @@ impl Machine {
                 }
             }
         }
-        self.bind_now(v, value)?;
+        self.bind_now(v, value.into_owned())?;
         Ok(CallOutcome::Done)
     }
 

@@ -21,7 +21,9 @@
 //!   pre-built `Term`s shared by every instantiation — match and
 //!   instantiate are fused through one slot [`Frame`] with no intermediate
 //!   structure rebuilt per reduction; each tuple a template does build is
-//!   one heap block, filled in place from its arguments.
+//!   one argument block, filled in place from its arguments — a block a
+//!   consumed goal handed back to the [`BlockPool`] when there is one, a
+//!   new heap block otherwise.
 //!
 //! Functor and guard names are [`Atom`] symbols throughout: a match op
 //! compares ids, guard lowering switches on [`strand_core::sym`] constants,
@@ -56,7 +58,7 @@ pub(crate) fn push_unique(vs: &mut Vec<VarId>, v: VarId) {
 /// Reusable per-machine buffers for the reduction hot path. Under the
 /// parallel backend each shard's `Machine` owns its own `Scratch`, so no
 /// reduction allocates a fresh `Frame` or `Vec` per rule try.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Scratch {
     /// Rule-local slot bindings, reset (capacity kept) per rule attempt.
     pub frame: Frame,
@@ -66,6 +68,72 @@ pub struct Scratch {
     pub rule_pending: Vec<VarId>,
     /// Explicit term stack driving [`run_match`].
     pub stack: Vec<Term>,
+    /// Argument blocks of the goals this machine has reduced, for
+    /// [`Tmpl::build`] to fill again.
+    pub pool: BlockPool,
+}
+
+/// The largest arity whose blocks a [`BlockPool`] keeps; wider tuples are
+/// allocated and freed as before.
+const POOLED_ARITIES: usize = 8;
+
+/// The most blocks a [`BlockPool`] keeps of one arity. Unbounded, the pool
+/// peaks at 6 blocks on `eval-chain`, where builds and hand-backs
+/// alternate, but grows with the input where one arity is handed back and
+/// another built: to thousands on `dispatch-tree` (every `tree/3` and
+/// `combine/4` block) and `motif-tree-par`. Past 64 a larger cap saves
+/// under 0.5 % of the allocations an unbounded pool saves on either, and
+/// a full pool holds about 64 KB.
+const POOL_CAP: usize = 64;
+
+/// Uniquely owned argument blocks of goals a reduction is done with, by
+/// arity, each holding nothing but `[]`s. A reduction's goals are built,
+/// reduced once and dropped — on `eval-chain` every block lived for one
+/// reduction — so handing the blocks back lets the next build overwrite
+/// them instead of asking the allocator, and on a fleet a block built on
+/// one shard and reduced on another is kept by the consumer, while its
+/// pool has room, instead of freed across threads.
+///
+/// Deliberately not `Clone`: a clone would share the pooled blocks, and
+/// [`Tmpl::build`] counts on being their only owner.
+#[derive(Debug, Default)]
+pub struct BlockPool {
+    /// Blocks of `n` arguments at `free[n - 1]`.
+    free: [Vec<Arc<[Term]>>; POOLED_ARITIES],
+}
+
+impl BlockPool {
+    fn of_arity(&mut self, arity: usize) -> Option<&mut Vec<Arc<[Term]>>> {
+        self.free.get_mut(arity.checked_sub(1)?)
+    }
+
+    /// Hand back a goal the reduction is done with. Its argument block,
+    /// and every nested tuple's, is taken where the goal held the last
+    /// reference — exactly the blocks dropping it would free — and the
+    /// rest is dropped. `Arc::get_mut` is the only test, so a block still
+    /// bound in the store, held by a suspended goal or a frame, or read by
+    /// another shard is never taken. Lists are dropped, not walked: their
+    /// spines are unlinked by `Cons`'s own drop.
+    pub fn recycle(&mut self, goal: Term) {
+        if let Term::Tuple(_, block) = goal {
+            self.recycle_block(block);
+        }
+    }
+
+    fn recycle_block(&mut self, mut block: Arc<[Term]>) {
+        let Some(args) = Arc::get_mut(&mut block) else {
+            return;
+        };
+        let arity = args.len();
+        for arg in args.iter_mut() {
+            if let Term::Tuple(_, inner) = std::mem::replace(arg, Term::Nil) {
+                self.recycle_block(inner);
+            }
+        }
+        if let Some(free) = self.of_arity(arity).filter(|free| free.len() < POOL_CAP) {
+            free.push(block);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -209,6 +277,10 @@ pub struct Switch {
     /// Arms by number: [`ALL`], [`UNKEYED`], then the table's.
     arms: Box<[Span]>,
     cands: Box<[Cand]>,
+    /// Some `Float` key admits integers, so an integer no `Int` key equals
+    /// is looked up a second time, by its value as a float. Without one,
+    /// an integer costs one probe.
+    int_as_float: bool,
 }
 
 impl Switch {
@@ -229,6 +301,7 @@ impl Switch {
         table.reserve(2 * rules.len());
         let mut members: Vec<(u32, u32)> = Vec::with_capacity(2 * rules.len());
         let mut unkeyed = Vec::new();
+        let mut int_as_float = false;
         for (rule, r) in (0..n).zip(rules) {
             let mut enter = |ctor: Ctor| {
                 let next = (UNKEYED + 1 + table.len()) as u32;
@@ -245,6 +318,7 @@ impl Switch {
                     let bits = float_bits(*y);
                     enter(Ctor::Float(bits));
                     enter(Ctor::IntAsFloat(bits));
+                    int_as_float = true;
                     let from = ints_by_value.partition_point(|&(b, _)| b < bits);
                     for &(_, i) in ints_by_value[from..]
                         .iter()
@@ -297,6 +371,7 @@ impl Switch {
             table,
             arms: arms.into(),
             cands: cands.into(),
+            int_as_float,
         }
     }
 
@@ -312,10 +387,12 @@ impl Switch {
     pub fn arm(&self, arg: &Term) -> Arm<'_> {
         let found = match arg {
             Term::Var(_) => return self.all(),
-            Term::Int(i) => self
-                .table
-                .get(&Ctor::Int(*i))
-                .or_else(|| self.table.get(&Ctor::IntAsFloat(float_bits(*i as f64)))),
+            Term::Int(i) => match self.table.get(&Ctor::Int(*i)) {
+                None if self.int_as_float => {
+                    self.table.get(&Ctor::IntAsFloat(float_bits(*i as f64)))
+                }
+                found => found,
+            },
             Term::Float(x) => self.table.get(&Ctor::Float(float_bits(*x))),
             Term::Atom(a) => self.table.get(&Ctor::Atom(*a)),
             Term::Str(s) => self.table.get(&Ctor::Str(s.clone())),
@@ -515,8 +592,15 @@ impl Tmpl {
     /// Build a term, allocating fresh store variables for unset slots and
     /// wildcards in the same depth-first left-to-right order as
     /// `Pat::instantiate` — ground subtrees allocate nothing, so skipping
-    /// them preserves the allocation sequence exactly.
-    pub fn build<S: StoreOps>(&self, frame: &mut Frame, store: &mut S) -> Term {
+    /// them preserves the allocation sequence exactly. A tuple fills a
+    /// block from `pool` in place, in that same order, when one of its
+    /// arity is there.
+    pub fn build<S: StoreOps>(
+        &self,
+        frame: &mut Frame,
+        store: &mut S,
+        pool: &mut BlockPool,
+    ) -> Term {
         match self {
             Tmpl::Slot(i) => {
                 let slot = &mut frame.slots[*i as usize];
@@ -531,10 +615,20 @@ impl Tmpl {
             }
             Tmpl::Wild => Term::Var(store.new_var()),
             Tmpl::Const(t) => t.clone(),
-            Tmpl::Tuple(name, args) => {
-                Term::tuple_from(*name, args.iter().map(|a| a.build(frame, store)))
-            }
-            Tmpl::Cons(cell) => Term::cons(cell.0.build(frame, store), cell.1.build(frame, store)),
+            Tmpl::Tuple(name, args) => match pool.of_arity(args.len()).and_then(Vec::pop) {
+                Some(mut block) => {
+                    let slots = Arc::get_mut(&mut block).expect("a pooled block has one owner");
+                    for (slot, a) in slots.iter_mut().zip(args.iter()) {
+                        *slot = a.build(frame, store, pool);
+                    }
+                    Term::Tuple(*name, block)
+                }
+                None => Term::tuple_from(*name, args.iter().map(|a| a.build(frame, store, pool))),
+            },
+            Tmpl::Cons(cell) => Term::cons(
+                cell.0.build(frame, store, pool),
+                cell.1.build(frame, store, pool),
+            ),
         }
     }
 
@@ -1511,10 +1605,150 @@ mod tests {
         let mut store2 = Store::new();
         let mut frame2 = Frame::with_locals(rule.n_locals);
         frame2.set(0, Term::int(9));
-        let got = exec.body[0].goal.build(&mut frame2, &mut store2);
+        let got = exec.body[0]
+            .goal
+            .build(&mut frame2, &mut store2, &mut BlockPool::default());
 
         assert_eq!(want, got);
         assert_eq!(store1.len(), store2.len());
         let _ = NodeId(0);
+    }
+
+    // -- the block pool ---------------------------------------------------
+
+    /// Body goals of every shape the pool meets: nested tuples, a tuple in
+    /// a list, a ground subterm (shared with its template), a goal ground
+    /// as a whole, a goal wider than the pool keeps, and wildcards, which
+    /// take a fresh variable at every build. `B` is bound to a nested tuple
+    /// the frame keeps holding.
+    const POOL_SRC: &str = "p(A, B) :- q(A, f(B, g(A, X)), [h(B)|T], T), \
+        r(k(A, B, c), point(1, 2), X), s(f(A, A)), t(x(A)), u(w(v(v(v(A))))), \
+        y(_, f(_, A), _), z(1, 2), wide(A, B, X, T, A, B, X, _, A).";
+
+    fn frame_b() -> Term {
+        Term::tuple(
+            "b",
+            vec![Term::int(1), Term::tuple("c", vec![Term::int(2)])],
+        )
+    }
+
+    /// One rule's body built in lockstep on two sides: one through a pool,
+    /// the other with an empty pool every time. Each side lowers the rule
+    /// itself, so they share no ground subterm, and has its own frame and
+    /// store, so a variable has the same id on both.
+    struct Lockstep {
+        pooled: (ExecRule, Frame, Store),
+        fresh: (ExecRule, Frame, Store),
+        pool: BlockPool,
+    }
+
+    impl Lockstep {
+        fn new() -> Lockstep {
+            let p = compile_program(&parse_program(POOL_SRC).unwrap()).unwrap();
+            let rule = &p.get("p", 2).unwrap().rules[0];
+            let side = || {
+                let mut frame = Frame::with_locals(rule.n_locals);
+                for (head, value) in rule.head.iter().zip([Term::int(7), frame_b()]) {
+                    let Pat::Local(i) = head else {
+                        panic!("{head}")
+                    };
+                    frame.set(*i, value);
+                }
+                (lower_rule(rule), frame, Store::new())
+            };
+            Lockstep {
+                pooled: side(),
+                fresh: side(),
+                pool: BlockPool::default(),
+            }
+        }
+
+        /// Body goal `i % goals`, which both sides must build alike.
+        fn build(&mut self, i: usize) -> Term {
+            let (rule, frame, store) = &mut self.pooled;
+            let i = i % rule.body.len();
+            let got = rule.body[i].goal.build(frame, store, &mut self.pool);
+            let (rule, frame, store) = &mut self.fresh;
+            let want = rule.body[i]
+                .goal
+                .build(frame, store, &mut BlockPool::default());
+            assert_eq!(got, want);
+            got
+        }
+
+        /// A variable on both sides, bound to `t` on the pooled one.
+        fn bind(&mut self, t: Term) -> VarId {
+            self.fresh.2.new_var();
+            let v = self.pooled.2.new_var();
+            self.pooled.2.bind(v, t, 0, NodeId(0)).unwrap();
+            v
+        }
+
+        /// Build until the pool is empty, then hand everything built back.
+        fn drain_and_refill(&mut self) {
+            let mut built = Vec::new();
+            while self.pool.free.iter().any(|free| !free.is_empty()) {
+                for i in 0..self.pooled.0.body.len() {
+                    built.push(self.build(i));
+                }
+            }
+            for t in built {
+                self.pool.recycle(t);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of builds, hand-backs and clones kept
+        /// outside the pool — a whole goal or one of its tuple arguments,
+        /// held as a suspended goal would hold it, bound in the store, or
+        /// shared by a second goal that is handed back too. Every build
+        /// equals what an empty pool builds, and every clone kept outside
+        /// reads the same after the pool has been drained and refilled.
+        #[test]
+        fn pooled_builds_equal_fresh_builds_and_spare_outside_clones(
+            ops in proptest::collection::vec((0u8..6, 0usize..64), 0..160)
+        ) {
+            let mut sides = Lockstep::new();
+            let mut live: Vec<Term> = Vec::new();
+            let mut held: Vec<(Term, String)> = vec![(frame_b(), frame_b().to_string())];
+            let mut bound: Vec<(VarId, String)> = Vec::new();
+            for (op, pick) in ops {
+                match op {
+                    0 | 1 => live.push(sides.build(pick)),
+                    _ if live.is_empty() => {}
+                    2 => sides.pool.recycle(live.swap_remove(pick % live.len())),
+                    3 | 4 => {
+                        let whole = &live[pick % live.len()];
+                        let part = match whole.goal_args().iter().find(|a| matches!(a, Term::Tuple(..))) {
+                            Some(arg) if pick % 2 == 1 => arg.clone(),
+                            _ => whole.clone(),
+                        };
+                        if op == 3 {
+                            held.push((part.clone(), part.to_string()));
+                            if pick % 4 < 2 {
+                                live.push(part);
+                            }
+                        } else {
+                            let text = part.to_string();
+                            bound.push((sides.bind(part), text));
+                        }
+                    }
+                    _ => sides.drain_and_refill(),
+                }
+            }
+            for t in live {
+                sides.pool.recycle(t);
+            }
+            sides.drain_and_refill();
+            for (t, text) in &held {
+                proptest::prop_assert_eq!(&t.to_string(), text);
+            }
+            for (v, text) in &bound {
+                proptest::prop_assert_eq!(&sides.pooled.2.resolve(&Term::Var(*v)).to_string(), text);
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! is its `Role`, fixed by its constructor.
 
 use crate::config::{Delivery, ExecMode, MachineConfig};
-use crate::exec::{self, ExecProgram, Scratch, TryResult};
+use crate::exec::{self, BlockPool, ExecProgram, Scratch, TryResult};
 use crate::metrics::Metrics;
 use crate::tier::TierRule;
 use crate::trace::{goal_text, TraceEvent};
@@ -137,17 +137,22 @@ impl RunQueue {
     }
 }
 
+/// What a reduction reads and reuses beside `&mut Machine`: the lowered
+/// (direct-threaded) form of the program for the compiled tier, and the
+/// hot-path buffers — rule frame, pending-variable sets, match stack and
+/// block pool. One per machine, so each shard of a parallel run owns its
+/// own and no reduction allocates on the commit path.
+struct Lent {
+    exec: ExecProgram,
+    scratch: Scratch,
+}
+
 /// The abstract machine.
 pub struct Machine {
     pub(crate) program: Arc<CompiledProgram>,
-    /// Lowered (direct-threaded) form of `program` for the compiled tier.
-    /// `reduce` takes it out for the length of a dispatch, as `dispatch`
-    /// does `scratch`.
-    exec: ExecProgram,
-    /// Reusable hot-path buffers: rule frame, pending-variable sets and the
-    /// match stack. One per machine, so each shard of a parallel run owns
-    /// its own and no reduction allocates on the commit path.
-    scratch: Scratch,
+    /// `reduce` lends it to each reduction as one pointer, taken out and
+    /// put back: nothing is moved or dropped per reduction.
+    lent: Option<Box<Lent>>,
     pub(crate) config: MachineConfig,
     pub(crate) store: StoreHandle,
     nodes: Vec<Node>,
@@ -212,7 +217,10 @@ impl Machine {
         for &(j, f) in &config.faults.slowdowns {
             slowdown[map(j).0 as usize] = f.max(1);
         }
-        let exec = ExecProgram::lower(&program);
+        let lent = Lent {
+            exec: ExecProgram::lower(&program),
+            scratch: Scratch::default(),
+        };
         Machine {
             rng: SplitMix64::new(config.seed),
             fault_rng: SplitMix64::new(config.faults.seed),
@@ -239,8 +247,7 @@ impl Machine {
             foreign: crate::foreign::ForeignRegistry::default(),
             trace: Vec::new(),
             program,
-            exec,
-            scratch: Scratch::default(),
+            lent: Some(Box::new(lent)),
             config,
             current_region: 0,
         }
@@ -812,90 +819,102 @@ impl Machine {
     // --- One reduction ----------------------------------------------------
 
     fn reduce(&mut self, item: QItem) -> StrandResult<()> {
+        let mut lent = self.lent.take().expect("reductions do not nest");
+        let reduced = self.reduce_lent(item, &mut lent);
+        self.lent = Some(lent);
+        reduced
+    }
+
+    /// [`reduce`](Machine::reduce) with the program and the buffers in
+    /// hand. The goal is read where it is queued; it is consumed only
+    /// after the decision, so a goal that is done with hands its blocks to
+    /// the pool.
+    fn reduce_lent(&mut self, item: QItem, lent: &mut Lent) -> StrandResult<()> {
         // Allocations made by this reduction (and spawns from it) belong to
         // the process's session region. Batch runs stay on region 0 and
         // never change it.
         self.enter_region(item.region);
-        let goal = self.store.deref(&item.goal);
-        if let Term::Var(v) = goal {
+        let goal = self.store.deref_cow(&item.goal);
+        if let Term::Var(v) = *goal {
             // A goal that is itself an unbound variable: a metacall waiting
             // for its goal term. Suspend until provided.
             self.suspend(item, vec![v]);
             return Ok(());
         }
+        match self.call(&goal, lent)? {
+            CallOutcome::Done => {
+                self.finish_tracked(&item);
+                lent.scratch.pool.recycle(item.goal);
+            }
+            CallOutcome::Suspend(vars) => self.suspend(item, vars),
+            CallOutcome::Error(e) => {
+                self.finish_tracked(&item);
+                self.record_error(e)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decide a dereferenced, non-variable goal: run it as a foreign
+    /// procedure, a builtin or a program procedure. `Err` is for errors
+    /// that end the run whatever `fail_fast` says.
+    fn call(&mut self, goal: &Term, lent: &mut Lent) -> StrandResult<CallOutcome> {
         let Some((&name, arity)) = goal.functor() else {
-            let resolved = self.store.resolve(&goal);
-            self.finish_tracked(&item);
-            return self.record_error(StrandError::NoMatchingRule { goal: resolved });
+            let goal = self.store.resolve(goal);
+            return Ok(CallOutcome::Error(StrandError::NoMatchingRule { goal }));
         };
 
         // Foreign procedures shadow builtins of the same name.
         let mut called = None;
         if !self.foreign.is_empty() {
-            called = self.try_foreign(name, &goal);
+            called = self.try_foreign(name, goal);
         }
         if called.is_none() {
-            called = self.exec_builtin(name, &goal).transpose();
+            called = self.exec_builtin(name, goal).transpose();
         }
         if let Some(outcome) = called {
-            match outcome {
-                Ok(CallOutcome::Done) => self.finish_tracked(&item),
-                Ok(CallOutcome::Suspend(vars)) => self.suspend(item, vars),
-                // Dispatch-level errors go through `record_error` like the
-                // outcome-level ones: with `fail_fast` off they must be
-                // *collected*, not propagated — a resident service survives
-                // a bad request instead of tearing down (DESIGN.md §9).
-                Ok(CallOutcome::Error(e)) | Err(e) => {
-                    self.finish_tracked(&item);
-                    self.record_error(e)?;
-                }
-            }
-            return Ok(());
+            // Dispatch-level errors go through `record_error` like the
+            // outcome-level ones: with `fail_fast` off they must be
+            // *collected*, not propagated — a resident service survives a
+            // bad request instead of tearing down (DESIGN.md §9).
+            return Ok(outcome.unwrap_or_else(CallOutcome::Error));
         }
 
         // The two tiers differ only in what a rule *is*; `dispatch` is
         // monomorphised per tier (see [`TierRule`]).
-        let undefined = || StrandError::UndefinedProcedure {
-            name: name.as_str().to_string(),
-            arity,
+        let undefined = || {
+            CallOutcome::Error(StrandError::UndefinedProcedure {
+                name: name.as_str().to_string(),
+                arity,
+            })
         };
+        let Lent { exec, scratch } = lent;
         match self.config.exec {
             ExecMode::Compiled => {
-                // Lent to the dispatch (which needs `&mut self`) and put
-                // back: no reference count to write per reduction.
-                let exec = std::mem::take(&mut self.exec);
-                let done = match exec.lookup(name, arity) {
-                    Some(proc) => {
-                        self.metrics.compiled_reductions += 1;
-                        // The first argument, dereferenced, picks the rules
-                        // to try.
-                        let arm = match goal.goal_args().first() {
-                            Some(a) if proc.indexed => proc.switch.arm(&self.store.deref(a)),
-                            _ => proc.switch.all(),
-                        };
-                        let otherwise = proc.otherwise.as_deref();
-                        let cands = arm.walk(&proc.rules);
-                        self.dispatch(item, &goal, name, cands, arm.tail, otherwise)
-                    }
-                    None => {
-                        self.finish_tracked(&item);
-                        self.record_error(undefined())
-                    }
+                let Some(proc) = exec.lookup(name, arity) else {
+                    return Ok(undefined());
                 };
-                self.exec = exec;
-                done
+                self.metrics.compiled_reductions += 1;
+                // The first argument, dereferenced, picks the rules to try.
+                let arm = match goal.goal_args().first() {
+                    Some(a) if proc.indexed => proc.switch.arm(&self.store.deref_cow(a)),
+                    _ => proc.switch.all(),
+                };
+                let otherwise = proc.otherwise.as_deref();
+                let cands = arm.walk(&proc.rules);
+                self.dispatch(goal, name, cands, arm.tail, otherwise, scratch)
             }
             ExecMode::Interpreted => {
                 let program = Arc::clone(&self.program);
                 let Some(proc) = program.lookup(name, arity) else {
-                    self.finish_tracked(&item);
-                    return self.record_error(undefined());
+                    return Ok(undefined());
                 };
                 self.metrics.interpreted_reductions += 1;
                 // Only the first `otherwise` rule is ever tried.
                 let ordinary = proc.rules.iter().filter(|r| !r.otherwise);
                 let otherwise = proc.rules.iter().find(|r| r.otherwise);
-                self.dispatch(item, &goal, name, ordinary.map(|r| (r, 0)), 0, otherwise)
+                let cands = ordinary.map(|r| (r, 0));
+                self.dispatch(goal, name, cands, 0, otherwise, scratch)
             }
         }
     }
@@ -904,50 +923,20 @@ impl Machine {
     /// order, then commit, suspend on the union of the variables the
     /// undecided rules wait for, or fail with `NoMatchingRule`. Each
     /// candidate comes with the rules the first-argument index skipped
-    /// before it, and `tail` is those it skipped after the last one.
+    /// before it, and `tail` is those it skipped after the last one, so
+    /// the index counters come out as a walk over every rule that tests
+    /// each key with [`IndexKey::admits`](exec::IndexKey::admits) and
+    /// stops at the committing rule would count them.
     fn dispatch<'r, R: TierRule + 'r>(
         &mut self,
-        item: QItem,
         goal: &Term,
         name: Atom,
         cands: impl Iterator<Item = (&'r R, u32)>,
         tail: u32,
         otherwise: Option<&'r R>,
-    ) -> StrandResult<()> {
-        // The goal is a dereferenced local, so its argument slice can be
-        // borrowed directly — no `to_vec`.
-        let args: &[Term] = goal.goal_args();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let decided = self.try_rules(args, cands, tail, otherwise, &mut scratch);
-        self.scratch = scratch;
-        match decided? {
-            Dispatched::Committed => self.finish_tracked(&item),
-            Dispatched::Suspend(vars) => {
-                *self.metrics.susp_by_proc.entry(name).or_insert(0) += 1;
-                self.suspend(item, vars);
-            }
-            Dispatched::NoMatch => {
-                let resolved = self.store.resolve(goal);
-                self.finish_tracked(&item);
-                self.record_error(StrandError::NoMatchingRule { goal: resolved })?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The decision half of [`dispatch`](Machine::dispatch); `?` may leave
-    /// early because the caller owns putting `scratch` back. The index
-    /// counters come out as a walk over every rule that tests each key
-    /// with [`IndexKey::admits`](exec::IndexKey::admits) and stops at the
-    /// committing rule would count them.
-    fn try_rules<'r, R: TierRule + 'r>(
-        &mut self,
-        args: &[Term],
-        cands: impl Iterator<Item = (&'r R, u32)>,
-        tail: u32,
-        otherwise: Option<&'r R>,
         scratch: &mut Scratch,
-    ) -> StrandResult<Dispatched> {
+    ) -> StrandResult<CallOutcome> {
+        let args = goal.goal_args();
         scratch.pending.clear();
         for (rule, skipped) in cands {
             self.metrics.index_hits += u64::from(skipped);
@@ -955,7 +944,7 @@ impl Machine {
                 self.metrics.index_misses += 1;
             }
             match self.try_rule(rule, args, scratch)? {
-                TryResult::Commit => return Ok(Dispatched::Committed),
+                TryResult::Commit => return Ok(CallOutcome::Done),
                 TryResult::Fail => {}
                 TryResult::Suspend => {
                     for i in 0..scratch.rule_pending.len() {
@@ -965,25 +954,28 @@ impl Machine {
             }
         }
         self.metrics.index_hits += u64::from(tail);
-        if !scratch.pending.is_empty() {
-            // The buffer is donated to the suspension record and re-grows on
-            // the next suspending reduction (the commit path never pushes,
-            // so it stays allocation-free).
-            return Ok(Dispatched::Suspend(std::mem::take(&mut scratch.pending)));
-        }
-        // All ordinary rules failed definitively: only now may the
-        // `otherwise` rule run.
-        if let Some(rule) = otherwise {
-            match self.try_rule(rule, args, scratch)? {
-                TryResult::Commit => return Ok(Dispatched::Committed),
-                TryResult::Fail => {}
-                TryResult::Suspend => {
-                    let vars = std::mem::take(&mut scratch.rule_pending);
-                    return Ok(Dispatched::Suspend(vars));
+        // Only once every ordinary rule has failed definitively may the
+        // `otherwise` rule run; its suspension set is its own.
+        if scratch.pending.is_empty() {
+            if let Some(rule) = otherwise {
+                match self.try_rule(rule, args, scratch)? {
+                    TryResult::Commit => return Ok(CallOutcome::Done),
+                    TryResult::Fail => {}
+                    TryResult::Suspend => {
+                        std::mem::swap(&mut scratch.pending, &mut scratch.rule_pending)
+                    }
                 }
             }
         }
-        Ok(Dispatched::NoMatch)
+        if scratch.pending.is_empty() {
+            let goal = self.store.resolve(goal);
+            return Ok(CallOutcome::Error(StrandError::NoMatchingRule { goal }));
+        }
+        *self.metrics.susp_by_proc.entry(name).or_insert(0) += 1;
+        // The buffer is donated to the suspension record and re-grows on the
+        // next suspending reduction (the commit path never pushes, so it
+        // stays allocation-free).
+        Ok(CallOutcome::Suspend(std::mem::take(&mut scratch.pending)))
     }
 
     /// Attempt one rule and, if it applies, spawn its body. Inlined, with
@@ -999,7 +991,7 @@ impl Machine {
         self.metrics.rules_tried += 1;
         let tried = rule.attempt(args, &self.store, scratch)?;
         if tried == TryResult::Commit {
-            self.commit(rule, &mut scratch.frame)?;
+            self.commit(rule, &mut scratch.frame, &mut scratch.pool)?;
         }
         Ok(tried)
     }
@@ -1011,9 +1003,14 @@ impl Machine {
     }
 
     /// Spawn a committed rule's body, each call on its `@` placement.
-    fn commit<R: TierRule>(&mut self, rule: &R, frame: &mut Frame) -> StrandResult<()> {
+    fn commit<R: TierRule>(
+        &mut self,
+        rule: &R,
+        frame: &mut Frame,
+        pool: &mut BlockPool,
+    ) -> StrandResult<()> {
         for call in rule.body() {
-            let (goal, placement) = R::build(call, frame, &mut self.store);
+            let (goal, placement) = R::build(call, frame, &mut self.store, pool);
             let Some(place_term) = placement else {
                 let node = self.current_node;
                 self.spawn(goal, node);
@@ -1037,17 +1034,10 @@ impl Machine {
     }
 }
 
-/// How rule dispatch ended for one goal.
-enum Dispatched {
-    /// A rule applied; its body has been spawned.
-    Committed,
-    Suspend(Vec<VarId>),
-    /// Every rule failed definitively.
-    NoMatch,
-}
-
-/// Outcome of a builtin or foreign call. `Error` is a program-level problem
-/// that `record_error` collects when `fail_fast` is off.
+/// How a reduction ended: a builtin or foreign call, or rule dispatch
+/// (`Done` once a rule committed and its body was spawned). `Error` is a
+/// program-level problem that `record_error` collects when `fail_fast` is
+/// off.
 pub(crate) enum CallOutcome {
     Done,
     Suspend(Vec<VarId>),

@@ -3,7 +3,7 @@
 //! two differ in nothing else — rule dispatch in the shard core is written
 //! once, generic over [`TierRule`].
 
-use crate::exec::{self, IndexKey, Scratch, TryResult};
+use crate::exec::{self, BlockPool, IndexKey, Scratch, TryResult};
 use crate::world::StoreHandle;
 use strand_core::{match_args, Frame, GuardOutcome, MatchOutcome, StrandResult, Term};
 use strand_parse::{CompiledCall, CompiledRule};
@@ -29,8 +29,12 @@ pub(crate) trait TierRule {
     ) -> StrandResult<TryResult>;
     fn body(&self) -> &[Self::Call];
     /// Instantiate one body call: its goal, then its placement expression.
-    fn build(call: &Self::Call, frame: &mut Frame, store: &mut StoreHandle)
-        -> (Term, Option<Term>);
+    fn build(
+        call: &Self::Call,
+        frame: &mut Frame,
+        store: &mut StoreHandle,
+        pool: &mut BlockPool,
+    ) -> (Term, Option<Term>);
 }
 
 /// The compiled tier (`ExecMode::Compiled`, the default): direct-threaded
@@ -70,9 +74,11 @@ impl TierRule for exec::ExecRule {
         call: &exec::ExecCall,
         frame: &mut Frame,
         store: &mut StoreHandle,
+        pool: &mut BlockPool,
     ) -> (Term, Option<Term>) {
-        let goal = call.goal.build(frame, store);
-        (goal, call.placement.as_ref().map(|p| p.build(frame, store)))
+        let goal = call.goal.build(frame, store, pool);
+        let placement = call.placement.as_ref();
+        (goal, placement.map(|p| p.build(frame, store, pool)))
     }
 }
 
@@ -126,10 +132,12 @@ impl TierRule for CompiledRule {
         &self.body
     }
 
+    /// The reference builds every tuple afresh: `pool` is not read.
     fn build(
         call: &CompiledCall,
         frame: &mut Frame,
         store: &mut StoreHandle,
+        _pool: &mut BlockPool,
     ) -> (Term, Option<Term>) {
         let goal = call.goal.instantiate(frame, store);
         let placement = call.placement.as_ref().map(|p| p.instantiate(frame, store));

@@ -3,6 +3,7 @@
 //! it, and what sharded machines send each other — [`Routed`] events between
 //! shards, [`Deadline`]s to the backend.
 
+use std::borrow::Cow;
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -275,6 +276,16 @@ impl StoreHandle {
         match self {
             StoreHandle::Local(s) => s.deref(t),
             StoreHandle::Shared(s) => StoreOps::deref(s, t),
+        }
+    }
+
+    /// [`deref`](StoreHandle::deref) for a term that is only read: a
+    /// non-variable is borrowed where it is, with no reference count
+    /// written.
+    pub(crate) fn deref_cow<'t>(&self, t: &'t Term) -> Cow<'t, Term> {
+        match t {
+            Term::Var(_) => Cow::Owned(self.deref(t)),
+            t => Cow::Borrowed(t),
         }
     }
 

@@ -913,4 +913,61 @@ mod tests {
             par1.report.metrics.total_reductions
         );
     }
+
+    /// Tuples that reach the store — by data `:=`, `put_arg` and port
+    /// messages — are read back long after the goals that built them were
+    /// reduced and their blocks recycled, while two churn loops refill and
+    /// drain every machine's pool. `remote/3` goals are built on node 1's
+    /// worker and reduced on node 2's, so at two threads their blocks cross
+    /// shards into the consumer's pool, whose `consume/3` builds reuse them.
+    /// Both backends must read back exactly what was stored.
+    #[test]
+    fn stored_tuples_read_back_intact_while_pools_recycle_across_shards() {
+        let src = r#"
+            go(Data, Slots, Got) :-
+                open_port(P, S), make_tuple(4, Slots),
+                produce(0, 40, P, Slots, Data),
+                consume(S, 40, Got)@2,
+                churn(2000)@2, churn(2000).
+            produce(N, N, _, _, Data) :- Data := [].
+            produce(I, N, P, Slots, Data) :- I < N |
+                Data := [rec(I, pair(I, [I]), Q)|Rest],
+                remote(I, box(I, I), Q)@2,
+                send_port(P, msg(I, box(I, [I]))),
+                fill(I, Slots),
+                I1 := I + 1,
+                spin(20, I1, N, P, Slots, Rest).
+            remote(I, B, Q) :- Q := held(I, B).
+            spin(0, I, N, P, Slots, Rest) :- produce(I, N, P, Slots, Rest).
+            spin(K, I, N, P, Slots, Rest) :- K > 0 |
+                K1 := K - 1, spin(K1, I, N, P, Slots, Rest).
+            fill(I, Slots) :- I < 4 | J := I + 1, put_arg(J, Slots, cell(I, inner(I))).
+            fill(I, _) :- I >= 4 | true.
+            consume(_, 0, Got) :- Got := [].
+            consume([msg(I, B)|S], K, Got) :- K > 0 |
+                Got := [got(I, B)|Got1], K1 := K - 1, consume(S, K1, Got1).
+            churn(0).
+            churn(K) :- K > 0 | t(f(K), g(K, K)), K1 := K - 1, churn(K1).
+            t(_, _).
+        "#;
+        let list = |item: &dyn Fn(usize) -> String| {
+            let items: Vec<String> = (0..40).map(item).collect();
+            format!("[{}]", items.join(","))
+        };
+        let data = list(&|i| format!("rec({i},pair({i},[{i}]),held({i},box({i},{i})))"));
+        let slots = (0..4).map(|i| format!("cell({i},inner({i}))"));
+        let slots = format!("dt({})", slots.collect::<Vec<_>>().join(","));
+        let got = list(&|i| format!("got({i},box({i},[{i}]))"));
+        let goal = "go(Data, Slots, Got)";
+        let sim = run_goal(src, goal, MachineConfig::with_nodes(4)).unwrap();
+        let fleet = run_goal(src, goal, par(2)).unwrap();
+        for r in [&sim, &fleet] {
+            assert!(matches!(r.report.status, RunStatus::Completed));
+            assert_eq!(r.bindings["Data"].to_string(), data);
+            assert_eq!(r.bindings["Slots"].to_string(), slots);
+            assert_eq!(r.bindings["Got"].to_string(), got);
+        }
+        assert_eq!(sim.bindings, fleet.bindings);
+        assert_eq!(fleet.report.metrics.threads_used, 2);
+    }
 }

@@ -12,7 +12,8 @@
 //!
 //! Likewise every backticked `motif-bench <verb> …` names a verb the binary
 //! takes: an experiment, a recorder, `list` or `show`. (`<placeholders>`,
-//! flags and shell redirections after `motif-bench` are not verbs.)
+//! flags and shell redirections after `motif-bench` are not verbs.) And
+//! every CHANGES.md entry from PR 26 on is at most 2 KB.
 
 use std::path::Path;
 
@@ -101,6 +102,36 @@ fn every_backticked_path_in_the_docs_resolves() {
     }
     assert!(checked > 50, "the scan found only {checked} paths");
     assert!(broken.is_empty(), "\n{}", broken.join("\n"));
+}
+
+/// Per-PR narratives live in CHANGES.md, one `- PR <n> …` line each; the
+/// cap holds from the first entry written under it (ROADMAP, "One home per
+/// number" (2)).
+#[test]
+fn changes_entries_from_pr_26_on_are_at_most_2_kb() {
+    const CAP: usize = 2048;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("CHANGES.md")).expect("CHANGES.md exists");
+    let mut checked = 0;
+    let mut over = Vec::new();
+    for entry in text.lines() {
+        let Some(rest) = entry.strip_prefix("- PR ") else {
+            continue;
+        };
+        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        let Ok(pr) = digits.parse::<u32>() else {
+            continue;
+        };
+        if pr < 26 {
+            continue;
+        }
+        checked += 1;
+        if entry.len() > CAP {
+            over.push(format!("PR {pr}: {} bytes", entry.len()));
+        }
+    }
+    assert!(checked > 0, "no CHANGES.md entry from PR 26 on");
+    assert!(over.is_empty(), "over {CAP} bytes: {}", over.join(", "));
 }
 
 #[test]
