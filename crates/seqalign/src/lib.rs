@@ -9,7 +9,7 @@
 //!   random phylogeny (the substitution for the 1990 lab data);
 //! * [`align`] — profiles and Needleman–Wunsch profile–profile alignment:
 //!   the `align-node` operator, quadratic cost, large intermediates;
-//! * [`upgma`] — pairwise distances and UPGMA guide-tree construction (the
+//! * [`mod@upgma`] — pairwise distances and UPGMA guide-tree construction (the
 //!   "philogenetic tree" of §3);
 //! * [`msa`] — progressive multiple alignment by guide-tree reduction,
 //!   sequential and under every tree-reduction strategy of

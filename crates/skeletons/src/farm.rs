@@ -94,37 +94,6 @@ where
         .collect()
 }
 
-/// Like [`farm`], but groups tasks into chunks of `chunk` before
-/// dispatching — the grain-size control that keeps per-task overhead from
-/// dominating fine-grained workloads (a lesson the skeleton literature
-/// learned after the paper's era).
-pub fn farm_chunked<T, R, F>(
-    pool: &Pool,
-    policy: Policy,
-    tasks: Vec<T>,
-    chunk: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    let chunk = chunk.max(1);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(tasks.len().div_ceil(chunk));
-    let mut tasks = tasks;
-    while !tasks.is_empty() {
-        let rest = tasks.split_off(tasks.len().min(chunk));
-        chunks.push(tasks);
-        tasks = rest;
-    }
-    let f = Arc::new(f);
-    let nested = farm(pool, policy, chunks, move |batch| {
-        batch.into_iter().map(|t| f(t)).collect::<Vec<R>>()
-    });
-    nested.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,30 +155,6 @@ mod tests {
             )
         };
         assert_eq!(run(5), run(5));
-        pool.shutdown();
-    }
-
-    #[test]
-    fn chunked_farm_matches_plain_farm() {
-        let pool = Pool::new(4, true);
-        for chunk in [1usize, 3, 16, 1000] {
-            let out = farm_chunked(&pool, Policy::Stealing, (0..100u64).collect(), chunk, |x| {
-                x * x
-            });
-            assert_eq!(out, squares(100), "chunk {chunk}");
-        }
-        // Empty input.
-        let out: Vec<u64> = farm_chunked(&pool, Policy::Demand, vec![], 8, |x: u64| x);
-        assert!(out.is_empty());
-        pool.shutdown();
-    }
-
-    #[test]
-    fn chunking_reduces_dispatch_count() {
-        let pool = Pool::new(2, false);
-        let _ = farm_chunked(&pool, Policy::StaticCyclic, (0..64u64).collect(), 16, |x| x);
-        let dispatched: u64 = pool.stats().iter().map(|s| s.tasks).sum();
-        assert_eq!(dispatched, 4, "64 tasks / 16 per chunk = 4 pool jobs");
         pool.shutdown();
     }
 

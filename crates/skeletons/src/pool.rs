@@ -29,10 +29,8 @@ pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A set of named OS worker threads with idempotent teardown — the
-/// spawn/join scaffolding shared by the skeleton [`Pool`] and the
-/// `strand-parallel` execution backend's node workers.
-pub struct WorkerSet {
+/// The [`Pool`]'s named OS worker threads, with idempotent teardown.
+struct WorkerSet {
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -40,7 +38,7 @@ impl WorkerSet {
     /// Spawn `n` workers named `{name_prefix}-{idx}`, each running the body
     /// produced for its index. Worker bodies are responsible for exiting on
     /// their own shutdown signal; [`WorkerSet::join`] only waits.
-    pub fn spawn(
+    fn spawn(
         n: usize,
         name_prefix: &str,
         mut make_worker: impl FnMut(usize) -> Box<dyn FnOnce() + Send>,
@@ -62,7 +60,7 @@ impl WorkerSet {
 
     /// Join every worker. Idempotent: later calls (and calls racing from
     /// several clones of an owner) are no-ops.
-    pub fn join(&self) {
+    fn join(&self) {
         let mut handles = lock(&self.handles);
         for h in handles.drain(..) {
             let _ = h.join();

@@ -60,100 +60,6 @@ pub fn stencil_1d_seq(values: &[f64], steps: u32) -> Vec<f64> {
     cur
 }
 
-/// A dense 2-D grid for the five-point stencil.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Grid2d {
-    pub rows: usize,
-    pub cols: usize,
-    pub data: Vec<f64>,
-}
-
-impl Grid2d {
-    /// Build from a generator function.
-    pub fn from_fn(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64) -> Grid2d {
-        let data = (0..rows * cols).map(|k| f(k / cols, k % cols)).collect();
-        Grid2d { rows, cols, data }
-    }
-
-    /// Element accessor (row-major).
-    pub fn at(&self, r: usize, c: usize) -> f64 {
-        self.data[r * self.cols + c]
-    }
-}
-
-/// One five-point-stencil step over a row range, reading `cur`, writing
-/// the same range of `out` (zero boundaries).
-fn step_rows(cur: &Grid2d, out: &mut [f64], r0: usize, r1: usize) {
-    let (rows, cols) = (cur.rows, cur.cols);
-    for r in r0..r1 {
-        for c in 0..cols {
-            let up = if r == 0 { 0.0 } else { cur.at(r - 1, c) };
-            let down = if r + 1 == rows { 0.0 } else { cur.at(r + 1, c) };
-            let left = if c == 0 { 0.0 } else { cur.at(r, c - 1) };
-            let right = if c + 1 == cols { 0.0 } else { cur.at(r, c + 1) };
-            out[(r - r0) * cols + c] = (up + down + left + right + cur.at(r, c)) / 5.0;
-        }
-    }
-}
-
-/// Iterated 2-D five-point stencil, block-row decomposition with a barrier
-/// per iteration — the mesh computations of the paper's DIME example
-/// (§1), BSP-style.
-pub fn stencil_2d(pool: &Pool, grid: Grid2d, steps: u32) -> Grid2d {
-    if grid.rows == 0 || grid.cols == 0 {
-        return grid;
-    }
-    let workers = pool.workers();
-    let block = grid.rows.div_ceil(workers).max(1);
-    let mut cur = Arc::new(grid);
-    for _ in 0..steps {
-        let group = TaskGroup::new();
-        let slices: Arc<Vec<Mutex<Vec<f64>>>> = Arc::new(
-            (0..cur.rows.div_ceil(block))
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-        );
-        for (bi, r0) in (0..cur.rows).step_by(block).enumerate() {
-            let r1 = (r0 + block).min(cur.rows);
-            let cur2 = Arc::clone(&cur);
-            let slices2 = Arc::clone(&slices);
-            let ticket = group.add();
-            pool.spawn(move || {
-                let mut out = vec![0.0; (r1 - r0) * cur2.cols];
-                step_rows(&cur2, &mut out, r0, r1);
-                *lock(&slices2[bi]) = out;
-                ticket.done();
-            });
-        }
-        group.wait();
-        let mut data = Vec::with_capacity(cur.rows * cur.cols);
-        for s in slices.iter() {
-            data.extend_from_slice(&lock(s));
-        }
-        cur = Arc::new(Grid2d {
-            rows: cur.rows,
-            cols: cur.cols,
-            data,
-        });
-    }
-    Arc::try_unwrap(cur).unwrap_or_else(|arc| (*arc).clone())
-}
-
-/// Sequential 2-D reference.
-pub fn stencil_2d_seq(grid: &Grid2d, steps: u32) -> Grid2d {
-    let mut cur = grid.clone();
-    for _ in 0..steps {
-        let mut out = vec![0.0; cur.rows * cur.cols];
-        step_rows(&cur, &mut out, 0, cur.rows);
-        cur = Grid2d {
-            rows: cur.rows,
-            cols: cur.cols,
-            data: out,
-        };
-    }
-    cur
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,41 +100,5 @@ mod tests {
         // With absorbing boundaries everything decays.
         assert!(out.iter().all(|v| *v < 10.0), "{out:?}");
         pool.shutdown();
-    }
-
-    #[test]
-    fn stencil2d_matches_sequential() {
-        let grid = Grid2d::from_fn(13, 9, |r, c| ((r * 7 + c * 3) % 11) as f64);
-        let pool = Pool::new(4, true);
-        let par = stencil_2d(&pool, grid.clone(), 12);
-        let seq = stencil_2d_seq(&grid, 12);
-        assert_eq!(par.rows, seq.rows);
-        for (a, b) in par.data.iter().zip(seq.data.iter()) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        pool.shutdown();
-    }
-
-    #[test]
-    fn stencil2d_edge_shapes() {
-        let pool = Pool::new(3, true);
-        // Single row, single column, 1x1, zero steps.
-        for (r, c) in [(1usize, 8usize), (8, 1), (1, 1)] {
-            let g = Grid2d::from_fn(r, c, |x, y| (x + y) as f64);
-            let par = stencil_2d(&pool, g.clone(), 5);
-            let seq = stencil_2d_seq(&g, 5);
-            assert_eq!(par, seq, "shape {r}x{c}");
-        }
-        let g = Grid2d::from_fn(4, 4, |x, y| (x * y) as f64);
-        assert_eq!(stencil_2d(&pool, g.clone(), 0), g);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn grid2d_accessors() {
-        let g = Grid2d::from_fn(2, 3, |r, c| (r * 10 + c) as f64);
-        assert_eq!(g.at(0, 0), 0.0);
-        assert_eq!(g.at(1, 2), 12.0);
-        assert_eq!(g.data.len(), 6);
     }
 }

@@ -21,7 +21,7 @@
 //! The same property lets most reads skip the lock. Each stripe's
 //! `Mutex<SlotTable>` stays the authority for binding, waiters, allocation
 //! and reclaim; beside it sits a *view*: one `(tag, payload)` word pair per
-//! slot in an append-only [`Chunks`] array anyone may read.
+//! slot in an append-only `Chunks` array (`chunks.rs`) anyone may read.
 //!
 //! * **Publish.** `commit`, holding the stripe lock, stores the payload and
 //!   then the tag. `Int`, `Float`, `Atom`, `Nil`, `Port` and a `Var` alias

@@ -326,22 +326,9 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style backend override.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Builder-style execution-tier override.
     pub fn exec(mut self, exec: ExecMode) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Builder: run on the reference interpreter instead of the compiled
-    /// tier.
-    pub fn interpreted(mut self) -> Self {
-        self.exec = ExecMode::Interpreted;
         self
     }
 }
@@ -373,7 +360,7 @@ mod tests {
     fn exec_tier_defaults_to_compiled() {
         assert_eq!(MachineConfig::default().exec, ExecMode::Compiled);
         assert_eq!(
-            MachineConfig::default().interpreted().exec,
+            MachineConfig::default().exec(ExecMode::Interpreted).exec,
             ExecMode::Interpreted
         );
     }

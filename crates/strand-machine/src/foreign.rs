@@ -53,8 +53,7 @@ enum Entry {
 /// A portable library of pure foreign procedures and sinks. Unlike closures
 /// registered with [`Machine::register_foreign`], a library is `Clone` and
 /// can be installed on any machine — this is how foreign code travels
-/// through the [`crate::backend::ExecBackend`] interface to whichever engine
-/// runs it.
+/// through [`crate::run_parsed_goal_with_lib`] to whichever engine runs it.
 #[derive(Clone, Default)]
 pub struct ForeignLib {
     entries: Vec<(String, usize, LibEntry)>,

@@ -40,7 +40,7 @@ pub mod trace;
 mod worker;
 mod world;
 
-pub use backend::{backend_for, register_parallel_backend, DeterministicBackend, ExecBackend};
+pub use backend::register_parallel_backend;
 pub use config::{Backend, EdgeFaults, ExecMode, FaultPlan, MachineConfig};
 pub use foreign::{ForeignFn, ForeignLib};
 pub use machine::{
@@ -52,7 +52,7 @@ pub use trace::{render_trace, trace_summary, TraceEvent};
 
 use std::collections::{BTreeMap, HashMap};
 use strand_core::{Atom, StrandError, StrandResult, Term};
-use strand_parse::{parse_program, Ast};
+use strand_parse::{compile_program, parse_program, parse_term, Ast};
 
 /// Result of running a goal: the final report plus the resolved values of
 /// the goal's named variables.
@@ -157,14 +157,30 @@ pub fn run_parsed_goal(
 }
 
 /// Like [`run_parsed_goal`], with a library of pure foreign procedures
-/// installed on whichever engine runs the goal.
+/// installed on whichever engine runs the goal: the simulator here, or the
+/// function [`register_parallel_backend`] was given.
 pub fn run_parsed_goal_with_lib(
     program: &strand_parse::Program,
     goal_src: &str,
     config: MachineConfig,
     lib: &ForeignLib,
 ) -> StrandResult<GoalResult> {
-    backend::backend_for(&config)?.run_program(program, goal_src, config, lib)
+    if let Backend::Parallel { .. } = config.backend {
+        return backend::run_parallel(program, goal_src, config, lib);
+    }
+    let goal_ast = parse_term(goal_src).map_err(|e| StrandError::Other(e.to_string()))?;
+    let compiled = compile_program(program).map_err(|e| StrandError::Other(e.to_string()))?;
+    let mut machine = Machine::new(compiled, config);
+    machine.install_lib(lib);
+    let mut vars = BTreeMap::new();
+    let goal = ast_to_term(&goal_ast, &mut machine, &mut vars);
+    machine.start(goal);
+    let report = machine.run()?;
+    let bindings = vars
+        .into_iter()
+        .map(|(name, term)| (name, machine.store().resolve(&term)))
+        .collect();
+    Ok(GoalResult { report, bindings })
 }
 
 #[cfg(test)]

@@ -49,12 +49,11 @@ impl Machine {
     }
 
     /// Reduce up to `max_steps` owned processes, by the same earliest-event
-    /// selection and [`step`](Machine::step) as the simulator's `run`
-    /// restricted to this shard's nodes. A shard has no global virtual time,
-    /// so its nodes' scheduled crashes fire here, once the run-global
-    /// reduction count reaches them; the peers' share of that count is
-    /// sampled once, here, and held for the whole drain (see
-    /// [`Machine::budget_spent`]).
+    /// selection and `step` as the simulator's `run` restricted to this
+    /// shard's nodes. A shard has no global virtual time, so its nodes'
+    /// scheduled crashes fire here, once the run-global reduction count
+    /// reaches them; the peers' share of that count is sampled once, here,
+    /// and held for the whole drain (see `Machine::budget_spent`).
     pub fn drain_local(&mut self, max_steps: u32) -> StrandResult<DrainState> {
         self.sample_peers();
         while let Some((node, at)) = self.next_crash() {

@@ -17,14 +17,14 @@
 //!   stripes in index order);
 //! * cross-worker events — remote spawns, port sends, binding wakeups —
 //!   are buffered per destination and shipped as *batches* over crossbeam
-//!   channels (a batch flushes at [`BATCH_MAX`] events or when the worker
+//!   channels (a batch flushes at `BATCH_MAX` events or when the worker
 //!   runs out of local work), amortising channel traffic;
 //! * *pure* foreign procedures ([`strand_machine::ForeignLib`]) run inline
 //!   on the owning worker — there is no lock to hold, so native
 //!   computation on one worker genuinely overlaps everything else;
 //! * idle workers park inside a blocking `recv`; termination is detected
 //!   by a single token counter over busy workers and in-flight batches
-//!   (incremented *before* every send), model-checked in [`quiesce`] —
+//!   (incremented *before* every send), model-checked in `quiesce.rs` —
 //!   reaching zero proves global quiescence and the worker that observes
 //!   it broadcasts stop.
 //!
@@ -90,16 +90,16 @@ pub use resident::ResidentHandle;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use quiesce::Tokens;
-use skeletons::WorkerSet;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use strand_core::{StrandError, StrandResult, Term};
 use strand_machine::{
-    ast_to_term, merge_shard_reports, Backend, DrainState, ExecBackend, ForeignLib, GoalResult,
-    Machine, MachineConfig, Routed, RunReport, SharedWorld,
+    ast_to_term, merge_shard_reports, Backend, DrainState, ForeignLib, GoalResult, Machine,
+    MachineConfig, Routed, RunReport, SharedWorld,
 };
 use strand_parse::{compile_program, parse_term, Program};
 
@@ -156,31 +156,12 @@ struct Shared {
     wheel: timers::TimerWheel,
 }
 
-/// The multi-threaded engine. Select it with
-/// [`MachineConfig::parallel`](strand_machine::MachineConfig::parallel)
-/// after calling [`install`].
-pub struct ParallelBackend;
-
-impl ExecBackend for ParallelBackend {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn run_program(
-        &self,
-        program: &Program,
-        goal_src: &str,
-        config: MachineConfig,
-        lib: &ForeignLib,
-    ) -> StrandResult<GoalResult> {
-        run_parallel(program, goal_src, config, lib)
-    }
-}
-
-/// Register this engine for [`Backend::Parallel`] configs. Idempotent; call
-/// once anywhere before running a goal with a parallel config.
+/// Register this engine for [`Backend::Parallel`] configs — select it with
+/// [`MachineConfig::parallel`](strand_machine::MachineConfig::parallel).
+/// Idempotent; call once anywhere before running a goal with a parallel
+/// config.
 pub fn install() {
-    strand_machine::register_parallel_backend(Box::new(ParallelBackend));
+    strand_machine::register_parallel_backend(run_parallel);
 }
 
 /// Worker threads a config resolves to: explicit request, or the host's
@@ -208,10 +189,10 @@ fn run_parallel(
     config: MachineConfig,
     lib: &ForeignLib,
 ) -> StrandResult<GoalResult> {
-    let (fleet, _) = Fleet::launch(program, goal_src, config, lib, false)?;
+    let (mut fleet, _) = Fleet::launch(program, goal_src, config, lib, false)?;
+    let vars = std::mem::take(&mut fleet.vars);
     let (report, machines) = fleet.collect(None)?;
-    let bindings = fleet
-        .vars
+    let bindings = vars
         .into_iter()
         .map(|(name, term)| (name, machines[0].store().resolve(&term)))
         .collect();
@@ -225,10 +206,9 @@ fn run_parallel(
 /// stops it on shutdown.
 struct Fleet {
     shared: Arc<Shared>,
-    workers: WorkerSet,
-    /// Each worker takes its machine out of its slot and puts it back on
-    /// exit, so the shard reports can be merged after the join.
-    slots: Arc<Vec<Mutex<Option<Machine>>>>,
+    /// One per shard, in index order; each hands back its machine when its
+    /// worker exits, so the shard reports can be merged after the join.
+    workers: Vec<JoinHandle<Machine>>,
     /// The seed goal's named variables.
     vars: BTreeMap<String, Term>,
     t0: Instant,
@@ -265,13 +245,8 @@ impl Fleet {
         // Node 0 belongs to worker 0, so the seed goal lands in its own heap.
         machines[0].start(goal);
 
-        let mut senders = Vec::with_capacity(threads);
-        let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = bounded::<Msg>(CHANNEL_CAP);
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..threads).map(|_| bounded::<Msg>(CHANNEL_CAP)).unzip();
         let shared = Arc::new(Shared {
             tokens: Tokens::new(threads as u64),
             senders,
@@ -283,62 +258,61 @@ impl Fleet {
             resident,
             wheel: timers::TimerWheel::new(resident),
         });
-        let slots: Arc<Vec<Mutex<Option<Machine>>>> =
-            Arc::new(machines.into_iter().map(|m| Mutex::new(Some(m))).collect());
-
         let t0 = Instant::now();
         let name = if resident {
             "strand-serve"
         } else {
             "strand-node"
         };
-        let workers = WorkerSet::spawn(threads, name, |idx| {
-            let shared = Arc::clone(&shared);
-            let slots = Arc::clone(&slots);
-            let rx = receivers[idx].take().expect("one receiver per worker");
-            Box::new(move || {
-                let mut m = lock(&slots[idx]).take().expect("one machine per worker");
-                // A panic anywhere in the shard (engine bug, foreign closure)
-                // must not leave peers parked forever: surface it and stop.
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, idx, &rx, &mut m)));
-                if outcome.is_err() {
-                    fatal(
-                        &shared,
-                        StrandError::Other("worker panicked during reduction".to_string()),
-                    );
-                }
-                *lock(&slots[idx]) = Some(m);
+        let workers = machines
+            .into_iter()
+            .zip(receivers)
+            .enumerate()
+            .map(|(idx, (mut m, rx))| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("{name}-{idx}"))
+                    .spawn(move || {
+                        // A panic anywhere in the shard (engine bug, foreign
+                        // closure) must not leave peers parked forever:
+                        // surface it and stop.
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            worker_loop(&shared, idx, &rx, &mut m)
+                        }));
+                        if outcome.is_err() {
+                            fatal(&shared, worker_panicked());
+                        }
+                        m
+                    })
+                    .expect("spawn worker thread")
             })
-        });
+            .collect();
         let fleet = Fleet {
             shared,
             workers,
-            slots,
             vars,
             t0,
         };
         Ok((fleet, ingress))
     }
 
-    /// Join the workers (which must have been told, or have decided, to
-    /// stop) and merge every shard's report — plus `ingress`'s, so a
-    /// service's serve counters and reclamation totals survive into the
+    /// Join the workers in index order (they must have been told, or have
+    /// decided, to stop) and merge every shard's report — plus `ingress`'s,
+    /// so a service's serve counters and reclamation totals survive into the
     /// summary. Returns the machines too: their stores hold the answers.
-    fn collect(&self, ingress: Option<Machine>) -> StrandResult<(RunReport, Vec<Machine>)> {
-        self.workers.join();
+    fn collect(self, ingress: Option<Machine>) -> StrandResult<(RunReport, Vec<Machine>)> {
+        let joined: Vec<_> = self.workers.into_iter().map(|h| h.join()).collect();
         let wall_ns = self.t0.elapsed().as_nanos() as u64;
         if let Some(e) = lock(&self.shared.fatal).take() {
             return Err(e);
         }
+        let mut machines = joined
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|_| worker_panicked())?;
+        machines.extend(ingress);
         let truncated = self.shared.truncated.load(Ordering::Acquire);
         let threads = self.shared.threads;
-        let mut machines: Vec<Machine> = self
-            .slots
-            .iter()
-            .map(|s| lock(s).take().expect("worker returned its machine"))
-            .chain(ingress)
-            .collect();
         let parts: Vec<_> = machines.iter_mut().map(|m| m.finalize_shard()).collect();
         let worker_jobs: Vec<u64> = parts
             .iter()
@@ -579,6 +553,10 @@ fn stop(shared: &Shared) {
     }
 }
 
+fn worker_panicked() -> StrandError {
+    StrandError::Other("worker panicked during reduction".to_string())
+}
+
 fn fatal(shared: &Shared, e: StrandError) {
     let mut slot = lock(&shared.fatal);
     if slot.is_none() {
@@ -591,7 +569,7 @@ fn fatal(shared: &Shared, e: StrandError) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strand_machine::{run_goal, FaultPlan, RunStatus};
+    use strand_machine::{run_goal, run_parsed_goal_with_lib, FaultPlan, RunStatus};
 
     fn par(threads: u32) -> MachineConfig {
         install();
@@ -745,6 +723,33 @@ mod tests {
     fn runtime_errors_surface_with_fail_fast() {
         let err = run_goal("boom(X) :- X := 1, X := 2.", "boom(X)", par(2)).unwrap_err();
         assert!(matches!(err, StrandError::DoubleAssign { .. }), "{err}");
+    }
+
+    #[test]
+    fn worker_panic_fails_a_batch_run_without_stranding_its_peer() {
+        // `boom/2` (a bug in foreign code) panics on worker 1, node 2's
+        // owner, while worker 0 is parked waiting for X. The panic must
+        // reach the caller as an error and wake worker 0; a peer left parked
+        // would hang the join, so the run goes on a thread of its own and is
+        // given a wall-time bound.
+        let program =
+            strand_parse::parse_program("go :- boom(1, X)@2, wait(X). wait(X) :- X > 0 | true.")
+                .unwrap();
+        let mut lib = ForeignLib::new();
+        lib.register("boom", 2, |_| panic!("foreign procedure bug"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let r = run_parsed_goal_with_lib(&program, "go", par(2), &lib);
+            let _ = tx.send(r.map(|r| r.report.status));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a worker panic left the run hanging");
+        let err = outcome.unwrap_err();
+        assert!(
+            err.to_string().contains("worker panicked during reduction"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Resident execution: keep a parallel machine alive between bursts.
 //!
-//! The batch entry point ([`run_parallel`](crate::ParallelBackend)) treats
-//! global quiescence as termination: the last worker to surrender its token
-//! broadcasts stop and everyone exits. A *service* wants the opposite — the
-//! program (a Server motif, typically) drains to quiescence and then waits,
-//! suspended on its port streams, for the next external request. This
-//! module provides that mode over the very `Fleet` a batch run launches
-//! and collects — only who calls `stop` differs:
+//! The batch entry point (`run_parallel`) treats global quiescence as
+//! termination: the last worker to surrender its token broadcasts stop and
+//! everyone exits. A *service* wants the opposite — the program (a Server
+//! motif, typically) drains to quiescence and then waits, suspended on its
+//! port streams, for the next external request. This module provides that
+//! mode over the very `Fleet` a batch run launches and collects — only who
+//! calls `stop` differs:
 //!
 //! * workers run the unmodified [`worker_loop`](crate::worker_loop); the
 //!   only behavioural difference is the `resident` flag on the shared
@@ -292,6 +292,35 @@ mod tests {
         assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
         assert!(report.metrics.makespan >= 500, "cost not charged");
         assert!(report.metrics.suspensions >= 1, "{:?}", report.metrics);
+    }
+
+    #[test]
+    fn worker_panic_stops_a_resident_fleet_and_shutdown_reports_it() {
+        // `boom/2` (a bug in foreign code) panics on node 2's worker. The
+        // service must read as stopping, so it stops admitting, and
+        // shutdown must return the panic instead of a report.
+        let program =
+            parse_program("boot. go :- boom(1, X)@2, wait(X). wait(X) :- X > 0 | true.").unwrap();
+        let mut lib = ForeignLib::new();
+        lib.register("boom", 2, |_| panic!("foreign procedure bug"));
+        let cfg = MachineConfig::with_nodes(4).parallel(2);
+        let h = ResidentHandle::start(&program, "boot", cfg, &lib).unwrap();
+        assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
+        assert!(!h.is_stopping());
+        inject_goal(&h, 1, "go");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !h.is_stopping() {
+            assert!(
+                Instant::now() < deadline,
+                "the panic never stopped the fleet"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let err = h.shutdown().unwrap_err();
+        assert!(
+            err.to_string().contains("worker panicked during reduction"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ use algorithmic_motifs::motifs::{
 };
 use algorithmic_motifs::strand_core::Term;
 use algorithmic_motifs::strand_machine::{
-    run_parsed_goal, FaultPlan, GoalResult, MachineConfig, RunStatus,
+    run_parsed_goal, ExecMode, FaultPlan, GoalResult, MachineConfig, RunStatus,
 };
 use algorithmic_motifs::strand_parallel;
 use bench::{FIGURE2_HANDWRITTEN, PAPER_TREE, RING_APP};
@@ -139,7 +139,7 @@ fn assert_conform(
     // Third column: the reference interpreter under the same deterministic
     // scheduler. The compiled tier (cfg default) must be bit-identical to
     // it — no renaming slack, no multiset fallback.
-    let interp = run_parsed_goal(program, goal, cfg.clone().interpreted())
+    let interp = run_parsed_goal(program, goal, cfg.clone().exec(ExecMode::Interpreted))
         .unwrap_or_else(|e| panic!("{label}: interpreted run: {e}"));
     assert_eq!(
         det.bindings, interp.bindings,
@@ -471,7 +471,7 @@ fn conform_supervise_ring() {
     let goal = "create(4, token(1))";
     let cfg = MachineConfig::with_nodes(4).seed(47);
     let det = run_parsed_goal(&program, goal, cfg.clone()).unwrap();
-    let interp = run_parsed_goal(&program, goal, cfg.clone().interpreted()).unwrap();
+    let interp = run_parsed_goal(&program, goal, cfg.clone().exec(ExecMode::Interpreted)).unwrap();
     assert_eq!(
         det.report.output, interp.report.output,
         "supervise-ring: compiled tier must replay the interpreter exactly"
@@ -793,7 +793,7 @@ proptest! {
             let cfg = MachineConfig::with_nodes(p).seed(machine_seed);
             let det = run_parsed_goal(&program, &goal, cfg.clone()).unwrap();
             prop_assert_eq!(det.bindings["Value"].to_string(), expected.clone());
-            let interp = run_parsed_goal(&program, &goal, cfg.clone().interpreted()).unwrap();
+            let interp = run_parsed_goal(&program, &goal, cfg.clone().exec(ExecMode::Interpreted)).unwrap();
             prop_assert_eq!(&det.bindings, &interp.bindings);
             prop_assert_eq!(&det.report.output, &interp.report.output);
             prop_assert_eq!(
