@@ -1107,9 +1107,8 @@ const EXPERIMENTS: &[(&str, Render)] = &[
     ("a2-faults", || a2_faults().render()),
     ("e8-sim", || e8_sim().render()),
     ("e1-threads", || e1_threads().render()),
-    ("b1-parallel", || {
-        crate::parallel_bench::b1_parallel_table(false).render()
-    }),
+    ("b1-parallel", || crate::b1_parallel().render()),
+    ("c1-serve", || crate::c1_serve().render()),
 ];
 
 /// Names accepted by [`experiment`], in `motif-bench` run order.

@@ -20,22 +20,22 @@
 //! * `seqalign` — progressive RNA alignment with the native `align_node`
 //!   as a pure foreign procedure, computed outside the machine lock.
 //!
-//! `motif-bench parallel-json` records the rows (`out/BENCH_parallel.json`);
-//! the committed `BENCH_parallel_sharded.json` is a full recording.
+//! `motif-bench b1-parallel` prints the sweep. One run is one sample, so the
+//! table shows the shape of the scaling, not a figure to compare across
+//! commits; `perfbench`'s `motif-tree-par` workload is the timed protocol.
 
-use crate::series::Series;
 use crate::table::Table;
 use motifs::{random_tree_src, tree_reduce_1};
 use std::time::{Duration, Instant};
 use strand_core::{StrandResult, Term};
-use strand_machine::{run_parsed_goal_with_lib, ForeignLib, GoalResult, MachineConfig};
+use strand_machine::{run_parsed_goal_with_lib, ForeignLib, MachineConfig};
 use strand_parse::{parse_program, Program};
 
 /// Timed-work foreign library: `nspin(Ns, Done)` burns CPU for `Ns`
 /// nanoseconds, `nsleep(Ns, Done)` blocks for `Ns` nanoseconds. Both bind
 /// `Done := done` and charge one virtual tick — they model node work whose
 /// cost is real time, not virtual time.
-pub fn timed_work_lib() -> ForeignLib {
+fn timed_work_lib() -> ForeignLib {
     fn ns_arg(args: &[Term]) -> StrandResult<u64> {
         match &args[0] {
             Term::Int(n) if *n >= 0 => Ok(*n as u64),
@@ -95,8 +95,8 @@ fn tree_workload(leaves: u32, work_ns: u64, timed_proc: &str) -> (Program, Strin
 }
 
 /// Progressive RNA alignment on Tree-Reduce-1 with the native aligner as a
-/// pure foreign procedure (also the compiled series' `seqalign` row).
-pub(crate) fn seqalign_workload(leaves: usize) -> (Program, String, ForeignLib) {
+/// pure foreign procedure.
+fn seqalign_workload(leaves: usize) -> (Program, String, ForeignLib) {
     use seqalign::{align_lib, generate_family, guide_tree, guide_tree_src, FamilyParams};
     let params = seqalign::ScoreParams::default();
     let fam = generate_family(&FamilyParams {
@@ -117,88 +117,101 @@ pub(crate) fn seqalign_workload(leaves: usize) -> (Program, String, ForeignLib) 
     )
 }
 
-fn timed_run(
-    program: &Program,
-    goal: &str,
-    cfg: MachineConfig,
-    lib: &ForeignLib,
-) -> (GoalResult, u64) {
+/// Wall-clock nanoseconds of one run.
+fn timed_run(program: &Program, goal: &str, cfg: MachineConfig, lib: &ForeignLib) -> u64 {
     let t0 = Instant::now();
-    let r = run_parsed_goal_with_lib(program, goal, cfg, lib).expect("workload runs");
-    (r, t0.elapsed().as_nanos() as u64)
+    run_parsed_goal_with_lib(program, goal, cfg, lib).expect("workload runs");
+    t0.elapsed().as_nanos() as u64
 }
 
-/// Run the B-series. `quick` shrinks the workloads and stops at 2 threads —
-/// the CI smoke configuration; the full run sweeps 1/2/4/8 threads.
-pub fn b1_parallel(quick: bool) -> Series {
-    strand_parallel::install();
-    let thread_counts: &[u32] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let (hops, hop_ns) = if quick {
-        (16, 500_000)
-    } else {
-        (48, 1_000_000)
-    };
-    let (leaves, work_ns) = if quick {
-        (16, 1_000_000)
-    } else {
-        (64, 3_000_000)
-    };
-    let align_leaves = if quick { 8 } else { 16 };
+/// The sizes of one sweep: thread counts, the ring's hops, the trees'
+/// leaves and per-node work, and the alignment family's size.
+struct Shape {
+    threads: &'static [u32],
+    hops: u32,
+    hop_ns: u64,
+    leaves: u32,
+    work_ns: u64,
+    align_leaves: usize,
+}
 
+/// The sweep `motif-bench b1-parallel` prints.
+const FULL: Shape = Shape {
+    threads: &[1, 2, 4, 8],
+    hops: 48,
+    hop_ns: 1_000_000,
+    leaves: 64,
+    work_ns: 3_000_000,
+    align_leaves: 16,
+};
+
+/// One row of the B1 sweep: a workload on one backend.
+struct ParallelPoint {
+    workload: &'static str,
+    /// `"simulator"` (the baseline) or `"parallel"`.
+    backend: &'static str,
+    threads: u32,
+    wall_ns: u64,
+    /// Simulator wall-clock over this row's wall-clock.
+    speedup: f64,
+}
+
+fn sweep(shape: &Shape) -> Vec<ParallelPoint> {
+    strand_parallel::install();
     let timed = timed_work_lib();
-    let (align_prog, align_goal, align) = seqalign_workload(align_leaves);
+    let (align_prog, align_goal, align) = seqalign_workload(shape.align_leaves);
     let workloads: Vec<(&'static str, Program, String, &ForeignLib)> = vec![
         {
-            let (p, g) = ring_workload(hops, hop_ns);
+            let (p, g) = ring_workload(shape.hops, shape.hop_ns);
             ("ring", p, g, &timed)
         },
         {
-            let (p, g) = tree_workload(leaves, work_ns, "nspin");
+            let (p, g) = tree_workload(shape.leaves, shape.work_ns, "nspin");
             ("tree-reduce", p, g, &timed)
         },
         {
-            let (p, g) = tree_workload(leaves, work_ns, "nsleep");
+            let (p, g) = tree_workload(shape.leaves, shape.work_ns, "nsleep");
             ("tree-reduce-io", p, g, &timed)
         },
         ("seqalign", align_prog, align_goal, &align),
     ];
 
-    let mut series = Series::new("parallel");
-    for (name, program, goal, lib) in &workloads {
+    let mut points = Vec::new();
+    for (workload, program, goal, lib) in &workloads {
         let cfg = MachineConfig::with_nodes(8).seed(7);
-        let (_base, base_ns) = timed_run(program, goal, cfg.clone(), lib);
-        let mut row = |backend: &str, threads: u32, wall_ns: u64| {
-            series.push([
-                ("workload", (*name).into()),
-                ("backend", backend.into()),
-                ("threads", threads.into()),
-                ("wall_ns", wall_ns.into()),
-                ("speedup", (base_ns as f64 / wall_ns.max(1) as f64).into()),
-            ]);
+        let base_ns = timed_run(program, goal, cfg.clone(), lib);
+        let mut row = |backend, threads, wall_ns: u64| {
+            points.push(ParallelPoint {
+                workload,
+                backend,
+                threads,
+                wall_ns,
+                speedup: base_ns as f64 / wall_ns.max(1) as f64,
+            })
         };
         row("simulator", 1, base_ns);
-        for &threads in thread_counts {
-            let (_r, wall_ns) = timed_run(program, goal, cfg.clone().parallel(threads), lib);
+        for &threads in shape.threads {
+            let wall_ns = timed_run(program, goal, cfg.clone().parallel(threads), lib);
             row("parallel", threads, wall_ns);
         }
     }
-    series
+    points
 }
 
-/// Render the B-series as an experiment table.
-pub fn b1_parallel_table(quick: bool) -> Table {
-    let series = b1_parallel(quick);
+/// B1: wall-clock speedup of the multi-threaded backend over the simulator
+/// at 1/2/4/8 threads.
+pub fn b1_parallel() -> Table {
     let mut t = Table::new(
         "B1: wall-clock speedup, multi-threaded backend vs simulator",
         &["workload", "backend", "threads", "wall ms", "speedup"],
     );
-    for p in &series.points {
+    for p in sweep(&FULL) {
         t.row(vec![
-            p.text("workload").to_string(),
-            p.text("backend").to_string(),
-            p.int("threads").to_string(),
-            format!("{:.2}", p.int("wall_ns") as f64 / 1e6),
-            format!("{:.2}x", p.real("speedup")),
+            p.workload.to_string(),
+            p.backend.to_string(),
+            p.threads.to_string(),
+            format!("{:.2}", p.wall_ns as f64 / 1e6),
+            format!("{:.2}x", p.speedup),
         ]);
     }
     t.note("speedup = simulator wall-clock / this row's wall-clock.");
@@ -210,62 +223,28 @@ pub fn b1_parallel_table(quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::{self, Point};
-
-    const WORKLOADS: [&str; 4] = ["ring", "tree-reduce", "tree-reduce-io", "seqalign"];
-
-    fn rows<'a>(s: &'a Series, workload: &str, backend: &str) -> Vec<&'a Point> {
-        s.points
-            .iter()
-            .filter(|p| p.text("workload") == workload && p.text("backend") == backend)
-            .collect()
-    }
 
     #[test]
-    fn quick_points_cover_every_workload_and_backend() {
-        let s = b1_parallel(true);
-        for w in WORKLOADS {
-            assert_eq!(rows(&s, w, "simulator").len(), 1);
-            assert!(rows(&s, w, "parallel")
-                .iter()
-                .any(|p| p.int("threads") == 2));
-        }
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let s = b1_parallel(true);
-        let json = series::render(&s);
-        assert!(json.contains("\"workload\": \"tree-reduce-io\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let parsed = series::parse(&json).expect("the recorded series re-parses");
-        assert_eq!(parsed.points.len(), s.points.len());
-        assert_eq!(series::render(&parsed), json);
-    }
-
-    #[test]
-    fn committed_snapshot_parses_and_is_self_consistent() {
-        // No performance threshold: the B-series is host-shaped. What the
-        // gate pins is that the snapshot is readable, complete, and that
-        // every speedup is the ratio of the two wall-clocks it sits beside.
-        let s = series::committed("parallel").expect("committed snapshot");
-        for w in WORKLOADS {
-            assert_eq!(rows(&s, w, "simulator").len(), 1, "{w}: simulator rows");
-            assert!(!rows(&s, w, "parallel").is_empty(), "{w}: parallel rows");
-        }
-        for p in &s.points {
-            let w = p.text("workload");
-            let base = rows(&s, w, "simulator")
-                .first()
-                .unwrap_or_else(|| panic!("row of unknown workload {w}"))
-                .int("wall_ns");
-            let ratio = base as f64 / p.int("wall_ns") as f64;
-            assert!(
-                (p.real("speedup") - ratio).abs() < 0.000_051,
-                "{w} at {} threads: speedup {} beside a wall-clock ratio of {ratio}",
-                p.int("threads"),
-                p.real("speedup")
-            );
+    fn a_small_sweep_covers_every_workload_on_both_backends() {
+        let small = Shape {
+            threads: &[1, 2],
+            hops: 16,
+            hop_ns: 500_000,
+            leaves: 16,
+            work_ns: 1_000_000,
+            align_leaves: 8,
+        };
+        let points = sweep(&small);
+        for w in ["ring", "tree-reduce", "tree-reduce-io", "seqalign"] {
+            let rows = |backend: &str| {
+                points
+                    .iter()
+                    .filter(|p| p.workload == w && p.backend == backend)
+                    .map(|p| p.threads)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(rows("simulator"), [1], "{w}: one simulator row");
+            assert!(rows("parallel").contains(&2), "{w}: a 2-thread row");
         }
     }
 }

@@ -1,10 +1,9 @@
-//! The `motif-bench serve-json` mode: the C-series load test for the
-//! resident service (`strand-serve`).
+//! C1: the resident service (`strand-serve`) under concurrent TCP load.
 //!
-//! Each point hammers a freshly booted doubler service over **loopback
+//! Each burst hammers a freshly booted doubler service over **loopback
 //! TCP** with a swarm of concurrent synthetic clients — every client is a
 //! real connection (hence a real session region) issuing a fixed number of
-//! requests and validating every reply. Three questions per burst size:
+//! requests and validating every reply. Three questions per burst:
 //!
 //! * **completeness** — `lost` must be 0: every admitted request got its
 //!   `OK` reply (BUSY backpressure answers are retried, and the retries
@@ -13,30 +12,22 @@
 //!   requests, and completed requests per second over the burst wall time.
 //! * **residency** — after the burst drains the engine must have *parked*
 //!   (`idle_parks > 0`), not terminated, and session close must have
-//!   reclaimed store slots (`vars_reclaimed`), which is what bounds a
+//!   reclaimed store slots (`vars_reclaimed > 0`), which is what bounds a
 //!   long-lived process. Both come from the service's own merged metrics.
 //!
-//! `--quick` runs small bursts for CI smoke; the full run's largest burst
-//! is 1000 concurrent clients, matching the acceptance bar. On a
-//! single-core host the numbers measure scheduling overhead as much as
-//! the engine — `host_parallelism` is recorded in the snapshot so readers
-//! can judge (the gate checks completeness and residency, which are
-//! host-independent, plus sane latency ordering — not absolute speed).
-//!
-//! Per row: `requests` is clients × requests-per-client, `completed` those
-//! answered `OK` with the correct value, `lost` the difference (the
-//! zero-loss acceptance bar) and `busy_retries` the `BUSY` answers absorbed
-//! by client retries. `idle_parks` counts the engine parking at global
-//! quiescence instead of exiting — nonzero proves the service went *idle*,
-//! not *terminated*; `vars_reclaimed` counts store slots reclaimed by
-//! session close — nonzero proves bounded growth across sessions.
+//! `motif-bench c1-serve` runs 16, 256 and 1000 clients, plain and under
+//! `Supervise ∘ Server`. One run is one sample: the latency columns show
+//! the shape, not a figure to compare across commits (`perfbench`'s
+//! `serve-*` workloads are the timed protocol). `tests/serve.rs` gates
+//! completeness and residency on a live 256-connection burst.
 
-use crate::series::Series;
+use crate::table::Table;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
+use strand_machine::Metrics;
 use strand_serve::{serve, MotifService, ServeBackend, ServeConfig, DOUBLER_APP};
 
 /// Drive one client connection: `count` requests of `value`, validating
@@ -98,13 +89,44 @@ fn client_burst(addr: std::net::SocketAddr, start: &Barrier, count: u64) -> (Vec
     (latencies, completed, busy)
 }
 
-/// Run one burst against a fresh resident service and record it with the
-/// service's own post-drain metrics. `supervise` composes `Supervise`
-/// over the servers, so every request rides an acked `rsend` and the
-/// heartbeat/retransmit deadlines live on the wall-clock timer wheel —
-/// the measured delta against the plain series is the cost of residency
-/// with a safety net.
-fn burst_point(series: &mut Series, clients: u64, per_client: u64, supervise: bool) {
+/// One C1 burst, measured by the clients and by the service's own
+/// post-drain metrics.
+#[derive(Debug)]
+pub struct BurstPoint {
+    pub supervised: bool,
+    /// Worker threads of the fleet (host parallelism).
+    pub threads: usize,
+    pub clients: u64,
+    /// Clients × requests per client.
+    pub requests: u64,
+    /// Requests answered `OK` with the correct value.
+    pub completed: u64,
+    /// `requests - completed`: the zero-loss bar.
+    pub lost: u64,
+    /// `BUSY` answers absorbed by client retries.
+    pub busy_retries: u64,
+    pub p50_us: u64,
+    pub p99_us: u64,
+    pub throughput_rps: f64,
+    /// Times the engine parked at global quiescence instead of exiting:
+    /// nonzero proves the service went idle, not terminated.
+    pub idle_parks: u64,
+    /// Store slots reclaimed by session close: nonzero proves bounded
+    /// growth across sessions.
+    pub vars_reclaimed: u64,
+    pub sessions_closed: u64,
+    /// The engine error the service shut down with, if any; the three
+    /// metrics above then read 0.
+    pub error: Option<String>,
+}
+
+/// Run one burst of `clients` concurrent connections, `per_client`
+/// requests each, against a fresh resident doubler service. `supervise`
+/// composes `Supervise` over the servers, so every request rides an acked
+/// `rsend` and the heartbeat/retransmit deadlines live on the wall-clock
+/// timer wheel.
+pub fn burst(clients: u64, per_client: u64, supervise: bool) -> BurstPoint {
+    strand_parallel::install();
     let cfg = ServeConfig {
         servers: 4,
         backend: ServeBackend::Parallel(0),
@@ -112,7 +134,7 @@ fn burst_point(series: &mut Series, clients: u64, per_client: u64, supervise: bo
         ..ServeConfig::default()
     };
     let service = MotifService::start(DOUBLER_APP, cfg).expect("service boots");
-    let threads = service.threads() as u32;
+    let threads = service.threads();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("ephemeral addr");
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -150,10 +172,10 @@ fn burst_point(series: &mut Series, clients: u64, per_client: u64, supervise: bo
     }
     let wall = t0.elapsed();
     shutdown.store(true, Ordering::Release);
-    let summary = serve_thread
-        .join()
-        .expect("serve loop joins")
-        .expect("serve loop exits cleanly");
+    let (m, error) = match serve_thread.join().expect("serve loop joins") {
+        Ok(summary) => (summary.report.metrics, None),
+        Err(e) => (Metrics::default(), Some(e.to_string())),
+    };
 
     let results = results.lock().unwrap_or_else(|e| e.into_inner());
     let mut latencies: Vec<u64> = results
@@ -171,96 +193,74 @@ fn burst_point(series: &mut Series, clients: u64, per_client: u64, supervise: bo
         let idx = ((latencies.len() - 1) as f64 * p).round() as usize;
         latencies[idx]
     };
-    let m = &summary.report.metrics;
-    let scenario = if supervise { "supervised" } else { "burst" };
-    series.push([
-        ("scenario", scenario.into()),
-        ("threads", threads.into()),
-        ("clients", clients.into()),
-        ("requests", requests.into()),
-        ("completed", completed.into()),
-        ("lost", (requests - completed).into()),
-        ("busy_retries", busy_retries.into()),
-        ("p50_us", pct(0.50).into()),
-        ("p99_us", pct(0.99).into()),
-        (
-            "throughput_rps",
-            (completed as f64 / wall.as_secs_f64().max(1e-9)).into(),
-        ),
-        ("idle_parks", m.idle_parks.into()),
-        ("vars_reclaimed", m.vars_reclaimed.into()),
-        ("sessions_closed", m.sessions_closed.into()),
-    ]);
-}
-
-fn serve_series(name: &str, quick: bool, supervise: bool) -> Series {
-    strand_parallel::install();
-    let bursts: &[(u64, u64)] = if quick {
-        &[(8, 5), (64, 5)]
-    } else {
-        &[(16, 20), (256, 10), (1000, 5)]
-    };
-    let mut series = Series::new(name);
-    for &(clients, per_client) in bursts {
-        burst_point(&mut series, clients, per_client, supervise);
+    BurstPoint {
+        supervised: supervise,
+        threads,
+        clients,
+        requests,
+        completed,
+        lost: requests - completed,
+        busy_retries,
+        p50_us: pct(0.50),
+        p99_us: pct(0.99),
+        throughput_rps: completed as f64 / wall.as_secs_f64().max(1e-9),
+        idle_parks: m.idle_parks,
+        vars_reclaimed: m.vars_reclaimed,
+        sessions_closed: m.sessions_closed,
+        error,
     }
-    series
 }
 
-/// Run the serve load series. `quick` keeps the bursts small for CI; the
-/// full run's top burst is 1000 concurrent clients (the acceptance bar).
-pub fn c1_serve(quick: bool) -> Series {
-    serve_series("serve", quick, false)
-}
-
-/// The supervised variant of [`c1_serve`]: identical burst shapes and
-/// fields (`scenario` reads `"supervised"`), but every request is delivered
-/// through `Supervise ∘ Server` with heartbeat, retransmit and watch
-/// deadlines armed on the wall-clock wheel. A series of its own so the
-/// plain baseline stays comparable across runs.
-pub fn c1_serve_supervised(quick: bool) -> Series {
-    serve_series("serve-supervised", quick, true)
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::series;
-
-    #[test]
-    fn committed_snapshot_parses_and_meets_targets() {
-        // The repo-root BENCH_serve.json is a recorded artifact: it must
-        // parse and must still show the acceptance bar — a ≥1000-client
-        // burst, zero lost replies anywhere, the engine parking idle
-        // between bursts, session reclamation actually freeing slots, and
-        // coherent percentiles.
-        let s = series::committed("serve").expect("committed snapshot");
-        assert!(
-            s.points.iter().any(|p| p.int("clients") >= 1000),
-            "snapshot is missing the ≥1000-client burst"
-        );
-        for p in &s.points {
-            let clients = p.int("clients");
-            assert_eq!(
-                p.int("lost"),
-                0,
-                "{clients} clients lost replies of {}",
-                p.int("requests")
-            );
-            assert_eq!(p.int("completed"), p.int("requests"));
-            assert_eq!(p.int("sessions_closed"), clients, "sessions leaked");
-            assert!(
-                p.int("idle_parks") > 0,
-                "{clients} clients: the engine never parked idle"
-            );
-            assert!(
-                p.int("vars_reclaimed") > 0,
-                "{clients} clients: session close reclaimed nothing"
-            );
-            assert!(
-                p.int("p50_us") <= p.int("p99_us"),
-                "percentiles out of order"
-            );
-            assert!(p.real("throughput_rps") > 0.0);
+/// C1: 16, 256 and 1000 concurrent clients, plain and supervised.
+pub fn c1_serve() -> Table {
+    let mut t = Table::new(
+        "C1: resident service under concurrent loopback TCP load",
+        &[
+            "scenario",
+            "threads",
+            "clients",
+            "requests",
+            "lost",
+            "busy retries",
+            "p50 us",
+            "p99 us",
+            "req/s",
+            "idle parks",
+            "vars reclaimed",
+            "sessions closed",
+            "error",
+        ],
+    );
+    let mut errors = Vec::new();
+    for supervise in [false, true] {
+        for (clients, per_client) in [(16, 20), (256, 10), (1000, 5)] {
+            let p = burst(clients, per_client, supervise);
+            t.row(vec![
+                if p.supervised { "supervised" } else { "plain" }.to_string(),
+                p.threads.to_string(),
+                p.clients.to_string(),
+                p.requests.to_string(),
+                p.lost.to_string(),
+                p.busy_retries.to_string(),
+                p.p50_us.to_string(),
+                p.p99_us.to_string(),
+                format!("{:.0}", p.throughput_rps),
+                p.idle_parks.to_string(),
+                p.vars_reclaimed.to_string(),
+                p.sessions_closed.to_string(),
+                if p.error.is_some() { "yes" } else { "-" }.to_string(),
+            ]);
+            if let Some(e) = p.error {
+                let e: String = e.chars().take(72).collect();
+                errors.push(format!("{} clients: {e}", p.clients));
+            }
         }
     }
+    t.note("lost must be 0 and sessions closed must equal clients; a BUSY");
+    t.note("answer is retried after its hint and counted, not lost.");
+    t.note("supervised = Supervise o Server: acked sends, wall-clock heartbeats.");
+    for e in errors {
+        t.note(format!("engine error at {e}"));
+    }
+    t
 }

@@ -18,17 +18,13 @@
 //! Experiment E8 (EXPERIMENTS.md) compares Tree-Reduce-1/Tree-Reduce-2/
 //! static labelings on this workload.
 
-pub mod affine;
 pub mod align;
-pub mod fasta;
 pub mod foreign;
 pub mod msa;
 pub mod rna;
 pub mod upgma;
 
-pub use affine::{align_profiles_affine, AffineParams};
 pub use align::{align_profiles, pair_distance, Alignment, Profile, ScoreParams};
-pub use fasta::{parse_fasta, render_alignment, to_fasta};
 pub use foreign::{
     align_lib, guide_tree_src, profile_to_term, register_align_node, term_to_profile, ALIGN_EVAL,
 };

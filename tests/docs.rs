@@ -8,10 +8,10 @@
 //! alternations are not. It resolves when it is a whole-component suffix of
 //! a file or directory in the tree, which admits the crate-relative
 //! (`strand-parallel/src/quiesce.rs`) and bare (`machine.rs`) spellings the
-//! docs use. `out/…` is where the recorders write and is never committed.
+//! docs use. `out/…` is run output and is never committed.
 //!
 //! Likewise every backticked `motif-bench <verb> …` names a verb the binary
-//! takes: an experiment, a recorder, `list` or `show`. (`<placeholders>`,
+//! takes: an experiment, `list` or `show`. (`<placeholders>`,
 //! flags and shell redirections after `motif-bench` are not verbs.) And
 //! every CHANGES.md entry from PR 26 on is at most 2 KB.
 
@@ -137,19 +137,14 @@ fn changes_entries_from_pr_26_on_are_at_most_2_kb() {
 #[test]
 fn every_backticked_motif_bench_verb_in_the_docs_resolves() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let verbs: Vec<&str> = bench::experiment_names()
-        .chain(bench::RECORDERS.iter().map(|(verb, ..)| *verb))
-        .chain(["list", "show"])
-        .collect();
+    let verbs: Vec<&str> = bench::experiment_names().chain(["list", "show"]).collect();
     let mut broken = Vec::new();
     let mut checked = 0;
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).expect("doc exists");
         for (line, span) in backticked(&text) {
             let mut words = span.split_whitespace();
-            // The series schema string starts with the binary's name too.
-            let schema = bench::series::SCHEMA.split_whitespace();
-            if words.next() != Some("motif-bench") || span.split_whitespace().eq(schema) {
+            if words.next() != Some("motif-bench") {
                 continue;
             }
             let Some(verb) = words.next() else { continue };

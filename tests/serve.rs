@@ -12,6 +12,8 @@
 //!   bounded: session-close reclamation really does return slots (the
 //!   free list is reused), at one worker thread and at two. Growth here
 //!   would be the week-long-process leak the region sweep exists to prevent.
+//! * **Burst** — 256 connections at once, plain and supervised: no reply
+//!   lost, every session closed, the engine parked idle, slots reclaimed.
 //! * **Close race** — sessions closed the instant their reply arrives, from
 //!   two threads with no sleep anywhere, must never see a late bind land
 //!   in a recycled slot (the reply probe is a sink; nothing follows it).
@@ -202,6 +204,34 @@ fn echo_replay_matches_batch_on_every_backend() {
     for backend in backends() {
         let got = tcp_replay(ECHO_APP, serve_cfg(backend), &payloads);
         assert_eq!(got, want, "replay diverged from batch on {backend:?}");
+    }
+}
+
+/// The C1 burst on live code: 256 concurrent connections × 5 requests,
+/// plain and then supervised. Every reply arrives, every session closes,
+/// the engine parks idle afterwards and session close reclaims slots.
+///
+/// Ignored in the regular suite because it fails in about one run in five
+/// on a 2-core host: `port_append` allocates a stream's new tail under the
+/// sending session's region, so closing that session can sweep a cell the
+/// server has not read yet. The request behind it gets no reply, or under
+/// Supervise a recycled slot gets a message list bound into it
+/// (ROADMAP, "Stream cells outlive the session that appended them").
+#[test]
+#[ignore = "stream-tail reclamation race loses replies under 256 concurrent sessions"]
+fn c_series_burst_of_256_connections_loses_no_reply() {
+    for supervise in [false, true] {
+        let p = bench::burst(256, 5, supervise);
+        let what = if supervise { "supervised" } else { "plain" };
+        assert_eq!(p.error, None, "{what}: the engine failed");
+        assert_eq!(p.lost, 0, "{what}: lost {} of {}", p.lost, p.requests);
+        assert_eq!(p.completed, p.requests, "{what}");
+        assert_eq!(p.sessions_closed, p.clients, "{what}: sessions leaked");
+        assert!(p.idle_parks > 0, "{what}: the engine never parked idle");
+        assert!(
+            p.vars_reclaimed > 0,
+            "{what}: session close reclaimed nothing"
+        );
     }
 }
 
