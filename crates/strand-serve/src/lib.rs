@@ -53,7 +53,7 @@
 //! server([req(Q, R)|In]) :- R := Q * 2, server(In).
 //! ```
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write as IoWrite};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -614,10 +614,10 @@ pub struct ServeSummary {
     /// (`sessions_opened/closed`, `requests_admitted/rejected`,
     /// `vars_reclaimed`, `idle_parks`).
     pub report: RunReport,
-    /// The most connection threads the accept loop ever held unjoined,
-    /// live or finished: bounded by peak concurrency (finished ones are
-    /// reaped at the next accept), not by connections served.
-    pub peak_handles: usize,
+    /// Connection threads the accept loop ever spawned. A thread whose
+    /// connection has closed waits for the next one, so this is bounded
+    /// by peak concurrency, not by connections served.
+    pub threads_spawned: usize,
     /// Times the accept loop woke from waiting on the listener: once per
     /// arriving connection plus once per idle poll timeout.
     pub accept_wakeups: u64,
@@ -658,10 +658,68 @@ fn wait_acceptable(listener: &TcpListener) {
     }
 }
 
-/// Accept loop: one thread per connection, a session per connection, one
-/// request per line. Returns after `shutdown` flips true (SIGINT in the
-/// binary): stops accepting, lets in-flight sessions drain (bounded by
-/// `drain`), then shuts the engine down and reports.
+/// Accepted connections waiting for a connection thread, and the count of
+/// threads waiting for one. A thread counts itself idle before it waits
+/// and the accept loop uncounts one for each stream it queues, so there
+/// are always at least as many waiting threads as queued streams.
+#[derive(Default)]
+struct HandOff {
+    waiting: Mutex<Waiting>,
+    queued: Condvar,
+}
+
+#[derive(Default)]
+struct Waiting {
+    streams: VecDeque<TcpStream>,
+    idle: usize,
+    closed: bool,
+}
+
+impl HandOff {
+    /// Queue `stream` for an idle connection thread, or hand it back when
+    /// there is none.
+    fn offer(&self, stream: TcpStream) -> Option<TcpStream> {
+        let mut waiting = lock(&self.waiting);
+        if waiting.idle == 0 {
+            return Some(stream);
+        }
+        waiting.idle -= 1;
+        waiting.streams.push_back(stream);
+        drop(waiting);
+        self.queued.notify_one();
+        None
+    }
+
+    /// Count the calling thread idle and wait for its next connection;
+    /// `None` once the hand-off is closed and nothing is queued.
+    fn next(&self) -> Option<TcpStream> {
+        let mut waiting = lock(&self.waiting);
+        waiting.idle += 1;
+        loop {
+            if let Some(stream) = waiting.streams.pop_front() {
+                return Some(stream);
+            }
+            if waiting.closed {
+                return None;
+            }
+            waiting = self.queued.wait(waiting).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Let every waiting thread, and every thread that finishes its
+    /// connection from now on, exit.
+    fn close(&self) {
+        lock(&self.waiting).closed = true;
+        self.queued.notify_all();
+    }
+}
+
+/// Accept loop: a session per connection, one request per line, each
+/// connection served by a connection thread that then waits for the next
+/// one; a thread is spawned only when none is idle. Returns after
+/// `shutdown` flips true (SIGINT in the binary): stops accepting, lets
+/// in-flight sessions drain (bounded by `drain`), then joins the
+/// connection threads, shuts the engine down and reports.
 pub fn serve(
     listener: TcpListener,
     service: MotifService,
@@ -673,43 +731,44 @@ pub fn serve(
         .map_err(|e| StrandError::Other(format!("listener: {e}")))?;
     let service = Arc::new(service);
     let active = Arc::new(AtomicUsize::new(0));
+    let handoff = Arc::new(HandOff::default());
+    // An error return leaves busy threads to finish their connections,
+    // but no idle thread waiting for one.
+    let fail = |e: String| {
+        handoff.close();
+        StrandError::Other(e)
+    };
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    let mut peak_handles = 0;
     let mut accept_wakeups = 0;
     while !shutdown.load(Ordering::Acquire) && !service.is_stopping() {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                // Join what has finished before adding one more: an
-                // unjoined thread keeps its stack mapped, and a churning
-                // client would otherwise run the process into
-                // vm.max_map_count after ~32k connections.
-                let mut i = 0;
-                while i < handles.len() {
-                    if handles[i].is_finished() {
-                        let _ = handles.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
+                active.fetch_add(1, Ordering::AcqRel);
+                let Some(stream) = handoff.offer(stream) else {
+                    continue;
+                };
                 let service = Arc::clone(&service);
                 let active = Arc::clone(&active);
                 let shutdown = Arc::clone(&shutdown);
-                active.fetch_add(1, Ordering::AcqRel);
+                let handoff = Arc::clone(&handoff);
                 let h = std::thread::Builder::new()
                     .name("strand-conn".to_string())
                     .spawn(move || {
-                        handle_connection(stream, &service, &shutdown);
-                        active.fetch_sub(1, Ordering::AcqRel);
+                        let mut next = Some(stream);
+                        while let Some(stream) = next {
+                            handle_connection(stream, &service, &shutdown);
+                            active.fetch_sub(1, Ordering::AcqRel);
+                            next = handoff.next();
+                        }
                     })
-                    .map_err(|e| StrandError::Other(format!("spawn: {e}")))?;
+                    .map_err(|e| fail(format!("spawn: {e}")))?;
                 handles.push(h);
-                peak_handles = peak_handles.max(handles.len());
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 wait_acceptable(&listener);
                 accept_wakeups += 1;
             }
-            Err(e) => return Err(StrandError::Other(format!("accept: {e}"))),
+            Err(e) => return Err(fail(format!("accept: {e}"))),
         }
     }
     drop(listener); // reject new connections while draining
@@ -717,6 +776,8 @@ pub fn serve(
     while active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
+    handoff.close();
+    let threads_spawned = handles.len();
     for h in handles {
         let _ = h.join();
     }
@@ -725,7 +786,7 @@ pub fn serve(
     let report = service.shutdown()?;
     Ok(ServeSummary {
         report,
-        peak_handles,
+        threads_spawned,
         accept_wakeups,
     })
 }
@@ -740,11 +801,8 @@ fn handle_connection(stream: TcpStream, service: &MotifService, shutdown: &Atomi
     // One write per response, and no Nagle: a request/reply protocol of
     // tiny frames otherwise spends ~40ms per turn in delayed-ACK limbo.
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     let session = service.open_session();
     let mut line = Vec::new();
     loop {
@@ -1047,10 +1105,32 @@ mod tests {
     }
 
     #[test]
-    fn accept_loop_reaps_finished_connection_threads() {
-        // 500 connections, one alive at a time: the loop must join each
-        // thread once it is done instead of holding all 500 handles (and
-        // their stacks) until shutdown.
+    fn a_mid_request_disconnect_leaves_nothing_to_the_next_connection() {
+        // The client leaves half a request behind. Whichever thread serves
+        // the next connection, it must start from an empty line and a
+        // fresh session: `123` would be answered `OK 246`.
+        let (addr, shutdown, loop_thread) = spawn_serve();
+        let quitter = TcpStream::connect(addr).unwrap();
+        (&quitter).write_all(b"12").unwrap();
+        drop(quitter);
+        // Not needed for the assertions, which hold whichever thread takes
+        // the next connection: the pause lets the quitter's thread go idle
+        // first, so that on a host with a core to spare it is that thread.
+        std::thread::sleep(Duration::from_millis(100));
+        let next = TcpStream::connect(addr).unwrap();
+        assert_eq!(ask(&next, "3\n"), "OK 6\n");
+        drop(next);
+        shutdown.store(true, Ordering::Release);
+        let metrics = loop_thread.join().unwrap().unwrap().report.metrics;
+        assert_eq!(metrics.sessions_opened, 2);
+        assert_eq!(metrics.sessions_closed, 2);
+    }
+
+    #[test]
+    fn sequential_connections_reuse_connection_threads() {
+        // 500 connections, one alive at a time: a thread whose connection
+        // has closed takes the next one, so the loop spawns a handful of
+        // threads, not 500.
         let (addr, shutdown, loop_thread) = spawn_serve();
         let cycles = 500u64;
         for q in 0..cycles {
@@ -1061,9 +1141,9 @@ mod tests {
         let summary = loop_thread.join().unwrap().unwrap();
         assert_eq!(summary.report.metrics.sessions_closed, cycles);
         assert!(
-            summary.peak_handles <= 16,
-            "{} handles retained for one live connection",
-            summary.peak_handles
+            summary.threads_spawned <= 16,
+            "{} threads spawned for one live connection at a time",
+            summary.threads_spawned
         );
     }
 
