@@ -72,113 +72,139 @@ pub enum Evaled {
 /// assert_eq!(eval_arith(&e, &store).unwrap(), Evaled::Num(Num::Int(11)));
 /// ```
 pub fn eval_arith<S: StoreOps>(expr: &Term, store: &S) -> StrandResult<Evaled> {
+    // One suspension list for the whole expression, allocated only when
+    // some operand suspends.
+    let mut pending = Vec::new();
+    Ok(match eval_into(expr, store, &mut pending)? {
+        Some(n) => Evaled::Num(n),
+        None => Evaled::Suspend(pending),
+    })
+}
+
+/// Evaluate `expr`, or return `None` having added the unbound variables it
+/// waits on to `pending`, in first-occurrence order without repeats.
+fn eval_into<S: StoreOps>(
+    expr: &Term,
+    store: &S,
+    pending: &mut Vec<VarId>,
+) -> StrandResult<Option<Num>> {
     // Fast paths that skip the `deref` clone: numbers and tuples are never
     // variable chains, so only a `Var` head needs the store.
     match expr {
-        Term::Int(i) => return Ok(Evaled::Num(Num::Int(*i))),
-        Term::Float(x) => return Ok(Evaled::Num(Num::Float(*x))),
-        Term::Tuple(op, args) => return eval_arith_tuple(*op, args, expr, store),
+        Term::Int(i) => return Ok(Some(Num::Int(*i))),
+        Term::Float(x) => return Ok(Some(Num::Float(*x))),
+        Term::Tuple(op, args) => return eval_tuple(*op, args, expr, store, pending),
         _ => {}
     }
-    let t = store.deref(expr);
-    match &t {
-        Term::Int(i) => Ok(Evaled::Num(Num::Int(*i))),
-        Term::Float(x) => Ok(Evaled::Num(Num::Float(*x))),
-        Term::Var(v) => Ok(Evaled::Suspend(vec![*v])),
-        Term::Tuple(op, args) => eval_arith_tuple(*op, args, expr, store),
+    match &store.deref(expr) {
+        Term::Int(i) => Ok(Some(Num::Int(*i))),
+        Term::Float(x) => Ok(Some(Num::Float(*x))),
+        Term::Var(v) => {
+            if !pending.contains(v) {
+                pending.push(*v);
+            }
+            Ok(None)
+        }
+        Term::Tuple(op, args) => eval_tuple(*op, args, expr, store, pending),
         _ => Err(StrandError::ArithType {
             expr: store.resolve(expr),
         }),
     }
 }
 
-fn eval_arith_tuple<S: StoreOps>(
+fn eval_tuple<S: StoreOps>(
     op: Atom,
     args: &[Term],
     expr: &Term,
     store: &S,
-) -> StrandResult<Evaled> {
-    // Evaluate sub-expressions first, accumulating suspension sets so a
-    // single suspension covers every missing input. All operators take at
-    // most two operands, so an inline buffer avoids a heap allocation per
-    // expression node; overlong argument lists fall through to the type
+    pending: &mut Vec<VarId>,
+) -> StrandResult<Option<Num>> {
+    // Evaluate every operand first, so a single suspension covers every
+    // missing input. All operators take at most two operands, so an inline
+    // buffer holds them; overlong argument lists fall through to the type
     // error below exactly as an unknown operator would.
     let mut nums = [Num::Int(0); 2];
     let mut count = 0usize;
-    let mut pending: Vec<VarId> = Vec::new();
+    let mut suspended = false;
     for a in args.iter() {
-        match eval_arith(a, store)? {
-            Evaled::Num(n) => {
+        match eval_into(a, store, pending)? {
+            Some(n) => {
                 if count < 2 {
                     nums[count] = n;
                 }
                 count += 1;
             }
-            Evaled::Suspend(vs) => {
-                for v in vs {
-                    if !pending.contains(&v) {
-                        pending.push(v);
-                    }
-                }
+            None => suspended = true,
+        }
+    }
+    if suspended {
+        return Ok(None);
+    }
+    let operands: &[Num] = if count <= 2 { &nums[..count] } else { &[] };
+    match apply_op(op, operands) {
+        Ok(n) => Ok(Some(n)),
+        Err(OpFault::DivideByZero) => Err(StrandError::DivideByZero {
+            expr: store.resolve(expr),
+        }),
+        Err(OpFault::Type) => Err(StrandError::ArithType {
+            expr: store.resolve(expr),
+        }),
+    }
+}
+
+/// Why [`apply_op`] could not apply an operator.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpFault {
+    /// Integer `/` or `mod` by zero.
+    DivideByZero,
+    /// Not an operator of this arity, or `mod` of a float.
+    Type,
+}
+
+/// Apply arithmetic operator `op` to its evaluated operands: the one place
+/// operator semantics live, for [`eval_arith`] and for anything else that
+/// evaluates an expression from its leaves. Integer operations wrap on
+/// overflow.
+#[inline]
+pub fn apply_op(op: Atom, operands: &[Num]) -> Result<Num, OpFault> {
+    Ok(match (op, operands) {
+        (sym::PLUS, [a, b]) => a.binop(*b, i64::wrapping_add, |x, y| x + y),
+        (sym::MINUS, [a, b]) => a.binop(*b, i64::wrapping_sub, |x, y| x - y),
+        (sym::TIMES, [a, b]) => a.binop(*b, i64::wrapping_mul, |x, y| x * y),
+        (sym::MINUS, [a]) => match a {
+            Num::Int(i) => Num::Int(i.wrapping_neg()),
+            Num::Float(x) => Num::Float(-x),
+        },
+        (sym::ABS, [a]) => match a {
+            Num::Int(i) => Num::Int(i.wrapping_abs()),
+            Num::Float(x) => Num::Float(x.abs()),
+        },
+        (sym::DIVIDE, [a, b]) => match (a, b) {
+            (_, Num::Int(0)) => return Err(OpFault::DivideByZero),
+            (Num::Int(x), Num::Int(y)) => Num::Int(x.wrapping_div(*y)),
+            (x, y) => Num::Float(x.as_f64() / y.as_f64()),
+        },
+        (sym::MOD, [a, b]) => match (a, b) {
+            (Num::Int(_), Num::Int(0)) => return Err(OpFault::DivideByZero),
+            (Num::Int(x), Num::Int(y)) => Num::Int(x.wrapping_rem_euclid(*y)),
+            _ => return Err(OpFault::Type),
+        },
+        (sym::MIN, [a, b]) => {
+            if a.as_f64() <= b.as_f64() {
+                *a
+            } else {
+                *b
             }
         }
-    }
-    if !pending.is_empty() {
-        return Ok(Evaled::Suspend(pending));
-    }
-    let bad = || StrandError::ArithType {
-        expr: store.resolve(expr),
-    };
-    let operands: &[Num] = if count <= 2 { &nums[..count] } else { &[] };
-    {
-        match (op, operands) {
-            (sym::PLUS, [a, b]) => Ok(Evaled::Num(a.binop(
-                *b,
-                |x, y| x.wrapping_add(y),
-                |x, y| x + y,
-            ))),
-            (sym::MINUS, [a, b]) => Ok(Evaled::Num(a.binop(
-                *b,
-                |x, y| x.wrapping_sub(y),
-                |x, y| x - y,
-            ))),
-            (sym::TIMES, [a, b]) => Ok(Evaled::Num(a.binop(
-                *b,
-                |x, y| x.wrapping_mul(y),
-                |x, y| x * y,
-            ))),
-            (sym::MINUS, [a]) => Ok(Evaled::Num(match a {
-                Num::Int(i) => Num::Int(-i),
-                Num::Float(x) => Num::Float(-x),
-            })),
-            (sym::ABS, [a]) => Ok(Evaled::Num(match a {
-                Num::Int(i) => Num::Int(i.abs()),
-                Num::Float(x) => Num::Float(x.abs()),
-            })),
-            (sym::DIVIDE, [a, b]) => match (a, b) {
-                (_, Num::Int(0)) => Err(StrandError::DivideByZero {
-                    expr: store.resolve(expr),
-                }),
-                (Num::Int(x), Num::Int(y)) => Ok(Evaled::Num(Num::Int(x / y))),
-                (x, y) => Ok(Evaled::Num(Num::Float(x.as_f64() / y.as_f64()))),
-            },
-            (sym::MOD, [a, b]) => match (a, b) {
-                (Num::Int(x), Num::Int(y)) => {
-                    if *y == 0 {
-                        Err(StrandError::DivideByZero {
-                            expr: store.resolve(expr),
-                        })
-                    } else {
-                        Ok(Evaled::Num(Num::Int(x.rem_euclid(*y))))
-                    }
-                }
-                _ => Err(bad()),
-            },
-            (sym::MIN, [a, b]) => Ok(Evaled::Num(if a.as_f64() <= b.as_f64() { *a } else { *b })),
-            (sym::MAX, [a, b]) => Ok(Evaled::Num(if a.as_f64() >= b.as_f64() { *a } else { *b })),
-            _ => Err(bad()),
+        (sym::MAX, [a, b]) => {
+            if a.as_f64() >= b.as_f64() {
+                *a
+            } else {
+                *b
+            }
         }
-    }
+        _ => return Err(OpFault::Type),
+    })
 }
 
 /// Is this term (shallowly) an arithmetic expression — a number, or a tuple
@@ -190,20 +216,25 @@ fn eval_arith_tuple<S: StoreOps>(
 pub fn is_arith_expr(t: &Term) -> bool {
     match t {
         Term::Int(_) | Term::Float(_) => true,
-        Term::Tuple(op, args) => matches!(
-            (*op, args.len()),
-            (sym::PLUS, 2)
-                | (sym::MINUS, 2)
-                | (sym::TIMES, 2)
-                | (sym::DIVIDE, 2)
-                | (sym::MOD, 2)
-                | (sym::MIN, 2)
-                | (sym::MAX, 2)
-                | (sym::MINUS, 1)
-                | (sym::ABS, 1)
-        ),
+        Term::Tuple(op, args) => is_arith_op(*op, args.len()),
         _ => false,
     }
+}
+
+/// Is `op` with `arity` operands one of the nine arithmetic operators?
+pub fn is_arith_op(op: Atom, arity: usize) -> bool {
+    matches!(
+        (op, arity),
+        (sym::PLUS, 2)
+            | (sym::MINUS, 2)
+            | (sym::TIMES, 2)
+            | (sym::DIVIDE, 2)
+            | (sym::MOD, 2)
+            | (sym::MIN, 2)
+            | (sym::MAX, 2)
+            | (sym::MINUS, 1)
+            | (sym::ABS, 1)
+    )
 }
 
 #[cfg(test)]
@@ -265,6 +296,59 @@ mod tests {
         assert_eq!(ev(&e, &s), Evaled::Suspend(vec![y]));
         s.bind(y, Term::int(2), 0, NodeId(0)).unwrap();
         assert_eq!(ev(&e, &s), Evaled::Num(Num::Int(3)));
+    }
+
+    #[test]
+    fn nested_suspensions_keep_first_occurrence_order_without_repeats() {
+        let mut s = Store::new();
+        let (x, y, z) = (s.new_var(), s.new_var(), s.new_var());
+        let v = Term::Var;
+        // (Y + X) + (X * (Z - Y)): every level's set, merged in order.
+        let e = Term::tuple(
+            "+",
+            vec![
+                Term::tuple("+", vec![v(y), v(x)]),
+                Term::tuple("*", vec![v(x), Term::tuple("-", vec![v(z), v(y)])]),
+            ],
+        );
+        assert_eq!(ev(&e, &s), Evaled::Suspend(vec![y, x, z]));
+    }
+
+    #[test]
+    fn an_error_in_one_operand_beats_a_suspension_in_another() {
+        let mut s = Store::new();
+        let x = s.new_var();
+        let e = Term::tuple(
+            "+",
+            vec![
+                Term::tuple("+", vec![Term::Var(x), Term::int(1)]),
+                Term::tuple("/", vec![Term::int(2), Term::int(0)]),
+            ],
+        );
+        assert!(matches!(
+            eval_arith(&e, &s),
+            Err(StrandError::DivideByZero { .. })
+        ));
+        // An unknown operator over a suspended operand suspends.
+        let f = Term::tuple("foo", vec![Term::Var(x)]);
+        assert_eq!(ev(&f, &s), Evaled::Suspend(vec![x]));
+    }
+
+    #[test]
+    fn integer_overflow_wraps() {
+        let s = Store::new();
+        let min = Term::int(i64::MIN);
+        for (op, args, want) in [
+            ("+", vec![Term::int(i64::MAX), Term::int(1)], i64::MIN),
+            ("*", vec![min.clone(), Term::int(-1)], i64::MIN),
+            ("-", vec![min.clone()], i64::MIN),
+            ("abs", vec![min.clone()], i64::MIN),
+            ("/", vec![min.clone(), Term::int(-1)], i64::MIN),
+            ("mod", vec![min.clone(), Term::int(-1)], 0),
+        ] {
+            let e = Term::tuple(op, args);
+            assert_eq!(ev(&e, &s), Evaled::Num(Num::Int(want)), "{e}");
+        }
     }
 
     #[test]

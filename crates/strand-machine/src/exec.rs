@@ -23,7 +23,11 @@
 //!   structure rebuilt per reduction; each tuple a template does build is
 //!   one argument block, filled in place from its arguments — a block a
 //!   consumed goal handed back to the [`BlockPool`] when there is one, a
-//!   new heap block otherwise.
+//!   new heap block otherwise;
+//! * the right-hand side of a `:=` that is an arithmetic tuple becomes a
+//!   [`Tmpl::Arith`]: when every leaf is bound to a number as the body is
+//!   spawned, the goal is built with the expression's value (`N1 := 49999`,
+//!   one block), and otherwise with the tuple, exactly as any template.
 //!
 //! Functor and guard names are [`Atom`] symbols throughout: a match op
 //! compares ids, guard lowering switches on [`strand_core::sym`] constants,
@@ -33,11 +37,14 @@
 //! module must be *observably identical* to it: same suspension variable
 //! sets in the same order, same fresh-variable allocation order, same
 //! errors surfaced at the same time. The conformance suite diffs the two
-//! tiers bit-for-bit (see `tests/conformance.rs`).
+//! tiers bit-for-bit (see `tests/conformance.rs`). Two renderings of a
+//! folded `:=` show its value where the interpreter shows the expression:
+//! a traced `Reduce`/`Spawn` goal text, and a `DoubleAssign`'s
+//! `attempted` value.
 
 use std::sync::Arc;
 
-use strand_core::arith::Evaled;
+use strand_core::arith::{apply_op, is_arith_expr, is_arith_op, Evaled};
 use strand_core::matching::{term_eq, EqOutcome};
 use strand_core::{
     eval_arith, eval_guard, sym, Atom, Frame, FxHashMap, GuardOutcome, Num, Pat, Store, StoreOps,
@@ -586,6 +593,38 @@ pub enum Tmpl {
     Const(Term),
     Tuple(Atom, Box<[Tmpl]>),
     Cons(Box<(Tmpl, Tmpl)>),
+    /// The arithmetic tuple on the right of a `:=`: built as the number it
+    /// evaluates to when every leaf is bound to one, else as `Tuple`.
+    Arith(Atom, Box<[Tmpl]>),
+}
+
+fn number(t: &Term) -> Option<Num> {
+    match t {
+        Term::Int(i) => Some(Num::Int(*i)),
+        Term::Float(x) => Some(Num::Float(*x)),
+        _ => None,
+    }
+}
+
+/// A tuple of `args`' builds, in a block from `pool` when one of its arity
+/// is there.
+fn build_tuple<S: StoreOps>(
+    name: Atom,
+    args: &[Tmpl],
+    frame: &mut Frame,
+    store: &mut S,
+    pool: &mut BlockPool,
+) -> Term {
+    match pool.of_arity(args.len()).and_then(Vec::pop) {
+        Some(mut block) => {
+            let slots = Arc::get_mut(&mut block).expect("a pooled block has one owner");
+            for (slot, a) in slots.iter_mut().zip(args.iter()) {
+                *slot = a.build(frame, store, pool);
+            }
+            Term::Tuple(name, block)
+        }
+        None => Term::tuple_from(name, args.iter().map(|a| a.build(frame, store, pool))),
+    }
 }
 
 impl Tmpl {
@@ -615,20 +654,39 @@ impl Tmpl {
             }
             Tmpl::Wild => Term::Var(store.new_var()),
             Tmpl::Const(t) => t.clone(),
-            Tmpl::Tuple(name, args) => match pool.of_arity(args.len()).and_then(Vec::pop) {
-                Some(mut block) => {
-                    let slots = Arc::get_mut(&mut block).expect("a pooled block has one owner");
-                    for (slot, a) in slots.iter_mut().zip(args.iter()) {
-                        *slot = a.build(frame, store, pool);
-                    }
-                    Term::Tuple(*name, block)
-                }
-                None => Term::tuple_from(*name, args.iter().map(|a| a.build(frame, store, pool))),
+            Tmpl::Tuple(name, args) => build_tuple(*name, args, frame, store, pool),
+            Tmpl::Arith(name, args) => match self.fold(frame, store) {
+                Some(n) => n.to_term(),
+                None => build_tuple(*name, args, frame, store, pool),
             },
             Tmpl::Cons(cell) => Term::cons(
                 cell.0.build(frame, store, pool),
                 cell.1.build(frame, store, pool),
             ),
+        }
+    }
+
+    /// The value of an arithmetic template, or `None` at the first leaf
+    /// that is neither a number nor a variable bound to one, or when an
+    /// operator faults — the cases the `:=` reduction must see for itself.
+    /// Reads the frame and the store, and changes neither.
+    fn fold<S: StoreOps>(&self, frame: &Frame, store: &S) -> Option<Num> {
+        match self {
+            Tmpl::Slot(i) => match frame.get(*i)? {
+                leaf @ Term::Var(_) => number(&store.deref(leaf)),
+                leaf => number(leaf),
+            },
+            Tmpl::Const(t) => number(t).or_else(|| match eval_arith(t, store) {
+                Ok(Evaled::Num(n)) => Some(n),
+                _ => None,
+            }),
+            // `apply_op` refuses any other operator or arity.
+            Tmpl::Tuple(op, args) | Tmpl::Arith(op, args) => match &args[..] {
+                [a] => apply_op(*op, &[a.fold(frame, store)?]).ok(),
+                [a, b] => apply_op(*op, &[a.fold(frame, store)?, b.fold(frame, store)?]).ok(),
+                _ => None,
+            },
+            Tmpl::Wild | Tmpl::Cons(_) => None,
         }
     }
 
@@ -639,7 +697,7 @@ impl Tmpl {
             Tmpl::Slot(i) => frame.get(*i).cloned(),
             Tmpl::Wild => None,
             Tmpl::Const(t) => Some(t.clone()),
-            Tmpl::Tuple(name, args) => {
+            Tmpl::Tuple(name, args) | Tmpl::Arith(name, args) => {
                 let args: Option<Vec<Term>> = args.iter().map(|a| a.build_ro(frame)).collect();
                 Some(Term::tuple(*name, args?))
             }
@@ -677,6 +735,26 @@ fn lower_tmpl(p: &Pat) -> Tmpl {
         // Constant leaves are ground and returned above.
         _ => unreachable!(),
     }
+}
+
+/// A body goal's template. The right-hand side of a `:=`/2 that is an
+/// arithmetic tuple becomes [`Tmpl::Arith`], or the number itself when it
+/// is ground and evaluates.
+fn lower_goal(p: &Pat) -> Tmpl {
+    let mut goal = lower_tmpl(p);
+    if let Tmpl::Tuple(sym::ASSIGN, args) = &mut goal {
+        if let [_, rhs] = &mut args[..] {
+            *rhs = match std::mem::replace(rhs, Tmpl::Wild) {
+                Tmpl::Tuple(op, a) if is_arith_op(op, a.len()) => Tmpl::Arith(op, a),
+                Tmpl::Const(t) if is_arith_expr(&t) => match eval_arith(&t, &Store::new()) {
+                    Ok(Evaled::Num(n)) => Tmpl::Const(n.to_term()),
+                    _ => Tmpl::Const(t),
+                },
+                other => other,
+            };
+        }
+    }
+    goal
 }
 
 // ---------------------------------------------------------------------------
@@ -1141,7 +1219,7 @@ fn lower_rule(rule: &CompiledRule) -> ExecRule {
             .body
             .iter()
             .map(|c| ExecCall {
-                goal: lower_tmpl(&c.goal),
+                goal: lower_goal(&c.goal),
                 placement: c.placement.as_ref().map(lower_tmpl),
             })
             .collect(),
@@ -1592,26 +1670,147 @@ mod tests {
 
     #[test]
     fn tmpl_build_matches_pat_instantiate_var_order() {
-        let p =
-            compile_program(&parse_program("f(A) :- g(A, X, h(Y, 1), _, X).").unwrap()).unwrap();
-        let rule = &p.get("f", 1).unwrap().rules[0];
-        let exec = lower_rule(rule);
+        /// Body goal 0 of `src`'s `f/1` with its head bound to `arg`, built
+        /// by `Pat::instantiate` and by `Tmpl::build` through `pool`, each
+        /// on its own store: the two terms, and whether the stores
+        /// allocated alike.
+        fn both(src: &str, arg: &Term, pool: &mut BlockPool) -> (Term, Term, bool) {
+            let p = compile_program(&parse_program(src).unwrap()).unwrap();
+            let rule = &p.get("f", 1).unwrap().rules[0];
+            let exec = lower_rule(rule);
+            let side = || {
+                let mut store = Store::new();
+                // An unbound argument, or a variable bound to the argument.
+                let v = store.new_var();
+                if !arg.is_var() {
+                    store.bind(v, arg.clone(), 0, NodeId(0)).unwrap();
+                }
+                let mut frame = Frame::with_locals(rule.n_locals);
+                frame.set(0, Term::Var(v));
+                (store, frame)
+            };
+            let (mut store1, mut frame1) = side();
+            let want = rule.body[0].goal.instantiate(&mut frame1, &mut store1);
+            let (mut store2, mut frame2) = side();
+            let got = exec.body[0].goal.build(&mut frame2, &mut store2, pool);
+            let same_vars = store1.len() == store2.len();
+            (want, got, same_vars && frame1.slots == frame2.slots)
+        }
 
-        let mut store1 = Store::new();
-        let mut frame1 = Frame::with_locals(rule.n_locals);
-        frame1.set(0, Term::int(9));
-        let want = rule.body[0].goal.instantiate(&mut frame1, &mut store1);
-
-        let mut store2 = Store::new();
-        let mut frame2 = Frame::with_locals(rule.n_locals);
-        frame2.set(0, Term::int(9));
-        let got = exec.body[0]
-            .goal
-            .build(&mut frame2, &mut store2, &mut BlockPool::default());
-
+        let (want, got, same) = both(
+            "f(A) :- g(A, X, h(Y, 1), _, X).",
+            &Term::int(9),
+            &mut BlockPool::default(),
+        );
         assert_eq!(want, got);
-        assert_eq!(store1.len(), store2.len());
-        let _ = NodeId(0);
+        assert!(same);
+
+        // `:=` with its operand bound folds: one pooled block, no
+        // expression tuple.
+        let src = "f(N) :- K := N mod 10, g(K).";
+        let mut pool = BlockPool::default();
+        pool.recycle(Term::tuple("spare", vec![Term::Nil, Term::Nil]));
+        let (want, got, same) = both(src, &Term::int(49_999), &mut pool);
+        assert_eq!(want.to_string(), ":=(_1,mod(_0,10))");
+        assert_eq!(got.to_string(), ":=(_1,9)");
+        assert!(same);
+        assert!(
+            pool.free.iter().all(Vec::is_empty),
+            "the block came from the pool"
+        );
+        // Unbound, it builds the tuple the interpreter builds.
+        let (want, got, same) = both(src, &Term::Var(VarId(0)), &mut BlockPool::default());
+        assert_eq!(want, got);
+        assert!(same);
+        // A leaf whose slot is still unset ends the attempt before it
+        // allocates: `Y` takes its variable in the tuple, after `K`'s.
+        let (want, got, same) = both(
+            "f(N) :- K := (N + Y) * 2, g(Y, K).",
+            &Term::int(3),
+            &mut BlockPool::default(),
+        );
+        assert_eq!(want, got);
+        assert!(same);
+        // A zero divisor is left for the `:=` reduction to report.
+        let (want, got, _) = both("f(N) :- K := 7 / (N - 3), g(K).", &Term::int(3), &mut pool);
+        assert_eq!(want, got);
+        // A ground right-hand side is folded once, at lowering.
+        let (_, got, _) = both("f(N) :- K := 2 * 3 + 1, g(N, K).", &Term::int(0), &mut pool);
+        assert_eq!(got.to_string(), ":=(_1,7)");
+    }
+
+    // -- folding `:=` ------------------------------------------------------
+
+    /// An arithmetic expression of depth at most 3 over the head variables
+    /// of [`fold_program`]'s `t/8` and `t2/8`, a body-local `Y`, int and
+    /// float constants (zero among them), an atom, a non-arithmetic tuple,
+    /// a list and a wildcard, through all nine operators, written
+    /// functionally so each stays one tuple.
+    fn arith_expr() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let leaf = prop_oneof![
+            (-3i64..4).prop_map(|i| i.to_string()),
+            Just("2.5".to_string()),
+            Just("-0.5".to_string()),
+            Just("0".to_string()),
+            Just("a".to_string()),
+            Just("f(A)".to_string()),
+            Just("[N]".to_string()),
+            Just("_".to_string()),
+            "[AFZMNUWY]".prop_map(String::from),
+        ];
+        leaf.prop_recursive(3, 24, 2, |inner| {
+            let binary = ["'+'", "'-'", "'*'", "'/'", "mod", "min", "max"];
+            prop_oneof![
+                (0..binary.len(), inner.clone(), inner.clone())
+                    .prop_map(move |(op, l, r)| format!("{}({l}, {r})", binary[op])),
+                (0..2usize, inner).prop_map(|(op, e)| format!("{}({e})", ["'-'", "abs"][op])),
+            ]
+        })
+    }
+
+    /// `X := E` spawned by `t/8` before `U` is bound and by `t2/8` after a
+    /// guard waits for it; `W` is never bound, `Y` is bound by a later
+    /// body goal, and `M`/`N` sit at the ends of the `i64` range.
+    fn fold_program(expr: &str) -> String {
+        format!(
+            "go(X, X2) :- t(7, 2.5, 0, 9223372036854775807, -9223372036854775807, U, W, X), \
+                 late(U), t2(7, 2.5, 0, 9223372036854775807, -9223372036854775807, U, W, X2).\n\
+             t(A, F, Z, M, N, U, W, X) :- X := {expr}, y(Y).\n\
+             t2(A, F, Z, M, N, U, W, X) :- U > 0 | X := {expr}, y(Y).\n\
+             y(Y) :- Y := 3.\n\
+             late(U) :- late1(U).\n\
+             late1(U) :- U := 5.\n"
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Folding a bound `:=` at spawn is invisible to a run: the
+        /// compiled tier, which folds, and the interpreter, which never
+        /// does, end with the same bindings, status, errors, reductions,
+        /// suspensions and makespan.
+        #[test]
+        fn folded_assignments_run_as_the_interpreter_runs_them(expr in arith_expr()) {
+            use crate::{run_goal, ExecMode, MachineConfig};
+            let src = fold_program(&expr);
+            let run = |exec| {
+                let mut cfg = MachineConfig::default().exec(exec);
+                cfg.fail_fast = false;
+                let r = run_goal(&src, "go(X, X2)", cfg).unwrap();
+                let m = &r.report.metrics;
+                (
+                    r.bindings.clone(),
+                    r.report.status.clone(),
+                    format!("{:?}", r.report.errors),
+                    m.total_reductions,
+                    m.suspensions,
+                    m.makespan,
+                )
+            };
+            proptest::prop_assert_eq!(run(ExecMode::Compiled), run(ExecMode::Interpreted), "{}", src);
+        }
     }
 
     // -- the block pool ---------------------------------------------------

@@ -234,6 +234,13 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_quoted_atoms_bind_as_written() {
+        let r = run("go(X) :- X := 'café'.", "go(X)");
+        assert!(r.completed());
+        assert_eq!(r.bindings["X"], Term::atom("café"));
+    }
+
+    #[test]
     fn dataflow_suspension_waits_for_producer() {
         let src = r#"
             go(V) :- add(A, B, V), supply(A, B).

@@ -2,9 +2,9 @@
 //!
 //! The lexer is a stream: the parser pulls one token at a time and holds
 //! one of lookahead, so reading a goal builds no token array. A token
-//! borrows its identifier from the source text (a quoted atom or a string
-//! literal owns its text, which escapes rewrite), and a number is parsed
-//! straight from the source bytes.
+//! borrows its identifier from the source text (a string literal, and a
+//! quoted atom with an escape, owns its rewritten text), and a number is
+//! parsed straight from the source bytes.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -16,7 +16,7 @@ pub(crate) enum Tok<'a> {
     Wild,
     Int(i64),
     Float(f64),
-    /// A plain atom borrows its name; a quoted one owns it.
+    /// Borrows its name, unless escapes in a quoted atom rewrite it.
     Atom(Cow<'a, str>),
     /// Owned: escapes rewrite the text.
     Str(String),
@@ -138,7 +138,8 @@ impl<'a> Lexer<'a> {
 
     /// The source text from byte `start` to the current position. Both
     /// ends sit on ASCII bytes or the end of the text — every token this
-    /// slices is made of ASCII bytes — so they are character boundaries.
+    /// slices is made of ASCII bytes, or is a run of a quoted literal
+    /// between ASCII delimiters — so they are character boundaries.
     fn since(&self, start: usize) -> &'a str {
         &self.text[start..self.pos]
     }
@@ -296,8 +297,8 @@ impl<'a> Lexer<'a> {
                 self.bump();
                 Tok::Dot
             }
-            b'"' => Tok::Str(self.lex_delimited(b'"')?),
-            b'\'' => Tok::Atom(Cow::Owned(self.lex_delimited(b'\'')?)),
+            b'"' => Tok::Str(self.lex_delimited(b'"')?.into_owned()),
+            b'\'' => Tok::Atom(self.lex_delimited(b'\'')?),
             b'_' => {
                 // `_` alone is the wildcard; `_Foo` is a named variable.
                 let word = self.lex_word();
@@ -371,25 +372,42 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_delimited(&mut self, delim: u8) -> Result<String, LexError> {
+    /// The text between `delim`s: borrowed from the source when it holds
+    /// no escape, rewritten otherwise. Runs between escapes are copied as
+    /// whole slices, so multi-byte characters pass through intact.
+    /// The text between `delim`s: borrowed from the source when it holds
+    /// no escape, rewritten otherwise. Runs between escapes are copied as
+    /// whole slices, so multi-byte characters pass through intact.
+    fn lex_delimited(&mut self, delim: u8) -> Result<Cow<'a, str>, LexError> {
         self.bump(); // opening delimiter
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
+            let start = self.pos;
+            while self.peek().is_some_and(|c| c != delim && c != b'\\') {
+                self.bump();
+            }
+            let run = self.since(start);
+            if out.is_empty() {
+                out = Cow::Borrowed(run);
+            } else {
+                out.to_mut().push_str(run);
+            }
             match self.bump() {
                 None => return Err(self.err("unterminated literal")),
                 Some(c) if c == delim => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(c) if c == delim => out.push(c as char),
-                    Some(c) => {
-                        return Err(self.err(format!("unknown escape \\{}", c as char)));
-                    }
-                    None => return Err(self.err("unterminated escape")),
-                },
-                Some(c) => out.push(c as char),
+                Some(_) => {} // a backslash
             }
+            let escaped = self.text[self.pos..].chars().next();
+            self.bump();
+            let c = match escaped {
+                Some('n') => '\n',
+                Some('t') => '\t',
+                Some('\\') => '\\',
+                Some(c) if c == delim as char => c,
+                Some(c) => return Err(self.err(format!("unknown escape \\{c}"))),
+                None => return Err(self.err("unterminated escape")),
+            };
+            out.to_mut().push(c);
         }
     }
 }
@@ -498,6 +516,59 @@ mod tests {
         assert_eq!(toks(r#""+a\n""#)[0], Tok::Str("+a\n".into()));
         assert_eq!(toks("'weird atom'")[0], Tok::Atom("weird atom".into()));
         assert_eq!(toks("'+'")[0], Tok::Atom("+".into()));
+    }
+
+    #[test]
+    fn non_ascii_quoted_text_keeps_its_characters() {
+        assert_eq!(toks("'é'")[0], Tok::Atom("é".into()));
+        assert_eq!(toks("\"héllo\"")[0], Tok::Str("héllo".into()));
+        assert_eq!(toks("'日本'")[0], Tok::Atom("日本".into()));
+        assert_eq!(toks(r"'é\'日\n'")[0], Tok::Atom("é'日\n".into()));
+    }
+
+    #[test]
+    fn quoted_atoms_borrow_unless_an_escape_rewrites_them() {
+        assert!(matches!(toks("'+'")[0], Tok::Atom(Cow::Borrowed("+"))));
+        assert!(matches!(
+            toks("'日本'")[0],
+            Tok::Atom(Cow::Borrowed("日本"))
+        ));
+        assert!(matches!(&toks(r"'it\'s'")[0], Tok::Atom(Cow::Owned(s)) if s == "it's"));
+    }
+
+    #[test]
+    fn every_escape_lexes_as_before() {
+        for (src, want) in [
+            (r#""a\nb""#, "a\nb"),
+            (r#""\t""#, "\t"),
+            (r#""\\""#, "\\"),
+            (r#""say \"hi\"""#, "say \"hi\""),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(toks(src)[0], Tok::Str(want.into()), "{src}");
+        }
+        for (src, want) in [
+            (r"'it\'s'", "it's"),
+            (r"'\\'", "\\"),
+            (r"'a\tb\n'", "a\tb\n"),
+            ("''", ""),
+        ] {
+            assert_eq!(toks(src)[0], Tok::Atom(want.into()), "{src}");
+        }
+        // One literal's delimiter is not the other's escape.
+        assert!(lex(r#""\'""#)
+            .unwrap_err()
+            .message
+            .contains("unknown escape \\'"));
+        assert!(lex(r#"'\"'"#)
+            .unwrap_err()
+            .message
+            .contains("unknown escape \\\""));
+        assert!(lex(r"'\é'")
+            .unwrap_err()
+            .message
+            .contains("unknown escape \\é"));
+        assert!(lex(r"'a\").is_err());
     }
 
     #[test]

@@ -230,6 +230,20 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_atoms_and_strings_print_back_and_reparse_equal() {
+        for (src, want) in [
+            ("'é'", Ast::Atom("é".into())),
+            ("\"héllo\"", Ast::Str("héllo".into())),
+            ("'日本'", Ast::Atom("日本".into())),
+        ] {
+            let t = parse_term(src).unwrap();
+            assert_eq!(t, want);
+            assert_eq!(t.to_string(), src);
+            assert_eq!(parse_term(&t.to_string()).unwrap(), t);
+        }
+    }
+
+    #[test]
     fn unary_minus_prints() {
         let t = parse_term("-N").unwrap();
         assert_eq!(t.to_string(), "-N");

@@ -98,12 +98,14 @@ fn chain_program() -> String {
 
 #[test]
 fn eval_chain_allocates_at_most_0_01_blocks_per_reduction() {
-    // One iteration is 5 reductions building 8 tuples (`:=`/2 with its
-    // expression, `step/3`, `chain/3`), each reduced once and dropped. A
-    // block per tuple was 1.6 per reduction (16 022 here); with
+    // One iteration is 5 reductions building 5 tuples (three `:=`/2,
+    // `step/3`, `chain/3`), each reduced once and dropped: every `:=`'s
+    // operands are bound when its body is spawned, so the compiled tier
+    // queues it with its value, not an expression tuple (8 tuples before).
+    // A block per tuple was 1.6 per reduction (16 022 here); with
     // `Arc<Vec<Term>>` tuples it was 3.2. Every block now comes from the
     // machine's pool, filled by the goals reduced before it, and what
-    // still allocates is the store and the queues growing: 32 here.
+    // still allocates is the store and the queues growing: 28 here.
     let (allocations, reductions) = run_counted(&chain_program(), "chain(2000, 0, V)");
     assert_eq!(reductions, 5 * 2000 + 2);
     let per_reduction = allocations as f64 / reductions as f64;
@@ -142,10 +144,11 @@ fn tree_reduce_stays_within_5_percent_of_its_pooled_count() {
     let (allocations, reductions) = run_counted(&src, &goal);
     // Measured: 8719 with two blocks per tuple (`Atom` = `Arc<str>`,
     // `Term::Tuple` = `Arc<Vec<Term>>`), 5141 with one, 3884 with blocks
-    // recycled through the machine's pool. The tree is expanded
+    // recycled through the machine's pool, 3119 with one suspension list
+    // per `:=` instead of one per operand. The tree is expanded
     // breadth-first, so most of its goals are built before any is reduced
     // and the pool only helps once it collapses.
-    const POOLED: u64 = 3884;
+    const POOLED: u64 = 3119;
     assert_eq!(reductions, 2812);
     assert!(
         allocations * 100 <= POOLED * 105,
