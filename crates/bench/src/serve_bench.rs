@@ -2,7 +2,7 @@
 //!
 //! Each burst hammers a freshly booted doubler service over **loopback
 //! TCP** with a swarm of concurrent synthetic clients — every client is a
-//! real connection (hence a real session region) issuing a fixed number of
+//! real connection (hence a real session) issuing a fixed number of
 //! requests and validating every reply. Three questions per burst:
 //!
 //! * **completeness** — `lost` must be 0: every admitted request got its
@@ -11,9 +11,10 @@
 //! * **latency/throughput** — p50/p99 round-trip microseconds over all
 //!   requests, and completed requests per second over the burst wall time.
 //! * **residency** — after the burst drains the engine must have *parked*
-//!   (`idle_parks > 0`), not terminated, and session close must have
+//!   (`idle_parks > 0`), not terminated, and its collections must have
 //!   reclaimed store slots (`vars_reclaimed > 0`), which is what bounds a
-//!   long-lived process. Both come from the service's own merged metrics.
+//!   long-lived process. Both come from the service's own merged metrics,
+//!   as do the collection count and the longest collection.
 //!
 //! `motif-bench c1-serve` runs 16, 256 and 1000 clients, plain and under
 //! `Supervise ∘ Server`. One run is one sample: the latency columns show
@@ -111,9 +112,11 @@ pub struct BurstPoint {
     /// Times the engine parked at global quiescence instead of exiting:
     /// nonzero proves the service went idle, not terminated.
     pub idle_parks: u64,
-    /// Store slots reclaimed by session close: nonzero proves bounded
-    /// growth across sessions.
+    /// Store slots the collections freed: nonzero proves bounded growth.
     pub vars_reclaimed: u64,
+    /// Collections the fleet finished, and the longest one in µs.
+    pub collections: u64,
+    pub collect_us_max: u64,
     pub sessions_closed: u64,
     /// The engine error the service shut down with, if any; the three
     /// metrics above then read 0.
@@ -206,6 +209,8 @@ pub fn burst(clients: u64, per_client: u64, supervise: bool) -> BurstPoint {
         throughput_rps: completed as f64 / wall.as_secs_f64().max(1e-9),
         idle_parks: m.idle_parks,
         vars_reclaimed: m.vars_reclaimed,
+        collections: m.collections,
+        collect_us_max: m.collect_us_max,
         sessions_closed: m.sessions_closed,
         error,
     }
@@ -226,6 +231,8 @@ pub fn c1_serve() -> Table {
             "p99 us",
             "req/s",
             "idle parks",
+            "collections",
+            "collect us max",
             "vars reclaimed",
             "sessions closed",
             "error",
@@ -246,6 +253,8 @@ pub fn c1_serve() -> Table {
                 p.p99_us.to_string(),
                 format!("{:.0}", p.throughput_rps),
                 p.idle_parks.to_string(),
+                p.collections.to_string(),
+                p.collect_us_max.to_string(),
                 p.vars_reclaimed.to_string(),
                 p.sessions_closed.to_string(),
                 if p.error.is_some() { "yes" } else { "-" }.to_string(),

@@ -49,6 +49,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use matching::{eval_guard, match_args, GuardOutcome, MatchOutcome};
 pub use pat::{Frame, Pat};
 pub use rng::SplitMix64;
-pub use shared::{SharedStore, SharedStoreView};
+pub use shared::{Marks, SharedStore, SharedStoreView};
 pub use store::{Binding, NodeId, Store, StoreOps, Time, VarId, Waiter};
 pub use term::Term;

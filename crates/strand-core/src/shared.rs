@@ -20,7 +20,7 @@
 //!
 //! The same property lets most reads skip the lock. Each stripe's
 //! `Mutex<SlotTable>` stays the authority for binding, waiters, allocation
-//! and reclaim; beside it sits a *view*: one `(tag, payload)` word pair per
+//! and sweeping; beside it sits a *view*: one `(tag, payload)` word pair per
 //! slot in an append-only `Chunks` array (`chunks.rs`) anyone may read.
 //!
 //! * **Publish.** `commit`, holding the stripe lock, stores the payload and
@@ -32,9 +32,9 @@
 //!   port slots and not-yet-bound variables — all answered by the view —
 //!   are what a reduction looks at; a stream cell costs one locked read per
 //!   message.
-//! * **Un-publish.** `reclaim`, under the same lock, returns the tag to
-//!   unbound and bumps the *epoch* in its upper bits before the index can
-//!   reach the free list.
+//! * **Un-publish.** A collection's `sweep`, under the same lock, returns
+//!   the tag to unbound and bumps the *epoch* in its upper bits before the
+//!   index can reach the free list.
 //! * **Read.** [`SharedStore::deref`] loads tag, payload, tag. Unbound, an
 //!   inline value or an alias hop is answered with no lock; a boxed tag, or
 //!   a tag that moved between the two loads, falls back to the stripe lock.
@@ -67,7 +67,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Low bits of a view tag: what the slot holds. The bits above count the
-/// slot's reclaims (its *epoch*), so a tag never repeats across a recycle.
+/// slot's sweeps (its *epoch*), so a tag never repeats across a recycle.
 const KIND_BITS: u32 = 4;
 const KIND_MASK: u32 = (1 << KIND_BITS) - 1;
 const UNBOUND: u32 = 0;
@@ -187,6 +187,14 @@ pub struct SharedStore {
     stripes: Vec<Stripe>,
 }
 
+/// What one [`SharedStore::mark`] reached, per stripe and slot.
+pub struct Marks {
+    seen: Vec<Vec<bool>>,
+    /// Terms taken off the work list — slots marked plus term cells
+    /// visited: the mark's work.
+    pub work: u64,
+}
+
 impl SharedStore {
     /// A store with `owners` stripes (one per worker).
     pub fn new(owners: u32) -> SharedStore {
@@ -236,19 +244,16 @@ impl SharedStore {
         self.len() == 0
     }
 
-    /// Allocate a fresh, unbound variable in `owner`'s stripe.
-    pub fn new_var(&self, owner: u32) -> VarId {
-        self.new_var_in(owner, 0)
+    /// Slots in use across all stripes: created and not free.
+    pub fn live(&self) -> usize {
+        (0..self.owners()).map(|o| self.stripe(o).live()).sum()
     }
 
-    /// Allocate a fresh, unbound variable in `owner`'s stripe under
-    /// `region` (0 = untracked). Reclaimed slots are reused first, so a
-    /// resident process's stripe tables track live variables, not variables
-    /// ever created. See [`Store::reclaim_region`](crate::Store::reclaim_region)
-    /// for the reclamation contract.
-    pub fn new_var_in(&self, owner: u32, region: u32) -> VarId {
-        let mut stripe = self.stripe(owner);
-        let index = stripe.alloc(region);
+    /// Allocate a fresh, unbound variable in `owner`'s stripe. Swept slots
+    /// are reused first, so a resident fleet's stripe tables track live
+    /// variables, not variables ever created.
+    pub fn new_var(&self, owner: u32) -> VarId {
+        let index = self.stripe(owner).alloc();
         assert!(
             index < VarId::MAX_INDEX,
             "stripe {owner} exhausted its variable index space"
@@ -258,14 +263,51 @@ impl SharedStore {
         VarId::tagged(owner, index)
     }
 
-    /// Reclaim every variable allocated under `region` in `owner`'s stripe,
-    /// returning the number of slots freed. Bound slots and unbound slots
-    /// without waiters are reset and recycled; slots that still have waiters
-    /// are deferred to a later reclaim of this stripe (the striped analogue
-    /// of [`Store::reclaim_region`](crate::Store::reclaim_region)).
-    pub fn reclaim_region_stripe(&self, owner: u32, region: u32) -> usize {
-        let view = self.view(owner);
-        self.stripe(owner).reclaim(region, |i| view.unpublish(i))
+    /// Mark every variable reachable from `roots`: a bound one through its
+    /// value; an unbound one's waiters go to `reached`, which may push more
+    /// terms (a collector pushes their goals). An explicit work list, so a
+    /// stream a hundred thousand cells long takes no stack. Only while
+    /// nothing else touches the store.
+    pub fn mark(
+        &self,
+        roots: Vec<Term>,
+        mut reached: impl FnMut(&[Waiter], &mut Vec<Term>),
+    ) -> Marks {
+        let seen = (0..self.owners()).map(|o| vec![false; self.stripe(o).len()]);
+        let mut marks = Marks {
+            seen: seen.collect(),
+            work: 0,
+        };
+        let mut work = roots;
+        while let Some(t) = work.pop() {
+            marks.work += 1;
+            match t {
+                Term::Var(v) if !marks.seen[v.owner() as usize][v.index()] => {
+                    marks.seen[v.owner() as usize][v.index()] = true;
+                    match self.stripe(v.owner()).read(v.index()) {
+                        Ok(b) => work.push(b.value.clone()),
+                        Err(waiters) => reached(waiters, &mut work),
+                    }
+                }
+                Term::Tuple(_, args) => work.extend(args.iter().cloned()),
+                // The head on top: a spine never piles up on the list.
+                Term::List(cell) => work.extend([cell.1.clone(), cell.0.clone()]),
+                _ => {}
+            }
+        }
+        marks
+    }
+
+    /// Free every slot `marks` did not reach (a slot made since is kept):
+    /// reset and un-published before it joins the free list. Returns how
+    /// many were freed.
+    pub fn sweep(&self, marks: &Marks) -> usize {
+        let sweep = |(o, stripe): (usize, &Stripe)| {
+            let keep = |i: usize| marks.seen[o].get(i).copied().unwrap_or(true);
+            self.stripe(o as u32)
+                .sweep(keep, |i| stripe.view.unpublish(i))
+        };
+        self.stripes.iter().enumerate().map(sweep).sum()
     }
 
     /// The binding of `v`, if any (cloned out of the stripe lock).
@@ -377,17 +419,6 @@ impl SharedStore {
     pub fn remove_waiter(&self, v: VarId, waiter: Waiter) {
         self.stripe(v.owner()).remove_waiter(v.index(), waiter);
     }
-
-    /// All variables that currently have at least one waiter (diagnostics;
-    /// called only after the workers have quiesced).
-    pub fn vars_with_waiters(&self) -> Vec<VarId> {
-        let mut out = Vec::new();
-        for owner in 0..self.owners() {
-            let tagged = |i| VarId::tagged(owner, i);
-            out.extend(self.stripe(owner).with_waiters().map(tagged));
-        }
-        out
-    }
 }
 
 /// A worker's view of a [`SharedStore`]: all reads/binds go to the shared
@@ -399,33 +430,18 @@ impl SharedStore {
 pub struct SharedStoreView {
     store: std::sync::Arc<SharedStore>,
     owner: u32,
-    region: u32,
 }
 
 impl SharedStoreView {
     /// A view allocating into `owner`'s stripe.
     pub fn new(store: std::sync::Arc<SharedStore>, owner: u32) -> SharedStoreView {
         assert!(owner < store.owners());
-        SharedStoreView {
-            store,
-            owner,
-            region: 0,
-        }
+        SharedStoreView { store, owner }
     }
 
     /// The underlying shared store.
     pub fn shared(&self) -> &SharedStore {
         &self.store
-    }
-
-    /// Set the region tag for subsequent allocations (0 = untracked).
-    pub fn set_region(&mut self, region: u32) {
-        self.region = region;
-    }
-
-    /// The region tag currently stamped on allocations.
-    pub fn region(&self) -> u32 {
-        self.region
     }
 }
 
@@ -439,7 +455,7 @@ impl StoreOps for SharedStoreView {
     }
 
     fn new_var(&mut self) -> VarId {
-        self.store.new_var_in(self.owner, self.region)
+        self.store.new_var(self.owner)
     }
 }
 
@@ -497,56 +513,89 @@ mod tests {
         assert!(s.add_waiter(x, 12));
         assert!(s.add_waiter(x, 11));
         s.remove_waiter(x, 12);
-        assert_eq!(s.vars_with_waiters(), vec![x]);
         let w = s.bind(x, Term::int(5), 2, NodeId(0)).unwrap();
         assert_eq!(w, vec![11]);
         assert!(!s.add_waiter(x, 13));
-        assert!(s.vars_with_waiters().is_empty());
     }
 
     #[test]
-    fn stripe_reclaim_recycles_slots_and_defers_waiter_blocked_ones() {
+    fn a_sweep_frees_what_the_mark_did_not_reach_and_hands_it_out_again() {
         let s = SharedStore::new(2);
-        let boot = s.new_var(1); // region 0 in stripe 1: never reclaimed
-        s.bind(boot, Term::int(1), 0, NodeId(0)).unwrap();
-        let mut high_water = 0;
-        for session in 1..=50u32 {
-            let a = s.new_var_in(1, session);
-            let tail = s.new_var_in(1, session);
-            s.bind(a, Term::int(session as i64), 0, NodeId(0)).unwrap();
-            s.add_waiter(tail, u64::from(session));
-            // The waiter-blocked slot defers; the bound one frees. From the
-            // second session on, the previous session's deferred tail (bound
-            // at the end of that session) is freed here too.
-            let expected = if session == 1 { 1 } else { 2 };
-            assert_eq!(s.reclaim_region_stripe(1, session), expected);
-            // Binding drains the waiter; the next reclaim frees the deferral.
-            s.bind(tail, Term::Nil, 0, NodeId(0)).unwrap();
-            high_water = high_water.max(s.len());
-        }
-        // The final tail is still deferred; one more reclaim frees it.
-        assert_eq!(s.reclaim_region_stripe(1, 51), 1);
-        assert!(high_water <= 4, "stripe grew to {high_water} slots");
-        assert_eq!(s.lookup(boot).unwrap().value, Term::int(1));
-        // Stripe 0 was never touched.
-        assert_eq!(s.reclaim_region_stripe(0, 1), 0);
+        let (root, a, b, c, d) = (
+            s.new_var(1),
+            s.new_var(0),
+            s.new_var(1),
+            s.new_var(1),
+            s.new_var(0),
+        );
+        let (bound_garbage, waited_garbage) = (s.new_var(1), s.new_var(1));
+        // root = f(A, [B|C]), A = 7, C = D; B and D unbound, B waited on.
+        let list = Term::cons(Term::Var(b), Term::Var(c));
+        s.bind(
+            root,
+            Term::tuple("f", vec![Term::Var(a), list]),
+            0,
+            NodeId(0),
+        )
+        .unwrap();
+        s.bind(a, Term::int(7), 0, NodeId(0)).unwrap();
+        s.bind(c, Term::Var(d), 0, NodeId(0)).unwrap();
+        s.add_waiter(b, 1);
+        s.bind(bound_garbage, Term::int(1), 0, NodeId(0)).unwrap();
+        s.add_waiter(waited_garbage, 2);
+        assert_eq!(s.live(), 7);
+
+        let mut waiters = Vec::new();
+        let marks = s.mark(vec![Term::Var(root)], |w, _| waiters.push(w.to_vec()));
+        waiters.sort();
+        assert_eq!(waiters, [vec![], vec![1]], "B's and D's, once each");
+        assert_eq!(s.sweep(&marks), 2);
+        assert_eq!(s.live(), 5);
+        assert_eq!(s.deref(&Term::Var(c)), Term::Var(d));
+        // A second sweep over the same marks frees nothing new.
+        assert_eq!(s.sweep(&marks), 0);
+        // Lowest index first; recycled slots are born unbound, and a freed
+        // slot has dropped its waiters.
+        let again = [s.new_var(1), s.new_var(1)];
+        assert_eq!(again, [bound_garbage, waited_garbage]);
+        assert!(again.iter().all(|v| s.lookup(*v).is_none()));
+        assert!(s
+            .bind(waited_garbage, Term::Nil, 0, NodeId(0))
+            .unwrap()
+            .is_empty());
+        assert_eq!(s.bind(b, Term::Nil, 0, NodeId(0)).unwrap(), [1]);
+        assert_eq!(s.len(), 7, "nothing grew");
     }
 
     #[test]
-    fn view_region_tags_route_allocations_to_reclaim() {
-        let s = Arc::new(SharedStore::new(2));
-        let mut view = SharedStoreView::new(Arc::clone(&s), 1);
-        assert_eq!(view.region(), 0);
-        view.set_region(3);
-        let v = StoreOps::new_var(&mut view);
-        assert_eq!(v.owner(), 1);
-        s.bind(v, Term::int(9), 0, NodeId(0)).unwrap();
-        view.set_region(0);
-        let untracked = StoreOps::new_var(&mut view);
-        assert_eq!(s.reclaim_region_stripe(1, 3), 1);
-        // The untracked allocation survives any reclaim.
-        assert!(s.lookup(untracked).is_none());
-        s.bind(untracked, Term::int(1), 0, NodeId(0)).unwrap();
+    fn a_mark_walks_a_long_list_in_constant_stack() {
+        let s = SharedStore::new(1);
+        let head = s.new_var(0);
+        let cells = 200_000;
+        let list = (0..cells).fold(Term::Nil, |tail, i| Term::cons(Term::int(i), tail));
+        s.bind(head, list, 0, NodeId(0)).unwrap();
+        let marks = s.mark(vec![Term::Var(head)], |_, _| {});
+        // The variable, its value, and a head and a tail per cell.
+        assert_eq!(marks.work, 2 + 2 * cells as u64);
+        assert_eq!(s.sweep(&marks), 0);
+    }
+
+    #[test]
+    fn suspended_goals_pushed_by_the_caller_are_marked_too() {
+        // `reached` is how a collector keeps a goal suspended on a reached
+        // variable: the goal's own variables then survive.
+        let s = SharedStore::new(1);
+        let (waited, inside, unreached) = (s.new_var(0), s.new_var(0), s.new_var(0));
+        s.add_waiter(waited, 7);
+        let goal = Term::tuple("g", vec![Term::Var(waited), Term::Var(inside)]);
+        let marks = s.mark(vec![Term::Var(waited)], |waiters, work| {
+            if waiters == [7] {
+                work.push(goal.clone());
+            }
+        });
+        assert_eq!(s.sweep(&marks), 1);
+        assert!(s.lookup(unreached).is_none());
+        assert_eq!(s.new_var(0), unreached);
     }
 
     #[test]
@@ -646,28 +695,20 @@ mod tests {
 
     /// (b) Model equivalence: a seeded random history applied to a 2-stripe
     /// `SharedStore` and to a `Store` leaves every live variable
-    /// dereferencing alike after every step, and a reclaimed slot reads
-    /// unbound through the view before and after it is allocated again.
+    /// dereferencing alike after every step. A collection keeps exactly what
+    /// a random half of the live variables reaches in the plain store, and
+    /// a freed slot reads unbound through the view before and after it is
+    /// allocated again.
     #[test]
     fn view_matches_a_plain_store_over_random_histories() {
         use crate::{SplitMix64, Store};
-        use std::collections::HashMap;
+        use std::collections::{HashMap, HashSet};
 
-        /// A variable alive in both stores. `home` is its (stripe, region);
-        /// it may only point at variables of the same home or of region 0,
-        /// which is the session-locality contract reclamation assumes.
         #[derive(Clone, Copy)]
         struct Live {
             shared: VarId,
             local: VarId,
-            home: (u32, u32),
         }
-        // The plain store has one table: give each (stripe, region) pair a
-        // region of its own there. Region 0 stays 0 (never reclaimed).
-        let local_region = |(stripe, region): (u32, u32)| match region {
-            0 => 0,
-            r => r * 2 + stripe,
-        };
         fn translate(t: &Term, to_shared: &HashMap<VarId, VarId>) -> Term {
             match t {
                 Term::Var(v) => Term::Var(to_shared[v]),
@@ -677,6 +718,18 @@ mod tests {
                 other => other.clone(),
             }
         }
+        /// The plain store's variables reachable from `roots`.
+        fn reach(local: &Store, roots: &[VarId]) -> HashSet<VarId> {
+            let (mut seen, mut work) = (HashSet::new(), roots.to_vec());
+            while let Some(v) = work.pop() {
+                if seen.insert(v) {
+                    if let Some(b) = local.lookup(v) {
+                        work.extend(b.value.vars());
+                    }
+                }
+            }
+            seen
+        }
 
         for seed in 0..40u64 {
             let mut rng = SplitMix64::new(0x5EED_0000 + seed);
@@ -684,6 +737,14 @@ mod tests {
             let mut local = Store::new();
             let mut live: Vec<Live> = Vec::new();
             let mut to_shared: HashMap<VarId, VarId> = HashMap::new();
+            let alloc = |rng: &mut SplitMix64, local: &mut Store| Live {
+                shared: shared.new_var(rng.next_below(2) as u32),
+                local: local.new_var(),
+            };
+            let unbound = |v: &Live| {
+                let seen = shared.view(v.shared.owner()).read(v.shared.index());
+                matches!(seen, Seen::Unbound)
+            };
             for step in 0..400 {
                 let pick = |rng: &mut SplitMix64, live: &[Live]| {
                     live[rng.next_below(live.len() as u64) as usize]
@@ -694,15 +755,9 @@ mod tests {
                     rng.next_below(8)
                 };
                 match op {
-                    // Allocate in a random stripe and region.
+                    // Allocate in a random stripe.
                     0 | 1 => {
-                        let home = (rng.next_below(2) as u32, rng.next_below(3) as u32);
-                        local.set_region(local_region(home));
-                        let v = Live {
-                            shared: shared.new_var_in(home.0, home.1),
-                            local: local.new_var(),
-                            home,
-                        };
+                        let v = alloc(&mut rng, &mut local);
                         to_shared.insert(v.local, v.shared);
                         live.push(v);
                     }
@@ -710,7 +765,6 @@ mod tests {
                     2..=4 => {
                         let v = pick(&mut rng, &live);
                         let w = pick(&mut rng, &live);
-                        let w_ok = w.home == v.home || w.home.1 == 0;
                         let value = match (op, rng.next_below(5)) {
                             (2, 0) => Term::int(rng.next_u64() as i64),
                             (2, 1) => Term::float(rng.next_f64() - 0.5),
@@ -718,9 +772,8 @@ mod tests {
                             (2, 3) => Term::Nil,
                             (2, _) => Term::Port(rng.next_below(9) as u32),
                             (3, 0) => Term::str("text"),
-                            (3, _) if w_ok => Term::tuple("f", vec![Term::Var(w.local)]),
-                            (4, _) if w_ok => Term::Var(w.local),
-                            _ => Term::tuple("g", vec![Term::int(step)]),
+                            (3, _) => Term::tuple("f", vec![Term::Var(w.local)]),
+                            _ => Term::Var(w.local),
                         };
                         let on_local = local.bind(v.local, value.clone(), 0, NodeId(0));
                         let on_shared =
@@ -731,48 +784,40 @@ mod tests {
                             "seed {seed} step {step}"
                         );
                     }
-                    // Waiters, on never-reclaimed variables only (a slot
-                    // with waiters defers, and the two stores re-examine
-                    // deferrals at different reclaims).
                     5 | 6 => {
                         let v = pick(&mut rng, &live);
-                        if v.home.1 == 0 {
-                            let token = rng.next_below(4);
-                            if op == 5 {
-                                let a = local.add_waiter(v.local, token);
-                                assert_eq!(a, shared.add_waiter(v.shared, token));
-                            } else {
-                                local.remove_waiter(v.local, token);
-                                shared.remove_waiter(v.shared, token);
-                            }
+                        let token = rng.next_below(4);
+                        if op == 5 {
+                            let a = local.add_waiter(v.local, token);
+                            assert_eq!(a, shared.add_waiter(v.shared, token));
+                        } else {
+                            local.remove_waiter(v.local, token);
+                            shared.remove_waiter(v.shared, token);
                         }
                     }
-                    // Reclaim one (stripe, region).
+                    // Collect from a random half of the live variables.
                     _ => {
-                        let home = (rng.next_below(2) as u32, 1 + rng.next_below(2) as u32);
-                        let freed = shared.reclaim_region_stripe(home.0, home.1);
-                        assert_eq!(freed, local.reclaim_region(local_region(home)));
-                        let (gone, kept): (Vec<Live>, Vec<Live>) =
-                            live.iter().partition(|v| v.home == home);
+                        let roots: Vec<Live> = live
+                            .iter()
+                            .copied()
+                            .filter(|_| rng.next_below(2) == 0)
+                            .collect();
+                        let local_roots: Vec<VarId> = roots.iter().map(|v| v.local).collect();
+                        let kept = reach(&local, &local_roots);
+                        let shared_roots = roots.iter().map(|v| Term::Var(v.shared)).collect();
+                        let freed = shared.sweep(&shared.mark(shared_roots, |_, _| {}));
+                        let (stay, gone): (Vec<Live>, Vec<Live>) =
+                            live.iter().partition(|v| kept.contains(&v.local));
                         assert_eq!(freed, gone.len(), "seed {seed} step {step}");
-                        live = kept;
-                        let unbound = |v: &Live| {
-                            let seen = shared.view(v.shared.owner()).read(v.shared.index());
-                            matches!(seen, Seen::Unbound)
-                        };
                         assert!(gone.iter().all(unbound), "freed slot still published");
-                        // Allocate them all again: the recycled slots must
-                        // come back reading unbound.
+                        live = stay;
                         for old in &gone {
                             to_shared.remove(&old.local);
                         }
+                        // Allocate as many again: recycled slots must come
+                        // back reading unbound.
                         for _ in gone {
-                            local.set_region(local_region(home));
-                            let v = Live {
-                                shared: shared.new_var_in(home.0, home.1),
-                                local: local.new_var(),
-                                home,
-                            };
+                            let v = alloc(&mut rng, &mut local);
                             assert!(unbound(&v), "recycled slot born bound");
                             to_shared.insert(v.local, v.shared);
                             live.push(v);

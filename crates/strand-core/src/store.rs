@@ -12,7 +12,6 @@
 
 use crate::error::{StrandError, StrandResult};
 use crate::term::Term;
-use std::collections::HashMap;
 
 /// Identifier of a store variable.
 ///
@@ -95,13 +94,8 @@ impl Default for Slot {
 #[derive(Default)]
 pub(crate) struct SlotTable {
     slots: Vec<Slot>,
-    /// Per-region slot indices awaiting reclamation (regions ≠ 0 only).
-    region_index: HashMap<u32, Vec<u32>>,
-    /// Reclaimed slot indices available for reuse by `alloc`.
+    /// Swept slot indices available for reuse by `alloc`.
     free: Vec<u32>,
-    /// Slots from closed regions that still had waiters at reclaim time
-    /// (e.g. a live port tail); re-examined on every later reclaim.
-    deferred: Vec<u32>,
     binds: u64,
 }
 
@@ -115,23 +109,22 @@ impl SlotTable {
         self.slots.len()
     }
 
-    /// A fresh unbound slot under `region` (0 = untracked: never recorded,
-    /// never reclaimed, so batch runs pay nothing for the machinery). Reuses
-    /// a reclaimed slot when one is available.
+    /// Slots in use: created and not on the free list.
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// A fresh unbound slot; a swept one when one is available.
     #[inline]
-    pub fn alloc(&mut self, region: u32) -> u32 {
-        let index = match self.free.pop() {
+    pub fn alloc(&mut self) -> u32 {
+        match self.free.pop() {
             Some(i) => i,
             None => {
                 let i = self.slots.len() as u32;
                 self.slots.push(Slot::default());
                 i
             }
-        };
-        if region != 0 {
-            self.region_index.entry(region).or_default().push(index);
         }
-        index
     }
 
     /// Successful commits so far (bumped by `commit`, so under whatever
@@ -140,33 +133,37 @@ impl SlotTable {
         self.binds
     }
 
-    /// Reclaim every slot allocated under `region`, returning how many were
-    /// freed; see [`Store::reclaim_region`] for the contract. `on_free` sees
-    /// each freed index before `alloc` can hand it out again.
-    pub fn reclaim(&mut self, region: u32, mut on_free: impl FnMut(usize)) -> usize {
-        let mut candidates = self.region_index.remove(&region).unwrap_or_default();
-        candidates.append(&mut self.deferred);
-        let mut freed = 0;
-        for index in candidates {
-            match &self.slots[index as usize] {
-                Slot::Unbound { waiters } if !waiters.is_empty() => self.deferred.push(index),
-                _ => {
-                    self.slots[index as usize] = Slot::default();
-                    on_free(index as usize);
-                    self.free.push(index);
-                    freed += 1;
-                }
-            }
+    /// Free every slot `keep` rejects that is not free already — reset it
+    /// (a waiter list included), let `on_free` see it, push it on the free
+    /// list — and return how many were freed. Highest index first, so
+    /// `alloc` hands the lowest out first.
+    pub fn sweep(&mut self, keep: impl Fn(usize) -> bool, mut on_free: impl FnMut(usize)) -> usize {
+        let mut was_free = vec![false; self.slots.len()];
+        self.free.iter().for_each(|&i| was_free[i as usize] = true);
+        let before = self.free.len();
+        for index in (0..self.slots.len())
+            .rev()
+            .filter(|&i| !keep(i) && !was_free[i])
+        {
+            self.slots[index] = Slot::default();
+            on_free(index);
+            self.free.push(index as u32);
         }
-        freed
+        self.free.len() - before
     }
 
     /// The binding in slot `index`, if any.
     #[inline]
     pub fn lookup(&self, index: usize) -> Option<&Binding> {
+        self.read(index).ok()
+    }
+
+    /// Slot `index`'s binding, or the waiters of the unbound slot.
+    #[inline]
+    pub fn read(&self, index: usize) -> Result<&Binding, &[Waiter]> {
         match &self.slots[index] {
-            Slot::Bound(b) => Some(b),
-            Slot::Unbound { .. } => None,
+            Slot::Bound(b) => Ok(b),
+            Slot::Unbound { waiters } => Err(waiters),
         }
     }
 
@@ -220,14 +217,6 @@ impl SlotTable {
             waiters.retain(|w| *w != waiter);
         }
     }
-
-    /// Indices of the slots that currently have at least one waiter.
-    pub fn with_waiters(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Unbound { waiters } if !waiters.is_empty() => Some(i as u32),
-            _ => None,
-        })
-    }
 }
 
 /// The single-assignment store.
@@ -245,10 +234,6 @@ impl SlotTable {
 #[derive(Default)]
 pub struct Store {
     table: SlotTable,
-    /// Region tag stamped on subsequently allocated variables. Region 0 is
-    /// the boot/batch region: allocations there are never tracked and never
-    /// reclaimed.
-    region: u32,
 }
 
 impl Store {
@@ -273,37 +258,8 @@ impl Store {
     }
 
     /// Allocate a fresh, unbound variable.
-    ///
-    /// Reuses a reclaimed slot when one is available, so the slot table's
-    /// high-water mark tracks *live* variables, not variables ever created.
-    /// When the current [region](Store::set_region) is non-zero the slot is
-    /// recorded for [`reclaim_region`](Store::reclaim_region).
     pub fn new_var(&mut self) -> VarId {
-        VarId(self.table.alloc(self.region))
-    }
-
-    /// Set the region tag for subsequent allocations (0 = untracked).
-    pub fn set_region(&mut self, region: u32) {
-        self.region = region;
-    }
-
-    /// The region tag currently stamped on allocations.
-    pub fn region(&self) -> u32 {
-        self.region
-    }
-
-    /// Reclaim every variable allocated under `region`, returning the number
-    /// of slots actually freed.
-    ///
-    /// A slot is freed (reset to unbound-empty and made available for reuse)
-    /// when it is bound, or unbound with no waiters. A slot that still has
-    /// waiters — typically a live port tail some resident server loop is
-    /// suspended on — is *deferred*: it stays allocated and is re-examined
-    /// on the next reclaim, by which point the stream has usually advanced
-    /// past it. Safety rests on the session-locality contract (DESIGN.md
-    /// §9): server state must not retain session terms beyond the reply.
-    pub fn reclaim_region(&mut self, region: u32) -> usize {
-        self.table.reclaim(region, |_| {})
+        VarId(self.table.alloc())
     }
 
     /// The binding of `v`, if any (no dereferencing of chained variables).
@@ -374,11 +330,6 @@ impl Store {
     /// process suspended on several variables is woken by one of them).
     pub fn remove_waiter(&mut self, v: VarId, waiter: Waiter) {
         self.table.remove_waiter(v.0 as usize, waiter);
-    }
-
-    /// All variables that currently have at least one waiter (diagnostics).
-    pub fn vars_with_waiters(&self) -> Vec<VarId> {
-        self.table.with_waiters().map(VarId).collect()
     }
 }
 
@@ -533,48 +484,6 @@ mod tests {
         let t = Term::tuple("f", vec![Term::Var(x), Term::cons(Term::Var(y), Term::Nil)]);
         let r = s.resolve(&t);
         assert_eq!(r.to_string(), format!("f(3,[_{}])", y.0));
-    }
-
-    #[test]
-    fn reclaimed_regions_recycle_slots_and_bound_store_growth() {
-        let mut s = Store::new();
-        let boot = s.new_var(); // region 0: never reclaimed
-        s.bind(boot, Term::int(1), 0, NodeId(0)).unwrap();
-        let mut high_water = 0;
-        for session in 1..=100u32 {
-            s.set_region(session);
-            let a = s.new_var();
-            let b = s.new_var();
-            s.bind(a, Term::int(session as i64), 0, NodeId(0)).unwrap();
-            s.bind(b, Term::Var(a), 0, NodeId(0)).unwrap();
-            s.set_region(0);
-            assert_eq!(s.reclaim_region(session), 2);
-            high_water = high_water.max(s.len());
-        }
-        // 1 boot slot + at most 2 live session slots, ever.
-        assert!(high_water <= 3, "store grew to {high_water} slots");
-        // The boot region was untouched.
-        assert_eq!(s.lookup(boot).unwrap().value, Term::int(1));
-    }
-
-    #[test]
-    fn waiter_blocked_slots_defer_until_a_later_reclaim() {
-        let mut s = Store::new();
-        s.set_region(7);
-        let tail = s.new_var();
-        s.add_waiter(tail, 99); // a resident loop is suspended on this slot
-        s.set_region(0);
-        // First reclaim must not free the slot out from under the waiter.
-        assert_eq!(s.reclaim_region(7), 0);
-        assert_eq!(s.vars_with_waiters(), vec![tail]);
-        // The stream advances: the tail is bound, waiter drains.
-        s.bind(tail, Term::Nil, 1, NodeId(0)).unwrap();
-        // Any later reclaim (even of another region) frees the deferred slot.
-        assert_eq!(s.reclaim_region(8), 1);
-        // The freed slot is recycled by the next allocation.
-        let reused = s.new_var();
-        assert_eq!(reused, tail);
-        assert!(s.lookup(reused).is_none());
     }
 
     #[test]

@@ -27,13 +27,22 @@ impl Machine {
         Machine::build(program, config, store, role)
     }
 
-    /// Set the session region for subsequent goal construction and
-    /// injection: variables allocated while building the request term and
-    /// everything its reductions spawn are tagged with it, for the workers
-    /// to sweep when a [`Routed::Reclaim`](crate::Routed::Reclaim) closes
-    /// the session.
-    pub fn set_session_region(&mut self, region: u32) {
-        self.enter_region(region);
+    /// Hold `t` outside the fleet: until [`release`](Machine::release),
+    /// every collection keeps what it reaches. A caller that reads a
+    /// variable across ingress calls holds it.
+    pub fn hold(&mut self, t: Term) {
+        self.held.push(t);
+    }
+
+    /// Undo one [`hold`](Machine::hold) of `t`.
+    pub fn release(&mut self, t: &Term) {
+        let held = self.held.iter().position(|h| h == t);
+        held.map(|i| self.held.swap_remove(i));
+    }
+
+    /// The terms held outside the fleet: roots of every collection.
+    pub fn held(&self) -> &[Term] {
+        &self.held
     }
 
     /// Inject an external goal onto 1-based node `node`: it goes to the

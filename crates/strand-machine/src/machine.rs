@@ -28,7 +28,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use strand_core::{
-    sym, Atom, Frame, FxHashMap, NodeId, SplitMix64, StrandError, StrandResult, Term, Time, VarId,
+    sym, Atom, Frame, FxHashMap, FxHashSet, NodeId, SplitMix64, StrandError, StrandResult, Term,
+    Time, VarId,
 };
 use strand_parse::CompiledProgram;
 
@@ -51,7 +52,7 @@ fn wrap_node(j: i64, nodes: u32) -> NodeId {
 #[derive(Clone, Debug)]
 pub(crate) struct Susp {
     /// The process as it was popped; a wake re-queues it unchanged but for
-    /// its ready time. A session sweep tears out suspensions by its region.
+    /// its ready time.
     pub item: QItem,
     pub node: NodeId,
     vars: Vec<VarId>,
@@ -186,9 +187,8 @@ pub struct Machine {
     /// Resolved snapshots of goals lost with crashed nodes (capped at 16).
     dead_goals: Vec<Term>,
     dead_count: usize,
-    /// Region the currently reducing process runs under; spawns from the
-    /// reduction inherit it (0 outside any session — the batch default).
-    current_region: u32,
+    /// Terms held outside the fleet (see [`Machine::hold`]).
+    pub(crate) held: Vec<Term>,
 }
 
 impl Machine {
@@ -249,7 +249,7 @@ impl Machine {
             program,
             lent: Some(Box::new(lent)),
             config,
-            current_region: 0,
+            held: Vec::new(),
         }
     }
 
@@ -295,16 +295,6 @@ impl Machine {
         &mut self.role
     }
 
-    /// Make `region` the one allocations and spawns are tagged with, if it
-    /// is not already.
-    #[inline]
-    pub(crate) fn enter_region(&mut self, region: u32) {
-        if self.current_region != region {
-            self.current_region = region;
-            self.store.set_region(region);
-        }
-    }
-
     // --- The pool --------------------------------------------------------
 
     /// Enqueue a goal on a node at the given ready time.
@@ -333,7 +323,6 @@ impl Machine {
                 pid,
                 goal,
                 tracked,
-                region: self.current_region,
             },
         );
     }
@@ -608,18 +597,32 @@ impl Machine {
         Some(susp)
     }
 
-    /// Tear out every suspension matching `doomed`: its wake can never
-    /// matter again.
-    pub(crate) fn tear_out(&mut self, doomed: impl Fn(&Susp) -> bool) -> Vec<Susp> {
-        let pids: Vec<u64> = self
+    /// What a collection marks from: every queued goal, and every
+    /// suspended goal by pid.
+    pub fn holdings(&self) -> (Vec<Term>, Vec<(u64, Term)>) {
+        let queues = self.nodes.iter().map(|n| &n.queue);
+        let queued = queues.flat_map(|q| q.fifo.iter().chain(&q.heap));
+        let suspended = self
             .suspended
             .iter()
-            .filter(|(_, s)| doomed(s))
-            .map(|(&pid, _)| pid)
-            .collect();
-        pids.into_iter()
-            .map(|pid| self.unsuspend(pid).expect("collected above"))
-            .collect()
+            .map(|(p, s)| (*p, s.item.goal.clone()));
+        (
+            queued.map(|item| item.goal.clone()).collect(),
+            suspended.collect(),
+        )
+    }
+
+    /// Keep only the suspensions a collection reached: the slots of the
+    /// rest are free already, so only the tracked gauge is left to settle.
+    pub fn drop_unreachable(&mut self, reached: &FxHashSet<u64>) {
+        let metrics = &mut self.metrics;
+        self.suspended.retain(|pid, s| {
+            let keep = reached.contains(pid);
+            if !keep && s.item.tracked {
+                metrics.track_done(s.node);
+            }
+            keep
+        });
     }
 
     /// The processes suspended on this machine, in no particular order.
@@ -635,7 +638,7 @@ impl Machine {
         // and this registration: never on the simulator, where a reduction
         // is atomic, but on a `SharedStore` a peer worker binds concurrently.
         // Roll back the waiters registered so far and retry the very same
-        // process — same pid, tracked flag and region, so the tracked gauge
+        // process — same pid and tracked flag, so the tracked gauge
         // (counted once at spawn, settled once at completion) stays exact.
         for (i, v) in vars.iter().enumerate() {
             if !self.store.add_waiter(*v, pid) {
@@ -764,7 +767,9 @@ impl Machine {
         for item in &lost {
             self.bury(node, item);
         }
-        let torn = self.tear_out(|s| s.node == node);
+        let on_node = self.suspended.iter().filter(|(_, s)| s.node == node);
+        let pids: Vec<u64> = on_node.map(|(&pid, _)| pid).collect();
+        let torn: Vec<Susp> = pids.into_iter().filter_map(|p| self.unsuspend(p)).collect();
         for susp in &torn {
             self.bury(node, &susp.item);
         }
@@ -795,7 +800,6 @@ impl Machine {
     pub(crate) fn arm_timer(&mut self, wait: Time, cancel: Term, timeout: Term) {
         let (node, due) = (self.current_node, self.now() + wait);
         self.metrics.timers_armed += 1;
-        let region = self.current_region;
         match &mut self.role {
             Role::Alone { .. } => self.queue_timer(node, due, cancel, timeout),
             Role::Sharded(shard) => shard.armed.push(Deadline {
@@ -804,7 +808,6 @@ impl Machine {
                 due,
                 cancel,
                 timeout,
-                region,
             }),
         }
     }
@@ -830,10 +833,6 @@ impl Machine {
     /// after the decision, so a goal that is done with hands its blocks to
     /// the pool.
     fn reduce_lent(&mut self, item: QItem, lent: &mut Lent) -> StrandResult<()> {
-        // Allocations made by this reduction (and spawns from it) belong to
-        // the process's session region. Batch runs stay on region 0 and
-        // never change it.
-        self.enter_region(item.region);
         let goal = self.store.deref_cow(&item.goal);
         if let Term::Var(v) = *goal {
             // A goal that is itself an unbound variable: a metacall waiting
@@ -1060,7 +1059,6 @@ mod tests {
         let mut cfg = MachineConfig::default();
         cfg.tracked.insert(Atom::new("p"));
         let mut m = Machine::new_worker(Arc::new(program), cfg, &world, 0, 1);
-        m.set_session_region(7);
         let v = m.store.new_var();
         m.start(Term::tuple("p", vec![Term::Var(v)]));
         let item = m.nodes[0].queue.pop().unwrap();
@@ -1074,7 +1072,7 @@ mod tests {
         assert_eq!(m.metrics.suspensions, 0);
         assert_eq!(m.nodes[0].queue.len(), 1, "one runnable process");
         let again = m.nodes[0].queue.peek().unwrap();
-        assert_eq!((again.pid, again.tracked, again.region), (pid, true, 7));
+        assert_eq!((again.pid, again.tracked), (pid, true));
         assert_eq!(m.metrics.live_tracked[0], 1, "spawn counted twice");
         assert_eq!(world.regular_pending(), 1, "gate out of balance");
 
@@ -1090,7 +1088,6 @@ mod tests {
             pid,
             goal: Term::tuple("g", vec![Term::int(ready_at as i64), Term::int(pid as i64)]),
             tracked: false,
-            region: 0,
         }
     }
 

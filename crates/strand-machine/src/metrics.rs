@@ -75,14 +75,18 @@ pub struct Metrics {
     pub susp_by_proc: FxHashMap<Atom, u64>,
     /// Client sessions opened against a resident machine (`strand-serve`).
     pub sessions_opened: u64,
-    /// Client sessions closed (and their regions reclaimed).
+    /// Client sessions closed (each makes a collection due).
     pub sessions_closed: u64,
     /// External requests admitted into a resident machine.
     pub requests_admitted: u64,
     /// External requests rejected by backpressure (retry-after issued).
     pub requests_rejected: u64,
-    /// Store slots freed by session-region reclamation.
+    /// Store slots freed by a resident fleet's collections.
     pub vars_reclaimed: u64,
+    /// Collections a resident fleet finished.
+    pub collections: u64,
+    /// The longest collection, hand-over to verdict, in microseconds.
+    pub collect_us_max: u64,
     /// Times a resident worker reached global quiescence and parked instead
     /// of exiting (the idle-vs-terminated distinction, DESIGN.md §9).
     pub idle_parks: u64,
@@ -270,6 +274,8 @@ impl Metrics {
         self.requests_admitted += other.requests_admitted;
         self.requests_rejected += other.requests_rejected;
         self.vars_reclaimed += other.vars_reclaimed;
+        self.collections += other.collections;
+        self.collect_us_max = self.collect_us_max.max(other.collect_us_max);
         self.idle_parks += other.idle_parks;
         self.timers_armed += other.timers_armed;
         self.timers_fired += other.timers_fired;
@@ -349,11 +355,15 @@ mod tests {
         a.sessions_closed = 9;
         a.requests_admitted = 40;
         a.vars_reclaimed = 18;
+        a.collections = 2;
+        a.collect_us_max = 90;
         let mut b = Metrics::new(2);
         b.sessions_opened = 3;
         b.sessions_closed = 4;
         b.requests_rejected = 2;
         b.vars_reclaimed = 7;
+        b.collections = 3;
+        b.collect_us_max = 40;
         b.idle_parks = 5;
         a.merge(&b);
         assert_eq!(a.sessions_opened, 13);
@@ -361,6 +371,7 @@ mod tests {
         assert_eq!(a.requests_admitted, 40);
         assert_eq!(a.requests_rejected, 2);
         assert_eq!(a.vars_reclaimed, 25);
+        assert_eq!((a.collections, a.collect_us_max), (5, 90));
         assert_eq!(a.idle_parks, 5);
     }
 

@@ -3,7 +3,9 @@
 //! `node mod threads == index`. A worker alternates [`Machine::drain_local`]
 //! (reduce owned work; no lock wider than a store stripe is ever held) with
 //! routing its outbox to peers and [`Machine::absorb`]ing their batches, and
-//! hands the deadlines it armed to the backend's one deadline queue.
+//! hands the deadlines it armed to the backend's one deadline queue. A
+//! resident backend collects while it is parked ([`Machine::holdings`],
+//! [`Machine::drop_unreachable`]).
 
 use crate::config::MachineConfig;
 use crate::machine::Machine;
@@ -104,28 +106,8 @@ impl Machine {
                     self.gate_sub(1); // the wake has arrived, stale or not
                     self.requeue_woken(pid, time, binder);
                 }
-                Routed::Reclaim { region, .. } => self.reclaim_session(region),
             }
         }
-    }
-
-    /// Sweep a closed session: tear out this machine's suspensions tagged
-    /// with `region` (their wakes can never matter again under the
-    /// session-locality contract) and reclaim the region's slots in this
-    /// worker's stripe of the store.
-    fn reclaim_session(&mut self, region: u32) {
-        debug_assert!(region != 0, "region 0 is the untracked batch region");
-        for susp in self.tear_out(|s| s.item.region == region) {
-            if susp.item.tracked {
-                self.metrics.track_done(susp.node);
-            }
-        }
-        let Role::Sharded(shard) = self.role() else {
-            unreachable!("only a sharded machine absorbs");
-        };
-        let store = &shard.world.store;
-        let freed = store.reclaim_region_stripe(shard.stripe(), region);
-        self.metrics.vars_reclaimed += freed as u64;
     }
 
     /// Drain the cross-shard events produced since the last call.
@@ -166,7 +148,6 @@ impl Machine {
                 pid,
                 goal: Term::tuple(sym::WALL_TIMER, vec![deadline.cancel, deadline.timeout]),
                 tracked: false,
-                region: deadline.region,
             },
         );
     }
@@ -194,16 +175,10 @@ impl Machine {
         }
     }
 
-    /// Discard a routed batch unapplied (run aborted): settle the gate.
+    /// Discard a routed batch unapplied (run aborted): settle the gate,
+    /// one unit per event.
     pub fn discard_routed(&mut self, batch: Vec<Routed>) {
-        for event in batch {
-            match event {
-                Routed::Job(_) | Routed::Wake { .. } => self.gate_sub(1),
-                // Reclaims carry no gate unit; on an aborted run the region
-                // simply stays allocated (the process is exiting anyway).
-                Routed::Reclaim { .. } => {}
-            }
-        }
+        self.gate_sub(batch.len() as u64);
     }
 }
 

@@ -18,11 +18,6 @@ pub(crate) struct QItem {
     pub pid: u64,
     pub goal: Term,
     pub tracked: bool,
-    /// Session region this process allocates store variables under
-    /// (0 = the untracked boot/batch region). Spawns inherit the spawning
-    /// reduction's region, so a whole request's dataflow is reclaimable
-    /// when its session closes.
-    pub region: u32,
 }
 
 impl PartialEq for QItem {
@@ -72,11 +67,6 @@ pub enum Routed {
         time: Time,
         binder: NodeId,
     },
-    /// A closed session's region must be swept on `worker`: the receiver
-    /// tears out its suspensions tagged with `region` and reclaims its own
-    /// store stripe. Carries no in-flight gate unit (reclamation is not
-    /// program work); it still rides the quiescence token like any batch.
-    Reclaim { region: u32, worker: usize },
 }
 
 impl Routed {
@@ -87,7 +77,6 @@ impl Routed {
         match self {
             Routed::Job(job) => job.node.0 as usize % threads,
             Routed::Wake { pid, .. } => (pid >> WORKER_PID_SHIFT) as usize,
-            Routed::Reclaim { worker, .. } => *worker,
         }
     }
 }
@@ -114,10 +103,6 @@ pub struct Deadline {
     pub cancel: Term,
     /// The timeout var, bound to `timeout` when the deadline fires.
     pub timeout: Term,
-    /// Session region the arming reduction ran under; the backend purges
-    /// wheel entries when their region is reclaimed, so a fired timer can
-    /// never touch a recycled slot.
-    pub region: u32,
 }
 
 /// Which life a machine leads. Its constructor is handed exactly one of
@@ -327,17 +312,8 @@ impl StoreHandle {
         }
     }
 
-    /// Set the session region subsequent allocations are tagged with
-    /// (0 = untracked boot/batch region).
-    pub fn set_region(&mut self, region: u32) {
-        match self {
-            StoreHandle::Local(s) => s.set_region(region),
-            StoreHandle::Shared(s) => s.set_region(region),
-        }
-    }
-
-    /// Variables currently allocated (the live slot-table size; reclaimed
-    /// slots are reused, so a bounded resident process keeps this bounded).
+    /// Slots ever created — the slot tables' high-water mark: a resident
+    /// fleet reuses collected slots, so a bounded service keeps it bounded.
     pub fn len(&self) -> usize {
         match self {
             StoreHandle::Local(s) => s.len(),
@@ -445,6 +421,18 @@ impl SharedWorld {
         };
         let view = SharedStoreView::new(Arc::clone(&self.store), shard.stripe());
         (StoreHandle::Shared(view), Role::Sharded(shard))
+    }
+
+    /// The run's striped variable store.
+    pub fn store(&self) -> &SharedStore {
+        &self.store
+    }
+
+    /// Every port's current tail, the end of a stream anyone may still
+    /// send on: roots of a collection.
+    pub fn port_tails(&self) -> Vec<Term> {
+        let ports = self.ports.lock().expect("ports mutex poisoned");
+        ports.iter().map(|p| Term::Var(p.tail)).collect()
     }
 
     /// Nodes a fault plan has crashed so far (1-based, ascending).

@@ -82,6 +82,7 @@
 //! assert_eq!(r.bindings["V"].to_string(), "42");
 //! ```
 
+mod collect;
 mod quiesce;
 mod resident;
 mod timers;
@@ -93,7 +94,7 @@ use quiesce::Tokens;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use strand_core::{StrandError, StrandResult, Term};
@@ -137,6 +138,9 @@ enum Msg {
 struct Shared {
     /// Busy workers + in-flight batches; zero ⇒ global quiescence.
     tokens: Tokens,
+    /// Each worker's machine, locked by its worker except while parked on
+    /// its channel (`collect.rs`).
+    machines: Vec<Mutex<Machine>>,
     senders: Vec<Sender<Msg>>,
     /// Set on fatal error, budget exhaustion or quiescence: workers discard
     /// local work and exit.
@@ -154,6 +158,13 @@ struct Shared {
     /// before parking; its clock is the wall when `resident`, and otherwise
     /// jumps to the earliest deadline at quiescence (see [`park`]).
     wheel: timers::TimerWheel,
+    /// A resident fleet's ingress machine, behind the lock that serialises
+    /// injection and collection; `None` on a batch fleet and once shut down.
+    ingress: Mutex<Option<collect::Ingress>>,
+    /// Signalled on the ingress lock when a collection finishes.
+    quiet: Condvar,
+    /// The boot goal's variables: roots of a resident fleet's collections.
+    boot: Vec<Term>,
 }
 
 /// Register this engine for [`Backend::Parallel`] configs — select it with
@@ -189,13 +200,12 @@ fn run_parallel(
     config: MachineConfig,
     lib: &ForeignLib,
 ) -> StrandResult<GoalResult> {
-    let (mut fleet, _) = Fleet::launch(program, goal_src, config, lib, false)?;
+    let mut fleet = Fleet::launch(program, goal_src, config, lib, false)?;
     let vars = std::mem::take(&mut fleet.vars);
-    let (report, machines) = fleet.collect(None)?;
-    let bindings = vars
-        .into_iter()
-        .map(|(name, term)| (name, machines[0].store().resolve(&term)))
-        .collect();
+    let shared = Arc::clone(&fleet.shared);
+    let report = fleet.collect(None)?;
+    let resolve = |(name, term)| (name, shared.world.store().resolve(&term));
+    let bindings = vars.into_iter().map(resolve).collect();
     Ok(GoalResult { report, bindings })
 }
 
@@ -206,9 +216,8 @@ fn run_parallel(
 /// stops it on shutdown.
 struct Fleet {
     shared: Arc<Shared>,
-    /// One per shard, in index order; each hands back its machine when its
-    /// worker exits, so the shard reports can be merged after the join.
-    workers: Vec<JoinHandle<Machine>>,
+    /// One per shard, in index order.
+    workers: Vec<JoinHandle<()>>,
     /// The seed goal's named variables.
     vars: BTreeMap<String, Term>,
     t0: Instant,
@@ -224,7 +233,7 @@ impl Fleet {
         config: MachineConfig,
         lib: &ForeignLib,
         resident: bool,
-    ) -> StrandResult<(Fleet, Option<Machine>)> {
+    ) -> StrandResult<Fleet> {
         let threads = resolve_threads(&config);
         let goal_ast = parse_term(goal_src).map_err(|e| StrandError::Other(e.to_string()))?;
         let compiled =
@@ -249,6 +258,7 @@ impl Fleet {
             (0..threads).map(|_| bounded::<Msg>(CHANNEL_CAP)).unzip();
         let shared = Arc::new(Shared {
             tokens: Tokens::new(threads as u64),
+            machines: machines.into_iter().map(Mutex::new).collect(),
             senders,
             stopping: AtomicBool::new(false),
             truncated: AtomicBool::new(false),
@@ -257,6 +267,12 @@ impl Fleet {
             threads,
             resident,
             wheel: timers::TimerWheel::new(resident),
+            ingress: Mutex::new(ingress.map(|machine| collect::Ingress {
+                machine,
+                due: collect::Due::default(),
+            })),
+            quiet: Condvar::new(),
+            boot: vars.values().cloned().collect(),
         });
         let t0 = Instant::now();
         let name = if resident {
@@ -264,11 +280,10 @@ impl Fleet {
         } else {
             "strand-node"
         };
-        let workers = machines
+        let workers = receivers
             .into_iter()
-            .zip(receivers)
             .enumerate()
-            .map(|(idx, (mut m, rx))| {
+            .map(|(idx, rx)| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("{name}-{idx}"))
@@ -276,44 +291,43 @@ impl Fleet {
                         // A panic anywhere in the shard (engine bug, foreign
                         // closure) must not leave peers parked forever:
                         // surface it and stop.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            worker_loop(&shared, idx, &rx, &mut m)
-                        }));
+                        let outcome =
+                            catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, idx, &rx)));
                         if outcome.is_err() {
                             fatal(&shared, worker_panicked());
                         }
-                        m
                     })
                     .expect("spawn worker thread")
             })
             .collect();
-        let fleet = Fleet {
+        Ok(Fleet {
             shared,
             workers,
             vars,
             t0,
-        };
-        Ok((fleet, ingress))
+        })
     }
 
     /// Join the workers in index order (they must have been told, or have
     /// decided, to stop) and merge every shard's report — plus `ingress`'s,
-    /// so a service's serve counters and reclamation totals survive into the
-    /// summary. Returns the machines too: their stores hold the answers.
-    fn collect(self, ingress: Option<Machine>) -> StrandResult<(RunReport, Vec<Machine>)> {
+    /// so a service's serve counters and collection totals survive into the
+    /// summary.
+    fn collect(self, mut ingress: Option<Machine>) -> StrandResult<RunReport> {
         let joined: Vec<_> = self.workers.into_iter().map(|h| h.join()).collect();
         let wall_ns = self.t0.elapsed().as_nanos() as u64;
         if let Some(e) = lock(&self.shared.fatal).take() {
             return Err(e);
         }
-        let mut machines = joined
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|_| worker_panicked())?;
-        machines.extend(ingress);
+        if joined.iter().any(Result::is_err) {
+            return Err(worker_panicked());
+        }
+        let mut machines: Vec<_> = self.shared.machines.iter().map(lock).collect();
         let truncated = self.shared.truncated.load(Ordering::Acquire);
         let threads = self.shared.threads;
-        let parts: Vec<_> = machines.iter_mut().map(|m| m.finalize_shard()).collect();
+        let parts = machines.iter_mut().map(|m| m.finalize_shard());
+        let parts: Vec<_> = parts
+            .chain(ingress.as_mut().map(Machine::finalize_shard))
+            .collect();
         let worker_jobs: Vec<u64> = parts
             .iter()
             .take(threads)
@@ -323,7 +337,7 @@ impl Fleet {
         report.metrics.wall_ns = wall_ns;
         report.metrics.threads_used = threads as u32;
         report.metrics.worker_jobs = worker_jobs;
-        Ok((report, machines))
+        Ok(report)
     }
 }
 
@@ -345,7 +359,8 @@ fn send_direct(shared: &Shared, events: Vec<Routed>) {
 /// One worker's scheduling loop over its own shard. Alternates bounded
 /// reduction bursts with channel service; see the module docs for the
 /// batching and quiescence rules.
-fn worker_loop(shared: &Shared, me: usize, rx: &Receiver<Msg>, m: &mut Machine) {
+fn worker_loop(shared: &Shared, me: usize, rx: &Receiver<Msg>) {
+    let mut m = lock(&shared.machines[me]);
     let mut buffers: Vec<Vec<Routed>> = (0..shared.threads).map(|_| Vec::new()).collect();
     loop {
         if shared.stopping.load(Ordering::Acquire) {
@@ -431,10 +446,14 @@ fn worker_loop(shared: &Shared, me: usize, rx: &Receiver<Msg>, m: &mut Machine) 
                 if last && shared.resident {
                     // Resident mode: global quiescence is *idle*, not
                     // termination. Only the last releaser ticks the
-                    // burst-to-idle transition, so one park per burst.
+                    // burst-to-idle transition, so one park per burst, and
+                    // collects if one is due.
                     m.metrics_mut().idle_parks += 1;
+                    collect::at_quiescence(shared, me, &mut m);
                 }
-                match park(shared, rx, m, last) {
+                let parked;
+                (parked, m) = park(shared, me, rx, m, last);
+                match parked {
                     Parked::Batch(batch) => m.absorb(batch),
                     Parked::Fired => {}
                     Parked::Stop => return,
@@ -473,6 +492,8 @@ enum Parked {
 /// look at the wheel, so a batch deadline never fires while any worker
 /// holds a token.
 ///
+/// It lets go of its machine only while waiting on its channel.
+///
 /// Token discipline (model-checked in `quiesce::check_timers` and
 /// `quiesce::check_batch_timers`): the worker holds **no** token while
 /// parked. When a deadline fires, the busy token is minted **before** the
@@ -481,7 +502,13 @@ enum Parked {
 /// are safe: `pop_due` removes entries under the wheel's lock, so every
 /// deadline fires exactly once; the losers re-release the token they
 /// minted.
-fn park(shared: &Shared, rx: &Receiver<Msg>, m: &mut Machine, mut last: bool) -> Parked {
+fn park<'a>(
+    shared: &'a Shared,
+    me: usize,
+    rx: &Receiver<Msg>,
+    mut m: MutexGuard<'a, Machine>,
+    mut last: bool,
+) -> (Parked, MutexGuard<'a, Machine>) {
     loop {
         let mut next = None;
         if shared.resident || last {
@@ -495,19 +522,25 @@ fn park(shared: &Shared, rx: &Receiver<Msg>, m: &mut Machine, mut last: bool) ->
                 // again — an all-cancelled wheel must stop the fleet, not
                 // hang it. Tell everyone.
                 stop(shared);
-                return Parked::Stop;
+                return (Parked::Stop, m);
             }
-            return match rx.recv() {
-                Ok(Msg::Batch(batch)) => Parked::Batch(batch),
-                Ok(Msg::Stop) | Err(_) => Parked::Stop,
+            drop(m);
+            let got = rx.recv();
+            let m = lock(&shared.machines[me]);
+            return match got {
+                Ok(Msg::Batch(batch)) => (Parked::Batch(batch), m),
+                Ok(Msg::Stop) | Err(_) => (Parked::Stop, m),
             };
         };
         // The quiescence clock has no reading of its own: it is at `due`.
         let now = shared.wheel.now_ms().unwrap_or(due);
         if due > now {
-            match rx.recv_timeout(Duration::from_millis(due - now)) {
-                Ok(Msg::Batch(batch)) => return Parked::Batch(batch),
-                Ok(Msg::Stop) | Err(RecvTimeoutError::Disconnected) => return Parked::Stop,
+            drop(m);
+            let got = rx.recv_timeout(Duration::from_millis(due - now));
+            m = lock(&shared.machines[me]);
+            match got {
+                Ok(Msg::Batch(batch)) => return (Parked::Batch(batch), m),
+                Ok(Msg::Stop) | Err(RecvTimeoutError::Disconnected) => return (Parked::Stop, m),
                 Err(RecvTimeoutError::Timeout) => {}
             }
         }
@@ -529,7 +562,7 @@ fn park(shared: &Shared, rx: &Receiver<Msg>, m: &mut Machine, mut last: bool) ->
         }
         // A fired deadline is scheduler work, not a network message.
         send_direct(shared, m.take_outbox());
-        return Parked::Fired;
+        return (Parked::Fired, m);
     }
 }
 

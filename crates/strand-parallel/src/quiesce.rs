@@ -18,9 +18,9 @@
 //! confirms (a) the correct order never announces early and (b) the broken
 //! order does — i.e. the checker has the power to catch the bug. Further
 //! variants of the model cross the protocol with the deadline wheel under
-//! each of its two clocks. (A worker whose nodes a fault plan has crashed
-//! needs no variant: it absorbs, surrenders and parks like any other, which
-//! [`model::check`] already covers.)
+//! each of its two clocks, and with `collect.rs`'s collector and ingress.
+//! (A worker whose nodes have crashed needs no variant: it absorbs,
+//! surrenders and parks like any other, which [`model::check`] covers.)
 //!
 //! # Why an in-repo checker and not loom?
 //!
@@ -650,6 +650,233 @@ mod model {
             }
         }
         Ok(seen.len())
+    }
+
+    /// A worker in the *collection* variant of the model (a resident
+    /// fleet, so nobody announces termination).
+    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+    enum C {
+        Busy { sends_left: u8 },
+        Parked,
+    }
+
+    /// The ingress actor: `Building` holds the lock with a request's new
+    /// variables only in its local outbox; `Pending` has let go of the
+    /// lock with them still there (the bug under test).
+    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+    enum Ing {
+        Idle,
+        Building,
+        Pending,
+    }
+
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    struct CollectState {
+        tokens: u64,
+        wheel: u8,
+        /// Unreceived batches per worker.
+        queues: Vec<u8>,
+        workers: Vec<C>,
+        /// The collector holds worker `i`'s machine: it cannot run.
+        taken: Vec<bool>,
+        ingress: Ing,
+        requests_left: u8,
+        /// Holding the ingress lock, taking the workers' machines.
+        collecting: bool,
+        collections_left: u8,
+    }
+
+    /// The collector crossed with the token protocol, the deadline wheel
+    /// and an ingress actor. The collector may start only at tokens = 0
+    /// while taking the ingress lock; it takes the workers' machines one
+    /// at a time — a parked worker's is free, and the worker cannot run
+    /// until it is given back; a busy worker's is not, and the collector
+    /// gives up — then re-checks tokens = 0 and marks. A parked worker may
+    /// wake for a deadline (mint, then work) whenever its machine is free,
+    /// and the ingress builds a request under the lock and ships it.
+    /// Invariant: when the collector marks, no work exists that it cannot
+    /// see — no batch in a channel, no request outside the lock. Also no
+    /// stuck state.
+    ///
+    /// `mint_before_unlock` is the shipped `with_ingress` (mint and send,
+    /// then unlock); `false` lets go of the lock first. `recheck` is the
+    /// shipped collector; `false` marks without re-checking once it holds
+    /// every machine. Each `false` must be caught.
+    fn check_collect(
+        threads: usize,
+        sends_each: u8,
+        deadlines: u8,
+        requests: u8,
+        collections: u8,
+        mint_before_unlock: bool,
+        recheck: bool,
+    ) -> Result<usize, String> {
+        let init = CollectState {
+            tokens: threads as u64,
+            wheel: deadlines,
+            queues: vec![0; threads],
+            workers: vec![
+                C::Busy {
+                    sends_left: sends_each
+                };
+                threads
+            ],
+            taken: vec![false; threads],
+            ingress: Ing::Idle,
+            requests_left: requests,
+            collecting: false,
+            collections_left: collections,
+        };
+        let mut seen = HashSet::new();
+        let mut stack = vec![init];
+        while let Some(s) = stack.pop() {
+            if !seen.insert(s.clone()) {
+                continue;
+            }
+            let before = stack.len();
+            let mut next = |f: &dyn Fn(&mut CollectState)| {
+                let mut n = s.clone();
+                f(&mut n);
+                stack.push(n);
+            };
+            for i in 0..threads {
+                match s.workers[i] {
+                    C::Busy { sends_left } => {
+                        if sends_left > 0 {
+                            for to in (0..threads).filter(|&to| to != i) {
+                                next(&|n| {
+                                    n.tokens += 1; // inc BEFORE send
+                                    n.queues[to] += 1;
+                                    n.workers[i] = C::Busy {
+                                        sends_left: sends_left - 1,
+                                    };
+                                });
+                            }
+                        }
+                        if s.queues[i] > 0 {
+                            next(&|n| {
+                                n.queues[i] -= 1;
+                                n.tokens -= 1;
+                            });
+                        }
+                        next(&|n| {
+                            n.tokens -= 1;
+                            n.workers[i] = C::Parked;
+                        });
+                    }
+                    // Waking takes the machine back first.
+                    C::Parked if s.taken[i] => {}
+                    C::Parked => {
+                        if s.queues[i] > 0 {
+                            next(&|n| {
+                                n.queues[i] -= 1;
+                                n.workers[i] = C::Busy { sends_left: 1 };
+                            });
+                        }
+                        if s.wheel > 0 {
+                            next(&|n| {
+                                n.tokens += 1; // mint BEFORE pop
+                                n.wheel -= 1;
+                                n.workers[i] = C::Busy { sends_left: 1 };
+                            });
+                        }
+                    }
+                }
+            }
+            // The ingress: build under the lock; mint, send, let go.
+            let lock_free = s.ingress != Ing::Building && !s.collecting;
+            match s.ingress {
+                Ing::Idle if s.requests_left > 0 && lock_free => next(&|n| {
+                    n.ingress = Ing::Building;
+                    n.requests_left -= 1;
+                }),
+                Ing::Building if !mint_before_unlock => next(&|n| n.ingress = Ing::Pending),
+                Ing::Building | Ing::Pending => {
+                    for to in 0..threads {
+                        next(&|n| {
+                            n.tokens += 1;
+                            n.queues[to] += 1;
+                            n.ingress = Ing::Idle;
+                        });
+                    }
+                }
+                Ing::Idle => {}
+            }
+            // The collector.
+            let give_back = |n: &mut CollectState| {
+                n.collecting = false;
+                n.taken = vec![false; threads];
+            };
+            if !s.collecting && s.collections_left > 0 && lock_free && s.tokens == 0 {
+                next(&|n| {
+                    n.collecting = true;
+                    n.collections_left -= 1;
+                });
+            }
+            if s.collecting {
+                match s.taken.iter().position(|t| !t) {
+                    Some(i) if s.workers[i] == C::Parked => next(&|n| n.taken[i] = true),
+                    Some(_) => next(&give_back),
+                    None => {
+                        if !recheck || s.tokens == 0 {
+                            let unseen =
+                                s.queues.iter().any(|&q| q > 0) || s.ingress == Ing::Pending;
+                            if unseen {
+                                return Err(format!(
+                                    "the collector marked with work it cannot see: tokens={}",
+                                    s.tokens
+                                ));
+                            }
+                        }
+                        next(&give_back);
+                    }
+                }
+            }
+            let done = s.workers.iter().all(|w| *w == C::Parked)
+                && s.queues.iter().all(|&q| q == 0)
+                && s.ingress == Ing::Idle
+                && s.requests_left == 0
+                && !s.collecting;
+            if stack.len() == before && !done {
+                return Err(format!(
+                    "stuck state: tokens={}, wheel={}, collecting={}",
+                    s.tokens, s.wheel, s.collecting
+                ));
+            }
+        }
+        Ok(seen.len())
+    }
+
+    #[test]
+    fn collections_see_every_request_2_workers() {
+        let states = check_collect(2, 1, 1, 2, 2, true, true).expect("collection invariant");
+        assert!(states > 1_000, "trivial state space: {states}");
+    }
+
+    #[test]
+    fn collections_see_every_request_3_workers() {
+        let states = check_collect(3, 1, 1, 1, 1, true, true).expect("collection invariant");
+        assert!(states > 1_000, "trivial state space: {states}");
+    }
+
+    #[test]
+    fn checker_catches_an_ingress_that_mints_after_unlocking() {
+        // The request's variables sit in the ingress outbox with tokens at
+        // zero and the lock free: a collector takes the lock and frees
+        // them. The checker must see it, or the passing tests above prove
+        // nothing about the ship-before-unlock order.
+        let err = check_collect(2, 1, 0, 1, 1, false, true).expect_err("mint-after-unlock bug");
+        assert!(err.contains("cannot see"), "{err}");
+    }
+
+    #[test]
+    fn checker_catches_a_collector_that_skips_the_recheck() {
+        // A parked worker whose machine the collector has not taken yet
+        // fires a deadline, sends a batch to a peer whose machine it has,
+        // and parks again: only the re-check once every machine is taken
+        // sees the batch's token.
+        let err = check_collect(2, 1, 1, 0, 1, true, false).expect_err("skipped re-check bug");
+        assert!(err.contains("cannot see"), "{err}");
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //!   store and enqueue goals; everything it enqueues lands in its outbox
 //!   and is shipped to the owning workers under the same token protocol as
 //!   worker-to-worker traffic.
-//! * session cleanup rides the same channels: [`ResidentHandle::reclaim`]
-//!   sends each worker a [`Routed::Reclaim`] event, which sweeps that
-//!   shard's suspensions and store stripe for the region inline with its
-//!   normal scheduling — no stop-the-world.
+//! * the store is reclaimed by reachability at quiescence (`collect.rs`):
+//!   [`ResidentHandle::reclaim`] makes a collection due and runs it — at
+//!   once when the fleet is idle, else once the in-flight work drains. A
+//!   caller that reads a variable across ingress calls holds it
+//!   ([`Machine::hold`]).
 //!
 //! A [`FaultPlan`](strand_machine::FaultPlan) is honoured like on any
 //! fleet (the shard core injects it): a supervised resident program (the
@@ -36,12 +37,11 @@
 //! consult [`ResidentHandle::crashed_nodes`] so new sessions land on nodes
 //! that will actually reduce them.
 
-use crate::{lock, send_batch, send_direct, stop, Fleet};
+use crate::{collect, lock, send_direct, stop, Fleet};
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use strand_core::{StrandResult, Term};
-use strand_machine::{ForeignLib, Machine, MachineConfig, Routed, RunReport};
+use strand_machine::{ForeignLib, Machine, MachineConfig, RunReport};
 use strand_parse::Program;
 
 /// A running resident machine: worker threads parked-or-reducing behind
@@ -52,9 +52,6 @@ use strand_parse::Program;
 /// lock, reduction stays parallel across the workers.
 pub struct ResidentHandle {
     fleet: Fleet,
-    /// The ingress machine. Term construction, goal injection and the
-    /// serve-side metrics counters all happen under this lock.
-    ingress: Mutex<Machine>,
 }
 
 impl ResidentHandle {
@@ -69,9 +66,8 @@ impl ResidentHandle {
         config: MachineConfig,
         lib: &ForeignLib,
     ) -> StrandResult<ResidentHandle> {
-        let (fleet, ingress) = Fleet::launch(program, boot_goal, config, lib, true)?;
-        let ingress = Mutex::new(ingress.expect("a resident fleet has an ingress machine"));
-        Ok(ResidentHandle { fleet, ingress })
+        let fleet = Fleet::launch(program, boot_goal, config, lib, true)?;
+        Ok(ResidentHandle { fleet })
     }
 
     /// Worker threads behind this handle.
@@ -85,41 +81,39 @@ impl ResidentHandle {
         self.fleet.vars.get(name).cloned()
     }
 
-    /// Run `f` against the ingress machine — build terms, set the session
-    /// region, [`inject`](Machine::inject) goals, bump serve counters —
-    /// then flush everything it enqueued to the owning workers (minting
-    /// quiescence tokens per batch, so a parked fleet wakes).
+    /// Run `f` against the ingress machine — build terms,
+    /// [`inject`](Machine::inject) goals, bump serve counters — and flush
+    /// everything it enqueued to the owning workers (minting quiescence
+    /// tokens per batch, so a parked fleet wakes) before letting go of the
+    /// lock: until its token is minted a request lives only in the outbox,
+    /// where a collector would miss it. A due collection runs first.
     pub fn with_ingress<R>(&self, f: impl FnOnce(&mut Machine) -> R) -> R {
-        let mut m = lock(&self.ingress);
-        let out = f(&mut m);
+        let shared = &self.fleet.shared;
+        let mut ingress = collect::hold_back(shared, lock(&shared.ingress));
+        let m = &mut ingress
+            .as_mut()
+            .expect("the ingress lives until shutdown")
+            .machine;
+        let out = f(m);
         // An ingress machine owns no node, so it never reduces and has no
-        // deadlines to harvest: the outbox is all it produces.
+        // deadlines to harvest: the outbox is all it produces. Counter
+        // bumps and store reads enqueue nothing.
         let outbox = m.take_outbox();
-        drop(m);
-        // Counter bumps and store reads enqueue nothing: no buffers to
-        // build, no worker to visit.
         if !outbox.is_empty() {
-            send_direct(&self.fleet.shared, outbox);
+            send_direct(shared, outbox);
         }
         out
     }
 
-    /// Close a session: every worker sweeps its suspensions and store
-    /// stripe for `region`, inline with its normal scheduling. The sweep
-    /// events carry quiescence tokens like any batch, so reclamation is
-    /// complete once the machine next reads idle.
-    pub fn reclaim(&self, region: u32) {
-        // Purge the session's wall deadlines first: a wheel entry that
-        // outlived its region could fire into a *recycled* store slot and
-        // bind some other session's variable.
-        self.fleet.shared.wheel.purge_region(region);
-        for w in 0..self.threads() {
-            send_batch(
-                &self.fleet.shared,
-                w,
-                vec![Routed::Reclaim { region, worker: w }],
-            );
+    /// A session closed: collect at once if the fleet is idle, else once
+    /// it drains (see [`with_ingress`](ResidentHandle::with_ingress)).
+    pub fn reclaim(&self) {
+        let shared = &self.fleet.shared;
+        let mut ingress = lock(&shared.ingress);
+        if let Some(ingress) = ingress.as_mut() {
+            ingress.due.closed = true;
         }
+        drop(collect::hold_back(shared, ingress));
     }
 
     /// Milliseconds until the earliest wall-clock deadline in the wheel
@@ -181,13 +175,14 @@ impl ResidentHandle {
 
     /// Wind the service down: wait (bounded) for in-flight work to drain,
     /// stop and join the workers, and merge every shard's report — the
-    /// ingress machine's included, so serve counters and reclamation
+    /// ingress machine's included, so serve counters and collection
     /// totals survive into the summary.
     pub fn shutdown(self) -> StrandResult<RunReport> {
         let _ = self.wait_idle(Duration::from_secs(10));
+        // Taking the ingress ends collection; one under way finishes first.
+        let ingress = lock(&self.fleet.shared.ingress).take().map(|i| i.machine);
         stop(&self.fleet.shared);
-        let ingress = self.ingress.into_inner().unwrap_or_else(|e| e.into_inner());
-        Ok(self.fleet.collect(Some(ingress))?.0)
+        self.fleet.collect(ingress)
     }
 }
 
@@ -206,46 +201,56 @@ mod tests {
         ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()).unwrap()
     }
 
-    fn inject_goal(h: &ResidentHandle, region: u32, src: &str) -> BTreeMap<String, Term> {
-        inject_goal_at(h, region, 1, src)
+    fn inject_goal(h: &ResidentHandle, src: &str) -> BTreeMap<String, Term> {
+        inject_goal_at(h, 1, src)
     }
 
-    fn inject_goal_at(
-        h: &ResidentHandle,
-        region: u32,
-        node: i64,
-        src: &str,
-    ) -> BTreeMap<String, Term> {
+    /// Inject `src` on `node`, holding its named variables so the test can
+    /// read them after the fleet is done with them.
+    fn inject_goal_at(h: &ResidentHandle, node: i64, src: &str) -> BTreeMap<String, Term> {
         h.with_ingress(|m| {
-            m.set_session_region(region);
             let ast = parse_term(src).unwrap();
             let mut vars = BTreeMap::new();
             let goal = ast_to_term(&ast, m, &mut vars);
+            for v in vars.values() {
+                m.hold(v.clone());
+            }
             m.inject(goal, node);
             vars
         })
+    }
+
+    /// Slots the fleet's collections have freed so far.
+    fn reclaimed(h: &ResidentHandle) -> u64 {
+        h.with_ingress(|m| m.metrics_mut().vars_reclaimed)
     }
 
     #[test]
     fn answers_bursts_and_returns_to_idle_between_them() {
         let h = handle(2);
         assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
-        for (session, x) in [(1u32, 21i64), (2, 100)] {
-            let vars = inject_goal(&h, session, &format!("double({x}, V)"));
+        for x in [21i64, 100] {
+            let vars = inject_goal(&h, &format!("double({x}, V)"));
             assert!(h.wait_idle(Duration::from_secs(5)), "burst never drained");
-            let v = h.with_ingress(|m| m.store().resolve(&vars["V"]));
+            let v = h.with_ingress(|m| {
+                m.release(&vars["V"]);
+                m.store().resolve(&vars["V"])
+            });
             assert_eq!(v.to_string(), (x * 2).to_string());
             // Injected on the ingress lane, settled on a worker's.
             assert_eq!(h.pending(), 0, "gate lanes out of balance");
-            h.reclaim(session);
+            // Idle: the collection runs at once, and `V` is free.
+            let before = reclaimed(&h);
+            h.reclaim();
+            assert_eq!(reclaimed(&h), before + 1);
         }
         assert!(h.wait_idle(Duration::from_secs(5)));
         assert_eq!(h.pending(), 0);
         let report = h.shutdown().unwrap();
         // Each drained burst parks the fleet exactly once (boot + two
-        // requests + reclaim wakes ⇒ at least one, typically several).
+        // requests ⇒ at least one, typically several).
         assert!(report.metrics.idle_parks >= 1, "{:?}", report.metrics);
-        // Session-tagged request variables were swept on reclaim.
+        assert!(report.metrics.collections >= 2, "{:?}", report.metrics);
         assert!(report.metrics.vars_reclaimed >= 2, "{:?}", report.metrics);
     }
 
@@ -278,14 +283,14 @@ mod tests {
         assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
         let binds = || h.with_ingress(|m| m.store().bind_count());
         let before = binds();
-        inject_goal(&h, 1, "go");
+        inject_goal(&h, "go");
         assert!(h.wait_idle(Duration::from_secs(5)), "burst never drained");
         assert_eq!(*seen.lock().unwrap(), ["6 7"], "ran once, on ground inputs");
         // The two producers' binds and nothing else: a procedure with an
         // out-arg would have added a third.
         assert_eq!(binds() - before, 2);
         // With `fail_fast` off a failing sink is collected, not fatal.
-        inject_goal(&h, 1, "bad");
+        inject_goal(&h, "bad");
         assert!(h.wait_idle(Duration::from_secs(5)));
         assert!(!h.is_stopping(), "sink error stopped the fleet");
         let report = h.shutdown().unwrap();
@@ -307,7 +312,7 @@ mod tests {
         let h = ResidentHandle::start(&program, "boot", cfg, &lib).unwrap();
         assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
         assert!(!h.is_stopping());
-        inject_goal(&h, 1, "go");
+        inject_goal(&h, "go");
         let deadline = Instant::now() + Duration::from_secs(10);
         while !h.is_stopping() {
             assert!(
@@ -342,7 +347,7 @@ mod tests {
         // A hop is the ping/pong goal and its `:=`.
         let ever = chains * (2 * hops + 1);
         for _ in 0..chains {
-            inject_goal(&h, 1, &format!("ping({hops})"));
+            inject_goal(&h, &format!("ping({hops})"));
         }
         let (mut peak, mut reads) = (0, 0u64);
         while !h.is_idle() {
@@ -390,7 +395,7 @@ mod tests {
         // later to fire the timeout. Quiescence alone must neither fire it
         // nor lose it.
         let h = timer_fleet("go(V) :- after_unless(C, 30, V).");
-        let vars = inject_goal(&h, 1, "go(V)");
+        let vars = inject_goal(&h, "go(V)");
         assert_eq!(await_bound(&h, &vars["V"]).to_string(), "timeout");
         let report = h.shutdown().unwrap();
         assert!(
@@ -410,7 +415,7 @@ mod tests {
         // dead wheel entry.
         let h = timer_fleet("go(V) :- after_unless(C, 3600000, V), C := done.");
         let t0 = Instant::now();
-        let vars = inject_goal(&h, 1, "go(V)");
+        let vars = inject_goal(&h, "go(V)");
         assert!(h.wait_idle(Duration::from_secs(5)), "burst never drained");
         let v = h.with_ingress(|m| m.store().resolve(&vars["V"]));
         let report = h.shutdown().unwrap();
@@ -437,9 +442,9 @@ mod tests {
              double(X, Y) :- Y := X * 2.",
         );
         let armed = Instant::now();
-        let vars = inject_goal(&h, 1, "go(T)");
-        for session in 2..6 {
-            inject_goal(&h, session, "double(1, _)");
+        let vars = inject_goal(&h, "go(T)");
+        for _ in 2..6 {
+            inject_goal(&h, "double(1, _)");
             assert!(h.wait_idle(Duration::from_secs(5)), "burst never drained");
             let t = h.with_ingress(|m| m.store().resolve(&vars["T"]));
             let early = armed.elapsed() < Duration::from_millis(29);
@@ -470,7 +475,7 @@ mod tests {
         let h = ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()).unwrap();
         assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
         let before = h.reductions();
-        let vars = inject_goal(&h, 1, "go(V)");
+        let vars = inject_goal(&h, "go(V)");
         assert!(h.wait_idle(Duration::from_secs(5)), "request never drained");
         assert_eq!(h.reductions() - before, 1, "go/1 reduced, set/1 never ran");
         assert_eq!(h.pending(), 0, "a dropped delivery holds no gate unit");
@@ -496,7 +501,7 @@ mod tests {
         // its first drain, before it first parks.
         assert_eq!(h.crashed_nodes(), vec![2]);
         let ask = |node: i64| {
-            let vars = inject_goal_at(&h, 8, node, "double(21, V)");
+            let vars = inject_goal_at(&h, node, "double(21, V)");
             assert!(h.wait_idle(Duration::from_secs(5)), "request never drained");
             h.with_ingress(|m| m.store().resolve(&vars["V"]))
         };
@@ -509,15 +514,16 @@ mod tests {
     }
 
     #[test]
-    fn a_session_closed_after_its_nodes_crashed_is_still_swept() {
-        // The handler shape `server([req(Q, R)|In]) :- T := Q * 2, R := T,
-        // ...`: `T` is a body variable, allocated under the session's
-        // region on the stripe of the worker that served the request. Both
-        // of that worker's nodes then crash. It is still a worker: the
-        // close-time `Routed::Reclaim` must sweep its stripe. (A killed
-        // shard used to discard the event and leak the slot.)
+    fn a_worker_whose_nodes_crashed_still_hands_over_and_its_stripe_is_swept() {
+        // `serve/2` runs on node 2, so `T` and `Go` are allocated on the
+        // stripe of worker 1, where `wait/3` suspends. `Go` is held, which
+        // keeps the suspension and all three slots alive. Then both of
+        // worker 1's nodes crash: it is still a worker, it must answer every
+        // collection, and once `Go` is released the sweep frees the
+        // request's slots on its stripe as on any other.
         let program = parse_program(
-            "boot. serve(Q, R) :- T := Q * 2, R := T. \
+            "boot. serve(Q, Go, R) :- T := Q * 2, wait(T, Go, R). \
+             wait(T, Go, R) :- Go == go | R := T. \
              walk([]). walk([_|Xs]) :- walk(Xs).",
         )
         .unwrap();
@@ -528,36 +534,31 @@ mod tests {
         let h = ResidentHandle::start(&program, "boot", cfg, &ForeignLib::default()).unwrap();
         let idle = || assert!(h.wait_idle(Duration::from_secs(5)), "never drained");
         idle();
-        let store_len = || h.with_ingress(|m| m.store().len());
-        let before = store_len();
-
-        let session = 5;
-        let vars = inject_goal_at(&h, session, 2, "serve(21, R)");
+        let go = h.with_ingress(|m| {
+            let go = Term::Var(m.store_mut().new_var());
+            let r = Term::Var(m.store_mut().new_var());
+            m.hold(go.clone());
+            m.inject(Term::tuple("serve", vec![Term::int(21), go.clone(), r]), 2);
+            go
+        });
         idle();
-        let r = h.with_ingress(|m| m.store().resolve(&vars["R"]));
-        assert_eq!(r.to_string(), "42", "answered before the crash");
-        assert_eq!(
-            store_len(),
-            before + 2,
-            "R on the ingress stripe, T on worker 1's"
-        );
         assert!(h.reductions() < crash_at && h.crashed_nodes().is_empty());
+        let before = reclaimed(&h);
 
         // Run the reduction count past the crash point on node 1 (a ground
         // list walk allocates nothing), then give worker 1 a reason to look.
         let steps = "a,".repeat(crash_at as usize);
-        inject_goal(&h, session, &format!("walk([{steps}a])"));
+        inject_goal(&h, &format!("walk([{steps}a])"));
         idle();
-        inject_goal_at(&h, session, 2, "boot");
+        inject_goal_at(&h, 2, "boot");
         idle();
         assert_eq!(h.crashed_nodes(), vec![2, 4]);
 
-        // `store_len` is a high-water mark (freed slots wait on a free
-        // list), so the sweep shows in the reclaim count: both slots, not
-        // just the ingress stripe's.
-        h.reclaim(session);
+        h.with_ingress(|m| m.release(&go));
+        h.reclaim();
         idle();
+        assert_eq!(reclaimed(&h) - before, 3, "R, T and Go");
         let report = h.shutdown().unwrap();
-        assert_eq!(report.metrics.vars_reclaimed, 2, "{:?}", report.metrics);
+        assert!(report.metrics.collections >= 1, "{:?}", report.metrics);
     }
 }

@@ -167,18 +167,16 @@ impl TimerWheel {
         })
     }
 
-    /// Drop every entry armed under `region` (its session closed; firing
-    /// would touch reclaimed — possibly recycled — store slots). Returns
-    /// how many entries were purged.
-    pub fn purge_region(&self, region: u32) -> usize {
-        if region == 0 || self.is_empty() {
-            return 0;
+    /// The cancel and timeout terms of every entry: roots of a collection.
+    pub fn terms(&self) -> Vec<Term> {
+        if self.is_empty() {
+            return Vec::new();
         }
-        self.locked(|entries| {
-            let before = entries.len();
-            entries.retain(|e| e.deadline.region != region);
-            before - entries.len()
-        })
+        let entries = lock(&self.entries);
+        let terms = entries
+            .iter()
+            .map(|e| [&e.deadline.cancel, &e.deadline.timeout]);
+        terms.flatten().cloned().collect()
     }
 }
 
@@ -191,14 +189,13 @@ mod tests {
 
     /// Test entries key their cancel flag with an integer term, so a plain
     /// set stands in for "the unless-var is bound" without a store.
-    fn entry(key: i64, region: u32) -> Deadline {
+    fn entry(key: i64) -> Deadline {
         Deadline {
             node: NodeId(0),
             wait: 0,
             due: 0,
             cancel: Term::int(key),
             timeout: Term::atom("t"),
-            region,
         }
     }
 
@@ -227,7 +224,7 @@ mod tests {
         let timer = |wait, due| Deadline {
             wait,
             due,
-            ..entry(0, 0)
+            ..entry(0)
         };
         // Batch: no reading of its own; an entry is due at the arming
         // node's virtual instant, whatever the wall says.
@@ -247,7 +244,7 @@ mod tests {
     fn next_due_is_the_minimum_over_entries() {
         let w = TimerWheel::new(true);
         for (i, due) in [500u64, 40, 41, 1_000_000, 80].into_iter().enumerate() {
-            w.arm_at(due, entry(i as i64, 0));
+            w.arm_at(due, entry(i as i64));
         }
         assert_eq!(w.next_due(never).0, Some(40));
         assert_eq!(w.next_due_raw(), Some(40));
@@ -256,10 +253,10 @@ mod tests {
     #[test]
     fn pop_due_fires_in_deadline_then_arm_order_and_never_early() {
         let w = TimerWheel::new(true);
-        w.arm_at(30, entry(0, 0));
-        w.arm_at(10, entry(1, 0));
-        w.arm_at(10, entry(2, 0));
-        w.arm_at(50, entry(3, 0));
+        w.arm_at(30, entry(0));
+        w.arm_at(10, entry(1));
+        w.arm_at(10, entry(2));
+        w.arm_at(50, entry(3));
         let (fired, _) = w.pop_due(29, never);
         let keys: Vec<i64> = fired.iter().map(|t| key_of(&t.cancel)).collect();
         assert_eq!(
@@ -276,8 +273,8 @@ mod tests {
     #[test]
     fn cancelled_entries_prune_instead_of_firing() {
         let w = TimerWheel::new(true);
-        w.arm_at(10, entry(0, 0));
-        w.arm_at(20, entry(1, 0));
+        w.arm_at(10, entry(0));
+        w.arm_at(20, entry(1));
         let cancelled = |t: &Term| key_of(t) == 0;
         let (next, pruned) = w.next_due(cancelled);
         assert_eq!((next, pruned), (Some(20), 1));
@@ -289,16 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn purge_region_drops_a_sessions_entries_only() {
+    fn terms_are_every_entrys_cancel_and_timeout() {
         let w = TimerWheel::new(true);
-        w.arm_at(10, entry(0, 7));
-        w.arm_at(20, entry(1, 0));
-        w.arm_at(30, entry(2, 7));
-        assert_eq!(w.purge_region(7), 2);
-        assert_eq!(w.purge_region(0), 0, "region 0 is never purged");
-        let (fired, _) = w.pop_due(100, never);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(key_of(&fired[0].cancel), 1);
+        assert!(w.terms().is_empty());
+        w.arm_at(10, entry(0));
+        w.arm_at(20, entry(1));
+        let t = Term::atom("t");
+        assert_eq!(w.terms(), [Term::int(0), t.clone(), Term::int(1), t]);
     }
 
     proptest! {
@@ -315,7 +309,7 @@ mod tests {
             let w = TimerWheel::new(true);
             let mut cancelled: HashSet<i64> = HashSet::new();
             for (i, due) in dues.iter().enumerate() {
-                w.arm_at(*due, entry(i as i64, 0));
+                w.arm_at(*due, entry(i as i64));
                 // ~25% of entries get cancelled before any clock advance.
                 if cancel_mask.get(i).copied().unwrap_or(0) == 0 {
                     cancelled.insert(i as i64);

@@ -11,11 +11,11 @@
 //!   ends the run; a resident fleet ([`strand_parallel::ResidentHandle`])
 //!   parks its workers at quiescence instead, and the suspended Server loops
 //!   wait on their port streams for the next request.
-//! * **Sessions are regions.** Every TCP connection gets a session region;
-//!   variables allocated for its requests and the suspensions they leave
-//!   behind are tagged with it and swept when the connection closes, so
-//!   store growth is bounded by the *live* sessions, not the total ever
-//!   served.
+//! * **Reclaim by reachability.** The fleet frees every store slot and
+//!   suspension nothing can reach any more, at quiescence; a closed
+//!   connection makes a collection due, and so do allocations that reach
+//!   the last collection's work. Store growth is bounded by what is live,
+//!   not by the requests ever served — on one connection too.
 //! * **Backpressure, not queues.** Admission checks the engine's work
 //!   gauge (the shards' shared in-flight gate, of which it is the only
 //!   reader); past the configured high-water mark clients get
@@ -42,8 +42,8 @@
 //! BUSY <millis>  — backpressured; retry after the given delay
 //! ```
 //!
-//! A session is a connection: closing it (EOF) reclaims everything the
-//! session allocated. The application supplies `server/1` handler rules
+//! A session is a connection: closing it (EOF) makes a collection due,
+//! which frees whatever its requests left that nothing can reach. The application supplies `server/1` handler rules
 //! (the Server transformation threads the directory argument itself) that
 //! answer `req(Q, R)` messages by binding `R` to a ground term, e.g.
 //!
@@ -57,7 +57,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write as IoWrite};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -75,8 +75,8 @@ const SERVE_BOOT: &str = "\nserve_boot(N, DT) :- make_tuple(N, DT), spawn_server
 
 /// The demo application served by the `strand-serve` binary when no
 /// `--app` file is given: replies with the doubled request payload.
-/// Handlers that allocate no fresh body variables keep the resident
-/// store perfectly bounded (see DESIGN.md §9 on session locality).
+/// Its store stays bounded: what a request leaves behind is unreachable
+/// once the reply is bound (DESIGN.md §9).
 pub const DOUBLER_APP: &str = r#"
 server([]).
 server([halt|_]).
@@ -206,15 +206,12 @@ impl ReplySlots {
 }
 
 /// An open session: one per TCP connection (or per synthetic client in
-/// the bench). Dropping it without [`MotifService::close_session`] leaks
-/// the region until shutdown — close explicitly.
+/// the bench). Close it with [`MotifService::close_session`], which counts
+/// it and makes a collection due.
 #[derive(Clone, Copy, Debug)]
 pub struct Session {
     /// Monotonic session number (diagnostics only).
     pub sid: u64,
-    /// The store/suspension region everything this session allocates is
-    /// tagged with; swept on close.
-    pub region: u32,
 }
 
 /// One request's outcome, mirroring the wire protocol.
@@ -281,7 +278,6 @@ pub struct MotifService {
     reply_probe: Atom,
     cfg: ServeConfig,
     next_sid: AtomicU64,
-    next_region: AtomicU32,
     next_rid: AtomicU64,
     round_robin: AtomicU64,
 }
@@ -305,8 +301,7 @@ impl MotifService {
         {
             // A sink, not a procedure with an out-arg: the engine touches
             // the store for the last time *before* this closure runs, so
-            // the connection thread it wakes may close the session and
-            // sweep the request's slots at once.
+            // nothing is bound on the request's behalf after its reply.
             let replies = Arc::clone(&replies);
             lib.register_sink(REPLY_PROBE, 2, move |args| {
                 let rid = match &args[0] {
@@ -352,33 +347,37 @@ impl MotifService {
             reply_probe: Atom::new(REPLY_PROBE),
             cfg,
             next_sid: AtomicU64::new(0),
-            next_region: AtomicU32::new(1),
             next_rid: AtomicU64::new(0),
             round_robin: AtomicU64::new(0),
         })
     }
 
-    /// Open a session: allocate its region and count it.
+    /// Open a session: number it and count it.
     pub fn open_session(&self) -> Session {
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed) + 1;
-        let region = self.next_region.fetch_add(1, Ordering::Relaxed);
         self.engine
             .with_ingress(|m| m.metrics_mut().sessions_opened += 1);
-        Session { sid, region }
+        Session { sid }
     }
 
-    /// Close a session: sweep every shard's suspensions and store slots
-    /// tagged with its region.
-    pub fn close_session(&self, session: Session) {
-        self.engine.reclaim(session.region);
+    /// Close a session: count it, and collect — at once if the fleet is
+    /// idle, else when it next is.
+    pub fn close_session(&self, _session: Session) {
         self.engine
             .with_ingress(|m| m.metrics_mut().sessions_closed += 1);
+        self.engine.reclaim();
+    }
+
+    /// Collect now if the fleet is idle; otherwise make a collection due
+    /// (see [`ResidentHandle::reclaim`]).
+    pub fn reclaim(&self) {
+        self.engine.reclaim();
     }
 
     /// Serve one request line: admission check, parse, inject
-    /// `distribute(J, DT, req(Q, R))` plus the `'$serve_reply'` probe under
-    /// the session's region, and wait for the reply.
-    pub fn request(&self, session: Session, line: &str) -> Response {
+    /// `distribute(J, DT, req(Q, R))` plus the `'$serve_reply'` probe, and
+    /// wait for the reply.
+    pub fn request(&self, _session: Session, line: &str) -> Response {
         if self.is_stopping() {
             return Response::Err("service is shutting down".to_string());
         }
@@ -401,10 +400,10 @@ impl MotifService {
         let timeout = Duration::from_millis(self.cfg.reply_timeout_ms);
         let slot = self.replies.register(rid);
         let got = if self.cfg.supervise {
-            self.supervised_request(session, &ast, rid, node, &slot, timeout)
+            self.supervised_request(&ast, rid, node, &slot, timeout)
         } else {
             self.engine
-                .with_ingress(|m| self.inject_request(m, session, &ast, rid, node))
+                .with_ingress(|m| self.inject_request(m, &ast, rid, node))
                 .map(|_| slot.wait(timeout))
         };
         if !matches!(got, Ok(Some(_))) {
@@ -417,23 +416,21 @@ impl MotifService {
         }
     }
 
-    /// Build and enqueue one request on `m` (the ingress machine) under the
-    /// session's region. `Ok` carries the reply
-    /// variable; `Err` carries the client-facing response.
+    /// Build and enqueue one request on `m` (the ingress machine). `Ok`
+    /// carries the reply variable; `Err` carries the client-facing
+    /// response.
     fn inject_request(
         &self,
         m: &mut Machine,
-        session: Session,
         ast: &Ast,
         rid: u64,
         node: i64,
     ) -> Result<Term, Response> {
-        m.set_session_region(session.region);
         let mut vars = BTreeMap::new();
         let q = ast_to_term(ast, m, &mut vars);
         if !vars.is_empty() || !m.store().resolve(&q).is_ground() {
-            // The stray variables were allocated under the session region,
-            // so the close-time sweep reclaims them.
+            // Nothing refers to the stray variables: the next collection
+            // frees them.
             return Err(Response::Err("request must be a ground term".to_string()));
         }
         let reply = Term::Var(m.store_mut().new_var());
@@ -513,10 +510,11 @@ impl MotifService {
     /// restart window — and no amount of probe re-registration recovers a
     /// request that no server ever saw. At-least-once delivery is exactly
     /// what `Supervise` demands of its handlers anyway (replay-tolerant,
-    /// test-and-set binds), so a duplicate arrival is benign.
+    /// test-and-set binds), so a duplicate arrival is benign. The reply
+    /// variable is read across ingress calls, so it is held for the
+    /// request's life.
     fn supervised_request(
         &self,
-        session: Session,
         ast: &Ast,
         rid: u64,
         node: i64,
@@ -525,27 +523,31 @@ impl MotifService {
     ) -> Result<Option<Term>, Response> {
         let h = &self.engine;
         let mut dead_seen = h.crashed_nodes().len();
-        let reply = h.with_ingress(|m| self.inject_request(m, session, ast, rid, node))?;
+        let reply = h.with_ingress(|m| {
+            let reply = self.inject_request(m, ast, rid, node)?;
+            m.hold(reply.clone());
+            Ok(reply)
+        })?;
         let deadline = Instant::now() + timeout;
         let slice = Duration::from_millis(250);
         let resend_every = Duration::from_secs(2);
         let mut last_send = Instant::now();
-        loop {
+        let got = loop {
             let now = Instant::now();
             if now >= deadline {
-                return Ok(None);
+                break None;
             }
             if let Some(t) = slot.wait(slice.min(deadline - now)) {
-                return Ok(Some(t));
+                break Some(t);
             }
             if h.is_stopping() {
-                return Ok(None);
+                break None;
             }
             // Fallback: the handler may have answered durably while the
             // probe died with its node.
             let resolved = h.with_ingress(|m| m.store().resolve(&reply));
             if resolved.is_ground() {
-                return Ok(Some(resolved));
+                break Some(resolved);
             }
             let dead_now = h.crashed_nodes().len();
             if dead_now != dead_seen || last_send.elapsed() >= resend_every {
@@ -561,23 +563,18 @@ impl MotifService {
                 last_send = Instant::now();
                 let resend_node = self.pick_node();
                 h.with_ingress(|m| {
-                    m.set_session_region(session.region);
                     let q = ast_to_term(ast, m, &mut BTreeMap::new());
                     self.send_request(m, q, &reply, rid, resend_node);
                 });
             }
-        }
+        };
+        h.with_ingress(|m| m.release(&reply));
+        Ok(got)
     }
 
     /// Regular work pending in the engine (the backpressure gauge).
     pub fn pending(&self) -> u64 {
         self.engine.pending()
-    }
-
-    /// True when the engine is globally quiescent — parked workers, no
-    /// in-flight batches.
-    pub fn is_idle(&self) -> bool {
-        self.engine.is_idle()
     }
 
     /// Block (bounded) until the engine reads idle.
@@ -719,17 +716,18 @@ impl HandOff {
 /// one; a thread is spawned only when none is idle. Returns after
 /// `shutdown` flips true (SIGINT in the binary): stops accepting, lets
 /// in-flight sessions drain (bounded by `drain`), then joins the
-/// connection threads, shuts the engine down and reports.
+/// connection threads, shuts the engine down and reports. A caller that
+/// shares the service drops its clones before `shutdown` flips.
 pub fn serve(
     listener: TcpListener,
-    service: MotifService,
+    service: impl Into<Arc<MotifService>>,
     shutdown: Arc<AtomicBool>,
     drain: Duration,
 ) -> StrandResult<ServeSummary> {
     listener
         .set_nonblocking(true)
         .map_err(|e| StrandError::Other(format!("listener: {e}")))?;
-    let service = Arc::new(service);
+    let service = service.into();
     let active = Arc::new(AtomicUsize::new(0));
     let handoff = Arc::new(HandOff::default());
     // An error return leaves busy threads to finish their connections,

@@ -136,11 +136,14 @@ fn main() -> ExitCode {
             let m = &summary.report.metrics;
             eprintln!(
                 "strand-serve: drained. sessions {}/{} (opened/closed), requests {} admitted / {} \
-                 rejected, {} vars reclaimed, {} idle parks, {} reductions",
+                 rejected, {} collections (longest {} us) reclaimed {} vars, {} idle parks, \
+                 {} reductions",
                 m.sessions_opened,
                 m.sessions_closed,
                 m.requests_admitted,
                 m.requests_rejected,
+                m.collections,
+                m.collect_us_max,
                 m.vars_reclaimed,
                 m.idle_parks,
                 m.total_reductions,

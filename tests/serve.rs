@@ -9,11 +9,15 @@
 //!   app round-trips arbitrary ground terms through the store and back out
 //!   of the renderer.
 //! * **Soak** — ≥1000 open/close session cycles must leave the store
-//!   bounded: session-close reclamation really does return slots (the
-//!   free list is reused), at one worker thread and at two. Growth here
-//!   would be the week-long-process leak the region sweep exists to prevent.
+//!   bounded: collections really do return slots (the free list is
+//!   reused), at one worker thread and at two. Growth here would be the
+//!   week-long-process leak reclamation exists to prevent; one connection
+//!   sending 2.5 M requests (ignored, scheduled) must not grow it either.
 //! * **Burst** — 256 connections at once, plain and supervised: no reply
-//!   lost, every session closed, the engine parked idle, slots reclaimed.
+//!   lost, every session closed, the engine parked idle, slots reclaimed —
+//!   and again with a collection at every safe point, as is chaos.
+//! * **Abandoned request** — a handler suspended on a variable nobody binds
+//!   is collected, processes and slots, once its session has closed.
 //! * **Close race** — sessions closed the instant their reply arrives, from
 //!   two threads with no sleep anywhere, must never see a late bind land
 //!   in a recycled slot (the reply probe is a sink; nothing follows it).
@@ -23,9 +27,9 @@
 //!   nodes crashed mid-load on top of 10% delivery drop must cost no
 //!   client its reply — retransmission, restart and the re-registered
 //!   reply probe together make the crash a latency event, not a loss.
-//! * **Reclaim after a crash** — a crashed node's worker is an ordinary
-//!   worker: a session closed after the crash still has its slots on that
-//!   worker's store stripe swept.
+//! * **Collector under fire** — a thread asking for a collection in a loop
+//!   while the burst and chaos run: every safe point is a collection, so a
+//!   missed root shows up as a lost or wrong reply here.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -34,7 +38,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use algorithmic_motifs::strand_core;
-use algorithmic_motifs::strand_machine::{run_parsed_goal, FaultPlan, MachineConfig, RunStatus};
+use algorithmic_motifs::strand_machine::{
+    self, run_parsed_goal, FaultPlan, MachineConfig, RunStatus,
+};
 use algorithmic_motifs::strand_parallel;
 use algorithmic_motifs::strand_serve::{
     serve, MotifService, Response, ServeBackend, ServeConfig, ServeSummary, Session, DOUBLER_APP,
@@ -209,16 +215,8 @@ fn echo_replay_matches_batch_on_every_backend() {
 
 /// The C1 burst on live code: 256 concurrent connections × 5 requests,
 /// plain and then supervised. Every reply arrives, every session closes,
-/// the engine parks idle afterwards and session close reclaims slots.
-///
-/// Ignored in the regular suite because it fails in about one run in five
-/// on a 2-core host: `port_append` allocates a stream's new tail under the
-/// sending session's region, so closing that session can sweep a cell the
-/// server has not read yet. The request behind it gets no reply, or under
-/// Supervise a recycled slot gets a message list bound into it
-/// (ROADMAP, "Stream cells outlive the session that appended them").
+/// the engine parks idle afterwards and the collections reclaim slots.
 #[test]
-#[ignore = "stream-tail reclamation race loses replies under 256 concurrent sessions"]
 fn c_series_burst_of_256_connections_loses_no_reply() {
     for supervise in [false, true] {
         let p = bench::burst(256, 5, supervise);
@@ -230,9 +228,96 @@ fn c_series_burst_of_256_connections_loses_no_reply() {
         assert!(p.idle_parks > 0, "{what}: the engine never parked idle");
         assert!(
             p.vars_reclaimed > 0,
-            "{what}: session close reclaimed nothing"
+            "{what}: collections reclaimed nothing"
         );
     }
+}
+
+/// One client of [`burst_collecting_at_every_safe_point`]: five requests,
+/// a `BUSY` retried after its hint. Returns the replies it did not get.
+fn burst_client(addr: std::net::SocketAddr, c: i64) -> u64 {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("client timeout");
+    let (mut writer, mut reader) = (stream.try_clone().expect("clone"), BufReader::new(stream));
+    let mut lost = 0;
+    for q in (0..5).map(|k| c * 5 + k) {
+        let mut line = String::new();
+        for _ in 0..100 {
+            line.clear();
+            let sent = writer.write_all(format!("{q}\n").as_bytes());
+            if sent.is_err() || reader.read_line(&mut line).is_err() {
+                return lost + 1;
+            }
+            match line.trim().strip_prefix("BUSY ") {
+                Some(ms) => std::thread::sleep(Duration::from_millis(ms.parse().unwrap_or(10))),
+                None => break,
+            }
+        }
+        lost += u64::from(line.trim() != format!("OK {}", q * 2));
+    }
+    lost
+}
+
+/// 256 connections × 5 requests over loopback TCP while a thread asks for
+/// a collection in a loop. Returns the replies lost and the metrics.
+fn burst_collecting_at_every_safe_point(supervise: bool) -> (u64, strand_machine::Metrics) {
+    let cfg = ServeConfig {
+        supervise,
+        ..serve_cfg(ServeBackend::Parallel(0))
+    };
+    let service = Arc::new(MotifService::start(DOUBLER_APP, cfg).expect("service boots"));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("ephemeral addr");
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let serve_thread = {
+        let (service, shutdown) = (Arc::clone(&service), Arc::clone(&shutdown));
+        std::thread::spawn(move || serve(listener, service, shutdown, Duration::from_secs(30)))
+    };
+    let collecting = AtomicBool::new(true);
+    let lost = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while collecting.load(Ordering::Acquire) {
+                service.reclaim();
+            }
+        });
+        let clients: Vec<_> = (0..256)
+            .map(|c| {
+                let client = std::thread::Builder::new().stack_size(128 * 1024);
+                client
+                    .spawn_scoped(scope, move || burst_client(addr, c))
+                    .expect("spawn client")
+            })
+            .collect();
+        let lost = clients.into_iter().map(|h| h.join().expect("client")).sum();
+        collecting.store(false, Ordering::Release);
+        lost
+    });
+    drop(service);
+    shutdown.store(true, Ordering::Release);
+    let summary = serve_thread
+        .join()
+        .expect("serve loop joins")
+        .expect("serve loop exits");
+    (lost, summary.report.metrics)
+}
+
+/// A thread asks for a collection in a loop — `reclaim()` collects at once
+/// whenever the fleet is idle — while a 256-connection burst runs, plain
+/// and supervised, and then while chaos-on-serve crashes two nodes under
+/// 10% loss. Every safe point is a collection: a root the collector
+/// misses frees a slot somebody still reads, and a reply goes missing or
+/// comes back wrong here rather than three layers later.
+#[test]
+fn collections_at_every_safe_point_lose_no_reply() {
+    for supervise in [false, true] {
+        let (lost, m) = burst_collecting_at_every_safe_point(supervise);
+        assert_eq!(lost, 0, "supervised: {supervise}");
+        assert_eq!(m.sessions_closed, 256, "sessions leaked");
+        assert!(m.collections > 0 && m.vars_reclaimed > 0, "{m:?}");
+    }
+    chaos_serve(2, true);
 }
 
 /// 1000 open/close cycles, each issuing requests, probing the live store
@@ -415,6 +500,12 @@ put_reply(Q, R) :- D := Q * 2, T := t(R), put_arg(1, T, D, _).
 /// past the supervisor's watch window instead of finishing in a burst
 /// that drains before any wall-clock deadline can expire.
 fn chaos_serve_loses_no_client(threads: u32) {
+    chaos_serve(threads, false);
+}
+
+/// [`chaos_serve_loses_no_client`], with a thread asking for a collection
+/// in a loop while the clients run when `collect_always` is set.
+fn chaos_serve(threads: u32, collect_always: bool) {
     // Calibrate "mid-load": on a fleet a crash triggers on the global
     // reduction counter, so measure what a clean boot plus the clients'
     // first round of requests costs and aim just past it. The fleet is then
@@ -449,6 +540,16 @@ fn chaos_serve_loses_no_client(threads: u32) {
     cfg.reply_timeout_ms = 30_000;
     let service =
         Arc::new(MotifService::start(REPLAY_SAFE_DOUBLER, cfg).expect("chaos service boots"));
+    let collecting = Arc::new(AtomicBool::new(collect_always));
+    let collector = {
+        let (svc, collecting) = (Arc::clone(&service), Arc::clone(&collecting));
+        std::thread::spawn(move || {
+            while collecting.load(Ordering::Acquire) {
+                svc.reclaim();
+                std::thread::yield_now();
+            }
+        })
+    };
     let mut handles = Vec::new();
     for c in 0..clients {
         let svc = Arc::clone(&service);
@@ -477,6 +578,8 @@ fn chaos_serve_loses_no_client(threads: u32) {
     for h in handles {
         h.join().expect("client thread panicked");
     }
+    collecting.store(false, Ordering::Release);
+    collector.join().expect("collector thread panicked");
     let service = Arc::try_unwrap(service).ok().expect("all clients joined");
     let report = service.shutdown().expect("chaos shutdown");
     assert_eq!(
@@ -554,4 +657,88 @@ fn soak_supervised_session_survives_400k_requests_and_shuts_down() {
     service.close_session(s);
     let report = service.shutdown().expect("clean shutdown");
     assert!(report.metrics.requests_admitted >= requests as u64);
+}
+
+/// A handler that waits on a variable nobody binds: `stall` requests time
+/// out and leave an `await/2` process and the reply probe suspended.
+const STALLING_APP: &str = r#"
+server([]).
+server([halt|_]).
+server([req(Q, R)|In]) :- answer(Q, R), server(In).
+answer(stall, R) :- await(_, R).
+answer(Q, R) :- integer(Q) | R := Q * 2.
+await(Go, R) :- Go == go | R := done.
+"#;
+
+/// An abandoned request is collected, not kept: once its session closes,
+/// the collection frees its suspended processes — the shutdown report
+/// counts only the servers' loops, as after a clean session — and its
+/// slots.
+#[test]
+fn an_abandoned_request_is_collected_not_kept() {
+    let run = |payloads: &[&str]| {
+        let mut cfg = serve_cfg(ServeBackend::Parallel(2));
+        cfg.reply_timeout_ms = 200;
+        let service = MotifService::start(STALLING_APP, cfg).expect("service boots");
+        let s = service.open_session();
+        for q in payloads {
+            match (service.request(s, q), *q) {
+                (Response::Err(e), "stall") => assert!(e.contains("no reply"), "{e}"),
+                (Response::Ok(reply), q) => {
+                    assert_eq!(reply, (q.parse::<i64>().unwrap() * 2).to_string())
+                }
+                (other, q) => panic!("{q}: {other:?}"),
+            }
+        }
+        service.close_session(s);
+        assert!(service.wait_idle(Duration::from_secs(10)));
+        service.shutdown().expect("clean shutdown")
+    };
+    let clean = run(&["4", "5"]);
+    let stalled = run(&["4", "stall", "stall", "5"]);
+    let suspended = |r: &algorithmic_motifs::strand_machine::RunReport| match r.status {
+        RunStatus::Quiescent { suspended } => suspended,
+        ref other => panic!("{other:?}"),
+    };
+    assert_eq!(
+        suspended(&stalled),
+        suspended(&clean),
+        "{:?}",
+        stalled.suspended_goals
+    );
+    assert_eq!(suspended(&clean), SERVERS as usize, "one loop per server");
+    // Each stall leaves its reply variable, `Go` and a stream cell.
+    let extra = stalled.metrics.vars_reclaimed - clean.metrics.vars_reclaimed;
+    assert!(extra >= 2 * 3, "{extra} more slots reclaimed");
+}
+
+/// One connection, 2.5 M plain requests. Under session regions a
+/// persistent connection's slots were never swept, and stripe 0 ran out of
+/// its 2^22 variable indices at about 1.68 M requests; collections keep
+/// the store where it was after the first 100 k.
+#[test]
+#[ignore = "soak: 2.5M requests, ~2 min in release"]
+fn a_persistent_connection_outlives_the_old_index_space() {
+    let service = MotifService::start(DOUBLER_APP, serve_cfg(ServeBackend::Parallel(2)))
+        .expect("service boots");
+    let s = service.open_session();
+    let mut after_100k = 0;
+    for q in 0..2_500_000i64 {
+        assert_eq!(
+            service.request(s, &q.to_string()),
+            Response::Ok((q * 2).to_string()),
+            "request {q}"
+        );
+        if q == 100_000 {
+            after_100k = service.store_len();
+        }
+    }
+    let end = service.store_len();
+    assert!(
+        end <= after_100k,
+        "store grew from {after_100k} to {end} slots"
+    );
+    service.close_session(s);
+    let report = service.shutdown().expect("clean shutdown");
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
 }
