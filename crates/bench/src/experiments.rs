@@ -6,9 +6,13 @@ use motifs::{
     balanced_tree_src, random_tree_src, sequential_reduce, server, supervised_server,
     tree_reduce_1, tree_reduce_2, ARITH_EVAL,
 };
-use seqalign::{align_family_parallel, align_family_seq, FamilyParams, ScoreParams};
-use skeletons::{Labeling, Pool};
-use strand_machine::{run_goal, run_parsed_goal, FaultPlan, GoalResult, MachineConfig, RunStatus};
+use seqalign::{align_family_seq, FamilyParams, Profile, ScoreParams};
+use strand_machine::{
+    run_goal, run_parsed_goal, run_parsed_goal_with_lib, FaultPlan, GoalResult, MachineConfig,
+    Metrics, RunStatus,
+};
+use strand_parse::Program;
+use TreeReduce::{Tr1, Tr2};
 
 /// Uniform-cost arithmetic eval: every node evaluation takes `cost` ticks.
 pub fn uniform_eval(cost: u64) -> String {
@@ -60,27 +64,96 @@ server([halt|_], _).
 pub const PAPER_TREE: &str = "tree('*', tree('*', leaf(3), leaf(2)), \
                               tree('+', tree('+', leaf(2), leaf(1)), leaf(1)))";
 
-fn run_tr1(eval_src: &str, tree: &str, servers: u32, seed: u64, track: &str) -> GoalResult {
-    let p = tree_reduce_1().apply_src(eval_src).expect("TR1 applies");
-    let mut cfg = MachineConfig::with_nodes(servers).seed(seed);
-    if !track.is_empty() {
-        cfg = cfg.track(track);
-    }
-    run_parsed_goal(
-        &p,
-        &format!("create({servers}, reduce({tree}, Value))"),
-        cfg,
-    )
-    .expect("TR1 runs")
+/// The paper's two tree-reduction motifs, as the application runs them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TreeReduce {
+    Tr1,
+    Tr2,
 }
 
-fn run_tr2(eval_src: &str, tree: &str, servers: u32, seed: u64, track: &str) -> GoalResult {
-    let p = tree_reduce_2().apply_src(eval_src).expect("TR2 applies");
+impl TreeReduce {
+    /// The motif's name as the tables print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            TreeReduce::Tr1 => "Tree-Reduce-1",
+            TreeReduce::Tr2 => "Tree-Reduce-2",
+        }
+    }
+
+    /// The motif applied to the node evaluation `eval_src`.
+    pub fn program(self, eval_src: &str) -> Program {
+        let motif = match self {
+            TreeReduce::Tr1 => tree_reduce_1(),
+            TreeReduce::Tr2 => tree_reduce_2(),
+        };
+        motif.apply_src(eval_src).expect("tree motif applies")
+    }
+
+    /// The entry goal reducing `tree` into `Value` on `servers` servers.
+    pub fn goal(self, servers: u32, tree: &str) -> String {
+        let entry = match self {
+            TreeReduce::Tr1 => "reduce",
+            TreeReduce::Tr2 => "tr2",
+        };
+        format!("create({servers}, {entry}({tree}, Value))")
+    }
+
+    /// Offspring values that crossed processors: TR1 ships a subtree's
+    /// `reduce` message, TR2 a computed `value`.
+    pub fn crossings(self, m: &Metrics) -> u64 {
+        match self {
+            TreeReduce::Tr1 => m.port_msgs_for("reduce"),
+            TreeReduce::Tr2 => m.port_msgs_for("value"),
+        }
+    }
+}
+
+fn run_tree(
+    motif: TreeReduce,
+    eval_src: &str,
+    tree: &str,
+    servers: u32,
+    seed: u64,
+    track: &str,
+) -> GoalResult {
     let mut cfg = MachineConfig::with_nodes(servers).seed(seed);
     if !track.is_empty() {
         cfg = cfg.track(track);
     }
-    run_parsed_goal(&p, &format!("create({servers}, tr2({tree}, Value))"), cfg).expect("TR2 runs")
+    run_parsed_goal(&motif.program(eval_src), &motif.goal(servers, tree), cfg)
+        .expect("tree reduction runs")
+}
+
+/// Progressive alignment of `seqs` as a motif program: `motif` applied to
+/// [`seqalign::ALIGN_EVAL`] over the UPGMA guide tree, on `cfg.nodes`
+/// servers of whichever engine `cfg` names, with the native aligner
+/// ([`seqalign::align_lib`]) as the node evaluation. Returns the run and
+/// the alignment it computed.
+pub fn run_alignment(
+    motif: TreeReduce,
+    seqs: &[Vec<u8>],
+    cfg: MachineConfig,
+) -> (GoalResult, Profile) {
+    let params = ScoreParams::default();
+    let tree = seqalign::guide_tree_src(&seqalign::guide_tree(seqs, &params), seqs);
+    let goal = motif.goal(cfg.nodes, &tree);
+    let lib = seqalign::align_lib(params, 8);
+    strand_parallel::install();
+    let r = run_parsed_goal_with_lib(&motif.program(seqalign::ALIGN_EVAL), &goal, cfg, &lib)
+        .expect("alignment runs");
+    let profile = seqalign::term_to_profile(&r.bindings["Value"]).expect("a profile");
+    (r, profile)
+}
+
+/// A family of `leaves` related RNA sequences.
+pub(crate) fn rna_family(leaves: usize, ancestral_len: usize, seed: u64) -> Vec<Vec<u8>> {
+    seqalign::generate_family(&FamilyParams {
+        leaves,
+        ancestral_len,
+        seed,
+        ..Default::default()
+    })
+    .sequences
 }
 
 /// F1: the Figure 1 producer/consumer program.
@@ -212,7 +285,7 @@ pub fn fig7() -> Table {
     for (leaves, servers) in [(8u32, 2u32), (16, 4), (64, 4), (64, 8)] {
         let tree = random_tree_src(leaves, 7);
         let expected = sequential_reduce(&tree).to_string();
-        let r = run_tr2(ARITH_EVAL, &tree, servers, 7, "eval");
+        let r = run_tree(Tr2, ARITH_EVAL, &tree, servers, 7, "eval");
         t.row(vec![
             leaves.to_string(),
             servers.to_string(),
@@ -236,7 +309,7 @@ pub fn e1_balance() -> Table {
         for ratio in [1u32, 4, 16, 64] {
             let leaves = p * ratio;
             let tree = random_tree_src(leaves, 100 + ratio as u64);
-            let r = run_tr1(&uniform_eval(50), &tree, p, 100 + ratio as u64, "");
+            let r = run_tree(Tr1, &uniform_eval(50), &tree, p, 100 + ratio as u64, "");
             let m = &r.report.metrics;
             t.row(vec![
                 p.to_string(),
@@ -265,8 +338,8 @@ pub fn e2_memory() -> Table {
     );
     for leaves in [16u32, 64, 256] {
         let tree = random_tree_src(leaves, 11);
-        let r1 = run_tr1(&heavy_eval(20), &tree, 4, 11, "eval");
-        let r2 = run_tr2(&heavy_eval(20), &tree, 4, 11, "eval");
+        let r1 = run_tree(Tr1, &heavy_eval(20), &tree, 4, 11, "eval");
+        let r2 = run_tree(Tr2, &heavy_eval(20), &tree, 4, 11, "eval");
         t.row(vec![
             leaves.to_string(),
             r1.report.metrics.max_peak_tracked().to_string(),
@@ -280,37 +353,33 @@ pub fn e2_memory() -> Table {
     t
 }
 
-/// E2b: live intermediate bytes on the real alignment workload.
+/// E2b: E2's memory claim on the real alignment workload, on real threads.
 pub fn e2_memory_bytes() -> Table {
     let mut t = Table::new(
-        "E2b: peak live intermediate bytes, progressive alignment (threads)",
-        &["sequences", "labeling", "peak live KiB", "crossings"],
+        "E2b: peak live evaluations per node, progressive alignment (4 nodes, 4 threads)",
+        &["sequences", "motif", "peak live evals", "crossings"],
     );
-    let params = ScoreParams::default();
     for leaves in [16usize, 32] {
-        let fam = seqalign::generate_family(&FamilyParams {
-            leaves,
-            ancestral_len: 100,
-            seed: 5,
-            ..Default::default()
-        });
-        for (name, labeling) in [
-            ("TR1 random", Labeling::Random(5)),
-            ("TR2 paper", Labeling::Paper(5)),
-            ("static", Labeling::Static),
-        ] {
-            let pool = Pool::new(4, false);
-            let out = align_family_parallel(&pool, &fam.sequences, &params, labeling);
+        let seqs = rna_family(leaves, 100, 5);
+        let reference = align_family_seq(&seqs, &ScoreParams::default());
+        for motif in [Tr1, Tr2] {
+            let cfg = MachineConfig::with_nodes(4)
+                .seed(5)
+                .track("eval")
+                .parallel(4);
+            let (r, profile) = run_alignment(motif, &seqs, cfg);
+            assert_eq!(profile, reference, "the engine must align as the fold does");
+            let m = &r.report.metrics;
             t.row(vec![
                 leaves.to_string(),
-                name.to_string(),
-                format!("{:.1}", out.peak_live_bytes as f64 / 1024.0),
-                out.cross_child_values.to_string(),
+                motif.name().into(),
+                m.max_peak_tracked().to_string(),
+                motif.crossings(m).to_string(),
             ]);
-            pool.shutdown();
         }
     }
-    t.note("Profiles are the 'large intermediate data structures' of §3.5.");
+    t.note("Each live eval holds its operand profiles, the 'large intermediate");
+    t.note("data structures' of §3.5: TR1 stacks them, TR2 sequences them.");
     t
 }
 
@@ -332,9 +401,9 @@ pub fn e3_comm() -> Table {
         let leaves = 48u32;
         let internal = (leaves - 1) as u64;
         let tree = random_tree_src(leaves, seed);
-        let r2 = run_tr2(ARITH_EVAL, &tree, 6, seed, "");
+        let r2 = run_tree(Tr2, ARITH_EVAL, &tree, 6, seed, "");
         let crossings = r2.report.metrics.port_msgs_for("value");
-        let r1 = run_tr1(ARITH_EVAL, &tree, 6, seed, "");
+        let r1 = run_tree(Tr1, ARITH_EVAL, &tree, 6, seed, "");
         let tr1_reduce = r1.report.metrics.port_msgs_for("reduce");
         t.row(vec![
             seed.to_string(),
@@ -370,11 +439,15 @@ pub fn e4_speedup() -> Table {
         ("heavy-tailed", heavy_eval(8)),
     ] {
         let tree = random_tree_src(128, 21);
-        let base1 = run_tr1(&eval_src, &tree, 1, 21, "").report.metrics.makespan as f64;
-        let base2 = run_tr2(&eval_src, &tree, 1, 21, "").report.metrics.makespan as f64;
+        let makespan = |motif, p| {
+            run_tree(motif, &eval_src, &tree, p, 21, "")
+                .report
+                .metrics
+                .makespan
+        };
+        let (base1, base2) = (makespan(Tr1, 1) as f64, makespan(Tr2, 1) as f64);
         for p in [1u32, 2, 4, 8, 16, 32] {
-            let m1 = run_tr1(&eval_src, &tree, p, 21, "").report.metrics.makespan;
-            let m2 = run_tr2(&eval_src, &tree, p, 21, "").report.metrics.makespan;
+            let (m1, m2) = (makespan(Tr1, p), makespan(Tr2, p));
             t.row(vec![
                 label.to_string(),
                 p.to_string(),
@@ -437,7 +510,7 @@ pub fn e6_compose() -> Table {
             MachineConfig::with_nodes(4).seed(9),
         )
         .expect("hand-written runs");
-        let composed = run_tr1(ARITH_EVAL, &tree, 4, 9, "");
+        let composed = run_tree(Tr1, ARITH_EVAL, &tree, 4, 9, "");
         t.row(vec![
             name.to_string(),
             hand.bindings["Value"].to_string(),
@@ -506,52 +579,40 @@ pub fn e7_scheduler() -> Table {
     t
 }
 
-/// E8: the sequence-alignment application.
+/// E8: the sequence-alignment application on real threads.
 pub fn e8_seqalign() -> Table {
     let mut t = Table::new(
-        "E8: progressive RNA alignment via tree reduction (4 worker threads)",
+        "E8: progressive RNA alignment via tree reduction (4 nodes, 4 threads)",
         &[
             "seqs",
-            "labeling",
+            "motif",
             "identity",
             "columns",
             "crossings",
-            "peak live KiB",
-            "evals/worker",
+            "jobs/worker",
         ],
     );
-    let params = ScoreParams::default();
     for leaves in [8usize, 16, 32] {
-        let fam = seqalign::generate_family(&FamilyParams {
-            leaves,
-            ancestral_len: 120,
-            seed: 8,
-            ..Default::default()
-        });
-        let seq_ref = align_family_seq(&fam.sequences, &params);
-        for (name, labeling) in [
-            ("TR1 random", Labeling::Random(8)),
-            ("TR2 paper", Labeling::Paper(8)),
-            ("static", Labeling::Static),
-        ] {
-            let pool = Pool::new(4, false);
-            let out = align_family_parallel(&pool, &fam.sequences, &params, labeling);
-            assert_eq!(out.value, seq_ref, "parallel must equal sequential");
-            let spread = format!("{:?}", out.evals_per_worker);
+        let seqs = rna_family(leaves, 120, 8);
+        let reference = align_family_seq(&seqs, &ScoreParams::default());
+        for motif in [Tr1, Tr2] {
+            let cfg = MachineConfig::with_nodes(4).seed(8).parallel(4);
+            let (r, profile) = run_alignment(motif, &seqs, cfg);
+            assert_eq!(profile, reference, "the engine must align as the fold does");
+            let m = &r.report.metrics;
             t.row(vec![
                 leaves.to_string(),
-                name.to_string(),
-                format!("{:.3}", out.value.column_identity()),
-                out.value.len().to_string(),
-                out.cross_child_values.to_string(),
-                format!("{:.1}", out.peak_live_bytes as f64 / 1024.0),
-                spread,
+                motif.name().into(),
+                format!("{:.3}", profile.column_identity()),
+                profile.len().to_string(),
+                motif.crossings(m).to_string(),
+                format!("{:?}", m.worker_jobs),
             ]);
-            pool.shutdown();
         }
     }
-    t.note("All labelings produce the identical alignment (same guide tree);");
-    t.note("they differ in communication (crossings) and working-set placement.");
+    t.note("Both motifs produce the identical alignment (same guide tree);");
+    t.note("they differ in communication (crossings) and work placement.");
+    t.note("jobs = reductions each worker thread ran.");
     t
 }
 
@@ -765,34 +826,50 @@ pub fn e10_pragma() -> Table {
     t
 }
 
-/// E1-threads: the random-mapping balance claim at real-thread level —
-/// tasks per worker under the Random placement policy as tasks/worker
-/// grows (count-based, so valid on any core count).
+/// E1-threads: the random-mapping balance claim on real threads — tasks
+/// per node under the Random motif as tasks/node grows, one node per
+/// worker thread (count-based, so valid on any core count).
 pub fn e1_threads() -> Table {
-    use skeletons::{farm, Policy, Pool};
+    const TASKS: &str = r#"
+spawn(0, Ns) :- Ns := [].
+spawn(K, Ns) :- K > 0 | Ns := [N|Ns1], task(N)@random, K1 := K - 1, spawn(K1, Ns1).
+task(N) :- current_node(N).
+"#;
+    let program = motifs::random_with_entries(&[("spawn", 2)])
+        .apply_src(TASKS)
+        .expect("Random applies");
+    strand_parallel::install();
     let mut t = Table::new(
-        "E1-threads: tasks-per-worker imbalance under random placement",
-        &["workers", "tasks", "tasks/worker", "max/mean tasks"],
+        "E1-threads: tasks-per-node imbalance under the Random motif (1 node per thread)",
+        &["threads", "tasks", "tasks/node", "max/mean tasks"],
     );
-    for workers in [4usize, 8] {
-        for ratio in [1usize, 4, 16, 64] {
-            let n = workers * ratio;
-            let pool = Pool::new(workers, false);
-            let _ = farm(&pool, Policy::Random(7), (0..n).collect(), |x: usize| x);
-            let stats = pool.stats();
-            let max = stats.iter().map(|s| s.tasks).max().unwrap_or(0) as f64;
-            let mean = n as f64 / workers as f64;
+    for threads in [4u32, 8] {
+        for ratio in [1u32, 4, 16, 64] {
+            let n = threads * ratio;
+            let cfg = MachineConfig::with_nodes(threads).seed(7).parallel(threads);
+            let r = run_parsed_goal(&program, &format!("create({threads}, spawn({n}, Ns))"), cfg)
+                .expect("tasks run");
+            let mut per_node = vec![0u32; threads as usize];
+            for node in r.bindings["Ns"]
+                .as_proper_list()
+                .expect("every task reports")
+            {
+                match node {
+                    strand_core::Term::Int(i) => per_node[i as usize - 1] += 1,
+                    other => panic!("task reported {other}"),
+                }
+            }
+            let max = *per_node.iter().max().unwrap_or(&0);
             t.row(vec![
-                workers.to_string(),
+                threads.to_string(),
                 n.to_string(),
                 ratio.to_string(),
-                format!("{:.2}", max / mean),
+                format!("{:.2}", max as f64 / ratio as f64),
             ]);
-            pool.shutdown();
         }
     }
     t.note("Same shape as E1 on the simulator: the balls-into-bins imbalance");
-    t.note("of random mapping decays as tasks/worker grows.");
+    t.note("of random mapping decays as tasks/node grows.");
     t
 }
 
@@ -802,10 +879,6 @@ pub fn e1_threads() -> Table {
 /// Rust). Compares the two tree-reduction motifs on real alignment data
 /// with a realistic quadratic cost model.
 pub fn e8_sim() -> Table {
-    use seqalign::{guide_tree, guide_tree_src, register_align_node, term_to_profile, ALIGN_EVAL};
-    use strand_machine::{ast_to_term, Machine};
-    use strand_parse::{compile_program, parse_term};
-
     let mut t = Table::new(
         "E8-sim: full MSA inside the simulated multicomputer (native align_node)",
         &[
@@ -819,43 +892,16 @@ pub fn e8_sim() -> Table {
         ],
     );
     for leaves in [8usize, 16] {
-        let fam = seqalign::generate_family(&FamilyParams {
-            leaves,
-            ancestral_len: 80,
-            seed: 21,
-            ..Default::default()
-        });
-        let guide = guide_tree(&fam.sequences, &ScoreParams::default());
-        let tree_src = guide_tree_src(&guide, &fam.sequences);
-        for (name, program, goal) in [
-            (
-                "Tree-Reduce-1",
-                tree_reduce_1().apply_src(ALIGN_EVAL).expect("TR1 applies"),
-                format!("create(4, reduce({tree_src}, Value))"),
-            ),
-            (
-                "Tree-Reduce-2",
-                tree_reduce_2().apply_src(ALIGN_EVAL).expect("TR2 applies"),
-                format!("create(4, tr2({tree_src}, Value))"),
-            ),
-        ] {
-            let compiled = compile_program(&program).expect("compiles");
-            let mut machine = Machine::new(compiled, MachineConfig::with_nodes(4).seed(21));
-            register_align_node(&mut machine, ScoreParams::default(), 8);
-            let goal_ast = parse_term(&goal).expect("goal parses");
-            let mut vars = std::collections::BTreeMap::new();
-            let g = ast_to_term(&goal_ast, &mut machine, &mut vars);
-            machine.start(g);
-            let report = machine.run().expect("sim MSA runs");
-            let profile =
-                term_to_profile(&machine.store().resolve(&vars["Value"])).expect("profile");
+        let seqs = rna_family(leaves, 80, 21);
+        for motif in [Tr1, Tr2] {
+            let (r, profile) = run_alignment(motif, &seqs, MachineConfig::with_nodes(4).seed(21));
             t.row(vec![
                 leaves.to_string(),
-                name.into(),
+                motif.name().into(),
                 "4".into(),
-                format!("{:?}", report.status),
-                report.metrics.makespan.to_string(),
-                report.metrics.total_messages().to_string(),
+                format!("{:?}", r.report.status),
+                r.report.metrics.makespan.to_string(),
+                r.report.metrics.total_messages().to_string(),
                 format!("{:.3}", profile.column_identity()),
             ]);
         }
@@ -886,20 +932,12 @@ pub fn a1_latency() -> Table {
     let eval = uniform_eval(50);
     let mut base = (0u64, 0u64);
     for latency in [1u64, 10, 100, 1000] {
-        let cfg1 = MachineConfig::with_nodes(8).seed(31).latency(latency);
-        let p1 = tree_reduce_1().apply_src(&eval).expect("TR1 applies");
-        let m1 = run_parsed_goal(&p1, &format!("create(8, reduce({tree}, Value))"), cfg1)
-            .expect("TR1 runs")
-            .report
-            .metrics
-            .makespan;
-        let cfg2 = MachineConfig::with_nodes(8).seed(31).latency(latency);
-        let p2 = tree_reduce_2().apply_src(&eval).expect("TR2 applies");
-        let m2 = run_parsed_goal(&p2, &format!("create(8, tr2({tree}, Value))"), cfg2)
-            .expect("TR2 runs")
-            .report
-            .metrics
-            .makespan;
+        let makespan = |motif: TreeReduce| {
+            let cfg = MachineConfig::with_nodes(8).seed(31).latency(latency);
+            let r = run_parsed_goal(&motif.program(&eval), &motif.goal(8, &tree), cfg);
+            r.expect("tree reduction runs").report.metrics.makespan
+        };
+        let (m1, m2) = (makespan(Tr1), makespan(Tr2));
         if latency == 1 {
             base = (m1, m2);
         }

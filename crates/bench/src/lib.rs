@@ -9,9 +9,10 @@
 //! numbers is `perfbench/`'s job (BENCHMARK.json).
 //!
 //! All simulator experiments are deterministic: fixed seeds, virtual time.
-//! Real-thread experiments report *work distribution* (tasks per worker,
-//! crossings, live bytes); on a single-core CI box wall-clock speedup is
-//! meaningless, and EXPERIMENTS.md says so.
+//! Real-thread experiments run the same motif programs on the fleet and
+//! report *work distribution* (tasks per node, crossings, live
+//! evaluations); on a single-core CI box wall-clock speedup is meaningless,
+//! and EXPERIMENTS.md says so.
 
 pub mod experiments;
 pub mod parallel_bench;

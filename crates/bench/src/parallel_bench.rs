@@ -24,8 +24,9 @@
 //! table shows the shape of the scaling, not a figure to compare across
 //! commits; `perfbench`'s `motif-tree-par` workload is the timed protocol.
 
+use crate::experiments::{rna_family, TreeReduce};
 use crate::table::Table;
-use motifs::{random_tree_src, tree_reduce_1};
+use motifs::random_tree_src;
 use std::time::{Duration, Instant};
 use strand_core::{StrandResult, Term};
 use strand_machine::{run_parsed_goal_with_lib, ForeignLib, MachineConfig};
@@ -87,34 +88,21 @@ fn tree_workload(leaves: u32, work_ns: u64, timed_proc: &str) -> (Program, Strin
         emit(done, L, R, Value) :- Value := L + R.
         "#
     );
-    let program = tree_reduce_1()
-        .apply_src(&eval)
-        .expect("TR1 applies to timed eval");
     let tree = random_tree_src(leaves, 9);
-    (program, format!("create(8, reduce({tree}, Value))"))
+    let tr1 = TreeReduce::Tr1;
+    (tr1.program(&eval), tr1.goal(8, &tree))
 }
 
 /// Progressive RNA alignment on Tree-Reduce-1 with the native aligner as a
 /// pure foreign procedure.
 fn seqalign_workload(leaves: usize) -> (Program, String, ForeignLib) {
-    use seqalign::{align_lib, generate_family, guide_tree, guide_tree_src, FamilyParams};
-    let params = seqalign::ScoreParams::default();
-    let fam = generate_family(&FamilyParams {
-        leaves,
-        ancestral_len: 80,
-        seed: 21,
-        ..Default::default()
-    });
-    let guide = guide_tree(&fam.sequences, &params);
-    let tree_src = guide_tree_src(&guide, &fam.sequences);
-    let program = tree_reduce_1()
-        .apply_src(seqalign::ALIGN_EVAL)
-        .expect("TR1 applies to align eval");
-    (
-        program,
-        format!("create(8, reduce({tree_src}, Value))"),
-        align_lib(params, 8),
-    )
+    use seqalign::{align_lib, guide_tree, guide_tree_src, ScoreParams};
+    let params = ScoreParams::default();
+    let seqs = rna_family(leaves, 80, 21);
+    let tree = guide_tree_src(&guide_tree(&seqs, &params), &seqs);
+    let tr1 = TreeReduce::Tr1;
+    let program = tr1.program(seqalign::ALIGN_EVAL);
+    (program, tr1.goal(8, &tree), align_lib(params, 8))
 }
 
 /// Wall-clock nanoseconds of one run.

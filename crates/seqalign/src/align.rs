@@ -9,7 +9,6 @@
 //! intermediate structures).
 
 use crate::rna::base_index;
-use skeletons::MemSize;
 
 /// One alignment column: frequencies of A, C, G, U and gap.
 pub type Column = [f32; 5];
@@ -20,12 +19,6 @@ pub type Column = [f32; 5];
 pub struct Profile {
     pub cols: Vec<Column>,
     pub seqs: u32,
-}
-
-impl MemSize for Profile {
-    fn mem_bytes(&self) -> usize {
-        self.cols.len() * std::mem::size_of::<Column>() + std::mem::size_of::<Self>()
-    }
 }
 
 impl Profile {
@@ -320,12 +313,5 @@ mod tests {
         // with one sequence each, base weight (1.0 from b) beats gap (0.5
         // average), so consensus shows b's bases — but length must be 6.
         assert_eq!(out.profile.consensus().len(), 6);
-    }
-
-    #[test]
-    fn profile_mem_size_scales_with_length() {
-        let small = profile("ACGU");
-        let big = profile(&"ACGU".repeat(100));
-        assert!(big.mem_bytes() > small.mem_bytes() * 50);
     }
 }

@@ -1,11 +1,13 @@
-//! Running the alignment inside the simulated multicomputer — the paper's
-//! full architecture.
+//! Running the alignment as a motif program — the paper's full
+//! architecture.
 //!
 //! In 1990 the application was *"2000 lines of Strand and C"*: Strand
 //! coordinated, C computed. This module reproduces that split exactly: the
-//! motif language coordinates (Tree-Reduce motifs on the simulator) while
-//! the node evaluation runs natively ([`register_align_node`] installs the
-//! Rust `align_node` as a foreign procedure, §2.1's multilingual approach).
+//! motif language coordinates (Tree-Reduce-1 or Tree-Reduce-2 applied to
+//! [`ALIGN_EVAL`]) while the node evaluation runs natively ([`align_lib`]
+//! is the Rust `align_node` as a foreign procedure, §2.1's multilingual
+//! approach). The same program and library run on the simulator and on
+//! the multi-threaded fleet.
 //!
 //! Profiles cross the language boundary as terms:
 //! `profile(Seqs, [col(A, C, G, U, Gap)|…])`; a leaf may simply be the
@@ -14,7 +16,6 @@
 use crate::align::{align_profiles, Profile, ScoreParams};
 use crate::rna::Phylo;
 use strand_core::{StrandError, StrandResult, Term};
-use strand_machine::Machine;
 
 /// Encode a profile as a term.
 pub fn profile_to_term(p: &Profile) -> Term {
@@ -67,24 +68,13 @@ pub fn term_to_profile(t: &Term) -> StrandResult<Profile> {
     }
 }
 
-/// Install `align_node/3` on a machine: `align_node(A, B, Merged)` aligns
-/// two profiles (or sequence strings) natively and charges a virtual cost
-/// proportional to the DP matrix size — the quadratic cost of the real
-/// Needleman–Wunsch computation.
-pub fn register_align_node(machine: &mut Machine, params: ScoreParams, cost_divisor: u64) {
-    machine.register_foreign("align_node", 3, move |args| {
-        let a = term_to_profile(&args[0])?;
-        let b = term_to_profile(&args[1])?;
-        let cost = (a.len() as u64 * b.len() as u64) / cost_divisor.max(1) + 1;
-        let merged = align_profiles(&a, &b, &params).profile;
-        Ok((profile_to_term(&merged), cost))
-    });
-}
-
-/// The same `align_node/3` as a *pure* foreign library: alignment depends
-/// only on its arguments, so the multi-threaded backend may compute it
-/// outside the machine lock (and overlapped with other alignments). Install
-/// with [`strand_machine::run_parsed_goal_with_lib`] on either backend.
+/// `align_node/3` as a pure foreign library: `align_node(A, B, Merged)`
+/// aligns two profiles (or sequence strings) natively and charges a virtual
+/// cost proportional to the DP matrix size — the quadratic cost of the real
+/// Needleman–Wunsch computation. Alignment depends only on its arguments,
+/// so the multi-threaded backend computes it on whichever worker reduces
+/// the call, overlapped with other alignments. Install with
+/// [`strand_machine::run_parsed_goal_with_lib`] on either backend.
 pub fn align_lib(params: ScoreParams, cost_divisor: u64) -> strand_machine::ForeignLib {
     let mut lib = strand_machine::ForeignLib::new();
     lib.register("align_node", 3, move |args| {
@@ -110,8 +100,8 @@ pub fn guide_tree_src(tree: &Phylo, seqs: &[Vec<u8>]) -> String {
     }
 }
 
-/// The node-evaluation program for the simulator: wait for both operands,
-/// then call the native aligner.
+/// The node-evaluation program: wait for both operands, then call the
+/// native aligner.
 pub const ALIGN_EVAL: &str = r#"
 eval(_, L, R, Value) :- data(L), data(R) | align_node(L, R, Value).
 "#;
@@ -121,8 +111,7 @@ mod tests {
     use super::*;
     use crate::rna::{generate_family, FamilyParams};
     use crate::upgma::guide_tree;
-    use strand_machine::{ast_to_term, MachineConfig, RunStatus};
-    use strand_parse::{compile_program, parse_term};
+    use strand_machine::{run_parsed_goal_with_lib, MachineConfig, RunStatus};
 
     #[test]
     fn profile_term_roundtrip() {
@@ -142,50 +131,24 @@ mod tests {
         );
     }
 
+    /// Run TR1 (`reduce/2`) or TR2 (`tr2/2`) over the family on 4
+    /// simulated servers.
     fn run_sim_msa(
-        motif: motifs_like::Which,
+        motif: motifs::Motif,
+        entry: &str,
         seqs: &[Vec<u8>],
-        servers: u32,
     ) -> (Profile, strand_machine::RunReport) {
-        // Build the motif program (TR1 or TR2) over the align eval.
-        let program = match motif {
-            motifs_like::Which::Tr1 => motifs_like::tr1_program(),
-            motifs_like::Which::Tr2 => motifs_like::tr2_program(),
-        };
-        let compiled = compile_program(&program).unwrap();
-        let mut machine = Machine::new(compiled, MachineConfig::with_nodes(servers).seed(4));
-        register_align_node(&mut machine, ScoreParams::default(), 8);
+        let program = motif.apply_src(ALIGN_EVAL).expect("motif applies");
         let guide = guide_tree(seqs, &ScoreParams::default());
-        let tree_src = guide_tree_src(&guide, seqs);
-        let goal_src = match motif {
-            motifs_like::Which::Tr1 => format!("create({servers}, reduce({tree_src}, Value))"),
-            motifs_like::Which::Tr2 => format!("create({servers}, tr2({tree_src}, Value))"),
-        };
-        let goal_ast = parse_term(&goal_src).unwrap();
-        let mut vars = std::collections::BTreeMap::new();
-        let goal = ast_to_term(&goal_ast, &mut machine, &mut vars);
-        machine.start(goal);
-        let report = machine.run().unwrap();
-        let value = machine.store().resolve(&vars["Value"]);
-        (term_to_profile(&value).unwrap(), report)
-    }
-
-    /// Small helper namespace so the test reads clearly.
-    mod motifs_like {
-        pub enum Which {
-            Tr1,
-            Tr2,
-        }
-        pub fn tr1_program() -> strand_parse::Program {
-            motifs::tree_reduce_1()
-                .apply_src(super::ALIGN_EVAL)
-                .expect("TR1 applies to align eval")
-        }
-        pub fn tr2_program() -> strand_parse::Program {
-            motifs::tree_reduce_2()
-                .apply_src(super::ALIGN_EVAL)
-                .expect("TR2 applies to align eval")
-        }
+        let goal = format!(
+            "create(4, {entry}({}, Value))",
+            guide_tree_src(&guide, seqs)
+        );
+        let lib = align_lib(ScoreParams::default(), 8);
+        let r =
+            run_parsed_goal_with_lib(&program, &goal, MachineConfig::with_nodes(4).seed(4), &lib)
+                .expect("alignment runs");
+        (term_to_profile(&r.bindings["Value"]).unwrap(), r.report)
     }
 
     #[test]
@@ -197,10 +160,10 @@ mod tests {
             ..Default::default()
         });
         let reference = crate::msa::align_family_seq(&fam.sequences, &ScoreParams::default());
-        let (p1, r1) = run_sim_msa(motifs_like::Which::Tr1, &fam.sequences, 4);
+        let (p1, r1) = run_sim_msa(motifs::tree_reduce_1(), "reduce", &fam.sequences);
         assert_eq!(p1, reference, "TR1 simulator alignment matches native");
         assert!(matches!(r1.status, RunStatus::Quiescent { .. }));
-        let (p2, r2) = run_sim_msa(motifs_like::Which::Tr2, &fam.sequences, 4);
+        let (p2, r2) = run_sim_msa(motifs::tree_reduce_2(), "tr2", &fam.sequences);
         assert_eq!(p2, reference, "TR2 simulator alignment matches native");
         assert_eq!(r2.status, RunStatus::Completed);
         // The native cost model shows up in the virtual clock.

@@ -2,49 +2,26 @@
 //!
 //! This is the paper's application assembled end to end: *"Reduction of
 //! this tree using an 'align-node' function produces the desired
-//! alignment"* (§3). The guide tree becomes a
-//! [`skeletons::Tree`] whose leaves hold single-sequence profiles; the
-//! reduction operator is [`align_profiles`]; any tree-reduction strategy
-//! (sequential, Tree-Reduce-1 random labels, Tree-Reduce-2 paper labels,
-//! static) computes the family alignment.
+//! alignment"* (§3). [`align_family_seq`] folds the guide tree with
+//! [`align_profiles`] — the sequential reference. The parallel versions are
+//! the paper's own: Tree-Reduce-1 and Tree-Reduce-2 over
+//! [`crate::ALIGN_EVAL`] with [`crate::align_lib`] as the native node
+//! evaluation, on either engine. The guide tree fixes the reduction order,
+//! so every strategy produces this same profile.
 
 use crate::align::{align_profiles, Profile, ScoreParams};
 use crate::rna::Phylo;
 use crate::upgma::guide_tree;
-use skeletons::pool::Pool;
-use skeletons::tree::{reduce, reduce_seq, Labeling, ReduceOutcome, Tree};
-
-/// Convert a guide tree plus sequences into a reduction tree of profiles.
-pub fn alignment_tree(tree: &Phylo, seqs: &[Vec<u8>]) -> Tree<Profile, ()> {
-    match tree {
-        Phylo::Leaf(i) => Tree::Leaf(Profile::from_sequence(&seqs[*i])),
-        Phylo::Node(l, r) => Tree::node((), alignment_tree(l, seqs), alignment_tree(r, seqs)),
-    }
-}
 
 /// Sequential progressive alignment (reference).
 pub fn align_family_seq(seqs: &[Vec<u8>], p: &ScoreParams) -> Profile {
-    let guide = guide_tree(seqs, p);
-    let tree = alignment_tree(&guide, seqs);
-    let params = *p;
-    reduce_seq(&tree, &move |_, a, b| {
-        align_profiles(&a, &b, &params).profile
-    })
-}
-
-/// Parallel progressive alignment under a tree-reduction labeling.
-pub fn align_family_parallel(
-    pool: &Pool,
-    seqs: &[Vec<u8>],
-    p: &ScoreParams,
-    labeling: Labeling,
-) -> ReduceOutcome<Profile> {
-    let guide = guide_tree(seqs, p);
-    let tree = alignment_tree(&guide, seqs);
-    let params = *p;
-    reduce(pool, tree, labeling, move |_, a, b| {
-        align_profiles(&a, &b, &params).profile
-    })
+    fn fold(tree: &Phylo, seqs: &[Vec<u8>], p: &ScoreParams) -> Profile {
+        match tree {
+            Phylo::Leaf(i) => Profile::from_sequence(&seqs[*i]),
+            Phylo::Node(l, r) => align_profiles(&fold(l, seqs, p), &fold(r, seqs, p), p).profile,
+        }
+    }
+    fold(&guide_tree(seqs, p), seqs, p)
 }
 
 #[cfg(test)]
@@ -90,38 +67,6 @@ mod tests {
             noise.column_identity()
         );
         assert!(related.column_identity() > 0.75);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_shape() {
-        // The reduction order is fixed by the guide tree, so parallel and
-        // sequential runs produce the same profile.
-        let seqs = family(12, 3);
-        let p = ScoreParams::default();
-        let seq_profile = align_family_seq(&seqs, &p);
-        for labeling in [Labeling::Random(3), Labeling::Paper(3), Labeling::Static] {
-            let pool = Pool::new(4, false);
-            let out = align_family_parallel(&pool, &seqs, &p, labeling);
-            assert_eq!(out.value.seqs, seq_profile.seqs);
-            assert_eq!(out.value.len(), seq_profile.len(), "labeling {labeling:?}");
-            assert_eq!(out.value, seq_profile);
-            pool.shutdown();
-        }
-    }
-
-    #[test]
-    fn paper_labeling_bounds_crossings_on_alignment_trees() {
-        let seqs = family(24, 4);
-        let p = ScoreParams::default();
-        let pool = Pool::new(6, false);
-        let out = align_family_parallel(&pool, &seqs, &p, Labeling::Paper(4));
-        let internal = seqs.len() - 1;
-        assert!(
-            out.cross_child_values <= internal,
-            "{} crossings for {internal} internal nodes",
-            out.cross_child_values
-        );
-        pool.shutdown();
     }
 
     #[test]

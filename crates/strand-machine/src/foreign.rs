@@ -15,6 +15,13 @@
 //! native computation occupies its simulated processor for a realistic
 //! time.
 //!
+//! Native code has one way in: a [`ForeignLib`] of pure closures, installed
+//! with [`Machine::install_lib`] or passed to
+//! [`crate::run_parsed_goal_with_lib`]. A pure closure holds no state, so
+//! the multi-threaded backend installs the same library on every shard and
+//! each worker calls it inline, overlapping native computation on one
+//! worker with coordination on the others.
+//!
 //! A **sink** ([`ForeignLib::register_sink`]) is the variant for native
 //! code that consumes a result instead of producing one — handing a reply
 //! to a socket thread, say. All `n` arguments of `name(In1, …, Inn)` are
@@ -28,41 +35,29 @@ use crate::machine::{CallOutcome, Machine};
 use std::sync::Arc;
 use strand_core::{Atom, FxHashMap, StrandResult, Term, Time, VarId};
 
-/// A foreign implementation: resolved ground inputs → (result, virtual
-/// cost in ticks).
-pub type ForeignFn = Box<dyn FnMut(&[Term]) -> StrandResult<(Term, Time)> + Send>;
-
-/// A *pure* foreign implementation: no interior state, callable from any
-/// thread. The multi-threaded backend installs the same closure on every
-/// worker's shard, so native computation on one worker genuinely overlaps
-/// coordination on the others.
-pub type PureForeignFn = dyn Fn(&[Term]) -> StrandResult<(Term, Time)> + Send + Sync;
+/// A *pure* foreign implementation: resolved ground inputs → (result,
+/// virtual cost in ticks). It has no interior state and is callable from
+/// any thread.
+type PureForeign = dyn Fn(&[Term]) -> StrandResult<(Term, Time)> + Send + Sync;
 
 /// A sink implementation: resolved ground inputs → virtual cost in ticks.
-pub type SinkForeignFn = dyn Fn(&[Term]) -> StrandResult<Time> + Send + Sync;
+type SinkForeign = dyn Fn(&[Term]) -> StrandResult<Time> + Send + Sync;
 
-/// One registered procedure. `Stateful` closures live on a single machine;
-/// the other two are shared by every machine a [`ForeignLib`] is installed
-/// on.
+/// One registered procedure, shared by every machine its library is
+/// installed on.
+#[derive(Clone)]
 enum Entry {
-    Stateful(ForeignFn),
-    Pure(Arc<PureForeignFn>),
-    Sink(Arc<SinkForeignFn>),
+    Pure(Arc<PureForeign>),
+    Sink(Arc<SinkForeign>),
 }
 
-/// A portable library of pure foreign procedures and sinks. Unlike closures
-/// registered with [`Machine::register_foreign`], a library is `Clone` and
-/// can be installed on any machine — this is how foreign code travels
-/// through [`crate::run_parsed_goal_with_lib`] to whichever engine runs it.
+/// A portable library of pure foreign procedures and sinks. A library is
+/// `Clone` and can be installed on any machine — this is how foreign code
+/// travels through [`crate::run_parsed_goal_with_lib`] to whichever engine
+/// runs it.
 #[derive(Clone, Default)]
 pub struct ForeignLib {
-    entries: Vec<(String, usize, LibEntry)>,
-}
-
-#[derive(Clone)]
-enum LibEntry {
-    Pure(Arc<PureForeignFn>),
-    Sink(Arc<SinkForeignFn>),
+    entries: Vec<(String, usize, Entry)>,
 }
 
 impl ForeignLib {
@@ -83,7 +78,7 @@ impl ForeignLib {
     ) {
         assert!(arity >= 1, "foreign procedures need an output argument");
         self.entries
-            .push((name.to_string(), arity, LibEntry::Pure(Arc::new(f))));
+            .push((name.to_string(), arity, Entry::Pure(Arc::new(f))));
     }
 
     /// Register the sink `name/arity`: every argument is a ground input and
@@ -95,7 +90,7 @@ impl ForeignLib {
         f: impl Fn(&[Term]) -> StrandResult<Time> + Send + Sync + 'static,
     ) {
         self.entries
-            .push((name.to_string(), arity, LibEntry::Sink(Arc::new(f))));
+            .push((name.to_string(), arity, Entry::Sink(Arc::new(f))));
     }
 }
 
@@ -123,42 +118,10 @@ impl ForeignRegistry {
 }
 
 impl Machine {
-    /// Register a foreign procedure `name/arity` (arity includes the final
-    /// output argument). Inputs arrive fully resolved and ground.
-    pub fn register_foreign(
-        &mut self,
-        name: &str,
-        arity: usize,
-        f: impl FnMut(&[Term]) -> StrandResult<(Term, Time)> + Send + 'static,
-    ) {
-        assert!(arity >= 1, "foreign procedures need an output argument");
-        self.foreign
-            .insert(name, arity, Entry::Stateful(Box::new(f)));
-    }
-
-    /// Register a *pure* foreign procedure — stateless, callable from any
-    /// thread. On the multi-threaded backend each worker calls these inline
-    /// on its own shard (no lock is held, so native computation on one
-    /// worker genuinely overlaps coordination on the others); on the
-    /// simulator they behave exactly like [`Machine::register_foreign`].
-    pub fn register_foreign_pure(
-        &mut self,
-        name: &str,
-        arity: usize,
-        f: impl Fn(&[Term]) -> StrandResult<(Term, Time)> + Send + Sync + 'static,
-    ) {
-        assert!(arity >= 1, "foreign procedures need an output argument");
-        self.foreign.insert(name, arity, Entry::Pure(Arc::new(f)));
-    }
-
     /// Install every procedure of a [`ForeignLib`] on this machine.
     pub fn install_lib(&mut self, lib: &ForeignLib) {
         for (name, arity, entry) in &lib.entries {
-            let entry = match entry {
-                LibEntry::Pure(f) => Entry::Pure(Arc::clone(f)),
-                LibEntry::Sink(f) => Entry::Sink(Arc::clone(f)),
-            };
-            self.foreign.insert(name, *arity, entry);
+            self.foreign.insert(name, *arity, entry.clone());
         }
     }
 
@@ -175,8 +138,8 @@ impl Machine {
         let entry = self
             .foreign
             .procs
-            .get_mut(&name)?
-            .iter_mut()
+            .get(&name)?
+            .iter()
             .find(|(arity, _)| *arity == n)
             .map(|(_, entry)| entry)?;
         // A sink reads every argument; the others keep the last for output.
@@ -200,7 +163,6 @@ impl Machine {
             return Some(Ok(CallOutcome::Suspend(pending)));
         }
         let result = match entry {
-            Entry::Stateful(f) => f(&inputs),
             Entry::Pure(f) => f(&inputs),
             Entry::Sink(f) => {
                 return Some(Ok(match f(&inputs) {
@@ -246,44 +208,36 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ast_to_term, MachineConfig};
-    use std::collections::BTreeMap;
-    use strand_parse::{compile_program, parse_program, parse_term};
+    use crate::MachineConfig;
+    use strand_parse::{compile_program, parse_program};
 
-    fn run_with(
-        src: &str,
-        goal: &str,
-        config: MachineConfig,
-        register: impl FnOnce(&mut Machine),
-    ) -> crate::GoalResult {
+    fn run_with(src: &str, goal: &str, lib: &ForeignLib) -> crate::GoalResult {
         let program = parse_program(src).unwrap();
-        let compiled = compile_program(&program).unwrap();
-        let mut machine = Machine::new(compiled, config);
-        register(&mut machine);
-        let goal_ast = parse_term(goal).unwrap();
-        let mut vars = BTreeMap::new();
-        let g = ast_to_term(&goal_ast, &mut machine, &mut vars);
-        machine.start(g);
-        let report = machine.run().unwrap();
-        let bindings = vars
-            .into_iter()
-            .map(|(name, term)| (name.clone(), machine.store().resolve(&term)))
-            .collect();
-        crate::GoalResult { report, bindings }
+        crate::run_parsed_goal_with_lib(&program, goal, MachineConfig::default(), lib).unwrap()
+    }
+
+    /// A library holding the single pure procedure `name/arity`.
+    fn lib_of(
+        name: &str,
+        arity: usize,
+        f: impl Fn(&[Term]) -> StrandResult<(Term, Time)> + Send + Sync + 'static,
+    ) -> ForeignLib {
+        let mut lib = ForeignLib::new();
+        lib.register(name, arity, f);
+        lib
     }
 
     #[test]
     fn foreign_function_computes_and_charges_cost() {
         let src = "go(X, Y) :- square(7, X), square(X, Y).";
-        let r = run_with(src, "go(X, Y)", MachineConfig::default(), |m| {
-            m.register_foreign("square", 2, |args| {
-                let v = match &args[0] {
-                    Term::Int(i) => *i,
-                    other => panic!("bad input {other}"),
-                };
-                Ok((Term::int(v * v), 500))
-            });
+        let lib = lib_of("square", 2, |args| {
+            let v = match &args[0] {
+                Term::Int(i) => *i,
+                other => panic!("bad input {other}"),
+            };
+            Ok((Term::int(v * v), 500))
         });
+        let r = run_with(src, "go(X, Y)", &lib);
         assert_eq!(r.bindings["X"].to_string(), "49");
         assert_eq!(r.bindings["Y"].to_string(), "2401");
         // Two calls at 500 ticks each.
@@ -296,12 +250,11 @@ mod tests {
             go(Y) :- square(X, Y), later(X).
             later(X) :- X := 6.
         "#;
-        let r = run_with(src, "go(Y)", MachineConfig::default(), |m| {
-            m.register_foreign("square", 2, |args| match &args[0] {
-                Term::Int(i) => Ok((Term::int(i * i), 1)),
-                other => panic!("called with non-ground input {other}"),
-            });
+        let lib = lib_of("square", 2, |args| match &args[0] {
+            Term::Int(i) => Ok((Term::int(i * i), 1)),
+            other => panic!("called with non-ground input {other}"),
         });
+        let r = run_with(src, "go(Y)", &lib);
         assert_eq!(r.bindings["Y"].to_string(), "36");
         assert!(r.report.metrics.suspensions >= 1);
     }
@@ -309,18 +262,17 @@ mod tests {
     #[test]
     fn foreign_handles_structured_terms() {
         let src = "go(N) :- sum_list([1, 2, 3, 4], N).";
-        let r = run_with(src, "go(N)", MachineConfig::default(), |m| {
-            m.register_foreign("sum_list", 2, |args| {
-                let items = args[0].as_proper_list().expect("ground list");
-                let mut sum = 0i64;
-                for t in items {
-                    if let Term::Int(i) = t {
-                        sum += i;
-                    }
+        let lib = lib_of("sum_list", 2, |args| {
+            let items = args[0].as_proper_list().expect("ground list");
+            let mut sum = 0i64;
+            for t in items {
+                if let Term::Int(i) = t {
+                    sum += i;
                 }
-                Ok((Term::int(sum), items_cost(&args[0])))
-            });
+            }
+            Ok((Term::int(sum), items_cost(&args[0])))
         });
+        let r = run_with(src, "go(N)", &lib);
         assert_eq!(r.bindings["N"].to_string(), "10");
 
         fn items_cost(t: &Term) -> u64 {
@@ -333,12 +285,11 @@ mod tests {
         // Foreign procedures take precedence over same-named rules, like
         // builtins do; the program's `square/2` rule is never used.
         let src = "square(_, Y) :- Y := wrong. go(Y) :- square(3, Y).";
-        let r = run_with(src, "go(Y)", MachineConfig::default(), |m| {
-            m.register_foreign("square", 2, |args| match &args[0] {
-                Term::Int(i) => Ok((Term::int(i * i), 1)),
-                _ => unreachable!(),
-            });
+        let lib = lib_of("square", 2, |args| match &args[0] {
+            Term::Int(i) => Ok((Term::int(i * i), 1)),
+            _ => unreachable!(),
         });
+        let r = run_with(src, "go(Y)", &lib);
         assert_eq!(r.bindings["Y"].to_string(), "9");
     }
 
@@ -397,18 +348,13 @@ mod tests {
 
     #[test]
     fn foreign_error_reported() {
-        let src = "go(Y) :- fail_op(1, Y).";
-        let program = parse_program(src).unwrap();
-        let compiled = compile_program(&program).unwrap();
-        let mut machine = Machine::new(compiled, MachineConfig::default());
-        machine.register_foreign("fail_op", 2, |_| {
+        let program = parse_program("go(Y) :- fail_op(1, Y).").unwrap();
+        let lib = lib_of("fail_op", 2, |_| {
             Err(strand_core::StrandError::Other("native failure".into()))
         });
-        let goal_ast = parse_term("go(Y)").unwrap();
-        let mut vars = BTreeMap::new();
-        let g = ast_to_term(&goal_ast, &mut machine, &mut vars);
-        machine.start(g);
-        let err = machine.run().unwrap_err();
+        let err =
+            crate::run_parsed_goal_with_lib(&program, "go(Y)", MachineConfig::default(), &lib)
+                .expect_err("the foreign error is fatal");
         assert!(err.to_string().contains("native failure"));
     }
 }

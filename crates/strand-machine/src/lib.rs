@@ -42,7 +42,7 @@ mod world;
 
 pub use backend::register_parallel_backend;
 pub use config::{Backend, EdgeFaults, ExecMode, FaultPlan, MachineConfig};
-pub use foreign::{ForeignFn, ForeignLib};
+pub use foreign::ForeignLib;
 pub use machine::{
     merge_shard_reports, Deadline, DrainState, Job, Machine, Routed, RunReport, RunStatus,
     ShardReport, SharedWorld, StoreHandle, WORKER_PID_SHIFT,

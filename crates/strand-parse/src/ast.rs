@@ -239,11 +239,6 @@ impl Program {
         &self.procedures
     }
 
-    /// Mutable access for transformations.
-    pub fn procedures_mut(&mut self) -> &mut Vec<Procedure> {
-        &mut self.procedures
-    }
-
     /// Look up a procedure.
     pub fn get(&self, name: &str, arity: usize) -> Option<&Procedure> {
         self.procedures
@@ -297,11 +292,6 @@ impl Program {
     /// Every rule in the program, with its procedure key.
     pub fn rules(&self) -> impl Iterator<Item = &Rule> {
         self.procedures.iter().flat_map(|p| p.rules.iter())
-    }
-
-    /// Mutable iteration over every rule.
-    pub fn rules_mut(&mut self) -> impl Iterator<Item = &mut Rule> {
-        self.procedures.iter_mut().flat_map(|p| p.rules.iter_mut())
     }
 
     /// Total number of rules (the paper's informal "lines of code" measure

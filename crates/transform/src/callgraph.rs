@@ -67,11 +67,6 @@ impl CallGraph {
         out
     }
 
-    /// Direct callees of a procedure.
-    pub fn callees(&self, key: &Key) -> BTreeSet<Key> {
-        self.calls.get(key).cloned().unwrap_or_default()
-    }
-
     /// Does `caller` (transitively) reach `target`?
     pub fn reaches(&self, caller: &Key, target: &Key) -> bool {
         self.ancestors_of(std::slice::from_ref(target))

@@ -4,9 +4,9 @@
 //! *"Programs are represented as structured terms and transformations as
 //! programs that manipulate these terms."* Here programs are
 //! [`strand_parse::Program`] values and transformations are Rust values
-//! implementing [`Transformation`]; composition is literally function
-//! composition ([`Transformation::then`]), which is what makes motif
-//! composition (`M = M2 ∘ M1`) work.
+//! implementing [`Transformation`]. Composing transformations is function
+//! composition; `motifs::Motif::compose` builds the paper's
+//! `M = M2 ∘ M1` from it.
 //!
 //! The crate also provides the analyses and rewrites that real motif
 //! transformations are made of:
@@ -22,7 +22,6 @@ pub mod callgraph;
 pub mod rewrite;
 
 use std::fmt;
-use std::sync::Arc;
 use strand_parse::Program;
 
 /// Error raised by a transformation.
@@ -60,17 +59,6 @@ pub trait Transformation: Send + Sync {
 
     /// Apply the transformation, producing a new program.
     fn apply(&self, program: &Program) -> Result<Program, TransformError>;
-
-    /// `self.then(t)` applies `self` first, then `t` — i.e. `t ∘ self`.
-    fn then(self, t: impl Transformation + 'static) -> Composed
-    where
-        Self: Sized + 'static,
-    {
-        Composed {
-            name: format!("{} ; {}", self.name(), t.name()),
-            stages: vec![Arc::new(self), Arc::new(t)],
-        }
-    }
 }
 
 /// The identity transformation (used by library-only motifs such as the
@@ -119,89 +107,15 @@ impl Transformation for FnTransform {
     }
 }
 
-/// A pipeline of transformations applied left to right.
-#[derive(Clone)]
-pub struct Composed {
-    name: String,
-    stages: Vec<Arc<dyn Transformation>>,
-}
-
-impl Composed {
-    /// Empty pipeline (identity).
-    pub fn empty() -> Composed {
-        Composed {
-            name: "identity".into(),
-            stages: Vec::new(),
-        }
-    }
-
-    /// Append another stage.
-    pub fn push(mut self, t: impl Transformation + 'static) -> Composed {
-        self.name = if self.stages.is_empty() {
-            t.name().to_string()
-        } else {
-            format!("{} ; {}", self.name, t.name())
-        };
-        self.stages.push(Arc::new(t));
-        self
-    }
-}
-
-impl Transformation for Composed {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn apply(&self, program: &Program) -> Result<Program, TransformError> {
-        let mut p = program.clone();
-        for stage in &self.stages {
-            p = stage.apply(&p)?;
-        }
-        Ok(p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use strand_parse::parse_program;
 
-    fn rename_to(name: &'static str) -> FnTransform {
-        FnTransform::new(format!("rename-{name}"), move |p| {
-            let mut out = Program::new();
-            for rule in p.rules() {
-                let mut r = rule.clone();
-                if let strand_parse::Ast::Tuple(n, _) = &mut r.head {
-                    *n = name.to_string();
-                }
-                out.push_rule(r);
-            }
-            Ok(out)
-        })
-    }
-
     #[test]
     fn identity_round_trips() {
         let p = parse_program("f(X) :- g(X). g(1).").unwrap();
         assert_eq!(Identity.apply(&p).unwrap(), p);
-    }
-
-    #[test]
-    fn composition_applies_in_order() {
-        let p = parse_program("f(X).").unwrap();
-        let t = rename_to("a").then(rename_to("b"));
-        let out = t.apply(&p).unwrap();
-        assert!(out.get("b", 1).is_some());
-        assert!(out.get("a", 1).is_none());
-        assert_eq!(t.name(), "rename-a ; rename-b");
-    }
-
-    #[test]
-    fn composed_pipeline_builder() {
-        let p = parse_program("f(X).").unwrap();
-        let t = Composed::empty().push(rename_to("a")).push(rename_to("c"));
-        let out = t.apply(&p).unwrap();
-        assert!(out.get("c", 1).is_some());
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! The paper's application end to end (§3): generate a family of related
 //! RNA sequences, build the phylogenetic guide tree, and produce the
-//! multiple alignment by tree reduction — sequentially and under both of
-//! the paper's tree-reduction strategies.
+//! multiple alignment by tree reduction — sequentially, then as a motif
+//! program under both of the paper's tree-reduction strategies on a
+//! 4-thread fleet, with the native aligner as the node evaluation.
 //!
 //! ```sh
 //! cargo run --example seqalign_pipeline
 //! ```
 
+use algorithmic_motifs::motifs::{tree_reduce_1, tree_reduce_2};
 use algorithmic_motifs::seqalign::{
-    align_family_parallel, align_family_seq, generate_family, guide_tree, FamilyParams, ScoreParams,
+    align_family_seq, align_lib, generate_family, guide_tree, guide_tree_src, term_to_profile,
+    FamilyParams, ScoreParams, ALIGN_EVAL,
 };
-use algorithmic_motifs::skeletons::{Labeling, Pool};
+use algorithmic_motifs::strand_machine::{run_parsed_goal_with_lib, MachineConfig};
+use algorithmic_motifs::strand_parallel;
 
 fn main() {
     // 1. Generate 16 related RNA sequences (the 1990 lab data substitute).
@@ -42,22 +46,29 @@ fn main() {
         reference.column_identity() * 100.0
     );
 
-    // … and in parallel under both tree-reduction strategies (§3.6: same
-    // interface, different algorithms).
-    for (name, labeling) in [
-        ("Tree-Reduce-1 (random mapping)", Labeling::Random(7)),
-        ("Tree-Reduce-2 (paper labeling)", Labeling::Paper(7)),
+    // … and as a motif program on 4 nodes and 4 worker threads, under both
+    // tree-reduction strategies (§3.6: same interface, different
+    // algorithms). The motif language coordinates; `align_node/3` runs
+    // natively — the paper's "Strand and C".
+    strand_parallel::install();
+    let tree = guide_tree_src(&guide, &fam.sequences);
+    let lib = align_lib(params, 8);
+    for (name, motif, entry, crossing) in [
+        ("Tree-Reduce-1", tree_reduce_1(), "reduce", "reduce"),
+        ("Tree-Reduce-2", tree_reduce_2(), "tr2", "value"),
     ] {
-        let pool = Pool::new(4, false);
-        let out = align_family_parallel(&pool, &fam.sequences, &params, labeling);
-        assert_eq!(out.value, reference, "parallel must match sequential");
+        let program = motif.apply_src(ALIGN_EVAL).expect("motif applies");
+        let goal = format!("create(4, {entry}({tree}, Value))");
+        let cfg = MachineConfig::with_nodes(4).seed(7).parallel(4);
+        let r = run_parsed_goal_with_lib(&program, &goal, cfg, &lib).expect("alignment runs");
+        let profile = term_to_profile(&r.bindings["Value"]).expect("a profile");
+        assert_eq!(profile, reference, "the fleet must align as the fold does");
+        let m = &r.report.metrics;
         println!(
-            "{name}: identical alignment; {} cross-worker value transfers, \
-             peak live intermediates {:.1} KiB, evals per worker {:?}",
-            out.cross_child_values,
-            out.peak_live_bytes as f64 / 1024.0,
-            out.evals_per_worker
+            "{name}: identical alignment; {} `{crossing}` messages crossed nodes, \
+             reductions per worker {:?}",
+            m.port_msgs_for(crossing),
+            m.worker_jobs
         );
-        pool.shutdown();
     }
 }

@@ -232,23 +232,35 @@ fn a1_tr2_tolerates_latency_better() {
 #[test]
 fn e8_alignment_is_strategy_independent() {
     use algorithmic_motifs::seqalign::{
-        align_family_parallel, align_family_seq, generate_family, FamilyParams, ScoreParams,
+        align_family_seq, generate_family, FamilyParams, ScoreParams,
     };
-    use algorithmic_motifs::skeletons::{Labeling, Pool};
-    let fam = generate_family(&FamilyParams {
+    use bench::{run_alignment, TreeReduce};
+    let seqs = generate_family(&FamilyParams {
         leaves: 10,
         ancestral_len: 60,
         seed: 77,
         ..Default::default()
-    });
-    let p = ScoreParams::default();
-    let reference = align_family_seq(&fam.sequences, &p);
+    })
+    .sequences;
+    let reference = align_family_seq(&seqs, &ScoreParams::default());
     assert!(reference.column_identity() > 0.7);
-    for labeling in [Labeling::Random(1), Labeling::Paper(1), Labeling::Static] {
-        let pool = Pool::new(3, false);
-        let out = align_family_parallel(&pool, &fam.sequences, &p, labeling);
-        assert_eq!(out.value, reference);
-        pool.shutdown();
+    let internal = (seqs.len() - 1) as u64;
+    for motif in [TreeReduce::Tr1, TreeReduce::Tr2] {
+        let sim = MachineConfig::with_nodes(4).seed(1);
+        for cfg in [sim.clone(), sim.parallel(2)] {
+            let backend = cfg.backend;
+            let (r, profile) = run_alignment(motif, &seqs, cfg);
+            assert_eq!(profile, reference, "{motif:?} on {backend:?}");
+            // E3's bound, on the simulator and on real threads: at most
+            // one of each node's offspring values crosses processors.
+            if motif == TreeReduce::Tr2 {
+                let crossings = motif.crossings(&r.report.metrics);
+                assert!(
+                    crossings <= internal,
+                    "{crossings} value crossings for {internal} internal nodes"
+                );
+            }
+        }
     }
 }
 

@@ -34,7 +34,8 @@ use algorithmic_motifs::motifs::{
 };
 use algorithmic_motifs::strand_core::Term;
 use algorithmic_motifs::strand_machine::{
-    run_parsed_goal, ExecMode, FaultPlan, GoalResult, MachineConfig, RunStatus,
+    run_parsed_goal, run_parsed_goal_with_lib, ExecMode, FaultPlan, ForeignLib, GoalResult,
+    MachineConfig, RunStatus,
 };
 use algorithmic_motifs::strand_parallel;
 use bench::{FIGURE2_HANDWRITTEN, PAPER_TREE, RING_APP};
@@ -127,6 +128,7 @@ fn assert_conform(
     program: &strand_parse::Program,
     goal: &str,
     cfg: MachineConfig,
+    lib: &ForeignLib,
 ) -> GoalResult {
     strand_parallel::install();
     // Conservative eligibility scan: a false positive (a user predicate
@@ -134,13 +136,14 @@ fn assert_conform(
     // multiset check, never weakens a guarantee.
     let dbg = format!("{program:?}");
     let exact_at_one = !dbg.contains("merge") && !dbg.contains("after_unless");
-    let det = run_parsed_goal(program, goal, cfg.clone())
+    let det = run_parsed_goal_with_lib(program, goal, cfg.clone(), lib)
         .unwrap_or_else(|e| panic!("{label}: deterministic run: {e}"));
     // Third column: the reference interpreter under the same deterministic
     // scheduler. The compiled tier (cfg default) must be bit-identical to
     // it — no renaming slack, no multiset fallback.
-    let interp = run_parsed_goal(program, goal, cfg.clone().exec(ExecMode::Interpreted))
-        .unwrap_or_else(|e| panic!("{label}: interpreted run: {e}"));
+    let interp =
+        run_parsed_goal_with_lib(program, goal, cfg.clone().exec(ExecMode::Interpreted), lib)
+            .unwrap_or_else(|e| panic!("{label}: interpreted run: {e}"));
     assert_eq!(
         det.bindings, interp.bindings,
         "{label}: compiled tier bindings must equal the interpreter's exactly"
@@ -185,7 +188,7 @@ fn assert_conform(
         "{label}: compiled tier must schedule exactly as the interpreter does"
     );
     for threads in [1u32, 2, 4, 8] {
-        let par = run_parsed_goal(program, goal, cfg.clone().parallel(threads))
+        let par = run_parsed_goal_with_lib(program, goal, cfg.clone().parallel(threads), lib)
             .unwrap_or_else(|e| panic!("{label}: parallel({threads}) run: {e}"));
         assert_eq!(
             std::mem::discriminant(&det.report.status),
@@ -242,6 +245,7 @@ fn conform_figure2_handwritten() {
         &program,
         &format!("create(4, reduce({PAPER_TREE}, Value))"),
         MachineConfig::with_nodes(4).seed(11),
+        &ForeignLib::new(),
     );
     assert_eq!(r.bindings["Value"].to_string(), "24");
 }
@@ -256,6 +260,7 @@ fn conform_tree_reduce_1() {
         &p,
         &format!("create(4, reduce({tree}, Value))"),
         MachineConfig::with_nodes(4).seed(5),
+        &ForeignLib::new(),
     );
     assert_eq!(r.bindings["Value"].to_string(), expected);
 }
@@ -270,8 +275,48 @@ fn conform_tree_reduce_2() {
         &p,
         &format!("create(4, tr2({tree}, Value))"),
         MachineConfig::with_nodes(4).seed(7),
+        &ForeignLib::new(),
     );
     assert_eq!(r.bindings["Value"].to_string(), expected);
+}
+
+/// The paper's application on both engines: progressive alignment of an
+/// 8-sequence family, with the native aligner as a foreign library.
+fn conform_seqalign(label: &str, motif: motifs::Motif, entry: &str) {
+    use algorithmic_motifs::seqalign::{
+        align_family_seq, align_lib, generate_family, guide_tree, guide_tree_src, profile_to_term,
+        FamilyParams, ScoreParams, ALIGN_EVAL,
+    };
+    let seqs = generate_family(&FamilyParams {
+        leaves: 8,
+        ancestral_len: 60,
+        seed: 21,
+        ..Default::default()
+    })
+    .sequences;
+    let params = ScoreParams::default();
+    let tree = guide_tree_src(&guide_tree(&seqs, &params), &seqs);
+    let r = assert_conform(
+        label,
+        &motif.apply_src(ALIGN_EVAL).unwrap(),
+        &format!("create(4, {entry}({tree}, Value))"),
+        MachineConfig::with_nodes(4).seed(9),
+        &align_lib(params, 8),
+    );
+    assert_eq!(
+        r.bindings["Value"],
+        profile_to_term(&align_family_seq(&seqs, &params))
+    );
+}
+
+#[test]
+fn conform_seqalign_tree_reduce_1() {
+    conform_seqalign("seqalign-tree-reduce-1", tree_reduce_1(), "reduce");
+}
+
+#[test]
+fn conform_seqalign_tree_reduce_2() {
+    conform_seqalign("seqalign-tree-reduce-2", tree_reduce_2(), "tr2");
 }
 
 /// A goal left suspended on a heavily shared term: `d(S,S)` nested 40 deep
@@ -320,6 +365,7 @@ fn conform_server_flood() {
         &p,
         "create(4, probe(1))",
         MachineConfig::with_nodes(4).seed(3),
+        &ForeignLib::new(),
     );
 }
 
@@ -338,6 +384,7 @@ fn conform_scheduler() {
         &p,
         &goal,
         MachineConfig::with_nodes(5).seed(17),
+        &ForeignLib::new(),
     );
     // Results is a merge-ordered list: checked as a multiset inside
     // assert_conform; here just confirm all 24 results arrived.
@@ -359,6 +406,7 @@ fn conform_scheduler_hierarchical() {
         &p,
         &goal,
         MachineConfig::with_nodes(9).seed(23),
+        &ForeignLib::new(),
     );
 }
 
@@ -385,6 +433,7 @@ fn conform_task_pragma() {
         &p,
         &goal,
         MachineConfig::with_nodes(5).seed(13),
+        &ForeignLib::new(),
     );
     assert_eq!(r.bindings["V"].to_string(), "12");
 }
@@ -403,6 +452,7 @@ fn conform_divide_and_conquer() {
         &p,
         &goal,
         MachineConfig::with_nodes(4).seed(29),
+        &ForeignLib::new(),
     );
     assert_eq!(r.bindings["S"].to_string(), "[0,1,2,3,4,5,6,7,8,9]");
 }
@@ -415,6 +465,7 @@ fn conform_search_nqueens() {
         &p,
         "create(4, search(q(5, [], 1), Count))",
         MachineConfig::with_nodes(4).seed(31),
+        &ForeignLib::new(),
     );
     assert_eq!(r.bindings["Count"].to_string(), "10");
 }
@@ -429,6 +480,7 @@ fn conform_grid_stencil() {
         &p,
         "grid(8, 6, Final)",
         MachineConfig::with_nodes(4).seed(37),
+        &ForeignLib::new(),
     );
 }
 
@@ -443,6 +495,7 @@ fn conform_graph_components() {
         &p,
         &goal,
         MachineConfig::with_nodes(4).seed(41),
+        &ForeignLib::new(),
     );
 }
 
@@ -456,6 +509,7 @@ fn conform_pipeline() {
         &p,
         "pipe(3, [0, 10, 20, 30], Out)",
         MachineConfig::with_nodes(3).seed(43),
+        &ForeignLib::new(),
     );
     // A pipeline preserves order: the stronger ordered check must hold too.
     assert_eq!(r.bindings["Out"].to_string(), "[6,16,26,36]");
