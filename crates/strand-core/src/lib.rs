@@ -50,5 +50,5 @@ pub use matching::{eval_guard, match_args, GuardOutcome, MatchOutcome};
 pub use pat::{Frame, Pat};
 pub use rng::SplitMix64;
 pub use shared::{Marks, SharedStore, SharedStoreView};
-pub use store::{Binding, NodeId, Store, StoreOps, Time, VarId, Waiter};
+pub use store::{NodeId, Store, StoreOps, Time, VarId, Waiter, Waiters};
 pub use term::Term;

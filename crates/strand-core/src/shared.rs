@@ -60,7 +60,7 @@
 
 use crate::chunks::Chunks;
 use crate::error::StrandResult;
-use crate::store::{Binding, NodeId, SlotTable, Time, Waiter};
+use crate::store::{NodeId, SlotTable, Time, Waiter, Waiters};
 use crate::term::Term;
 use crate::{Atom, StoreOps, VarId};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -285,7 +285,7 @@ impl SharedStore {
                 Term::Var(v) if !marks.seen[v.owner() as usize][v.index()] => {
                     marks.seen[v.owner() as usize][v.index()] = true;
                     match self.stripe(v.owner()).read(v.index()) {
-                        Ok(b) => work.push(b.value.clone()),
+                        Ok(value) => work.push(value.clone()),
                         Err(waiters) => reached(waiters, &mut work),
                     }
                 }
@@ -310,8 +310,8 @@ impl SharedStore {
         self.stripes.iter().enumerate().map(sweep).sum()
     }
 
-    /// The binding of `v`, if any (cloned out of the stripe lock).
-    pub fn lookup(&self, v: VarId) -> Option<Binding> {
+    /// The value `v` is bound to, if any (cloned out of the stripe lock).
+    pub fn lookup(&self, v: VarId) -> Option<Term> {
         self.stripe(v.owner()).lookup(v.index()).cloned()
     }
 
@@ -328,7 +328,7 @@ impl SharedStore {
                 Seen::Unbound => return Term::Var(v),
                 Seen::Value(value) => value,
                 Seen::AskTable => match self.stripe(v.owner()).lookup(v.index()) {
-                    Some(b) => b.value.clone(),
+                    Some(value) => value.clone(),
                     None => return Term::Var(v),
                 },
             };
@@ -344,8 +344,8 @@ impl SharedStore {
         crate::store::resolve_with(t, &|t| self.deref(t))
     }
 
-    /// Bind `v` to `value` at virtual `time` on `node`, returning the waiter
-    /// tokens that were suspended on `v`.
+    /// Bind `v` to `value`, returning the waiter tokens that were suspended
+    /// on `v`. `time` and `node` are accepted but not stored.
     ///
     /// Semantics match [`Store::bind`](crate::Store::bind): the value is
     /// dereferenced first, self-binding (directly or through a chain) is a
@@ -354,18 +354,12 @@ impl SharedStore {
     /// are locked in index order and the commit happens only if `w` is
     /// *still* unbound — if a concurrent bind won the race, we retry from
     /// the dereference (the chain got longer, never cyclic).
-    pub fn bind(
-        &self,
-        v: VarId,
-        value: Term,
-        time: Time,
-        node: NodeId,
-    ) -> StrandResult<Vec<Waiter>> {
+    pub fn bind(&self, v: VarId, value: Term, _time: Time, _node: NodeId) -> StrandResult<Waiters> {
         loop {
             let value = self.deref(&value);
             if let Term::Var(w) = value {
                 if w == v {
-                    return Ok(Vec::new());
+                    return Ok(Waiters::None);
                 }
                 // Alias bind: verify `w` unbound under both stripe locks.
                 let (first, second) = if v.owner() == w.owner() {
@@ -386,25 +380,18 @@ impl SharedStore {
                     // re-dereference; the next pass binds to the new tip.
                     continue;
                 }
-                return self.commit(&mut v_stripe, v, value, time, node);
+                return self.commit(&mut v_stripe, v, value);
             }
             // Ground (non-variable) value: only `v`'s stripe is involved.
-            return self.commit(&mut self.stripe(v.owner()), v, value, time, node);
+            return self.commit(&mut self.stripe(v.owner()), v, value);
         }
     }
 
     /// Bind in the table, then publish — both under `stripe`'s lock, which
     /// the caller holds.
-    fn commit(
-        &self,
-        stripe: &mut SlotTable,
-        v: VarId,
-        value: Term,
-        time: Time,
-        node: NodeId,
-    ) -> StrandResult<Vec<Waiter>> {
+    fn commit(&self, stripe: &mut SlotTable, v: VarId, value: Term) -> StrandResult<Waiters> {
         let published = encode(&value);
-        let waiters = stripe.commit(v.index(), v, value, time, node)?;
+        let waiters = stripe.commit(v.index(), v, value)?;
         self.view(v.owner()).publish(v.index(), published);
         Ok(waiters)
     }
@@ -514,8 +501,40 @@ mod tests {
         assert!(s.add_waiter(x, 11));
         s.remove_waiter(x, 12);
         let w = s.bind(x, Term::int(5), 2, NodeId(0)).unwrap();
-        assert_eq!(w, vec![11]);
+        assert_eq!(w, [11]);
         assert!(!s.add_waiter(x, 13));
+    }
+
+    #[test]
+    fn a_waiter_registered_from_one_stripe_is_woken_by_a_bind_on_another() {
+        // Worker 0 suspends on a variable of stripe 1 (one waiter, inline)
+        // and twice on one of its own (boxed); worker 1 binds both.
+        use std::sync::mpsc::channel;
+
+        let s = &SharedStore::new(2);
+        let (theirs, ours) = (s.new_var(1), s.new_var(0));
+        let (registered, wait) = channel();
+        let (one, many) = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                assert!(s.add_waiter(theirs, 10));
+                assert!(s.add_waiter(ours, 11));
+                assert!(s.add_waiter(ours, 12));
+                registered.send(()).unwrap();
+            });
+            let binder = scope.spawn(move || {
+                wait.recv().unwrap();
+                let one = s.bind(theirs, Term::int(1), 0, NodeId(1)).unwrap();
+                let many = s.bind(ours, Term::Var(theirs), 0, NodeId(1)).unwrap();
+                (one, many)
+            });
+            binder.join().unwrap()
+        });
+        assert_eq!(
+            (one, many),
+            (Waiters::One(10), Waiters::Many(Box::new(vec![11, 12])))
+        );
+        assert!(!s.add_waiter(theirs, 13) && !s.add_waiter(ours, 13));
+        assert_eq!(s.deref(&Term::Var(ours)), Term::int(1));
     }
 
     #[test]
@@ -724,7 +743,7 @@ mod tests {
             while let Some(v) = work.pop() {
                 if seen.insert(v) {
                     if let Some(b) = local.lookup(v) {
-                        work.extend(b.value.vars());
+                        work.extend(b.vars());
                     }
                 }
             }

@@ -5,10 +5,10 @@
 //! (paper §2.1). The store owns every variable created during a run and
 //! keeps the suspension lists used for dataflow synchronization: a process
 //! that needs the value of an unbound variable registers a waiter token and
-//! is re-scheduled when the binding arrives. A binding also records *when*
-//! and *on which virtual node* it was made, for whoever inspects the store;
-//! the machine does not read them back (it models latency from the bind
-//! time it hands to the wake-up, not from the stored stamp).
+//! is re-scheduled when the binding arrives. A slot holds only that: its
+//! value once bound, its waiters until then — one inline, more in a box.
+//! Nothing records when or where a binding was made (the machine models
+//! latency from the bind time it hands to the wake-up).
 
 use crate::error::{StrandError, StrandResult};
 use crate::term::Term;
@@ -59,30 +59,83 @@ pub type Time = u64;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct NodeId(pub u32);
 
-/// A committed binding: the value plus where and when it was made.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Binding {
-    /// The bound value (may itself contain unbound variables).
-    pub value: Term,
-    /// Virtual time at which the binding was made.
-    pub time: Time,
-    /// Node whose process made the binding.
-    pub node: NodeId,
-}
-
 /// Opaque waiter token; the abstract machine uses process identifiers.
 pub type Waiter = u64;
 
-enum Slot {
-    Unbound { waiters: Vec<Waiter> },
-    Bound(Binding),
+/// The waiters of an unbound variable, in registration order: what a slot
+/// keeps until it is bound and what a bind hands back. Almost every waited
+/// variable has exactly one, which sits inline — a one-waiter suspension
+/// allocates nothing at either end. Reads as a slice.
+#[derive(Debug, Default, PartialEq)]
+pub enum Waiters {
+    /// Nobody waits.
+    #[default]
+    None,
+    /// One waiter, inline.
+    One(Waiter),
+    /// Two or more. Boxed, so a slot stays the size of a [`Term`].
+    Many(Box<Vec<Waiter>>),
 }
+
+impl Waiters {
+    /// Append `waiter` unless it is registered already.
+    fn add(&mut self, waiter: Waiter) {
+        match self {
+            Waiters::None => *self = Waiters::One(waiter),
+            Waiters::One(first) if *first != waiter => {
+                *self = Waiters::Many(Box::new(vec![*first, waiter]));
+            }
+            Waiters::Many(all) if !all.contains(&waiter) => all.push(waiter),
+            _ => {}
+        }
+    }
+
+    /// Drop `waiter`; the last one out leaves [`Waiters::None`], not an
+    /// empty box.
+    fn remove(&mut self, waiter: Waiter) {
+        match self {
+            Waiters::One(only) if *only == waiter => *self = Waiters::None,
+            Waiters::Many(all) => {
+                all.retain(|w| *w != waiter);
+                if all.is_empty() {
+                    *self = Waiters::None;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+impl std::ops::Deref for Waiters {
+    type Target = [Waiter];
+
+    fn deref(&self) -> &[Waiter] {
+        match self {
+            Waiters::None => &[],
+            Waiters::One(only) => std::slice::from_ref(only),
+            Waiters::Many(all) => all,
+        }
+    }
+}
+
+impl<const N: usize> PartialEq<[Waiter; N]> for Waiters {
+    fn eq(&self, other: &[Waiter; N]) -> bool {
+        **self == *other
+    }
+}
+
+/// One variable: 24 bytes, the size of its value — `Term`'s tag has room
+/// for the unbound states, and [`Waiters`] fits beside it.
+enum Slot {
+    Unbound(Waiters),
+    Bound(Term),
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 24);
 
 impl Default for Slot {
     fn default() -> Self {
-        Slot::Unbound {
-            waiters: Vec::new(),
-        }
+        Slot::Unbound(Waiters::None)
     }
 }
 
@@ -152,45 +205,36 @@ impl SlotTable {
         self.free.len() - before
     }
 
-    /// The binding in slot `index`, if any.
+    /// The value in slot `index`, if it is bound.
     #[inline]
-    pub fn lookup(&self, index: usize) -> Option<&Binding> {
+    pub fn lookup(&self, index: usize) -> Option<&Term> {
         self.read(index).ok()
     }
 
-    /// Slot `index`'s binding, or the waiters of the unbound slot.
+    /// Slot `index`'s value, or the waiters of the unbound slot.
     #[inline]
-    pub fn read(&self, index: usize) -> Result<&Binding, &[Waiter]> {
+    pub fn read(&self, index: usize) -> Result<&Term, &[Waiter]> {
         match &self.slots[index] {
-            Slot::Bound(b) => Ok(b),
-            Slot::Unbound { waiters } => Err(waiters),
+            Slot::Bound(value) => Ok(value),
+            Slot::Unbound(waiters) => Err(waiters),
         }
     }
 
     /// Move slot `index` from unbound to bound, handing back its waiters.
     /// `v` only names the variable in the double-assignment error.
     #[inline]
-    pub fn commit(
-        &mut self,
-        index: usize,
-        v: VarId,
-        value: Term,
-        time: Time,
-        node: NodeId,
-    ) -> StrandResult<Vec<Waiter>> {
+    pub fn commit(&mut self, index: usize, v: VarId, value: Term) -> StrandResult<Waiters> {
         match &mut self.slots[index] {
             Slot::Bound(existing) => Err(StrandError::DoubleAssign {
                 var: v,
-                existing: existing.value.clone(),
+                existing: existing.clone(),
                 attempted: value,
             }),
-            slot @ Slot::Unbound { .. } => {
+            Slot::Unbound(waiters) => {
+                let waiters = std::mem::take(waiters);
+                self.slots[index] = Slot::Bound(value);
                 self.binds += 1;
-                let bound = Slot::Bound(Binding { value, time, node });
-                match std::mem::replace(slot, bound) {
-                    Slot::Unbound { waiters } => Ok(waiters),
-                    Slot::Bound(_) => unreachable!(),
-                }
+                Ok(waiters)
             }
         }
     }
@@ -200,10 +244,8 @@ impl SlotTable {
     #[inline]
     pub fn add_waiter(&mut self, index: usize, waiter: Waiter) -> bool {
         match &mut self.slots[index] {
-            Slot::Unbound { waiters } => {
-                if !waiters.contains(&waiter) {
-                    waiters.push(waiter);
-                }
+            Slot::Unbound(waiters) => {
+                waiters.add(waiter);
                 true
             }
             Slot::Bound(_) => false,
@@ -213,8 +255,8 @@ impl SlotTable {
     /// Drop a waiter registration (no-op if absent or the slot is bound).
     #[inline]
     pub fn remove_waiter(&mut self, index: usize, waiter: Waiter) {
-        if let Slot::Unbound { waiters } = &mut self.slots[index] {
-            waiters.retain(|w| *w != waiter);
+        if let Slot::Unbound(waiters) = &mut self.slots[index] {
+            waiters.remove(waiter);
         }
     }
 }
@@ -227,7 +269,7 @@ impl SlotTable {
 /// let x = store.new_var();
 /// assert!(store.lookup(x).is_none());
 /// store.bind(x, Term::int(42), 7, NodeId(0)).unwrap();
-/// assert_eq!(store.lookup(x).unwrap().value, Term::int(42));
+/// assert_eq!(store.lookup(x), Some(&Term::int(42)));
 /// // Second assignment is a run-time error (paper §2.1).
 /// assert!(store.bind(x, Term::int(43), 8, NodeId(0)).is_err());
 /// ```
@@ -262,8 +304,9 @@ impl Store {
         VarId(self.table.alloc())
     }
 
-    /// The binding of `v`, if any (no dereferencing of chained variables).
-    pub fn lookup(&self, v: VarId) -> Option<&Binding> {
+    /// The value `v` is bound to, if any (no dereferencing of chained
+    /// variables).
+    pub fn lookup(&self, v: VarId) -> Option<&Term> {
         self.table.lookup(v.0 as usize)
     }
 
@@ -277,10 +320,8 @@ impl Store {
         loop {
             match cur {
                 Term::Var(v) => match self.lookup(v) {
-                    Some(b) => match &b.value {
-                        Term::Var(next) => cur = Term::Var(*next),
-                        other => return other.clone(),
-                    },
+                    Some(Term::Var(next)) => cur = Term::Var(*next),
+                    Some(other) => return other.clone(),
                     None => return Term::Var(v),
                 },
                 other => return other,
@@ -295,28 +336,30 @@ impl Store {
         resolve_with(t, &|t| self.deref(t))
     }
 
-    /// Bind `v` to `value` at virtual `time` on `node`.
+    /// Bind `v` to `value`.
     ///
-    /// Returns the waiter tokens that were suspended on `v` so the machine
-    /// can re-schedule them. Binding a variable to itself (directly or
-    /// through a chain) is a no-op; binding an already-bound variable is the
-    /// run-time error the paper specifies.
+    /// Returns the waiter tokens that were suspended on `v`, in registration
+    /// order, so the machine can re-schedule them. Binding a variable to
+    /// itself (directly or through a chain) is a no-op; binding an
+    /// already-bound variable is the run-time error the paper specifies.
+    /// The virtual `time` and `node` of the binding are accepted but not
+    /// stored.
     pub fn bind(
         &mut self,
         v: VarId,
         value: Term,
-        time: Time,
-        node: NodeId,
-    ) -> StrandResult<Vec<Waiter>> {
+        _time: Time,
+        _node: NodeId,
+    ) -> StrandResult<Waiters> {
         // Dereference the target first so alias chains stay acyclic: if the
         // value leads back to `v`, the assignment is `X = X` and a no-op.
         let value = self.deref(&value);
         if let Term::Var(w) = value {
             if w == v {
-                return Ok(Vec::new());
+                return Ok(Waiters::None);
             }
         }
-        self.table.commit(v.0 as usize, v, value, time, node)
+        self.table.commit(v.0 as usize, v, value)
     }
 
     /// Register `waiter` to be woken when `v` is bound. If `v` is already
@@ -454,12 +497,17 @@ mod tests {
     #[test]
     fn waiters_returned_on_bind() {
         let mut s = Store::new();
-        let x = s.new_var();
-        assert!(s.add_waiter(x, 11));
+        let (x, one, none) = (s.new_var(), s.new_var(), s.new_var());
         assert!(s.add_waiter(x, 12));
-        assert!(s.add_waiter(x, 11)); // duplicate registration is idempotent
+        assert!(s.add_waiter(x, 11));
+        assert!(s.add_waiter(x, 12)); // duplicate registration is idempotent
+        assert!(s.add_waiter(one, 4));
+        // In registration order, not sorted.
         let w = s.bind(x, Term::int(5), 2, NodeId(0)).unwrap();
-        assert_eq!(w, vec![11, 12]);
+        assert_eq!(w, [12, 11]);
+        let bind = |s: &mut Store, v| s.bind(v, Term::Nil, 0, NodeId(0)).unwrap();
+        assert_eq!(bind(&mut s, one), Waiters::One(4));
+        assert_eq!(bind(&mut s, none), Waiters::None);
         // Registering on a bound var fails fast.
         assert!(!s.add_waiter(x, 13));
     }
@@ -472,7 +520,7 @@ mod tests {
         s.add_waiter(x, 2);
         s.remove_waiter(x, 1);
         let w = s.bind(x, Term::int(0), 0, NodeId(0)).unwrap();
-        assert_eq!(w, vec![2]);
+        assert_eq!(w, [2]);
     }
 
     #[test]
@@ -494,6 +542,74 @@ mod tests {
         s.bind(y, Term::int(9), 0, NodeId(0)).unwrap();
         s.bind(x, Term::Var(y), 1, NodeId(0)).unwrap();
         // x was bound to deref(Y) = 9 directly.
-        assert_eq!(s.lookup(x).unwrap().value, Term::int(9));
+        assert_eq!(s.lookup(x), Some(&Term::int(9)));
+    }
+
+    /// The waiters of slot `index`, or `None` if it is bound.
+    fn state(table: &SlotTable, index: usize) -> Option<&Waiters> {
+        match &table.slots[index] {
+            Slot::Unbound(waiters) => Some(waiters),
+            Slot::Bound(_) => None,
+        }
+    }
+
+    #[test]
+    fn a_slot_keeps_one_waiter_inline_and_boxes_the_second() {
+        let mut t = SlotTable::default();
+        let i = t.alloc() as usize;
+        assert_eq!(state(&t, i), Some(&Waiters::None));
+        assert!(t.add_waiter(i, 7));
+        assert_eq!(state(&t, i), Some(&Waiters::One(7)));
+        // A duplicate registration is a no-op, inline or boxed.
+        assert!(t.add_waiter(i, 7));
+        assert_eq!(state(&t, i), Some(&Waiters::One(7)));
+        assert!(t.add_waiter(i, 3));
+        assert_eq!(state(&t, i), Some(&Waiters::Many(Box::new(vec![7, 3]))));
+        assert!(t.add_waiter(i, 3) && t.add_waiter(i, 7));
+        assert_eq!(t.read(i), Err(&[7, 3][..]));
+    }
+
+    #[test]
+    fn the_last_waiter_out_leaves_the_slot_unbound() {
+        let mut t = SlotTable::default();
+        let (single, several) = (t.alloc() as usize, t.alloc() as usize);
+        t.add_waiter(single, 1);
+        t.remove_waiter(single, 2); // absent: no-op
+        assert_eq!(state(&t, single), Some(&Waiters::One(1)));
+        t.remove_waiter(single, 1);
+        assert_eq!(state(&t, single), Some(&Waiters::None));
+        // An emptied box is dropped, not kept for a resident fleet's slot.
+        for w in [1, 2, 3] {
+            t.add_waiter(several, w);
+        }
+        t.remove_waiter(several, 2);
+        assert_eq!(
+            state(&t, several),
+            Some(&Waiters::Many(Box::new(vec![1, 3])))
+        );
+        t.remove_waiter(several, 1);
+        t.remove_waiter(several, 3);
+        assert_eq!(state(&t, several), Some(&Waiters::None));
+        // Removing from a bound slot changes nothing.
+        t.commit(single, VarId(0), Term::int(1)).unwrap();
+        t.remove_waiter(single, 1);
+        assert_eq!(t.lookup(single), Some(&Term::int(1)));
+    }
+
+    #[test]
+    fn sweep_resets_waited_slots() {
+        let mut t = SlotTable::default();
+        let (one, many, kept) = (t.alloc() as usize, t.alloc() as usize, t.alloc() as usize);
+        t.add_waiter(one, 1);
+        t.add_waiter(many, 1);
+        t.add_waiter(many, 2);
+        t.add_waiter(kept, 3);
+        let mut freed = Vec::new();
+        assert_eq!(t.sweep(|i| i == kept, |i| freed.push(i)), 2);
+        assert_eq!(freed, [many, one]);
+        assert_eq!(state(&t, one), Some(&Waiters::None));
+        assert_eq!(state(&t, many), Some(&Waiters::None));
+        assert_eq!(state(&t, kept), Some(&Waiters::One(3)));
+        assert_eq!((t.alloc() as usize, t.alloc() as usize), (one, many));
     }
 }

@@ -106,7 +106,7 @@ proptest! {
             store.add_waiter(v, *w);
         }
         let woken = store.bind(v, t, 0, NodeId(0)).unwrap();
-        let woken: std::collections::BTreeSet<u64> = woken.into_iter().collect();
+        let woken: std::collections::BTreeSet<u64> = woken.iter().copied().collect();
         prop_assert_eq!(woken, waiters);
     }
 

@@ -29,7 +29,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use strand_core::{
     sym, Atom, Frame, FxHashMap, FxHashSet, NodeId, SplitMix64, StrandError, StrandResult, Term,
-    Time, VarId,
+    Time, VarId, Waiters,
 };
 use strand_parse::CompiledProgram;
 
@@ -536,8 +536,8 @@ impl Machine {
         Ok(())
     }
 
-    fn wake(&mut self, waiters: Vec<u64>, bind_time: Time, binder: NodeId) {
-        for pid in waiters {
+    fn wake(&mut self, waiters: Waiters, bind_time: Time, binder: NodeId) {
+        for &pid in waiters.iter() {
             if let Role::Sharded(shard) = &mut self.role {
                 if (pid >> WORKER_PID_SHIFT) as usize != shard.index {
                     // Another worker owns the suspension: route the wake-up.

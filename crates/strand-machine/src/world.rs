@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use strand_core::{
     NodeId, SharedStore, SharedStoreView, Store, StoreOps, StrandResult, Term, Time, VarId, Waiter,
+    Waiters,
 };
 
 /// A queued (runnable) process.
@@ -289,7 +290,7 @@ impl StoreHandle {
         value: Term,
         time: Time,
         node: NodeId,
-    ) -> StrandResult<Vec<Waiter>> {
+    ) -> StrandResult<Waiters> {
         match self {
             StoreHandle::Local(s) => s.bind(v, value, time, node),
             StoreHandle::Shared(s) => s.shared().bind(v, value, time, node),

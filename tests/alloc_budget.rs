@@ -2,14 +2,15 @@
 //! boxing").
 //!
 //! A timing needs a quiet host to mean anything; an allocation count
-//! repeats exactly. These two budgets pin what interned atoms, single-block
+//! repeats exactly. These budgets pin what interned atoms, single-block
 //! tuples and the block pool bought — a tuple built per reduction is one
 //! block, not an `Arc` plus a `Vec`, usually one a reduced goal handed
 //! back, and nothing on the path allocates a name — so a change that
-//! quietly brings an allocation back fails here on any machine.
+//! quietly brings an allocation back fails here on any machine. Beside the
+//! counts, the peak of live heap bytes pins what a store variable costs.
 //!
-//! The counter is per thread (the simulator reduces on the calling
-//! thread), so the two tests do not see each other's allocations.
+//! The counters are per thread (the simulator reduces on the calling
+//! thread), so the tests do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,40 +21,54 @@ use algorithmic_motifs::strand_parse::{compile_program, parse_program, parse_ter
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (negative when it
+    /// frees what another thread allocated).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since it was last reset.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
 
-fn note() {
+/// Count one allocation of `grown` bytes (none for a free), and `grown`
+/// more bytes live.
+fn note(allocation: bool, grown: i64) {
     // `try_with`: a thread's last frees run after its locals are gone.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if allocation {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grown);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
-// SAFETY: defers entirely to `System`; the counter is a `Cell` in a
-// const-initialised thread-local with no destructor, so touching it neither
-// allocates nor re-enters the allocator.
+// SAFETY: defers entirely to `System`; the counters are `Cell`s in
+// const-initialised thread-locals with no destructor, so touching them
+// neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which
         // is `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(true, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator, hence from `System`, with
         // `layout`; the caller upholds the rest of `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, -(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, hence from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -62,11 +77,22 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Run `goal` over `src` on the compiled tier of the simulator and return
-/// (allocations made by `Machine::run`, reductions). Parsing, compiling,
-/// lowering and building the goal term are outside the count, as they are
-/// outside `machine.allocs_per_reduction`.
-fn run_counted(src: &str, goal: &str) -> (u64, u64) {
+/// What one `Machine::run` cost.
+struct Counted {
+    allocations: u64,
+    reductions: u64,
+    /// The most heap bytes live at once during the run, above what was
+    /// live when it began.
+    peak_bytes: i64,
+    /// Store variables at the end of the run.
+    variables: usize,
+}
+
+/// Run `goal` over `src` on the compiled tier of the simulator and count
+/// what `Machine::run` allocates. Parsing, compiling, lowering and building
+/// the goal term are outside the count, as they are outside
+/// `machine.allocs_per_reduction`.
+fn run_counted(src: &str, goal: &str) -> Counted {
     let program = compile_program(&parse_program(src).expect("program parses")).expect("compiles");
     let cfg = MachineConfig::default();
     assert_eq!(cfg.exec, ExecMode::Compiled);
@@ -76,11 +102,19 @@ fn run_counted(src: &str, goal: &str) -> (u64, u64) {
     let goal = ast_to_term(&goal, &mut machine, &mut vars);
     machine.start(goal);
     let before = ALLOCATIONS.with(Cell::get);
+    let live_before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live_before));
     let report = machine.run().expect("run completes");
     let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let peak_bytes = PEAK.with(Cell::get) - live_before;
     let value = machine.store().resolve(&vars["V"]);
     assert!(value.is_ground(), "no answer: {value}");
-    (allocations, report.metrics.total_reductions)
+    Counted {
+        allocations,
+        reductions: report.metrics.total_reductions,
+        peak_bytes,
+        variables: machine.store().len(),
+    }
 }
 
 /// `perfbench`'s `eval-chain` program: a ten-clause constant-headed
@@ -106,12 +140,38 @@ fn eval_chain_allocates_at_most_0_01_blocks_per_reduction() {
     // `Arc<Vec<Term>>` tuples it was 3.2. Every block now comes from the
     // machine's pool, filled by the goals reduced before it, and what
     // still allocates is the store and the queues growing: 28 here.
-    let (allocations, reductions) = run_counted(&chain_program(), "chain(2000, 0, V)");
+    let Counted {
+        allocations,
+        reductions,
+        ..
+    } = run_counted(&chain_program(), "chain(2000, 0, V)");
     assert_eq!(reductions, 5 * 2000 + 2);
     let per_reduction = allocations as f64 / reductions as f64;
     assert!(
         per_reduction <= 0.01,
         "{allocations} allocations over {reductions} reductions = {per_reduction:.4} per reduction"
+    );
+}
+
+#[test]
+fn eval_chain_peaks_at_most_28_heap_bytes_per_variable() {
+    // A batch run keeps every variable to the end (DESIGN.md §6b), so the
+    // store's slot table is the one thing that grows with the run: 60 001
+    // slots here, in a table that doubles to 65 536 of them. The queues
+    // stay a few goals deep and the pool a few blocks wide. A slot of
+    // 24 bytes (a `Term`; waiters inline) peaks at 26.2 bytes per
+    // variable; the 40-byte slot before it, with a bind stamp and a
+    // waiter `Vec`, at 43.7.
+    let Counted {
+        peak_bytes,
+        variables,
+        ..
+    } = run_counted(&chain_program(), "chain(20000, 0, V)");
+    assert_eq!(variables, 3 * 20000 + 1);
+    let per_variable = peak_bytes as f64 / variables as f64;
+    assert!(
+        per_variable <= 28.0,
+        "{peak_bytes} peak live bytes over {variables} variables = {per_variable:.1} per variable"
     );
 }
 
@@ -141,14 +201,19 @@ fn tree_reduce_stays_within_5_percent_of_its_pooled_count() {
         ));
     }
     let goal = format!("reduce({}, V)", tree_src(512, &mut 0));
-    let (allocations, reductions) = run_counted(&src, &goal);
+    let Counted {
+        allocations,
+        reductions,
+        ..
+    } = run_counted(&src, &goal);
     // Measured: 8719 with two blocks per tuple (`Atom` = `Arc<str>`,
     // `Term::Tuple` = `Arc<Vec<Term>>`), 5141 with one, 3884 with blocks
     // recycled through the machine's pool, 3119 with one suspension list
-    // per `:=` instead of one per operand. The tree is expanded
-    // breadth-first, so most of its goals are built before any is reduced
-    // and the pool only helps once it collapses.
-    const POOLED: u64 = 3119;
+    // per `:=` instead of one per operand, 2609 with a variable's one
+    // waiter kept inline in its store slot instead of in a `Vec`. The tree
+    // is expanded breadth-first, so most of its goals are built before any
+    // is reduced and the pool only helps once it collapses.
+    const POOLED: u64 = 2609;
     assert_eq!(reductions, 2812);
     assert!(
         allocations * 100 <= POOLED * 105,
