@@ -11,7 +11,7 @@ use strand_parse::CompiledProgram;
 
 impl Machine {
     /// Build the ingress machine for a resident sharded run: it shares the
-    /// run's world (store stripe 0, ports, gates) but owns **no** nodes —
+    /// run's world (store stripe 0, ports) but owns **no** nodes —
     /// its shard index equals `threads`, so `node mod threads` never matches
     /// and every injected goal lands in the outbox for routing. It never
     /// reduces or suspends, so its pids (minted above every worker's range)
@@ -62,7 +62,7 @@ mod tests {
 
     /// The ingress role: it owns no node, so it never has anything to
     /// reduce, and every goal it enqueues — whichever node it names — lands
-    /// in its outbox, counted on its own lane.
+    /// in its outbox.
     #[test]
     fn an_ingress_machine_owns_no_node_and_everything_it_enqueues_lands_in_its_outbox() {
         let program = Arc::new(compile_program(&parse_program("tick.").unwrap()).unwrap());
@@ -75,7 +75,6 @@ mod tests {
         assert_eq!(ingress.next_event(), None);
         assert_eq!(ingress.drain_local(8).unwrap(), DrainState::Idle);
         assert_eq!(world.reductions(), 0);
-        assert_eq!(world.gate_lanes(), [0, 0, 4], "its own lane, the last");
         let dests: Vec<usize> = ingress
             .take_outbox()
             .iter()

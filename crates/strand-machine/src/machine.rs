@@ -328,23 +328,14 @@ impl Machine {
     }
 
     /// Hand a runnable process to the scheduler: the node's run queue when this
-    /// machine owns the node, the outbox otherwise (sharded execution). On
-    /// a shard every item raises the global in-flight gate; the count drops
-    /// when the item is reduced or discarded.
+    /// machine owns the node, the outbox otherwise (sharded execution).
     pub(crate) fn push_item(&mut self, node: NodeId, item: QItem) {
         if let Role::Sharded(shard) = &mut self.role {
-            shard.gate_move(1);
             if !shard.owns(node) {
                 shard.outbox.push(Routed::Job(Job { item, node }));
                 return;
             }
         }
-        self.insert_local(node, item);
-    }
-
-    /// Insert into the node's run queue without gate accounting (the sender
-    /// already counted routed items).
-    pub(crate) fn insert_local(&mut self, node: NodeId, item: QItem) {
         let nq = &mut self.nodes[node.0 as usize];
         nq.queue.push(item);
         let qlen = nq.queue.len();
@@ -359,19 +350,14 @@ impl Machine {
         self.nodes[i].queue.peek()
     }
 
-    /// Drop node `i`'s next process unreduced, settling the gate.
+    /// Drop node `i`'s next process unreduced.
     pub(crate) fn pop_unreduced(&mut self, i: usize) {
-        if self.nodes[i].queue.pop().is_some() {
-            self.gate_sub(1);
-        }
+        self.nodes[i].queue.pop();
     }
 
-    /// Empty node `i`'s queue unreduced, in the order it would have run,
-    /// settling the gate.
+    /// Empty node `i`'s queue unreduced, in the order it would have run.
     pub(crate) fn take_queue(&mut self, i: usize) -> Vec<QItem> {
-        let items = self.nodes[i].queue.drain();
-        self.gate_sub(items.len() as u64);
-        items
+        self.nodes[i].queue.drain()
     }
 
     /// Node `i`'s clock.
@@ -384,20 +370,14 @@ impl Machine {
         self.nodes.iter().map(|n| n.clock).max().unwrap_or(0)
     }
 
-    // --- Lanes: the in-flight gate and the reduction budget ---------------
-
-    pub(crate) fn gate_sub(&self, n: u64) {
-        if let Role::Sharded(shard) = &self.role {
-            shard.gate_move(-(n as i64));
-        }
-    }
+    // --- Lanes: the reduction budget ---------------------------------------
 
     /// Reductions performed so far — run-global in sharded execution: this
     /// machine's own count, exact, plus what its peers had done when it
     /// last began a drain. The peers' share is at most one drain quantum
     /// per peer stale, so anything that compares against it (the budget,
     /// a crash's `at`) fires that much late at worst — and never on a
-    /// 1-thread fleet, whose only peer is the ingress machine.
+    /// 1-thread fleet, which has no peer that reduces.
     #[inline]
     pub(crate) fn budget_spent(&self) -> u64 {
         let peers = match &self.role {
@@ -419,7 +399,9 @@ impl Machine {
         self.metrics.total_reductions += 1;
         if let Role::Sharded(shard) = &self.role {
             let spent = self.metrics.total_reductions;
-            shard.lane().budget.store(spent, Ordering::Relaxed);
+            shard.world.lanes[shard.index]
+                .budget
+                .store(spent, Ordering::Relaxed);
         }
     }
 
@@ -540,11 +522,8 @@ impl Machine {
         for &pid in waiters.iter() {
             if let Role::Sharded(shard) = &mut self.role {
                 if (pid >> WORKER_PID_SHIFT) as usize != shard.index {
-                    // Another worker owns the suspension: route the wake-up.
-                    // It counts against the gate until the owner applies it
-                    // (see `absorb`), so quiescence cannot be announced with
-                    // the wake still in flight.
-                    shard.gate_move(1);
+                    // Another worker owns the suspension: route the wake-up
+                    // (see `absorb`).
                     shard.outbox.push(Routed::Wake {
                         pid,
                         time: bind_time,
@@ -721,7 +700,6 @@ impl Machine {
         self.nodes[i].clock = start + cost;
         self.metrics.busy[i] += cost;
         self.metrics.reductions[i] += 1;
-        self.gate_sub(1);
         step_result
     }
 
@@ -749,11 +727,11 @@ impl Machine {
         }
     }
 
-    /// Tear a dead node down: drop its queue (settling the in-flight gate),
-    /// tear its suspended goals out of the store (they will never wake),
-    /// drop the deadlines it armed but the backend has not harvested,
-    /// balance the tracked gauge and remember diagnostic snapshots. Returns
-    /// how many queued and suspended goals were lost.
+    /// Tear a dead node down: drop its queue, tear its suspended goals out
+    /// of the store (they will never wake), drop the deadlines it armed but
+    /// the backend has not harvested, balance the tracked gauge and remember
+    /// diagnostic snapshots. Returns how many queued and suspended goals
+    /// were lost.
     fn teardown_node(&mut self, node: NodeId) -> (usize, usize) {
         let i = node.0 as usize;
         self.crashed[i] = true;
@@ -1051,7 +1029,7 @@ mod tests {
     /// On a `SharedStore` a peer can bind a variable between the match that
     /// found it unbound and `suspend`'s waiter registration. The rollback
     /// must retry the very same process: same pid, counted once by the
-    /// tracked gauge, holding one gate unit.
+    /// tracked gauge.
     #[test]
     fn suspend_rollback_requeues_the_same_process() {
         let program = compile_program(&parse_program("p(X) :- true.").unwrap()).unwrap();
@@ -1066,7 +1044,6 @@ mod tests {
         // The "peer" binds first; then the popped process tries to suspend.
         m.store.bind(v, Term::int(1), 0, NodeId(0)).unwrap();
         m.suspend(item, vec![v]);
-        m.gate_sub(1); // `step` settles the popped item's unit after `reduce`
 
         assert!(m.suspended.is_empty());
         assert_eq!(m.metrics.suspensions, 0);
@@ -1074,12 +1051,10 @@ mod tests {
         let again = m.nodes[0].queue.peek().unwrap();
         assert_eq!((again.pid, again.tracked), (pid, true));
         assert_eq!(m.metrics.live_tracked[0], 1, "spawn counted twice");
-        assert_eq!(world.regular_pending(), 1, "gate out of balance");
 
         assert_eq!(m.drain_local(8).unwrap(), DrainState::Idle);
         assert_eq!(m.metrics.live_tracked[0], 0);
         assert_eq!(m.metrics.peak_tracked[0], 1);
-        assert_eq!(world.regular_pending(), 0);
     }
 
     fn item(ready_at: Time, pid: u64) -> QItem {
@@ -1150,7 +1125,7 @@ mod tests {
         let mut m = Machine::new(program, MachineConfig::with_nodes(2));
         // Latest first: each arrival is the new earliest.
         for k in 0..40 {
-            m.insert_local(NodeId(1), item(100 - k, k + 1));
+            m.push_item(NodeId(1), item(100 - k, k + 1));
         }
         m.teardown_node(NodeId(1));
         let (lost, kept) = m.take_dead();

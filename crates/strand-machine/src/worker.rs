@@ -86,7 +86,6 @@ impl Machine {
                     if self.is_crashed(node) {
                         // Senders on other workers cannot see this shard's
                         // crashes; the owner's check is the authority.
-                        self.gate_sub(1);
                         self.metrics.msgs_dropped += 1;
                         continue;
                     }
@@ -100,12 +99,9 @@ impl Machine {
                     if item.tracked {
                         self.metrics.track_spawn(node);
                     }
-                    self.insert_local(node, item);
+                    self.push_item(node, item);
                 }
-                Routed::Wake { pid, time, binder } => {
-                    self.gate_sub(1); // the wake has arrived, stale or not
-                    self.requeue_woken(pid, time, binder);
-                }
+                Routed::Wake { pid, time, binder } => self.requeue_woken(pid, time, binder),
             }
         }
     }
@@ -129,10 +125,9 @@ impl Machine {
     }
 
     /// Deliver a due queue entry back into the shard layer: enqueue a
-    /// `'$timer!'` goal on the entry's node. It is ordinary work —
-    /// `push_item` raises the in-flight gate for it, and it routes through
-    /// the outbox as a [`Routed::Job`] when another worker owns the node —
-    /// so the mint-before-send token protocol sees a fired deadline exactly
+    /// `'$timer!'` goal on the entry's node. It is ordinary work — it
+    /// routes through the outbox as a [`Routed::Job`] when another worker
+    /// owns the node — so the mint-before-send token protocol sees a fired deadline exactly
     /// as it sees any other cross-shard event. Firing at a crashed node is a
     /// no-op, here or in its owner's `absorb` (the deadline died with the
     /// node; supervision recovers through monitors on live nodes).
@@ -160,7 +155,7 @@ impl Machine {
             .push((self.now(), StrandError::BudgetExhausted { reductions }));
     }
 
-    /// Drop all queued work (run aborted or truncated), settling gate and
+    /// Drop all queued work (run aborted or truncated), settling
     /// tracked-process accounting so merged metrics stay consistent.
     pub fn discard_local(&mut self) {
         for i in 0..self.config.nodes {
@@ -173,12 +168,6 @@ impl Machine {
         if let Role::Sharded(shard) = self.role_mut() {
             shard.armed.clear();
         }
-    }
-
-    /// Discard a routed batch unapplied (run aborted): settle the gate,
-    /// one unit per event.
-    pub fn discard_routed(&mut self, batch: Vec<Routed>) {
-        self.gate_sub(batch.len() as u64);
     }
 }
 
@@ -196,16 +185,15 @@ mod tests {
         (program, workers)
     }
 
-    /// The in-flight gate is a sum of per-machine lanes. An item injected by
-    /// the ingress machine, forwarded by worker 0 and finished on worker 1
-    /// is added on two lanes and subtracted on two others: a lane on its own
-    /// may go negative, the sum is exact at every quiescent instant.
+    /// An item injected by the ingress machine, forwarded by worker 0 and
+    /// finished on worker 1 binds the ingress machine's variable across
+    /// both workers, and each worker's budget clock counts its own
+    /// reductions plus its peer's as of its last drain.
     #[test]
-    fn gate_lanes_sum_exactly_across_two_workers_and_an_ingress_machine() {
+    fn budget_lanes_clock_an_ingress_goal_that_binds_across_two_workers() {
         let world = SharedWorld::new(2, 4);
         let (program, mut workers) = two_workers("go(V) :- set(V)@2. set(V) :- V := ok.", &world);
         let mut ingress = Machine::new_ingress(program, MachineConfig::with_nodes(4), &world, 2);
-        let gate = || (world.gate_lanes(), world.regular_pending());
         let deliver = |events: Vec<Routed>, workers: &mut [Machine]| {
             for r in events {
                 workers[r.dest_worker(2)].absorb(vec![r]);
@@ -215,18 +203,14 @@ mod tests {
         let v = ingress.store.new_var();
         ingress.inject(Term::tuple("go", vec![Term::Var(v)]), 1);
         deliver(ingress.take_outbox(), &mut workers);
-        assert_eq!(gate(), (vec![0, 0, 1], 1));
 
-        // Worker 0 reduces go/1 (-1) and spawns set/1 at node 2 (+1).
+        // Worker 0 reduces go/1 and spawns set/1 at node 2, worker 1's.
         assert_eq!(workers[0].drain_local(8).unwrap(), DrainState::Idle);
         let routed = workers[0].take_outbox();
         deliver(routed, &mut workers);
-        assert_eq!(gate(), (vec![0, 0, 1], 1));
 
-        // Worker 1 reduces it (and the `:=` it spawns): its lane never held
-        // the +1 it settles.
+        // Worker 1 reduces it and the `:=` it spawns.
         assert_eq!(workers[1].drain_local(8).unwrap(), DrainState::Idle);
-        assert_eq!(gate(), (vec![0, -1, 1], 0));
         assert_eq!(ingress.store.deref(&Term::Var(v)), Term::atom("ok"));
 
         // go/1 on worker 0; set/1 and its `:=` on worker 1. Each worker's
@@ -236,18 +220,14 @@ mod tests {
         assert_eq!(clocks, [1, 3]);
     }
 
-    /// The worker role: what it spawns off its shard goes to its outbox, and
-    /// the gate unit for it is raised on its own lane — a peer's lane is
-    /// never written from here.
+    /// The worker role: what it spawns off its shard goes to its outbox,
+    /// addressed to the node's owner.
     #[test]
-    fn a_workers_off_shard_spawn_raises_its_own_lane_and_nobody_elses() {
+    fn a_workers_off_shard_spawn_is_routed_to_the_owning_worker() {
         let world = SharedWorld::new(2, 4);
         let (_, mut workers) = two_workers("go :- there@2. there.", &world);
         workers[0].start(Term::atom("go"));
-        assert_eq!(world.gate_lanes(), [1, 0, 0]);
         assert_eq!(workers[0].drain_local(8).unwrap(), DrainState::Idle);
-        // go/0 settled (-1), there/0 routed (+1): both on lane 0.
-        assert_eq!(world.gate_lanes(), [1, 0, 0]);
         let outbox = workers[0].take_outbox();
         assert!(matches!(outbox[..], [Routed::Job(_)]));
         assert_eq!(outbox[0].dest_worker(2), 1);

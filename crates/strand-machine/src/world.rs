@@ -5,7 +5,7 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use strand_core::{
     NodeId, SharedStore, SharedStoreView, Store, StoreOps, StrandResult, Term, Time, VarId, Waiter,
@@ -55,9 +55,8 @@ pub struct Job {
 /// parallel runs bit-identical to the simulator.
 pub const WORKER_PID_SHIFT: u32 = 48;
 
-/// A cross-worker event produced by one shard for another. Senders tag every
-/// routed event against the shared in-flight gate before it leaves the
-/// machine; receivers apply it via [`Machine::absorb`](crate::Machine::absorb).
+/// A cross-worker event produced by one shard for another; the receiver
+/// applies it via [`Machine::absorb`](crate::Machine::absorb).
 #[derive(Debug)]
 pub enum Routed {
     /// A newly runnable process for a node another worker owns.
@@ -89,8 +88,8 @@ impl Routed {
 /// fleet's one deadline queue. When the queue's clock reaches the entry the
 /// backend hands it back through
 /// [`Machine::fire_deadline`](crate::Machine::fire_deadline), which enqueues
-/// a `'$timer!'` goal — ordinary gate-counted work, so the token protocol
-/// sees a fired deadline exactly as it sees any other event.
+/// a `'$timer!'` goal — ordinary work, so the token protocol sees a fired
+/// deadline exactly as it sees any other event.
 #[derive(Clone, Debug)]
 pub struct Deadline {
     /// Node the deadline was armed on; the fired goal runs there.
@@ -122,9 +121,8 @@ pub(crate) enum Role {
 /// The multi-threaded backend (crate `strand-parallel`) runs one machine per
 /// worker. Each owns its nodes outright — run queues, suspension tables,
 /// clocks — and shares only what [`SharedWorld`] holds: the striped variable
-/// store, the port table, the `unique_id` sequence and one counter lane per
-/// machine (reductions, in-flight gate) that only its owner writes and
-/// readers sum. A reduction therefore writes no cache line a peer reads, and
+/// store, the port table, the `unique_id` sequence and one reduction-count
+/// lane per worker that only its owner writes and readers sum. A reduction therefore writes no cache line a peer reads, and
 /// reads a peer's line only where the program itself shares data: a
 /// variable's published binding. There is no global machine lock.
 pub(crate) struct Shard {
@@ -133,7 +131,7 @@ pub(crate) struct Shard {
     /// so it owns none.
     pub index: usize,
     pub threads: usize,
-    /// The run's shared state; this machine's lane is `world.lanes[index]`.
+    /// The run's shared state; a worker's lane is `world.lanes[index]`.
     pub world: SharedWorld,
     /// Cross-shard events awaiting routing.
     pub outbox: Vec<Routed>,
@@ -154,21 +152,6 @@ impl Shard {
     /// stripe 0 for the ingress machine.
     pub(crate) fn stripe(&self) -> u32 {
         (self.index % self.threads) as u32
-    }
-
-    #[inline]
-    pub(crate) fn lane(&self) -> &Lane {
-        &self.world.lanes[self.index]
-    }
-
-    /// Move this machine's gate lane by `delta`. The lane has one writer
-    /// (the ingress lane's are serialised by the ingress mutex), so a load
-    /// and a store do; see [`Lane`].
-    #[inline]
-    pub(crate) fn gate_move(&self, delta: i64) {
-        let lane = self.lane();
-        let held = lane.regular.load(Ordering::Relaxed);
-        lane.regular.store(held + delta, Ordering::Relaxed);
     }
 }
 
@@ -355,24 +338,18 @@ pub(crate) struct PortState {
     pub tail: VarId,
 }
 
-/// One machine's share of the two run-global counters a reduction moves,
-/// on a cache line of its own. Only the owning machine writes it — a plain
-/// load and store, no read-modify-write — so no reduction writes a line a
-/// peer reads; readers sum the lanes. Everything is `Relaxed`: a lane
-/// publishes nothing but itself, and a reader that needs an exact sum reads
-/// at quiescence, which it learns through the token counter's
-/// acquire/release (`strand-parallel`'s `quiesce.rs`) or a thread join.
+/// One worker's share of the run-global reduction count, on a cache line
+/// of its own. Only the owning worker writes it — a plain store, no
+/// read-modify-write — so no reduction writes a line a peer reads; readers
+/// sum the lanes. Everything is `Relaxed`: a lane publishes nothing but
+/// itself, and a reader that needs an exact sum reads at quiescence, which
+/// it learns through the token counter's acquire/release
+/// (`strand-parallel`'s `quiesce.rs`) or a thread join.
 #[repr(align(128))]
 #[derive(Default)]
 pub(crate) struct Lane {
-    /// Reductions this machine has performed.
+    /// Reductions this worker has performed.
     pub budget: AtomicU64,
-    /// This machine's contribution to the in-flight gate: +1 per item it
-    /// queued or routed, −1 per item it reduced or discarded. An item sent
-    /// across shards is added on one lane and subtracted on another, so a
-    /// lane on its own may be negative; the sum over all lanes is the work
-    /// queued or in flight.
-    pub regular: AtomicI64,
 }
 
 /// Shared state backing one multi-worker run: the striped variable store,
@@ -382,8 +359,8 @@ pub(crate) struct Lane {
 pub struct SharedWorld {
     pub(crate) store: Arc<SharedStore>,
     ports: Arc<Mutex<Vec<PortState>>>,
-    /// One lane per machine, indexed by shard: the workers, then the
-    /// ingress machine.
+    /// One lane per worker, indexed by shard. The ingress machine never
+    /// reduces, so it has none.
     pub(crate) lanes: Arc<[Lane]>,
     /// Global sequence counter backing `unique_id/1`.
     pub(crate) seq: Arc<AtomicU64>,
@@ -401,7 +378,7 @@ impl SharedWorld {
         SharedWorld {
             store: Arc::new(SharedStore::new(threads.max(1) as u32)),
             ports: Arc::new(Mutex::new(Vec::new())),
-            lanes: (0..=threads.max(1)).map(|_| Lane::default()).collect(),
+            lanes: (0..threads.max(1)).map(|_| Lane::default()).collect(),
             seq: Arc::new(AtomicU64::new(0)),
             crashed: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -445,27 +422,9 @@ impl SharedWorld {
             .collect()
     }
 
-    /// Queued or in-flight work across all machines: the signed sum of the
-    /// lanes, clamped at zero. Exact whenever the fleet is quiescent. While
-    /// it runs, a sender's +1 and the receiver's −1 sit on different lanes,
-    /// so a reader racing them may see the −1 first and read low, or count
-    /// an item that finished while it was summing — never more than the
-    /// items alive at some point during the read.
-    pub fn regular_pending(&self) -> u64 {
-        let held = |lane: &Lane| lane.regular.load(Ordering::Relaxed);
-        self.lanes.iter().map(held).sum::<i64>().max(0) as u64
-    }
-
     /// Reductions performed so far across all workers.
     pub fn reductions(&self) -> u64 {
         let spent = |lane: &Lane| lane.budget.load(Ordering::Relaxed);
         self.lanes.iter().map(spent).sum()
-    }
-
-    /// Each machine's gate lane, in shard order.
-    #[cfg(test)]
-    pub(crate) fn gate_lanes(&self) -> Vec<i64> {
-        let held = |lane: &Lane| lane.regular.load(Ordering::Relaxed);
-        self.lanes.iter().map(held).collect()
     }
 }

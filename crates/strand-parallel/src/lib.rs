@@ -364,12 +364,9 @@ fn worker_loop(shared: &Shared, me: usize, rx: &Receiver<Msg>) {
     let mut buffers: Vec<Vec<Routed>> = (0..shared.threads).map(|_| Vec::new()).collect();
     loop {
         if shared.stopping.load(Ordering::Acquire) {
-            // Fatal error, budget exhaustion or quiescence: settle the
-            // shared gate for everything still queued locally and exit.
+            // Fatal error, budget exhaustion or quiescence: drop what is
+            // still queued locally (settling the tracked gauges) and exit.
             m.discard_local();
-            for buf in &mut buffers {
-                m.discard_routed(std::mem::take(buf));
-            }
             return;
         }
         // 1. Reduce a bounded burst of the shard's own work.
@@ -708,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn dropped_deliveries_settle_the_gate_and_terminate() {
+    fn dropped_deliveries_never_run_and_the_run_terminates() {
         // Every cross-node delivery is dropped — to node 3 on the sender's
         // own worker as surely as to nodes 2 and 4 on the other — so the
         // leaves never run; nobody waits on their results, so the run still

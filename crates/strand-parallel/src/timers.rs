@@ -5,7 +5,7 @@
 //! harvest those after every drain and register them here. The idle-park
 //! arm consults the queue before blocking, and when the queue's clock
 //! reaches an entry, pops it and fires it back into the shard layer as an
-//! ordinary gate-counted event (see `Machine::fire_deadline`). There is one
+//! ordinary event (see `Machine::fire_deadline`). There is one
 //! queue and one protocol; only the **clock** differs, and it follows from
 //! what the fleet is, not from configuration:
 //!

@@ -16,10 +16,10 @@
 //!   connection makes a collection due, and so do allocations that reach
 //!   the last collection's work. Store growth is bounded by what is live,
 //!   not by the requests ever served — on one connection too.
-//! * **Backpressure, not queues.** Admission checks the engine's work
-//!   gauge (the shards' shared in-flight gate, of which it is the only
-//!   reader); past the configured high-water mark clients get
-//!   `BUSY <retry-ms>` instead of unbounded queueing.
+//! * **Backpressure, not queues.** Admission counts the requests the
+//!   service is waiting on — admitted and not yet answered or abandoned;
+//!   at the configured limit clients get `BUSY <retry-ms>` instead of
+//!   unbounded queueing.
 //! * **Deadlines on the wall.** A resident fleet's `after_unless` deadlines
 //!   sit in the same deadline queue a batch run uses; because the fleet is
 //!   resident the queue's clock is the wall (1 tick = 1 ms), so a parked
@@ -102,14 +102,14 @@ pub enum ServeBackend {
 }
 
 /// Service tuning. `Default` is a 4-server parallel network sized for the
-/// host, with backpressure at 10k queued reductions' worth of work.
+/// host, with backpressure at 10k requests in flight.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Server-motif nodes (the `make_tuple(N, DT)` directory size).
     pub servers: u32,
     pub backend: ServeBackend,
-    /// Admission high-water mark on the engine's regular-work gauge;
-    /// requests arriving above it are answered `BUSY`.
+    /// Admission limit: the most requests admitted and not yet answered or
+    /// abandoned; a request arriving at it is answered `BUSY`.
     pub max_pending: u64,
     /// The retry delay a backpressured client is told to wait. Under
     /// `supervise` this is an upper bound: the hint is derived from the
@@ -175,17 +175,24 @@ impl ReplySlot {
 /// comes first of the `'$serve_reply'` sink delivering (from whichever
 /// worker reduces the probe) and the request giving up — so a duplicate
 /// or late delivery finds no entry and is dropped, and the map is bounded
-/// by the requests in flight.
+/// by the requests in flight — the count admission checks.
 #[derive(Default)]
 struct ReplySlots {
     waiting: Mutex<HashMap<u64, Arc<ReplySlot>>>,
 }
 
 impl ReplySlots {
-    fn register(&self, rid: u64) -> Arc<ReplySlot> {
+    /// Admit request `rid` unless `limit` requests are in flight already:
+    /// its slot, or `None` (answer `BUSY`). The count and the insert are
+    /// one critical section, so concurrent callers cannot overshoot.
+    fn register(&self, rid: u64, limit: u64) -> Option<Arc<ReplySlot>> {
+        let mut waiting = lock(&self.waiting);
+        if waiting.len() as u64 >= limit {
+            return None;
+        }
         let slot = Arc::new(ReplySlot::default());
-        lock(&self.waiting).insert(rid, Arc::clone(&slot));
-        slot
+        waiting.insert(rid, Arc::clone(&slot));
+        Some(slot)
     }
 
     /// Hand `reply` to the request waiting on `rid`, waking exactly that
@@ -374,19 +381,12 @@ impl MotifService {
         self.engine.reclaim();
     }
 
-    /// Serve one request line: admission check, parse, inject
+    /// Serve one request line: parse, admission check, inject
     /// `distribute(J, DT, req(Q, R))` plus the `'$serve_reply'` probe, and
     /// wait for the reply.
     pub fn request(&self, _session: Session, line: &str) -> Response {
         if self.is_stopping() {
             return Response::Err("service is shutting down".to_string());
-        }
-        // Backpressure: consult the engine's regular-work gauge before
-        // adding to it.
-        if self.pending() > self.cfg.max_pending {
-            self.engine
-                .with_ingress(|m| m.metrics_mut().requests_rejected += 1);
-            return Response::Busy(self.busy_hint());
         }
         let ast = match parse_term(line) {
             Ok(a) => a,
@@ -396,9 +396,14 @@ impl MotifService {
             return Response::Err(format!("atom: {e}"));
         }
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
+        // Backpressure: at most `max_pending` requests in flight.
+        let Some(slot) = self.replies.register(rid, self.cfg.max_pending) else {
+            self.engine
+                .with_ingress(|m| m.metrics_mut().requests_rejected += 1);
+            return Response::Busy(self.busy_hint());
+        };
         let node = self.pick_node();
         let timeout = Duration::from_millis(self.cfg.reply_timeout_ms);
-        let slot = self.replies.register(rid);
         let got = if self.cfg.supervise {
             self.supervised_request(&ast, rid, node, &slot, timeout)
         } else {
@@ -572,9 +577,10 @@ impl MotifService {
         Ok(got)
     }
 
-    /// Regular work pending in the engine (the backpressure gauge).
+    /// Requests admitted and not yet answered or abandoned: the count
+    /// admission holds to `max_pending`.
     pub fn pending(&self) -> u64 {
-        self.engine.pending()
+        lock(&self.replies.waiting).len() as u64
     }
 
     /// Block (bounded) until the engine reads idle.
@@ -972,7 +978,11 @@ mod tests {
     #[test]
     fn a_delivery_completes_only_its_own_request_and_only_once() {
         let slots = ReplySlots::default();
-        let (a, b) = (slots.register(1), slots.register(2));
+        let (a, b) = (slots.register(1, 2).unwrap(), slots.register(2, 2).unwrap());
+        assert!(
+            slots.register(3, 2).is_none(),
+            "a third admitted at limit 2"
+        );
         slots.deliver(1, Term::int(10));
         assert_eq!(b.wait(Duration::ZERO), None, "A's reply completed B");
         assert_eq!(a.wait(Duration::ZERO), Some(Term::int(10)));

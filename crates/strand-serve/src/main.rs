@@ -185,7 +185,7 @@ OPTIONS:
   --threads T        worker threads; 0 = host parallelism (default)
   --supervise        compose Supervise over the servers: heartbeats, acked
                      sends and restart run on wall-clock timers
-  --max-pending P    backpressure high-water mark (default 10000)
+  --max-pending P    requests in flight before BUSY (default 10000)
   --stats            full metrics table in the shutdown summary
 
 PROTOCOL (line-based):

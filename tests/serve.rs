@@ -35,7 +35,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use algorithmic_motifs::strand_core;
 use algorithmic_motifs::strand_machine::{
@@ -224,6 +224,8 @@ fn c_series_burst_of_256_connections_loses_no_reply() {
         assert_eq!(p.error, None, "{what}: the engine failed");
         assert_eq!(p.lost, 0, "{what}: lost {} of {}", p.lost, p.requests);
         assert_eq!(p.completed, p.requests, "{what}");
+        // 256 requests in flight at most: far below `max_pending`.
+        assert_eq!(p.busy_retries, 0, "{what}: admission bounced requests");
         assert_eq!(p.sessions_closed, p.clients, "{what}: sessions leaked");
         assert!(p.idle_parks > 0, "{what}: the engine never parked idle");
         assert!(
@@ -609,15 +611,14 @@ fn chaos_on_serve_4_threads_loses_no_client() {
 }
 
 /// Supervised quick soak: 200 session cycles through `request_with_retry`,
-/// so any `BUSY` bounce is answered by sleeping the advertised wheel-derived
-/// hint (the `max_pending` squeeze makes bounces plausible under the
-/// heartbeat background load). Every cycle must complete and session
-/// reclamation must keep working with the supervision machinery resident.
+/// which would answer a `BUSY` by sleeping the advertised wheel-derived
+/// hint (one client has one request in flight, so admission bounces none;
+/// the admission tests below produce them). Every cycle must complete and
+/// session reclamation must keep working with the supervision machinery
+/// resident.
 #[test]
 fn soak_supervised_sessions_complete_honoring_busy_hints() {
-    let mut cfg = supervised_cfg(2);
-    cfg.max_pending = 64;
-    let service = MotifService::start(DOUBLER_APP, cfg).expect("service boots");
+    let service = MotifService::start(DOUBLER_APP, supervised_cfg(2)).expect("service boots");
     let cycles = 200i64;
     for cycle in 0..cycles {
         let s = service.open_session();
@@ -710,6 +711,81 @@ fn an_abandoned_request_is_collected_not_kept() {
     // Each stall leaves its reply variable, `Go` and a stream cell.
     let extra = stalled.metrics.vars_reclaimed - clean.metrics.vars_reclaimed;
     assert!(extra >= 2 * 3, "{extra} more slots reclaimed");
+}
+
+/// Admission counts the requests the service is waiting on. With one
+/// `stall` in flight and `max_pending = 1` the next request is answered
+/// `BUSY` — under supervision with a hint no later than `retry_ms` — and
+/// once the stall has timed out a request is admitted and answered again.
+#[test]
+fn a_request_past_max_pending_in_flight_gets_busy_until_one_finishes() {
+    for supervise in [false, true] {
+        let mut cfg = if supervise {
+            supervised_cfg(2)
+        } else {
+            serve_cfg(ServeBackend::Parallel(2))
+        };
+        cfg.max_pending = 1;
+        cfg.reply_timeout_ms = 300;
+        let retry_ms = cfg.retry_ms;
+        let service = MotifService::start(STALLING_APP, cfg).expect("service boots");
+        let s = service.open_session();
+        std::thread::scope(|scope| {
+            let stall = scope.spawn(|| service.request(s, "stall"));
+            // The stall is suspended, not queued: it holds nothing but its
+            // admission until it times out.
+            let deadline = Instant::now() + Duration::from_millis(100);
+            while service.pending() == 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            match service.request(s, "4") {
+                Response::Busy(hint) if supervise => {
+                    assert!((1..=retry_ms).contains(&hint), "hint {hint}ms")
+                }
+                Response::Busy(hint) => assert_eq!(hint, retry_ms),
+                other => panic!("admitted past max_pending = 1: {other:?}"),
+            }
+            match stall.join().unwrap() {
+                Response::Err(e) => assert!(e.contains("no reply"), "{e}"),
+                other => panic!("stall: {other:?}"),
+            }
+        });
+        assert_eq!(service.pending(), 0, "the timed-out stall left");
+        assert_eq!(service.request(s, "5"), Response::Ok("10".to_string()));
+        service.close_session(s);
+        let report = service.shutdown().expect("clean shutdown");
+        assert_eq!(report.metrics.requests_rejected, 1, "supervise {supervise}");
+        assert_eq!(report.metrics.requests_admitted, 2, "supervise {supervise}");
+    }
+}
+
+/// Admission is one critical section: 8 threads sending `stall` at once
+/// against `max_pending = 3` get exactly 3 admissions and 5 `BUSY`s.
+#[test]
+fn concurrent_requests_are_admitted_exactly_up_to_max_pending() {
+    let mut cfg = serve_cfg(ServeBackend::Parallel(2));
+    cfg.max_pending = 3;
+    cfg.reply_timeout_ms = 2_000;
+    let service = MotifService::start(STALLING_APP, cfg).expect("service boots");
+    let s = service.open_session();
+    let start = std::sync::Barrier::new(8);
+    let replies: Vec<Response> = std::thread::scope(|scope| {
+        let senders: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    service.request(s, "stall")
+                })
+            })
+            .collect();
+        senders.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    let busy = replies.iter().filter(|r| matches!(r, Response::Busy(_)));
+    assert_eq!(busy.count(), 5, "{replies:?}");
+    service.close_session(s);
+    let report = service.shutdown().expect("clean shutdown");
+    let m = &report.metrics;
+    assert_eq!((m.requests_admitted, m.requests_rejected), (3, 5));
 }
 
 /// One connection, 2.5 M plain requests. Under session regions a
