@@ -83,6 +83,5 @@ symbols! {
     SPAWN_AT = "$spawn_at",
     FORWARD = "$forward",
     TIMER = "$timer",
-    WALL_TIMER = "$timer!",
     DELIVER = "$deliver",
 }

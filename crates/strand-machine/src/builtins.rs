@@ -26,10 +26,10 @@
 //!
 //! Internal (not surface syntax): `'$spawn_at'(NodeExpr, Goal)` defers a
 //! placement whose node expression is not yet bound, `'$forward'(S, P)`
-//! is the per-stream forwarder process of `merge/2`, `'$timer'(C, T)` is a
-//! pending `after_unless` deadline on the simulator and `'$timer!'(C, T)` one
-//! the parallel backend's deadline queue has fired, and `'$deliver'(P, M)` is
-//! a delayed port message en route (fault injection).
+//! is the per-stream forwarder process of `merge/2`, `'$timer'(C, T)` is an
+//! `after_unless` deadline at its instant (queued on the simulator's virtual
+//! clock, or fired by the parallel backend's deadline queue), and
+//! `'$deliver'(P, M)` is a delayed port message en route (fault injection).
 
 use crate::config::Delivery;
 use crate::machine::{CallOutcome, Machine};
@@ -207,7 +207,7 @@ impl Machine {
             (sym::OPEN_PORT, [p, s]) => match (self.store.deref(p), self.store.deref(s)) {
                 (Term::Var(pv), Term::Var(sv)) => {
                     let owner = self.current_node;
-                    let id = self.role_mut().open_port(PortState { owner, tail: sv });
+                    let id = self.world().open_port(PortState { owner, tail: sv });
                     self.bind_now(pv, Term::Port(id))?;
                     CallOutcome::Done
                 }
@@ -247,7 +247,7 @@ impl Machine {
                                 owner: node,
                                 tail: ov,
                             };
-                            let id = self.role_mut().open_port(port);
+                            let id = self.world().open_port(port);
                             for s in items {
                                 self.spawn(
                                     Term::tuple(sym::FORWARD, vec![s, Term::Port(id)]),
@@ -332,13 +332,13 @@ impl Machine {
                 }
             },
 
-            // A timer at its deadline: the simulator's own `'$timer'` item
-            // (the scheduler has already filtered out the cancelled case), or
-            // a `'$timer!'` the fleet's deadline queue delivered back into the
-            // shard (`Machine::fire_deadline`) — there the cancel flag may
-            // have been bound while the event was in flight, in which case it
-            // evaporates here.
-            (sym::TIMER | sym::WALL_TIMER, [cancel, t]) => {
+            // A timer at its deadline: a `'$timer'` item on the simulator's
+            // virtual clock (the scheduler has already filtered out the
+            // cancelled case), or one the fleet's deadline queue delivered
+            // back into the shard (`Machine::fire_deadline`) — there the
+            // cancel flag may have been bound while the event was in flight,
+            // in which case it evaporates here.
+            (sym::TIMER, [cancel, t]) => {
                 if matches!(self.store.deref(cancel), Term::Var(_)) {
                     self.metrics.timers_fired += 1;
                     self.bind_or_err(t, Term::Atom(sym::TIMEOUT))?
@@ -361,10 +361,10 @@ impl Machine {
             },
 
             // `unique_id(N)`: run-wide fresh integer, for sequence numbers
-            // (duplicate suppression in the Supervise motif). Run-global
-            // even across workers in sharded execution.
+            // (duplicate suppression in the Supervise motif), from the
+            // world's one sequence, so run-global across workers.
             (sym::UNIQUE_ID, [n]) => {
-                let id = self.role_mut().next_unique_id() as i64;
+                let id = self.world().next_unique_id() as i64;
                 self.bind_or_err(n, Term::int(id))?
             }
 
@@ -468,7 +468,7 @@ impl Machine {
     /// them); only injected drops lose messages.
     fn port_send(&mut self, port: u32, msg: Term) -> StrandResult<CallOutcome> {
         let msg = self.store.deref(&msg);
-        let owner = self.role_mut().port_owner(port);
+        let owner = self.world().port_owner(port);
         if self.current_node != owner {
             self.metrics.count_message(self.current_node, owner);
             match self.edge_delivery(self.current_node, owner) {
@@ -524,7 +524,7 @@ impl Machine {
     /// faults.
     pub(crate) fn port_append(&mut self, port: u32, msg: Term) -> StrandResult<()> {
         let new_tail = self.store.new_var();
-        let old_tail = self.role_mut().swap_port_tail(port, new_tail);
+        let old_tail = self.world().swap_port_tail(port, new_tail);
         let cell = Term::cons(msg, Term::Var(new_tail));
         self.bind_now(old_tail, cell)?;
         Ok(())

@@ -141,7 +141,8 @@ impl FaultPlan {
     /// Parse the CLI fault spec shared by the example runners:
     /// `seed=N,crash=node@at,drop=p,dup=p,delay=p:ticks,slow=node:factor`.
     /// Every key is optional; `crash` and `slow` may repeat. The empty
-    /// string is the empty plan.
+    /// string is the empty plan. Each probability lies in `[0, 1]`, and so
+    /// does their sum: an element that breaks either is refused.
     pub fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for part in spec.split(',').filter(|p| !p.is_empty()) {
@@ -151,11 +152,15 @@ impl FaultPlan {
                      seed=N, crash=node@at, drop=p, dup=p, delay=p:ticks, slow=node:factor"
                 )
             };
+            let prob = |p: &str| match p.parse::<f64>() {
+                Ok(p) if (0.0..=1.0).contains(&p) => Ok(p),
+                _ => Err(err()),
+            };
             let (key, value) = part.split_once('=').ok_or_else(err)?;
             plan = match key {
                 "seed" => plan.seed(value.parse().map_err(|_| err())?),
-                "drop" => plan.drop_prob(value.parse().map_err(|_| err())?),
-                "dup" => plan.dup_prob(value.parse().map_err(|_| err())?),
+                "drop" => plan.drop_prob(prob(value)?),
+                "dup" => plan.dup_prob(prob(value)?),
                 "crash" => {
                     let (node, at) = value.split_once('@').ok_or_else(err)?;
                     plan.crash(
@@ -165,10 +170,7 @@ impl FaultPlan {
                 }
                 "delay" => {
                     let (p, ticks) = value.split_once(':').ok_or_else(err)?;
-                    plan.delay(
-                        p.parse().map_err(|_| err())?,
-                        ticks.parse().map_err(|_| err())?,
-                    )
+                    plan.delay(prob(p)?, ticks.parse().map_err(|_| err())?)
                 }
                 "slow" => {
                     let (node, factor) = value.split_once(':').ok_or_else(err)?;
@@ -179,6 +181,11 @@ impl FaultPlan {
                 }
                 _ => return Err(err()),
             };
+            let e = plan.default_edge;
+            // A hair of slack, so that `drop=0.1,dup=0.2,delay=0.7:…` sums to 1.
+            if e.drop_prob + e.dup_prob + e.delay_prob > 1.0 + 1e-9 {
+                return Err(err());
+            }
         }
         Ok(plan)
     }
@@ -409,6 +416,19 @@ mod tests {
         assert!(FaultPlan::parse_spec("drop=lots").is_err());
         assert!(FaultPlan::parse_spec("delay=0.1").is_err());
         assert!(FaultPlan::parse_spec("nope=1").is_err());
+        // Probabilities out of range, and a sum above 1: the error names
+        // the element at fault.
+        for (spec, bad) in [
+            ("drop=1.5", "drop=1.5"),
+            ("dup=-0.2", "dup=-0.2"),
+            ("drop=NaN", "drop=NaN"),
+            ("drop=0.6,dup=0.6", "dup=0.6"),
+        ] {
+            let e = FaultPlan::parse_spec(spec).unwrap_err();
+            assert!(e.contains(&format!("`{bad}`")), "{spec}: {e}");
+        }
+        assert!(FaultPlan::parse_spec("drop=0.1,dup=0.2,delay=0.7:5").is_ok());
+        assert!(FaultPlan::parse_spec("drop=1").is_ok());
     }
 
     #[test]

@@ -1,30 +1,31 @@
-//! The ingress role: the machine on the caller's side of a resident fleet's
+//! The ingress machine: the one on the caller's side of a resident fleet's
 //! channels (DESIGN.md §9), through which external threads build terms
 //! against the shared store and enqueue goals.
 
 use crate::config::MachineConfig;
 use crate::machine::Machine;
-use crate::world::SharedWorld;
+use crate::world::{SharedWorld, StoreHandle};
 use std::sync::Arc;
-use strand_core::Term;
+use strand_core::{SharedStore, SharedStoreView, Term};
 use strand_parse::CompiledProgram;
 
 impl Machine {
     /// Build the ingress machine for a resident sharded run: it shares the
-    /// run's world (store stripe 0, ports) but owns **no** nodes —
-    /// its shard index equals `threads`, so `node mod threads` never matches
-    /// and every injected goal lands in the outbox for routing. It never
-    /// reduces or suspends, so its pids (minted above every worker's range)
-    /// never appear in store waiter lists; receivers re-mint pids on
-    /// absorption as usual.
+    /// run's world and store (allocating from stripe 0) but owns **no**
+    /// nodes — its shard index equals the world's thread count, so
+    /// `node mod threads` never matches and every injected goal lands in
+    /// the outbox for routing. It never reduces or suspends, so its pids
+    /// (minted above every worker's range) never appear in store waiter
+    /// lists; receivers re-mint pids on absorption as usual.
     pub fn new_ingress(
         program: Arc<CompiledProgram>,
         config: MachineConfig,
         world: &SharedWorld,
-        threads: usize,
+        store: &Arc<SharedStore>,
     ) -> Machine {
-        let (store, role) = world.attach(threads, threads);
-        Machine::build(program, config, store, role)
+        let shard = world.attach(world.lanes.len());
+        let view = SharedStoreView::new(Arc::clone(store), 0);
+        Machine::build(program, config, StoreHandle::Shared(view), shard)
     }
 
     /// Hold `t` outside the fleet: until [`release`](Machine::release),
@@ -60,16 +61,17 @@ mod tests {
     use strand_core::NodeId;
     use strand_parse::{compile_program, parse_program};
 
-    /// The ingress role: it owns no node, so it never has anything to
+    /// The ingress machine owns no node, so it never has anything to
     /// reduce, and every goal it enqueues — whichever node it names — lands
     /// in its outbox.
     #[test]
     fn an_ingress_machine_owns_no_node_and_everything_it_enqueues_lands_in_its_outbox() {
         let program = Arc::new(compile_program(&parse_program("tick.").unwrap()).unwrap());
-        let world = SharedWorld::new(2, 4);
-        let mut ingress = Machine::new_ingress(program, MachineConfig::with_nodes(4), &world, 2);
+        let (world, store) = (SharedWorld::new(2, 4), Arc::new(SharedStore::new(2)));
+        let cfg = MachineConfig::with_nodes(4);
+        let mut ingress = Machine::new_ingress(program, cfg, &world, &store);
         for node in 1..=4i64 {
-            assert!(!ingress.role().owns(NodeId(node as u32 - 1)));
+            assert!(!ingress.owns(NodeId(node as u32 - 1)));
             ingress.inject(Term::atom("tick"), node);
         }
         assert_eq!(ingress.next_event(), None);

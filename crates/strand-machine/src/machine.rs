@@ -15,15 +15,16 @@
 //! `pub(crate)` methods and never a field: the simulator (`sim.rs`: every
 //! node, in global virtual-time order), the fleet worker (`worker.rs`: the
 //! nodes of one shard, in bursts between channel service) and the ingress
-//! role (`ingress.rs`: no node at all). Which of those lives a machine leads
-//! is its `Role`, fixed by its constructor.
+//! machine (`ingress.rs`: no node at all). All three lead one life: each
+//! machine is a `Shard` of a `SharedWorld`, the simulator shard 0 of a
+//! one-shard world, and only its store and its driver tell them apart.
 
 use crate::config::{Delivery, ExecMode, MachineConfig};
 use crate::exec::{self, BlockPool, ExecProgram, Scratch, TryResult};
 use crate::metrics::Metrics;
 use crate::tier::TierRule;
 use crate::trace::{goal_text, TraceEvent};
-use crate::world::{QItem, Role};
+use crate::world::{QItem, Shard};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -61,6 +62,9 @@ pub(crate) struct Susp {
 struct Node {
     clock: Time,
     queue: RunQueue,
+    /// Whether this machine owns the node: `node mod threads == index`,
+    /// decided once so that no spawn divides.
+    owned: bool,
 }
 
 /// A node's runnable processes, popped in `(ready_at, pid)` order.
@@ -158,7 +162,7 @@ pub struct Machine {
     pub(crate) store: StoreHandle,
     nodes: Vec<Node>,
     suspended: FxHashMap<u64, Susp>,
-    role: Role,
+    shard: Shard,
     pub(crate) rng: SplitMix64,
     /// `metrics.total_reductions` is live: it is this machine's reduction
     /// count, and on a shard what its budget lane publishes.
@@ -192,14 +196,13 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// The one constructor: `role` says which life the machine leads and
-    /// `store` is the store that goes with it (see [`Role::alone`] and
-    /// [`SharedWorld::attach`]).
+    /// The one constructor: `shard` is the machine's place in its world
+    /// (see [`SharedWorld::attach`]) and `store` the store it runs on.
     pub(crate) fn build(
         program: Arc<CompiledProgram>,
         config: MachineConfig,
         store: StoreHandle,
-        role: Role,
+        shard: Shard,
     ) -> Machine {
         let n = config.nodes as usize;
         let map = |j: u32| wrap_node(j as i64, config.nodes);
@@ -211,7 +214,8 @@ impl Machine {
             .collect();
         // A machine fires the crashes of the nodes it owns. Earliest first;
         // ties broken by node index for determinism.
-        pending_crashes.retain(|&(node, _)| role.owns(node));
+        let owns = |node: usize| node % shard.threads == shard.index;
+        pending_crashes.retain(|&(node, _)| owns(node.0 as usize));
         pending_crashes.sort_by_key(|&(node, t)| (t, node.0));
         let mut slowdown = vec![1u64; n];
         for &(j, f) in &config.faults.slowdowns {
@@ -231,14 +235,15 @@ impl Machine {
             dead_count: 0,
             metrics: Metrics::new(n),
             nodes: (0..n)
-                .map(|_| Node {
+                .map(|i| Node {
                     clock: 0,
                     queue: RunQueue::default(),
+                    owned: owns(i),
                 })
                 .collect(),
             suspended: FxHashMap::default(),
-            next_pid: role.pid_base(),
-            role,
+            next_pid: (shard.index as u64) << WORKER_PID_SHIFT,
+            shard,
             store,
             output: Vec::new(),
             errors: Vec::new(),
@@ -285,14 +290,15 @@ impl Machine {
         self.next_pid
     }
 
-    // --- The role, for the drivers ---------------------------------------
-
-    pub(crate) fn role(&self) -> &Role {
-        &self.role
+    /// Does this machine own `node`'s run queue and suspensions?
+    pub(crate) fn owns(&self, node: NodeId) -> bool {
+        self.nodes[node.0 as usize].owned
     }
 
-    pub(crate) fn role_mut(&mut self) -> &mut Role {
-        &mut self.role
+    /// The world this machine is a shard of: its ports and `unique_id`
+    /// sequence.
+    pub(crate) fn world(&self) -> &SharedWorld {
+        &self.shard.world
     }
 
     // --- The pool --------------------------------------------------------
@@ -309,10 +315,10 @@ impl Machine {
             && goal
                 .functor()
                 .is_some_and(|(name, _)| self.config.tracked.contains(name));
-        // In sharded execution, tracked-process gauges are per-owner: the
-        // receiving worker counts the spawn when the job arrives (see
-        // `absorb`), so spawn/done pairs always land on the same machine.
-        if tracked && self.role.owns(node) {
+        // Tracked-process gauges are per-owner: a worker receiving a routed
+        // job counts the spawn when it arrives (see `absorb`), so spawn/done
+        // pairs always land on the same machine.
+        if tracked && self.owns(node) {
             self.metrics.track_spawn(node);
         }
         let pid = self.fresh_pid();
@@ -328,15 +334,13 @@ impl Machine {
     }
 
     /// Hand a runnable process to the scheduler: the node's run queue when this
-    /// machine owns the node, the outbox otherwise (sharded execution).
+    /// machine owns the node, the outbox otherwise.
     pub(crate) fn push_item(&mut self, node: NodeId, item: QItem) {
-        if let Role::Sharded(shard) = &mut self.role {
-            if !shard.owns(node) {
-                shard.outbox.push(Routed::Job(Job { item, node }));
-                return;
-            }
-        }
         let nq = &mut self.nodes[node.0 as usize];
+        if !nq.owned {
+            self.shard.outbox.push(Routed::Job(Job { item, node }));
+            return;
+        }
         nq.queue.push(item);
         let qlen = nq.queue.len();
         if qlen > self.metrics.peak_queue[node.0 as usize] {
@@ -372,37 +376,29 @@ impl Machine {
 
     // --- Lanes: the reduction budget ---------------------------------------
 
-    /// Reductions performed so far — run-global in sharded execution: this
-    /// machine's own count, exact, plus what its peers had done when it
-    /// last began a drain. The peers' share is at most one drain quantum
-    /// per peer stale, so anything that compares against it (the budget,
-    /// a crash's `at`) fires that much late at worst — and never on a
-    /// 1-thread fleet, which has no peer that reduces.
+    /// Reductions performed so far, run-global: this machine's own count,
+    /// exact, plus what its peers had done when it last began a drain. The
+    /// peers' share is at most one drain quantum per peer stale, so
+    /// anything that compares against it (the budget, a crash's `at`) fires
+    /// that much late at worst — and never on the simulator or a 1-thread
+    /// fleet, which have no peer that reduces.
     #[inline]
     pub(crate) fn budget_spent(&self) -> u64 {
-        let peers = match &self.role {
-            Role::Sharded(shard) => shard.peers_spent,
-            Role::Alone { .. } => 0,
-        };
-        self.metrics.total_reductions + peers
+        self.metrics.total_reductions + self.shard.peers_spent
     }
 
     /// Read the peers' budget lanes, once, for the drain about to begin.
     pub(crate) fn sample_peers(&mut self) {
-        if let Role::Sharded(shard) = &mut self.role {
-            // Our own lane holds exactly `total_reductions`.
-            shard.peers_spent = shard.world.reductions() - self.metrics.total_reductions;
-        }
+        // Our own lane holds exactly `total_reductions`.
+        let all = self.shard.world.reductions();
+        self.shard.peers_spent = all - self.metrics.total_reductions;
     }
 
     fn charge_reduction(&mut self) {
         self.metrics.total_reductions += 1;
-        if let Role::Sharded(shard) = &self.role {
-            let spent = self.metrics.total_reductions;
-            shard.world.lanes[shard.index]
-                .budget
-                .store(spent, Ordering::Relaxed);
-        }
+        let spent = self.metrics.total_reductions;
+        let lane = &self.shard.world.lanes[self.shard.index];
+        lane.budget.store(spent, Ordering::Relaxed);
     }
 
     /// Is the run's reduction budget spent? An error under `fail_fast`.
@@ -520,17 +516,15 @@ impl Machine {
 
     fn wake(&mut self, waiters: Waiters, bind_time: Time, binder: NodeId) {
         for &pid in waiters.iter() {
-            if let Role::Sharded(shard) = &mut self.role {
-                if (pid >> WORKER_PID_SHIFT) as usize != shard.index {
-                    // Another worker owns the suspension: route the wake-up
-                    // (see `absorb`).
-                    shard.outbox.push(Routed::Wake {
-                        pid,
-                        time: bind_time,
-                        binder,
-                    });
-                    continue;
-                }
+            if (pid >> WORKER_PID_SHIFT) as usize != self.shard.index {
+                // Another worker owns the suspension: route the wake-up
+                // (see `absorb`).
+                self.shard.outbox.push(Routed::Wake {
+                    pid,
+                    time: bind_time,
+                    binder,
+                });
+                continue;
             }
             self.requeue_woken(pid, bind_time, binder);
         }
@@ -661,13 +655,10 @@ impl Machine {
     /// Ties go to the lowest node index.
     #[inline]
     pub(crate) fn next_event(&self) -> Option<(Time, usize)> {
-        let (me, threads) = match &self.role {
-            Role::Sharded(shard) => (shard.index, shard.threads),
-            Role::Alone { .. } => (0, 1),
-        };
+        let threads = self.shard.threads;
         let mut best: Option<(Time, usize)> = None;
         // Not `Range::step_by`: its constructor divides, once per step.
-        let mut i = me;
+        let mut i = self.shard.index;
         while i < self.nodes.len() {
             if let Some((ready_at, _)) = self.nodes[i].queue.first {
                 let key = self.nodes[i].clock.max(ready_at);
@@ -735,10 +726,8 @@ impl Machine {
     fn teardown_node(&mut self, node: NodeId) -> (usize, usize) {
         let i = node.0 as usize;
         self.crashed[i] = true;
-        if let Role::Sharded(shard) = &mut self.role {
-            shard.world.crashed[i].store(true, Ordering::Release);
-            shard.armed.retain(|d| d.node != node);
-        }
+        self.shard.world.crashed[i].store(true, Ordering::Release);
+        self.shard.armed.retain(|d| d.node != node);
         // The node's clock stays where computation stopped: a crash is not
         // work, and must not stretch the makespan.
         let lost = self.take_queue(i);
@@ -773,21 +762,30 @@ impl Machine {
     }
 
     /// Arm an `after_unless` deadline `wait` ticks from the current
-    /// reduction: on the role's clock, which is the simulator's virtual
-    /// time (`sim.rs`) or the backend's deadline queue.
+    /// reduction, for the driver to harvest with
+    /// [`take_deadlines`](Machine::take_deadlines) and run on its clock:
+    /// the simulator's virtual time (`sim.rs`) or the fleet's deadline
+    /// queue.
     pub(crate) fn arm_timer(&mut self, wait: Time, cancel: Term, timeout: Term) {
         let (node, due) = (self.current_node, self.now() + wait);
         self.metrics.timers_armed += 1;
-        match &mut self.role {
-            Role::Alone { .. } => self.queue_timer(node, due, cancel, timeout),
-            Role::Sharded(shard) => shard.armed.push(Deadline {
-                node,
-                wait,
-                due,
-                cancel,
-                timeout,
-            }),
-        }
+        self.shard.armed.push(Deadline {
+            node,
+            wait,
+            due,
+            cancel,
+            timeout,
+        });
+    }
+
+    /// Harvest the deadlines armed since the last call.
+    pub fn take_deadlines(&mut self) -> Vec<Deadline> {
+        std::mem::take(&mut self.shard.armed)
+    }
+
+    /// Drain the cross-shard events produced since the last call.
+    pub fn take_outbox(&mut self) -> Vec<Routed> {
+        std::mem::take(&mut self.shard.outbox)
     }
 
     /// True once the unless-var of an armed deadline has been bound — the
@@ -1034,9 +1032,10 @@ mod tests {
     fn suspend_rollback_requeues_the_same_process() {
         let program = compile_program(&parse_program("p(X) :- true.").unwrap()).unwrap();
         let world = SharedWorld::new(1, 1);
+        let store = Arc::new(strand_core::SharedStore::new(1));
         let mut cfg = MachineConfig::default();
         cfg.tracked.insert(Atom::new("p"));
-        let mut m = Machine::new_worker(Arc::new(program), cfg, &world, 0, 1);
+        let mut m = Machine::new_worker(Arc::new(program), cfg, &world, &store, 0);
         let v = m.store.new_var();
         m.start(Term::tuple("p", vec![Term::Var(v)]));
         let item = m.nodes[0].queue.pop().unwrap();

@@ -1,6 +1,6 @@
-//! The simulator's driver over the shard core: one machine that owns every
-//! node, advances them in global virtual-time order and reads the
-//! [`FaultPlan`](crate::config::FaultPlan)'s crash times and every
+//! The simulator's driver over the shard core: shard 0 of a one-shard world,
+//! so it owns every node, advances them in global virtual-time order and
+//! reads the [`FaultPlan`](crate::config::FaultPlan)'s crash times and every
 //! `after_unless` deadline on that one clock.
 //!
 //! Determinism: the runnable node with the smallest next event time reduces
@@ -11,16 +11,18 @@
 use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::report::{merge_shard_reports, RunReport};
-use crate::world::Role;
+use crate::world::{SharedWorld, StoreHandle};
 use std::sync::Arc;
-use strand_core::{sym, NodeId, StrandError, StrandResult, Term, Time};
+use strand_core::{sym, Store, StrandError, StrandResult, Term};
 use strand_parse::CompiledProgram;
 
 impl Machine {
-    /// Build a machine for a compiled program.
+    /// Build a machine for a compiled program: shard 0 of a one-shard
+    /// world, on a plain store of its own.
     pub fn new(program: CompiledProgram, config: MachineConfig) -> Machine {
-        let (store, role) = Role::alone();
-        Machine::build(Arc::new(program), config, store, role)
+        let shard = SharedWorld::new(1, config.nodes as usize).attach(0);
+        let store = StoreHandle::Local(Store::new());
+        Machine::build(Arc::new(program), config, store, shard)
     }
 
     /// Run until no process is runnable. The initial goal must have been
@@ -48,16 +50,20 @@ impl Machine {
             }
             if !self.drop_cancelled_timer(i) {
                 self.step(i, start)?;
+                self.queue_armed();
             }
         }
         Ok(merge_shard_reports([self.finalize_shard()], truncated))
     }
 
-    /// The simulator's `after_unless`: a `'$timer'` item its virtual clock
-    /// orders like any other process. (A shard has no such clock and hands
-    /// the backend a [`Deadline`](crate::Deadline) instead.)
-    pub(crate) fn queue_timer(&mut self, node: NodeId, due: Time, cancel: Term, timeout: Term) {
-        self.enqueue(Term::tuple(sym::TIMER, vec![cancel, timeout]), node, due);
+    /// The simulator's `after_unless`: each deadline the step armed
+    /// becomes a `'$timer'` item its virtual clock orders like any other
+    /// process.
+    fn queue_armed(&mut self) {
+        for d in self.take_deadlines() {
+            let goal = Term::tuple(sym::TIMER, vec![d.cancel, d.timeout]);
+            self.enqueue(goal, d.node, d.due);
+        }
     }
 
     /// If node `i`'s next process is a `'$timer'` whose cancel flag is
@@ -75,29 +81,5 @@ impl Machine {
             self.metrics.timers_cancelled += 1;
         }
         cancelled
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use strand_parse::{compile_program, parse_program};
-
-    /// The simulator's role: sequence numbers come from the machine's own
-    /// counter — there is no shared world to ask.
-    #[test]
-    fn a_lone_machine_hands_out_unique_ids_1_2_3_without_a_world() {
-        let src = "go(A, B, C) :- unique_id(A), unique_id(B), unique_id(C).";
-        let program = compile_program(&parse_program(src).unwrap()).unwrap();
-        let mut m = Machine::new(program, MachineConfig::default());
-        assert!(matches!(m.role(), Role::Alone { .. }));
-        let ids: Vec<Term> = (0..3).map(|_| Term::Var(m.store_mut().new_var())).collect();
-        m.start(Term::tuple("go", ids.clone()));
-        m.run().unwrap();
-        let got: Vec<String> = ids
-            .iter()
-            .map(|v| m.store().resolve(v).to_string())
-            .collect();
-        assert_eq!(got, ["1", "2", "3"]);
     }
 }

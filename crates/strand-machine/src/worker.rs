@@ -9,9 +9,11 @@
 
 use crate::config::MachineConfig;
 use crate::machine::Machine;
-use crate::world::{Deadline, Job, QItem, Role, Routed, SharedWorld};
+use crate::world::{Deadline, Job, QItem, Routed, SharedWorld, StoreHandle};
 use std::sync::Arc;
-use strand_core::{sym, NodeId, SplitMix64, StrandError, StrandResult, Term};
+use strand_core::{
+    sym, NodeId, SharedStore, SharedStoreView, SplitMix64, StrandError, StrandResult, Term,
+};
 use strand_parse::CompiledProgram;
 
 /// What [`Machine::drain_local`] left behind.
@@ -26,21 +28,22 @@ pub enum DrainState {
 }
 
 impl Machine {
-    /// Build one worker's machine for a sharded run: same program and config
-    /// as the simulator would use, but variables, ports, budget and sequence
-    /// numbers live in the shared `world`, and process ids are offset so
-    /// every worker allocates from a disjoint range (see
-    /// [`WORKER_PID_SHIFT`](crate::WORKER_PID_SHIFT)).
+    /// Build worker `idx`'s machine for a sharded run: same program and
+    /// config as the simulator would use, shard `idx` of the fleet's `world`,
+    /// allocating variables from its own stripe of the fleet's `store`.
+    /// Process ids are offset so every worker allocates from a disjoint
+    /// range (see [`WORKER_PID_SHIFT`](crate::WORKER_PID_SHIFT)).
     pub fn new_worker(
         program: Arc<CompiledProgram>,
         config: MachineConfig,
         world: &SharedWorld,
+        store: &Arc<SharedStore>,
         idx: usize,
-        threads: usize,
     ) -> Machine {
-        debug_assert!(idx < threads);
-        let (store, role) = world.attach(idx, threads);
-        let mut m = Machine::build(program, config, store, role);
+        let shard = world.attach(idx);
+        debug_assert!(idx < shard.threads);
+        let view = SharedStoreView::new(Arc::clone(store), idx as u32);
+        let mut m = Machine::build(program, config, StoreHandle::Shared(view), shard);
         // Worker 0 keeps the configured seeds so 1-thread runs draw the same
         // `rand_num` and fault-dice sequences as the simulator; other
         // workers decorrelate.
@@ -82,7 +85,7 @@ impl Machine {
             match event {
                 Routed::Job(job) => {
                     let Job { mut item, node } = job;
-                    debug_assert!(self.role().owns(node), "job routed to wrong shard");
+                    debug_assert!(self.owns(node), "job routed to wrong shard");
                     if self.is_crashed(node) {
                         // Senders on other workers cannot see this shard's
                         // crashes; the owner's check is the authority.
@@ -106,26 +109,8 @@ impl Machine {
         }
     }
 
-    /// Drain the cross-shard events produced since the last call.
-    pub fn take_outbox(&mut self) -> Vec<Routed> {
-        match self.role_mut() {
-            Role::Sharded(shard) => std::mem::take(&mut shard.outbox),
-            Role::Alone { .. } => Vec::new(),
-        }
-    }
-
-    /// Harvest the deadlines armed since the last call. The parallel
-    /// backend calls this after every drain and registers the entries into
-    /// its deadline queue.
-    pub fn take_deadlines(&mut self) -> Vec<Deadline> {
-        match self.role_mut() {
-            Role::Sharded(shard) => std::mem::take(&mut shard.armed),
-            Role::Alone { .. } => Vec::new(),
-        }
-    }
-
     /// Deliver a due queue entry back into the shard layer: enqueue a
-    /// `'$timer!'` goal on the entry's node. It is ordinary work — it
+    /// `'$timer'` goal on the entry's node. It is ordinary work — it
     /// routes through the outbox as a [`Routed::Job`] when another worker
     /// owns the node — so the mint-before-send token protocol sees a fired deadline exactly
     /// as it sees any other cross-shard event. Firing at a crashed node is a
@@ -141,7 +126,7 @@ impl Machine {
             QItem {
                 ready_at: 0,
                 pid,
-                goal: Term::tuple(sym::WALL_TIMER, vec![deadline.cancel, deadline.timeout]),
+                goal: Term::tuple(sym::TIMER, vec![deadline.cancel, deadline.timeout]),
                 tracked: false,
             },
         );
@@ -165,9 +150,6 @@ impl Machine {
                 }
             }
         }
-        if let Role::Sharded(shard) = self.role_mut() {
-            shard.armed.clear();
-        }
     }
 }
 
@@ -176,11 +158,15 @@ mod tests {
     use super::*;
     use strand_parse::{compile_program, parse_program};
 
-    fn two_workers(src: &str, world: &SharedWorld) -> (Arc<CompiledProgram>, Vec<Machine>) {
+    fn two_workers(
+        src: &str,
+        world: &SharedWorld,
+        store: &Arc<SharedStore>,
+    ) -> (Arc<CompiledProgram>, Vec<Machine>) {
         let program = Arc::new(compile_program(&parse_program(src).unwrap()).unwrap());
         let cfg = MachineConfig::with_nodes(4);
         let workers = (0..2)
-            .map(|i| Machine::new_worker(Arc::clone(&program), cfg.clone(), world, i, 2))
+            .map(|i| Machine::new_worker(Arc::clone(&program), cfg.clone(), world, store, i))
             .collect();
         (program, workers)
     }
@@ -191,9 +177,11 @@ mod tests {
     /// reductions plus its peer's as of its last drain.
     #[test]
     fn budget_lanes_clock_an_ingress_goal_that_binds_across_two_workers() {
-        let world = SharedWorld::new(2, 4);
-        let (program, mut workers) = two_workers("go(V) :- set(V)@2. set(V) :- V := ok.", &world);
-        let mut ingress = Machine::new_ingress(program, MachineConfig::with_nodes(4), &world, 2);
+        let (world, store) = (SharedWorld::new(2, 4), Arc::new(SharedStore::new(2)));
+        let src = "go(V) :- set(V)@2. set(V) :- V := ok.";
+        let (program, mut workers) = two_workers(src, &world, &store);
+        let cfg = MachineConfig::with_nodes(4);
+        let mut ingress = Machine::new_ingress(program, cfg, &world, &store);
         let deliver = |events: Vec<Routed>, workers: &mut [Machine]| {
             for r in events {
                 workers[r.dest_worker(2)].absorb(vec![r]);
@@ -220,12 +208,12 @@ mod tests {
         assert_eq!(clocks, [1, 3]);
     }
 
-    /// The worker role: what it spawns off its shard goes to its outbox,
-    /// addressed to the node's owner.
+    /// A worker: what it spawns off its shard goes to its outbox, addressed
+    /// to the node's owner.
     #[test]
     fn a_workers_off_shard_spawn_is_routed_to_the_owning_worker() {
-        let world = SharedWorld::new(2, 4);
-        let (_, mut workers) = two_workers("go :- there@2. there.", &world);
+        let (world, store) = (SharedWorld::new(2, 4), Arc::new(SharedStore::new(2)));
+        let (_, mut workers) = two_workers("go :- there@2. there.", &world, &store);
         workers[0].start(Term::atom("go"));
         assert_eq!(workers[0].drain_local(8).unwrap(), DrainState::Idle);
         let outbox = workers[0].take_outbox();

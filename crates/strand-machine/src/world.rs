@@ -1,15 +1,13 @@
-//! A machine's place in the world: its [`Role`] (alone, or one [`Shard`] of
-//! a run that shares a [`SharedWorld`]), the [`StoreHandle`] that goes with
-//! it, and what sharded machines send each other — [`Routed`] events between
-//! shards, [`Deadline`]s to the backend.
+//! A machine's place in the world: the [`Shard`] it is of a [`SharedWorld`],
+//! the [`StoreHandle`] it reads and binds through, and what it hands on —
+//! [`Routed`] events to other shards, [`Deadline`]s to its driver.
 
 use std::borrow::Cow;
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use strand_core::{
-    NodeId, SharedStore, SharedStoreView, Store, StoreOps, StrandResult, Term, Time, VarId, Waiter,
-    Waiters,
+    NodeId, SharedStoreView, Store, StoreOps, StrandResult, Term, Time, VarId, Waiter, Waiters,
 };
 
 /// A queued (runnable) process.
@@ -81,14 +79,14 @@ impl Routed {
     }
 }
 
-/// An `after_unless` deadline armed on a sharded machine. A shard has no
-/// global clock to order a `'$timer'` item by, so it records the deadline
-/// here for the parallel backend to harvest (see
-/// [`Machine::take_deadlines`](crate::Machine::take_deadlines)) into the
-/// fleet's one deadline queue. When the queue's clock reaches the entry the
-/// backend hands it back through
-/// [`Machine::fire_deadline`](crate::Machine::fire_deadline), which enqueues
-/// a `'$timer!'` goal — ordinary work, so the token protocol sees a fired
+/// An `after_unless` deadline a reduction armed (see
+/// [`Machine::take_deadlines`](crate::Machine::take_deadlines)). The driver
+/// decides what clock it runs on: the simulator queues it straight after
+/// the step as a `'$timer'` item its virtual clock orders like any other
+/// process; a fleet worker hands it to the fleet's one deadline queue,
+/// which gives it back through
+/// [`Machine::fire_deadline`](crate::Machine::fire_deadline) as the same
+/// `'$timer'` goal — ordinary work, so the token protocol sees a fired
 /// deadline exactly as it sees any other event.
 #[derive(Clone, Debug)]
 pub struct Deadline {
@@ -96,8 +94,8 @@ pub struct Deadline {
     pub node: NodeId,
     /// Ticks to wait; a resident fleet's wall clock maps 1 tick to 1 ms.
     pub wait: Time,
-    /// The arming node's virtual clock plus `wait`: the instant a batch
-    /// fleet's quiescence clock orders this deadline by.
+    /// The arming node's virtual clock plus `wait`: the instant the
+    /// simulator and a batch fleet's quiescence clock order this deadline by.
     pub due: Time,
     /// The unless-var: if bound before the deadline, the timer is cancelled.
     pub cancel: Term,
@@ -105,127 +103,37 @@ pub struct Deadline {
     pub timeout: Term,
 }
 
-/// Which life a machine leads. Its constructor is handed exactly one of
-/// these two states, so everything a machine has only "when sharded" is here
-/// or nowhere.
-pub(crate) enum Role {
-    /// The simulator's machine: it owns every node, and with them the port
-    /// table and the `unique_id/1` counter.
-    Alone { ports: Vec<PortState>, seq: u64 },
-    /// One machine of a sharded run: a fleet worker, or the ingress machine.
-    Sharded(Shard),
-}
-
-/// What only a machine of a sharded run has.
+/// A machine's place in its [`SharedWorld`].
 ///
-/// The multi-threaded backend (crate `strand-parallel`) runs one machine per
-/// worker. Each owns its nodes outright — run queues, suspension tables,
-/// clocks — and shares only what [`SharedWorld`] holds: the striped variable
-/// store, the port table, the `unique_id` sequence and one reduction-count
-/// lane per worker that only its owner writes and readers sum. A reduction therefore writes no cache line a peer reads, and
-/// reads a peer's line only where the program itself shares data: a
+/// Every machine is one shard of a world: the simulator is shard 0 of a
+/// one-shard world, a fleet worker is shard `index < threads` of the
+/// fleet's (crate `strand-parallel`), and the ingress machine is shard
+/// `threads`, which owns no node. A machine owns its nodes outright — run
+/// queues, suspension tables, clocks — and shares only what the world
+/// holds: the port table, the `unique_id` sequence, one reduction-count
+/// lane per worker that only its owner writes and readers sum, and the
+/// crash flags. A reduction therefore writes no cache line a peer reads,
+/// and reads a peer's line only where the program itself shares data: a
 /// variable's published binding. There is no global machine lock.
 pub(crate) struct Shard {
     /// This machine owns exactly the nodes with `node mod threads == index`.
-    /// A worker's index is below `threads`; the ingress machine's equals it,
-    /// so it owns none.
     pub index: usize,
     pub threads: usize,
-    /// The run's shared state; a worker's lane is `world.lanes[index]`.
+    /// The world's shared state; a worker's lane is `world.lanes[index]`.
     pub world: SharedWorld,
     /// Cross-shard events awaiting routing.
     pub outbox: Vec<Routed>,
     /// What the peers' budget lanes summed to at the top of the current
     /// drain (see `Machine::budget_spent`).
     pub peers_spent: u64,
-    /// Deadlines armed since the backend last harvested them.
+    /// Deadlines armed since the driver last harvested them.
     pub armed: Vec<Deadline>,
 }
 
-impl Shard {
-    #[inline]
-    pub(crate) fn owns(&self, node: NodeId) -> bool {
-        node.0 as usize % self.threads == self.index
-    }
-
-    /// The store stripe this machine allocates from: a worker's own, and
-    /// stripe 0 for the ingress machine.
-    pub(crate) fn stripe(&self) -> u32 {
-        (self.index % self.threads) as u32
-    }
-}
-
-impl Role {
-    /// The simulator's role, with the [`StoreHandle`] that goes with it.
-    pub(crate) fn alone() -> (StoreHandle, Role) {
-        let role = Role::Alone {
-            ports: Vec::new(),
-            seq: 0,
-        };
-        (StoreHandle::Local(Store::new()), role)
-    }
-
-    /// Does this machine own `node`'s run queue and suspensions?
-    #[inline]
-    pub(crate) fn owns(&self, node: NodeId) -> bool {
-        match self {
-            Role::Sharded(shard) => shard.owns(node),
-            Role::Alone { .. } => true,
-        }
-    }
-
-    /// The first pid of this machine's range (see [`WORKER_PID_SHIFT`]).
-    pub(crate) fn pid_base(&self) -> u64 {
-        match self {
-            Role::Sharded(shard) => (shard.index as u64) << WORKER_PID_SHIFT,
-            Role::Alone { .. } => 0,
-        }
-    }
-
-    /// Next `unique_id/1` value — run-global in sharded execution.
-    pub(crate) fn next_unique_id(&mut self) -> u64 {
-        match self {
-            Role::Sharded(shard) => shard.world.seq.fetch_add(1, Ordering::Relaxed) + 1,
-            Role::Alone { seq, .. } => {
-                *seq += 1;
-                *seq
-            }
-        }
-    }
-
-    /// The port table: owned outright, or shared behind the world's mutex.
-    /// The lock covers only id allocation and the tail swap; the actual tail
-    /// binding happens outside it, so concurrent appends each link a
-    /// distinct cons cell and the stream stays linear.
-    fn with_ports<R>(&mut self, f: impl FnOnce(&mut Vec<PortState>) -> R) -> R {
-        match self {
-            Role::Sharded(shard) => f(&mut shard.world.ports.lock().expect("ports mutex poisoned")),
-            Role::Alone { ports, .. } => f(ports),
-        }
-    }
-
-    /// Register a port, returning its id.
-    pub(crate) fn open_port(&mut self, p: PortState) -> u32 {
-        self.with_ports(|v| {
-            v.push(p);
-            (v.len() - 1) as u32
-        })
-    }
-
-    /// The node a port lives on (fixed at creation).
-    pub(crate) fn port_owner(&mut self, id: u32) -> NodeId {
-        self.with_ports(|v| v[id as usize].owner)
-    }
-
-    /// Atomically replace the port's tail variable, returning the old tail.
-    pub(crate) fn swap_port_tail(&mut self, id: u32, new_tail: VarId) -> VarId {
-        self.with_ports(|v| std::mem::replace(&mut v[id as usize].tail, new_tail))
-    }
-}
-
-/// Store access for one machine: the deterministic scheduler owns a plain
-/// [`Store`] outright; sharded workers share a lock-striped [`SharedStore`],
-/// each allocating from its own stripe so variable creation is contention-free.
+/// Store access for one machine: the simulator owns a plain [`Store`]
+/// outright; a fleet's machines share a lock-striped
+/// [`SharedStore`](strand_core::SharedStore), each worker allocating from
+/// its own stripe so variable creation is contention-free.
 pub enum StoreHandle {
     Local(Store),
     Shared(SharedStoreView),
@@ -352,18 +260,19 @@ pub(crate) struct Lane {
     pub budget: AtomicU64,
 }
 
-/// Shared state backing one multi-worker run: the striped variable store,
-/// the port table, and the run-global counters. Cheap to clone; every
-/// machine of the run holds the same underlying `Arc`s.
+/// Shared state of one world: the port table and the run-global counters.
+/// Cheap to clone; every machine of the world holds the same underlying
+/// `Arc`s. The variable store is not here: the simulator keeps a plain
+/// [`Store`], and a fleet hands each machine its view of the fleet's
+/// `SharedStore`.
 #[derive(Clone)]
 pub struct SharedWorld {
-    pub(crate) store: Arc<SharedStore>,
     ports: Arc<Mutex<Vec<PortState>>>,
     /// One lane per worker, indexed by shard. The ingress machine never
     /// reduces, so it has none.
     pub(crate) lanes: Arc<[Lane]>,
     /// Global sequence counter backing `unique_id/1`.
-    pub(crate) seq: Arc<AtomicU64>,
+    seq: Arc<AtomicU64>,
     /// Per-node crash flags, published by the owning worker when a
     /// [`FaultPlan`](crate::config::FaultPlan) crash tears a node down,
     /// for whoever routes *external* work to read. `spawn` never looks:
@@ -372,11 +281,9 @@ pub struct SharedWorld {
 }
 
 impl SharedWorld {
-    /// Shared state for `threads` workers (one store stripe per worker)
-    /// hosting `nodes` virtual nodes.
+    /// Shared state for `threads` workers hosting `nodes` virtual nodes.
     pub fn new(threads: usize, nodes: usize) -> SharedWorld {
         SharedWorld {
-            store: Arc::new(SharedStore::new(threads.max(1) as u32)),
             ports: Arc::new(Mutex::new(Vec::new())),
             lanes: (0..threads.max(1)).map(|_| Lane::default()).collect(),
             seq: Arc::new(AtomicU64::new(0)),
@@ -384,33 +291,53 @@ impl SharedWorld {
         }
     }
 
-    /// The role of machine `index` of this world's `threads`-worker run,
-    /// with the [`StoreHandle`] that goes with it: it owns the nodes with
-    /// `node mod threads == index` and allocates variables from
-    /// [`Shard::stripe`].
-    pub(crate) fn attach(&self, index: usize, threads: usize) -> (StoreHandle, Role) {
-        let shard = Shard {
+    /// Shard `index` of this world: it owns the nodes with
+    /// `node mod threads == index`, `threads` being the world's lane count.
+    pub(crate) fn attach(&self, index: usize) -> Shard {
+        Shard {
             index,
-            threads,
+            threads: self.lanes.len(),
             world: self.clone(),
             outbox: Vec::new(),
             peers_spent: 0,
             armed: Vec::new(),
-        };
-        let view = SharedStoreView::new(Arc::clone(&self.store), shard.stripe());
-        (StoreHandle::Shared(view), Role::Sharded(shard))
+        }
     }
 
-    /// The run's striped variable store.
-    pub fn store(&self) -> &SharedStore {
-        &self.store
+    /// Next `unique_id/1` value, run-global.
+    pub(crate) fn next_unique_id(&self) -> u64 {
+        self.seq.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// The port table, behind the world's mutex. The lock covers only id
+    /// allocation and the tail swap; the actual tail binding happens
+    /// outside it, so concurrent appends each link a distinct cons cell and
+    /// the stream stays linear.
+    fn ports(&self) -> MutexGuard<'_, Vec<PortState>> {
+        self.ports.lock().expect("ports mutex poisoned")
+    }
+
+    /// Register a port, returning its id.
+    pub(crate) fn open_port(&self, p: PortState) -> u32 {
+        let mut ports = self.ports();
+        ports.push(p);
+        (ports.len() - 1) as u32
+    }
+
+    /// The node a port lives on (fixed at creation).
+    pub(crate) fn port_owner(&self, id: u32) -> NodeId {
+        self.ports()[id as usize].owner
+    }
+
+    /// Atomically replace the port's tail variable, returning the old tail.
+    pub(crate) fn swap_port_tail(&self, id: u32, new_tail: VarId) -> VarId {
+        std::mem::replace(&mut self.ports()[id as usize].tail, new_tail)
     }
 
     /// Every port's current tail, the end of a stream anyone may still
     /// send on: roots of a collection.
     pub fn port_tails(&self) -> Vec<Term> {
-        let ports = self.ports.lock().expect("ports mutex poisoned");
-        ports.iter().map(|p| Term::Var(p.tail)).collect()
+        self.ports().iter().map(|p| Term::Var(p.tail)).collect()
     }
 
     /// Nodes a fault plan has crashed so far (1-based, ascending).

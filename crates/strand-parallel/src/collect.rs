@@ -36,7 +36,7 @@ pub(crate) struct Due {
 
 impl Ingress {
     fn due(&self, shared: &Shared) -> bool {
-        let (due, allocated) = (&self.due, shared.world.store().live() as u64);
+        let (due, allocated) = (&self.due, shared.store.live() as u64);
         due.closed || allocated >= due.live + due.work.max(1)
     }
 }
@@ -118,7 +118,7 @@ fn collect(shared: &Shared, ingress: &mut Ingress, me: Option<(usize, &mut Machi
         roots.extend(queued);
         goals.extend(suspended);
     }
-    let (store, mut reached) = (shared.world.store(), FxHashSet::default());
+    let (store, mut reached) = (&shared.store, FxHashSet::default());
     let marks = store.mark(roots, |waiters, work| {
         let woken = waiters.iter().filter(|pid| reached.insert(**pid));
         work.extend(woken.filter_map(|pid| goals.get(pid).cloned()));

@@ -16,9 +16,9 @@
 //!   takes only its own stripe's lock (cross-stripe binds lock the two
 //!   stripes in index order);
 //! * cross-worker events — remote spawns, port sends, binding wakeups —
-//!   are buffered per destination and shipped as *batches* over crossbeam
-//!   channels (a batch flushes at `BATCH_MAX` events or when the worker
-//!   runs out of local work), amortising channel traffic;
+//!   are buffered per destination and shipped as *batches* over unbounded
+//!   `std::sync::mpsc` channels (a batch flushes at `BATCH_MAX` events or
+//!   when the worker runs out of local work), amortising channel traffic;
 //! * *pure* foreign procedures ([`strand_machine::ForeignLib`]) run inline
 //!   on the owning worker — there is no lock to hold, so native
 //!   computation on one worker genuinely overlaps everything else;
@@ -89,27 +89,20 @@ mod timers;
 
 pub use resident::ResidentHandle;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use quiesce::Tokens;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use strand_core::{StrandError, StrandResult, Term};
+use strand_core::{SharedStore, StrandError, StrandResult, Term};
 use strand_machine::{
     ast_to_term, merge_shard_reports, Backend, DrainState, ForeignLib, GoalResult, Machine,
     MachineConfig, Routed, RunReport, SharedWorld,
 };
 use strand_parse::{compile_program, parse_term, Program};
-
-/// Per-worker channel capacity (in batches). The vendored crossbeam stub
-/// has no unbounded channels; a deep bound keeps `send` from blocking in
-/// practice (a full channel would only deadlock if two workers blocked
-/// sending to each other — at this depth that means ~10⁶ undelivered
-/// batches per worker, far beyond any workload in the repo).
-const CHANNEL_CAP: usize = 1 << 20;
 
 /// Cross-worker events buffered per destination before a batch ships.
 /// Batches also flush whenever the sending worker runs out of local work,
@@ -148,6 +141,9 @@ struct Shared {
     truncated: AtomicBool,
     fatal: Mutex<Option<StrandError>>,
     world: SharedWorld,
+    /// The fleet's striped variable store; each machine allocates from its
+    /// own stripe of it (the ingress machine from stripe 0).
+    store: Arc<SharedStore>,
     threads: usize,
     /// Resident (service) mode: global quiescence means *idle*, not
     /// terminated — the last worker to surrender its token parks instead of
@@ -204,7 +200,7 @@ fn run_parallel(
     let vars = std::mem::take(&mut fleet.vars);
     let shared = Arc::clone(&fleet.shared);
     let report = fleet.collect(None)?;
-    let resolve = |(name, term)| (name, shared.world.store().resolve(&term));
+    let resolve = |(name, term)| (name, shared.store.resolve(&term));
     let bindings = vars.into_iter().map(resolve).collect();
     Ok(GoalResult { report, bindings })
 }
@@ -239,13 +235,14 @@ impl Fleet {
         let compiled =
             Arc::new(compile_program(program).map_err(|e| StrandError::Other(e.to_string()))?);
         let world = SharedWorld::new(threads, config.nodes.max(1) as usize);
+        let store = Arc::new(SharedStore::new(threads as u32));
         let mut machines: Vec<Machine> = (0..threads)
             .map(|idx| {
-                Machine::new_worker(Arc::clone(&compiled), config.clone(), &world, idx, threads)
+                Machine::new_worker(Arc::clone(&compiled), config.clone(), &world, &store, idx)
             })
             .collect();
         let mut ingress =
-            resident.then(|| Machine::new_ingress(compiled, config.clone(), &world, threads));
+            resident.then(|| Machine::new_ingress(compiled, config.clone(), &world, &store));
         for m in machines.iter_mut().chain(&mut ingress) {
             m.install_lib(lib);
         }
@@ -254,8 +251,7 @@ impl Fleet {
         // Node 0 belongs to worker 0, so the seed goal lands in its own heap.
         machines[0].start(goal);
 
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..threads).map(|_| bounded::<Msg>(CHANNEL_CAP)).unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..threads).map(|_| channel::<Msg>()).unzip();
         let shared = Arc::new(Shared {
             tokens: Tokens::new(threads as u64),
             machines: machines.into_iter().map(Mutex::new).collect(),
@@ -264,6 +260,7 @@ impl Fleet {
             truncated: AtomicBool::new(false),
             fatal: Mutex::new(None),
             world,
+            store,
             threads,
             resident,
             wheel: timers::TimerWheel::new(resident),
@@ -932,21 +929,49 @@ mod tests {
         }
     }
 
+    /// The simulator is shard 0 of a one-shard world, so a 1-thread fleet
+    /// differs from it only in its store and its driver: the same bindings,
+    /// output and reduction count — ports and the `unique_id` sequence
+    /// included, which both take from their world.
     #[test]
     fn one_thread_matches_simulator_exactly() {
-        let src = r#"
+        let tree = r#"
             tree(0, Acc, Out) :- Out := Acc.
             tree(N, Acc, Out) :- N > 0 |
                 M := N - 1, A := Acc + N, tree(M, A, Out).
         "#;
-        let sim = run_goal(src, "tree(40, 0, S)", MachineConfig::with_nodes(4)).unwrap();
-        let par1 = run_goal(src, "tree(40, 0, S)", par(1)).unwrap();
-        assert_eq!(sim.bindings["S"], par1.bindings["S"]);
-        assert_eq!(sim.report.output, par1.report.output);
-        assert_eq!(
-            sim.report.metrics.total_reductions,
-            par1.report.metrics.total_reductions
-        );
+        let ids = r#"
+            go(A, B, C, S) :- open_port(P, S),
+                unique_id(A), unique_id(B), unique_id(C),
+                feed(3, P)@2.
+            feed(0, _).
+            feed(N, P) :- N > 0 | send_port(P, item(N)), N1 := N - 1, feed(N1, P).
+        "#;
+        for (src, goal, want) in [
+            (tree, "tree(40, 0, S)", vec![("S", "820")]),
+            (
+                ids,
+                "go(A, B, C, S)",
+                vec![
+                    ("A", "1"),
+                    ("B", "2"),
+                    ("C", "3"),
+                    ("S", "[item(3),item(2),item(1)|_"),
+                ],
+            ),
+        ] {
+            let sim = run_goal(src, goal, MachineConfig::with_nodes(4)).unwrap();
+            let par1 = run_goal(src, goal, par(1)).unwrap();
+            for (var, value) in want {
+                assert!(sim.bindings[var].to_string().starts_with(value), "{var}");
+                assert_eq!(sim.bindings[var], par1.bindings[var], "{var}");
+            }
+            assert_eq!(sim.report.output, par1.report.output);
+            assert_eq!(
+                sim.report.metrics.total_reductions,
+                par1.report.metrics.total_reductions
+            );
+        }
     }
 
     /// Tuples that reach the store — by data `:=`, `put_arg` and port
