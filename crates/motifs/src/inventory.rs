@@ -44,13 +44,13 @@ pub fn inventory() -> Vec<InventoryRow> {
         row(
             &crate::server::server(),
             crate::server::SERVER_LIBRARY,
-            "{ServerTransform, server library}",
+            "{server_transform, server library}",
         ),
-        row(&crate::rand_map::rand_map(), "", "{RandTransform, empty}"),
+        row(&crate::rand_map::rand_map(), "", "{rand_transform, empty}"),
         row(
             &crate::supervisor::supervise(),
             crate::supervisor::SUPERVISE_LIBRARY,
-            "{SuperviseTransform, supervision library}",
+            "{supervise_transform, supervision library}",
         ),
         row(
             &crate::tree::tree1(),
@@ -93,7 +93,7 @@ pub fn inventory() -> Vec<InventoryRow> {
                 .expect("sched library parses")
                 .rule_count(),
             library_lines: count_lines(crate::task_sched::TASK_SCHED_LIBRARY),
-            construction: "Server o {SchedTransform, manager library}",
+            construction: "Server o {sched_transform, manager library}",
         },
         InventoryRow {
             motif: "DivideAndConquer".into(),

@@ -6,18 +6,23 @@
 //! supporting reuse *as-is*, *by modification*, and *by composition*
 //! (`M = M2 ∘ M1`).
 //!
+//! A motif's transformation is a function: each `T` below is a plain
+//! `fn(&Program) -> Result<Program, TransformError>` (or a closure over a
+//! list of entry points), and [`Motif::compose`] composes them as
+//! functions.
+//!
 //! The motif suite:
 //!
 //! | motif | paper section | construction |
 //! |---|---|---|
-//! | [`server::server`] | §3.2 | `{ServerTransform, Figure-3 library}` |
-//! | [`rand_map::rand_map`] | §3.3 | `{RandTransform, ∅}` |
+//! | [`server::server`] | §3.2 | `{server_transform, Figure-3 library}` |
+//! | [`rand_map::rand_map`] | §3.3 | `{rand_transform, ∅}` |
 //! | [`rand_map::random`] | §3.3 | `Server ∘ Rand` |
 //! | [`tree::tree1`] | §3.4 | `{identity, 5-line library}` |
 //! | [`tree::tree_reduce_1`] | §3.4 | `Server ∘ Rand ∘ Tree1` |
 //! | [`tree::tree_reduce_1_halting`] | §3.3 | `Server ∘ Rand ∘ Circuit ∘ Tree1` |
 //! | [`tree::tree_reduce_2`] | §3.5 | `Server ∘ TreeReduce2Core` |
-//! | [`supervisor::supervise`] | robustness | `{SuperviseTransform, supervision library}` |
+//! | [`supervisor::supervise`] | robustness | `{supervise_transform, supervision library}` |
 //! | [`supervisor::supervised_random`] | robustness | `Supervise ∘ Server ∘ Rand` |
 //! | [`scheduler::scheduler`] | §1, \[6\] | manager/worker task farm |
 //! | [`scheduler::scheduler_hierarchical`] | §1 | reuse-by-modification: two-level farm |
@@ -45,14 +50,10 @@ pub mod task_sched;
 pub mod tree;
 
 pub use motif::Motif;
-pub use rand_map::{rand_map, rand_map_with_entries, random, random_with_entries, RandTransform};
-pub use server::{server, ServerTransform, SERVER_LIBRARY};
-pub use supervisor::{
-    supervise, supervised_random, supervised_server, SuperviseTransform, SUPERVISE_LIBRARY,
-};
-pub use task_sched::{
-    boot_goal, task_scheduler, task_scheduler_with_entries, SchedTransform, TASK_SCHED_LIBRARY,
-};
+pub use rand_map::{rand_map, rand_map_with_entries, random, random_with_entries};
+pub use server::{server, SERVER_LIBRARY};
+pub use supervisor::{supervise, supervised_random, supervised_server, SUPERVISE_LIBRARY};
+pub use task_sched::{boot_goal, task_scheduler, task_scheduler_with_entries, TASK_SCHED_LIBRARY};
 pub use tree::{
     balanced_tree_src, random_tree_src, sequential_reduce, tree1, tree_reduce_1,
     tree_reduce_1_halting, tree_reduce_2, ARITH_EVAL, TREE1_LIBRARY, TREE2_LIBRARY,

@@ -2,11 +2,15 @@
 
 use std::sync::Arc;
 use strand_parse::{parse_program, Program};
-use transform::{FnTransform, Identity, TransformError, Transformation};
+use transform::TransformError;
+
+/// A motif's transformation `T`: a function from programs to programs.
+type Transform = dyn Fn(&Program) -> Result<Program, TransformError> + Send + Sync;
 
 /// An algorithmic motif: a source-to-source transformation paired with a
 /// library program.
 ///
+/// The transformation `T` is a function from programs to programs.
 /// Application is the paper's two-stage process: *"First, the
 /// transformation is applied, yielding a modified application program.
 /// Second, the library code is linked with the modified application"* —
@@ -17,7 +21,7 @@ use transform::{FnTransform, Identity, TransformError, Transformation};
 #[derive(Clone)]
 pub struct Motif {
     name: String,
-    transformation: Arc<dyn Transformation>,
+    transformation: Arc<Transform>,
     library: Program,
 }
 
@@ -25,7 +29,7 @@ impl Motif {
     /// Build a motif from a transformation and a library program.
     pub fn new(
         name: impl Into<String>,
-        transformation: impl Transformation + 'static,
+        transformation: impl Fn(&Program) -> Result<Program, TransformError> + Send + Sync + 'static,
         library: Program,
     ) -> Motif {
         Motif {
@@ -40,14 +44,14 @@ impl Motif {
     pub fn library_only(name: impl Into<String>, library_src: &str) -> Motif {
         let library = parse_program(library_src)
             .unwrap_or_else(|e| panic!("motif library source does not parse: {e}"));
-        Motif::new(name, Identity, library)
+        Motif::new(name, |p| Ok(p.clone()), library)
     }
 
     /// A transformation-only motif (empty library), like the paper's
     /// `Rand` (§3.3).
     pub fn transform_only(
         name: impl Into<String>,
-        transformation: impl Transformation + 'static,
+        transformation: impl Fn(&Program) -> Result<Program, TransformError> + Send + Sync + 'static,
     ) -> Motif {
         Motif::new(name, transformation, Program::new())
     }
@@ -55,11 +59,6 @@ impl Motif {
     /// The motif's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The motif's library program.
-    pub fn library(&self) -> &Program {
-        &self.library
     }
 
     /// Number of rules in the library (the paper's informal code-size
@@ -70,8 +69,7 @@ impl Motif {
 
     /// Apply the motif to an application program: `T(A) ∪ L`.
     pub fn apply(&self, application: &Program) -> Result<Program, TransformError> {
-        let transformed = self.transformation.apply(application)?;
-        Ok(transformed.union(&self.library))
+        Ok((self.transformation)(application)?.union(&self.library))
     }
 
     /// Apply to application source text.
@@ -87,29 +85,13 @@ impl Motif {
     /// and `L = L_self`, so composition chains associatively exactly as in
     /// the paper's `Tree-Reduce-1 = Server ∘ Rand ∘ Tree1`.
     pub fn compose(&self, inner: &Motif) -> Motif {
-        let name = format!("{} o {}", self.name, inner.name);
-        let inner_cl = inner.clone();
-        let outer_t = Arc::clone(&self.transformation);
-        let t = FnTransform::new(name.clone(), move |a: &Program| {
-            let staged = inner_cl.apply(a)?;
-            outer_t.apply(&staged)
-        });
-        Motif {
-            name,
-            transformation: Arc::new(t),
-            library: self.library.clone(),
-        }
-    }
-
-    /// Apply the motif and return the *intermediate* program too (the
-    /// stages shown in the paper's Figure 5): `(T(A), T(A) ∪ L)`.
-    pub fn apply_staged(
-        &self,
-        application: &Program,
-    ) -> Result<(Program, Program), TransformError> {
-        let transformed = self.transformation.apply(application)?;
-        let linked = transformed.union(&self.library);
-        Ok((transformed, linked))
+        let inner = inner.clone();
+        let outer = Arc::clone(&self.transformation);
+        Motif::new(
+            format!("{} o {}", self.name, inner.name),
+            move |a| outer(&inner.apply(a)?),
+            self.library.clone(),
+        )
     }
 }
 
@@ -141,7 +123,7 @@ mod tests {
     #[test]
     fn apply_is_t_then_union() {
         // A transformation that renames f→g, plus a library defining h.
-        let t = FnTransform::new("ren", |p: &Program| {
+        let t = |p: &Program| {
             let mut out = Program::new();
             for r in p.rules() {
                 let mut r = r.clone();
@@ -153,7 +135,7 @@ mod tests {
                 out.push_rule(r);
             }
             Ok(out)
-        });
+        };
         let lib = parse_program("h(1).").unwrap();
         let m = Motif::new("m", t, lib);
         let out = m.apply_src("f(X).").unwrap();
@@ -173,14 +155,5 @@ mod tests {
         let rhs = m2.apply(&m1.apply(&a).unwrap()).unwrap();
         assert_eq!(pretty(&lhs), pretty(&rhs));
         assert_eq!(composed.name(), "m2 o m1");
-    }
-
-    #[test]
-    fn staged_application_exposes_intermediate() {
-        let m = Motif::library_only("lib", "aux(0).");
-        let a = parse_program("app(X).").unwrap();
-        let (t_a, linked) = m.apply_staged(&a).unwrap();
-        assert!(t_a.get("aux", 1).is_none());
-        assert!(linked.get("aux", 1).is_some());
     }
 }

@@ -6,8 +6,8 @@
 //!    `nodes(N), rand_num(N, R), send(R, P)` — the process is shipped, as a
 //!    message, to a randomly selected server;
 //! 2. a `server/1` definition is synthesized with a dispatch rule per
-//!    shipped process type (plus entry points registered with
-//!    [`RandTransform::with_entry`]) and a rule for the `halt` message.
+//!    shipped process type (plus entry points passed to
+//!    [`rand_map_with_entries`]) and a rule for the `halt` message.
 //!
 //! `Random = Server ∘ Rand` is the composed random process mapping motif.
 
@@ -17,95 +17,69 @@ use std::collections::BTreeSet;
 use strand_parse::{Annotation, Ast, Call, Program};
 use transform::callgraph::Key;
 use transform::rewrite::{replace_calls, synthesize_dispatch_rules};
-use transform::{TransformError, Transformation};
+use transform::TransformError;
 
-/// The Rand transformation.
-#[derive(Clone, Debug, Default)]
-pub struct RandTransform {
-    /// Extra process types to dispatch (the paper's *"rules for the process
-    /// used to initiate execution of the application"*): types that arrive
-    /// as messages without appearing under `@random` in the program.
-    extra_entries: Vec<Key>,
-}
-
-impl RandTransform {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Also synthesize a dispatch rule for `name/arity`.
-    pub fn with_entry(mut self, name: &str, arity: usize) -> Self {
-        self.extra_entries.push((name.to_string(), arity));
-        self
-    }
-}
-
-impl Transformation for RandTransform {
-    fn name(&self) -> &str {
-        "Rand"
-    }
-
-    fn apply(&self, program: &Program) -> Result<Program, TransformError> {
-        // Collect the process types annotated @random.
-        let mut types: BTreeSet<Key> = self.extra_entries.iter().cloned().collect();
-        for rule in program.rules() {
-            for call in &rule.body {
-                if call.annotation == Some(Annotation::Random) {
-                    if let Some((n, a)) = call.goal.functor() {
-                        types.insert((n.to_string(), a));
-                    } else {
-                        return Err(TransformError::new(
-                            "Rand",
-                            format!("@random on a non-callable term: {}", call.goal),
-                        ));
-                    }
+/// The Rand transformation. `entries` are extra process types to
+/// dispatch (the paper's *"rules for the process used to initiate
+/// execution of the application"*): types that arrive as messages without
+/// appearing under `@random` in the program.
+fn rand_transform(entries: &[Key], program: &Program) -> Result<Program, TransformError> {
+    // Collect the process types annotated @random.
+    let mut types: BTreeSet<Key> = entries.iter().cloned().collect();
+    for rule in program.rules() {
+        for call in &rule.body {
+            if call.annotation == Some(Annotation::Random) {
+                if let Some((n, a)) = call.goal.functor() {
+                    types.insert((n.to_string(), a));
+                } else {
+                    return Err(TransformError::new(
+                        "Rand",
+                        format!("@random on a non-callable term: {}", call.goal),
+                    ));
                 }
             }
         }
-        // An application that writes its own server/1 can still pass
-        // through Rand (the stage is then the identity, which keeps
-        // compositions like Supervise ∘ Server ∘ Rand applicable to both
-        // styles) — but it cannot also ask Rand to synthesize one.
-        if !types.is_empty() && program.get("server", 1).is_some() {
-            return Err(TransformError::new(
-                "Rand",
-                "application already defines server/1; Rand synthesizes it",
-            ));
-        }
-        // Step 1: replace P@random with nodes/rand_num/send.
-        let mut out = replace_calls(program, &|call: &Call, fresh| {
-            if call.annotation != Some(Annotation::Random) {
-                return None;
-            }
-            let n = Ast::var(fresh.fresh("N"));
-            let r = Ast::var(fresh.fresh("R"));
-            Some(vec![
-                Call::new(Ast::tuple("nodes", vec![n.clone()])),
-                Call::new(Ast::tuple("rand_num", vec![n, r.clone()])),
-                Call::new(Ast::tuple("send", vec![r, call.goal.clone()])),
-            ])
-        });
-        // Step 2: synthesize server/1.
-        let types: Vec<Key> = types.into_iter().collect();
-        for rule in synthesize_dispatch_rules(&types) {
-            out.push_rule(rule);
-        }
-        Ok(out)
     }
+    // An application that writes its own server/1 can still pass
+    // through Rand (the stage is then the identity, which keeps
+    // compositions like Supervise ∘ Server ∘ Rand applicable to both
+    // styles) — but it cannot also ask Rand to synthesize one.
+    if !types.is_empty() && program.get("server", 1).is_some() {
+        return Err(TransformError::new(
+            "Rand",
+            "application already defines server/1; Rand synthesizes it",
+        ));
+    }
+    // Step 1: replace P@random with nodes/rand_num/send.
+    let mut out = replace_calls(program, &|call: &Call, fresh| {
+        if call.annotation != Some(Annotation::Random) {
+            return None;
+        }
+        let n = Ast::var(fresh.fresh("N"));
+        let r = Ast::var(fresh.fresh("R"));
+        Some(vec![
+            Call::new(Ast::tuple("nodes", vec![n.clone()])),
+            Call::new(Ast::tuple("rand_num", vec![n, r.clone()])),
+            Call::new(Ast::tuple("send", vec![r, call.goal.clone()])),
+        ])
+    });
+    // Step 2: synthesize server/1.
+    let types: Vec<Key> = types.into_iter().collect();
+    for rule in synthesize_dispatch_rules(&types) {
+        out.push_rule(rule);
+    }
+    Ok(out)
 }
 
 /// The Rand motif: transformation only, empty library.
 pub fn rand_map() -> Motif {
-    Motif::transform_only("Rand", RandTransform::new())
+    rand_map_with_entries(&[])
 }
 
 /// Rand with extra dispatchable entry points.
 pub fn rand_map_with_entries(entries: &[(&str, usize)]) -> Motif {
-    let mut t = RandTransform::new();
-    for (n, a) in entries {
-        t = t.with_entry(n, *a);
-    }
-    Motif::transform_only("Rand", t)
+    let entries: Vec<Key> = entries.iter().map(|&(n, a)| (n.to_string(), a)).collect();
+    Motif::transform_only("Rand", move |p| rand_transform(&entries, p))
 }
 
 /// The Random motif: `Server ∘ Rand` (§3.3).
@@ -135,9 +109,7 @@ mod tests {
 
     #[test]
     fn pragma_becomes_nodes_rand_send() {
-        let out = RandTransform::new()
-            .apply(&parse_program(APP).unwrap())
-            .unwrap();
+        let out = rand_transform(&[], &parse_program(APP).unwrap()).unwrap();
         let s = pretty(&out);
         assert!(s.contains("nodes(N3)"), "{s}");
         assert!(s.contains("rand_num(N3, R)"), "{s}");
@@ -182,28 +154,22 @@ mod tests {
     #[test]
     fn rejects_programs_that_define_server() {
         let src = "server([x|_]). f(X) :- g(X)@random. g(_).";
-        let e = RandTransform::new()
-            .apply(&parse_program(src).unwrap())
-            .unwrap_err();
+        let e = rand_transform(&[], &parse_program(src).unwrap()).unwrap_err();
         assert!(e.message.contains("server/1"));
     }
 
     #[test]
     fn extra_entries_get_dispatch_rules() {
         let src = "noop(_).";
-        let out = RandTransform::new()
-            .with_entry("boot", 2)
-            .apply(&parse_program(src).unwrap())
-            .unwrap();
+        let entries = [("boot".to_string(), 2)];
+        let out = rand_transform(&entries, &parse_program(src).unwrap()).unwrap();
         let s = pretty(&out);
         assert!(s.contains("server([boot(V1, V2)|In]) :-"), "{s}");
     }
 
     #[test]
     fn unannotated_programs_pass_through_with_halt_server() {
-        let out = RandTransform::new()
-            .apply(&parse_program("f(1).").unwrap())
-            .unwrap();
+        let out = rand_transform(&[], &parse_program("f(1).").unwrap()).unwrap();
         let s = pretty(&out);
         assert!(s.contains("server([halt|_])."), "{s}");
         assert!(out.get("f", 1).is_some());

@@ -23,7 +23,7 @@ use crate::motif::Motif;
 use std::collections::BTreeSet;
 use transform::callgraph::{CallGraph, Key};
 use transform::rewrite::{thread_argument, FreshVars};
-use transform::{TransformError, Transformation};
+use transform::TransformError;
 
 use strand_parse::{Ast, Call, Program};
 
@@ -62,9 +62,6 @@ bcast(J, DT) :- J > 0 |
     bcast(J1, DT).
 "#;
 
-/// The Server transformation (§3.2, steps 1–4).
-pub struct ServerTransform;
-
 const NAME: &str = "Server";
 
 fn prim_keys() -> Vec<Key> {
@@ -76,39 +73,34 @@ fn prim_keys() -> Vec<Key> {
     ]
 }
 
-impl Transformation for ServerTransform {
-    fn name(&self) -> &str {
-        NAME
+/// The Server transformation (§3.2, steps 1–4).
+fn server_transform(program: &Program) -> Result<Program, TransformError> {
+    if program.get("server", 1).is_none() {
+        return Err(TransformError::new(
+            NAME,
+            "application must define server/1 (a rule per message type \
+             handled, plus a rule for the halt message)",
+        ));
     }
-
-    fn apply(&self, program: &Program) -> Result<Program, TransformError> {
-        if program.get("server", 1).is_none() {
-            return Err(TransformError::new(
-                NAME,
-                "application must define server/1 (a rule per message type \
-                 handled, plus a rule for the halt message)",
-            ));
-        }
-        // Step 1: the procedures needing the DT argument are those that can
-        // reach a server operation, plus server/1 itself.
-        let graph = CallGraph::build(program);
-        let mut targets: BTreeSet<Key> = graph.ancestors_of(&prim_keys());
-        targets.insert(("server".to_string(), 1));
-        // Steps 2-4: rewrite operations while threading DT.
-        let (out, violations) = thread_argument(program, &targets, "DT", &rewrite_op);
-        if !violations.is_empty() {
-            let names: Vec<String> = violations.iter().map(|(n, a)| format!("{n}/{a}")).collect();
-            return Err(TransformError::new(
-                NAME,
-                format!(
-                    "procedures {} use server operations but are called from \
-                     outside the threaded call graph",
-                    names.join(", ")
-                ),
-            ));
-        }
-        Ok(out)
+    // Step 1: the procedures needing the DT argument are those that can
+    // reach a server operation, plus server/1 itself.
+    let graph = CallGraph::build(program);
+    let mut targets: BTreeSet<Key> = graph.ancestors_of(&prim_keys());
+    targets.insert(("server".to_string(), 1));
+    // Steps 2-4: rewrite operations while threading DT.
+    let (out, violations) = thread_argument(program, &targets, "DT", &rewrite_op);
+    if !violations.is_empty() {
+        let names: Vec<String> = violations.iter().map(|(n, a)| format!("{n}/{a}")).collect();
+        return Err(TransformError::new(
+            NAME,
+            format!(
+                "procedures {} use server operations but are called from \
+                 outside the threaded call graph",
+                names.join(", ")
+            ),
+        ));
     }
+    Ok(out)
 }
 
 /// Rewrite one server-operation call against the threaded `DT` variable.
@@ -144,10 +136,10 @@ fn rewrite_op(call: &Call, dt: &Ast, _fresh: &mut FreshVars) -> Option<Vec<Call>
     }
 }
 
-/// The Server motif: `{ServerTransform, SERVER_LIBRARY}`.
+/// The Server motif: `{server_transform, SERVER_LIBRARY}`.
 pub fn server() -> Motif {
     let library = strand_parse::parse_program(SERVER_LIBRARY).expect("server library parses");
-    Motif::new(NAME, ServerTransform, library)
+    Motif::new(NAME, server_transform, library)
 }
 
 #[cfg(test)]
@@ -168,9 +160,7 @@ mod tests {
 
     #[test]
     fn transformation_threads_dt_and_rewrites_ops() {
-        let out = ServerTransform
-            .apply(&strand_parse::parse_program(RING).unwrap())
-            .unwrap();
+        let out = server_transform(&strand_parse::parse_program(RING).unwrap()).unwrap();
         let s = pretty(&out);
         assert!(s.contains("server([token(K)|In], DT)"), "{s}");
         assert!(s.contains("server(In, DT)"), "{s}");

@@ -32,7 +32,7 @@
 use crate::motif::Motif;
 use crate::server::server;
 use transform::rewrite::replace_calls;
-use transform::{TransformError, Transformation};
+use transform::TransformError;
 
 use strand_parse::{Ast, Call, Program};
 
@@ -190,55 +190,47 @@ mwait(Beats, timeout, _, Wire, DT, Stop) :- unknown(Beats), unknown(Stop) |
     deliver(Wire, DT, Stop).
 "#;
 
-/// The Supervise transformation.
-pub struct SuperviseTransform;
-
 const NAME: &str = "Supervise";
 
-impl Transformation for SuperviseTransform {
-    fn name(&self) -> &str {
-        NAME
+/// The Supervise transformation.
+fn supervise_transform(program: &Program) -> Result<Program, TransformError> {
+    // The input must be Server-staged: threaded server/2 plus the
+    // server library. Compose as `supervise().compose(&server())`.
+    if program.get("server", 2).is_none() || program.get("server_init", 2).is_none() {
+        return Err(TransformError::new(
+            NAME,
+            "Supervise applies to a Server-staged program; compose it \
+             outside the Server motif (Supervise o Server)",
+        ));
     }
-
-    fn apply(&self, program: &Program) -> Result<Program, TransformError> {
-        // The input must be Server-staged: threaded server/2 plus the
-        // server library. Compose as `supervise().compose(&server())`.
-        if program.get("server", 2).is_none() || program.get("server_init", 2).is_none() {
-            return Err(TransformError::new(
-                NAME,
-                "Supervise applies to a Server-staged program; compose it \
-                 outside the Server motif (Supervise o Server)",
-            ));
+    // Replace the unsupervised bootstrap with the library's versions.
+    let mut kept = Program::new();
+    for rule in program.rules() {
+        match rule.key() {
+            (ref n, 2) if n == "server_init" || n == "spawn_servers" => {}
+            _ => kept.push_rule(rule.clone()),
         }
-        // Replace the unsupervised bootstrap with the library's versions.
-        let mut kept = Program::new();
-        for rule in program.rules() {
-            match rule.key() {
-                (ref n, 2) if n == "server_init" || n == "spawn_servers" => {}
-                _ => kept.push_rule(rule.clone()),
-            }
-        }
-        // Every send — the application's and the server library's alike —
-        // becomes reliable. The motif's own library is linked afterwards,
-        // untransformed, so rsend's internal distribute stays low-level
-        // (exactly the paper's M(A) = T(A) ∪ L staging).
-        Ok(replace_calls(&kept, &|call: &Call, _fresh| {
-            let (name, arity) = call.goal.functor()?;
-            if name != "distribute" || !(arity == 3 || arity == 4) {
-                return None;
-            }
-            Some(vec![Call::new(Ast::tuple(
-                "rsend",
-                call.goal.args().to_vec(),
-            ))])
-        }))
     }
+    // Every send — the application's and the server library's alike —
+    // becomes reliable. The motif's own library is linked afterwards,
+    // untransformed, so rsend's internal distribute stays low-level
+    // (exactly the paper's M(A) = T(A) ∪ L staging).
+    Ok(replace_calls(&kept, &|call: &Call, _fresh| {
+        let (name, arity) = call.goal.functor()?;
+        if name != "distribute" || !(arity == 3 || arity == 4) {
+            return None;
+        }
+        Some(vec![Call::new(Ast::tuple(
+            "rsend",
+            call.goal.args().to_vec(),
+        ))])
+    }))
 }
 
-/// The Supervise motif: `{SuperviseTransform, supervision library}`.
+/// The Supervise motif: `{supervise_transform, supervision library}`.
 pub fn supervise() -> Motif {
     let library = strand_parse::parse_program(SUPERVISE_LIBRARY).expect("supervise library parses");
-    Motif::new(NAME, SuperviseTransform, library)
+    Motif::new(NAME, supervise_transform, library)
 }
 
 /// The supervised server motif: `Supervise ∘ Server`.
@@ -271,7 +263,7 @@ mod tests {
     #[test]
     fn transformation_rewrites_sends_and_bootstrap() {
         let staged = server().apply_src(RING).unwrap();
-        let out = SuperviseTransform.apply(&staged).unwrap();
+        let out = supervise_transform(&staged).unwrap();
         let s = pretty(&out);
         assert!(s.contains("rsend(K1, DT, token(K1))"), "{s}");
         assert!(!s.contains("distribute("), "all sends reliable: {s}");
@@ -386,17 +378,10 @@ mod tests {
 
     #[test]
     fn duplicate_envelopes_are_suppressed() {
-        // Duplicate every delivery on the 2→3 edge: the token(3) envelope
-        // arrives twice with the same sequence number, and the dedup list
-        // must keep server 3 from running it twice.
-        let plan = FaultPlan::default().edge(
-            2,
-            3,
-            strand_machine::EdgeFaults {
-                dup_prob: 1.0,
-                ..Default::default()
-            },
-        );
+        // Duplicate every cross-node delivery: each envelope arrives twice
+        // with the same sequence number, and the dedup list must keep each
+        // server from running a token twice.
+        let plan = FaultPlan::default().dup_prob(1.0);
         let p = supervised_server().apply_src(RING).unwrap();
         let r = run_parsed_goal(
             &p,

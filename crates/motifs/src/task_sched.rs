@@ -37,7 +37,7 @@ use std::collections::BTreeSet;
 use strand_parse::{Annotation, Ast, Call, Program, Rule};
 use transform::callgraph::Key;
 use transform::rewrite::{replace_calls, thread_circuit};
-use transform::{TransformError, Transformation};
+use transform::TransformError;
 
 /// The scheduler library: manager on server 1, demand-driven dispatch.
 pub const TASK_SCHED_LIBRARY: &str = r#"
@@ -89,150 +89,124 @@ watch_root(D) :- data(D) | halt.
 const NAME: &str = "Sched";
 
 /// The Sched transformation: circuit threading + `@task` expansion +
-/// dispatch-rule synthesis.
-#[derive(Clone, Debug, Default)]
-pub struct SchedTransform {
-    /// Extra types to synthesize dispatch rules for (entry points booted
-    /// via `boot/3` without appearing under `@task`).
-    extra_entries: Vec<Key>,
-}
-
-impl SchedTransform {
-    pub fn new() -> Self {
-        Self::default()
+/// dispatch-rule synthesis. `entries` are extra types to synthesize
+/// dispatch rules for (entry points booted via `boot/3` without appearing
+/// under `@task`), by pre-threading name/arity.
+fn sched_transform(entries: &[Key], program: &Program) -> Result<Program, TransformError> {
+    if program.get("server", 1).is_some() || program.get("sched", 1).is_some() {
+        return Err(TransformError::new(
+            NAME,
+            "application must not define server/1 or sched/1; Sched synthesizes them",
+        ));
     }
-
-    /// Register an entry-point task type (pre-threading name/arity).
-    pub fn with_entry(mut self, name: &str, arity: usize) -> Self {
-        self.extra_entries.push((name.to_string(), arity));
-        self
-    }
-}
-
-impl Transformation for SchedTransform {
-    fn name(&self) -> &str {
-        NAME
-    }
-
-    fn apply(&self, program: &Program) -> Result<Program, TransformError> {
-        if program.get("server", 1).is_some() || program.get("sched", 1).is_some() {
-            return Err(TransformError::new(
-                NAME,
-                "application must not define server/1 or sched/1; Sched synthesizes them",
-            ));
-        }
-        // Task types, pre-threading arity.
-        let mut task_types: BTreeSet<Key> = self.extra_entries.iter().cloned().collect();
-        for rule in program.rules() {
-            for call in &rule.body {
-                if call.annotation == Some(Annotation::Task) {
-                    match call.goal.functor() {
-                        Some((n, a)) => {
-                            task_types.insert((n.to_string(), a));
-                        }
-                        None => {
-                            return Err(TransformError::new(
-                                NAME,
-                                format!("@task on a non-callable term: {}", call.goal),
-                            ))
-                        }
+    // Task types, pre-threading arity.
+    let mut task_types: BTreeSet<Key> = entries.iter().cloned().collect();
+    for rule in program.rules() {
+        for call in &rule.body {
+            if call.annotation == Some(Annotation::Task) {
+                match call.goal.functor() {
+                    Some((n, a)) => {
+                        task_types.insert((n.to_string(), a));
+                    }
+                    None => {
+                        return Err(TransformError::new(
+                            NAME,
+                            format!("@task on a non-callable term: {}", call.goal),
+                        ))
                     }
                 }
             }
         }
-        if task_types.is_empty() {
-            return Err(TransformError::new(
-                NAME,
-                "no @task pragma or registered entry found; nothing to schedule",
-            ));
-        }
-        // Thread the circuits through every user procedure, so untracked
-        // helper calls cannot be left behind by the completion signals and
-        // calls into task types from anywhere stay arity-consistent.
-        // Pass 1 appends the GLOBAL circuit (termination; waits on nested
-        // tasks); pass 2 appends the LOCAL circuit (worker availability;
-        // closes at the submit site).
-        let targets: BTreeSet<Key> = program.defined_keys().into_iter().collect();
-        let threaded_global = thread_circuit(program, &targets);
-        let targets2: BTreeSet<Key> = targets.iter().map(|(n, a)| (n.clone(), a + 2)).collect();
-        let threaded = thread_circuit(&threaded_global, &targets2);
-
-        // Expand `Goal@task`: goals now carry [core..., Lg, Rg, Ll, Rl].
-        let expanded = replace_calls(&threaded, &|call: &Call, fresh| {
-            if call.annotation != Some(Annotation::Task) {
-                return None;
-            }
-            let (name, arity) = call.goal.functor().expect("validated above");
-            debug_assert!(arity >= 4, "threaded task goals carry two circuits");
-            let args = call.goal.args();
-            let (core, circuits) = args.split_at(arity - 4);
-            let (lg, rg) = (circuits[0].clone(), circuits[1].clone());
-            let (ll, rl) = (circuits[2].clone(), circuits[3].clone());
-            let dg = Ast::var(fresh.fresh("Dg"));
-            let dl = Ast::var(fresh.fresh("Dl"));
-            let mut private_args = core.to_vec();
-            private_args.push(dg.clone());
-            private_args.push(Ast::atom("done"));
-            private_args.push(dl.clone());
-            private_args.push(Ast::atom("done"));
-            Some(vec![
-                // Ship the task with private circuits; the manager tracks
-                // the local one for worker availability.
-                Call::new(Ast::tuple(
-                    "send",
-                    vec![
-                        Ast::Int(1),
-                        Ast::tuple("submit", vec![Ast::tuple(name, private_args), dl]),
-                    ],
-                )),
-                // Parent's global circuit waits for the nested task...
-                Call::new(Ast::tuple("link", vec![dg, lg, rg])),
-                // ...but its local circuit closes at the submit itself.
-                Call::new(Ast::tuple("=", vec![ll, rl])),
-            ])
-        });
-
-        // Synthesize dispatch rules: one per task type (threaded arity).
-        let mut out = expanded;
-        for (name, arity) in &task_types {
-            let n = arity + 4; // two circuits
-            let vars: Vec<Ast> = (1..=n).map(|i| Ast::var(format!("V{i}"))).collect();
-            let msg = Ast::tuple(
-                "run",
-                vec![
-                    Ast::tuple(name.clone(), vars.clone()),
-                    Ast::var("D"),
-                    Ast::var("W"),
-                ],
-            );
-            out.push_rule(Rule {
-                head: Ast::tuple("sched", vec![Ast::cons(msg, Ast::var("In"))]),
-                guards: vec![],
-                body: vec![
-                    Call::new(Ast::tuple(name.clone(), vars)),
-                    Call::new(Ast::tuple("notify", vec![Ast::var("D"), Ast::var("W")])),
-                    Call::new(Ast::tuple("sched", vec![Ast::var("In")])),
-                ],
-            });
-        }
-        Ok(out)
     }
+    if task_types.is_empty() {
+        return Err(TransformError::new(
+            NAME,
+            "no @task pragma or registered entry found; nothing to schedule",
+        ));
+    }
+    // Thread the circuits through every user procedure, so untracked
+    // helper calls cannot be left behind by the completion signals and
+    // calls into task types from anywhere stay arity-consistent.
+    // Pass 1 appends the GLOBAL circuit (termination; waits on nested
+    // tasks); pass 2 appends the LOCAL circuit (worker availability;
+    // closes at the submit site).
+    let targets: BTreeSet<Key> = program.defined_keys().into_iter().collect();
+    let threaded_global = thread_circuit(program, &targets);
+    let targets2: BTreeSet<Key> = targets.iter().map(|(n, a)| (n.clone(), a + 2)).collect();
+    let threaded = thread_circuit(&threaded_global, &targets2);
+
+    // Expand `Goal@task`: goals now carry [core..., Lg, Rg, Ll, Rl].
+    let expanded = replace_calls(&threaded, &|call: &Call, fresh| {
+        if call.annotation != Some(Annotation::Task) {
+            return None;
+        }
+        let (name, arity) = call.goal.functor().expect("validated above");
+        debug_assert!(arity >= 4, "threaded task goals carry two circuits");
+        let args = call.goal.args();
+        let (core, circuits) = args.split_at(arity - 4);
+        let (lg, rg) = (circuits[0].clone(), circuits[1].clone());
+        let (ll, rl) = (circuits[2].clone(), circuits[3].clone());
+        let dg = Ast::var(fresh.fresh("Dg"));
+        let dl = Ast::var(fresh.fresh("Dl"));
+        let mut private_args = core.to_vec();
+        private_args.push(dg.clone());
+        private_args.push(Ast::atom("done"));
+        private_args.push(dl.clone());
+        private_args.push(Ast::atom("done"));
+        Some(vec![
+            // Ship the task with private circuits; the manager tracks
+            // the local one for worker availability.
+            Call::new(Ast::tuple(
+                "send",
+                vec![
+                    Ast::Int(1),
+                    Ast::tuple("submit", vec![Ast::tuple(name, private_args), dl]),
+                ],
+            )),
+            // Parent's global circuit waits for the nested task...
+            Call::new(Ast::tuple("link", vec![dg, lg, rg])),
+            // ...but its local circuit closes at the submit itself.
+            Call::new(Ast::tuple("=", vec![ll, rl])),
+        ])
+    });
+
+    // Synthesize dispatch rules: one per task type (threaded arity).
+    let mut out = expanded;
+    for (name, arity) in &task_types {
+        let n = arity + 4; // two circuits
+        let vars: Vec<Ast> = (1..=n).map(|i| Ast::var(format!("V{i}"))).collect();
+        let msg = Ast::tuple(
+            "run",
+            vec![
+                Ast::tuple(name.clone(), vars.clone()),
+                Ast::var("D"),
+                Ast::var("W"),
+            ],
+        );
+        out.push_rule(Rule {
+            head: Ast::tuple("sched", vec![Ast::cons(msg, Ast::var("In"))]),
+            guards: vec![],
+            body: vec![
+                Call::new(Ast::tuple(name.clone(), vars)),
+                Call::new(Ast::tuple("notify", vec![Ast::var("D"), Ast::var("W")])),
+                Call::new(Ast::tuple("sched", vec![Ast::var("In")])),
+            ],
+        });
+    }
+    Ok(out)
 }
 
-/// The task-scheduler motif: `Server ∘ {SchedTransform, library}`.
+/// The task-scheduler motif: `Server ∘ {sched_transform, library}`.
 pub fn task_scheduler() -> Motif {
     task_scheduler_with_entries(&[])
 }
 
 /// Task scheduler with extra boot-able entry types.
 pub fn task_scheduler_with_entries(entries: &[(&str, usize)]) -> Motif {
-    let mut t = SchedTransform::new();
-    for (n, a) in entries {
-        t = t.with_entry(n, *a);
-    }
+    let entries: Vec<Key> = entries.iter().map(|&(n, a)| (n.to_string(), a)).collect();
     let core = Motif::new(
         "SchedCore",
-        t,
+        move |p| sched_transform(&entries, p),
         strand_parse::parse_program(TASK_SCHED_LIBRARY).expect("sched library parses"),
     );
     server().compose(&core)
@@ -274,7 +248,7 @@ mod tests {
     #[test]
     fn transformation_expands_the_pragma() {
         let p = strand_parse::parse_program(FIB_APP).unwrap();
-        let out = SchedTransform::new().apply(&p).unwrap();
+        let out = sched_transform(&[], &p).unwrap();
         let s = pretty(&out);
         assert!(!s.contains("@task"), "{s}");
         assert!(
@@ -337,18 +311,14 @@ mod tests {
 
     #[test]
     fn rejects_programs_without_tasks() {
-        let e = SchedTransform::new()
-            .apply(&strand_parse::parse_program("f(1).").unwrap())
-            .unwrap_err();
+        let e = sched_transform(&[], &strand_parse::parse_program("f(1).").unwrap()).unwrap_err();
         assert!(e.message.contains("@task"));
     }
 
     #[test]
     fn rejects_reserved_server_definitions() {
         let src = "server([x|_]). f(X) :- g(X)@task. g(_).";
-        let e = SchedTransform::new()
-            .apply(&strand_parse::parse_program(src).unwrap())
-            .unwrap_err();
+        let e = sched_transform(&[], &strand_parse::parse_program(src).unwrap()).unwrap_err();
         assert!(e.message.contains("server/1"));
     }
 

@@ -22,10 +22,9 @@ use crate::motif::Motif;
 use crate::rand_map::rand_map_with_entries;
 use crate::server::server;
 use std::collections::BTreeSet;
-use strand_parse::{parse_program, Program};
+use strand_parse::parse_program;
 use transform::callgraph::Key;
 use transform::rewrite::thread_circuit;
-use transform::{FnTransform, Identity};
 
 /// The paper's Tree1 library, verbatim (§3.4): five lines of code.
 pub const TREE1_LIBRARY: &str = r#"
@@ -66,11 +65,10 @@ begin_reduce(Tree, Value) :-
 watch(done) :- halt.
 "#;
     let entry_prog = parse_program(entry).expect("entry parses");
-    let circuit = FnTransform::new("Circuit(reduce/2)", move |p: &Program| {
+    let circuit_motif = Motif::transform_only("Circuit", move |p| {
         let targets: BTreeSet<Key> = [("reduce".to_string(), 2)].into_iter().collect();
         Ok(thread_circuit(p, &targets).union(&entry_prog))
     });
-    let circuit_motif = Motif::transform_only("Circuit", circuit);
     server()
         .compose(&rand_map_with_entries(&[("begin_reduce", 2)]))
         .compose(&circuit_motif)
@@ -214,12 +212,7 @@ llen([_|T], N) :- llen(T, N1), N := N1 + 1.
 /// Entry goal: `create(P, tr2(Tree, Value))`. Halts the network when the
 /// root value is delivered.
 pub fn tree_reduce_2() -> Motif {
-    let core = Motif::new(
-        "TreeReduce2Core",
-        Identity,
-        parse_program(TREE2_LIBRARY).expect("tree2 library parses"),
-    );
-    server().compose(&core)
+    server().compose(&Motif::library_only("TreeReduce2Core", TREE2_LIBRARY))
 }
 
 /// Generate the source text of a tree term for goals: a balanced tree of
@@ -315,7 +308,7 @@ pub fn sequential_reduce(tree_src: &str) -> i64 {
 mod tests {
     use super::*;
     use strand_machine::{run_parsed_goal, MachineConfig, RunStatus};
-    use strand_parse::pretty;
+    use strand_parse::{pretty, Program};
 
     #[test]
     fn tree1_library_is_five_lines() {
@@ -460,12 +453,11 @@ mod tests {
     fn staged_composition_prints_figure5_stages() {
         // F5/F6: the three program stages of Tree-Reduce-1.
         let a = parse_eval();
-        let (stage1, _) = tree1().apply_staged(&a).unwrap();
-        let stage1 = stage1.union(tree1().library());
+        let stage1 = tree1().apply(&a).unwrap();
         let s1 = pretty(&stage1);
         assert!(s1.contains("reduce(R, RV)@random"), "{s1}");
 
-        let (stage2, _) = rand_map_with_entries(&[]).apply_staged(&stage1).unwrap();
+        let stage2 = rand_map_with_entries(&[]).apply(&stage1).unwrap();
         let s2 = pretty(&stage2);
         assert!(s2.contains("send("), "{s2}");
         assert!(s2.contains("server(["), "{s2}");

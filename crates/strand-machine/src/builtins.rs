@@ -471,7 +471,7 @@ impl Machine {
         let owner = self.world().port_owner(port);
         if self.current_node != owner {
             self.metrics.count_message(self.current_node, owner);
-            match self.edge_delivery(self.current_node, owner) {
+            match self.edge_delivery() {
                 Delivery::Deliver => {}
                 Delivery::Drop => {
                     self.record_drop(owner, &msg);

@@ -2,9 +2,9 @@
 
 use strand_core::{Atom, FxHashSet, SplitMix64, Time};
 
-/// Per-edge message fault probabilities (applied to cross-node deliveries:
-/// remote spawns and port/stream sends; binding notifications stay reliable
-/// — see DESIGN.md, "Fault model").
+/// Message fault probabilities, applied alike to every cross-node delivery
+/// (remote spawns and port/stream sends; binding notifications stay
+/// reliable — see DESIGN.md, "Fault model").
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EdgeFaults {
     /// Probability a delivery is silently lost.
@@ -18,13 +18,13 @@ pub struct EdgeFaults {
 }
 
 impl EdgeFaults {
-    /// True when no fault can ever fire on this edge.
+    /// True when no fault can ever fire.
     pub fn is_quiet(&self) -> bool {
         self.drop_prob <= 0.0 && self.dup_prob <= 0.0 && self.delay_prob <= 0.0
     }
 
-    /// Roll the fault dice for one delivery over this edge. A quiet edge
-    /// consumes no randomness, so an empty plan leaves runs bit-identical.
+    /// Roll the fault dice for one delivery. Quiet probabilities consume
+    /// no randomness, so an empty plan leaves runs bit-identical.
     pub(crate) fn roll(&self, dice: &mut SplitMix64) -> Delivery {
         if self.is_quiet() {
             return Delivery::Deliver;
@@ -75,8 +75,6 @@ pub struct FaultPlan {
     pub crashes: Vec<(u32, Time)>,
     /// Fault probabilities applied to every cross-node edge.
     pub default_edge: EdgeFaults,
-    /// Per-edge `(from, to, faults)` overrides of `default_edge`.
-    pub edges: Vec<(u32, u32, EdgeFaults)>,
     /// `(node, factor)`: every reduction on the node costs `factor`× the
     /// normal virtual time (straggler injection).
     pub slowdowns: Vec<(u32, u64)>,
@@ -89,10 +87,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.default_edge.is_quiet()
-            && self.edges.iter().all(|(_, _, e)| e.is_quiet())
-            && self.slowdowns.is_empty()
+        self.crashes.is_empty() && self.default_edge.is_quiet() && self.slowdowns.is_empty()
     }
 
     /// Builder: crash `node` (1-based) at virtual time `at`.
@@ -117,12 +112,6 @@ impl FaultPlan {
     pub fn delay(mut self, p: f64, ticks: Time) -> Self {
         self.default_edge.delay_prob = p;
         self.default_edge.delay_ticks = ticks;
-        self
-    }
-
-    /// Builder: override the fault probabilities of one directed edge.
-    pub fn edge(mut self, from: u32, to: u32, faults: EdgeFaults) -> Self {
-        self.edges.push((from, to, faults));
         self
     }
 
@@ -188,15 +177,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// The fault probabilities in force on a directed edge (1-based nodes).
-    pub fn edge_faults(&self, from: u32, to: u32) -> EdgeFaults {
-        self.edges
-            .iter()
-            .find(|(f, t, _)| *f == from && *t == to)
-            .map(|(_, _, e)| *e)
-            .unwrap_or(self.default_edge)
     }
 }
 
@@ -394,7 +374,7 @@ mod tests {
         assert_eq!(plan.crashes, vec![(2, 500)]);
         assert_eq!(plan.slowdowns, vec![(3, 4)]);
         assert_eq!(plan.seed, 7);
-        assert!((plan.edge_faults(1, 2).drop_prob - 0.1).abs() < 1e-12);
+        assert!((plan.default_edge.drop_prob - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -406,7 +386,7 @@ mod tests {
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.crashes, vec![(2, 2_000), (4, 2_000)]);
         assert_eq!(plan.slowdowns, vec![(3, 40)]);
-        let edge = plan.edge_faults(1, 2);
+        let edge = plan.default_edge;
         assert!((edge.drop_prob - 0.1).abs() < 1e-12);
         assert!((edge.dup_prob - 0.05).abs() < 1e-12);
         assert!((edge.delay_prob - 0.2).abs() < 1e-12);
@@ -429,13 +409,5 @@ mod tests {
         }
         assert!(FaultPlan::parse_spec("drop=0.1,dup=0.2,delay=0.7:5").is_ok());
         assert!(FaultPlan::parse_spec("drop=1").is_ok());
-    }
-
-    #[test]
-    fn edge_overrides_beat_default() {
-        let quiet = EdgeFaults::default();
-        let plan = FaultPlan::default().drop_prob(0.5).edge(1, 2, quiet);
-        assert!(plan.edge_faults(1, 2).is_quiet());
-        assert!(!plan.edge_faults(2, 1).is_quiet());
     }
 }

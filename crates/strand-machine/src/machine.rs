@@ -429,9 +429,8 @@ impl Machine {
     }
 
     /// Roll the fault dice for one cross-node delivery.
-    pub(crate) fn edge_delivery(&mut self, from: NodeId, to: NodeId) -> Delivery {
-        let edge = self.config.faults.edge_faults(from.0 + 1, to.0 + 1);
-        edge.roll(&mut self.fault_rng)
+    pub(crate) fn edge_delivery(&mut self) -> Delivery {
+        self.config.faults.default_edge.roll(&mut self.fault_rng)
     }
 
     /// Record a lost delivery (fault injection or dead target).
@@ -467,7 +466,7 @@ impl Machine {
             self.metrics.count_message(self.current_node, target);
             self.metrics.remote_spawns += 1;
             let arrival = now + self.config.latency;
-            match self.edge_delivery(self.current_node, target) {
+            match self.edge_delivery() {
                 Delivery::Deliver => arrival,
                 Delivery::Drop => {
                     self.record_drop(target, &goal);

@@ -1,7 +1,7 @@
 //! Fault-injection layer: crashes, message faults, slowdowns, and the
 //! timeout/ack builtins that make fault-tolerant protocols writable.
 
-use strand_machine::{run_goal, EdgeFaults, FaultPlan, MachineConfig, RunStatus, TraceEvent};
+use strand_machine::{run_goal, FaultPlan, MachineConfig, RunStatus, TraceEvent};
 
 /// Two servers in a chain: node 1 forwards a token to a worker on node 2
 /// and waits for the reply. Crashing node 2 strands the waiter.
@@ -88,20 +88,6 @@ fn delay_fault_stretches_makespan() {
         slow.report.metrics.makespan,
         quiet.report.metrics.makespan
     );
-}
-
-#[test]
-fn edge_override_shields_one_link() {
-    // Default drops everything, but the 1→2 edge is overridden quiet.
-    let plan = FaultPlan::default()
-        .drop_prob(1.0)
-        .edge(1, 2, EdgeFaults::default())
-        .seed(3);
-    let cfg = MachineConfig::with_nodes(3).faults(plan);
-    let src = "go :- ping@2, ping@3. ping :- print(pong).";
-    let r = run_goal(src, "go", cfg).expect("runs");
-    assert_eq!(r.report.output, vec!["pong"]);
-    assert_eq!(r.report.metrics.msgs_dropped, 1);
 }
 
 #[test]

@@ -6,7 +6,6 @@
 //! pretty-printed output must stay readable because motif libraries are
 //! "archives of expertise" (paper §1).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A surface term.
@@ -307,20 +306,6 @@ impl Program {
             .map(|p| (p.name.clone(), p.arity))
             .collect()
     }
-
-    /// The set of procedure keys *called* in rule bodies, with multiplicity
-    /// collapsed. Guard calls are excluded (guards are tests, not spawns).
-    pub fn called_keys(&self) -> Vec<(String, usize)> {
-        let mut set = BTreeMap::new();
-        for rule in self.rules() {
-            for call in &rule.body {
-                if let Some((name, arity)) = call.goal.functor() {
-                    set.insert((name.to_string(), arity), ());
-                }
-            }
-        }
-        set.into_keys().collect()
-    }
 }
 
 impl fmt::Display for Ast {
@@ -384,25 +369,6 @@ mod tests {
         assert!(u.get("go", 0).is_some());
         // Union does not mutate operands.
         assert_eq!(a.get("f", 1).unwrap().rules.len(), 1);
-    }
-
-    #[test]
-    fn called_keys_are_collected() {
-        let mut p = Program::new();
-        p.push_rule(Rule {
-            head: Ast::atom("go"),
-            guards: vec![Ast::tuple(">", vec![Ast::var("N"), Ast::Int(0)])],
-            body: vec![
-                call_goal("producer", vec![Ast::var("N")]),
-                call_goal("consumer", vec![Ast::var("Xs")]),
-                Call::new(Ast::atom("halt")),
-            ],
-        });
-        let keys = p.called_keys();
-        assert!(keys.contains(&("producer".into(), 1)));
-        assert!(keys.contains(&("halt".into(), 0)));
-        // Guard calls are not body calls.
-        assert!(!keys.iter().any(|(n, _)| n == ">"));
     }
 
     #[test]

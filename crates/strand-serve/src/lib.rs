@@ -292,8 +292,14 @@ pub struct MotifService {
 impl MotifService {
     /// Transform `app_src` with the Server motif, boot an N-server network
     /// with no initial traffic, and leave it resident (idle) awaiting
-    /// requests.
+    /// requests. A network of no servers is refused: no request could be
+    /// placed on it.
     pub fn start(app_src: &str, cfg: ServeConfig) -> StrandResult<MotifService> {
+        if cfg.servers == 0 {
+            return Err(StrandError::Other(
+                "a service needs at least one server".to_string(),
+            ));
+        }
         let full_src = format!("{app_src}{SERVE_BOOT}");
         let motif = if cfg.supervise {
             motifs::supervised_server()
@@ -854,6 +860,20 @@ mod tests {
             ..ServeConfig::default()
         };
         MotifService::start(DOUBLER_APP, cfg).unwrap()
+    }
+
+    #[test]
+    fn a_service_of_no_servers_is_refused_at_boot() {
+        strand_parallel::install();
+        let cfg = ServeConfig {
+            servers: 0,
+            backend: ServeBackend::Parallel(1),
+            ..ServeConfig::default()
+        };
+        let e = MotifService::start(DOUBLER_APP, cfg)
+            .err()
+            .expect("a service of no servers must be refused");
+        assert!(e.to_string().contains("at least one server"), "{e}");
     }
 
     #[test]
