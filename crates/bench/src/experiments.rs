@@ -138,7 +138,6 @@ pub fn run_alignment(
     let tree = seqalign::guide_tree_src(&seqalign::guide_tree(seqs, &params), seqs);
     let goal = motif.goal(cfg.nodes, &tree);
     let lib = seqalign::align_lib(params, 8);
-    strand_parallel::install();
     let r = run_parsed_goal_with_lib(&motif.program(seqalign::ALIGN_EVAL), &goal, cfg, &lib)
         .expect("alignment runs");
     let profile = seqalign::term_to_profile(&r.bindings["Value"]).expect("a profile");
@@ -838,7 +837,6 @@ task(N) :- current_node(N).
     let program = motifs::random_with_entries(&[("spawn", 2)])
         .apply_src(TASKS)
         .expect("Random applies");
-    strand_parallel::install();
     let mut t = Table::new(
         "E1-threads: tasks-per-node imbalance under the Random motif (1 node per thread)",
         &["threads", "tasks", "tasks/node", "max/mean tasks"],

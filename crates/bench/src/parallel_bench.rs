@@ -3,7 +3,7 @@
 //! The other experiments measure *virtual* time on the deterministic
 //! simulator; this one measures *real* time. Each workload is one motif
 //! program run first on the simulator (the baseline) and then on the
-//! `strand-parallel` backend at 1, 2, 4 and 8 worker threads; `speedup` is
+//! fleet at 1, 2, 4 and 8 worker threads; `speedup` is
 //! simulator wall-clock over parallel wall-clock.
 //!
 //! Workloads:
@@ -145,7 +145,6 @@ struct ParallelPoint {
 }
 
 fn sweep(shape: &Shape) -> Vec<ParallelPoint> {
-    strand_parallel::install();
     let timed = timed_work_lib();
     let (align_prog, align_goal, align) = seqalign_workload(shape.align_leaves);
     let workloads: Vec<(&'static str, Program, String, &ForeignLib)> = vec![

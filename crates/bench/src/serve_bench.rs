@@ -129,7 +129,6 @@ pub struct BurstPoint {
 /// `rsend` and the heartbeat/retransmit deadlines live on the wall-clock
 /// timer wheel.
 pub fn burst(clients: u64, per_client: u64, supervise: bool) -> BurstPoint {
-    strand_parallel::install();
     let cfg = ServeConfig {
         servers: 4,
         backend: ServeBackend::Parallel(0),

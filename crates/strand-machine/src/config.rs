@@ -180,13 +180,13 @@ impl FaultPlan {
     }
 }
 
-/// Which execution engine runs the program (see [`crate::backend`]).
+/// Which execution engine runs the program; the program, goal and foreign
+/// code are identical either way, which is what makes the conformance
+/// harness (`tests/conformance.rs`) possible.
 ///
-/// `Deterministic` is the discrete-event simulator this crate implements: a
-/// single OS thread, virtual clocks, bit-identical replays. `Parallel` asks
-/// for the real multi-threaded backend (crate `strand-parallel`), which runs
-/// virtual nodes on OS threads and must be registered with
-/// [`crate::backend::register_parallel_backend`] before use.
+/// `Deterministic` is the discrete-event simulator: a single OS thread,
+/// virtual clocks, bit-identical replays. `Parallel` asks for the fleet,
+/// the multi-threaded engine, which runs virtual nodes on OS threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The single-threaded discrete-event reference machine.

@@ -6,12 +6,12 @@
 //! a suspension only through a variable it waits on — and sweeps every
 //! stripe. `quiesce.rs` model-checks the protocol.
 
-use crate::Shared;
+use super::Shared;
+use crate::Machine;
 use std::sync::atomic::Ordering;
 use std::sync::{MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 use strand_core::{FxHashMap, FxHashSet};
-use strand_machine::Machine;
 
 /// How long a due collection holds the ingress back for the fleet to drain;
 /// past it, no more waits until the fleet idles.

@@ -20,7 +20,7 @@
 //! variants of the model cross the protocol with the deadline wheel under
 //! each of its two clocks, and with `collect.rs`'s collector and ingress.
 //! (A worker whose nodes have crashed needs no variant: it absorbs,
-//! surrenders and parks like any other, which [`model::check`] covers.)
+//! surrenders and parks like any other, which `model::check` covers.)
 //!
 //! # Why an in-repo checker and not loom?
 //!

@@ -1,6 +1,6 @@
 //! Resident execution: keep a parallel machine alive between bursts.
 //!
-//! The batch entry point (`run_parallel`) treats global quiescence as
+//! A batch run (`fleet::run`) treats global quiescence as
 //! termination: the last worker to surrender its token broadcasts stop and
 //! everyone exits. A *service* wants the opposite — the program (a Server
 //! motif, typically) drains to quiescence and then waits, suspended on its
@@ -8,7 +8,7 @@
 //! mode over the very `Fleet` a batch run launches and collects — only who
 //! calls `stop` differs:
 //!
-//! * workers run the unmodified [`worker_loop`](crate::worker_loop); the
+//! * workers run the unmodified [`worker_loop`](super::worker_loop); the
 //!   only behavioural difference is the `resident` flag on the shared
 //!   state, which turns the stop-broadcast on last-token-release into an
 //!   ordinary park (counted as `idle_parks` in the metrics). Quiescence
@@ -27,7 +27,7 @@
 //!   caller that reads a variable across ingress calls holds it
 //!   ([`Machine::hold`]).
 //!
-//! A [`FaultPlan`](strand_machine::FaultPlan) is honoured like on any
+//! A [`FaultPlan`](crate::FaultPlan) is honoured like on any
 //! fleet (the shard core injects it): a supervised resident program (the
 //! `Supervise ∘ Server` composition) is exactly the thing that is
 //! *supposed* to survive a crashed node, and the chaos-on-serve conformance
@@ -37,11 +37,11 @@
 //! consult [`ResidentHandle::crashed_nodes`] so new sessions land on nodes
 //! that will actually reduce them.
 
-use crate::{collect, lock, send_direct, stop, Fleet};
+use super::{collect, lock, send_direct, stop, Fleet};
+use crate::{prepare, ForeignLib, Machine, MachineConfig, RunReport};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use strand_core::{StrandResult, Term};
-use strand_machine::{ForeignLib, Machine, MachineConfig, RunReport};
 use strand_parse::Program;
 
 /// A running resident machine: worker threads parked-or-reducing behind
@@ -66,7 +66,8 @@ impl ResidentHandle {
         config: MachineConfig,
         lib: &ForeignLib,
     ) -> StrandResult<ResidentHandle> {
-        let fleet = Fleet::launch(program, boot_goal, config, lib, true)?;
+        let (goal, compiled) = prepare(program, boot_goal)?;
+        let fleet = Fleet::launch(compiled, &goal, config, lib, true);
         Ok(ResidentHandle { fleet })
     }
 
@@ -126,7 +127,7 @@ impl ResidentHandle {
         Some(wheel.next_due_raw()?.saturating_sub(wheel.now_ms()?).max(1))
     }
 
-    /// Nodes (1-based) the [`FaultPlan`](strand_machine::FaultPlan) has
+    /// Nodes (1-based) the [`FaultPlan`](crate::FaultPlan) has
     /// crashed so far. Route external injections elsewhere — a goal
     /// delivered to a crashed node is discarded.
     pub fn crashed_nodes(&self) -> Vec<u32> {
@@ -183,10 +184,10 @@ impl ResidentHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ast_to_term, FaultPlan};
     use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex as StdMutex};
     use strand_core::StrandError;
-    use strand_machine::{ast_to_term, FaultPlan};
     use strand_parse::{parse_program, parse_term};
 
     fn handle(threads: u32) -> ResidentHandle {
@@ -353,7 +354,7 @@ mod tests {
         assert_eq!(await_bound(&h, &vars["V"]).to_string(), "timeout");
         let report = h.shutdown().unwrap();
         assert!(
-            matches!(report.status, strand_machine::RunStatus::Completed),
+            matches!(report.status, crate::RunStatus::Completed),
             "{:?}",
             report.status
         );

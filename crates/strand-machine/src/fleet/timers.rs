@@ -42,12 +42,12 @@
 //! sort is stable), which keeps replays stable but is an ordering between
 //! *timers* only; no ordering is promised against regular work.
 
-use crate::lock;
+use super::lock;
+use crate::world::Deadline;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use strand_core::Term;
-use strand_machine::Deadline;
 
 /// Wall milliseconds per tick on a resident fleet: `after_unless(C, 500, T)`
 /// there is a 500 ms deadline.

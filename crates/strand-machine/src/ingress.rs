@@ -17,7 +17,7 @@ impl Machine {
     /// the outbox for routing. It never reduces or suspends, so its pids
     /// (minted above every worker's range) never appear in store waiter
     /// lists; receivers re-mint pids on absorption as usual.
-    pub fn new_ingress(
+    pub(crate) fn new_ingress(
         program: Arc<CompiledProgram>,
         config: MachineConfig,
         world: &SharedWorld,

@@ -20,15 +20,26 @@
 //! assert_eq!(result.bindings["X"].to_string(), "42");
 //! ```
 //!
+//! The same goal runs on the fleet, the multi-threaded engine, when the
+//! config asks for worker threads ([`ResidentHandle`] keeps a fleet alive
+//! between bursts of injected work):
+//!
+//! ```
+//! use strand_machine::{run_goal, MachineConfig};
+//! let config = MachineConfig::default().parallel(2);
+//! let r = run_goal("double(X, Y) :- Y := X * 2.", "double(21, V)", config).unwrap();
+//! assert_eq!(r.bindings["V"].to_string(), "42");
+//! ```
+//!
 //! Goals may place processes on numbered nodes (`Goal@3`) once the machine
 //! is configured with several nodes; the `@random` pragma is *not*
 //! executable — it is resolved by the `Rand` motif transformation (crate
 //! `motifs`), exactly as in §3.3 of the paper.
 
-pub mod backend;
 pub mod builtins;
 pub mod config;
 pub mod exec;
+mod fleet;
 pub mod foreign;
 mod ingress;
 pub mod machine;
@@ -40,19 +51,16 @@ pub mod trace;
 mod worker;
 mod world;
 
-pub use backend::register_parallel_backend;
 pub use config::{Backend, EdgeFaults, ExecMode, FaultPlan, MachineConfig};
+pub use fleet::ResidentHandle;
 pub use foreign::ForeignLib;
-pub use machine::{
-    merge_shard_reports, Deadline, DrainState, Job, Machine, Routed, RunReport, RunStatus,
-    ShardReport, SharedWorld, StoreHandle, WORKER_PID_SHIFT,
-};
+pub use machine::{Machine, RunReport, RunStatus, StoreHandle};
 pub use metrics::Metrics;
 pub use trace::{render_trace, trace_summary, TraceEvent};
 
 use std::collections::{BTreeMap, HashMap};
 use strand_core::{Atom, StrandError, StrandResult, Term};
-use strand_parse::{compile_program, parse_program, parse_term, Ast};
+use strand_parse::{compile_program, parse_program, parse_term, Ast, CompiledProgram, Program};
 
 /// Result of running a goal: the final report plus the resolved values of
 /// the goal's named variables.
@@ -67,6 +75,33 @@ impl GoalResult {
     pub fn completed(&self) -> bool {
         self.report.status == RunStatus::Completed
     }
+
+    /// The epilogue both engines share: the goal's named variables,
+    /// resolved in the store of the machine that seeded them.
+    fn resolved(report: RunReport, vars: BTreeMap<String, Term>, store: &StoreHandle) -> Self {
+        let bindings = vars
+            .into_iter()
+            .map(|(n, t)| (n, store.resolve(&t)))
+            .collect();
+        GoalResult { report, bindings }
+    }
+}
+
+/// The prologue both engines share: the goal parsed and the program
+/// compiled.
+fn prepare(program: &Program, goal_src: &str) -> StrandResult<(Ast, CompiledProgram)> {
+    let goal = parse_term(goal_src).map_err(|e| StrandError::Other(e.to_string()))?;
+    let compiled = compile_program(program).map_err(|e| StrandError::Other(e.to_string()))?;
+    Ok((goal, compiled))
+}
+
+/// Seed `goal` on `machine`'s first node; returns the goal's named
+/// variables.
+fn seed(machine: &mut Machine, goal: &Ast) -> BTreeMap<String, Term> {
+    let mut vars = BTreeMap::new();
+    let goal = ast_to_term(goal, machine, &mut vars);
+    machine.start(goal);
+    vars
 }
 
 /// Convert a surface term into a runtime term, sharing variables through
@@ -149,7 +184,7 @@ pub fn run_goal(
 /// whose transformations produce [`strand_parse::Program`] values).
 /// Dispatches on [`MachineConfig::backend`].
 pub fn run_parsed_goal(
-    program: &strand_parse::Program,
+    program: &Program,
     goal_src: &str,
     config: MachineConfig,
 ) -> StrandResult<GoalResult> {
@@ -157,30 +192,22 @@ pub fn run_parsed_goal(
 }
 
 /// Like [`run_parsed_goal`], with a library of pure foreign procedures
-/// installed on whichever engine runs the goal: the simulator here, or the
-/// function [`register_parallel_backend`] was given.
+/// installed on whichever engine runs the goal: the simulator, or the fleet
+/// for a [`Backend::Parallel`] config.
 pub fn run_parsed_goal_with_lib(
-    program: &strand_parse::Program,
+    program: &Program,
     goal_src: &str,
     config: MachineConfig,
     lib: &ForeignLib,
 ) -> StrandResult<GoalResult> {
+    let (goal, compiled) = prepare(program, goal_src)?;
     if let Backend::Parallel { .. } = config.backend {
-        return backend::run_parallel(program, goal_src, config, lib);
+        return fleet::run(compiled, &goal, config, lib);
     }
-    let goal_ast = parse_term(goal_src).map_err(|e| StrandError::Other(e.to_string()))?;
-    let compiled = compile_program(program).map_err(|e| StrandError::Other(e.to_string()))?;
     let mut machine = Machine::new(compiled, config);
     machine.install_lib(lib);
-    let mut vars = BTreeMap::new();
-    let goal = ast_to_term(&goal_ast, &mut machine, &mut vars);
-    machine.start(goal);
-    let report = machine.run()?;
-    let bindings = vars
-        .into_iter()
-        .map(|(name, term)| (name, machine.store().resolve(&term)))
-        .collect();
-    Ok(GoalResult { report, bindings })
+    let vars = seed(&mut machine, &goal);
+    Ok(GoalResult::resolved(machine.run()?, vars, machine.store()))
 }
 
 #[cfg(test)]

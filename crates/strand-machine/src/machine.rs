@@ -24,7 +24,7 @@ use crate::exec::{self, BlockPool, ExecProgram, Scratch, TryResult};
 use crate::metrics::Metrics;
 use crate::tier::TierRule;
 use crate::trace::{goal_text, TraceEvent};
-use crate::world::{QItem, Shard};
+use crate::world::{Deadline, Job, QItem, Routed, Shard, SharedWorld, WORKER_PID_SHIFT};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -35,9 +35,8 @@ use strand_core::{
 use strand_parse::CompiledProgram;
 
 // Re-exported so every `strand_machine::machine::…` path keeps resolving.
-pub use crate::report::{merge_shard_reports, RunReport, RunStatus, ShardReport};
-pub use crate::worker::DrainState;
-pub use crate::world::{Deadline, Job, Routed, SharedWorld, StoreHandle, WORKER_PID_SHIFT};
+pub use crate::report::{RunReport, RunStatus};
+pub use crate::world::StoreHandle;
 
 /// Ticks one reduction costs on its node's clock, before `work/1` costs and
 /// the fault plan's slowdown.
@@ -571,7 +570,7 @@ impl Machine {
 
     /// What a collection marks from: every queued goal, and every
     /// suspended goal by pid.
-    pub fn holdings(&self) -> (Vec<Term>, Vec<(u64, Term)>) {
+    pub(crate) fn holdings(&self) -> (Vec<Term>, Vec<(u64, Term)>) {
         let queues = self.nodes.iter().map(|n| &n.queue);
         let queued = queues.flat_map(|q| q.fifo.iter().chain(&q.heap));
         let suspended = self
@@ -586,7 +585,7 @@ impl Machine {
 
     /// Keep only the suspensions a collection reached: the slots of the
     /// rest are free already, so only the tracked gauge is left to settle.
-    pub fn drop_unreachable(&mut self, reached: &FxHashSet<u64>) {
+    pub(crate) fn drop_unreachable(&mut self, reached: &FxHashSet<u64>) {
         let metrics = &mut self.metrics;
         self.suspended.retain(|pid, s| {
             let keep = reached.contains(pid);
@@ -778,19 +777,19 @@ impl Machine {
     }
 
     /// Harvest the deadlines armed since the last call.
-    pub fn take_deadlines(&mut self) -> Vec<Deadline> {
+    pub(crate) fn take_deadlines(&mut self) -> Vec<Deadline> {
         std::mem::take(&mut self.shard.armed)
     }
 
     /// Drain the cross-shard events produced since the last call.
-    pub fn take_outbox(&mut self) -> Vec<Routed> {
+    pub(crate) fn take_outbox(&mut self) -> Vec<Routed> {
         std::mem::take(&mut self.shard.outbox)
     }
 
     /// True once the unless-var of an armed deadline has been bound — the
     /// queue prunes such entries instead of firing them. Any machine sharing
     /// the store can answer this, whichever shard armed the timer.
-    pub fn cancel_is_bound(&self, cancel: &Term) -> bool {
+    pub(crate) fn cancel_is_bound(&self, cancel: &Term) -> bool {
         !matches!(self.store.deref(cancel), Term::Var(_))
     }
 
@@ -1021,6 +1020,7 @@ pub(crate) enum CallOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::DrainState;
     use strand_parse::{compile_program, parse_program};
 
     /// On a `SharedStore` a peer can bind a variable between the match that

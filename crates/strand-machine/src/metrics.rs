@@ -104,14 +104,16 @@ pub struct Metrics {
     /// a wall deadline fell due on a resident fleet, or a batch fleet's
     /// clock jumped at quiescence.
     pub wakes_for_deadline: u64,
-    /// Real (wall-clock) duration of the run in nanoseconds. Unlike every
-    /// virtual-time metric above this depends on the host; backends fill it
-    /// in so B-series experiments can compare engines on the same workload.
+    /// Real (wall-clock) duration of a fleet run in nanoseconds, from the
+    /// workers' spawn to their join; 0 on the simulator. Unlike every
+    /// virtual-time metric above this depends on the host.
     pub wall_ns: u64,
-    /// OS worker threads used (1 for the deterministic simulator).
+    /// The fleet's worker threads; 0 on the simulator, which fills in none
+    /// of these three.
     pub threads_used: u32,
-    /// Jobs (reductions + foreign completions) each worker thread processed;
-    /// empty for the deterministic simulator.
+    /// Reductions each fleet worker performed (its shard's
+    /// [`total_reductions`](Metrics::total_reductions)), in worker order;
+    /// empty on the simulator.
     pub worker_jobs: Vec<u64>,
 }
 

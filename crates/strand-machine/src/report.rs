@@ -9,7 +9,7 @@ use crate::world::StoreHandle;
 use strand_core::{sym, NodeId, StrandError, Term, Time};
 
 /// One worker's slice of a run report, merged by [`merge_shard_reports`].
-pub struct ShardReport {
+pub(crate) struct ShardReport {
     pub metrics: Metrics,
     pub output: Vec<String>,
     pub errors: Vec<(Time, StrandError)>,
@@ -90,7 +90,7 @@ fn resolve_capped(store: &StoreHandle, t: &Term, budget: &mut u32) -> Term {
 
 impl Machine {
     /// Snapshot this worker's slice of the final report.
-    pub fn finalize_shard(&mut self) -> ShardReport {
+    pub(crate) fn finalize_shard(&mut self) -> ShardReport {
         self.metrics.makespan = self.makespan();
         let suspended_goals: Vec<Term> = self
             .suspensions()
@@ -124,7 +124,7 @@ impl Machine {
 /// in worker order, so a 1-thread parallel run reads exactly like the
 /// simulator. Per-node counters add and per-node peaks/gauges take maxima —
 /// both exact, since each node lives on exactly one worker.
-pub fn merge_shard_reports(
+pub(crate) fn merge_shard_reports(
     parts: impl IntoIterator<Item = ShardReport>,
     truncated: bool,
 ) -> RunReport {

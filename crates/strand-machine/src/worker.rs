@@ -1,5 +1,5 @@
 //! The fleet worker's driver over the shard core: one machine per worker
-//! thread of a sharded run (crate `strand-parallel`), owning the nodes with
+//! thread of a sharded run (`fleet/`), owning the nodes with
 //! `node mod threads == index`. A worker alternates [`Machine::drain_local`]
 //! (reduce owned work; no lock wider than a store stripe is ever held) with
 //! routing its outbox to peers and [`Machine::absorb`]ing their batches, and
@@ -18,7 +18,7 @@ use strand_parse::CompiledProgram;
 
 /// What [`Machine::drain_local`] left behind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DrainState {
+pub(crate) enum DrainState {
     /// No runnable work: the shard is idle.
     Idle,
     /// The step quantum expired with runnable work still queued.
@@ -32,8 +32,8 @@ impl Machine {
     /// config as the simulator would use, shard `idx` of the fleet's `world`,
     /// allocating variables from its own stripe of the fleet's `store`.
     /// Process ids are offset so every worker allocates from a disjoint
-    /// range (see [`WORKER_PID_SHIFT`](crate::WORKER_PID_SHIFT)).
-    pub fn new_worker(
+    /// range (see [`WORKER_PID_SHIFT`](crate::world::WORKER_PID_SHIFT)).
+    pub(crate) fn new_worker(
         program: Arc<CompiledProgram>,
         config: MachineConfig,
         world: &SharedWorld,
@@ -59,7 +59,7 @@ impl Machine {
     /// scheduled crashes fire here, once the run-global reduction count
     /// reaches them; the peers' share of that count is sampled once, here,
     /// and held for the whole drain (see `Machine::budget_spent`).
-    pub fn drain_local(&mut self, max_steps: u32) -> StrandResult<DrainState> {
+    pub(crate) fn drain_local(&mut self, max_steps: u32) -> StrandResult<DrainState> {
         self.sample_peers();
         while let Some((node, at)) = self.next_crash() {
             if self.budget_spent() < at {
@@ -80,7 +80,7 @@ impl Machine {
     }
 
     /// Apply a batch of events routed from other workers.
-    pub fn absorb(&mut self, batch: Vec<Routed>) {
+    pub(crate) fn absorb(&mut self, batch: Vec<Routed>) {
         for event in batch {
             match event {
                 Routed::Job(job) => {
@@ -116,7 +116,7 @@ impl Machine {
     /// as it sees any other cross-shard event. Firing at a crashed node is a
     /// no-op, here or in its owner's `absorb` (the deadline died with the
     /// node; supervision recovers through monitors on live nodes).
-    pub fn fire_deadline(&mut self, deadline: Deadline) {
+    pub(crate) fn fire_deadline(&mut self, deadline: Deadline) {
         if self.is_crashed(deadline.node) {
             return;
         }
@@ -134,7 +134,7 @@ impl Machine {
 
     /// Record the budget-exhausted error once (the worker that first
     /// observes [`DrainState::Budget`] calls this).
-    pub fn note_truncated(&mut self) {
+    pub(crate) fn note_truncated(&mut self) {
         let reductions = self.budget_spent();
         self.errors
             .push((self.now(), StrandError::BudgetExhausted { reductions }));
@@ -142,7 +142,7 @@ impl Machine {
 
     /// Drop all queued work (run aborted or truncated), settling
     /// tracked-process accounting so merged metrics stay consistent.
-    pub fn discard_local(&mut self) {
+    pub(crate) fn discard_local(&mut self) {
         for i in 0..self.config.nodes {
             for item in self.take_queue(i as usize) {
                 if item.tracked {

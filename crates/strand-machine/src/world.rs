@@ -41,7 +41,7 @@ impl Ord for QItem {
 /// between workers inside [`Routed`] batches; each worker inserts arriving
 /// jobs straight into the per-node heaps it owns.
 #[derive(Debug)]
-pub struct Job {
+pub(crate) struct Job {
     pub(crate) item: QItem,
     pub(crate) node: NodeId,
 }
@@ -51,12 +51,12 @@ pub struct Job {
 /// so any worker can route a wake-up from the pid alone — and worker 0's pids
 /// coincide with the deterministic scheduler's, which is what makes 1-thread
 /// parallel runs bit-identical to the simulator.
-pub const WORKER_PID_SHIFT: u32 = 48;
+pub(crate) const WORKER_PID_SHIFT: u32 = 48;
 
 /// A cross-worker event produced by one shard for another; the receiver
 /// applies it via [`Machine::absorb`](crate::Machine::absorb).
 #[derive(Debug)]
-pub enum Routed {
+pub(crate) enum Routed {
     /// A newly runnable process for a node another worker owns.
     Job(Job),
     /// A binding at `time` on `binder` woke a process another worker owns.
@@ -89,7 +89,7 @@ impl Routed {
 /// `'$timer'` goal — ordinary work, so the token protocol sees a fired
 /// deadline exactly as it sees any other event.
 #[derive(Clone, Debug)]
-pub struct Deadline {
+pub(crate) struct Deadline {
     /// Node the deadline was armed on; the fired goal runs there.
     pub node: NodeId,
     /// Ticks to wait; a resident fleet's wall clock maps 1 tick to 1 ms.
@@ -106,8 +106,8 @@ pub struct Deadline {
 /// A machine's place in its [`SharedWorld`].
 ///
 /// Every machine is one shard of a world: the simulator is shard 0 of a
-/// one-shard world, a fleet worker is shard `index < threads` of the
-/// fleet's (crate `strand-parallel`), and the ingress machine is shard
+/// one-shard world, a fleet worker is shard `index < threads` of its
+/// fleet's world (`fleet/`), and the ingress machine is shard
 /// `threads`, which owns no node. A machine owns its nodes outright — run
 /// queues, suspension tables, clocks — and shares only what the world
 /// holds: the port table, the `unique_id` sequence, one reduction-count
@@ -252,7 +252,7 @@ pub(crate) struct PortState {
 /// sum the lanes. Everything is `Relaxed`: a lane publishes nothing but
 /// itself, and a reader that needs an exact sum reads at quiescence, which
 /// it learns through the token counter's acquire/release
-/// (`strand-parallel`'s `quiesce.rs`) or a thread join.
+/// (`fleet/quiesce.rs`) or a thread join.
 #[repr(align(128))]
 #[derive(Default)]
 pub(crate) struct Lane {
@@ -266,7 +266,7 @@ pub(crate) struct Lane {
 /// [`Store`], and a fleet hands each machine its view of the fleet's
 /// `SharedStore`.
 #[derive(Clone)]
-pub struct SharedWorld {
+pub(crate) struct SharedWorld {
     ports: Arc<Mutex<Vec<PortState>>>,
     /// One lane per worker, indexed by shard. The ingress machine never
     /// reduces, so it has none.

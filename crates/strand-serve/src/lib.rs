@@ -8,7 +8,7 @@
 //! exits. See DESIGN.md §9 for the full model; the short version:
 //!
 //! * **Idle, not terminated.** The engine's quiescence detector normally
-//!   ends the run; a resident fleet ([`strand_parallel::ResidentHandle`])
+//!   ends the run; a resident fleet ([`ResidentHandle`])
 //!   parks its workers at quiescence instead, and the suspended Server loops
 //!   wait on their port streams for the next request.
 //! * **Reclaim by reachability.** The fleet frees every store slot and
@@ -63,8 +63,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use strand_core::{sym, Atom, AtomError, StrandError, StrandResult, Term};
-use strand_machine::{ast_to_term, FaultPlan, ForeignLib, Machine, MachineConfig, RunReport};
-use strand_parallel::ResidentHandle;
+use strand_machine::{
+    ast_to_term, FaultPlan, ForeignLib, Machine, MachineConfig, ResidentHandle, RunReport,
+};
 use strand_parse::{parse_term, Ast};
 
 /// Boot rule appended to the application before the Server transformation:
@@ -109,12 +110,12 @@ pub struct ServeConfig {
     pub servers: u32,
     pub backend: ServeBackend,
     /// Admission limit: the most requests admitted and not yet answered or
-    /// abandoned; a request arriving at it is answered `BUSY`.
+    /// abandoned; a request arriving at it is answered `BUSY`. At least 1.
     pub max_pending: u64,
     /// The retry delay a backpressured client is told to wait. Under
     /// `supervise` this is an upper bound: the hint is derived from the
     /// timer wheel's next-due horizon when that is sooner (see
-    /// [`MotifService::busy_hint`]).
+    /// [`MotifService::busy_hint`]). At least 1.
     pub retry_ms: u64,
     /// How long a request waits for its reply before answering `ERR`.
     pub reply_timeout_ms: u64,
@@ -292,13 +293,14 @@ pub struct MotifService {
 impl MotifService {
     /// Transform `app_src` with the Server motif, boot an N-server network
     /// with no initial traffic, and leave it resident (idle) awaiting
-    /// requests. A network of no servers is refused: no request could be
-    /// placed on it.
+    /// requests. A config no client could be served under is refused: no
+    /// servers (no request could be placed), a `max_pending` of 0 (every
+    /// request would be `BUSY`) or a `retry_ms` of 0 (the hint's range
+    /// would be empty).
     pub fn start(app_src: &str, cfg: ServeConfig) -> StrandResult<MotifService> {
-        if cfg.servers == 0 {
-            return Err(StrandError::Other(
-                "a service needs at least one server".to_string(),
-            ));
+        if cfg.servers == 0 || cfg.max_pending == 0 || cfg.retry_ms == 0 {
+            let msg = "servers, max_pending and retry_ms must each be at least 1";
+            return Err(StrandError::Other(msg.to_string()));
         }
         let full_src = format!("{app_src}{SERVE_BOOT}");
         let motif = if cfg.supervise {
@@ -853,7 +855,6 @@ mod tests {
     use super::*;
 
     fn doubler(backend: ServeBackend) -> MotifService {
-        strand_parallel::install();
         let cfg = ServeConfig {
             servers: 4,
             backend,
@@ -864,16 +865,31 @@ mod tests {
 
     #[test]
     fn a_service_of_no_servers_is_refused_at_boot() {
-        strand_parallel::install();
-        let cfg = ServeConfig {
-            servers: 0,
+        let base = ServeConfig {
             backend: ServeBackend::Parallel(1),
             ..ServeConfig::default()
         };
-        let e = MotifService::start(DOUBLER_APP, cfg)
-            .err()
-            .expect("a service of no servers must be refused");
-        assert!(e.to_string().contains("at least one server"), "{e}");
+        let refused = [
+            ServeConfig {
+                servers: 0,
+                ..base.clone()
+            },
+            ServeConfig {
+                max_pending: 0,
+                ..base.clone()
+            },
+            ServeConfig {
+                retry_ms: 0,
+                supervise: true,
+                ..base
+            },
+        ];
+        for cfg in refused {
+            let e = MotifService::start(DOUBLER_APP, cfg.clone())
+                .err()
+                .unwrap_or_else(|| panic!("{cfg:?} must be refused"));
+            assert!(e.to_string().contains("at least 1"), "{e}");
+        }
     }
 
     #[test]
@@ -922,7 +938,6 @@ mod tests {
         // A type-error payload (the doubler multiplies it) must cost that
         // one client a timeout, never the fleet: `fail_fast` is off, so
         // the engine collects the error and the service stays resident.
-        strand_parallel::install();
         let cfg = ServeConfig {
             servers: 2,
             backend: ServeBackend::Parallel(2),
@@ -940,7 +955,6 @@ mod tests {
     }
 
     fn supervised_doubler(threads: u32, retry_ms: u64) -> MotifService {
-        strand_parallel::install();
         let cfg = ServeConfig {
             servers: 4,
             backend: ServeBackend::Parallel(threads),
@@ -1030,7 +1044,6 @@ mod tests {
             reply_timeout_ms: 100,
             ..ServeConfig::default()
         };
-        strand_parallel::install();
         let svc = MotifService::start(DOUBLER_APP, cfg).unwrap();
         let s = svc.open_session();
         assert!(matches!(svc.request(s, "oops(atom)"), Response::Err(_)));

@@ -10,7 +10,6 @@
 use algorithmic_motifs::motifs::grid::{grid, sequential_stencil};
 use algorithmic_motifs::strand_core::Term;
 use algorithmic_motifs::strand_machine::{run_parsed_goal, MachineConfig};
-use algorithmic_motifs::strand_parallel;
 
 fn main() {
     let (n, steps) = (12u32, 8u32);
@@ -20,7 +19,6 @@ fn main() {
     let init: Vec<f64> = (1..=n).map(|i| i as f64).collect();
     let reference = sequential_stencil(&init, steps);
 
-    strand_parallel::install();
     let sim = MachineConfig::with_nodes(4);
     for (engine, cfg) in [
         ("the simulator", sim.clone()),

@@ -116,7 +116,6 @@ fn main() {
     let mut config = MachineConfig::with_nodes(nodes).seed(seed).exec(exec);
     config.record_trace = trace;
     if backend == "parallel" {
-        algorithmic_motifs::strand_parallel::install();
         config = config.parallel(threads);
     }
     if let Some(plan) = faults {

@@ -14,7 +14,6 @@ use algorithmic_motifs::seqalign::{
     FamilyParams, ScoreParams, ALIGN_EVAL,
 };
 use algorithmic_motifs::strand_machine::{run_parsed_goal_with_lib, MachineConfig};
-use algorithmic_motifs::strand_parallel;
 
 fn main() {
     // 1. Generate 16 related RNA sequences (the 1990 lab data substitute).
@@ -50,7 +49,6 @@ fn main() {
     // tree-reduction strategies (§3.6: same interface, different
     // algorithms). The motif language coordinates; `align_node/3` runs
     // natively — the paper's "Strand and C".
-    strand_parallel::install();
     let tree = guide_tree_src(&guide, &fam.sequences);
     let lib = align_lib(params, 8);
     for (name, motif, entry, crossing) in [

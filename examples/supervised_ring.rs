@@ -74,7 +74,6 @@ fn main() {
             .faults(faults.unwrap_or_else(plan));
         let mut backend = "the simulator".to_string();
         if let Some(threads) = threads {
-            algorithmic_motifs::strand_parallel::install();
             cfg = cfg.parallel(threads);
             backend = format!("{threads} worker threads");
         }

@@ -4,7 +4,6 @@ pub use seqalign;
 pub use skeletons;
 pub use strand_core;
 pub use strand_machine;
-pub use strand_parallel;
 pub use strand_parse;
 pub use strand_serve;
 pub use transform;

@@ -2,7 +2,7 @@
 //! three columns — the deterministic simulator on the **compiled**
 //! rule-execution tier (the default), the same simulator on the reference
 //! **interpreter** (`--exec interpreted`), and the multi-threaded
-//! `strand-parallel` engine at 1, 2, 4 and 8 worker threads — and must
+//! fleet at 1, 2, 4 and 8 worker threads — and must
 //! produce equivalent results.
 //!
 //! The two tiers share one scheduler, so their comparison is the strictest
@@ -37,7 +37,6 @@ use algorithmic_motifs::strand_machine::{
     run_parsed_goal, run_parsed_goal_with_lib, ExecMode, FaultPlan, ForeignLib, GoalResult,
     MachineConfig, RunStatus,
 };
-use algorithmic_motifs::strand_parallel;
 use bench::{FIGURE2_HANDWRITTEN, PAPER_TREE, RING_APP};
 use proptest::prelude::*;
 use strand_parse::parse_program;
@@ -130,7 +129,6 @@ fn assert_conform(
     cfg: MachineConfig,
     lib: &ForeignLib,
 ) -> GoalResult {
-    strand_parallel::install();
     // Conservative eligibility scan: a false positive (a user predicate
     // merely *named* merge) only downgrades the 1-thread leg back to the
     // multiset check, never weakens a guarantee.
@@ -325,7 +323,6 @@ fn conform_seqalign_tree_reduce_2() {
 /// a node budget — the simulator used to expand the tree and never return.
 #[test]
 fn quiescent_goal_on_a_shared_dag_gets_a_capped_post_mortem() {
-    strand_parallel::install();
     let program = parse_program(
         "build(0,T) :- T = leaf. \
          build(N,T) :- N > 0 | N1 := N - 1, build(N1,S), T = d(S,S). \
@@ -520,7 +517,6 @@ fn conform_pipeline() {
 /// outputs (the dedup guarantee) rather than the multiset.
 #[test]
 fn conform_supervise_ring() {
-    strand_parallel::install();
     let program = motifs::supervised_server().apply_src(RING_APP).unwrap();
     let goal = "create(4, token(1))";
     let cfg = MachineConfig::with_nodes(4).seed(47);
@@ -563,7 +559,6 @@ fn conform_supervise_ring() {
 /// So are `after_unless` programs, whose deadlines do.)
 #[test]
 fn lossy_plans_replay_exactly_on_a_one_thread_fleet() {
-    strand_parallel::install();
     let tree = random_tree_src(20, 5);
     let cases = [
         (
@@ -679,7 +674,6 @@ fn chaos_plan(crash_at: u64, seed: u64) -> FaultPlan {
 /// (surviving) nodes.
 #[test]
 fn chaos_supervised_ring_survives_kill_drop_dup() {
-    strand_parallel::install();
     let program = motifs::supervised_random().apply_src(RING_APP).unwrap();
     let goal = "create(8, token(1))";
     let base = MachineConfig::with_nodes(8).seed(47);
@@ -735,7 +729,6 @@ fn chaos_supervised_ring_survives_kill_drop_dup() {
 /// exactly to `ok`.
 #[test]
 fn chaos_supervised_task_sched_reaches_answers() {
-    strand_parallel::install();
     let app = r#"
         gen(0, _).
         gen(N, T) :- N > 0 |
@@ -797,7 +790,6 @@ proptest! {
         threads_ix in 0usize..3,
     ) {
         let threads = [2u32, 4, 8][threads_ix];
-        strand_parallel::install();
         let program = motifs::supervised_server().apply_src(RING_APP).unwrap();
         let goal = "create(4, token(1))";
         let mut cfg = MachineConfig::with_nodes(4)
@@ -838,7 +830,6 @@ proptest! {
         tree_seed in 0u64..1000,
         p in 1u32..6,
     ) {
-        strand_parallel::install();
         let tree = random_tree_src(leaves, tree_seed);
         let expected = sequential_reduce(&tree).to_string();
         let program = tree_reduce_1().apply_src(ARITH_EVAL).unwrap();
@@ -885,7 +876,6 @@ proptest! {
         tree_seed in 0u64..10_000,
         machine_seed in 0u64..1000,
     ) {
-        strand_parallel::install();
         let tree = random_tree_src(leaves, tree_seed);
         let expected = sequential_reduce(&tree).to_string();
         let program = tree_reduce_1().apply_src(ARITH_EVAL).unwrap();

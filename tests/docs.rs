@@ -7,7 +7,7 @@
 //! one of the repo's top-level directories — so `server/1` and `a/b/c`
 //! alternations are not. It resolves when it is a whole-component suffix of
 //! a file or directory in the tree, which admits the crate-relative
-//! (`strand-parallel/src/quiesce.rs`) and bare (`machine.rs`) spellings the
+//! (`strand-machine/src/fleet/quiesce.rs`) and bare (`machine.rs`) spellings the
 //! docs use. `out/…` is run output and is never committed.
 //!
 //! Likewise every backticked `motif-bench <verb> …` names a verb the binary

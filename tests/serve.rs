@@ -41,7 +41,6 @@ use algorithmic_motifs::strand_core;
 use algorithmic_motifs::strand_machine::{
     self, run_parsed_goal, FaultPlan, MachineConfig, RunStatus,
 };
-use algorithmic_motifs::strand_parallel;
 use algorithmic_motifs::strand_serve::{
     serve, MotifService, Response, ServeBackend, ServeConfig, ServeSummary, Session, DOUBLER_APP,
     ECHO_APP,
@@ -50,7 +49,6 @@ use algorithmic_motifs::strand_serve::{
 const SERVERS: u32 = 4;
 
 fn serve_cfg(backend: ServeBackend) -> ServeConfig {
-    strand_parallel::install();
     ServeConfig {
         servers: SERVERS,
         backend,
@@ -435,7 +433,6 @@ fn close_on_the_heels_of_reply_never_corrupts_a_recycled_slot_supervised() {
 // ---------------------------------------------------------------------------
 
 fn supervised_cfg(threads: u32) -> ServeConfig {
-    strand_parallel::install();
     ServeConfig {
         servers: SERVERS,
         backend: ServeBackend::Parallel(threads),
