@@ -83,7 +83,7 @@ pub fn eval_arith<S: StoreOps>(expr: &Term, store: &S) -> StrandResult<Evaled> {
 
 /// Evaluate `expr`, or return `None` having added the unbound variables it
 /// waits on to `pending`, in first-occurrence order without repeats.
-fn eval_into<S: StoreOps>(
+pub(crate) fn eval_into<S: StoreOps>(
     expr: &Term,
     store: &S,
     pending: &mut Vec<VarId>,

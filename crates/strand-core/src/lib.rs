@@ -46,7 +46,7 @@ pub use arith::{eval_arith, Num};
 pub use atom::{Atom, AtomError};
 pub use error::{StrandError, StrandResult};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use matching::{eval_guard, match_args, GuardOutcome, MatchOutcome};
+pub use matching::{eval_guard, guard_test, match_args, GuardOutcome, MatchOutcome};
 pub use pat::{Frame, Pat};
 pub use rng::SplitMix64;
 pub use shared::{Marks, SharedStore, SharedStoreView};

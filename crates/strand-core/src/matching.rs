@@ -6,7 +6,8 @@
 //! patterns never bind goal variables; a non-variable pattern position whose
 //! goal counterpart is an unbound variable causes *suspension*, not failure.
 
-use crate::arith::{eval_arith, Evaled};
+use crate::arith::eval_into;
+use crate::atom::Atom;
 use crate::error::StrandResult;
 use crate::pat::{Frame, Pat};
 use crate::store::{StoreOps, VarId};
@@ -29,8 +30,9 @@ pub enum MatchOutcome {
 pub enum GuardOutcome {
     True,
     False,
-    /// Guard needs these variables bound before it can be decided.
-    Suspend(Vec<VarId>),
+    /// Guard needs variables bound before it can be decided; they have been
+    /// added to the caller's pending list.
+    Suspend,
 }
 
 fn push_unique(vs: &mut Vec<VarId>, v: VarId) {
@@ -247,81 +249,88 @@ fn bool_eq(b: bool) -> EqOutcome {
     }
 }
 
-/// Evaluate one guard test (already instantiated against the rule frame).
-///
-/// Supported guards: arithmetic comparisons `< > =< >= == =\=`, type tests
-/// `integer/1 float/1 number/1 atom/1 string/1 list/1 tuple/1 data/1
-/// unknown/1`, and `true/0`. The machine handles `otherwise` itself.
-pub fn eval_guard<S: StoreOps>(guard: &Term, store: &S) -> StrandResult<GuardOutcome> {
+/// Evaluate one guard (already instantiated against the rule frame): a
+/// callable term is decided by [`guard_test`], anything else fails.
+pub fn eval_guard<S: StoreOps>(
+    guard: &Term,
+    store: &S,
+    pending: &mut Vec<VarId>,
+) -> StrandResult<GuardOutcome> {
     let g = store.deref(guard);
-    let Some((&name, arity)) = g.functor() else {
-        return Ok(GuardOutcome::False);
+    match g.functor() {
+        Some((&name, _)) => guard_test(name, g.goal_args(), store, pending),
+        None => Ok(GuardOutcome::False),
+    }
+}
+
+/// Decide the guard test `name(args…)`: the one definition of what every
+/// guard means, for both execution tiers.
+///
+/// Supported guards: arithmetic comparisons `< > =< >=`, structural
+/// equality `== =\=`, type tests
+/// `integer/1 float/1 number/1 atom/1 string/1 list/1 tuple/1 data/1
+/// unknown/1`, and `true/0`. The machine handles `otherwise` itself. On
+/// [`GuardOutcome::Suspend`] the variables the test waits on have been
+/// added to `pending`, each once, in first-occurrence order.
+pub fn guard_test<S: StoreOps>(
+    name: Atom,
+    args: &[Term],
+    store: &S,
+    pending: &mut Vec<VarId>,
+) -> StrandResult<GuardOutcome> {
+    let decided = |ok: bool| {
+        Ok(if ok {
+            GuardOutcome::True
+        } else {
+            GuardOutcome::False
+        })
     };
-    let args = g.goal_args();
-    match (name, arity) {
-        (sym::TRUE, 0) => Ok(GuardOutcome::True),
-        (sym::LT, 2) | (sym::GT, 2) | (sym::LE, 2) | (sym::GE, 2) => {
-            let l = eval_arith(&args[0], store)?;
-            let r = eval_arith(&args[1], store)?;
-            match (l, r) {
-                (Evaled::Num(a), Evaled::Num(b)) => {
-                    let (a, b) = (a.as_f64(), b.as_f64());
-                    let res = match name {
-                        sym::LT => a < b,
-                        sym::GT => a > b,
-                        sym::LE => a <= b,
-                        _ => a >= b,
-                    };
-                    Ok(if res {
-                        GuardOutcome::True
-                    } else {
-                        GuardOutcome::False
-                    })
-                }
-                (l, r) => {
-                    let mut vs = Vec::new();
-                    if let Evaled::Suspend(mut s) = l {
-                        vs.append(&mut s);
-                    }
-                    if let Evaled::Suspend(s) = r {
-                        for v in s {
-                            push_unique(&mut vs, v);
-                        }
-                    }
-                    Ok(GuardOutcome::Suspend(vs))
-                }
-            }
+    match (name, args) {
+        (sym::TRUE, []) => Ok(GuardOutcome::True),
+        (sym::LT | sym::GT | sym::LE | sym::GE, [l, r]) => {
+            // Both sides are evaluated, so one suspension covers both, and
+            // an error on either side wins over a suspension on the other.
+            let l = eval_into(l, store, pending)?;
+            let r = eval_into(r, store, pending)?;
+            let (Some(a), Some(b)) = (l, r) else {
+                return Ok(GuardOutcome::Suspend);
+            };
+            let (a, b) = (a.as_f64(), b.as_f64());
+            decided(match name {
+                sym::LT => a < b,
+                sym::GT => a > b,
+                sym::LE => a <= b,
+                _ => a >= b,
+            })
         }
-        (sym::EQ, 2) | (sym::NEQ, 2) => {
-            let positive = name == sym::EQ;
-            match term_eq(&args[0], &args[1], store) {
-                EqOutcome::Eq => Ok(if positive {
-                    GuardOutcome::True
-                } else {
-                    GuardOutcome::False
-                }),
-                EqOutcome::Neq => Ok(if positive {
-                    GuardOutcome::False
-                } else {
-                    GuardOutcome::True
-                }),
-                EqOutcome::Unknown(vs) => Ok(GuardOutcome::Suspend(vs)),
+        (sym::EQ | sym::NEQ, [a, b]) => match term_eq(a, b, store) {
+            EqOutcome::Eq => decided(name == sym::EQ),
+            EqOutcome::Neq => decided(name == sym::NEQ),
+            EqOutcome::Unknown(vs) => {
+                for v in vs {
+                    push_unique(pending, v);
+                }
+                Ok(GuardOutcome::Suspend)
             }
-        }
-        (sym::INTEGER, 1)
-        | (sym::FLOAT, 1)
-        | (sym::NUMBER, 1)
-        | (sym::ATOM, 1)
-        | (sym::STRING, 1)
-        | (sym::LIST, 1)
-        | (sym::TUPLE, 1)
-        | (sym::DATA, 1) => {
-            let t = store.deref(&args[0]);
+        },
+        (
+            sym::INTEGER
+            | sym::FLOAT
+            | sym::NUMBER
+            | sym::ATOM
+            | sym::STRING
+            | sym::LIST
+            | sym::TUPLE
+            | sym::DATA,
+            [arg],
+        ) => {
+            let t = store.deref(arg);
             if let Term::Var(v) = t {
                 // Type tests are dataflow: wait until the datum arrives.
-                return Ok(GuardOutcome::Suspend(vec![v]));
+                push_unique(pending, v);
+                return Ok(GuardOutcome::Suspend);
             }
-            let ok = match name {
+            decided(match name {
                 sym::INTEGER => matches!(t, Term::Int(_)),
                 sym::FLOAT => matches!(t, Term::Float(_)),
                 sym::NUMBER => t.is_number(),
@@ -329,27 +338,14 @@ pub fn eval_guard<S: StoreOps>(guard: &Term, store: &S) -> StrandResult<GuardOut
                 sym::STRING => matches!(t, Term::Str(_)),
                 sym::LIST => matches!(t, Term::List(_) | Term::Nil),
                 sym::TUPLE => matches!(t, Term::Tuple(_, _)),
-                sym::DATA => true,
-                _ => unreachable!(),
-            };
-            Ok(if ok {
-                GuardOutcome::True
-            } else {
-                GuardOutcome::False
+                _ => true,
             })
         }
         // Nonmonotonic test used by some system code: true iff currently
         // unbound. Succeeds/fails immediately, never suspends.
-        (sym::UNKNOWN, 1) => {
-            let t = store.deref(&args[0]);
-            Ok(if t.is_var() {
-                GuardOutcome::True
-            } else {
-                GuardOutcome::False
-            })
-        }
+        (sym::UNKNOWN, [arg]) => decided(store.deref(arg).is_var()),
         _ => Err(crate::error::StrandError::BadBuiltin {
-            builtin: format!("{name}/{arity}"),
+            builtin: format!("{name}/{}", args.len()),
             detail: "unknown guard test".into(),
         }),
     }
@@ -359,6 +355,13 @@ pub fn eval_guard<S: StoreOps>(guard: &Term, store: &S) -> StrandResult<GuardOut
 mod tests {
     use super::*;
     use crate::store::{NodeId, Store};
+
+    /// A guard's outcome and the variables it added to an empty pending
+    /// list.
+    fn guard(g: &Term, store: &Store) -> (GuardOutcome, Vec<VarId>) {
+        let mut pending = Vec::new();
+        (eval_guard(g, store, &mut pending).unwrap(), pending)
+    }
 
     fn frame_for(head: &[Pat]) -> Frame {
         let n = head.iter().map(Pat::local_count).max().unwrap_or(0);
@@ -482,40 +485,37 @@ mod tests {
     fn guards_compare_arithmetic() {
         let mut store = Store::new();
         let g = Term::tuple(">", vec![Term::int(3), Term::int(0)]);
-        assert_eq!(eval_guard(&g, &store).unwrap(), GuardOutcome::True);
+        assert_eq!(guard(&g, &store), (GuardOutcome::True, vec![]));
         let g = Term::tuple("=<", vec![Term::int(3), Term::int(0)]);
-        assert_eq!(eval_guard(&g, &store).unwrap(), GuardOutcome::False);
+        assert_eq!(guard(&g, &store), (GuardOutcome::False, vec![]));
         let x = store.new_var();
         let g = Term::tuple(">", vec![Term::Var(x), Term::int(0)]);
-        assert_eq!(
-            eval_guard(&g, &store).unwrap(),
-            GuardOutcome::Suspend(vec![x])
-        );
+        assert_eq!(guard(&g, &store), (GuardOutcome::Suspend, vec![x]));
     }
 
     #[test]
     fn type_test_guards() {
         let mut store = Store::new();
         assert_eq!(
-            eval_guard(&Term::tuple("integer", vec![Term::int(1)]), &store).unwrap(),
-            GuardOutcome::True
+            guard(&Term::tuple("integer", vec![Term::int(1)]), &store),
+            (GuardOutcome::True, vec![])
         );
         assert_eq!(
-            eval_guard(&Term::tuple("list", vec![Term::Nil]), &store).unwrap(),
-            GuardOutcome::True
+            guard(&Term::tuple("list", vec![Term::Nil]), &store),
+            (GuardOutcome::True, vec![])
         );
         assert_eq!(
-            eval_guard(&Term::tuple("tuple", vec![Term::int(1)]), &store).unwrap(),
-            GuardOutcome::False
+            guard(&Term::tuple("tuple", vec![Term::int(1)]), &store),
+            (GuardOutcome::False, vec![])
         );
         let x = store.new_var();
         assert_eq!(
-            eval_guard(&Term::tuple("data", vec![Term::Var(x)]), &store).unwrap(),
-            GuardOutcome::Suspend(vec![x])
+            guard(&Term::tuple("data", vec![Term::Var(x)]), &store),
+            (GuardOutcome::Suspend, vec![x])
         );
         assert_eq!(
-            eval_guard(&Term::tuple("unknown", vec![Term::Var(x)]), &store).unwrap(),
-            GuardOutcome::True
+            guard(&Term::tuple("unknown", vec![Term::Var(x)]), &store),
+            (GuardOutcome::True, vec![])
         );
     }
 
@@ -525,12 +525,12 @@ mod tests {
         let a = Term::tuple("f", vec![Term::int(1), Term::atom("x")]);
         let b = Term::tuple("f", vec![Term::int(1), Term::atom("x")]);
         assert_eq!(
-            eval_guard(&Term::tuple("==", vec![a.clone(), b.clone()]), &store).unwrap(),
-            GuardOutcome::True
+            guard(&Term::tuple("==", vec![a.clone(), b.clone()]), &store),
+            (GuardOutcome::True, vec![])
         );
         assert_eq!(
-            eval_guard(&Term::tuple("=\\=", vec![a, b]), &store).unwrap(),
-            GuardOutcome::False
+            guard(&Term::tuple("=\\=", vec![a, b]), &store),
+            (GuardOutcome::False, vec![])
         );
     }
 
@@ -585,6 +585,7 @@ mod tests {
     #[test]
     fn unknown_guard_name_is_error() {
         let store = Store::new();
-        assert!(eval_guard(&Term::tuple("frobnicate", vec![Term::int(1)]), &store).is_err());
+        let g = Term::tuple("frobnicate", vec![Term::int(1)]);
+        assert!(eval_guard(&g, &store, &mut Vec::new()).is_err());
     }
 }

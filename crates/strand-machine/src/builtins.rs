@@ -11,6 +11,7 @@
 //! | `length(T, N)` | arity of the server stream tuple `DT` / length of a list (Server transformation step 3) |
 //! | `rand_num(N, R)` | random integer in `(1,N)` (§3.3) — deterministic, seeded |
 //! | `distribute(I, DT, Msg)` | append `Msg` to the `I`-th server stream (Server transformation step 2) |
+//! | `distribute(I, DT, Msg, Ack)` | as `distribute/3`, then bind `Ack := ok` once the message is sent — the Supervise motif's acked send |
 //! | `make_tuple(N, T)`, `put_arg(I, T, V)` | construct the stream tuple (Figure 3) |
 //! | `put_arg(I, T, V, Won)` | test-and-set slot fill: `Won := yes` iff the slot was empty — makes supervised bootstrap idempotent under duplicate delivery |
 //! | `sup_restart` | count one supervisor restart in the run metrics (Supervise motif's timeout rule) |
@@ -19,6 +20,8 @@
 //! | `work(W)` | advance the node's clock by `W` ticks — models user computation cost in experiments |
 //! | `print(T)` | append the resolved term to the run's output log |
 //! | `current_node(N)` | the executing node's 1-based number |
+//! | `arg(I, T, V)` | bind `V` to the `I`-th argument of tuple `T` (1-based; an unbound argument is aliased, not waited for) |
+//! | `gauge(Name, V)` | record the integer `V` under the atom `Name` for the executing node; the run metrics keep the maximum |
 //! | `true` | no-op |
 //! | `after_unless(C, W, T)` | timer: binds `T := timeout` after `W` ticks unless `C` is bound first (then it evaporates, costing nothing) — the Supervise motif's retry/heartbeat clock; virtual ticks on the simulator, the fleet's deadline queue on the parallel backend |
 //! | `ack(V)` | idempotently bind `V := ok` — safe under duplicate delivery |

@@ -12,11 +12,13 @@
 //!   [`Arm`] of rules that could match it, so selecting the candidate rules
 //!   costs one hash lookup however many clauses the procedure has
 //!   (first-argument clause indexing);
-//! * guards become [`GuardOp`]s: a pre-computed set of required slots
-//!   checked before any evaluation, plus a specialized evaluator for the
-//!   common comparison / equality / type tests (generic over [`StoreOps`],
-//!   so both `Store` and the striped `SharedStore` monomorphize to the same
-//!   fast path);
+//! * guards become [`GuardOp`]s: the slots a guard reads, checked before
+//!   anything is evaluated, and its operands as slot reads, ground terms
+//!   built once (a comparison's folded to its number) or templates, so no
+//!   guard tuple is built per attempt. What a guard test means is
+//!   [`guard_test`]'s alone, for the interpreter too: this tier hands it
+//!   at most two materialized operands, and it is generic over
+//!   [`StoreOps`], so both stores monomorphize it;
 //! * body goals become [`Tmpl`] templates whose ground subtrees are
 //!   pre-built `Term`s shared by every instantiation — match and
 //!   instantiate are fused through one slot [`Frame`] with no intermediate
@@ -30,7 +32,7 @@
 //!   one block), and otherwise with the tuple, exactly as any template.
 //!
 //! Functor and guard names are [`Atom`] symbols throughout: a match op
-//! compares ids, guard lowering switches on [`strand_core::sym`] constants,
+//! compares ids, [`guard_test`] switches on [`strand_core::sym`] constants,
 //! and [`ExecProgram::lookup`] hashes one `u32`.
 //!
 //! The interpreter in `tier.rs` remains the semantic reference. This
@@ -47,8 +49,8 @@ use std::sync::Arc;
 use strand_core::arith::{apply_op, is_arith_expr, is_arith_op, Evaled};
 use strand_core::matching::{term_eq, EqOutcome};
 use strand_core::{
-    eval_arith, eval_guard, sym, Atom, Frame, FxHashMap, GuardOutcome, Num, Pat, Store, StoreOps,
-    StrandResult, Term, VarId,
+    eval_arith, eval_guard, guard_test, sym, Atom, Frame, FxHashMap, GuardOutcome, Num, Pat, Store,
+    StoreOps, StrandResult, Term, VarId,
 };
 use strand_parse::{CompiledProgram, CompiledRule};
 
@@ -761,87 +763,42 @@ fn lower_goal(p: &Pat) -> Tmpl {
 // Guards
 // ---------------------------------------------------------------------------
 
-/// A lowered guard test.
+/// A lowered guard. What it means is [`guard_test`]'s; lowering only
+/// saves the work of getting there.
 #[derive(Clone, Debug)]
 pub struct GuardOp {
     /// Slots the guard reads. If any is still unset the rule fails — the
     /// interpreter's `instantiate_ro == None` case — *before* any operand
     /// is evaluated, so no error the interpreter would not surface can leak
-    /// out of a specialized evaluator.
+    /// out.
     needs: Box<[u16]>,
     kind: GuardKind,
 }
 
 #[derive(Clone, Debug)]
 enum GuardKind {
-    /// `true`.
-    True,
     /// The guard pattern contains `_` and can never be instantiated
     /// read-only: the interpreter always fails such a rule.
     AlwaysFail,
-    /// `< > =< >=`.
-    Cmp {
-        op: CmpOp,
-        lhs: ArithOperand,
-        rhs: ArithOperand,
-    },
-    /// `==` / `=\=`.
-    Eq {
-        positive: bool,
-        lhs: TermOperand,
-        rhs: TermOperand,
-    },
-    /// `integer/1 float/1 number/1 atom/1 string/1 list/1 tuple/1 data/1`.
-    Type { test: TypeTest, arg: TermOperand },
-    /// Nonmonotonic `unknown/1`: true iff currently unbound, never
-    /// suspends.
-    Unknown { arg: TermOperand },
-    /// Anything else — including unknown guard names, whose `BadBuiltin`
-    /// error must surface only if the guard is actually evaluated: fall
-    /// back to the interpreter's instantiate-then-eval path.
+    /// An atom or tuple guard, decided by [`guard_test`] — so an unknown
+    /// name's `BadBuiltin` error surfaces only if the guard is reached.
+    Test { name: Atom, args: Box<[Operand]> },
+    /// Any other guard, such as a variable bound at run time: instantiated
+    /// and decided by [`eval_guard`], as the interpreter does.
     Other(Pat),
 }
 
-#[derive(Clone, Copy, Debug)]
-enum CmpOp {
-    Lt,
-    Gt,
-    Le,
-    Ge,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum TypeTest {
-    Integer,
-    Float,
-    Number,
-    Atom,
-    Str,
-    List,
-    Tuple,
-    Data,
-}
-
-/// An arithmetic comparison operand.
+/// A guard operand.
 #[derive(Clone, Debug)]
-enum ArithOperand {
-    /// A bare rule-local: evaluate the slot's term.
+enum Operand {
+    /// A bare rule-local: the slot's term.
     Slot(u16),
-    /// Ground expression pre-folded to a number at lowering time.
-    Num(Num),
-    /// Ground expression that does not fold cleanly (a type error or
-    /// division by zero): kept as a term so the runtime error is identical
-    /// to the interpreter's, and only raised if the guard is reached.
-    Term(Term),
-    /// Non-ground expression rebuilt from slots per evaluation.
-    Tmpl(Tmpl),
-}
-
-/// A term-valued operand (equality and type-test guards).
-#[derive(Clone, Debug)]
-enum TermOperand {
-    Slot(u16),
+    /// A ground operand, built at lowering. An operand of `< > =< >=` that
+    /// evaluates cleanly is folded to its number; one that does not (a type
+    /// error or division by zero) stays the term, so the error is the
+    /// interpreter's and raised only if the guard is reached.
     Const(Term),
+    /// A non-ground compound, rebuilt from the slots per evaluation.
     Tmpl(Tmpl),
 }
 
@@ -871,104 +828,49 @@ fn pat_has_wild(p: &Pat) -> bool {
     }
 }
 
-fn lower_arith_operand(p: &Pat) -> ArithOperand {
-    if let Some(t) = pat_ground_term(p) {
-        return match eval_arith(&t, &Store::new()) {
-            Ok(Evaled::Num(n)) => ArithOperand::Num(n),
-            _ => ArithOperand::Term(t),
-        };
-    }
-    match p {
-        Pat::Local(i) => ArithOperand::Slot(*i),
-        _ => ArithOperand::Tmpl(lower_tmpl(p)),
-    }
-}
-
-fn lower_term_operand(p: &Pat) -> TermOperand {
-    if let Some(t) = pat_ground_term(p) {
-        return TermOperand::Const(t);
-    }
-    match p {
-        Pat::Local(i) => TermOperand::Slot(*i),
-        _ => TermOperand::Tmpl(lower_tmpl(p)),
+fn lower_operand(p: &Pat, fold: bool) -> Operand {
+    match (pat_ground_term(p), p) {
+        (Some(t), _) if fold => match eval_arith(&t, &Store::new()) {
+            Ok(Evaled::Num(n)) => Operand::Const(n.to_term()),
+            _ => Operand::Const(t),
+        },
+        (Some(t), _) => Operand::Const(t),
+        (None, Pat::Local(i)) => Operand::Slot(*i),
+        (None, _) => Operand::Tmpl(lower_tmpl(p)),
     }
 }
 
 fn lower_guard(p: &Pat) -> GuardOp {
     let mut needs = Vec::new();
     pat_slots(p, &mut needs);
-    let needs = needs.into_boxed_slice();
-    if pat_has_wild(p) {
-        return GuardOp {
-            needs,
-            kind: GuardKind::AlwaysFail,
-        };
-    }
-    let cmp = |op: CmpOp, args: &[Pat]| GuardKind::Cmp {
-        op,
-        lhs: lower_arith_operand(&args[0]),
-        rhs: lower_arith_operand(&args[1]),
-    };
-    let ty = |test: TypeTest, args: &[Pat]| GuardKind::Type {
-        test,
-        arg: lower_term_operand(&args[0]),
-    };
     let kind = match p {
-        Pat::Atom(sym::TRUE) => GuardKind::True,
-        Pat::Tuple(name, args) => match (*name, args.len()) {
-            (sym::LT, 2) => cmp(CmpOp::Lt, args),
-            (sym::GT, 2) => cmp(CmpOp::Gt, args),
-            (sym::LE, 2) => cmp(CmpOp::Le, args),
-            (sym::GE, 2) => cmp(CmpOp::Ge, args),
-            (sym::EQ, 2) | (sym::NEQ, 2) => GuardKind::Eq {
-                positive: *name == sym::EQ,
-                lhs: lower_term_operand(&args[0]),
-                rhs: lower_term_operand(&args[1]),
-            },
-            (sym::INTEGER, 1) => ty(TypeTest::Integer, args),
-            (sym::FLOAT, 1) => ty(TypeTest::Float, args),
-            (sym::NUMBER, 1) => ty(TypeTest::Number, args),
-            (sym::ATOM, 1) => ty(TypeTest::Atom, args),
-            (sym::STRING, 1) => ty(TypeTest::Str, args),
-            (sym::LIST, 1) => ty(TypeTest::List, args),
-            (sym::TUPLE, 1) => ty(TypeTest::Tuple, args),
-            (sym::DATA, 1) => ty(TypeTest::Data, args),
-            (sym::UNKNOWN, 1) => GuardKind::Unknown {
-                arg: lower_term_operand(&args[0]),
-            },
-            _ => GuardKind::Other(p.clone()),
+        _ if pat_has_wild(p) => GuardKind::AlwaysFail,
+        Pat::Atom(name) => GuardKind::Test {
+            name: *name,
+            args: Box::new([]),
         },
+        Pat::Tuple(name, args) => {
+            // Only a comparison evaluates its operands: `X == 1+2` compares
+            // against the tuple.
+            let fold = matches!(*name, sym::LT | sym::GT | sym::LE | sym::GE);
+            GuardKind::Test {
+                name: *name,
+                args: args.iter().map(|a| lower_operand(a, fold)).collect(),
+            }
+        }
         _ => GuardKind::Other(p.clone()),
     };
-    GuardOp { needs, kind }
-}
-
-enum GuardStep {
-    Pass,
-    Fail,
-    /// Variables already merged into the caller's pending set.
-    Suspend,
-}
-
-fn eval_operand<S: StoreOps>(op: &ArithOperand, frame: &Frame, store: &S) -> StrandResult<Evaled> {
-    match op {
-        ArithOperand::Slot(i) => eval_arith(frame.get(*i).expect("needs-checked"), store),
-        ArithOperand::Num(n) => Ok(Evaled::Num(*n)),
-        ArithOperand::Term(t) => eval_arith(t, store),
-        ArithOperand::Tmpl(t) => {
-            let term = t
-                .build_ro(frame)
-                .expect("needs-checked, wilds lowered to AlwaysFail");
-            eval_arith(&term, store)
-        }
+    GuardOp {
+        needs: needs.into_boxed_slice(),
+        kind,
     }
 }
 
-fn materialize(op: &TermOperand, frame: &Frame) -> Term {
+fn materialize(op: &Operand, frame: &Frame) -> Term {
     match op {
-        TermOperand::Slot(i) => frame.get(*i).expect("needs-checked").clone(),
-        TermOperand::Const(t) => t.clone(),
-        TermOperand::Tmpl(t) => t
+        Operand::Slot(i) => frame.get(*i).expect("needs-checked").clone(),
+        Operand::Const(t) => t.clone(),
+        Operand::Tmpl(t) => t
             .build_ro(frame)
             .expect("needs-checked, wilds lowered to AlwaysFail"),
     }
@@ -979,105 +881,29 @@ fn eval_guard_op<S: StoreOps>(
     frame: &Frame,
     store: &S,
     pending: &mut Vec<VarId>,
-) -> StrandResult<GuardStep> {
+) -> StrandResult<GuardOutcome> {
     if g.needs.iter().any(|i| frame.get(*i).is_none()) {
-        return Ok(GuardStep::Fail);
+        return Ok(GuardOutcome::False);
     }
     match &g.kind {
-        GuardKind::True => Ok(GuardStep::Pass),
-        GuardKind::AlwaysFail => Ok(GuardStep::Fail),
-        GuardKind::Cmp { op, lhs, rhs } => {
-            let l = eval_operand(lhs, frame, store)?;
-            let r = eval_operand(rhs, frame, store)?;
-            match (l, r) {
-                (Evaled::Num(a), Evaled::Num(b)) => {
-                    let (a, b) = (a.as_f64(), b.as_f64());
-                    let ok = match op {
-                        CmpOp::Lt => a < b,
-                        CmpOp::Gt => a > b,
-                        CmpOp::Le => a <= b,
-                        CmpOp::Ge => a >= b,
-                    };
-                    Ok(if ok { GuardStep::Pass } else { GuardStep::Fail })
-                }
-                (l, r) => {
-                    if let Evaled::Suspend(vs) = l {
-                        for v in vs {
-                            push_unique(pending, v);
-                        }
-                    }
-                    if let Evaled::Suspend(vs) = r {
-                        for v in vs {
-                            push_unique(pending, v);
-                        }
-                    }
-                    Ok(GuardStep::Suspend)
-                }
+        GuardKind::AlwaysFail => Ok(GuardOutcome::False),
+        GuardKind::Test { name, args } => match &args[..] {
+            [] => guard_test(*name, &[], store, pending),
+            [a] => guard_test(*name, &[materialize(a, frame)], store, pending),
+            [a, b] => {
+                let ab = [materialize(a, frame), materialize(b, frame)];
+                guard_test(*name, &ab, store, pending)
             }
-        }
-        GuardKind::Eq { positive, lhs, rhs } => {
-            let a = materialize(lhs, frame);
-            let b = materialize(rhs, frame);
-            match term_eq(&a, &b, store) {
-                EqOutcome::Eq => Ok(if *positive {
-                    GuardStep::Pass
-                } else {
-                    GuardStep::Fail
-                }),
-                EqOutcome::Neq => Ok(if *positive {
-                    GuardStep::Fail
-                } else {
-                    GuardStep::Pass
-                }),
-                EqOutcome::Unknown(vs) => {
-                    for v in vs {
-                        push_unique(pending, v);
-                    }
-                    Ok(GuardStep::Suspend)
-                }
+            // No guard test takes more: this raises the interpreter's error.
+            _ => {
+                let all: Vec<Term> = args.iter().map(|a| materialize(a, frame)).collect();
+                guard_test(*name, &all, store, pending)
             }
-        }
-        GuardKind::Type { test, arg } => {
-            let t = store.deref(&materialize(arg, frame));
-            if let Term::Var(v) = t {
-                push_unique(pending, v);
-                return Ok(GuardStep::Suspend);
-            }
-            let ok = match test {
-                TypeTest::Integer => matches!(t, Term::Int(_)),
-                TypeTest::Float => matches!(t, Term::Float(_)),
-                TypeTest::Number => t.is_number(),
-                TypeTest::Atom => matches!(t, Term::Atom(_)),
-                TypeTest::Str => matches!(t, Term::Str(_)),
-                TypeTest::List => matches!(t, Term::List(_) | Term::Nil),
-                TypeTest::Tuple => matches!(t, Term::Tuple(_, _)),
-                TypeTest::Data => true,
-            };
-            Ok(if ok { GuardStep::Pass } else { GuardStep::Fail })
-        }
-        GuardKind::Unknown { arg } => {
-            let t = store.deref(&materialize(arg, frame));
-            Ok(if t.is_var() {
-                GuardStep::Pass
-            } else {
-                GuardStep::Fail
-            })
-        }
-        GuardKind::Other(pat) => {
-            let Some(gterm) = pat.instantiate_ro(frame) else {
-                return Ok(GuardStep::Fail);
-            };
-            match eval_guard(&gterm, store)? {
-                GuardOutcome::True => Ok(GuardStep::Pass),
-                GuardOutcome::False => Ok(GuardStep::Fail),
-                GuardOutcome::Suspend(vs) => {
-                    for v in vs {
-                        push_unique(pending, v);
-                    }
-                    Ok(GuardStep::Suspend)
-                }
-            }
-        }
+        },
+        GuardKind::Other(pat) => match pat.instantiate_ro(frame) {
+            Some(gterm) => eval_guard(&gterm, store, pending),
+            None => Ok(GuardOutcome::False),
+        },
     }
 }
 
@@ -1290,10 +1116,9 @@ pub fn try_rule<S: StoreOps>(
         return Ok(TryResult::Suspend);
     }
     for g in rule.guards.iter() {
-        match eval_guard_op(g, &scratch.frame, store, &mut scratch.rule_pending)? {
-            GuardStep::Pass => {}
-            GuardStep::Fail => return Ok(TryResult::Fail),
-            GuardStep::Suspend => {}
+        let decided = eval_guard_op(g, &scratch.frame, store, &mut scratch.rule_pending)?;
+        if decided == GuardOutcome::False {
+            return Ok(TryResult::Fail);
         }
     }
     if scratch.rule_pending.is_empty() {
@@ -1653,6 +1478,133 @@ mod tests {
         assert_eq!(attempt(&r, &[Term::atom("a")], &store).0, TryResult::Fail);
         let v = store.new_var();
         assert_eq!(attempt(&r, &[Term::Var(v)], &store).0, TryResult::Suspend);
+    }
+
+    /// Guard operands: the head variables `A`–`C`, ground expressions (a
+    /// division by zero, a type error and a non-arithmetic tuple among
+    /// them), compounds over the head variables, a variable the head does
+    /// not bind, and a wildcard.
+    const GUARD_OPERANDS: [&str; 14] = [
+        "A", "B", "C", "3", "2.5", "1 + 2", "1 / 0", "a + 1", "f(1)", "a", "A * 2", "g(B, C)", "Z",
+        "_",
+    ];
+
+    /// Guards over the operands `L` and `R`: every comparison, `==` and
+    /// `=\=`, the type tests, `unknown`, `true`, the variable `G` (the
+    /// head's fourth argument, bound at run time) and a name no guard test
+    /// has, of arity 3.
+    const GUARD_FORMS: [&str; 18] = [
+        "L < R",
+        "L > R",
+        "L =< R",
+        "L >= R",
+        "L == R",
+        "L =\\= R",
+        "integer(L)",
+        "float(L)",
+        "number(L)",
+        "atom(L)",
+        "string(L)",
+        "list(L)",
+        "tuple(L)",
+        "data(L)",
+        "unknown(L)",
+        "true",
+        "G",
+        "frob(L, R, A)",
+    ];
+
+    /// A store with `x` and `y` unbound and `z`, `w` and `h` bound, and the
+    /// goal arguments a case picks from: numbers, atoms, strings, lists and
+    /// tuples, bound and unbound variables, and for `G` guard terms that
+    /// pass, fail, suspend and raise.
+    fn guard_world() -> (Store, Vec<Term>, Vec<Term>) {
+        let mut store = Store::new();
+        let [x, y, z, w, h] = [(); 5].map(|()| store.new_var());
+        let bind = |store: &mut Store, v, t| store.bind(v, t, 0, NodeId(0)).unwrap();
+        bind(&mut store, z, Term::int(2));
+        bind(&mut store, w, Term::tuple("g", vec![Term::Var(x)]));
+        let lt = Term::tuple("<", vec![Term::Var(x), Term::Var(y)]);
+        bind(&mut store, h, lt);
+        let args = vec![
+            Term::int(3),
+            Term::int(-1),
+            Term::int(0),
+            Term::float(2.5),
+            Term::atom("a"),
+            Term::Str("s".into()),
+            Term::Nil,
+            Term::cons(Term::int(1), Term::Var(x)),
+            Term::tuple("f", vec![Term::int(1)]),
+            Term::tuple("g", vec![Term::Var(y), Term::int(3)]),
+            Term::Var(x),
+            Term::Var(y),
+            Term::Var(z),
+            Term::Var(w),
+        ];
+        let guards = vec![
+            Term::tuple(">", vec![Term::Var(x), Term::int(0)]),
+            Term::tuple("==", vec![Term::Var(y), Term::Var(x)]),
+            Term::tuple("integer", vec![Term::Var(z)]),
+            Term::tuple("frob", vec![Term::int(1), Term::int(2), Term::int(3)]),
+            Term::atom("true"),
+            Term::atom("frob"),
+            Term::int(1),
+            Term::Var(y),
+            Term::Var(h),
+        ];
+        (store, args, guards)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// A lowered rule decides its guards as the interpreter does: the
+        /// same outcome, the same suspension variables in the same order,
+        /// the same error text.
+        #[test]
+        fn guards_decide_as_the_interpreter_decides(
+            guards in proptest::collection::vec(
+                (0..GUARD_FORMS.len(), 0..GUARD_OPERANDS.len(), 0..GUARD_OPERANDS.len()),
+                1..4,
+            ),
+            picks in (0..14usize, 0..14usize, 0..14usize, 0..9usize),
+        ) {
+            use crate::tier::TierRule;
+            use crate::world::StoreHandle;
+            let text: Vec<String> = guards
+                .iter()
+                .map(|&(form, l, r)| {
+                    GUARD_FORMS[form]
+                        .replace('L', GUARD_OPERANDS[l])
+                        .replace('R', GUARD_OPERANDS[r])
+                })
+                .collect();
+            let src = format!("f(A, B, C, G) :- {} | true.", text.join(", "));
+            let p = compile_program(&parse_program(&src).unwrap()).unwrap();
+            let rule = &p.get("f", 4).unwrap().rules[0];
+            let (store, args, guard_terms) = guard_world();
+            let goal = [
+                args[picks.0].clone(),
+                args[picks.1].clone(),
+                args[picks.2].clone(),
+                guard_terms[picks.3].clone(),
+            ];
+            let handle = StoreHandle::Local(store);
+            let StoreHandle::Local(store) = &handle else {
+                unreachable!()
+            };
+            let seen = |r: StrandResult<TryResult>, scratch: Scratch| {
+                (r.map_err(|e| e.to_string()), scratch.rule_pending)
+            };
+            let mut scratch = Scratch::default();
+            let interpreted = rule.attempt(&goal, &handle, &mut scratch);
+            let interpreted = seen(interpreted, scratch);
+            let mut scratch = Scratch::default();
+            let compiled = try_rule(&lower_rule(rule), &goal, store, &mut scratch);
+            let compiled = seen(compiled, scratch);
+            proptest::prop_assert_eq!(compiled, interpreted, "{} on {:?}", src, goal);
+        }
     }
 
     // -- body templates ---------------------------------------------------

@@ -29,13 +29,13 @@
 //!
 //! The simulator stays the deterministic reference. On **one** worker
 //! thread the fleet is an exact replica of it for programs without
-//! `merge/2` or `after_unless/4` — worker 0 allocates the same process ids
+//! `merge/2` or `after_unless/3` — worker 0 allocates the same process ids
 //! and variables, draws the same `rand_num` and fault dice and selects work
 //! from the same heaps — and above one it promises *confluence* (DESIGN.md
 //! §6a; `tests/conformance.rs` checks both on every inventory motif program
 //! at 1, 2, 4 and 8 threads). A [`FaultPlan`](crate::FaultPlan) is injected
 //! in the shard core every worker runs, not here (DESIGN.md §8), and every
-//! `after_unless/4` deadline goes into the fleet's one deadline queue,
+//! `after_unless/3` deadline goes into the fleet's one deadline queue,
 //! whose clock follows from what the fleet is (`timers.rs`).
 
 mod collect;

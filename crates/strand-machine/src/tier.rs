@@ -111,14 +111,9 @@ impl TierRule for CompiledRule {
             let Some(gterm) = guard.instantiate_ro(&scratch.frame) else {
                 return Ok(TryResult::Fail);
             };
-            match strand_core::eval_guard(&gterm, store)? {
-                GuardOutcome::True => {}
-                GuardOutcome::False => return Ok(TryResult::Fail),
-                GuardOutcome::Suspend(vs) => {
-                    for v in vs {
-                        exec::push_unique(&mut scratch.rule_pending, v);
-                    }
-                }
+            let decided = strand_core::eval_guard(&gterm, store, &mut scratch.rule_pending)?;
+            if decided == GuardOutcome::False {
+                return Ok(TryResult::Fail);
             }
         }
         Ok(if scratch.rule_pending.is_empty() {

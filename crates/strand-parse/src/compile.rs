@@ -7,9 +7,9 @@
 //!
 //! * `otherwise` must be a rule's only guard;
 //! * the `@random` pragma must have been transformed away (applying the
-//!   `Rand` motif) — it is a *pragma*, not an executable construct (§3.3);
-//! * singleton variables are reported as warnings (the classic
-//!   concurrent-logic lint: a variable used once is usually a typo).
+//!   `Rand` motif) — it is a *pragma*, not an executable construct (§3.3).
+//!
+//! Singleton variables are reported by [`crate::lint::lint`].
 
 use crate::ast::{Annotation, Ast, Program, Rule};
 use std::collections::HashMap;
@@ -93,8 +93,6 @@ pub struct CompiledProc {
 #[derive(Clone, Debug, Default)]
 pub struct CompiledProgram {
     procs: FxHashMap<Atom, Vec<CompiledProc>>,
-    /// Singleton-variable warnings, as `procedure: VarName` strings.
-    pub warnings: Vec<String>,
 }
 
 impl CompiledProgram {
@@ -132,7 +130,7 @@ pub fn compile_program(p: &Program) -> Result<CompiledProgram, CompileError> {
     for proc in p.procedures() {
         let mut rules = Vec::with_capacity(proc.rules.len());
         for rule in &proc.rules {
-            rules.push(compile_rule(rule, &proc.name, &mut out.warnings)?);
+            rules.push(compile_rule(rule, &proc.name)?);
         }
         let slot = out.procs.entry(Atom::new(proc.name.as_str())).or_default();
         slot.retain(|p| p.arity != proc.arity);
@@ -147,12 +145,10 @@ pub fn compile_program(p: &Program) -> Result<CompiledProgram, CompileError> {
 
 struct Slots {
     map: HashMap<String, u16>,
-    uses: HashMap<String, u32>,
 }
 
 impl Slots {
     fn slot(&mut self, name: &str) -> u16 {
-        *self.uses.entry(name.to_string()).or_insert(0) += 1;
         if let Some(i) = self.map.get(name) {
             return *i;
         }
@@ -162,14 +158,9 @@ impl Slots {
     }
 }
 
-fn compile_rule(
-    rule: &Rule,
-    proc_name: &str,
-    warnings: &mut Vec<String>,
-) -> Result<CompiledRule, CompileError> {
+fn compile_rule(rule: &Rule, proc_name: &str) -> Result<CompiledRule, CompileError> {
     let mut slots = Slots {
         map: HashMap::new(),
-        uses: HashMap::new(),
     };
 
     // Pre-count: u16 slots bound the variable count per rule.
@@ -232,12 +223,6 @@ fn compile_rule(
             goal: ast_to_pat(&call.goal, &mut slots),
             placement,
         });
-    }
-
-    for (name, uses) in &slots.uses {
-        if *uses == 1 && !name.starts_with('_') {
-            warnings.push(format!("{proc_name}: singleton variable {name}"));
-        }
     }
 
     Ok(CompiledRule {
@@ -328,19 +313,5 @@ mod tests {
             compile_program(&bad),
             Err(CompileError::MalformedOtherwise { .. })
         ));
-    }
-
-    #[test]
-    fn singleton_warning_reported() {
-        let p = parse_program("f(X, Y) :- g(X).").unwrap();
-        let c = compile_program(&p).unwrap();
-        assert!(c
-            .warnings
-            .iter()
-            .any(|w| w.contains("singleton variable Y")));
-        // Underscore-prefixed names are exempt.
-        let p = parse_program("f(X, _Unused) :- g(X).").unwrap();
-        let c = compile_program(&p).unwrap();
-        assert!(c.warnings.is_empty());
     }
 }

@@ -58,6 +58,8 @@ pub const MACHINE_BUILTINS: &[(&str, usize)] = &[
     ("distribute", 4),
     ("make_tuple", 2),
     ("put_arg", 3),
+    ("put_arg", 4),
+    ("sup_restart", 0),
     ("open_port", 2),
     ("send_port", 2),
     ("merge", 2),

@@ -64,6 +64,7 @@ fn shipped_libraries_are_lint_clean() {
         ("grid", &[("cell_init", 2)]),
         ("graph", &[]),
         ("pipeline", &[("stage", 3)]),
+        ("supervise", &[("server", 2)]),
     ];
     for (name, assume) in externals {
         let (title, src) = bench::motif_source(name).expect("catalog entry");

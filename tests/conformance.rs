@@ -14,7 +14,7 @@
 //! Equivalence is checked per the contract in DESIGN.md ("Execution
 //! backends"):
 //!
-//! * at 1 thread, programs without `merge/2`/`after_unless/4` must match
+//! * at 1 thread, programs without `merge/2`/`after_unless/3` must match
 //!   the simulator **exactly** (ordered output, identical bindings);
 //! * run status discriminants match;
 //! * every goal binding is equal after unbound-variable renaming
@@ -119,7 +119,7 @@ fn sorted(v: &[String]) -> Vec<String> {
 ///
 /// At **one** worker thread the parallel backend promises to be an exact
 /// replica of the simulator for programs without `merge/2` or
-/// `after_unless/4` (same pids, same rng, same scheduling order), so for
+/// `after_unless/3` (same pids, same rng, same scheduling order), so for
 /// those the 1-thread leg upgrades to strict equality: ordered output and
 /// identical binding terms, not just multiset conformance.
 fn assert_conform(
