@@ -22,6 +22,7 @@ use crate::motif::Motif;
 use crate::rand_map::rand_map_with_entries;
 use crate::server::server;
 use std::collections::BTreeSet;
+use strand_core::Term;
 use strand_parse::parse_program;
 use transform::callgraph::Key;
 use transform::rewrite::thread_circuit;
@@ -282,26 +283,29 @@ eval_cost(C) :- C := 1.
 
 /// Sequentially reduce a tree source string (reference result for tests).
 pub fn sequential_reduce(tree_src: &str) -> i64 {
-    fn eval(t: &strand_parse::Ast) -> i64 {
-        match t {
-            strand_parse::Ast::Tuple(name, args) if name == "leaf" => match &args[0] {
-                strand_parse::Ast::Int(v) => *v,
-                other => panic!("bad leaf {other}"),
-            },
-            strand_parse::Ast::Tuple(name, args) if name == "tree" => {
-                let l = eval(&args[1]);
-                let r = eval(&args[2]);
-                match &args[0] {
-                    strand_parse::Ast::Atom(op) if op == "+" => l + r,
-                    strand_parse::Ast::Atom(op) if op == "*" => l * r,
-                    strand_parse::Ast::Atom(op) if op == "max" => l.max(r),
+    fn eval(t: &Term) -> i64 {
+        let (name, args) = match t {
+            Term::Tuple(name, args) => (name.as_str(), &args[..]),
+            other => panic!("bad tree node {other}"),
+        };
+        match (name, args) {
+            ("leaf", [Term::Int(v)]) => *v,
+            ("tree", [Term::Atom(op), l, r]) => {
+                let (l, r) = (eval(l), eval(r));
+                match op.as_str() {
+                    "+" => l + r,
+                    "*" => l * r,
+                    "max" => l.max(r),
                     other => panic!("bad op {other}"),
                 }
             }
-            other => panic!("bad tree node {other}"),
+            _ => panic!("bad tree node {t}"),
         }
     }
-    eval(&strand_parse::parse_term(tree_src).expect("tree parses"))
+    match &strand_parse::parse_term(tree_src).expect("tree parses") {
+        strand_parse::Ast::Ground(tree) => eval(tree),
+        other => panic!("a tree holds no variable: {other}"),
+    }
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub use machine::{Machine, RunReport, RunStatus, StoreHandle};
 pub use metrics::Metrics;
 pub use trace::{render_trace, trace_summary, TraceEvent};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use strand_core::{Atom, StrandError, StrandResult, Term};
 use strand_parse::{compile_program, parse_program, parse_term, Ast, CompiledProgram, Program};
 
@@ -106,66 +106,43 @@ fn seed(machine: &mut Machine, goal: &Ast) -> BTreeMap<String, Term> {
 
 /// Convert a surface term into a runtime term, sharing variables through
 /// `vars` (named variables map to store variables; wildcards are fresh).
-/// Each distinct name is interned once per call: the symbol table's own
-/// lookup takes a process-wide lock.
+/// A ground subterm [`parse_term`] built ([`Ast::Ground`]) is shared, not
+/// walked: one reference count.
 pub fn ast_to_term(ast: &Ast, machine: &mut Machine, vars: &mut BTreeMap<String, Term>) -> Term {
-    GoalBuilder {
-        machine,
-        vars,
-        atoms: HashMap::new(),
-    }
-    .term(ast)
-}
-
-/// One [`ast_to_term`] call. `atoms` allocates on its first name only, so a
-/// term without names (a serve request line is a number) costs nothing
-/// extra. It keeps the default hasher: the names may come from a socket.
-struct GoalBuilder<'a, 'm> {
-    machine: &'m mut Machine,
-    vars: &'m mut BTreeMap<String, Term>,
-    atoms: HashMap<&'a str, Atom>,
-}
-
-impl<'a> GoalBuilder<'a, '_> {
-    fn atom(&mut self, name: &'a str) -> Atom {
-        *self.atoms.entry(name).or_insert_with(|| Atom::new(name))
-    }
-
-    fn term(&mut self, ast: &'a Ast) -> Term {
-        match ast {
-            Ast::Var(name) => match self.vars.get(name) {
-                Some(v) => v.clone(),
-                None => {
-                    let v = Term::Var(self.machine.store_mut().new_var());
-                    self.vars.insert(name.clone(), v.clone());
-                    v
-                }
-            },
-            Ast::Wild => Term::Var(self.machine.store_mut().new_var()),
-            Ast::Int(i) => Term::Int(*i),
-            Ast::Float(x) => Term::Float(*x),
-            Ast::Atom(a) => Term::Atom(self.atom(a)),
-            Ast::Str(s) => Term::str(s.as_str()),
-            Ast::Nil => Term::Nil,
-            Ast::Tuple(name, args) => {
-                let name = self.atom(name);
-                Term::tuple_from(name, args.iter().map(|a| self.term(a)))
+    match ast {
+        Ast::Ground(t) => t.clone(),
+        Ast::Var(name) => match vars.get(name) {
+            Some(v) => v.clone(),
+            None => {
+                let v = Term::Var(machine.store_mut().new_var());
+                vars.insert(name.clone(), v.clone());
+                v
             }
-            Ast::List(..) => {
-                // Along the spine, not down it: a flat list literal can be as
-                // long as a request line allows, and only nesting may recurse.
-                let mut heads = Vec::new();
-                let mut rest = ast;
-                while let Ast::List(head, tail) = rest {
-                    heads.push(self.term(head));
-                    rest = tail;
-                }
-                let end = self.term(rest);
-                heads
-                    .into_iter()
-                    .rev()
-                    .fold(end, |tail, head| Term::cons(head, tail))
+        },
+        Ast::Wild => Term::Var(machine.store_mut().new_var()),
+        Ast::Int(i) => Term::Int(*i),
+        Ast::Float(x) => Term::Float(*x),
+        Ast::Atom(a) => Term::atom(a.as_str()),
+        Ast::Str(s) => Term::str(s.as_str()),
+        Ast::Nil => Term::Nil,
+        Ast::Tuple(name, args) => Term::tuple_from(
+            Atom::new(name),
+            args.iter().map(|a| ast_to_term(a, machine, vars)),
+        ),
+        Ast::List(..) => {
+            // Along the spine, not down it: a flat list literal can be as
+            // long as a text allows, and only nesting may recurse.
+            let mut heads = Vec::new();
+            let mut rest = ast;
+            while let Ast::List(head, tail) = rest {
+                heads.push(ast_to_term(head, machine, vars));
+                rest = tail;
             }
+            let end = ast_to_term(rest, machine, vars);
+            heads
+                .into_iter()
+                .rev()
+                .fold(end, |tail, head| Term::cons(head, tail))
         }
     }
 }

@@ -5,8 +5,13 @@
 //! (the Server motif's `DT` stream tuple, for instance), and the
 //! pretty-printed output must stay readable because motif libraries are
 //! "archives of expertise" (paper §1).
+//!
+//! A term read by [`parse_term`](crate::parse_term) is data on its way into
+//! the store, and its variable-free parts never need a name: they arrive
+//! already built as runtime terms ([`Ast::Ground`]).
 
 use std::fmt;
+use strand_core::Term;
 
 /// A surface term.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,6 +32,11 @@ pub enum Ast {
     List(Box<Ast>, Box<Ast>),
     /// Empty list `[]`.
     Nil,
+    /// A variable-free subterm, built by [`parse_term`](crate::parse_term)
+    /// straight as the runtime term the engine runs: its names interned
+    /// once, each compound one block. [`parse_program`](crate::parse_program)
+    /// and the transformations never make one.
+    Ground(Term),
 }
 
 impl Ast {

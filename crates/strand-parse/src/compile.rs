@@ -14,7 +14,7 @@
 use crate::ast::{Annotation, Ast, Program, Rule};
 use std::collections::HashMap;
 use std::fmt;
-use strand_core::{Atom, FxHashMap, Pat};
+use strand_core::{Atom, FxHashMap, Pat, Term};
 
 /// Compilation error.
 #[derive(Clone, Debug, PartialEq)]
@@ -248,6 +248,21 @@ fn ast_to_pat(a: &Ast, slots: &mut Slots) -> Pat {
             args.iter().map(|x| ast_to_pat(x, slots)).collect(),
         ),
         Ast::List(h, t) => Pat::cons(ast_to_pat(h, slots), ast_to_pat(t, slots)),
+        Ast::Ground(t) => ground_pat(t),
+    }
+}
+
+/// A ground subterm `parse_term` built, as the constant pattern it is.
+fn ground_pat(t: &Term) -> Pat {
+    match t {
+        Term::Int(i) => Pat::Int(*i),
+        Term::Float(x) => Pat::Float(*x),
+        Term::Atom(a) => Pat::Atom(*a),
+        Term::Str(s) => Pat::Str(s.clone()),
+        Term::Nil => Pat::Nil,
+        Term::Tuple(name, args) => Pat::tuple(*name, args.iter().map(ground_pat).collect()),
+        Term::List(cell) => Pat::cons(ground_pat(&cell.0), ground_pat(&cell.1)),
+        Term::Var(_) | Term::Port(_) => unreachable!("the parser builds no variable or port"),
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! The lexer is a stream: the parser pulls one token at a time and holds
 //! one of lookahead, so reading a goal builds no token array. A token
-//! borrows its identifier from the source text (a string literal, and a
-//! quoted atom with an escape, owns its rewritten text), and a number is
-//! parsed straight from the source bytes.
+//! borrows its identifier or literal from the source text (one with an
+//! escape owns its rewritten text), and a number is parsed straight from
+//! the source bytes.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -18,8 +18,8 @@ pub(crate) enum Tok<'a> {
     Float(f64),
     /// Borrows its name, unless escapes in a quoted atom rewrite it.
     Atom(Cow<'a, str>),
-    /// Owned: escapes rewrite the text.
-    Str(String),
+    /// Borrows its text, unless escapes rewrite it.
+    Str(Cow<'a, str>),
     LParen,
     RParen,
     LBracket,
@@ -297,7 +297,7 @@ impl<'a> Lexer<'a> {
                 self.bump();
                 Tok::Dot
             }
-            b'"' => Tok::Str(self.lex_delimited(b'"')?.into_owned()),
+            b'"' => Tok::Str(self.lex_delimited(b'"')?),
             b'\'' => Tok::Atom(self.lex_delimited(b'\'')?),
             b'_' => {
                 // `_` alone is the wildcard; `_Foo` is a named variable.
@@ -362,9 +362,12 @@ impl<'a> Lexer<'a> {
         }
         let text = self.since(start);
         if is_float {
-            text.parse::<f64>()
-                .map(Tok::Float)
-                .map_err(|e| self.err(format!("bad float literal {text}: {e}")))
+            // `1e400` reads as infinity, which would print as the atom `inf`.
+            match text.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(Tok::Float(x)),
+                Ok(_) => Err(self.err(format!("bad float literal {text}: number too large"))),
+                Err(e) => Err(self.err(format!("bad float literal {text}: {e}"))),
+            }
         } else {
             text.parse::<i64>()
                 .map(Tok::Int)
@@ -372,9 +375,6 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// The text between `delim`s: borrowed from the source when it holds
-    /// no escape, rewritten otherwise. Runs between escapes are copied as
-    /// whole slices, so multi-byte characters pass through intact.
     /// The text between `delim`s: borrowed from the source when it holds
     /// no escape, rewritten otherwise. Runs between escapes are copied as
     /// whole slices, so multi-byte characters pass through intact.
@@ -488,6 +488,18 @@ mod tests {
         assert_eq!(toks("2.5e-1")[0], Tok::Float(0.25));
         // `3.` is the integer 3 followed by the clause terminator.
         assert_eq!(toks("3."), vec![Tok::Int(3), Tok::Dot, Tok::Eof]);
+    }
+
+    #[test]
+    fn an_overflowing_float_literal_is_refused_like_an_integer_one() {
+        let e = lex("f(1e400)").unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.message.as_str()),
+            (1, 8, "bad float literal 1e400: number too large")
+        );
+        assert!(lex("1.5e308").is_ok());
+        // Underflow is not overflow: it reads as zero.
+        assert_eq!(toks("1e-400")[0], Tok::Float(0.0));
     }
 
     #[test]

@@ -32,9 +32,13 @@
 //! Reading is one pass. The parser pulls tokens from a streaming lexer,
 //! one token ahead: a token borrows its identifier from the source text
 //! and a number is parsed in place, so a goal of any size builds no token
-//! array and allocates nothing for a token. The [`Ast`] keeps owned names
-//! (transformations rename and rebuild them); a reader that interns them
-//! does so once per distinct name (`strand_machine::ast_to_term`). Errors
+//! array and allocates nothing for a token. A program's [`Ast`] keeps owned
+//! names (transformations rename and rebuild them). A term read by
+//! [`parse_term`] is data for the store: its variable-free subterms are
+//! built as runtime terms as they are read, each distinct name interned
+//! once per parse ([`Ast::Ground`]); [`parse_ground`] does the same for
+//! untrusted text, and [`term_text`] writes a term back so that it reads
+//! back the same. Errors
 //! carry the line and column where they occur, and when the text has more
 //! than one, the first in the text is reported.
 
@@ -48,5 +52,5 @@ pub mod printer;
 pub use ast::{Annotation, Ast, Call, Procedure, Program, Rule};
 pub use compile::{compile_program, CompiledCall, CompiledProc, CompiledProgram, CompiledRule};
 pub use lint::{lint, Lint, LintKind, MACHINE_BUILTINS, MOTIF_PRIMITIVES};
-pub use parser::{parse_program, parse_term, ParseError};
-pub use printer::pretty;
+pub use parser::{parse_ground, parse_program, parse_term, GroundError, ParseError};
+pub use printer::{pretty, term_text};

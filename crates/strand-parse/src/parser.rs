@@ -24,10 +24,20 @@
 //! operator levels of `expr` by precedence in one function, entered only
 //! when an operator follows: a term with none costs the same few calls
 //! however many levels the grammar has.
+//!
+//! A term (as opposed to a program) is data for the store, so the parser
+//! builds each variable-free subterm of it straight as the runtime
+//! [`Term`]: each name interned once per parse, each compound one block,
+//! its arguments gathered on one stack the whole parse shares. Only a
+//! subterm holding a variable becomes an [`Ast`] node, and its ground
+//! arguments sit in it as [`Ast::Ground`].
 
 use crate::ast::{Annotation, Ast, Call, Program, Rule};
 use crate::lexer::{LexError, Lexer, Tok};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
+use strand_core::{sym, Atom, AtomError, Term};
 
 /// Parse error with source position.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,6 +69,23 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Why [`parse_ground`] refused a text, in the order it checks.
+#[derive(Clone, Debug, PartialEq)]
+pub enum GroundError {
+    /// The text is not a term.
+    Parse(ParseError),
+    /// The symbol table refused a name ([`Atom::try_new`]).
+    Atom(AtomError),
+    /// The term holds a variable.
+    Variable,
+}
+
+impl From<ParseError> for GroundError {
+    fn from(e: ParseError) -> Self {
+        GroundError::Parse(e)
+    }
+}
+
 /// Deepest nesting of parentheses, argument lists, list elements and unary
 /// minus the parser follows before answering a [`ParseError`]. It recurses
 /// once per level, and so do the walks over its output (`ast_to_term`,
@@ -68,6 +95,65 @@ impl From<LexError> for ParseError {
 /// The deepest committed program or goal (the 8192-leaf benchmark trees)
 /// nests under 64 levels.
 pub const MAX_NESTING: u32 = 256;
+
+/// A subterm as the parser builds it.
+enum Node {
+    /// Variable-free, read as a term: the runtime term itself.
+    Ground(Term),
+    /// Anything else: a surface node.
+    Ast(Ast),
+}
+
+impl Node {
+    fn is_ground(&self) -> bool {
+        matches!(self, Node::Ground(_))
+    }
+
+    fn into_term(self) -> Term {
+        match self {
+            Node::Ground(t) => t,
+            Node::Ast(_) => unreachable!("only ground nodes become terms"),
+        }
+    }
+
+    fn into_ast(self) -> Ast {
+        match self {
+            Node::Ground(t) => Ast::Ground(t),
+            Node::Ast(a) => a,
+        }
+    }
+}
+
+/// How a term's names become atoms: each distinct one through `intern`
+/// once per parse. The map keeps the default hasher: the names may come
+/// from a socket.
+struct Names<'a> {
+    intern: fn(&str) -> Result<Atom, AtomError>,
+    seen: HashMap<Cow<'a, str>, Atom>,
+    /// The first name `intern` refused. The parse goes on, so that a syntax
+    /// error anywhere in the text still wins.
+    refused: Option<AtomError>,
+}
+
+impl<'a> Names<'a> {
+    // A `Cow`, not a `&str`: a new name is kept borrowed from the text.
+    #[allow(clippy::ptr_arg)]
+    fn atom(&mut self, name: &Cow<'a, str>) -> Atom {
+        if let Some(&atom) = self.seen.get(&**name) {
+            return atom;
+        }
+        match (self.intern)(name) {
+            Ok(atom) => {
+                self.seen.insert(name.clone(), atom);
+                atom
+            }
+            Err(e) => {
+                self.refused.get_or_insert(e);
+                sym::ELIDED
+            }
+        }
+    }
+}
 
 /// A recursive-descent parser over the token stream, one token ahead.
 struct Parser<'a> {
@@ -85,10 +171,15 @@ struct Parser<'a> {
     lex_error: Option<LexError>,
     /// Live `unary` frames: every nesting cycle passes through `unary`.
     depth: u32,
+    /// Reading a term: its ground subterms are built as [`Term`]s. `None`
+    /// reading a program, which stays all [`Ast`].
+    names: Option<Names<'a>>,
+    /// The arguments and list elements of the compounds being read.
+    stack: Vec<Node>,
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Parser<'a> {
+    fn new(src: &'a str, names: Option<Names<'a>>) -> Parser<'a> {
         let mut p = Parser {
             lexer: Lexer::new(src),
             tok: Tok::Eof,
@@ -96,6 +187,8 @@ impl<'a> Parser<'a> {
             last: None,
             lex_error: None,
             depth: 0,
+            names,
+            stack: Vec::new(),
         };
         p.pull();
         p
@@ -110,7 +203,7 @@ impl<'a> Parser<'a> {
 
 /// Parse a complete program.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let mut p = Parser::new(src);
+    let mut p = Parser::new(src, None);
     let mut program = Program::new();
     while p.peek() != &Tok::Eof {
         program.push_rule(p.clause()?);
@@ -119,13 +212,40 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     Ok(program)
 }
 
-/// Parse a single term (used by tests and the machine's goal entry point).
+/// Parse a single term from trusted text (a goal): its names are interned
+/// with [`Atom::new`], and its variable-free subterms come back as
+/// [`Ast::Ground`].
 pub fn parse_term(src: &str) -> Result<Ast, ParseError> {
-    let mut p = Parser::new(src);
+    read_term(src, |name| Ok(Atom::new(name))).map(|(t, _)| t.into_ast())
+}
+
+/// Parse untrusted text (a request line) as a ground term, its names
+/// interned with [`Atom::try_new`]. A syntax error is reported first, then
+/// the first name the table refused, then a variable.
+pub fn parse_ground(src: &str) -> Result<Term, GroundError> {
+    match read_term(src, Atom::try_new)? {
+        (_, Some(refused)) => Err(GroundError::Atom(refused)),
+        (Node::Ground(t), None) => Ok(t),
+        (Node::Ast(_), None) => Err(GroundError::Variable),
+    }
+}
+
+/// One term, and the first name `intern` refused.
+fn read_term(
+    src: &str,
+    intern: fn(&str) -> Result<Atom, AtomError>,
+) -> Result<(Node, Option<AtomError>), ParseError> {
+    let names = Names {
+        intern,
+        seen: HashMap::new(),
+        refused: None,
+    };
+    let mut p = Parser::new(src, Some(names));
     let t = p.expr()?;
     p.expect(&Tok::Eof, "end of input")?;
+    let refused = p.names.take().and_then(|n| n.refused);
     p.finish()?;
-    Ok(t)
+    Ok((t, refused))
 }
 
 impl<'a> Parser<'a> {
@@ -196,7 +316,7 @@ impl<'a> Parser<'a> {
     }
 
     fn clause(&mut self) -> Result<Rule, ParseError> {
-        let head = self.primary()?;
+        let head = self.primary()?.into_ast();
         if head.functor().is_none() {
             return Err(self.err("rule head must be an atom or compound term"));
         }
@@ -224,9 +344,9 @@ impl<'a> Parser<'a> {
     }
 
     fn call(&mut self) -> Result<Call, ParseError> {
-        let goal = self.expr()?;
+        let goal = self.expr()?.into_ast();
         let annotation = if self.eat(&Tok::At) {
-            let place = self.unary()?;
+            let place = self.unary()?.into_ast();
             Some(match place {
                 Ast::Atom(ref a) if a == "random" => Annotation::Random,
                 Ast::Atom(ref a) if a == "task" => Annotation::Task,
@@ -243,7 +363,7 @@ impl<'a> Parser<'a> {
     /// `+ -` (2) and `* / mod` (3), the last two left-associative. One
     /// function for all three levels, entered only when an operator
     /// follows: a term in argument position passes through none of it.
-    fn expr(&mut self) -> Result<Ast, ParseError> {
+    fn expr(&mut self) -> Result<Node, ParseError> {
         let lhs = self.unary()?;
         if self.binop().is_none() {
             return Ok(lhs);
@@ -251,37 +371,39 @@ impl<'a> Parser<'a> {
         self.climb(lhs, 1)
     }
 
-    /// The lookahead as a binary operator, with its precedence.
-    fn binop(&self) -> Option<(&'static str, u8)> {
+    /// The lookahead as a binary operator, with its atom and precedence.
+    fn binop(&self) -> Option<(&'static str, Atom, u8)> {
         Some(match self.peek() {
-            Tok::Assign => (":=", 1),
-            Tok::Eq => ("=", 1),
-            Tok::EqEq => ("==", 1),
-            Tok::Neq => ("=\\=", 1),
-            Tok::Lt => ("<", 1),
-            Tok::Gt => (">", 1),
-            Tok::Le => ("=<", 1),
-            Tok::Ge => (">=", 1),
-            Tok::Plus => ("+", 2),
-            Tok::Minus => ("-", 2),
-            Tok::Star => ("*", 3),
-            Tok::Slash => ("/", 3),
+            Tok::Assign => (":=", sym::ASSIGN, 1),
+            Tok::Eq => ("=", sym::UNIFY, 1),
+            Tok::EqEq => ("==", sym::EQ, 1),
+            Tok::Neq => ("=\\=", sym::NEQ, 1),
+            Tok::Lt => ("<", sym::LT, 1),
+            Tok::Gt => (">", sym::GT, 1),
+            Tok::Le => ("=<", sym::LE, 1),
+            Tok::Ge => (">=", sym::GE, 1),
+            Tok::Plus => ("+", sym::PLUS, 2),
+            Tok::Minus => ("-", sym::MINUS, 2),
+            Tok::Star => ("*", sym::TIMES, 3),
+            Tok::Slash => ("/", sym::DIVIDE, 3),
             // `mod` is an atom in operator position: `X mod 2`.
-            Tok::Atom(a) if a == "mod" => ("mod", 3),
+            Tok::Atom(a) if a == "mod" => ("mod", sym::MOD, 3),
             _ => return None,
         })
     }
 
     /// Extend `lhs` by the operators that bind at least as tightly as `min`.
-    fn climb(&mut self, mut lhs: Ast, min: u8) -> Result<Ast, ParseError> {
-        while let Some((op, prec)) = self.binop() {
+    fn climb(&mut self, mut lhs: Node, min: u8) -> Result<Node, ParseError> {
+        while let Some((op, atom, prec)) = self.binop() {
             if prec < min {
                 break;
             }
             self.bump();
             let rhs = self.unary()?;
             let rhs = self.climb(rhs, prec + 1)?;
-            lhs = Ast::Tuple(op.to_string(), vec![lhs, rhs]);
+            let base = self.stack.len();
+            self.stack.extend([lhs, rhs]);
+            lhs = self.compound(Cow::Borrowed(op), Some(atom), base);
             if prec == 1 {
                 break;
             }
@@ -289,7 +411,7 @@ impl<'a> Parser<'a> {
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Ast, ParseError> {
+    fn unary(&mut self) -> Result<Node, ParseError> {
         if self.depth == MAX_NESTING {
             return Err(self.err(format!("term nested deeper than {MAX_NESTING} levels")));
         }
@@ -297,9 +419,15 @@ impl<'a> Parser<'a> {
         let term = if self.eat(&Tok::Minus) {
             // Fold negative literals; keep `-(X)` for variables/expressions.
             self.unary().map(|t| match t {
-                Ast::Int(i) => Ast::Int(-i),
-                Ast::Float(x) => Ast::Float(-x),
-                other => Ast::Tuple("-".into(), vec![other]),
+                Node::Ground(Term::Int(i)) => Node::Ground(Term::Int(-i)),
+                Node::Ground(Term::Float(x)) => Node::Ground(Term::Float(-x)),
+                Node::Ast(Ast::Int(i)) => Node::Ast(Ast::Int(-i)),
+                Node::Ast(Ast::Float(x)) => Node::Ast(Ast::Float(-x)),
+                other => {
+                    let base = self.stack.len();
+                    self.stack.push(other);
+                    self.compound(Cow::Borrowed("-"), Some(sym::MINUS), base)
+                }
             })
         } else {
             self.primary()
@@ -308,14 +436,38 @@ impl<'a> Parser<'a> {
         term
     }
 
-    fn primary(&mut self) -> Result<Ast, ParseError> {
+    /// A constant: the term itself when reading a term, else its node.
+    fn constant(&self, term: Term, ast: Ast) -> Node {
+        if self.names.is_some() {
+            Node::Ground(term)
+        } else {
+            Node::Ast(ast)
+        }
+    }
+
+    /// `name(…)` over the nodes on the stack from `base`, which it takes:
+    /// one block when `atom` is known and every argument is ground.
+    fn compound(&mut self, name: Cow<'a, str>, atom: Option<Atom>, base: usize) -> Node {
+        let ground = atom.filter(|_| self.stack[base..].iter().all(Node::is_ground));
+        let args = self.stack.drain(base..);
+        match ground {
+            Some(atom) => Node::Ground(Term::tuple_from(atom, args.map(Node::into_term))),
+            None => Node::Ast(Ast::Tuple(
+                name.into_owned(),
+                args.map(Node::into_ast).collect(),
+            )),
+        }
+    }
+
+    fn primary(&mut self) -> Result<Node, ParseError> {
         let at = self.here();
         match self.bump() {
-            Tok::Int(i) => Ok(Ast::Int(i)),
-            Tok::Float(x) => Ok(Ast::Float(x)),
-            Tok::Var(v) => Ok(Ast::Var(v.to_owned())),
-            Tok::Wild => Ok(Ast::Wild),
-            Tok::Str(s) => Ok(Ast::Str(s)),
+            Tok::Int(i) => Ok(self.constant(Term::Int(i), Ast::Int(i))),
+            Tok::Float(x) => Ok(self.constant(Term::Float(x), Ast::Float(x))),
+            Tok::Var(v) => Ok(Node::Ast(Ast::Var(v.to_owned()))),
+            Tok::Wild => Ok(Node::Ast(Ast::Wild)),
+            Tok::Str(s) if self.names.is_some() => Ok(Node::Ground(Term::str(&*s))),
+            Tok::Str(s) => Ok(Node::Ast(Ast::Str(s.into_owned()))),
             Tok::LParen => {
                 let inner = self.expr()?;
                 self.expect(&Tok::RParen, "`)`")?;
@@ -323,25 +475,23 @@ impl<'a> Parser<'a> {
             }
             Tok::LBracket => self.list_tail(),
             Tok::Atom(name) => {
-                let name = name.into_owned();
+                let atom = self.names.as_mut().map(|names| names.atom(&name));
                 if !self.eat(&Tok::LParen) {
-                    return Ok(Ast::Atom(name));
+                    return Ok(match atom {
+                        Some(atom) => Node::Ground(Term::Atom(atom)),
+                        None => Node::Ast(Ast::Atom(name.into_owned())),
+                    });
                 }
-                let first = self.expr()?;
-                let mut args = if self.eat(&Tok::Comma) {
-                    // The capacity a second push would grow a vector to.
-                    let mut args = Vec::with_capacity(4);
-                    args.push(first);
-                    args.push(self.expr()?);
-                    args
-                } else {
-                    vec![first]
-                };
-                while self.eat(&Tok::Comma) {
-                    args.push(self.expr()?);
+                let base = self.stack.len();
+                loop {
+                    let arg = self.expr()?;
+                    self.stack.push(arg);
+                    if !self.eat(&Tok::Comma) {
+                        break;
+                    }
                 }
                 self.expect(&Tok::RParen, "`)`")?;
-                Ok(Ast::Tuple(name, args))
+                Ok(self.compound(name, atom, base))
             }
             // A term missing at the end of the text is reported where the
             // last token starts.
@@ -354,22 +504,34 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parse the rest of a list after `[`.
-    fn list_tail(&mut self) -> Result<Ast, ParseError> {
+    /// Parse the rest of a list after `[`. A ground suffix is one term; the
+    /// cells before it, back to the last variable, are nodes.
+    fn list_tail(&mut self) -> Result<Node, ParseError> {
         if self.eat(&Tok::RBracket) {
-            return Ok(Ast::Nil);
+            return Ok(self.constant(Term::Nil, Ast::Nil));
         }
-        let mut items = vec![self.expr()?];
-        while self.eat(&Tok::Comma) {
-            items.push(self.expr()?);
+        let base = self.stack.len();
+        loop {
+            let item = self.expr()?;
+            self.stack.push(item);
+            if !self.eat(&Tok::Comma) {
+                break;
+            }
         }
         let tail = if self.eat(&Tok::Bar) {
             self.expr()?
         } else {
-            Ast::Nil
+            self.constant(Term::Nil, Ast::Nil)
         };
         self.expect(&Tok::RBracket, "`]`")?;
-        Ok(items.into_iter().rev().fold(tail, |t, h| Ast::cons(h, t)))
+        Ok(self
+            .stack
+            .drain(base..)
+            .rev()
+            .fold(tail, |list, head| match (head, list) {
+                (Node::Ground(h), Node::Ground(t)) => Node::Ground(Term::cons(h, t)),
+                (h, t) => Node::Ast(Ast::cons(h.into_ast(), t.into_ast())),
+            }))
     }
 }
 
@@ -419,18 +581,18 @@ mod tests {
             t.to_string(),
             "V := 1 + 2 * 3 - 4" // printer round-trips with minimal parens
         );
-        // Structure check: := ( + is left-assoc so (1 + (2*3)) - 4 ).
-        if let Ast::Tuple(op, args) = &t {
-            assert_eq!(op, ":=");
-            if let Ast::Tuple(minus, margs) = &args[1] {
-                assert_eq!(minus, "-");
-                assert_eq!(margs[1], Ast::Int(4));
-            } else {
-                panic!("expected subtraction at top");
-            }
-        } else {
+        // Structure check: := ( + is left-assoc so (1 + (2*3)) - 4 ), and
+        // the variable-free right side is one ground term.
+        let Ast::Tuple(op, args) = &t else {
             panic!("expected :=");
-        }
+        };
+        assert_eq!(op, ":=");
+        let Ast::Ground(Term::Tuple(minus, margs)) = &args[1] else {
+            panic!("expected a ground subtraction at top");
+        };
+        assert_eq!(*minus, sym::MINUS);
+        assert_eq!(margs[1], Term::Int(4));
+        assert_eq!(margs[0].to_string(), "+(1,*(2,3))");
     }
 
     #[test]
@@ -442,7 +604,7 @@ mod tests {
                 ":=".into(),
                 vec![
                     Ast::var("X"),
-                    Ast::Tuple("mod".into(), vec![Ast::var("N"), Ast::Int(2)])
+                    Ast::Tuple("mod".into(), vec![Ast::var("N"), Ast::Ground(Term::Int(2))])
                 ]
             )
         );
@@ -451,20 +613,40 @@ mod tests {
     #[test]
     fn lists_with_tails() {
         let t = parse_term("[1, 2|T]").unwrap();
+        let ground = |t| Ast::Ground(t);
         assert_eq!(
             t,
-            Ast::cons(Ast::Int(1), Ast::cons(Ast::Int(2), Ast::var("T")))
+            Ast::cons(
+                ground(Term::Int(1)),
+                Ast::cons(ground(Term::Int(2)), Ast::var("T"))
+            )
         );
-        assert_eq!(parse_term("[]").unwrap(), Ast::Nil);
+        assert_eq!(parse_term("[]").unwrap(), ground(Term::Nil));
         assert_eq!(
             parse_term("[a]").unwrap(),
+            ground(Term::list([Term::atom("a")]))
+        );
+        // The cells back to the last variable are nodes; the suffix after
+        // it is one term.
+        assert_eq!(
+            parse_term("[X, 1, [2]]").unwrap(),
+            Ast::cons(
+                Ast::var("X"),
+                ground(Term::list([Term::Int(1), Term::list([Term::Int(2)])]))
+            )
+        );
+        // A program keeps every node.
+        let p = parse_program("f([a]).").unwrap();
+        assert_eq!(
+            p.get("f", 1).unwrap().rules[0].head.args()[0],
             Ast::cons(Ast::atom("a"), Ast::Nil)
         );
     }
 
     #[test]
     fn negative_literals_fold() {
-        assert_eq!(parse_term("-1").unwrap(), Ast::Int(-1));
+        assert_eq!(parse_term("-1").unwrap(), Ast::Ground(Term::Int(-1)));
+        assert_eq!(parse_term("- 2.5").unwrap(), Ast::Ground(Term::Float(-2.5)));
         assert_eq!(
             parse_term("-N").unwrap(),
             Ast::Tuple("-".into(), vec![Ast::var("N")])
@@ -478,9 +660,75 @@ mod tests {
             t,
             Ast::Tuple(
                 "eval".into(),
-                vec![Ast::atom("+"), Ast::var("L"), Ast::var("R"), Ast::var("V")]
+                vec![
+                    Ast::Ground(Term::atom("+")),
+                    Ast::var("L"),
+                    Ast::var("R"),
+                    Ast::var("V")
+                ]
             )
         );
+    }
+
+    #[test]
+    fn ground_compounds_are_single_terms_and_the_rest_stays_nodes() {
+        let t = parse_term("go(X, g(1, \"s\", 'A b'), -(a), [a|Y], _)").unwrap();
+        let Ast::Tuple(name, args) = &t else {
+            panic!("expected go/5, got {t:?}");
+        };
+        assert_eq!(name, "go");
+        assert_eq!(args[0], Ast::var("X"));
+        assert_eq!(
+            args[1],
+            Ast::Ground(Term::tuple(
+                "g",
+                vec![Term::Int(1), Term::str("s"), Term::atom("A b")]
+            ))
+        );
+        assert_eq!(
+            args[2],
+            Ast::Ground(Term::tuple("-", vec![Term::atom("a")]))
+        );
+        assert_eq!(
+            args[3],
+            Ast::cons(Ast::Ground(Term::atom("a")), Ast::var("Y"))
+        );
+        assert_eq!(args[4], Ast::Wild);
+        assert_eq!(t.to_string(), "go(X, g(1, \"s\", 'A b'), -a, [a|Y], _)");
+    }
+
+    #[test]
+    fn ground_requests_report_syntax_then_names_then_variables() {
+        assert_eq!(
+            parse_ground("f(a, [1, \"s\"], 'B c')").unwrap(),
+            Term::tuple(
+                "f",
+                vec![
+                    Term::atom("a"),
+                    Term::list([Term::Int(1), Term::str("s")]),
+                    Term::atom("B c")
+                ]
+            )
+        );
+        assert_eq!(parse_ground("7").unwrap(), Term::Int(7));
+        // A repeated name is found again.
+        let names: Vec<String> = (0..20).map(|i| format!("n{i}")).collect();
+        let t = parse_ground(&format!("f({0}, {0})", names.join(", "))).unwrap();
+        assert_eq!(t.goal_args()[..20], t.goal_args()[20..]);
+        assert_eq!(t.goal_args()[19], Term::atom("n19"));
+        let long = "x".repeat(300);
+        let too_long = GroundError::Atom(AtomError::NameTooLong { len: 300 });
+        assert_eq!(parse_ground(&format!("f({long})")), Err(too_long.clone()));
+        // The first refused name is the one reported.
+        let longer = "y".repeat(400);
+        assert_eq!(parse_ground(&format!("{long}({longer}, X)")), Err(too_long));
+        assert_eq!(parse_ground("f(X)"), Err(GroundError::Variable));
+        assert_eq!(parse_ground("[1|_]"), Err(GroundError::Variable));
+        // A syntax error anywhere wins over a refused name before it.
+        assert!(matches!(
+            parse_ground(&format!("f({long}, X")),
+            Err(GroundError::Parse(e)) if e.message.contains("expected `)`")
+        ));
     }
 
     #[test]
@@ -626,8 +874,8 @@ mod tests {
         assert!(parse_term(&nested("f(", ")", ok + 1)).is_err());
         // Length is not nesting.
         let list = format!("[{}]", vec!["1"; 8 * MAX_NESTING as usize].join(","));
-        let Ast::List(..) = parse_term(&list).unwrap() else {
-            panic!("expected a list");
+        let Ast::Ground(Term::List(_)) = parse_term(&list).unwrap() else {
+            panic!("expected a ground list");
         };
         // The parser is reusable after a depth error on one clause: depth
         // is per-parse state, not global.
@@ -637,21 +885,27 @@ mod tests {
     #[test]
     fn a_request_sized_flat_list_parses_and_drops_on_a_small_stack() {
         // 32 000 elements is what a 64 KiB request line holds. Neither the
-        // parse (a fold) nor the drop of its `Ast` (iterative along the
-        // spine) may recurse per element.
+        // parse (a fold) nor the drop of what it builds (iterative along
+        // the spine, a term's and a node's alike) may recurse per element.
         std::thread::Builder::new()
             .stack_size(256 * 1024)
             .spawn(|| {
-                let list = format!("[{}]", vec!["1"; 32_000].join(","));
-                let ast = parse_term(&list).unwrap();
+                let items = vec!["1"; 32_000].join(",");
+                let ground = parse_term(&format!("[{items}]")).unwrap();
+                let Ast::Ground(list) = &ground else {
+                    panic!("expected a ground list");
+                };
+                assert_eq!(list.as_proper_list().map(|l| l.len()), Some(32_000));
+                drop(ground);
+                let open = parse_term(&format!("[{items}|T]")).unwrap();
                 let mut len = 0;
-                let mut cur = &ast;
+                let mut cur = &open;
                 while let Ast::List(_, tail) = cur {
                     len += 1;
                     cur = tail;
                 }
                 assert_eq!(len, 32_000);
-                drop(ast);
+                drop(open);
             })
             .expect("spawn")
             .join()

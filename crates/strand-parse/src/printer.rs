@@ -7,7 +7,8 @@
 //! operators infix with minimal parentheses.
 
 use crate::ast::{Annotation, Ast, Call, Program, Rule};
-use std::fmt;
+use std::fmt::{self, Write};
+use strand_core::Term;
 
 /// Binding strength used to decide parenthesization.
 fn op_prec(name: &str, arity: usize) -> Option<u8> {
@@ -20,88 +21,198 @@ fn op_prec(name: &str, arity: usize) -> Option<u8> {
     }
 }
 
-/// Format a term at a given minimum precedence.
-fn fmt_at(t: &Ast, min: u8, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    match t {
-        Ast::Tuple(name, args) => {
-            if let Some(prec) = op_prec(name, args.len()) {
-                let need_parens = prec < min;
-                if need_parens {
-                    write!(f, "(")?;
-                }
-                if args.len() == 2 {
-                    // Left-associative: left child may be same precedence,
-                    // right child must bind tighter.
-                    fmt_at(&args[0], prec, f)?;
-                    write!(f, " {name} ")?;
-                    fmt_at(&args[1], prec + 1, f)?;
-                } else {
-                    write!(f, "-")?;
-                    fmt_at(&args[0], 5, f)?;
-                }
-                if need_parens {
-                    write!(f, ")")?;
-                }
-                Ok(())
-            } else {
-                write!(f, "{}(", atom_text(name))?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    fmt_at(a, 0, f)?;
-                }
-                write!(f, ")")
-            }
+/// How a term is written.
+#[derive(Clone, Copy)]
+enum Style {
+    /// For reading: operators infix with minimal parentheses, `, ` between
+    /// arguments and list elements.
+    Pretty,
+    /// For the wire: every compound in functional form, `,` alone between
+    /// arguments.
+    Compact,
+}
+
+/// A subterm as the printer walks it: a surface node, or a runtime term
+/// (a ground node's, or a reply's).
+#[derive(Clone, Copy)]
+enum Node<'t> {
+    Ast(&'t Ast),
+    Term(&'t Term),
+}
+
+/// A compound's arguments.
+#[derive(Clone, Copy)]
+enum Args<'t> {
+    Ast(&'t [Ast]),
+    Term(&'t [Term]),
+}
+
+impl<'t> Args<'t> {
+    fn len(self) -> usize {
+        match self {
+            Args::Ast(a) => a.len(),
+            Args::Term(t) => t.len(),
         }
-        Ast::Var(v) => write!(f, "{v}"),
-        Ast::Wild => write!(f, "_"),
-        Ast::Int(i) => write!(f, "{i}"),
-        Ast::Float(x) => write!(f, "{x:?}"),
-        Ast::Atom(a) => write!(f, "{}", atom_text(a)),
-        Ast::Str(s) => write!(f, "{s:?}"),
-        Ast::Nil => write!(f, "[]"),
-        Ast::List(_, _) => {
-            write!(f, "[")?;
-            let mut cur = t;
-            let mut first = true;
-            loop {
-                match cur {
-                    Ast::Nil => break,
-                    Ast::List(h, tail) => {
-                        if !first {
-                            write!(f, ", ")?;
-                        }
-                        first = false;
-                        fmt_at(h, 0, f)?;
-                        cur = tail;
-                    }
-                    other => {
-                        write!(f, "|")?;
-                        fmt_at(other, 0, f)?;
-                        break;
-                    }
-                }
-            }
-            write!(f, "]")
+    }
+
+    fn get(self, i: usize) -> Node<'t> {
+        match self {
+            Args::Ast(a) => Node::of(&a[i]),
+            Args::Term(t) => Node::Term(&t[i]),
         }
     }
 }
 
-/// Quote an atom if it is not a plain lowercase identifier.
-fn atom_text(name: &str) -> String {
+impl<'t> Node<'t> {
+    fn of(a: &'t Ast) -> Node<'t> {
+        match a {
+            Ast::Ground(t) => Node::Term(t),
+            a => Node::Ast(a),
+        }
+    }
+
+    fn compound(self) -> Option<(&'t str, Args<'t>)> {
+        match self {
+            Node::Ast(Ast::Tuple(name, args)) => Some((name, Args::Ast(args))),
+            Node::Term(Term::Tuple(name, args)) => Some((name.as_str(), Args::Term(args))),
+            _ => None,
+        }
+    }
+
+    fn cell(self) -> Option<(Node<'t>, Node<'t>)> {
+        match self {
+            Node::Ast(Ast::List(h, t)) => Some((Node::of(h), Node::of(t))),
+            Node::Term(Term::List(cell)) => Some((Node::Term(&cell.0), Node::Term(&cell.1))),
+            _ => None,
+        }
+    }
+}
+
+/// Format a term at a given minimum precedence.
+fn fmt_at(t: Node<'_>, min: u8, style: Style, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let sep = match style {
+        Style::Pretty => ", ",
+        Style::Compact => ",",
+    };
+    if let Some((name, args)) = t.compound() {
+        let prec = match style {
+            Style::Pretty => op_prec(name, args.len()),
+            Style::Compact => None,
+        };
+        if let Some(prec) = prec {
+            let need_parens = prec < min;
+            if need_parens {
+                f.write_char('(')?;
+            }
+            if args.len() == 2 {
+                // Left-associative: left child may be same precedence,
+                // right child must bind tighter.
+                fmt_at(args.get(0), prec, style, f)?;
+                write!(f, " {name} ")?;
+                fmt_at(args.get(1), prec + 1, style, f)?;
+            } else {
+                f.write_char('-')?;
+                fmt_at(args.get(0), 5, style, f)?;
+            }
+            if need_parens {
+                f.write_char(')')?;
+            }
+            return Ok(());
+        }
+        write_atom(name, f)?;
+        f.write_char('(')?;
+        for i in 0..args.len() {
+            if i > 0 {
+                f.write_str(sep)?;
+            }
+            fmt_at(args.get(i), 0, style, f)?;
+        }
+        return f.write_char(')');
+    }
+    if t.cell().is_some() {
+        f.write_char('[')?;
+        let mut cur = t;
+        let mut first = true;
+        while let Some((head, tail)) = cur.cell() {
+            if !first {
+                f.write_str(sep)?;
+            }
+            first = false;
+            fmt_at(head, 0, style, f)?;
+            cur = tail;
+        }
+        if !matches!(cur, Node::Ast(Ast::Nil) | Node::Term(Term::Nil)) {
+            f.write_char('|')?;
+            fmt_at(cur, 0, style, f)?;
+        }
+        return f.write_char(']');
+    }
+    match t {
+        Node::Ast(Ast::Var(v)) => f.write_str(v),
+        Node::Ast(Ast::Wild) => f.write_str("_"),
+        Node::Ast(Ast::Int(i)) | Node::Term(Term::Int(i)) => write!(f, "{i}"),
+        Node::Ast(Ast::Float(x)) | Node::Term(Term::Float(x)) => write!(f, "{x:?}"),
+        Node::Ast(Ast::Atom(a)) => write_atom(a, f),
+        Node::Term(Term::Atom(a)) => write_atom(a.as_str(), f),
+        Node::Ast(Ast::Str(s)) => write_quoted(s, '"', f),
+        Node::Term(Term::Str(s)) => write_quoted(s, '"', f),
+        Node::Ast(Ast::Nil) | Node::Term(Term::Nil) => f.write_str("[]"),
+        Node::Term(Term::Var(v)) => write!(f, "_{}", v.0),
+        Node::Term(Term::Port(p)) => write!(f, "<port {p}>"),
+        Node::Ast(Ast::Tuple(..) | Ast::List(..) | Ast::Ground(_))
+        | Node::Term(Term::Tuple(..) | Term::List(_)) => unreachable!("written above"),
+    }
+}
+
+/// An atom, quoted unless it is a plain lowercase identifier.
+fn write_atom(name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let plain = name.chars().next().is_some_and(|c| c.is_ascii_lowercase())
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
     if plain {
-        name.to_string()
+        f.write_str(name)
     } else {
-        format!("'{}'", name.replace('\\', "\\\\").replace('\'', "\\'"))
+        write_quoted(name, '\'', f)
     }
+}
+
+/// `text` between `delim`s, with the escapes the lexer reads back: a
+/// newline stays off the line it is written on.
+fn write_quoted(text: &str, delim: char, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    f.write_char(delim)?;
+    for c in text.chars() {
+        match c {
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\t' => f.write_str("\\t")?,
+            c if c == delim => {
+                f.write_char('\\')?;
+                f.write_char(c)?;
+            }
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char(delim)
 }
 
 /// `Display` hook used by `Ast`.
 pub(crate) fn fmt_ast(t: &Ast, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    fmt_at(t, 0, f)
+    fmt_at(Node::of(t), 0, Style::Pretty, f)
+}
+
+/// A runtime term in the compact form `strand-serve` replies in: no
+/// spaces, every compound in functional form (`'+'(1,2)`), atoms and
+/// strings quoted where the lexer needs it. [`parse_term`] reads it back
+/// as the same term.
+///
+/// [`parse_term`]: crate::parse_term
+pub fn term_text(t: &Term) -> String {
+    struct Compact<'t>(&'t Term);
+    impl fmt::Display for Compact<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            fmt_at(Node::Term(self.0), 0, Style::Compact, f)
+        }
+    }
+    Compact(t).to_string()
 }
 
 fn call_text(c: &Call) -> String {
@@ -232,9 +343,9 @@ mod tests {
     #[test]
     fn non_ascii_atoms_and_strings_print_back_and_reparse_equal() {
         for (src, want) in [
-            ("'é'", Ast::Atom("é".into())),
-            ("\"héllo\"", Ast::Str("héllo".into())),
-            ("'日本'", Ast::Atom("日本".into())),
+            ("'é'", Ast::Ground(Term::atom("é"))),
+            ("\"héllo\"", Ast::Ground(Term::str("héllo"))),
+            ("'日本'", Ast::Ground(Term::atom("日本"))),
         ] {
             let t = parse_term(src).unwrap();
             assert_eq!(t, want);

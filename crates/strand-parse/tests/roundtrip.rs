@@ -3,9 +3,33 @@
 //! parser produces (minus unresolved pragmas).
 
 use proptest::prelude::*;
+use strand_core::Term;
 use strand_parse::{
     compile_program, parse_program, parse_term, pretty, Annotation, Ast, Call, Program, Rule,
 };
+
+/// `a` with every ground subterm `parse_term` built written out as nodes.
+fn plain(a: &Ast) -> Ast {
+    match a {
+        Ast::Ground(t) => nodes(t),
+        Ast::Tuple(name, args) => Ast::Tuple(name.clone(), args.iter().map(plain).collect()),
+        Ast::List(h, t) => Ast::cons(plain(h), plain(t)),
+        other => other.clone(),
+    }
+}
+
+fn nodes(t: &Term) -> Ast {
+    match t {
+        Term::Int(i) => Ast::Int(*i),
+        Term::Float(x) => Ast::Float(*x),
+        Term::Atom(a) => Ast::atom(a.as_str()),
+        Term::Str(s) => Ast::Str(s.to_string()),
+        Term::Nil => Ast::Nil,
+        Term::Tuple(name, args) => Ast::tuple(name.as_str(), args.iter().map(nodes).collect()),
+        Term::List(cell) => Ast::cons(nodes(&cell.0), nodes(&cell.1)),
+        other => panic!("the parser builds no {other}"),
+    }
+}
 
 /// Strategy: plausible identifier atoms.
 fn atom_name() -> impl Strategy<Value = String> {
@@ -181,7 +205,8 @@ proptest! {
         let printed = t.to_string();
         let reparsed = parse_term(&printed)
             .unwrap_or_else(|e| panic!("printed term failed to reparse: {e}\n{printed}"));
-        prop_assert_eq!(t, reparsed);
+        prop_assert_eq!(reparsed.to_string(), printed);
+        prop_assert_eq!(t, plain(&reparsed));
     }
 
     /// Guard expressions round-trip with operators at every precedence.

@@ -53,7 +53,7 @@
 //! server([req(Q, R)|In]) :- R := Q * 2, server(In).
 //! ```
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write as IoWrite};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -62,11 +62,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use strand_core::{sym, Atom, AtomError, StrandError, StrandResult, Term};
-use strand_machine::{
-    ast_to_term, FaultPlan, ForeignLib, Machine, MachineConfig, ResidentHandle, RunReport,
-};
-use strand_parse::{parse_term, Ast};
+use strand_core::{sym, Atom, StrandError, StrandResult, Term};
+use strand_machine::{FaultPlan, ForeignLib, Machine, MachineConfig, ResidentHandle, RunReport};
+use strand_parse::{parse_ground, term_text, GroundError};
 
 /// Boot rule appended to the application before the Server transformation:
 /// build the port-tuple directory and spawn one server per node, but —
@@ -247,29 +245,6 @@ impl Response {
 /// The sink every request's reply probe calls.
 const REPLY_PROBE: &str = "$serve_reply";
 
-/// Intern every atom and functor name of a request as *untrusted* text.
-/// The symbol table never frees a name, so a client must not be able to
-/// fill it: [`Atom::try_new`] refuses names over 255 bytes and, once the
-/// table is within its reserve of capacity, any name it does not already
-/// hold. After this pass `ast_to_term` finds every name present and cannot
-/// grow the table. Iterative along list tails, like the parser.
-fn admit_atoms(mut ast: &Ast) -> Result<(), AtomError> {
-    loop {
-        match ast {
-            Ast::Atom(name) => return Atom::try_new(name).map(drop),
-            Ast::Tuple(name, args) => {
-                Atom::try_new(name)?;
-                return args.iter().try_for_each(admit_atoms);
-            }
-            Ast::List(head, tail) => {
-                admit_atoms(head)?;
-                ast = tail;
-            }
-            _ => return Ok(()),
-        }
-    }
-}
-
 /// A resident Server-motif program plus the session plumbing around it.
 /// `Sync`: share behind an `Arc` across connection threads.
 pub struct MotifService {
@@ -396,13 +371,16 @@ impl MotifService {
         if self.is_stopping() {
             return Response::Err("service is shutting down".to_string());
         }
-        let ast = match parse_term(line) {
-            Ok(a) => a,
-            Err(e) => return Response::Err(format!("parse: {e}")),
+        // Names from a socket are untrusted: the symbol table never frees
+        // one, so `parse_ground` interns them with `Atom::try_new`.
+        let q = match parse_ground(line) {
+            Ok(q) => q,
+            Err(GroundError::Parse(e)) => return Response::Err(format!("parse: {e}")),
+            Err(GroundError::Atom(e)) => return Response::Err(format!("atom: {e}")),
+            Err(GroundError::Variable) => {
+                return Response::Err("request must be a ground term".to_string())
+            }
         };
-        if let Err(e) = admit_atoms(&ast) {
-            return Response::Err(format!("atom: {e}"));
-        }
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
         // Backpressure: at most `max_pending` requests in flight.
         let Some(slot) = self.replies.register(rid, self.cfg.max_pending) else {
@@ -413,43 +391,28 @@ impl MotifService {
         let node = self.pick_node();
         let timeout = Duration::from_millis(self.cfg.reply_timeout_ms);
         let got = if self.cfg.supervise {
-            self.supervised_request(&ast, rid, node, &slot, timeout)
+            self.supervised_request(q, rid, node, &slot, timeout)
         } else {
             self.engine
-                .with_ingress(|m| self.inject_request(m, &ast, rid, node))
-                .map(|_| slot.wait(timeout))
+                .with_ingress(|m| self.inject_request(m, q, rid, node));
+            slot.wait(timeout)
         };
-        if !matches!(got, Ok(Some(_))) {
-            self.replies.forget(rid); // a delivery removes its own entry
-        }
         match got {
-            Ok(Some(t)) => Response::Ok(t.to_string()),
-            Ok(None) => Response::Err(format!("no reply within {}ms", self.cfg.reply_timeout_ms)),
-            Err(resp) => resp,
+            Some(t) => Response::Ok(term_text(&t)),
+            None => {
+                self.replies.forget(rid); // a delivery removes its own entry
+                Response::Err(format!("no reply within {}ms", self.cfg.reply_timeout_ms))
+            }
         }
     }
 
-    /// Build and enqueue one request on `m` (the ingress machine). `Ok`
-    /// carries the reply variable; `Err` carries the client-facing
-    /// response.
-    fn inject_request(
-        &self,
-        m: &mut Machine,
-        ast: &Ast,
-        rid: u64,
-        node: i64,
-    ) -> Result<Term, Response> {
-        let mut vars = BTreeMap::new();
-        let q = ast_to_term(ast, m, &mut vars);
-        if !vars.is_empty() || !m.store().resolve(&q).is_ground() {
-            // Nothing refers to the stray variables: the next collection
-            // frees them.
-            return Err(Response::Err("request must be a ground term".to_string()));
-        }
+    /// Enqueue one request on `m` (the ingress machine); returns its reply
+    /// variable.
+    fn inject_request(&self, m: &mut Machine, q: Term, rid: u64, node: i64) -> Term {
         let reply = Term::Var(m.store_mut().new_var());
         m.metrics_mut().requests_admitted += 1;
         self.send_request(m, q, &reply, rid, node);
-        Ok(reply)
+        reply
     }
 
     /// Enqueue the two goals of a request at `node`: the send of
@@ -528,19 +491,19 @@ impl MotifService {
     /// request's life.
     fn supervised_request(
         &self,
-        ast: &Ast,
+        q: Term,
         rid: u64,
         node: i64,
         slot: &ReplySlot,
         timeout: Duration,
-    ) -> Result<Option<Term>, Response> {
+    ) -> Option<Term> {
         let h = &self.engine;
         let mut dead_seen = h.crashed_nodes().len();
         let reply = h.with_ingress(|m| {
-            let reply = self.inject_request(m, ast, rid, node)?;
+            let reply = self.inject_request(m, q.clone(), rid, node);
             m.hold(reply.clone());
-            Ok(reply)
-        })?;
+            reply
+        });
         let deadline = Instant::now() + timeout;
         let slice = Duration::from_millis(250);
         let resend_every = Duration::from_secs(2);
@@ -575,14 +538,11 @@ impl MotifService {
                 dead_seen = dead_now;
                 last_send = Instant::now();
                 let resend_node = self.pick_node();
-                h.with_ingress(|m| {
-                    let q = ast_to_term(ast, m, &mut BTreeMap::new());
-                    self.send_request(m, q, &reply, rid, resend_node);
-                });
+                h.with_ingress(|m| self.send_request(m, q.clone(), &reply, rid, resend_node));
             }
         };
         h.with_ingress(|m| m.release(&reply));
-        Ok(got)
+        got
     }
 
     /// Requests admitted and not yet answered or abandoned: the count
@@ -1199,12 +1159,23 @@ mod tests {
             MotifService::start(ECHO_APP, cfg).unwrap()
         };
         let s = svc.open_session();
-        for t in ["point(1, 2)", "[a, b, [c, 4]]", "nested(f(g(h)), [1])"] {
+        // The last four are written back quoted: `Term`'s `Display` gave
+        // `a b`, `Hello` (a variable), `f(+,X)` and `g(+(1,2))`.
+        for t in [
+            "point(1, 2)",
+            "[a, b, [c, 4]]",
+            "nested(f(g(h)), [1])",
+            "'a b'",
+            "'Hello'",
+            "f('+', 'X')",
+            "g(1 + 2)",
+        ] {
             match svc.request(s, t) {
                 Response::Ok(echoed) => {
-                    let want = parse_term(t).unwrap();
-                    let got = parse_term(&echoed).unwrap();
-                    assert_eq!(format!("{want:?}"), format!("{got:?}"), "echo of {t}");
+                    let want = strand_parse::parse_term(t).unwrap();
+                    let got = strand_parse::parse_term(&echoed)
+                        .unwrap_or_else(|e| panic!("echo of {t} is {echoed}: {e}"));
+                    assert_eq!(want, got, "echo of {t} is {echoed}");
                 }
                 other => panic!("echo of {t} failed: {other:?}"),
             }

@@ -1,5 +1,5 @@
 //! Allocation budgets of the reduction path (ROADMAP aim 1, "`Term`
-//! boxing").
+//! boxing"), and of the goal ingest before it.
 //!
 //! A timing needs a quiet host to mean anything; an allocation count
 //! repeats exactly. These budgets pin what interned atoms, single-block
@@ -16,8 +16,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
+use algorithmic_motifs::strand_core::SplitMix64;
 use algorithmic_motifs::strand_machine::{ast_to_term, ExecMode, Machine, MachineConfig};
-use algorithmic_motifs::strand_parse::{compile_program, parse_program, parse_term};
+use algorithmic_motifs::strand_parse::{compile_program, parse_program, parse_term, Ast};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -220,4 +221,56 @@ fn tree_reduce_stays_within_5_percent_of_its_pooled_count() {
         "{allocations} allocations over {reductions} reductions; budget {}",
         POOLED * 105 / 100
     );
+}
+
+/// A seeded `dispatch-tree`-shaped tree of `leaves` leaves as source text:
+/// `tree(Op, L, R)` with `Op` in `0..256` and `leaf(1..=9)`, each split
+/// drawn from the middle half of the range.
+fn dispatch_tree_src(leaves: u64, rng: &mut SplitMix64, out: &mut String) {
+    if leaves == 1 {
+        out.push_str(&format!("leaf({})", 1 + rng.next_below(9)));
+        return;
+    }
+    let lo = (leaves / 4).max(1);
+    let left = lo + rng.next_below(leaves - 2 * lo + 1);
+    out.push_str(&format!("tree({}, ", rng.next_below(256)));
+    dispatch_tree_src(left, rng, out);
+    out.push_str(", ");
+    dispatch_tree_src(leaves - left, rng, out);
+    out.push(')');
+}
+
+#[test]
+fn goal_ingest_allocates_one_block_per_compound() {
+    // The goal's ground tree is built by the parser as the runtime term:
+    // one block per `tree/3` and `leaf/1`, and `ast_to_term` shares it.
+    // Through a surface tree it was three per compound: the name's
+    // `String`, the argument `Vec` and, rebuilt, the tuple.
+    const LEAVES: u64 = 8192;
+    let mut tree = String::new();
+    dispatch_tree_src(LEAVES, &mut SplitMix64::new(1991), &mut tree);
+    let goal = format!("reduce({tree}, Value)");
+    let compounds = 2 * LEAVES - 1 + 1; // the tree's nodes, and `reduce/2`
+    let program = compile_program(&parse_program("reduce(_, _).").unwrap()).unwrap();
+    let mut machine = Machine::new(program, MachineConfig::default());
+    let mut vars = BTreeMap::new();
+    let before = ALLOCATIONS.with(Cell::get);
+    let ast = parse_term(&goal).expect("goal parses");
+    let term = ast_to_term(&ast, &mut machine, &mut vars);
+    let ingest = ALLOCATIONS.with(Cell::get) - before;
+    assert!(
+        ingest <= compounds + 32,
+        "{ingest} allocations for {compounds} compounds"
+    );
+    let Ast::Tuple(_, args) = &ast else {
+        panic!("expected reduce/2, got {ast}");
+    };
+    let before = ALLOCATIONS.with(Cell::get);
+    let shared = ast_to_term(&args[0], &mut machine, &mut vars);
+    assert_eq!(
+        ALLOCATIONS.with(Cell::get) - before,
+        0,
+        "a ground argument was rebuilt"
+    );
+    assert_eq!(&shared, &term.goal_args()[0]);
 }

@@ -68,7 +68,8 @@ fn backends() -> Vec<ServeBackend> {
 
 /// The batch reference: deliver `req(Payload, R)` through the library's
 /// own `create/2` on the deterministic simulator and render the bound
-/// reply — the value the resident replay must reproduce bit-for-bit.
+/// reply as the service writes it — the value the resident replay must
+/// reproduce bit-for-bit.
 fn batch_reply(app: &str, payload: &str) -> String {
     let program = algorithmic_motifs::motifs::server()
         .apply_src(app)
@@ -82,7 +83,7 @@ fn batch_reply(app: &str, payload: &str) -> String {
         "{:?}",
         r.report.status
     );
-    r.bindings["R"].to_string()
+    algorithmic_motifs::strand_parse::term_text(&r.bindings["R"])
 }
 
 /// Run `client` against a resident service over loopback TCP — the real
