@@ -35,6 +35,8 @@
 //!
 //! See [`inventory`] for the code-size accounting of experiment E5.
 
+#![forbid(unsafe_code)]
+
 pub mod dc;
 pub mod graph;
 pub mod grid;

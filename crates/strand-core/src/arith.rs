@@ -149,6 +149,9 @@ fn eval_tuple<S: StoreOps>(
         Err(OpFault::Type) => Err(StrandError::ArithType {
             expr: store.resolve(expr),
         }),
+        Err(OpFault::NonFinite) => Err(StrandError::NonFinite {
+            expr: store.resolve(expr),
+        }),
     }
 }
 
@@ -159,15 +162,19 @@ pub enum OpFault {
     DivideByZero,
     /// Not an operator of this arity, or `mod` of a float.
     Type,
+    /// A float result that is infinite or NaN (`1.0e308 * 10.0`,
+    /// `1.0 / 0.0`): no literal names one — the lexer refuses `1e400` — so
+    /// nothing written out could be read back as the value it was.
+    NonFinite,
 }
 
 /// Apply arithmetic operator `op` to its evaluated operands: the one place
 /// operator semantics live, for [`eval_arith`] and for anything else that
 /// evaluates an expression from its leaves. Integer operations wrap on
-/// overflow.
+/// overflow; a float result must be finite.
 #[inline]
 pub fn apply_op(op: Atom, operands: &[Num]) -> Result<Num, OpFault> {
-    Ok(match (op, operands) {
+    let n = match (op, operands) {
         (sym::PLUS, [a, b]) => a.binop(*b, i64::wrapping_add, |x, y| x + y),
         (sym::MINUS, [a, b]) => a.binop(*b, i64::wrapping_sub, |x, y| x - y),
         (sym::TIMES, [a, b]) => a.binop(*b, i64::wrapping_mul, |x, y| x * y),
@@ -204,7 +211,11 @@ pub fn apply_op(op: Atom, operands: &[Num]) -> Result<Num, OpFault> {
             }
         }
         _ => return Err(OpFault::Type),
-    })
+    };
+    match n {
+        Num::Float(x) if !x.is_finite() => Err(OpFault::NonFinite),
+        n => Ok(n),
+    }
 }
 
 /// Is this term (shallowly) an arithmetic expression — a number, or a tuple
@@ -349,6 +360,35 @@ mod tests {
             let e = Term::tuple(op, args);
             assert_eq!(ev(&e, &s), Evaled::Num(Num::Int(want)), "{e}");
         }
+    }
+
+    #[test]
+    fn a_non_finite_float_result_faults() {
+        let s = Store::new();
+        let (big, zero) = (Term::float(1.0e308), Term::float(0.0));
+        for (op, args) in [
+            ("*", vec![big.clone(), Term::float(10.0)]),
+            ("+", vec![big.clone(), big.clone()]),
+            ("-", vec![Term::tuple("-", vec![big.clone()]), big.clone()]),
+            ("/", vec![Term::float(1.0), zero.clone()]),
+            ("/", vec![zero.clone(), zero.clone()]),
+            ("/", vec![Term::int(1), Term::float(1.0e-310)]),
+        ] {
+            let e = Term::tuple(op, args);
+            let got = eval_arith(&e, &s);
+            assert!(matches!(got, Err(StrandError::NonFinite { .. })), "{e}");
+        }
+        // The operator is the one place that decides, for every caller.
+        let inf = apply_op(sym::TIMES, &[Num::Float(1.0e308), Num::Int(10)]);
+        assert_eq!(inf, Err(OpFault::NonFinite));
+        // Finite floats, and an integer divisor of zero, are as they were.
+        let e = Term::tuple("/", vec![big.clone(), Term::float(10.0)]);
+        assert_eq!(ev(&e, &s), Evaled::Num(Num::Float(1.0e307)));
+        let e = Term::tuple("/", vec![Term::float(1.0), Term::int(0)]);
+        assert!(matches!(
+            eval_arith(&e, &s),
+            Err(StrandError::DivideByZero { .. })
+        ));
     }
 
     #[test]

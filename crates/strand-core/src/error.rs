@@ -27,6 +27,8 @@ pub enum StrandError {
     ArithType { expr: Term },
     /// Division (or mod) by zero.
     DivideByZero { expr: Term },
+    /// A float result that is infinite or NaN.
+    NonFinite { expr: Term },
     /// The machine stopped with suspended processes that can never wake.
     Deadlock { suspended_goals: Vec<Term> },
     /// A builtin was called with arguments of the wrong shape.
@@ -62,6 +64,7 @@ impl fmt::Display for StrandError {
                 write!(f, "arithmetic on non-numeric term {expr}")
             }
             StrandError::DivideByZero { expr } => write!(f, "division by zero in {expr}"),
+            StrandError::NonFinite { expr } => write!(f, "non-finite result of {expr}"),
             StrandError::Deadlock { suspended_goals } => write!(
                 f,
                 "deadlock: {} process(es) suspended forever (first: {})",

@@ -29,6 +29,8 @@
 //! Everything here is deliberately independent of how programs are executed;
 //! the machine crate layers process pools, placement and metrics on top.
 
+#![forbid(unsafe_code)]
+
 pub mod arith;
 pub mod atom;
 mod chunks;
@@ -51,4 +53,4 @@ pub use pat::{Frame, Pat};
 pub use rng::SplitMix64;
 pub use shared::{Marks, SharedStore, SharedStoreView};
 pub use store::{NodeId, Store, StoreOps, Time, VarId, Waiter, Waiters};
-pub use term::Term;
+pub use term::{fmt_call, Term};

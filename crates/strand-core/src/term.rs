@@ -250,16 +250,7 @@ impl fmt::Display for Term {
             Term::Atom(a) => write!(f, "{a}"),
             Term::Str(s) => write!(f, "{s:?}"),
             Term::Port(p) => write!(f, "<port {p}>"),
-            Term::Tuple(name, args) => {
-                write!(f, "{name}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
+            Term::Tuple(name, args) => fmt_call(f, *name, args),
             Term::List(_) | Term::Nil => {
                 write!(f, "[")?;
                 let mut cur = self.clone();
@@ -285,6 +276,21 @@ impl fmt::Display for Term {
             }
         }
     }
+}
+
+/// Write `name(args…)` as [`Term`]'s `Display` writes a tuple, or `name`
+/// alone when there are no arguments, so a goal reads the same whether it
+/// is held as a call or as a term.
+pub fn fmt_call(f: &mut fmt::Formatter<'_>, name: Atom, args: &[Term]) -> fmt::Result {
+    write!(f, "{name}")?;
+    let Some((first, rest)) = args.split_first() else {
+        return Ok(());
+    };
+    write!(f, "({first}")?;
+    for a in rest {
+        write!(f, ",{a}")?;
+    }
+    write!(f, ")")
 }
 
 impl fmt::Debug for Term {

@@ -37,7 +37,7 @@
 use crate::config::Delivery;
 use crate::machine::{CallOutcome, Machine};
 use crate::trace::{goal_text, TraceEvent};
-use crate::world::PortState;
+use crate::world::{Goal, PortState};
 use strand_core::arith::{is_arith_expr, Evaled};
 use strand_core::{eval_arith, sym, Atom, StrandError, StrandResult, Term, VarId};
 
@@ -49,20 +49,18 @@ fn bad(builtin: &str, detail: impl Into<String>) -> CallOutcome {
 }
 
 impl Machine {
-    /// Execute `goal` if `name` with its arity is a machine builtin;
-    /// `Ok(None)` if it is not. The one `match` is both the membership test
-    /// and the dispatch, once per reduction: `name` is compared against
-    /// pre-interned symbols (an integer switch, no string compare), then the
-    /// argument count. Returns `Err` only for machine-fatal conditions;
-    /// program-level problems go through [`CallOutcome`].
+    /// Execute the call `name(args…)` if `name` with its arity is a
+    /// machine builtin; `Ok(None)` if it is not. The one `match` is both
+    /// the membership test and the dispatch, once per reduction: `name` is
+    /// compared against pre-interned symbols (an integer switch, no string
+    /// compare), then the argument count. Returns `Err` only for
+    /// machine-fatal conditions; program-level problems go through
+    /// [`CallOutcome`].
     pub(crate) fn exec_builtin(
         &mut self,
         name: Atom,
-        goal: &Term,
+        args: &[Term],
     ) -> StrandResult<Option<CallOutcome>> {
-        // Borrow the argument slice directly — builtins run once per goal
-        // and must not pay a Vec clone on every reduction.
-        let args: &[Term] = goal.goal_args();
         Ok(Some(match (name, args) {
             (sym::TRUE, []) => CallOutcome::Done,
 
@@ -118,7 +116,7 @@ impl Machine {
                             };
                             match slot {
                                 Term::Port(p) => {
-                                    let sent = self.port_send(p, msg.clone())?;
+                                    let sent = self.port_send(p, msg)?;
                                     match (sent, ack) {
                                         (CallOutcome::Done, Some(a)) => {
                                             self.bind_or_err(&a, Term::Atom(sym::OK))?
@@ -219,7 +217,7 @@ impl Machine {
 
             (sym::SEND_PORT, [p, m]) => match self.store.deref(p) {
                 Term::Var(v) => CallOutcome::Suspend(vec![v]),
-                Term::Port(id) => self.port_send(id, m.clone())?,
+                Term::Port(id) => self.port_send(id, m)?,
                 other => bad("send_port/2", format!("not a port: {other}")),
             },
 
@@ -252,10 +250,8 @@ impl Machine {
                             };
                             let id = self.world().open_port(port);
                             for s in items {
-                                self.spawn(
-                                    Term::tuple(sym::FORWARD, vec![s, Term::Port(id)]),
-                                    node,
-                                );
+                                let forward = vec![s, Term::Port(id)];
+                                self.spawn(Goal::call(sym::FORWARD, forward), node);
                             }
                             CallOutcome::Done
                         }
@@ -274,13 +270,11 @@ impl Machine {
                             return Ok(Some(bad("$forward/2", format!("not a port: {other}"))))
                         }
                     };
-                    match self.port_send(port, cell.0.clone())? {
+                    match self.port_send(port, &cell.0)? {
                         CallOutcome::Done => {
                             let node = self.current_node;
-                            self.spawn(
-                                Term::tuple(sym::FORWARD, vec![cell.1.clone(), p.clone()]),
-                                node,
-                            );
+                            let rest = vec![cell.1.clone(), p.clone()];
+                            self.spawn(Goal::call(sym::FORWARD, rest), node);
                             CallOutcome::Done
                         }
                         other => other,
@@ -294,7 +288,7 @@ impl Machine {
                 Evaled::Num(n) => {
                     let target = self.map_node(n.as_f64() as i64);
                     let goal = self.store.deref(g);
-                    self.spawn(goal, target);
+                    self.spawn(Goal::Term(goal), target);
                     CallOutcome::Done
                 }
             },
@@ -468,9 +462,10 @@ impl Machine {
     /// cross-node sends — fault injection. Note what a crash does *not*
     /// break: the stream is data in the global store, so sends to a port
     /// whose owner died still append (a restarted consumer can replay
-    /// them); only injected drops lose messages.
-    fn port_send(&mut self, port: u32, msg: Term) -> StrandResult<CallOutcome> {
-        let msg = self.store.deref(&msg);
+    /// them); only injected drops lose messages. The message is cloned
+    /// once, dereferenced.
+    fn port_send(&mut self, port: u32, msg: &Term) -> StrandResult<CallOutcome> {
+        let msg = self.store.deref(msg);
         let owner = self.world().port_owner(port);
         if self.current_node != owner {
             self.metrics.count_message(self.current_node, owner);
@@ -503,11 +498,8 @@ impl Machine {
                     self.count_cross_port(&msg);
                     let node = self.current_node;
                     let at = self.now() + extra;
-                    self.enqueue(
-                        Term::tuple(sym::DELIVER, vec![Term::Port(port), msg]),
-                        node,
-                        at,
-                    );
+                    let deliver = vec![Term::Port(port), msg];
+                    self.enqueue(Goal::call(sym::DELIVER, deliver), node, at);
                     return Ok(CallOutcome::Done);
                 }
             }

@@ -19,13 +19,14 @@
 //!   [`guard_test`]'s alone, for the interpreter too: this tier hands it
 //!   at most two materialized operands, and it is generic over
 //!   [`StoreOps`], so both stores monomorphize it;
-//! * body goals become [`Tmpl`] templates whose ground subtrees are
-//!   pre-built `Term`s shared by every instantiation — match and
-//!   instantiate are fused through one slot [`Frame`] with no intermediate
-//!   structure rebuilt per reduction; each tuple a template does build is
-//!   one argument block, filled in place from its arguments — a block a
-//!   consumed goal handed back to the [`BlockPool`] when there is one, a
-//!   new heap block otherwise;
+//! * body goals become [`GoalTmpl`]s over [`Tmpl`] templates whose ground
+//!   subtrees are pre-built `Term`s shared by every instantiation — match
+//!   and instantiate are fused through one slot [`Frame`] with no
+//!   intermediate structure rebuilt per reduction; a call is built into an
+//!   argument block the goal owns, and each tuple a template does build is
+//!   one shared block, each filled in place from its arguments — a block
+//!   of its kind a consumed goal handed back to the [`BlockPool`] when
+//!   there is one, a new heap block otherwise;
 //! * the right-hand side of a `:=` that is an arithmetic tuple becomes a
 //!   [`Tmpl::Arith`]: when every leaf is bound to a number as the body is
 //!   spawned, the goal is built with the expression's value (`N1 := 49999`,
@@ -54,6 +55,8 @@ use strand_core::{
 };
 use strand_parse::{CompiledProgram, CompiledRule};
 
+use crate::world::Goal;
+
 pub(crate) fn push_unique(vs: &mut Vec<VarId>, v: VarId) {
     if !vs.contains(&v) {
         vs.push(v);
@@ -78,69 +81,112 @@ pub struct Scratch {
     /// Explicit term stack driving [`run_match`].
     pub stack: Vec<Term>,
     /// Argument blocks of the goals this machine has reduced, for
-    /// [`Tmpl::build`] to fill again.
+    /// `GoalTmpl::build` to fill again.
     pub pool: BlockPool,
 }
 
-/// The largest arity whose blocks a [`BlockPool`] keeps; wider tuples are
-/// allocated and freed as before.
+/// The largest arity whose blocks a [`BlockPool`] keeps; wider goals and
+/// tuples are allocated and freed as before.
 const POOLED_ARITIES: usize = 8;
 
-/// The most blocks a [`BlockPool`] keeps of one arity. Unbounded, the pool
-/// peaks at 6 blocks on `eval-chain`, where builds and hand-backs
+/// The most blocks a [`BlockPool`] keeps of one kind and arity. Unbounded,
+/// the pool peaks at 6 blocks on `eval-chain`, where builds and hand-backs
 /// alternate, but grows with the input where one arity is handed back and
 /// another built: to thousands on `dispatch-tree` (every `tree/3` and
 /// `combine/4` block) and `motif-tree-par`. Past 64 a larger cap saves
 /// under 0.5 % of the allocations an unbounded pool saves on either, and
-/// a full pool holds about 64 KB.
+/// a full pool holds about 64 KB of each kind.
 const POOL_CAP: usize = 64;
 
-/// Uniquely owned argument blocks of goals a reduction is done with, by
-/// arity, each holding nothing but `[]`s. A reduction's goals are built,
-/// reduced once and dropped — on `eval-chain` every block lived for one
-/// reduction — so handing the blocks back lets the next build overwrite
-/// them instead of asking the allocator, and on a fleet a block built on
-/// one shard and reduced on another is kept by the consumer, while its
-/// pool has room, instead of freed across threads.
+/// Argument blocks of goals a reduction is done with, by arity, each
+/// holding nothing but `[]`s. A reduction's goals are built, reduced once
+/// and dropped — on `eval-chain` every block lived for one reduction — so
+/// handing the blocks back lets the next build overwrite them instead of
+/// asking the allocator, and on a fleet a block built on one shard and
+/// reduced on another is kept by the consumer, while its pool has room,
+/// instead of freed across threads.
 ///
-/// Deliberately not `Clone`: a clone would share the pooled blocks, and
-/// [`Tmpl::build`] counts on being their only owner.
+/// A goal's own block is owned (`Box`): it has one owner by construction,
+/// and goes in and out with no test. A nested tuple's block is an `Arc`,
+/// which a frame, the store or another shard may share, so it is taken
+/// back only where the goal held the last reference.
+///
+/// Deliberately not `Clone`: a clone would share the pooled tuple blocks,
+/// and [`Tmpl::build`] counts on being their only owner.
 #[derive(Debug, Default)]
 pub struct BlockPool {
-    /// Blocks of `n` arguments at `free[n - 1]`.
-    free: [Vec<Arc<[Term]>>; POOLED_ARITIES],
+    /// Goal blocks of `n` arguments at `goals[n - 1]`.
+    goals: [Vec<Box<[Term]>>; POOLED_ARITIES],
+    /// Nested tuple blocks of `n` arguments at `tuples[n - 1]`.
+    tuples: [Vec<Arc<[Term]>>; POOLED_ARITIES],
+}
+
+/// The free list of blocks of `arity` arguments, if the pool keeps them.
+fn of_arity<B>(free: &mut [Vec<B>; POOLED_ARITIES], arity: usize) -> Option<&mut Vec<B>> {
+    free.get_mut(arity.checked_sub(1)?)
 }
 
 impl BlockPool {
-    fn of_arity(&mut self, arity: usize) -> Option<&mut Vec<Arc<[Term]>>> {
-        self.free.get_mut(arity.checked_sub(1)?)
+    /// The call `name(args…)` of `arity` arguments, `arg(i, pool)` building
+    /// the `i`th of them in order: in a block a reduced goal handed back
+    /// when there is one, else in a new one.
+    pub(crate) fn goal(
+        &mut self,
+        name: Atom,
+        arity: usize,
+        mut arg: impl FnMut(usize, &mut BlockPool) -> Term,
+    ) -> Goal {
+        let args = match of_arity(&mut self.goals, arity).and_then(Vec::pop) {
+            Some(mut block) => {
+                for (i, slot) in block.iter_mut().enumerate() {
+                    *slot = arg(i, self);
+                }
+                block
+            }
+            None => (0..arity).map(|i| arg(i, self)).collect(),
+        };
+        Goal::Call { name, args }
     }
 
-    /// Hand back a goal the reduction is done with. Its argument block,
-    /// and every nested tuple's, is taken where the goal held the last
-    /// reference — exactly the blocks dropping it would free — and the
-    /// rest is dropped. `Arc::get_mut` is the only test, so a block still
-    /// bound in the store, held by a suspended goal or a frame, or read by
-    /// another shard is never taken. Lists are dropped, not walked: their
-    /// spines are unlinked by `Cons`'s own drop.
-    pub fn recycle(&mut self, goal: Term) {
-        if let Term::Tuple(_, block) = goal {
-            self.recycle_block(block);
+    /// Hand back a goal the reduction is done with: its own block, and
+    /// every nested tuple's where the goal held the last reference —
+    /// exactly the blocks dropping it would free — and the rest is
+    /// dropped. Lists are dropped, not walked: their spines are unlinked by
+    /// `Cons`'s own drop.
+    pub(crate) fn recycle(&mut self, goal: Goal) {
+        match goal {
+            Goal::Call { mut args, .. } => {
+                self.empty(&mut args);
+                let free = of_arity(&mut self.goals, args.len());
+                if let Some(free) = free.filter(|free| free.len() < POOL_CAP) {
+                    free.push(args);
+                }
+            }
+            Goal::Term(Term::Tuple(_, block)) => self.recycle_tuple(block),
+            Goal::Term(_) => {}
         }
     }
 
-    fn recycle_block(&mut self, mut block: Arc<[Term]>) {
+    /// Take a nested tuple's block if nothing else holds it: `Arc::get_mut`
+    /// is the test, so a block still bound in the store, held by a
+    /// suspended goal or a frame, or read by another shard is never taken.
+    fn recycle_tuple(&mut self, mut block: Arc<[Term]>) {
         let Some(args) = Arc::get_mut(&mut block) else {
             return;
         };
-        let arity = args.len();
+        self.empty(args);
+        let free = of_arity(&mut self.tuples, args.len());
+        if let Some(free) = free.filter(|free| free.len() < POOL_CAP) {
+            free.push(block);
+        }
+    }
+
+    /// Set every argument to `[]`, taking back the nested tuples' blocks.
+    fn empty(&mut self, args: &mut [Term]) {
         for arg in args.iter_mut() {
             if let Term::Tuple(_, inner) = std::mem::replace(arg, Term::Nil) {
-                self.recycle_block(inner);
+                self.recycle_tuple(inner);
             }
-        }
-        if let Some(free) = self.of_arity(arity).filter(|free| free.len() < POOL_CAP) {
-            free.push(block);
         }
     }
 }
@@ -608,8 +654,8 @@ fn number(t: &Term) -> Option<Num> {
     }
 }
 
-/// A tuple of `args`' builds, in a block from `pool` when one of its arity
-/// is there.
+/// A nested tuple of `args`' builds, in a block from `pool` when one of
+/// its arity is there.
 fn build_tuple<S: StoreOps>(
     name: Atom,
     args: &[Tmpl],
@@ -617,7 +663,7 @@ fn build_tuple<S: StoreOps>(
     store: &mut S,
     pool: &mut BlockPool,
 ) -> Term {
-    match pool.of_arity(args.len()).and_then(Vec::pop) {
+    match of_arity(&mut pool.tuples, args.len()).and_then(Vec::pop) {
         Some(mut block) => {
             let slots = Arc::get_mut(&mut block).expect("a pooled block has one owner");
             for (slot, a) in slots.iter_mut().zip(args.iter()) {
@@ -626,6 +672,35 @@ fn build_tuple<S: StoreOps>(
             Term::Tuple(name, block)
         }
         None => Term::tuple_from(name, args.iter().map(|a| a.build(frame, store, pool))),
+    }
+}
+
+/// A body goal's template.
+#[derive(Clone, Debug)]
+pub enum GoalTmpl {
+    /// A call, built into a goal block of its own.
+    Call(Atom, Box<[Tmpl]>),
+    /// A metacall: the goal is whatever the template builds.
+    Term(Tmpl),
+}
+
+impl GoalTmpl {
+    /// Build the goal, allocating fresh store variables in
+    /// `Pat::instantiate`'s order (see [`Tmpl::build`]). A call's
+    /// arguments fill a goal block from `pool` in place when one of its
+    /// arity is there.
+    pub(crate) fn build<S: StoreOps>(
+        &self,
+        frame: &mut Frame,
+        store: &mut S,
+        pool: &mut BlockPool,
+    ) -> Goal {
+        match self {
+            GoalTmpl::Call(name, args) => pool.goal(*name, args.len(), |i, pool| {
+                args[i].build(frame, store, pool)
+            }),
+            GoalTmpl::Term(t) => Goal::Term(t.build(frame, store, pool)),
+        }
     }
 }
 
@@ -741,22 +816,26 @@ fn lower_tmpl(p: &Pat) -> Tmpl {
 
 /// A body goal's template. The right-hand side of a `:=`/2 that is an
 /// arithmetic tuple becomes [`Tmpl::Arith`], or the number itself when it
-/// is ground and evaluates.
-fn lower_goal(p: &Pat) -> Tmpl {
-    let mut goal = lower_tmpl(p);
-    if let Tmpl::Tuple(sym::ASSIGN, args) = &mut goal {
-        if let [_, rhs] = &mut args[..] {
-            *rhs = match std::mem::replace(rhs, Tmpl::Wild) {
-                Tmpl::Tuple(op, a) if is_arith_op(op, a.len()) => Tmpl::Arith(op, a),
-                Tmpl::Const(t) if is_arith_expr(&t) => match eval_arith(&t, &Store::new()) {
-                    Ok(Evaled::Num(n)) => Tmpl::Const(n.to_term()),
-                    _ => Tmpl::Const(t),
-                },
-                other => other,
-            };
-        }
+/// is ground and evaluates — unless the whole goal is ground, which is
+/// queued as written.
+fn lower_goal(p: &Pat) -> GoalTmpl {
+    let (name, args) = match p {
+        Pat::Atom(name) => return GoalTmpl::Call(*name, Box::new([])),
+        Pat::Tuple(name, args) => (*name, args),
+        _ => return GoalTmpl::Term(lower_tmpl(p)),
+    };
+    let mut args: Box<[Tmpl]> = args.iter().map(lower_tmpl).collect();
+    if let (sym::ASSIGN, [_, rhs], None) = (name, &mut args[..], pat_ground_term(p)) {
+        *rhs = match std::mem::replace(rhs, Tmpl::Wild) {
+            Tmpl::Tuple(op, a) if is_arith_op(op, a.len()) => Tmpl::Arith(op, a),
+            Tmpl::Const(t) if is_arith_expr(&t) => match eval_arith(&t, &Store::new()) {
+                Ok(Evaled::Num(n)) => Tmpl::Const(n.to_term()),
+                _ => Tmpl::Const(t),
+            },
+            other => other,
+        };
     }
-    goal
+    GoalTmpl::Call(name, args)
 }
 
 // ---------------------------------------------------------------------------
@@ -914,7 +993,7 @@ fn eval_guard_op<S: StoreOps>(
 /// A lowered body call.
 #[derive(Clone, Debug)]
 pub struct ExecCall {
-    pub goal: Tmpl,
+    pub goal: GoalTmpl,
     /// `Some(expr)` for `Goal@expr` placements.
     pub placement: Option<Tmpl>,
 }
@@ -1613,8 +1692,8 @@ mod tests {
     fn ground_body_subtrees_are_prebuilt() {
         let p = compile_program(&parse_program("f(X) :- g(X, h(1, [a, b])).").unwrap()).unwrap();
         let r = lower_rule(&p.get("f", 1).unwrap().rules[0]);
-        let Tmpl::Tuple(_, args) = &r.body[0].goal else {
-            panic!("expected tuple template");
+        let GoalTmpl::Call(_, args) = &r.body[0].goal else {
+            panic!("expected a call template");
         };
         assert!(matches!(&args[0], Tmpl::Slot(_)));
         assert!(matches!(&args[1], Tmpl::Const(_)));
@@ -1645,6 +1724,7 @@ mod tests {
             let want = rule.body[0].goal.instantiate(&mut frame1, &mut store1);
             let (mut store2, mut frame2) = side();
             let got = exec.body[0].goal.build(&mut frame2, &mut store2, pool);
+            let got = got.to_term();
             let same_vars = store1.len() == store2.len();
             (want, got, same_vars && frame1.slots == frame2.slots)
         }
@@ -1661,13 +1741,13 @@ mod tests {
         // expression tuple.
         let src = "f(N) :- K := N mod 10, g(K).";
         let mut pool = BlockPool::default();
-        pool.recycle(Term::tuple("spare", vec![Term::Nil, Term::Nil]));
+        pool.recycle(Goal::call(Atom::new("spare"), vec![Term::Nil, Term::Nil]));
         let (want, got, same) = both(src, &Term::int(49_999), &mut pool);
         assert_eq!(want.to_string(), ":=(_1,mod(_0,10))");
         assert_eq!(got.to_string(), ":=(_1,9)");
         assert!(same);
         assert!(
-            pool.free.iter().all(Vec::is_empty),
+            pool.goals.iter().all(Vec::is_empty),
             "the block came from the pool"
         );
         // Unbound, it builds the tuple the interpreter builds.
@@ -1695,9 +1775,10 @@ mod tests {
 
     /// An arithmetic expression of depth at most 3 over the head variables
     /// of [`fold_program`]'s `t/8` and `t2/8`, a body-local `Y`, int and
-    /// float constants (zero among them), an atom, a non-arithmetic tuple,
-    /// a list and a wildcard, through all nine operators, written
-    /// functionally so each stays one tuple.
+    /// float constants (zeros among them, and one a product or a quotient
+    /// of which overflows to a non-finite float), an atom, a
+    /// non-arithmetic tuple, a list and a wildcard, through all nine
+    /// operators, written functionally so each stays one tuple.
     fn arith_expr() -> impl proptest::strategy::Strategy<Value = String> {
         use proptest::prelude::*;
         let leaf = prop_oneof![
@@ -1705,6 +1786,8 @@ mod tests {
             Just("2.5".to_string()),
             Just("-0.5".to_string()),
             Just("0".to_string()),
+            Just("0.0".to_string()),
+            Just("1.0e308".to_string()),
             Just("a".to_string()),
             Just("f(A)".to_string()),
             Just("[N]".to_string()),
@@ -1815,7 +1898,7 @@ mod tests {
         }
 
         /// Body goal `i % goals`, which both sides must build alike.
-        fn build(&mut self, i: usize) -> Term {
+        fn build(&mut self, i: usize) -> Goal {
             let (rule, frame, store) = &mut self.pooled;
             let i = i % rule.body.len();
             let got = rule.body[i].goal.build(frame, store, &mut self.pool);
@@ -1838,7 +1921,13 @@ mod tests {
         /// Build until the pool is empty, then hand everything built back.
         fn drain_and_refill(&mut self) {
             let mut built = Vec::new();
-            while self.pool.free.iter().any(|free| !free.is_empty()) {
+            let pool = |sides: &Lockstep| {
+                let goals = sides.pool.goals.iter().map(Vec::len);
+                goals
+                    .chain(sides.pool.tuples.iter().map(Vec::len))
+                    .sum::<usize>()
+            };
+            while pool(self) > 0 {
                 for i in 0..self.pooled.0.body.len() {
                     built.push(self.build(i));
                 }
@@ -1853,17 +1942,19 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
         /// Random interleavings of builds, hand-backs and clones kept
-        /// outside the pool — a whole goal or one of its tuple arguments,
-        /// held as a suspended goal would hold it, bound in the store, or
+        /// outside the pool — a whole goal's term or one of its tuple
+        /// arguments, held as a frame would hold it, bound in the store, or
         /// shared by a second goal that is handed back too. Every build
         /// equals what an empty pool builds, and every clone kept outside
-        /// reads the same after the pool has been drained and refilled.
+        /// reads the same after the pool has been drained and refilled: a
+        /// goal's own block is never shared, and a nested one is taken only
+        /// once nothing else holds it.
         #[test]
         fn pooled_builds_equal_fresh_builds_and_spare_outside_clones(
             ops in proptest::collection::vec((0u8..6, 0usize..64), 0..160)
         ) {
             let mut sides = Lockstep::new();
-            let mut live: Vec<Term> = Vec::new();
+            let mut live: Vec<Goal> = Vec::new();
             let mut held: Vec<(Term, String)> = vec![(frame_b(), frame_b().to_string())];
             let mut bound: Vec<(VarId, String)> = Vec::new();
             for (op, pick) in ops {
@@ -1872,15 +1963,15 @@ mod tests {
                     _ if live.is_empty() => {}
                     2 => sides.pool.recycle(live.swap_remove(pick % live.len())),
                     3 | 4 => {
-                        let whole = &live[pick % live.len()];
+                        let whole = live[pick % live.len()].to_term();
                         let part = match whole.goal_args().iter().find(|a| matches!(a, Term::Tuple(..))) {
                             Some(arg) if pick % 2 == 1 => arg.clone(),
-                            _ => whole.clone(),
+                            _ => whole,
                         };
                         if op == 3 {
                             held.push((part.clone(), part.to_string()));
                             if pick % 4 < 2 {
-                                live.push(part);
+                                live.push(Goal::from_term(part));
                             }
                         } else {
                             let text = part.to_string();

@@ -922,9 +922,10 @@ mod tests {
     /// messages — are read back long after the goals that built them were
     /// reduced and their blocks recycled, while two churn loops refill and
     /// drain every machine's pool. `remote/3` goals are built on node 1's
-    /// worker and reduced on node 2's, so at two threads their blocks cross
-    /// shards into the consumer's pool, whose `consume/3` builds reuse them.
-    /// Both backends must read back exactly what was stored.
+    /// worker and reduced on node 2's, so at two threads their own blocks
+    /// cross shards into the consumer's pool, whose `consume/3` builds
+    /// reuse them, while the `box/2` tuple each carried stays bound in the
+    /// store. Both backends must read back exactly what was stored.
     #[test]
     fn stored_tuples_read_back_intact_while_pools_recycle_across_shards() {
         let src = r#"

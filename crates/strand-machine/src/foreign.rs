@@ -131,9 +131,8 @@ impl Machine {
     pub(crate) fn try_foreign(
         &mut self,
         name: Atom,
-        goal: &Term,
+        args: &[Term],
     ) -> Option<StrandResult<CallOutcome>> {
-        let args = goal.goal_args();
         let n = args.len();
         let entry = self
             .foreign

@@ -4,7 +4,7 @@
 
 use crate::config::MachineConfig;
 use crate::machine::Machine;
-use crate::world::{SharedWorld, StoreHandle};
+use crate::world::{Goal, SharedWorld, StoreHandle};
 use std::sync::Arc;
 use strand_core::{SharedStore, SharedStoreView, Term};
 use strand_parse::CompiledProgram;
@@ -50,7 +50,7 @@ impl Machine {
     /// outbox — flush it to the workers.
     pub fn inject(&mut self, goal: Term, node: i64) {
         let target = self.map_node(node);
-        self.enqueue(goal, target, 0);
+        self.enqueue(Goal::from_term(goal), target, 0);
     }
 }
 

@@ -36,6 +36,8 @@
 //! executable — it is resolved by the `Rand` motif transformation (crate
 //! `motifs`), exactly as in §3.3 of the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod builtins;
 pub mod config;
 pub mod exec;

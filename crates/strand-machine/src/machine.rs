@@ -24,8 +24,9 @@ use crate::exec::{self, BlockPool, ExecProgram, Scratch, TryResult};
 use crate::metrics::Metrics;
 use crate::tier::TierRule;
 use crate::trace::{goal_text, TraceEvent};
-use crate::world::{Deadline, Job, QItem, Routed, Shard, SharedWorld, WORKER_PID_SHIFT};
+use crate::world::{Deadline, Goal, Job, QItem, Routed, Shard, SharedWorld, WORKER_PID_SHIFT};
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Display;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use strand_core::{
@@ -276,7 +277,7 @@ impl Machine {
 
     /// Enqueue `goal` on node 1 at time 0.
     pub fn start(&mut self, goal: Term) {
-        self.enqueue(goal, NodeId(0), 0);
+        self.enqueue(Goal::from_term(goal), NodeId(0), 0);
     }
 
     /// Map a 1-based language node number onto an internal node id.
@@ -303,7 +304,7 @@ impl Machine {
     // --- The pool --------------------------------------------------------
 
     /// Enqueue a goal on a node at the given ready time.
-    pub(crate) fn enqueue(&mut self, goal: Term, node: NodeId, ready_at: Time) {
+    pub(crate) fn enqueue(&mut self, goal: Goal, node: NodeId, ready_at: Time) {
         if self.crashed[node.0 as usize] {
             return; // dead nodes accept no work
         }
@@ -312,8 +313,8 @@ impl Machine {
         // here).
         let tracked = !self.config.tracked.is_empty()
             && goal
-                .functor()
-                .is_some_and(|(name, _)| self.config.tracked.contains(name));
+                .name()
+                .is_some_and(|name| self.config.tracked.contains(&name));
         // Tracked-process gauges are per-owner: a worker receiving a routed
         // job counts the spawn when it arrives (see `absorb`), so spawn/done
         // pairs always land on the same machine.
@@ -433,7 +434,7 @@ impl Machine {
     }
 
     /// Record a lost delivery (fault injection or dead target).
-    pub(crate) fn record_drop(&mut self, to: NodeId, goal: &Term) {
+    pub(crate) fn record_drop(&mut self, to: NodeId, goal: &impl Display) {
         self.metrics.msgs_dropped += 1;
         if self.config.record_trace {
             self.trace.push(TraceEvent::Drop {
@@ -447,7 +448,7 @@ impl Machine {
 
     /// Spawn a goal from the current reduction (applies cross-node latency,
     /// message accounting, and — for cross-node spawns — fault injection).
-    pub(crate) fn spawn(&mut self, goal: Term, target: NodeId) {
+    pub(crate) fn spawn(&mut self, goal: Goal, target: NodeId) {
         let now = self.now();
         if self.is_crashed(target) {
             // Delivery to a dead node is lost silently, like the machine it
@@ -576,9 +577,9 @@ impl Machine {
         let suspended = self
             .suspended
             .iter()
-            .map(|(p, s)| (*p, s.item.goal.clone()));
+            .map(|(p, s)| (*p, s.item.goal.to_term()));
         (
-            queued.map(|item| item.goal.clone()).collect(),
+            queued.map(|item| item.goal.to_term()).collect(),
             suspended.collect(),
         )
     }
@@ -749,7 +750,8 @@ impl Machine {
             self.metrics.track_done(node);
         }
         if self.dead_goals.len() < 16 {
-            self.dead_goals.push(self.store.resolve(&item.goal));
+            self.dead_goals
+                .push(self.store.resolve(&item.goal.to_term()));
         }
     }
 
@@ -807,14 +809,26 @@ impl Machine {
     /// after the decision, so a goal that is done with hands its blocks to
     /// the pool.
     fn reduce_lent(&mut self, item: QItem, lent: &mut Lent) -> StrandResult<()> {
-        let goal = self.store.deref_cow(&item.goal);
-        if let Term::Var(v) = *goal {
-            // A goal that is itself an unbound variable: a metacall waiting
-            // for its goal term. Suspend until provided.
-            self.suspend(item, vec![v]);
-            return Ok(());
-        }
-        match self.call(&goal, lent)? {
+        let outcome = match &item.goal {
+            Goal::Call { name, args } => self.call(*name, args, lent)?,
+            Goal::Term(t) => {
+                let goal = self.store.deref_cow(t);
+                match goal.functor() {
+                    Some((&name, _)) => self.call(name, goal.goal_args(), lent)?,
+                    None => match *goal {
+                        // A goal that is itself an unbound variable: a
+                        // metacall waiting for its goal term. Suspend until
+                        // provided.
+                        Term::Var(v) => CallOutcome::Suspend(vec![v]),
+                        _ => {
+                            let goal = self.store.resolve(&goal);
+                            CallOutcome::Error(StrandError::NoMatchingRule { goal })
+                        }
+                    },
+                }
+            }
+        };
+        match outcome {
             CallOutcome::Done => {
                 self.finish_tracked(&item);
                 lent.scratch.pool.recycle(item.goal);
@@ -828,22 +842,18 @@ impl Machine {
         Ok(())
     }
 
-    /// Decide a dereferenced, non-variable goal: run it as a foreign
-    /// procedure, a builtin or a program procedure. `Err` is for errors
-    /// that end the run whatever `fail_fast` says.
-    fn call(&mut self, goal: &Term, lent: &mut Lent) -> StrandResult<CallOutcome> {
-        let Some((&name, arity)) = goal.functor() else {
-            let goal = self.store.resolve(goal);
-            return Ok(CallOutcome::Error(StrandError::NoMatchingRule { goal }));
-        };
-
+    /// Decide the call `name(args…)`: run it as a foreign procedure, a
+    /// builtin or a program procedure. `Err` is for errors that end the
+    /// run whatever `fail_fast` says.
+    fn call(&mut self, name: Atom, args: &[Term], lent: &mut Lent) -> StrandResult<CallOutcome> {
+        let arity = args.len();
         // Foreign procedures shadow builtins of the same name.
         let mut called = None;
         if !self.foreign.is_empty() {
-            called = self.try_foreign(name, goal);
+            called = self.try_foreign(name, args);
         }
         if called.is_none() {
-            called = self.exec_builtin(name, goal).transpose();
+            called = self.exec_builtin(name, args).transpose();
         }
         if let Some(outcome) = called {
             // Dispatch-level errors go through `record_error` like the
@@ -869,13 +879,13 @@ impl Machine {
                 };
                 self.metrics.compiled_reductions += 1;
                 // The first argument, dereferenced, picks the rules to try.
-                let arm = match goal.goal_args().first() {
+                let arm = match args.first() {
                     Some(a) if proc.indexed => proc.switch.arm(&self.store.deref_cow(a)),
                     _ => proc.switch.all(),
                 };
                 let otherwise = proc.otherwise.as_deref();
                 let cands = arm.walk(&proc.rules);
-                self.dispatch(goal, name, cands, arm.tail, otherwise, scratch)
+                self.dispatch(name, args, cands, arm.tail, otherwise, scratch)
             }
             ExecMode::Interpreted => {
                 let program = Arc::clone(&self.program);
@@ -887,7 +897,7 @@ impl Machine {
                 let ordinary = proc.rules.iter().filter(|r| !r.otherwise);
                 let otherwise = proc.rules.iter().find(|r| r.otherwise);
                 let cands = ordinary.map(|r| (r, 0));
-                self.dispatch(goal, name, cands, 0, otherwise, scratch)
+                self.dispatch(name, args, cands, 0, otherwise, scratch)
             }
         }
     }
@@ -902,14 +912,13 @@ impl Machine {
     /// stops at the committing rule would count them.
     fn dispatch<'r, R: TierRule + 'r>(
         &mut self,
-        goal: &Term,
         name: Atom,
+        args: &[Term],
         cands: impl Iterator<Item = (&'r R, u32)>,
         tail: u32,
         otherwise: Option<&'r R>,
         scratch: &mut Scratch,
     ) -> StrandResult<CallOutcome> {
-        let args = goal.goal_args();
         scratch.pending.clear();
         for (rule, skipped) in cands {
             self.metrics.index_hits += u64::from(skipped);
@@ -941,7 +950,7 @@ impl Machine {
             }
         }
         if scratch.pending.is_empty() {
-            let goal = self.store.resolve(goal);
+            let goal = Term::tuple_from(name, args.iter().map(|a| self.store.resolve(a)));
             return Ok(CallOutcome::Error(StrandError::NoMatchingRule { goal }));
         }
         *self.metrics.susp_by_proc.entry(name).or_insert(0) += 1;
@@ -998,7 +1007,8 @@ impl Machine {
                     // Placement not yet known: defer via the internal
                     // `'$spawn_at'` builtin, which suspends.
                     let node = self.current_node;
-                    self.spawn(Term::tuple(sym::SPAWN_AT, vec![place_term, goal]), node);
+                    let deferred = vec![place_term, goal.to_term()];
+                    self.spawn(Goal::call(sym::SPAWN_AT, deferred), node);
                 }
                 Err(e) => self.record_error(e)?,
             }
@@ -1055,11 +1065,43 @@ mod tests {
         assert_eq!(m.metrics.peak_tracked[0], 1);
     }
 
+    /// The argument block of the goal queued first on node 0.
+    fn queued_block(m: &Machine) -> *const Term {
+        match &m.peek(0).expect("a queued goal").goal {
+            Goal::Call { args, .. } => args.as_ptr(),
+            Goal::Term(t) => panic!("a metacall: {t}"),
+        }
+    }
+
+    /// A goal's own block goes round with no test of ownership: the
+    /// reduction that commits `h/2`'s rule builds `k/2` into the very block
+    /// `go/2`'s reduction handed back, on both tiers.
+    #[test]
+    fn a_reduced_goals_block_is_the_one_the_next_build_of_its_arity_fills() {
+        let src = "go(A, B) :- h(A, B). h(A, B) :- k(B, A). k(_, _).";
+        for exec in [ExecMode::Compiled, ExecMode::Interpreted] {
+            let program = compile_program(&parse_program(src).unwrap()).unwrap();
+            let mut m = Machine::new(program, MachineConfig::default().exec(exec));
+            m.start(Term::tuple("go", vec![Term::int(1), Term::int(2)]));
+            let go = queued_block(&m);
+            m.step(0, 0).unwrap();
+            let h = queued_block(&m);
+            assert_ne!(h, go, "{exec:?}: h/2 is built before go/2 is handed back");
+            m.step(0, 1).unwrap();
+            assert_eq!(queued_block(&m), go, "{exec:?}: k/2 fills go/2's block");
+            m.step(0, 2).unwrap();
+            assert!(m.peek(0).is_none());
+        }
+    }
+
     fn item(ready_at: Time, pid: u64) -> QItem {
         QItem {
             ready_at,
             pid,
-            goal: Term::tuple("g", vec![Term::int(ready_at as i64), Term::int(pid as i64)]),
+            goal: Goal::call(
+                Atom::new("g"),
+                vec![Term::int(ready_at as i64), Term::int(pid as i64)],
+            ),
             tracked: false,
         }
     }
@@ -1128,7 +1170,10 @@ mod tests {
         m.teardown_node(NodeId(1));
         let (lost, kept) = m.take_dead();
         assert_eq!(lost, 40);
-        let want: Vec<Term> = (24..40).rev().map(|k| item(100 - k, k + 1).goal).collect();
+        let want: Vec<Term> = (24..40)
+            .rev()
+            .map(|k| item(100 - k, k + 1).goal.to_term())
+            .collect();
         assert_eq!(kept, want);
     }
 }

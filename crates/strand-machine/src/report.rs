@@ -97,7 +97,7 @@ impl Machine {
             .take(16)
             .map(|s| {
                 let mut budget = 256u32;
-                resolve_capped(&self.store, &s.item.goal, &mut budget)
+                resolve_capped(&self.store, &s.item.goal.to_term(), &mut budget)
             })
             .collect();
         let crashed_nodes: Vec<u32> = (0..self.config.nodes)

@@ -11,9 +11,9 @@
 use crate::config::MachineConfig;
 use crate::machine::Machine;
 use crate::report::{merge_shard_reports, RunReport};
-use crate::world::{SharedWorld, StoreHandle};
+use crate::world::{Goal, SharedWorld, StoreHandle};
 use std::sync::Arc;
-use strand_core::{sym, Store, StrandError, StrandResult, Term};
+use strand_core::{sym, Store, StrandError, StrandResult};
 use strand_parse::CompiledProgram;
 
 impl Machine {
@@ -61,7 +61,7 @@ impl Machine {
     /// process.
     fn queue_armed(&mut self) {
         for d in self.take_deadlines() {
-            let goal = Term::tuple(sym::TIMER, vec![d.cancel, d.timeout]);
+            let goal = Goal::call(sym::TIMER, vec![d.cancel, d.timeout]);
             self.enqueue(goal, d.node, d.due);
         }
     }
@@ -71,9 +71,10 @@ impl Machine {
     /// so cancelled timeouts never stretch the makespan.
     fn drop_cancelled_timer(&mut self, i: usize) -> bool {
         let cancelled = match self.peek(i).map(|item| &item.goal) {
-            Some(Term::Tuple(sym::TIMER, args)) if args.len() == 2 => {
-                self.cancel_is_bound(&args[0])
-            }
+            Some(Goal::Call {
+                name: sym::TIMER,
+                args,
+            }) if args.len() == 2 => self.cancel_is_bound(&args[0]),
             _ => false,
         };
         if cancelled {

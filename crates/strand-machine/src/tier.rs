@@ -4,8 +4,8 @@
 //! once, generic over [`TierRule`].
 
 use crate::exec::{self, BlockPool, IndexKey, Scratch, TryResult};
-use crate::world::StoreHandle;
-use strand_core::{match_args, Frame, GuardOutcome, MatchOutcome, StrandResult, Term};
+use crate::world::{Goal, StoreHandle};
+use strand_core::{match_args, Frame, GuardOutcome, MatchOutcome, Pat, StrandResult, Term};
 use strand_parse::{CompiledCall, CompiledRule};
 
 /// What rule dispatch needs from an execution tier: how one rule is indexed,
@@ -34,7 +34,7 @@ pub(crate) trait TierRule {
         frame: &mut Frame,
         store: &mut StoreHandle,
         pool: &mut BlockPool,
-    ) -> (Term, Option<Term>);
+    ) -> (Goal, Option<Term>);
 }
 
 /// The compiled tier (`ExecMode::Compiled`, the default): direct-threaded
@@ -75,7 +75,7 @@ impl TierRule for exec::ExecRule {
         frame: &mut Frame,
         store: &mut StoreHandle,
         pool: &mut BlockPool,
-    ) -> (Term, Option<Term>) {
+    ) -> (Goal, Option<Term>) {
         let goal = call.goal.build(frame, store, pool);
         let placement = call.placement.as_ref();
         (goal, placement.map(|p| p.build(frame, store, pool)))
@@ -127,14 +127,24 @@ impl TierRule for CompiledRule {
         &self.body
     }
 
-    /// The reference builds every tuple afresh: `pool` is not read.
+    /// The reference builds every nested tuple afresh; only a call's own
+    /// argument block comes from `pool`.
     fn build(
         call: &CompiledCall,
         frame: &mut Frame,
         store: &mut StoreHandle,
-        _pool: &mut BlockPool,
-    ) -> (Term, Option<Term>) {
-        let goal = call.goal.instantiate(frame, store);
+        pool: &mut BlockPool,
+    ) -> (Goal, Option<Term>) {
+        let goal = match &call.goal {
+            Pat::Tuple(name, args) => {
+                pool.goal(*name, args.len(), |i, _| args[i].instantiate(frame, store))
+            }
+            Pat::Atom(name) => Goal::Call {
+                name: *name,
+                args: Box::new([]),
+            },
+            other => Goal::Term(other.instantiate(frame, store)),
+        };
         let placement = call.placement.as_ref().map(|p| p.instantiate(frame, store));
         (goal, placement)
     }

@@ -6,7 +6,7 @@
 //! what suspended on what, which messages crossed nodes — and back the
 //! debugging story a language implementation owes its users.
 
-use strand_core::{NodeId, Term, Time};
+use strand_core::{NodeId, Time};
 
 /// One scheduler event.
 #[derive(Clone, Debug, PartialEq)]
@@ -209,7 +209,7 @@ pub fn trace_summary(events: &[TraceEvent]) -> String {
 
 /// Helper used by the machine to stringify goals lazily (only when tracing
 /// is on — the common case pays nothing).
-pub(crate) fn goal_text(goal: &Term) -> String {
+pub(crate) fn goal_text(goal: &impl std::fmt::Display) -> String {
     let s = goal.to_string();
     if s.len() > 80 {
         format!(

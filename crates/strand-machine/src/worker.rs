@@ -9,10 +9,10 @@
 
 use crate::config::MachineConfig;
 use crate::machine::Machine;
-use crate::world::{Deadline, Job, QItem, Routed, SharedWorld, StoreHandle};
+use crate::world::{Deadline, Goal, Job, QItem, Routed, SharedWorld, StoreHandle};
 use std::sync::Arc;
 use strand_core::{
-    sym, NodeId, SharedStore, SharedStoreView, SplitMix64, StrandError, StrandResult, Term,
+    sym, NodeId, SharedStore, SharedStoreView, SplitMix64, StrandError, StrandResult,
 };
 use strand_parse::CompiledProgram;
 
@@ -126,7 +126,7 @@ impl Machine {
             QItem {
                 ready_at: 0,
                 pid,
-                goal: Term::tuple(sym::TIMER, vec![deadline.cancel, deadline.timeout]),
+                goal: Goal::call(sym::TIMER, vec![deadline.cancel, deadline.timeout]),
                 tracked: false,
             },
         );
@@ -156,6 +156,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use strand_core::Term;
     use strand_parse::{compile_program, parse_program};
 
     fn two_workers(

@@ -4,18 +4,91 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering as CmpOrdering;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use strand_core::{
-    NodeId, SharedStoreView, Store, StoreOps, StrandResult, Term, Time, VarId, Waiter, Waiters,
+    fmt_call, Atom, NodeId, SharedStoreView, Store, StoreOps, StrandResult, Term, Time, VarId,
+    Waiter, Waiters,
 };
+
+/// What a process is to reduce.
+///
+/// A call owns its argument block outright: a rule's body builds each call
+/// straight into one ([`GoalTmpl::build`](crate::exec::GoalTmpl::build)),
+/// usually one a reduced goal handed back to the
+/// [`BlockPool`](crate::exec::BlockPool), and the reduction that is done
+/// with it hands it back again. Nothing else can hold the block, so neither
+/// end asks whether anything does.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Goal {
+    /// `name(args…)`, or the atom `name` when `args` is empty.
+    Call { name: Atom, args: Box<[Term]> },
+    /// A metacall's goal: a variable, or the data bound to one,
+    /// dereferenced when reduced.
+    Term(Term),
+}
+
+impl Goal {
+    /// The goal a term denotes: a tuple's arguments copied into a block of
+    /// its own, an atom as a call of none, anything else as a metacall.
+    pub(crate) fn from_term(t: Term) -> Goal {
+        match t {
+            Term::Tuple(name, args) => Goal::Call {
+                name,
+                args: Box::from(&args[..]),
+            },
+            Term::Atom(name) => Goal::Call {
+                name,
+                args: Box::new([]),
+            },
+            other => Goal::Term(other),
+        }
+    }
+
+    /// The call `name(args…)`.
+    pub(crate) fn call(name: Atom, args: Vec<Term>) -> Goal {
+        Goal::Call {
+            name,
+            args: args.into_boxed_slice(),
+        }
+    }
+
+    /// The name a tracked process is known by: a call's, or a metacall
+    /// term's functor as queued (a variable has none).
+    pub(crate) fn name(&self) -> Option<Atom> {
+        match self {
+            Goal::Call { name, .. } => Some(*name),
+            Goal::Term(t) => t.functor().map(|(name, _)| *name),
+        }
+    }
+
+    /// The goal as a term, for what reads it as data: diagnostics and the
+    /// collector's roots.
+    pub(crate) fn to_term(&self) -> Term {
+        match self {
+            Goal::Call { name, args } => Term::tuple_from(*name, args.iter().cloned()),
+            Goal::Term(t) => t.clone(),
+        }
+    }
+}
+
+/// Written as the goal's term is.
+impl fmt::Display for Goal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Goal::Call { name, args } => fmt_call(f, *name, args),
+            Goal::Term(t) => write!(f, "{t}"),
+        }
+    }
+}
 
 /// A queued (runnable) process.
 #[derive(Clone, Debug)]
 pub(crate) struct QItem {
     pub ready_at: Time,
     pub pid: u64,
-    pub goal: Term,
+    pub goal: Goal,
     pub tracked: bool,
 }
 

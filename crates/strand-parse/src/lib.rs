@@ -42,6 +42,8 @@
 //! carry the line and column where they occur, and when the text has more
 //! than one, the first in the text is reported.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod compile;
 pub mod lexer;

@@ -174,7 +174,8 @@ struct Parser<'a> {
     /// Reading a term: its ground subterms are built as [`Term`]s. `None`
     /// reading a program, which stays all [`Ast`].
     names: Option<Names<'a>>,
-    /// The arguments and list elements of the compounds being read.
+    /// The arguments of a term's compounds being read, and the elements
+    /// of every list.
     stack: Vec<Node>,
 }
 
@@ -246,6 +247,20 @@ fn read_term(
     let refused = p.names.take().and_then(|n| n.refused);
     p.finish()?;
     Ok((t, refused))
+}
+
+/// The binary operator `op(lhs, rhs)`, as [`Parser::compound`] builds a
+/// compound but from the operands in hand: an operator, four in most of a
+/// program's clauses, passes through no argument stack.
+fn binary(op: &str, atom: Atom, lhs: Node, rhs: Node) -> Node {
+    if lhs.is_ground() && rhs.is_ground() {
+        Node::Ground(Term::tuple_from(atom, [lhs.into_term(), rhs.into_term()]))
+    } else {
+        Node::Ast(Ast::Tuple(
+            op.to_string(),
+            vec![lhs.into_ast(), rhs.into_ast()],
+        ))
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -401,9 +416,7 @@ impl<'a> Parser<'a> {
             self.bump();
             let rhs = self.unary()?;
             let rhs = self.climb(rhs, prec + 1)?;
-            let base = self.stack.len();
-            self.stack.extend([lhs, rhs]);
-            lhs = self.compound(Cow::Borrowed(op), Some(atom), base);
+            lhs = binary(op, atom, lhs, rhs);
             if prec == 1 {
                 break;
             }
@@ -426,7 +439,7 @@ impl<'a> Parser<'a> {
                 other => {
                     let base = self.stack.len();
                     self.stack.push(other);
-                    self.compound(Cow::Borrowed("-"), Some(sym::MINUS), base)
+                    self.compound(Cow::Borrowed("-"), sym::MINUS, base)
                 }
             })
         } else {
@@ -445,17 +458,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// `name(…)` over the nodes on the stack from `base`, which it takes:
-    /// one block when `atom` is known and every argument is ground.
-    fn compound(&mut self, name: Cow<'a, str>, atom: Option<Atom>, base: usize) -> Node {
-        let ground = atom.filter(|_| self.stack[base..].iter().all(Node::is_ground));
+    /// A term's `name(…)` over the nodes on the stack from `base`, which
+    /// it takes: one block when every argument is ground.
+    fn compound(&mut self, name: Cow<'a, str>, atom: Atom, base: usize) -> Node {
+        let ground = self.stack[base..].iter().all(Node::is_ground);
         let args = self.stack.drain(base..);
-        match ground {
-            Some(atom) => Node::Ground(Term::tuple_from(atom, args.map(Node::into_term))),
-            None => Node::Ast(Ast::Tuple(
+        if ground {
+            Node::Ground(Term::tuple_from(atom, args.map(Node::into_term)))
+        } else {
+            Node::Ast(Ast::Tuple(
                 name.into_owned(),
                 args.map(Node::into_ast).collect(),
-            )),
+            ))
         }
     }
 
@@ -482,6 +496,19 @@ impl<'a> Parser<'a> {
                         None => Node::Ast(Ast::Atom(name.into_owned())),
                     });
                 }
+                let Some(atom) = atom else {
+                    // A program's compound: each argument straight into
+                    // its node.
+                    let mut args = Vec::new();
+                    loop {
+                        args.push(self.expr()?.into_ast());
+                        if !self.eat(&Tok::Comma) {
+                            break;
+                        }
+                    }
+                    self.expect(&Tok::RParen, "`)`")?;
+                    return Ok(Node::Ast(Ast::Tuple(name.into_owned(), args)));
+                };
                 let base = self.stack.len();
                 loop {
                     let arg = self.expr()?;

@@ -18,6 +18,8 @@
 //! * [`rewrite`] — argument threading, call replacement, fresh-variable
 //!   generation, and rule synthesis.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod rewrite;
 

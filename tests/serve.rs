@@ -181,6 +181,31 @@ fn hostile_lines_get_err_and_the_connection_keeps_serving() {
     }
 }
 
+/// A request whose reply would be a non-finite float is answered `ERR`:
+/// the handler's `:=` faults, as on an integer divide by zero, so nothing
+/// binds the reply, where `inf` used to be written back — text that reads
+/// back as an atom. The same connection keeps being served.
+#[test]
+fn an_overflowing_request_is_answered_err() {
+    let near = batch_reply(DOUBLER_APP, "1.0e307");
+    for backend in [ServeBackend::Parallel(1), ServeBackend::Parallel(2)] {
+        let cfg = ServeConfig {
+            reply_timeout_ms: 300,
+            ..serve_cfg(backend)
+        };
+        let summary = tcp_session(DOUBLER_APP, cfg, |ask| {
+            assert_eq!(ask("1.0e307"), format!("OK {near}"));
+            let reply = ask("1.0e308");
+            assert!(reply.starts_with("ERR "), "{backend:?}: {reply}");
+            assert_eq!(ask("21"), "OK 42");
+        });
+        let errors = &summary.report.errors;
+        let faulted =
+            |e: &strand_core::StrandError| matches!(e, strand_core::StrandError::NonFinite { .. });
+        assert!(errors.iter().any(|(_, e)| faulted(e)), "{errors:?}");
+    }
+}
+
 #[test]
 fn doubler_replay_matches_batch_on_every_backend() {
     let payloads = ["21", "0", "-17", "1000000"];
