@@ -13,7 +13,9 @@
 //! Likewise every backticked `motif-bench <verb> …` names a verb the binary
 //! takes: an experiment, `list` or `show`. (`<placeholders>`,
 //! flags and shell redirections after `motif-bench` are not verbs.) And
-//! every CHANGES.md entry from PR 26 on is at most 2 KB.
+//! every CHANGES.md entry from PR 26 on is at most 2 KB. Every test that
+//! `ci/pinned.txt` pins names a job of CI that checks its pins and a
+//! function under `crates/` or `tests/`.
 
 use std::path::Path;
 
@@ -158,5 +160,52 @@ fn every_backticked_motif_bench_verb_in_the_docs_resolves() {
         }
     }
     assert!(checked > 30, "the scan found only {checked} verbs");
+    assert!(broken.is_empty(), "\n{}", broken.join("\n"));
+}
+
+/// A rename fails here, not only in the CI job that no longer sees the
+/// test pass: each `job test` line of `ci/pinned.txt` names a job of
+/// `ci.yml` that runs `ci/pinned.sh job`, and the test path's leaf is a
+/// `fn` in some `.rs` file under `crates/` or `tests/`.
+#[test]
+fn every_pinned_test_is_defined() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+    let pinned = std::fs::read_to_string(root.join("ci/pinned.txt")).expect("ci/pinned.txt");
+    let mut tree = Vec::new();
+    walk(root, &root.join("crates"), &mut tree);
+    walk(root, &root.join("tests"), &mut tree);
+    let sources: Vec<String> = tree
+        .iter()
+        .filter(|p| p.ends_with(".rs"))
+        .map(|p| std::fs::read_to_string(root.join(p)).expect("readable source"))
+        .collect();
+
+    let mut broken = Vec::new();
+    let mut checked = 0;
+    for (n, line) in pinned.lines().enumerate() {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let at = format!("ci/pinned.txt:{}", n + 1);
+        let Some((job, test)) = line.split_once(' ') else {
+            broken.push(format!("{at}: `{line}` is not `job test`"));
+            continue;
+        };
+        checked += 1;
+        if !ci.contains(&format!("\n  {job}:\n")) {
+            broken.push(format!("{at}: no job `{job}` in ci.yml"));
+        } else if !ci.contains(&format!("ci/pinned.sh {job} ")) {
+            broken.push(format!("{at}: job `{job}` never runs `ci/pinned.sh {job}`"));
+        }
+        let leaf = test.rsplit("::").next().unwrap_or(test);
+        let needle = format!("fn {leaf}(");
+        if !sources.iter().any(|src| src.contains(&needle)) {
+            broken.push(format!(
+                "{at}: `{test}`: no `fn {leaf}` under crates/ or tests/"
+            ));
+        }
+    }
+    assert!(checked > 50, "ci/pinned.txt pins only {checked} tests");
     assert!(broken.is_empty(), "\n{}", broken.join("\n"));
 }
