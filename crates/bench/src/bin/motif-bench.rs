@@ -13,14 +13,12 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("show") {
         // Consult the archive: print a motif library's source.
-        match args.get(1).and_then(|n| bench::motif_source(n)) {
-            Some((title, src)) => {
-                println!("%% {title}\n{src}");
-            }
+        match args.get(1).and_then(|k| motifs::inventory::entry(k)) {
+            Some(e) => println!("%% {}\n{}", e.title, e.library),
             None => {
                 eprintln!("usage: motif-bench show <motif>; motifs:");
-                for m in bench::motif_names() {
-                    eprintln!("  {m}");
+                for e in motifs::inventory::CATALOG {
+                    eprintln!("  {}", e.key);
                 }
                 std::process::exit(2);
             }

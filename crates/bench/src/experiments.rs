@@ -108,7 +108,10 @@ impl TreeReduce {
     }
 }
 
-fn run_tree(
+/// One tree reduction on the simulator: `motif` over `eval_src` on
+/// `servers` servers, with the `track`ed procedure's live count gauged
+/// (none when empty).
+pub fn run_tree(
     motif: TreeReduce,
     eval_src: &str,
     tree: &str,
@@ -468,12 +471,13 @@ pub fn e5_loc() -> Table {
         "E5: motif library sizes (rules / non-comment lines)",
         &["motif", "rules", "lines", "construction"],
     );
-    for row in motifs::inventory::inventory() {
+    for e in motifs::inventory::CATALOG {
+        let (rules, lines) = e.size();
         t.row(vec![
-            row.motif,
-            row.library_rules.to_string(),
-            row.library_lines.to_string(),
-            row.construction.to_string(),
+            e.name.to_string(),
+            rules.to_string(),
+            lines.to_string(),
+            e.construction.to_string(),
         ]);
     }
     t.note("The paper: Tree1 is 5 lines; Tree-Reduce-2 'a page of library code';");
@@ -1057,61 +1061,6 @@ pub fn a2_faults() -> Table {
     t.note("silent servers restart from their wire (at-least-once). Rate");
     t.note("counts distinct tokens printed, so replays do not inflate it.");
     t
-}
-
-/// The consultable archive (§1: motif libraries are *"archives of
-/// expertise that can be consulted, modified, and extended"*): name, title
-/// and library source for `motif-bench show <name>`.
-const MOTIF_SOURCES: &[(&str, &str, &str)] = &[
-    ("server", "Server (§3.2)", motifs::SERVER_LIBRARY),
-    (
-        "supervise",
-        "Supervise (robustness: acked delivery, heartbeats, restart)",
-        motifs::SUPERVISE_LIBRARY,
-    ),
-    ("tree1", "Tree1 (§3.4)", motifs::TREE1_LIBRARY),
-    (
-        "tree-reduce-2",
-        "Tree-Reduce-2 (§3.5 / Figure 7)",
-        motifs::TREE2_LIBRARY,
-    ),
-    (
-        "scheduler",
-        "Scheduler (ref [6])",
-        motifs::scheduler::SCHEDULER_LIBRARY,
-    ),
-    (
-        "scheduler-2",
-        "Hierarchical scheduler (§1, reuse by modification)",
-        motifs::scheduler::SCHEDULER2_LIBRARY,
-    ),
-    (
-        "sched",
-        "Sched / @task pragma (§2.2)",
-        motifs::TASK_SCHED_LIBRARY,
-    ),
-    ("dc", "DivideAndConquer (§4)", motifs::dc::DC_LIBRARY),
-    ("search", "Search (§4)", motifs::search::SEARCH_LIBRARY),
-    ("grid", "Grid (§4)", motifs::grid::GRID_LIBRARY),
-    (
-        "graph",
-        "Graph components (§4)",
-        motifs::graph::GRAPH_LIBRARY,
-    ),
-    ("pipeline", "Pipeline", motifs::pipeline::PIPELINE_LIBRARY),
-];
-
-/// Names accepted by [`motif_source`], in catalog order.
-pub fn motif_names() -> impl Iterator<Item = &'static str> {
-    MOTIF_SOURCES.iter().map(|(name, ..)| *name)
-}
-
-/// Title and source of one catalogued motif library.
-pub fn motif_source(name: &str) -> Option<(&'static str, String)> {
-    MOTIF_SOURCES
-        .iter()
-        .find(|(n, ..)| *n == name)
-        .map(|(_, title, src)| (*title, src.to_string()))
 }
 
 /// Run status sanity helper shared by tests.

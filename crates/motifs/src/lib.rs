@@ -33,7 +33,8 @@
 //! | [`graph::graph_components`] | §4 | future work: connected components by BSP label propagation |
 //! | [`pipeline::pipeline`] | §4 | stream pipeline |
 //!
-//! See [`inventory`] for the code-size accounting of experiment E5.
+//! [`inventory::CATALOG`] lists every shipped motif with its library, for
+//! `motif-bench show` and the code-size accounting of experiment E5.
 
 #![forbid(unsafe_code)]
 

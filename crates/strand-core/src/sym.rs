@@ -21,7 +21,7 @@ macro_rules! symbols {
         )*
 
         /// The names above, indexed by id: the symbol table's first entries.
-        pub(crate) const NAMES: &[&str] = &[$($name,)*];
+        pub const NAMES: &[&str] = &[$($name,)*];
     };
 }
 

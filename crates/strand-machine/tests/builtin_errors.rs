@@ -114,3 +114,41 @@ fn errors_do_not_corrupt_collected_mode() {
     let r = run_goal(src, "go", cfg).unwrap();
     assert_eq!(r.report.errors.len(), 2, "{:?}", r.report.errors);
 }
+
+/// The lint's hand-kept list of builtins (`strand_parse::MACHINE_BUILTINS`)
+/// is exactly what the machine dispatches: on an empty program every listed
+/// `name/arity` runs, on fresh variables, as something other than an
+/// undefined procedure, and every other arity 0–4 of a builtin symbol is
+/// undefined. (The second half also shows each quoted name parses.)
+#[test]
+fn the_lints_builtin_list_is_what_the_machine_dispatches() {
+    use strand_parse::MACHINE_BUILTINS;
+    let undefined = |name: &str, arity: usize| {
+        let vars: Vec<String> = (0..arity).map(|i| format!("A{i}")).collect();
+        let mut goal = format!("'{}'", name.replace('\\', "\\\\"));
+        if arity > 0 {
+            goal += &format!("({})", vars.join(", "));
+        }
+        matches!(
+            run_goal("", &goal, MachineConfig::default()),
+            Err(StrandError::UndefinedProcedure { .. })
+        )
+    };
+    let mut wrong = Vec::new();
+    for &(name, arity) in MACHINE_BUILTINS {
+        if undefined(name, arity) {
+            wrong.push(format!("{name}/{arity} is listed but undefined"));
+        }
+    }
+    for &name in strand_core::sym::NAMES
+        .iter()
+        .filter(|n| !n.starts_with('$'))
+    {
+        for arity in 0..=4 {
+            if !MACHINE_BUILTINS.contains(&(name, arity)) && !undefined(name, arity) {
+                wrong.push(format!("{name}/{arity} runs but is not listed"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "\n{}", wrong.join("\n"));
+}

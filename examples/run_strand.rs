@@ -1,18 +1,19 @@
 //! A tiny command-line runner for motif-language programs: point it at a
 //! source file and a goal, and it executes the program on the simulated
-//! multicomputer and prints the goal's bindings plus run metrics.
+//! multicomputer (or, with `--threads N`, on the fleet's N worker threads,
+//! 0 meaning `min(nodes, host parallelism)`) and prints the goal's bindings
+//! plus run metrics.
 //!
 //! ```sh
 //! cargo run --example run_strand -- <file> <goal> [nodes] [seed] \
-//!     [--trace] [--stats] [--backend sim|parallel] [--threads N] \
+//!     [--trace] [--stats] [--threads N] \
 //!     [--exec compiled|interpreted] \
 //!     [--faults seed=N,crash=node@at,drop=p,dup=p,delay=p:ticks,slow=node:factor]
 //! # e.g.
 //! echo 'double(X, Y) :- Y := X * 2.' > /tmp/d.str
 //! cargo run --example run_strand -- /tmp/d.str 'double(21, V)'
 //! # same program on real worker threads:
-//! cargo run --example run_strand -- /tmp/d.str 'double(21, V)' 4 0 \
-//!     --backend parallel --threads 4
+//! cargo run --example run_strand -- /tmp/d.str 'double(21, V)' 4 0 --threads 4
 //! # rule-level statistics from the reference interpreter:
 //! cargo run --example run_strand -- /tmp/d.str 'double(21, V)' \
 //!     --exec interpreted --stats
@@ -59,16 +60,10 @@ fn main() {
     args.retain(|a| a != "--trace");
     let stats = args.iter().any(|a| a == "--stats");
     args.retain(|a| a != "--stats");
-    let backend = take_flag_value(&mut args, "--backend").unwrap_or_else(|| "sim".to_string());
-    let threads: u32 = take_flag_value(&mut args, "--threads")
-        .map(|v| v.parse().expect("--threads wants a number"))
-        .unwrap_or(0);
+    let threads: Option<u32> = take_flag_value(&mut args, "--threads")
+        .map(|v| v.parse().expect("--threads wants a number"));
     let exec_arg = take_flag_value(&mut args, "--exec").unwrap_or_else(|| "compiled".to_string());
     let faults = take_flag_value(&mut args, "--faults").map(|spec| parse_faults(&spec));
-    if !matches!(backend.as_str(), "sim" | "parallel") {
-        eprintln!("--backend must be `sim` (deterministic) or `parallel`, got `{backend}`");
-        std::process::exit(2);
-    }
     let exec = match exec_arg.as_str() {
         "compiled" => ExecMode::Compiled,
         "interpreted" => ExecMode::Interpreted,
@@ -85,7 +80,8 @@ fn main() {
             "go(4)".to_string(),
             "<built-in demo>".to_string(),
         ),
-        [file, goal, ..] => {
+        // A flag left over here is one this runner does not take.
+        [file, goal, ..] if !args.iter().any(|a| a.starts_with("--")) => {
             let src =
                 std::fs::read_to_string(file).unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
             (src, goal.clone(), file.clone())
@@ -93,7 +89,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: run_strand <file> <goal> [nodes] [seed] \
-                 [--trace] [--stats] [--backend sim|parallel] [--threads N] \
+                 [--trace] [--stats] [--threads N] \
                  [--exec compiled|interpreted] \
                  [--faults seed=N,crash=node@at,drop=p,dup=p,delay=p:ticks,slow=node:factor]"
             );
@@ -103,6 +99,11 @@ fn main() {
     let nodes: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
     let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0);
 
+    let backend = match threads {
+        None => "sim".to_string(),
+        Some(0) => "parallel, min(nodes, host) threads".to_string(),
+        Some(n) => format!("parallel, {n} threads"),
+    };
     println!("program: {label}\ngoal:    {goal}\nnodes:   {nodes}\nbackend: {backend}\nexec:    {exec_arg}\n");
     if let Ok(parsed) = algorithmic_motifs::strand_parse::parse_program(&source) {
         let findings = algorithmic_motifs::strand_parse::lint(&parsed, &[]);
@@ -115,7 +116,7 @@ fn main() {
     }
     let mut config = MachineConfig::with_nodes(nodes).seed(seed).exec(exec);
     config.record_trace = trace;
-    if backend == "parallel" {
+    if let Some(threads) = threads {
         config = config.parallel(threads);
     }
     if let Some(plan) = faults {

@@ -1,80 +1,38 @@
 //! The "archives of expertise" invariants (§1): every motif library in the
-//! catalog parses, pretty-prints, reparses, and is consistent with the
-//! inventory (E5) — the properties a library must keep to stay
-//! consultable, modifiable, and extensible.
+//! catalog parses, pretty-prints, reparses, and is lint-clean given the
+//! procedures it documents as external — the properties a library must keep
+//! to stay consultable, modifiable, and extensible.
 
-use algorithmic_motifs::strand_parse::{parse_program, pretty};
+use algorithmic_motifs::motifs::inventory::CATALOG;
+use algorithmic_motifs::strand_parse::{lint, parse_program, pretty, LintKind};
 
 #[test]
 fn every_catalog_source_parses_and_roundtrips() {
-    for name in bench::motif_names() {
-        let (title, src) = bench::motif_source(name).expect("catalog entry exists");
-        let program =
-            parse_program(&src).unwrap_or_else(|e| panic!("{title} source does not parse: {e}"));
+    for e in CATALOG.iter().filter(|e| !e.library.is_empty()) {
+        let title = e.title;
+        let program = parse_program(e.library)
+            .unwrap_or_else(|err| panic!("{title} source does not parse: {err}"));
         assert!(program.rule_count() > 0, "{title} has rules");
         let printed = pretty(&program);
         let reparsed = parse_program(&printed)
-            .unwrap_or_else(|e| panic!("{title} pretty output does not reparse: {e}"));
+            .unwrap_or_else(|err| panic!("{title} pretty output does not reparse: {err}"));
         assert_eq!(program, reparsed, "{title} must round-trip");
     }
 }
 
 #[test]
-fn inventory_matches_catalog_sources() {
-    let inventory = algorithmic_motifs::motifs::inventory::inventory();
-    // Every inventory row with a nonempty library corresponds to a source
-    // that parses to the same rule count.
-    for (name, inv_name) in [
-        ("server", "Server"),
-        ("tree1", "Tree1"),
-        ("tree-reduce-2", "Tree-Reduce-2"),
-        ("scheduler", "Scheduler"),
-        ("scheduler-2", "Scheduler-2-level"),
-        ("sched", "Sched (@task pragma)"),
-        ("dc", "DivideAndConquer"),
-        ("search", "Search"),
-        ("grid", "Grid"),
-        ("graph", "Graph (components)"),
-        ("pipeline", "Pipeline"),
-    ] {
-        let (_, src) = bench::motif_source(name).expect("catalog entry");
-        let rules = parse_program(&src).unwrap().rule_count();
-        let row = inventory
-            .iter()
-            .find(|r| r.motif == inv_name)
-            .unwrap_or_else(|| panic!("inventory row {inv_name} missing"));
-        assert_eq!(row.library_rules, rules, "{inv_name} rule count");
-    }
-}
-
-#[test]
 fn shipped_libraries_are_lint_clean() {
-    use algorithmic_motifs::strand_parse::{lint, LintKind};
-    // Each library's documented external procedures (supplied by the user
-    // program or by other composition stages).
-    let externals: &[(&str, &[(&str, usize)])] = &[
-        ("server", &[("server", 2)]),
-        ("tree1", &[("eval", 4)]),
-        ("tree-reduce-2", &[("eval", 4)]),
-        ("scheduler", &[("task", 2)]),
-        ("scheduler-2", &[("task", 2)]),
-        ("sched", &[]),
-        ("dc", &[("dc_case", 2), ("dc_merge", 3)]),
-        ("search", &[("branch", 2), ("accept", 2)]),
-        ("grid", &[("cell_init", 2)]),
-        ("graph", &[]),
-        ("pipeline", &[("stage", 3)]),
-        ("supervise", &[("server", 2)]),
-    ];
-    for (name, assume) in externals {
-        let (title, src) = bench::motif_source(name).expect("catalog entry");
-        let program = parse_program(&src).unwrap();
-        let findings = lint(&program, assume);
+    for e in CATALOG {
+        let findings = lint(&parse_program(e.library).unwrap(), e.externals);
         let serious: Vec<_> = findings
             .iter()
             .filter(|l| l.kind != LintKind::SingletonVariable)
             .collect();
-        assert!(serious.is_empty(), "{title} has lint findings: {serious:?}");
+        assert!(
+            serious.is_empty(),
+            "{} has lint findings: {serious:?}",
+            e.title
+        );
     }
 }
 

@@ -4,35 +4,19 @@
 use algorithmic_motifs::motifs::scheduler::{
     scheduler, scheduler_hierarchical, tasks_src, BURN_TASK,
 };
-use algorithmic_motifs::motifs::{random_tree_src, tree_reduce_1, tree_reduce_2, ARITH_EVAL};
-use algorithmic_motifs::strand_machine::{run_parsed_goal, GoalResult, MachineConfig};
-use bench::{heavy_eval, uniform_eval};
-
-fn tr1(eval: &str, tree: &str, p: u32, seed: u64, track: &str) -> GoalResult {
-    let prog = tree_reduce_1().apply_src(eval).unwrap();
-    let mut cfg = MachineConfig::with_nodes(p).seed(seed);
-    if !track.is_empty() {
-        cfg = cfg.track(track);
-    }
-    run_parsed_goal(&prog, &format!("create({p}, reduce({tree}, Value))"), cfg).unwrap()
-}
-
-fn tr2(eval: &str, tree: &str, p: u32, seed: u64, track: &str) -> GoalResult {
-    let prog = tree_reduce_2().apply_src(eval).unwrap();
-    let mut cfg = MachineConfig::with_nodes(p).seed(seed);
-    if !track.is_empty() {
-        cfg = cfg.track(track);
-    }
-    run_parsed_goal(&prog, &format!("create({p}, tr2({tree}, Value))"), cfg).unwrap()
-}
+use algorithmic_motifs::motifs::{random_tree_src, tree_reduce_1, ARITH_EVAL};
+use algorithmic_motifs::strand_machine::{run_parsed_goal, MachineConfig};
+use bench::TreeReduce::{Tr1, Tr2};
+use bench::{heavy_eval, run_tree, uniform_eval};
 
 #[test]
 fn e1_random_mapping_balances_when_tree_is_large() {
     // §3.1: "should produce a reasonably balanced load if |Nodes| >>
     // |Processors|".
     let p = 4u32;
-    let small = tr1(&uniform_eval(50), &random_tree_src(p, 101), p, 101, "");
-    let large = tr1(&uniform_eval(50), &random_tree_src(p * 64, 101), p, 101, "");
+    let eval = uniform_eval(50);
+    let run = |leaves| run_tree(Tr1, &eval, &random_tree_src(leaves, 101), p, 101, "");
+    let (small, large) = (run(p), run(p * 64));
     let imb_small = small.report.metrics.imbalance().unwrap();
     let imb_large = large.report.metrics.imbalance().unwrap();
     assert!(
@@ -45,8 +29,8 @@ fn e1_random_mapping_balances_when_tree_is_large() {
 #[test]
 fn e2_tr1_stacks_evaluations_tr2_sequences_them() {
     let tree = random_tree_src(96, 11);
-    let r1 = tr1(&heavy_eval(10), &tree, 4, 11, "eval");
-    let r2 = tr2(&heavy_eval(10), &tree, 4, 11, "eval");
+    let r1 = run_tree(Tr1, &heavy_eval(10), &tree, 4, 11, "eval");
+    let r2 = run_tree(Tr2, &heavy_eval(10), &tree, 4, 11, "eval");
     assert!(
         r1.report.metrics.max_peak_tracked() >= 5,
         "TR1 peak {}",
@@ -63,7 +47,7 @@ fn e3_tr2_communication_bound_holds_over_seeds() {
     for seed in 1..8u64 {
         let leaves = 32u32;
         let tree = random_tree_src(leaves, seed);
-        let r = tr2(ARITH_EVAL, &tree, 5, seed, "");
+        let r = run_tree(Tr2, ARITH_EVAL, &tree, 5, seed, "");
         let crossings = r.report.metrics.port_msgs_for("value");
         assert!(
             crossings <= (leaves - 1) as u64,
@@ -77,15 +61,19 @@ fn e3_tr2_communication_bound_holds_over_seeds() {
 fn e4_both_motifs_speed_up_with_processors() {
     let tree = random_tree_src(64, 21);
     let eval = uniform_eval(200);
-    let m1 = tr1(&eval, &tree, 1, 21, "").report.metrics.makespan;
-    let m8 = tr1(&eval, &tree, 8, 21, "").report.metrics.makespan;
+    let makespan = |motif, p| {
+        run_tree(motif, &eval, &tree, p, 21, "")
+            .report
+            .metrics
+            .makespan
+    };
+    let (m1, m8) = (makespan(Tr1, 1), makespan(Tr1, 8));
     assert!(
         (m1 as f64 / m8 as f64) > 2.0,
         "TR1 speedup {:.2}",
         m1 as f64 / m8 as f64
     );
-    let n1 = tr2(&eval, &tree, 1, 21, "").report.metrics.makespan;
-    let n8 = tr2(&eval, &tree, 8, 21, "").report.metrics.makespan;
+    let (n1, n8) = (makespan(Tr2, 1), makespan(Tr2, 8));
     assert!(
         (n1 as f64 / n8 as f64) > 2.0,
         "TR2 speedup {:.2}",
@@ -110,7 +98,7 @@ fn e6_composition_is_free() {
             MachineConfig::with_nodes(4).seed(seed),
         )
         .unwrap();
-        let composed = tr1(ARITH_EVAL, &tree, 4, seed, "");
+        let composed = run_tree(Tr1, ARITH_EVAL, &tree, 4, seed, "");
         assert_eq!(
             hand.bindings["Value"], composed.bindings["Value"],
             "values differ at seed {seed}"
@@ -197,7 +185,10 @@ fn a1_tr2_tolerates_latency_better() {
     let eval = uniform_eval(50);
     let slow = |lat: u64, tr2_flag: bool| -> u64 {
         if tr2_flag {
-            tr2(&eval, &tree, 8, 31, "").report.metrics.makespan
+            run_tree(Tr2, &eval, &tree, 8, 31, "")
+                .report
+                .metrics
+                .makespan
         } else {
             let prog = tree_reduce_1().apply_src(&eval).unwrap();
             run_parsed_goal(

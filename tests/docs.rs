@@ -10,9 +10,11 @@
 //! (`strand-machine/src/fleet/quiesce.rs`) and bare (`machine.rs`) spellings the
 //! docs use. `out/…` is run output and is never committed.
 //!
-//! Likewise every backticked `motif-bench <verb> …` names a verb the binary
-//! takes: an experiment, `list` or `show`. (`<placeholders>`,
-//! flags and shell redirections after `motif-bench` are not verbs.) And
+//! Likewise every backticked `motif-bench <verb> …`, alone or after the
+//! `cargo run` that builds it, names a verb the binary takes: an
+//! experiment, `list` or `show`, and `show <key>` a key of the motif
+//! catalog. (`<placeholders>`, flags and shell redirections after
+//! `motif-bench` are not verbs.) And
 //! every CHANGES.md entry from PR 26 on is at most 2 KB. Every test that
 //! `ci/pinned.txt` pins names a job of CI that checks its pins and a
 //! function under `crates/` or `tests/`.
@@ -145,17 +147,21 @@ fn every_backticked_motif_bench_verb_in_the_docs_resolves() {
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).expect("doc exists");
         for (line, span) in backticked(&text) {
-            let mut words = span.split_whitespace();
-            if words.next() != Some("motif-bench") {
+            let word = |w: &&str| w.starts_with(|c: char| c.is_ascii_alphanumeric());
+            let mut words = span.split_whitespace().skip_while(|w| *w != "motif-bench");
+            if span.contains('\n') || words.next().is_none() {
                 continue;
             }
-            let Some(verb) = words.next() else { continue };
-            if !verb.starts_with(|c: char| c.is_ascii_alphanumeric()) {
+            let Some(verb) = words.next().filter(word) else {
                 continue;
-            }
+            };
             checked += 1;
             if !verbs.contains(&verb) {
                 broken.push(format!("{doc}:{line}: `{span}`: no verb `{verb}`"));
+            } else if let Some(key) = words.next().filter(|_| verb == "show").filter(word) {
+                if algorithmic_motifs::motifs::inventory::entry(key).is_none() {
+                    broken.push(format!("{doc}:{line}: `{span}`: no motif `{key}`"));
+                }
             }
         }
     }

@@ -18,13 +18,38 @@ const VERBS: &[&str] = &[
     "e2-memory",
     "e3-comm",
     "e4-speedup",
+    "e5-loc",
     "e6-compose",
     "e7-scheduler",
+    "e9-future",
     "e10-pragma",
     "a1-latency",
     "a2-faults",
     "e8-sim",
 ];
+
+/// The verbs that run on threads or read the clock, so their tables move
+/// from run to run and host to host.
+const HOST_DEPENDENT: &[&str] = &[
+    "e2-memory-bytes",
+    "e8-seqalign",
+    "e1-threads",
+    "b1-parallel",
+    "c1-serve",
+];
+
+/// A new experiment gets a golden file or a place among the host-dependent
+/// verbs; it cannot go unpinned by being forgotten.
+#[test]
+fn every_experiment_is_golden_or_host_dependent() {
+    let unclassified: Vec<&str> = bench::experiment_names()
+        .filter(|v| !VERBS.contains(v) && !HOST_DEPENDENT.contains(v))
+        .collect();
+    assert!(
+        unclassified.is_empty(),
+        "neither in VERBS nor in HOST_DEPENDENT: {unclassified:?}"
+    );
+}
 
 #[test]
 fn simulator_tables_match_their_golden_files() {
