@@ -1,10 +1,12 @@
 //! Reclaim by reachability: a resident fleet's one collection routine
 //! (DESIGN.md §9). It runs only at tokens = 0 under the ingress lock,
 //! takes every other worker's machine (a worker lets go of it only while
-//! parked on its channel), re-checks tokens = 0, marks from the roots —
-//! port tails, deadline terms, boot variables, queued goals and held terms;
-//! a suspension only through a variable it waits on — and sweeps every
-//! stripe. `quiesce.rs` model-checks the protocol.
+//! parked on its channel, and an ingress lender holds a parked worker's
+//! only while it holds a token or is letting go), re-checks tokens = 0,
+//! marks from the roots — port tails, deadline terms, boot variables,
+//! queued goals and held terms; a suspension only through a variable it
+//! waits on — and sweeps every stripe. `quiesce.rs` model-checks the
+//! protocol.
 
 use super::Shared;
 use crate::Machine;
@@ -90,8 +92,8 @@ fn collect(shared: &Shared, ingress: &mut Ingress, me: Option<(usize, &mut Machi
     }
     let t0 = Instant::now();
     let mine = me.as_ref().map(|(w, _)| *w);
-    // A worker that holds its machine at tokens = 0 is on its way to park
-    // and lets go in a moment; one that holds a token is busy.
+    // A worker or lender that holds a machine at tokens = 0 has surrendered
+    // its token and lets go in a moment; one that holds a token is busy.
     let take = |w: usize| loop {
         match shared.machines[w].try_lock() {
             Ok(m) => return Some(m),

@@ -21,11 +21,16 @@
 //! * *pure* foreign procedures ([`ForeignLib`]) run inline
 //!   on the owning worker — there is no lock to hold, so native
 //!   computation on one worker genuinely overlaps everything else;
-//! * idle workers park inside a blocking `recv`; termination is detected
-//!   by a single token counter over busy workers and in-flight batches
-//!   (incremented *before* every send), model-checked in `quiesce.rs` —
-//!   reaching zero proves global quiescence and the worker that observes
-//!   it broadcasts stop.
+//! * idle workers park inside a blocking `recv`, letting go of their
+//!   machines; termination is detected by a single token counter over busy
+//!   workers, in-flight batches and ingress lenders (incremented *before*
+//!   every send), model-checked in `quiesce.rs` — reaching zero proves
+//!   global quiescence and the worker that observes it broadcasts stop;
+//! * on a resident fleet, an ingress batch for a parked worker is not sent
+//!   to wake it: the injecting thread takes the worker's machine and runs
+//!   the worker's own [`burst`] on it ([`lend`]), sending the owner an
+//!   empty batch only if work or a deadline is left for it. A busy worker's
+//!   batch goes down its channel.
 //!
 //! The simulator stays the deterministic reference. On **one** worker
 //! thread the fleet is an exact replica of it for programs without
@@ -52,7 +57,7 @@ use crate::{seed, Backend, ForeignLib, GoalResult, Machine, MachineConfig, RunRe
 use quiesce::Tokens;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -85,11 +90,17 @@ enum Msg {
 }
 
 struct Shared {
-    /// Busy workers + in-flight batches; zero ⇒ global quiescence.
+    /// Busy workers + in-flight batches + ingress lenders; zero ⇒ global
+    /// quiescence.
     tokens: Tokens,
     /// Each worker's machine, locked by its worker except while parked on
-    /// its channel (`collect.rs`).
+    /// its channel, when a collector (`collect.rs`) or an ingress lender
+    /// ([`lend`]) may take it.
     machines: Vec<Mutex<Machine>>,
+    /// Ingress batches sent down a busy worker's channel rather than lent
+    /// (`Metrics::ingress_handoffs`): the sender holds no machine to count
+    /// them in.
+    ingress_handoffs: AtomicU64,
     senders: Vec<Sender<Msg>>,
     /// Set on fatal error, budget exhaustion or quiescence: workers discard
     /// local work and exit.
@@ -200,6 +211,7 @@ impl Fleet {
         let shared = Arc::new(Shared {
             tokens: Tokens::new(threads as u64),
             machines: machines.into_iter().map(Mutex::new).collect(),
+            ingress_handoffs: AtomicU64::new(0),
             senders,
             stopping: AtomicBool::new(false),
             truncated: AtomicBool::new(false),
@@ -279,21 +291,118 @@ impl Fleet {
         report.metrics.wall_ns = wall_ns;
         report.metrics.threads_used = threads as u32;
         report.metrics.worker_jobs = worker_jobs;
+        report.metrics.ingress_handoffs = self.shared.ingress_handoffs.load(Ordering::Relaxed);
         Ok(report)
     }
 }
 
-/// Route scheduler and ingress events (never rolled on the fault dice: they
-/// are not network messages) to their owning workers, one batch and one
-/// freshly minted token per destination.
-fn send_direct(shared: &Shared, events: Vec<Routed>) {
+/// Split `events` by owning worker: one batch per destination.
+fn by_worker(shared: &Shared, events: Vec<Routed>) -> impl Iterator<Item = (usize, Vec<Routed>)> {
     let mut bufs: Vec<Vec<Routed>> = (0..shared.threads).map(|_| Vec::new()).collect();
     for r in events {
         bufs[r.dest_worker(shared.threads)].push(r);
     }
-    for (w, buf) in bufs.into_iter().enumerate() {
+    bufs.into_iter().enumerate().filter(|(_, b)| !b.is_empty())
+}
+
+/// Route scheduler events (never rolled on the fault dice: they are not
+/// network messages) to their owning workers, one batch and one freshly
+/// minted token per destination.
+fn send_direct(shared: &Shared, events: Vec<Routed>) {
+    for (w, batch) in by_worker(shared, events) {
+        send_batch(shared, w, batch);
+    }
+}
+
+/// Hand worker `w` an ingress batch whose token the caller minted under the
+/// ingress lock and has let go of since. If the worker is parked — its
+/// machine free — the calling thread reduces the batch as the worker would
+/// have: the batch's token is its busy token; it absorbs the batch, runs
+/// one [`burst`], ships everything the burst routed (each batch minted
+/// before it is sent), wakes the owner with an empty minted batch if work
+/// is left or a deadline was armed (so it re-plans its park), and only then
+/// surrenders the token — doing, if it was the last, what the last worker
+/// to go idle does. A panic here stops the fleet as a worker's would. A
+/// busy worker, or a stopping fleet's, is sent the batch.
+fn lend(shared: &Shared, w: usize, batch: Vec<Routed>) {
+    let stopping = shared.stopping.load(Ordering::Acquire);
+    let Some(mut machine) = shared.machines[w].try_lock().ok().filter(|_| !stopping) else {
+        shared.ingress_handoffs.fetch_add(1, Ordering::Relaxed);
+        return post(shared, w, batch);
+    };
+    let m = &mut *machine;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        m.metrics_mut().ingress_bursts += 1;
+        m.absorb(batch);
+        let mut buffers: Vec<Vec<Routed>> = (0..shared.threads).map(|_| Vec::new()).collect();
+        let Some((state, armed)) = burst(shared, w, m, &mut buffers) else {
+            return;
+        };
+        flush(shared, &mut buffers);
+        if state == DrainState::More || armed {
+            send_batch(shared, w, Vec::new());
+        }
+        if shared.tokens.release() {
+            m.metrics_mut().idle_parks += 1;
+            collect::at_quiescence(shared, w, m);
+        }
+    }));
+    if outcome.is_err() {
+        fatal(shared, worker_panicked());
+    }
+}
+
+/// One scheduling turn on shard `me`'s machine — the step its worker takes
+/// between channel services, and the one an ingress lender takes for a
+/// parked worker ([`lend`]): reduce a bounded burst, publish the deadlines
+/// it armed, and route its cross-worker events into `buffers`, shipping
+/// every batch that fills. Returns the drain's state and whether a deadline
+/// was armed; `None` after a fatal error, which is reported (so `stopping`
+/// is set).
+fn burst(
+    shared: &Shared,
+    me: usize,
+    m: &mut Machine,
+    buffers: &mut [Vec<Routed>],
+) -> Option<(DrainState, bool)> {
+    let state = match m.drain_local(DRAIN_STEPS) {
+        Ok(s) => s,
+        Err(e) => {
+            fatal(shared, e);
+            return None;
+        }
+    };
+    // Publish the burst's deadlines. Arming is a local harvest — no token,
+    // no channel traffic: the entry sits in the shared wheel until a parked
+    // worker pops it (the pop mints the busy token; see `park`).
+    let deadlines = m.take_deadlines();
+    let armed = !deadlines.is_empty();
+    for deadline in deadlines {
+        shared.wheel.arm(deadline);
+    }
+    for r in m.take_outbox() {
+        let w = r.dest_worker(shared.threads);
+        debug_assert_ne!(w, me, "own-shard events never reach the outbox");
+        buffers[w].push(r);
+        if buffers[w].len() >= BATCH_MAX {
+            send_batch(shared, w, std::mem::take(&mut buffers[w]));
+        }
+    }
+    if state == DrainState::Budget {
+        // Budget exhausted without fail-fast: truncate the run.
+        if !shared.truncated.swap(true, Ordering::AcqRel) {
+            m.note_truncated();
+        }
+        stop(shared);
+    }
+    Some((state, armed))
+}
+
+/// Ship every partly filled batch in `buffers`.
+fn flush(shared: &Shared, buffers: &mut [Vec<Routed>]) {
+    for (w, buf) in buffers.iter_mut().enumerate() {
         if !buf.is_empty() {
-            send_batch(shared, w, buf);
+            send_batch(shared, w, std::mem::take(buf));
         }
     }
 }
@@ -311,31 +420,12 @@ fn worker_loop(shared: &Shared, me: usize, rx: &Receiver<Msg>) {
             m.discard_local();
             return;
         }
-        // 1. Reduce a bounded burst of the shard's own work.
-        let state = match m.drain_local(DRAIN_STEPS) {
-            Ok(s) => s,
-            Err(e) => {
-                fatal(shared, e);
-                continue; // stopping is set; the next iteration discards
-            }
+        // 1. Reduce, publish and route one burst (a fatal error sets
+        // `stopping`, which the next iteration sees).
+        let Some((state, _)) = burst(shared, me, &mut m, &mut buffers) else {
+            continue;
         };
-        // 1b. Publish the burst's deadlines. Arming is a local harvest —
-        // no token, no channel traffic: the entry sits in the shared wheel
-        // until a parked worker pops it (the pop mints the busy token; see
-        // `park`).
-        for deadline in m.take_deadlines() {
-            shared.wheel.arm(deadline);
-        }
-        // 2. Route the burst's cross-worker events; ship full batches.
-        for r in m.take_outbox() {
-            let w = r.dest_worker(shared.threads);
-            debug_assert_ne!(w, me, "own-shard events never reach the outbox");
-            buffers[w].push(r);
-            if buffers[w].len() >= BATCH_MAX {
-                send_batch(shared, w, std::mem::take(&mut buffers[w]));
-            }
-        }
-        // 3. Absorb whatever peers sent meanwhile (non-blocking).
+        // 2. Absorb whatever peers sent meanwhile (non-blocking).
         let mut received = false;
         loop {
             match rx.try_recv() {
@@ -349,55 +439,39 @@ fn worker_loop(shared: &Shared, me: usize, rx: &Receiver<Msg>) {
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
             }
         }
-        match state {
-            DrainState::More => {}
-            DrainState::Budget => {
-                // Budget exhausted without fail-fast: truncate the run.
-                if !shared.truncated.swap(true, Ordering::AcqRel) {
-                    m.note_truncated();
-                }
-                stop(shared);
+        if state != DrainState::Idle || received {
+            continue;
+        }
+        flush(shared, &mut buffers);
+        // Last non-blocking look before surrendering the token.
+        match rx.try_recv() {
+            Ok(Msg::Batch(batch)) => {
+                shared.tokens.absorb();
+                m.absorb(batch);
+                continue;
             }
-            DrainState::Idle => {
-                if received {
-                    continue;
-                }
-                for (w, buf) in buffers.iter_mut().enumerate() {
-                    if !buf.is_empty() {
-                        send_batch(shared, w, std::mem::take(buf));
-                    }
-                }
-                // Last non-blocking look before surrendering the token.
-                match rx.try_recv() {
-                    Ok(Msg::Batch(batch)) => {
-                        shared.tokens.absorb();
-                        m.absorb(batch);
-                        continue;
-                    }
-                    Ok(Msg::Stop) => continue,
-                    Err(_) => {}
-                }
-                // Surrender the token and park. A batch arriving now wakes
-                // us and its token becomes our busy token — no counter
-                // update. A deadline falling due wakes us too; firing it
-                // mints a fresh token, so quiescence accounting stays exact.
-                let last = shared.tokens.release();
-                if last && shared.resident {
-                    // Resident mode: global quiescence is *idle*, not
-                    // termination. Only the last releaser ticks the
-                    // burst-to-idle transition, so one park per burst, and
-                    // collects if one is due.
-                    m.metrics_mut().idle_parks += 1;
-                    collect::at_quiescence(shared, me, &mut m);
-                }
-                let parked;
-                (parked, m) = park(shared, me, rx, m, last);
-                match parked {
-                    Parked::Batch(batch) => m.absorb(batch),
-                    Parked::Fired => {}
-                    Parked::Stop => return,
-                }
-            }
+            Ok(Msg::Stop) => continue,
+            Err(_) => {}
+        }
+        // Surrender the token and park. A batch arriving now wakes us and
+        // its token becomes our busy token — no counter update. A deadline
+        // falling due wakes us too; firing it mints a fresh token, so
+        // quiescence accounting stays exact. While we wait on the channel
+        // an ingress lender may take our machine (see `lend`).
+        let last = shared.tokens.release();
+        if last && shared.resident {
+            // Resident mode: global quiescence is *idle*, not termination.
+            // Only the last releaser ticks the burst-to-idle transition, so
+            // one park per burst, and collects if one is due.
+            m.metrics_mut().idle_parks += 1;
+            collect::at_quiescence(shared, me, &mut m);
+        }
+        let parked;
+        (parked, m) = park(shared, me, rx, m, last);
+        match parked {
+            Parked::Batch(batch) => m.absorb(batch),
+            Parked::Fired => {}
+            Parked::Stop => return,
         }
     }
 }
@@ -509,6 +583,11 @@ fn park<'a>(
 /// precede the send: see `quiesce.rs` for the model-checked argument.
 fn send_batch(shared: &Shared, w: usize, batch: Vec<Routed>) {
     shared.tokens.add();
+    post(shared, w, batch);
+}
+
+/// Send a batch whose token is already minted.
+fn post(shared: &Shared, w: usize, batch: Vec<Routed>) {
     if shared.senders[w].send(Msg::Batch(batch)).is_err() {
         // Receivers only disappear once the run is over; keep the counter
         // honest regardless.

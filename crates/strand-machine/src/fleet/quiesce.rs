@@ -1,12 +1,15 @@
 //! Quiescence detection for the sharded backend: the single-token counter.
 //!
-//! Every *busy worker* and every *in-flight batch* holds one abstract
-//! token; the [`Tokens`] counter tracks how many tokens exist. All workers
-//! are born busy (counter starts at `threads`), a sender mints a token
-//! **before** the channel send (`add`), a busy worker that absorbs a batch
-//! dissolves its token (`absorb`), a parked worker that receives a batch
-//! adopts its token as the worker's own busy token (no counter change), and
-//! a worker going idle surrenders its busy token (`release`). The counter
+//! Every *busy worker*, every *in-flight batch* and every *ingress lender*
+//! holds one abstract token; the [`Tokens`] counter tracks how many tokens
+//! exist. All workers are born busy (counter starts at `threads`), a sender
+//! mints a token **before** the channel send (`add`), a busy worker that
+//! absorbs a batch dissolves its token (`absorb`), a parked worker that
+//! receives a batch adopts its token as the worker's own busy token (no
+//! counter change), and a worker going idle surrenders its busy token
+//! (`release`). A connection thread that takes a parked worker's machine
+//! for an ingress batch holds the batch's token as its busy token, and
+//! surrenders it only once what its burst routed is shipped. The counter
 //! reaching zero therefore proves *global quiescence*: no worker is busy
 //! and no batch is unreceived, so no future work can appear.
 //!
@@ -18,7 +21,8 @@
 //! confirms (a) the correct order never announces early and (b) the broken
 //! order does — i.e. the checker has the power to catch the bug. Further
 //! variants of the model cross the protocol with the deadline wheel under
-//! each of its two clocks, and with `collect.rs`'s collector and ingress.
+//! each of its two clocks, with `collect.rs`'s collector and ingress, and
+//! with the ingress lender (`check_lend`).
 //! (A worker whose nodes have crashed needs no variant: it absorbs,
 //! surrenders and parks like any other, which `model::check` covers.)
 //!
@@ -845,6 +849,382 @@ mod model {
             }
         }
         Ok(seen.len())
+    }
+
+    /// An ingress lender in the *lending* variant of the model: a
+    /// connection thread whose request is for a parked worker, whose
+    /// machine it takes and reduces on (`fleet::lend`).
+    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+    enum L {
+        Idle,
+        /// Holds the ingress lock, the request built in its outbox.
+        Building,
+        /// Holds the ingress lock; the token for worker `to`'s batch is
+        /// minted.
+        Minted(u8),
+        /// Has let go of the lock with worker `to`'s batch and its token.
+        Unlocked(u8),
+        /// Has let go of the lock holding worker `w`'s machine and, while
+        /// `token`, the batch's token. Once `reduced`, `ship` says the
+        /// burst's outbox is not shipped yet and `wake` that the burst left
+        /// work (or armed a deadline) and the owner is not woken yet.
+        Lent {
+            w: u8,
+            reduced: bool,
+            ship: bool,
+            wake: bool,
+            token: bool,
+        },
+    }
+
+    /// Who holds a parked worker's machine.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+    enum Held {
+        Free,
+        Collector,
+        Lender,
+    }
+
+    /// The lender the model runs: the shipped order, and two broken ones
+    /// the checker must catch.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Lender {
+        /// Ship, wake the owner if work is left, release, give back.
+        Shipped,
+        /// Release the token before shipping the burst's outbox.
+        ReleasesBeforeShipping,
+        /// Leave work on the machine without waking its owner.
+        NeverWakesTheOwner,
+    }
+
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    struct LendState {
+        tokens: u64,
+        wheel: u8,
+        queues: Vec<u8>,
+        workers: Vec<C>,
+        /// A parked worker's machine: free, or taken. A busy worker holds
+        /// its own.
+        held: Vec<Held>,
+        /// Work on a parked worker's machine that it has not run.
+        work: Vec<bool>,
+        lenders: Vec<L>,
+        requests_left: u8,
+        collecting: bool,
+        collections_left: u8,
+    }
+
+    /// The lending ingress crossed with the token protocol, the deadline
+    /// wheel and the collector of [`check_collect`]. Each of `lenders`
+    /// connection threads builds a request under the ingress lock, mints
+    /// the batch's token and lets go of the lock; it then takes the
+    /// destination worker's machine if it is free — the worker parked, no
+    /// collector or other lender holding it — or else sends the worker the
+    /// batch. Holding the machine, it reduces one burst — which may route a
+    /// batch to a peer, leave work, or arm a deadline — ships with
+    /// mint-before-send, wakes the owner with a minted empty batch if work
+    /// is left, releases the token and gives the machine back. A parked worker wakes, for a batch or a
+    /// deadline, only once its machine is free. Invariants:
+    ///
+    /// 1. *No early idle* — whenever the counter reads zero, no batch is
+    ///    unreceived, no worker busy, no lender holds work it has not
+    ///    shipped or handed to the owner, and no parked worker's machine
+    ///    holds work.
+    /// 2. *No collection under a lender* — when the collector marks, no
+    ///    lender holds a machine and no batch is in a channel.
+    /// 3. *No stuck state.*
+    fn check_lend(
+        threads: usize,
+        sends_each: u8,
+        lenders: usize,
+        requests: u8,
+        collections: u8,
+        lender: Lender,
+    ) -> Result<usize, String> {
+        let init = LendState {
+            tokens: threads as u64,
+            wheel: 0,
+            queues: vec![0; threads],
+            workers: vec![
+                C::Busy {
+                    sends_left: sends_each
+                };
+                threads
+            ],
+            held: vec![Held::Free; threads],
+            work: vec![false; threads],
+            lenders: vec![L::Idle; lenders],
+            requests_left: requests,
+            collecting: false,
+            collections_left: collections,
+        };
+        let mut seen = HashSet::new();
+        let mut stack = vec![init];
+        while let Some(s) = stack.pop() {
+            if !seen.insert(s.clone()) {
+                continue;
+            }
+            if s.tokens == 0 {
+                let unreceived: u8 = s.queues.iter().sum();
+                let busy = s.workers.iter().any(|w| matches!(w, C::Busy { .. }));
+                let held_back = s
+                    .lenders
+                    .iter()
+                    .any(|l| matches!(l, L::Lent { ship, wake, .. } if *ship || *wake));
+                let stranded = s.work.iter().any(|&w| w);
+                if unreceived > 0 || busy || held_back || stranded {
+                    return Err(format!(
+                        "announced quiescence with {unreceived} unreceived batch(es), busy \
+                         worker: {busy}, unshipped lender: {held_back}, stranded work: {stranded}"
+                    ));
+                }
+            }
+            let before = stack.len();
+            let mut next = |f: &dyn Fn(&mut LendState)| {
+                let mut n = s.clone();
+                f(&mut n);
+                stack.push(n);
+            };
+            for i in 0..threads {
+                match s.workers[i] {
+                    C::Busy { sends_left } => {
+                        if sends_left > 0 {
+                            for to in (0..threads).filter(|&to| to != i) {
+                                next(&|n| {
+                                    n.tokens += 1; // inc BEFORE send
+                                    n.queues[to] += 1;
+                                    n.workers[i] = C::Busy {
+                                        sends_left: sends_left - 1,
+                                    };
+                                });
+                            }
+                        }
+                        if s.queues[i] > 0 {
+                            next(&|n| {
+                                n.queues[i] -= 1;
+                                n.tokens -= 1;
+                            });
+                        }
+                        next(&|n| {
+                            n.tokens -= 1;
+                            n.workers[i] = C::Parked;
+                        });
+                    }
+                    // Waking takes the machine back first; the woken worker
+                    // runs whatever its machine holds.
+                    C::Parked if s.held[i] != Held::Free => {}
+                    C::Parked => {
+                        if s.queues[i] > 0 {
+                            next(&|n| {
+                                n.queues[i] -= 1;
+                                n.workers[i] = C::Busy { sends_left: 1 };
+                                n.work[i] = false;
+                            });
+                        }
+                        if s.wheel > 0 {
+                            next(&|n| {
+                                n.tokens += 1; // mint BEFORE pop
+                                n.wheel -= 1;
+                                n.workers[i] = C::Busy { sends_left: 1 };
+                                n.work[i] = false;
+                            });
+                        }
+                    }
+                }
+            }
+            let lock_free = !s.collecting
+                && !s
+                    .lenders
+                    .iter()
+                    .any(|l| matches!(l, L::Building | L::Minted(_)));
+            for j in 0..lenders {
+                match s.lenders[j] {
+                    L::Idle if s.requests_left > 0 && lock_free => next(&|n| {
+                        n.lenders[j] = L::Building;
+                        n.requests_left -= 1;
+                    }),
+                    L::Idle => {}
+                    L::Building => {
+                        for to in 0..threads {
+                            next(&|n| {
+                                n.tokens += 1;
+                                n.lenders[j] = L::Minted(to as u8);
+                            });
+                        }
+                    }
+                    L::Minted(to) => next(&|n| n.lenders[j] = L::Unlocked(to)),
+                    // Take a parked worker's free machine, or send the batch.
+                    L::Unlocked(to) => next(&|n| {
+                        let w = to as usize;
+                        if n.workers[w] == C::Parked && n.held[w] == Held::Free {
+                            n.held[w] = Held::Lender;
+                            n.lenders[j] = L::Lent {
+                                w: to,
+                                reduced: false,
+                                ship: false,
+                                wake: false,
+                                token: true,
+                            };
+                        } else {
+                            n.queues[w] += 1;
+                            n.lenders[j] = L::Idle;
+                        }
+                    }),
+                    L::Lent {
+                        w, reduced: false, ..
+                    } => {
+                        // The burst: it may route a batch to a peer, and may
+                        // leave work on the machine or arm a deadline.
+                        for ship in [false, true] {
+                            for left in 0..3 {
+                                next(&|n| {
+                                    n.lenders[j] = L::Lent {
+                                        w,
+                                        reduced: true,
+                                        ship,
+                                        wake: left > 0,
+                                        token: true,
+                                    };
+                                    match left {
+                                        1 => n.work[w as usize] = true,
+                                        2 => n.wheel += 1,
+                                        _ => {}
+                                    }
+                                });
+                            }
+                        }
+                    }
+                    L::Lent {
+                        w,
+                        reduced: true,
+                        ship,
+                        wake,
+                        token,
+                    } => {
+                        let lent = |ship, wake, token| L::Lent {
+                            w,
+                            reduced: true,
+                            ship,
+                            wake,
+                            token,
+                        };
+                        if ship {
+                            for to in (0..threads).filter(|&to| to != w as usize) {
+                                next(&|n| {
+                                    n.tokens += 1; // inc BEFORE send
+                                    n.queues[to] += 1;
+                                    n.lenders[j] = lent(false, wake, token);
+                                });
+                            }
+                        }
+                        if wake && !ship {
+                            next(&|n| {
+                                if lender != Lender::NeverWakesTheOwner {
+                                    n.tokens += 1; // an empty batch, minted
+                                    n.queues[w as usize] += 1;
+                                }
+                                n.lenders[j] = lent(false, false, token);
+                            });
+                        }
+                        let shipped = !ship || lender == Lender::ReleasesBeforeShipping;
+                        if token && !wake && shipped {
+                            next(&|n| {
+                                n.tokens -= 1;
+                                n.lenders[j] = lent(ship, false, false);
+                            });
+                        }
+                        if !token && !ship && !wake {
+                            next(&|n| {
+                                n.held[w as usize] = Held::Free;
+                                n.lenders[j] = L::Idle;
+                            });
+                        }
+                    }
+                }
+            }
+            // The collector, as in `check_collect`.
+            let give_back = |n: &mut LendState| {
+                n.collecting = false;
+                for h in &mut n.held {
+                    if *h == Held::Collector {
+                        *h = Held::Free;
+                    }
+                }
+            };
+            if !s.collecting && s.collections_left > 0 && lock_free && s.tokens == 0 {
+                next(&|n| {
+                    n.collecting = true;
+                    n.collections_left -= 1;
+                });
+            }
+            if s.collecting {
+                match s.held.iter().position(|h| *h != Held::Collector) {
+                    Some(i) if s.workers[i] == C::Parked && s.held[i] == Held::Free => {
+                        next(&|n| n.held[i] = Held::Collector)
+                    }
+                    Some(_) => next(&give_back),
+                    None => {
+                        if s.tokens == 0 {
+                            if s.lenders.iter().any(|l| matches!(l, L::Lent { .. })) {
+                                return Err("a collection ran while a lender held a machine".into());
+                            }
+                            if s.queues.iter().any(|&q| q > 0) {
+                                return Err(format!(
+                                    "the collector marked with work it cannot see: tokens={}",
+                                    s.tokens
+                                ));
+                            }
+                        }
+                        next(&give_back);
+                    }
+                }
+            }
+            let done = s.workers.iter().all(|w| *w == C::Parked)
+                && s.queues.iter().all(|&q| q == 0)
+                && s.lenders.iter().all(|l| *l == L::Idle)
+                && s.requests_left == 0
+                && !s.collecting
+                && !s.work.iter().any(|&w| w);
+            if stack.len() == before && !done {
+                return Err(format!(
+                    "stuck state: tokens={}, wheel={}, collecting={}",
+                    s.tokens, s.wheel, s.collecting
+                ));
+            }
+        }
+        Ok(seen.len())
+    }
+
+    #[test]
+    fn lent_bursts_never_announce_early_or_meet_a_collection_2_workers() {
+        let states = check_lend(2, 1, 2, 2, 1, Lender::Shipped).expect("lending invariant");
+        assert!(states > 10_000, "trivial state space: {states}");
+    }
+
+    #[test]
+    fn lent_bursts_never_announce_early_or_meet_a_collection_3_workers() {
+        let states = check_lend(3, 0, 2, 2, 1, Lender::Shipped).expect("lending invariant");
+        assert!(states > 100_000, "trivial state space: {states}");
+    }
+
+    #[test]
+    fn checker_catches_a_lender_that_releases_before_shipping() {
+        // The lender's token is the only one left; surrendering it with the
+        // burst's batch for a peer still unshipped reads idle while work
+        // exists. The checker must see it, or the passing tests above prove
+        // nothing about the ship-before-release order.
+        let err = check_lend(2, 1, 1, 1, 1, Lender::ReleasesBeforeShipping)
+            .expect_err("release-before-ship bug");
+        assert!(err.contains("announced quiescence"), "{err}");
+    }
+
+    #[test]
+    fn checker_catches_a_lender_that_never_wakes_the_owner() {
+        // A burst that leaves work on a parked worker's machine and does not
+        // wake it strands the work: the fleet reads idle with it queued.
+        let err =
+            check_lend(2, 1, 1, 1, 1, Lender::NeverWakesTheOwner).expect_err("missing wake bug");
+        assert!(err.contains("stranded work: true"), "{err}");
     }
 
     #[test]

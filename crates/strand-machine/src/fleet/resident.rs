@@ -13,19 +13,31 @@
 //!   state, which turns the stop-broadcast on last-token-release into an
 //!   ordinary park (counted as `idle_parks` in the metrics). Quiescence
 //!   becomes re-entrant: the counter climbs off zero as soon as an ingress
-//!   batch is minted and the parked workers wake exactly as they would for
-//!   a peer's batch.
+//!   batch is minted.
 //! * an extra **ingress** [`Machine`] ([`Machine::new_ingress`]) lives on
-//!   the caller's side of the channels. It owns no nodes, never reduces,
-//!   and exists so external threads can build terms against the shared
-//!   store and enqueue goals; everything it enqueues lands in its outbox
-//!   and is shipped to the owning workers under the same token protocol as
-//!   worker-to-worker traffic.
+//!   the caller's side of the channels. It owns no nodes and never reduces
+//!   (the machine; the caller's thread may, below), and exists so external
+//!   threads can build terms against the shared store and enqueue goals.
+//!   Everything it enqueues lands in its outbox, and is handed to the
+//!   owning workers under the same token protocol as worker-to-worker
+//!   traffic: one token per destination, minted under the ingress lock.
+//! * **who reduces**: once the tokens are minted and the ingress lock is
+//!   let go, the injecting thread tries each destination worker's machine.
+//!   A parked worker's is free: the thread takes it and runs the worker's
+//!   own [`burst`](super::burst) on it ([`lend`](super::lend)), with the
+//!   batch's token as its busy token, so the worker is never woken. It
+//!   ships what the burst routed (mint before send), sends the owner an
+//!   empty minted batch if work is left or a deadline was armed, and only
+//!   then surrenders the token — as the last worker to go idle would, if
+//!   it is the last. A busy worker's machine is locked: it is sent the
+//!   batch down its channel. `quiesce.rs` model-checks the order; the
+//!   metrics count both paths (`ingress_bursts`, `ingress_handoffs`).
 //! * the store is reclaimed by reachability at quiescence (`collect.rs`):
 //!   [`ResidentHandle::reclaim`] makes a collection due and runs it — at
 //!   once when the fleet is idle, else once the in-flight work drains. A
 //!   caller that reads a variable across ingress calls holds it
-//!   ([`Machine::hold`]).
+//!   ([`Machine::hold`]). A collection takes every worker's machine, so it
+//!   never runs while a lender holds one.
 //!
 //! A [`FaultPlan`](crate::FaultPlan) is honoured like on any
 //! fleet (the shard core injects it): a supervised resident program (the
@@ -34,10 +46,10 @@
 //! tier drives it through this path. Ingress injections are not network
 //! messages and are never rolled on the dice, but one aimed at a crashed
 //! node is discarded by its owner — callers routing external work should
-//! consult [`ResidentHandle::crashed_nodes`] so new sessions land on nodes
+//! consult [`ResidentHandle::is_crashed`] so new sessions land on nodes
 //! that will actually reduce them.
 
-use super::{collect, lock, send_direct, stop, Fleet};
+use super::{by_worker, collect, lend, lock, stop, Fleet};
 use crate::{prepare, ForeignLib, Machine, MachineConfig, RunReport};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -48,8 +60,8 @@ use strand_parse::Program;
 /// channels, plus the ingress machine external threads inject through.
 ///
 /// The handle is `Sync`; clone it behind an `Arc` and inject from as many
-/// connection threads as you like — injection serialises on the ingress
-/// lock, reduction stays parallel across the workers.
+/// connection threads as you like — building a request serialises on the
+/// ingress lock, reduction stays parallel across the workers' machines.
 pub struct ResidentHandle {
     fleet: Fleet,
 }
@@ -83,11 +95,14 @@ impl ResidentHandle {
     }
 
     /// Run `f` against the ingress machine — build terms,
-    /// [`inject`](Machine::inject) goals, bump serve counters — and flush
-    /// everything it enqueued to the owning workers (minting quiescence
-    /// tokens per batch, so a parked fleet wakes) before letting go of the
-    /// lock: until its token is minted a request lives only in the outbox,
-    /// where a collector would miss it. A due collection runs first.
+    /// [`inject`](Machine::inject) goals, bump serve counters — and hand
+    /// everything it enqueued to the owning workers. One quiescence token
+    /// per destination is minted before the ingress lock is let go: until
+    /// then a request lives only in the outbox, where a collector would miss
+    /// it. Then, with the lock free, a parked worker's machine is lent to
+    /// this thread, which reduces the batch with the worker's own burst; a
+    /// busy worker is sent its batch (see the module docs). A due
+    /// collection runs first.
     pub fn with_ingress<R>(&self, f: impl FnOnce(&mut Machine) -> R) -> R {
         let shared = &self.fleet.shared;
         let mut ingress = collect::hold_back(shared, lock(&shared.ingress));
@@ -96,12 +111,20 @@ impl ResidentHandle {
             .expect("the ingress lives until shutdown")
             .machine;
         let out = f(m);
-        // An ingress machine owns no node, so it never reduces and has no
-        // deadlines to harvest: the outbox is all it produces. Counter
-        // bumps and store reads enqueue nothing.
+        // The ingress machine owns no node, so it never reduces and has no
+        // deadlines to harvest: the outbox is all it produces. Counter bumps
+        // and store reads enqueue nothing.
         let outbox = m.take_outbox();
-        if !outbox.is_empty() {
-            send_direct(shared, outbox);
+        if outbox.is_empty() {
+            return out;
+        }
+        // Every destination's token is minted before the lock is let go;
+        // only then may this thread reduce, on a parked worker's machine.
+        let minted = by_worker(shared, outbox).inspect(|_| shared.tokens.add());
+        let batches: Vec<_> = minted.collect();
+        drop(ingress);
+        for (w, batch) in batches {
+            lend(shared, w, batch);
         }
         out
     }
@@ -132,6 +155,21 @@ impl ResidentHandle {
     /// delivered to a crashed node is discarded.
     pub fn crashed_nodes(&self) -> Vec<u32> {
         self.fleet.shared.world.crashed_nodes()
+    }
+
+    /// Whether the fault plan has crashed `node` (1-based), read in place:
+    /// the per-request form of [`crashed_nodes`](ResidentHandle::crashed_nodes).
+    /// `false` for a node the fleet does not have.
+    pub fn is_crashed(&self, node: u32) -> bool {
+        let crashed = &self.fleet.shared.world.crashed;
+        let flag = node.checked_sub(1).and_then(|i| crashed.get(i as usize));
+        flag.is_some_and(|dead| dead.load(Ordering::Acquire))
+    }
+
+    /// How many nodes the fault plan has crashed so far.
+    pub fn crashed_count(&self) -> usize {
+        let crashed = self.fleet.shared.world.crashed.iter();
+        crashed.filter(|dead| dead.load(Ordering::Acquire)).count()
     }
 
     /// Reductions performed so far, all workers combined.
@@ -247,6 +285,31 @@ mod tests {
     }
 
     #[test]
+    fn ingress_batches_for_a_parked_shard_reduce_on_the_injecting_thread() {
+        // Each request is one batch for node 1's worker, which is parked
+        // when it arrives: the injecting thread reduces it, so the owner
+        // never wakes. Only the first injection can find the worker still
+        // holding its machine on its way to park after the boot burst.
+        let h = handle(2);
+        assert!(h.wait_idle(Duration::from_secs(5)), "boot never drained");
+        let requests = 200;
+        let mut answers = Vec::new();
+        for x in 0..requests {
+            let vars = inject_goal(&h, &format!("double({x}, V)"));
+            assert!(h.wait_idle(Duration::from_secs(5)), "request never drained");
+            answers.push(h.with_ingress(|m| {
+                m.release(&vars["V"]);
+                m.store().resolve(&vars["V"]).to_string()
+            }));
+        }
+        let want: Vec<String> = (0..requests).map(|x| (2 * x).to_string()).collect();
+        assert_eq!(answers, want);
+        let m = h.shutdown().unwrap().metrics;
+        assert_eq!(m.ingress_bursts + m.ingress_handoffs, requests, "{m:?}");
+        assert!(m.ingress_bursts >= requests - 1, "{m:?}");
+    }
+
+    #[test]
     fn a_sink_runs_on_ground_inputs_and_binds_nothing_on_two_workers() {
         // `note/2` is a sink; the producers of its inputs run on the other
         // worker's nodes, so it suspends and is woken across shards.
@@ -313,6 +376,38 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
+        let err = h.shutdown().unwrap_err();
+        assert!(
+            err.to_string().contains("worker panicked during reduction"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_panic_on_the_injecting_thread_stops_the_fleet_and_shutdown_reports_it() {
+        // Node 1's worker is parked, so the injecting thread reduces `go`
+        // and the `boom/2` it spawns on the same node itself. The panic is
+        // caught there: the caller carries on, the fleet stops as for a
+        // worker's panic, and shutdown returns it.
+        let program = parse_program("boot. ok. go :- boom(1, _).").unwrap();
+        let mut lib = ForeignLib::new();
+        lib.register("boom", 2, |_| panic!("foreign procedure bug"));
+        let cfg = MachineConfig::with_nodes(4).parallel(2);
+        let h = ResidentHandle::start(&program, "boot", cfg, &lib).unwrap();
+        // Until one request is lent, the worker may still be on its way to
+        // park after the boot burst (or the last handed-off request).
+        let handoffs = || h.fleet.shared.ingress_handoffs.load(Ordering::Relaxed);
+        loop {
+            assert!(h.wait_idle(Duration::from_secs(5)), "fleet never drained");
+            let before = handoffs();
+            inject_goal(&h, "ok");
+            if handoffs() == before {
+                break;
+            }
+        }
+        assert!(h.wait_idle(Duration::from_secs(5)), "`ok` never drained");
+        inject_goal(&h, "go");
+        assert!(h.is_stopping(), "the lent panic did not stop the fleet");
         let err = h.shutdown().unwrap_err();
         assert!(
             err.to_string().contains("worker panicked during reduction"),
@@ -454,6 +549,9 @@ mod tests {
         // The crash is due at reduction 0: worker 1 fires it at the top of
         // its first drain, before it first parks.
         assert_eq!(h.crashed_nodes(), vec![2]);
+        assert_eq!(h.crashed_count(), 1);
+        let dead: Vec<bool> = (0..=5).map(|node| h.is_crashed(node)).collect();
+        assert_eq!(dead, [false, false, true, false, false, false]);
         let ask = |node: i64| {
             let vars = inject_goal_at(&h, node, "double(21, V)");
             assert!(h.wait_idle(Duration::from_secs(5)), "request never drained");

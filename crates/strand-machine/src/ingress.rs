@@ -16,7 +16,9 @@ impl Machine {
     /// `node mod threads` never matches and every injected goal lands in
     /// the outbox for routing. It never reduces or suspends, so its pids
     /// (minted above every worker's range) never appear in store waiter
-    /// lists; receivers re-mint pids on absorption as usual.
+    /// lists; receivers re-mint pids on absorption as usual. (The thread
+    /// that injects may reduce, but on a parked worker's machine, never on
+    /// this one: see `ResidentHandle::with_ingress`.)
     pub(crate) fn new_ingress(
         program: Arc<CompiledProgram>,
         config: MachineConfig,

@@ -115,6 +115,12 @@ pub struct Metrics {
     /// [`total_reductions`](Metrics::total_reductions)), in worker order;
     /// empty on the simulator.
     pub worker_jobs: Vec<u64>,
+    /// Ingress batches a resident fleet reduced on the injecting thread: the
+    /// destination worker was parked, so the caller took its machine and
+    /// ran the worker's burst itself.
+    pub ingress_bursts: u64,
+    /// Ingress batches sent down a busy worker's channel instead.
+    pub ingress_handoffs: u64,
 }
 
 impl Metrics {
@@ -279,6 +285,8 @@ impl Metrics {
         self.collections += other.collections;
         self.collect_us_max = self.collect_us_max.max(other.collect_us_max);
         self.idle_parks += other.idle_parks;
+        self.ingress_bursts += other.ingress_bursts;
+        self.ingress_handoffs += other.ingress_handoffs;
         self.timers_armed += other.timers_armed;
         self.timers_fired += other.timers_fired;
         self.timers_cancelled += other.timers_cancelled;
@@ -367,6 +375,10 @@ mod tests {
         b.collections = 3;
         b.collect_us_max = 40;
         b.idle_parks = 5;
+        a.ingress_bursts = 30;
+        a.ingress_handoffs = 1;
+        b.ingress_bursts = 8;
+        b.ingress_handoffs = 2;
         a.merge(&b);
         assert_eq!(a.sessions_opened, 13);
         assert_eq!(a.sessions_closed, 13);
@@ -375,6 +387,7 @@ mod tests {
         assert_eq!(a.vars_reclaimed, 25);
         assert_eq!((a.collections, a.collect_us_max), (5, 90));
         assert_eq!(a.idle_parks, 5);
+        assert_eq!((a.ingress_bursts, a.ingress_handoffs), (38, 3));
     }
 
     #[test]

@@ -320,12 +320,13 @@ pub(crate) struct PortState {
 }
 
 /// One worker's share of the run-global reduction count, on a cache line
-/// of its own. Only the owning worker writes it — a plain store, no
-/// read-modify-write — so no reduction writes a line a peer reads; readers
-/// sum the lanes. Everything is `Relaxed`: a lane publishes nothing but
-/// itself, and a reader that needs an exact sum reads at quiescence, which
-/// it learns through the token counter's acquire/release
-/// (`fleet/quiesce.rs`) or a thread join.
+/// of its own. Only the thread holding the worker's machine writes it — the
+/// worker, or an ingress lender on a parked worker's machine, ordered by
+/// the machine's mutex — with a plain store, no read-modify-write, so no
+/// reduction writes a line a peer reads; readers sum the lanes. Everything
+/// is `Relaxed`: a lane publishes nothing but itself, and a reader that
+/// needs an exact sum reads at quiescence, which it learns through the
+/// token counter's acquire/release (`fleet/quiesce.rs`) or a thread join.
 #[repr(align(128))]
 #[derive(Default)]
 pub(crate) struct Lane {

@@ -172,9 +172,11 @@ impl ReplySlot {
 /// The in-flight requests, keyed by request id. A request registers its
 /// slot *before* its goals are injected; the entry is removed by whichever
 /// comes first of the `'$serve_reply'` sink delivering (from whichever
-/// worker reduces the probe) and the request giving up — so a duplicate
-/// or late delivery finds no entry and is dropped, and the map is bounded
-/// by the requests in flight — the count admission checks.
+/// thread reduces the probe: a worker, or the connection thread itself
+/// when it reduced its request on a parked worker's machine) and the
+/// request giving up — so a duplicate or late delivery finds no entry and
+/// is dropped, and the map is bounded by the requests in flight — the
+/// count admission checks.
 #[derive(Default)]
 struct ReplySlots {
     waiting: Mutex<HashMap<u64, Arc<ReplySlot>>>,
@@ -448,12 +450,11 @@ impl MotifService {
         let servers = i64::from(self.cfg.servers);
         let start =
             (self.round_robin.fetch_add(1, Ordering::Relaxed) % u64::from(self.cfg.servers)) as i64;
-        let dead = self.engine.crashed_nodes();
         // Every node dead: nothing can answer. Inject anywhere and let the
         // reply timeout surface the outage.
         (0..servers)
             .map(|k| (start + k) % servers + 1)
-            .find(|&node| !dead.contains(&(node as u32)))
+            .find(|&node| !self.engine.is_crashed(node as u32))
             .unwrap_or(start + 1)
     }
 
@@ -498,7 +499,7 @@ impl MotifService {
         timeout: Duration,
     ) -> Option<Term> {
         let h = &self.engine;
-        let mut dead_seen = h.crashed_nodes().len();
+        let mut dead_seen = h.crashed_count();
         let reply = h.with_ingress(|m| {
             let reply = self.inject_request(m, q.clone(), rid, node);
             m.hold(reply.clone());
@@ -525,7 +526,7 @@ impl MotifService {
             if resolved.is_ground() {
                 break Some(resolved);
             }
-            let dead_now = h.crashed_nodes().len();
+            let dead_now = h.crashed_count();
             if dead_now != dead_seen || last_send.elapsed() >= resend_every {
                 // A node died since the last send (or the request has sat
                 // unanswered for a full re-send period). Re-send the whole

@@ -137,7 +137,8 @@ fn main() -> ExitCode {
             eprintln!(
                 "strand-serve: drained. sessions {}/{} (opened/closed), requests {} admitted / {} \
                  rejected, {} collections (longest {} us) reclaimed {} vars, {} idle parks, \
-                 {} reductions",
+                 {} reductions, ingress batches {} reduced on the injecting thread / {} sent \
+                 to a busy worker",
                 m.sessions_opened,
                 m.sessions_closed,
                 m.requests_admitted,
@@ -147,6 +148,8 @@ fn main() -> ExitCode {
                 m.vars_reclaimed,
                 m.idle_parks,
                 m.total_reductions,
+                m.ingress_bursts,
+                m.ingress_handoffs,
             );
             if supervise {
                 eprintln!(

@@ -4,9 +4,9 @@
 use algorithmic_motifs::motifs::scheduler::{
     scheduler, scheduler_hierarchical, tasks_src, BURN_TASK,
 };
-use algorithmic_motifs::motifs::{random_tree_src, tree_reduce_1, ARITH_EVAL};
+use algorithmic_motifs::motifs::{random_tree_src, ARITH_EVAL};
 use algorithmic_motifs::strand_machine::{run_parsed_goal, MachineConfig};
-use bench::TreeReduce::{Tr1, Tr2};
+use bench::TreeReduce::{self, Tr1, Tr2};
 use bench::{heavy_eval, run_tree, uniform_eval};
 
 #[test]
@@ -181,43 +181,20 @@ fn e10_task_pragma_beats_oblivious_mapping_on_skew() {
 
 #[test]
 fn a1_tr2_tolerates_latency_better() {
-    let tree = random_tree_src(64, 31);
+    // The A1 table's configuration: 96 leaves, P = 8, uniform cost 50.
+    let tree = random_tree_src(96, 31);
     let eval = uniform_eval(50);
-    let slow = |lat: u64, tr2_flag: bool| -> u64 {
-        if tr2_flag {
-            run_tree(Tr2, &eval, &tree, 8, 31, "")
-                .report
-                .metrics
-                .makespan
-        } else {
-            let prog = tree_reduce_1().apply_src(&eval).unwrap();
-            run_parsed_goal(
-                &prog,
-                &format!("create(8, reduce({tree}, Value))"),
-                MachineConfig::with_nodes(8).seed(31).latency(lat),
-            )
-            .unwrap()
-            .report
-            .metrics
-            .makespan
-        }
+    let makespan = |motif: TreeReduce, latency: u64| {
+        let cfg = MachineConfig::with_nodes(8).seed(31).latency(latency);
+        let r = run_parsed_goal(&motif.program(&eval), &motif.goal(8, &tree), cfg);
+        r.expect("tree reduction runs").report.metrics.makespan
     };
-    // TR1 degrades with heavy latency far more than proportionally.
-    let tr1_fast = slow(1, false);
-    let prog = tree_reduce_1().apply_src(&eval).unwrap();
-    let tr1_slow = run_parsed_goal(
-        &prog,
-        &format!("create(8, reduce({tree}, Value))"),
-        MachineConfig::with_nodes(8).seed(31).latency(1000),
-    )
-    .unwrap()
-    .report
-    .metrics
-    .makespan;
-    assert!(
-        tr1_slow as f64 / tr1_fast as f64 > 2.0,
-        "TR1 {tr1_fast} -> {tr1_slow}"
-    );
+    let slowdown = |motif| makespan(motif, 1000) as f64 / makespan(motif, 1) as f64;
+    let (tr1, tr2) = (slowdown(Tr1), slowdown(Tr2));
+    // TR1 degrades with heavy latency far more than proportionally; TR2,
+    // which sends at most one value per node across processors, less.
+    assert!(tr1 > 2.0, "TR1 slowdown {tr1:.2}x");
+    assert!(tr2 < tr1, "TR2 slowdown {tr2:.2}x, TR1 {tr1:.2}x");
 }
 
 #[test]
