@@ -29,8 +29,10 @@
 //! * on a resident fleet, an ingress batch for a parked worker is not sent
 //!   to wake it: the injecting thread takes the worker's machine and runs
 //!   the worker's own [`burst`] on it ([`lend`]), sending the owner an
-//!   empty batch only if work or a deadline is left for it. A busy worker's
-//!   batch goes down its channel.
+//!   empty batch only if work is left or a live deadline was armed. A
+//!   deadline cancelled inside the burst that armed it — a supervised
+//!   send acked on the same shard — is never armed, so it wakes no one. A
+//!   busy worker's batch goes down its channel.
 //!
 //! The simulator stays the deterministic reference. On **one** worker
 //! thread the fleet is an exact replica of it for programs without
@@ -319,11 +321,12 @@ fn send_direct(shared: &Shared, events: Vec<Routed>) {
 /// machine free — the calling thread reduces the batch as the worker would
 /// have: the batch's token is its busy token; it absorbs the batch, runs
 /// one [`burst`], ships everything the burst routed (each batch minted
-/// before it is sent), wakes the owner with an empty minted batch if work
-/// is left or a deadline was armed (so it re-plans its park), and only then
-/// surrenders the token — doing, if it was the last, what the last worker
-/// to go idle does. A panic here stops the fleet as a worker's would. A
-/// busy worker, or a stopping fleet's, is sent the batch.
+/// before it is sent), wakes the owner with an empty minted batch
+/// (`Metrics::ingress_wakes`) only if work is left or a live deadline was
+/// armed (so it re-plans its park), and only then surrenders the token —
+/// doing, if it was the last, what the last worker to go idle does. A panic
+/// here stops the fleet as a worker's would. A busy worker, or a stopping
+/// fleet's, is sent the batch.
 fn lend(shared: &Shared, w: usize, batch: Vec<Routed>) {
     let stopping = shared.stopping.load(Ordering::Acquire);
     let Some(mut machine) = shared.machines[w].try_lock().ok().filter(|_| !stopping) else {
@@ -340,6 +343,7 @@ fn lend(shared: &Shared, w: usize, batch: Vec<Routed>) {
         };
         flush(shared, &mut buffers);
         if state == DrainState::More || armed {
+            m.metrics_mut().ingress_wakes += 1;
             send_batch(shared, w, Vec::new());
         }
         if shared.tokens.release() {
@@ -355,8 +359,10 @@ fn lend(shared: &Shared, w: usize, batch: Vec<Routed>) {
 /// One scheduling turn on shard `me`'s machine — the step its worker takes
 /// between channel services, and the one an ingress lender takes for a
 /// parked worker ([`lend`]): reduce a bounded burst, publish the deadlines
-/// it armed, and route its cross-worker events into `buffers`, shipping
-/// every batch that fills. Returns the drain's state and whether a deadline
+/// still live at its end, and route its cross-worker events into
+/// `buffers`, shipping every batch that fills. A deadline whose cancel was
+/// bound within the burst is counted in `timers_cancelled` and never
+/// reaches the wheel. Returns the drain's state and whether a live deadline
 /// was armed; `None` after a fatal error, which is reported (so `stopping`
 /// is set).
 fn burst(
@@ -372,13 +378,19 @@ fn burst(
             return None;
         }
     };
-    // Publish the burst's deadlines. Arming is a local harvest — no token,
-    // no channel traffic: the entry sits in the shared wheel until a parked
-    // worker pops it (the pop mints the busy token; see `park`).
-    let deadlines = m.take_deadlines();
-    let armed = !deadlines.is_empty();
-    for deadline in deadlines {
-        shared.wheel.arm(deadline);
+    // Publish the burst's live deadlines. Arming is a local harvest — no
+    // token, no channel traffic: the entry sits in the shared wheel until a
+    // parked worker pops it (the pop mints the busy token; see `park`). A
+    // deadline cancelled inside the burst that armed it (a supervised send
+    // acked on the same shard) is counted cancelled and never armed.
+    let mut armed = false;
+    for deadline in m.take_deadlines() {
+        if m.cancel_is_bound(&deadline.cancel) {
+            m.metrics_mut().timers_cancelled += 1;
+        } else {
+            shared.wheel.arm(deadline);
+            armed = true;
+        }
     }
     for r in m.take_outbox() {
         let w = r.dest_worker(shared.threads);

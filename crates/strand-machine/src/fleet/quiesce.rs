@@ -867,7 +867,9 @@ mod model {
         /// Has let go of the lock holding worker `w`'s machine and, while
         /// `token`, the batch's token. Once `reduced`, `ship` says the
         /// burst's outbox is not shipped yet and `wake` that the burst left
-        /// work (or armed a deadline) and the owner is not woken yet.
+        /// work (or armed a live deadline) and the owner is not woken yet.
+        /// A deadline cancelled within the burst is never armed: that
+        /// burst arms nothing, and `wake` stays false.
         Lent {
             w: u8,
             reduced: bool,
@@ -921,10 +923,13 @@ mod model {
     /// destination worker's machine if it is free — the worker parked, no
     /// collector or other lender holding it — or else sends the worker the
     /// batch. Holding the machine, it reduces one burst — which may route a
-    /// batch to a peer, leave work, or arm a deadline — ships with
-    /// mint-before-send, wakes the owner with a minted empty batch if work
-    /// is left, releases the token and gives the machine back. A parked worker wakes, for a batch or a
-    /// deadline, only once its machine is free. Invariants:
+    /// batch to a peer, leave work, or arm a live deadline; a deadline
+    /// cancelled within the burst is never armed, so that burst arms
+    /// nothing — ships with mint-before-send, wakes the owner with a minted
+    /// empty batch only if work is left or a live deadline was armed,
+    /// releases the token and gives the machine back. A parked worker
+    /// wakes, for a batch or a deadline, only once its machine is free.
+    /// Invariants:
     ///
     /// 1. *No early idle* — whenever the counter reads zero, no batch is
     ///    unreceived, no worker busy, no lender holds work it has not
@@ -1074,7 +1079,9 @@ mod model {
                         w, reduced: false, ..
                     } => {
                         // The burst: it may route a batch to a peer, and may
-                        // leave work on the machine or arm a deadline.
+                        // leave work on the machine or arm a live deadline
+                        // (`left` 0 also covers a deadline cancelled within
+                        // the burst, which is never armed).
                         for ship in [false, true] {
                             for left in 0..3 {
                                 next(&|n| {

@@ -27,11 +27,13 @@
 //!   own [`burst`](super::burst) on it ([`lend`](super::lend)), with the
 //!   batch's token as its busy token, so the worker is never woken. It
 //!   ships what the burst routed (mint before send), sends the owner an
-//!   empty minted batch if work is left or a deadline was armed, and only
-//!   then surrenders the token — as the last worker to go idle would, if
+//!   empty minted batch only if work is left or a live deadline was armed
+//!   (one cancelled within the burst is never armed), and only then
+//!   surrenders the token — as the last worker to go idle would, if
 //!   it is the last. A busy worker's machine is locked: it is sent the
 //!   batch down its channel. `quiesce.rs` model-checks the order; the
-//!   metrics count both paths (`ingress_bursts`, `ingress_handoffs`).
+//!   metrics count both paths (`ingress_bursts`, `ingress_handoffs`) and
+//!   the lenders' wakes (`ingress_wakes`).
 //! * the store is reclaimed by reachability at quiescence (`collect.rs`):
 //!   [`ResidentHandle::reclaim`] makes a collection due and runs it — at
 //!   once when the fleet is idle, else once the in-flight work drains. A
@@ -460,13 +462,14 @@ mod tests {
 
     #[test]
     fn cancelled_wall_timer_neither_fires_nor_hangs_the_run() {
-        // The cancel binds immediately; the hour-long deadline must be
-        // pruned at the park boundary, and shutdown must not sleep on a
-        // dead wheel entry.
+        // The cancel binds in the burst that arms the hour-long deadline,
+        // so it is never armed: the wheel stays empty, no owner is woken,
+        // and shutdown must not sleep on it.
         let h = timer_fleet("go(V) :- after_unless(C, 3600000, V), C := done.");
         let t0 = Instant::now();
         let vars = inject_goal(&h, "go(V)");
         assert!(h.wait_idle(Duration::from_secs(5)), "burst never drained");
+        assert_eq!(h.timer_horizon_ms(), None, "a cancelled deadline was armed");
         let v = h.with_ingress(|m| m.store().resolve(&vars["V"]));
         let report = h.shutdown().unwrap();
         assert!(
@@ -474,9 +477,42 @@ mod tests {
             "run hung on a cancelled deadline"
         );
         assert_ne!(v.to_string(), "timeout");
-        assert_eq!(report.metrics.timers_armed, 1);
-        assert_eq!(report.metrics.timers_fired, 0);
-        assert_eq!(report.metrics.timers_cancelled, 1, "{:?}", report.metrics);
+        let m = &report.metrics;
+        assert_eq!(m.timers_armed, 1);
+        assert_eq!(m.timers_fired, 0);
+        assert_eq!(m.timers_cancelled, 1, "{m:?}");
+        assert_eq!(m.ingress_wakes, 0, "{m:?}");
+    }
+
+    #[test]
+    fn a_deadline_cancelled_inside_its_burst_never_reaches_the_wheel() {
+        // Each request arms an hour-long deadline and binds its cancel in
+        // the same burst, whether the injecting thread or the owner runs
+        // it: the wheel is empty the moment the injection returns, and no
+        // lender wakes the owner for it.
+        let h = timer_fleet("go(V) :- after_unless(C, 3600000, V), C := done.");
+        let requests = 100;
+        for _ in 0..requests {
+            inject_goal(&h, "go(_)");
+            assert_eq!(h.timer_horizon_ms(), None, "a cancelled deadline was armed");
+        }
+        assert!(h.wait_idle(Duration::from_secs(5)), "never drained");
+        let m = h.shutdown().unwrap().metrics;
+        assert_eq!((m.timers_armed, m.timers_cancelled), (requests, requests));
+        assert_eq!((m.timers_fired, m.ingress_wakes), (0, 0), "{m:?}");
+
+        // A live deadline does reach the wheel, and every lent burst that
+        // armed one wakes its owner to re-plan its park around it.
+        let h = timer_fleet("go(V) :- after_unless(_, 3600000, V).");
+        for _ in 0..5 {
+            inject_goal(&h, "go(_)");
+            assert!(h.wait_idle(Duration::from_secs(5)), "request never drained");
+            assert!(h.timer_horizon_ms().is_some(), "a live deadline was lost");
+        }
+        let m = h.shutdown().unwrap().metrics;
+        assert_eq!((m.timers_armed, m.timers_cancelled), (5, 0), "{m:?}");
+        assert!(m.ingress_bursts >= 1, "{m:?}");
+        assert_eq!(m.ingress_wakes, m.ingress_bursts, "{m:?}");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! A shard has no global virtual clock to order `after_unless` deadlines
 //! by, so every sharded machine records them as [`Deadline`]s; workers
-//! harvest those after every drain and register them here. The idle-park
+//! harvest those after every drain and register the ones still live here.
+//! A deadline whose cancel was bound within the burst that armed it never
+//! reaches the queue. The idle-park
 //! arm consults the queue before blocking, and when the queue's clock
 //! reaches an entry, pops it and fires it back into the shard layer as an
 //! ordinary event (see `Machine::fire_deadline`). There is one
@@ -19,11 +21,13 @@
 //!   to arrive — earliest first, one deadline instant per quiescence, and
 //!   entries are ordered by the arming node's virtual clock plus the wait.
 //!
-//! Shape: one `Mutex<Vec<Entry>>`. The queue is armed about once per
-//! supervised request and consulted only at park boundaries (never per
-//! reduction), and a supervised service holds tens of live entries, so
-//! every read simply scans; the lock-free `len` lets the common empty case
-//! skip the lock altogether.
+//! Shape: one `Mutex<Vec<Entry>>`. A supervised request's retransmit
+//! timeout is usually acked within the burst that arms it and never
+//! reaches the queue, which is armed by heartbeats and by the sends whose
+//! ack crosses a burst, and consulted only at park boundaries (never per
+//! reduction). A supervised service holds tens of live entries, so every
+//! read simply scans; the lock-free `len` lets the common empty case skip
+//! the lock altogether.
 //!
 //! Contracts the proptest below pins down:
 //! - **never early**: `pop_due(now)` returns only entries with `due <= now`;

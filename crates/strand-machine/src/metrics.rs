@@ -90,15 +90,18 @@ pub struct Metrics {
     /// Times a resident worker reached global quiescence and parked instead
     /// of exiting (the idle-vs-terminated distinction, DESIGN.md §9).
     pub idle_parks: u64,
-    /// `after_unless` deadlines registered (the simulator's `'$timer'` items
-    /// and the parallel backend's deadline-queue entries both count).
+    /// `after_unless` deadlines registered: the simulator's `'$timer'`
+    /// items, and every deadline a fleet burst harvests, whether it goes
+    /// into the deadline queue or was cancelled within its burst.
     pub timers_armed: u64,
     /// Timer deadlines that fired: the cancel flag was still unbound when
     /// the deadline ran, so the timeout value was delivered.
     pub timers_fired: u64,
     /// Timer deadlines cancelled before firing: the cancel flag arrived
-    /// first and the deadline evaporated (scheduler filter, queue prune, or
-    /// a fired event that found its flag bound).
+    /// first and the deadline evaporated (the simulator's scheduler filter,
+    /// a fleet burst's harvest when the flag was bound within the burst
+    /// that armed it, the queue's prune, or a fired event that found its
+    /// flag bound).
     pub timers_cancelled: u64,
     /// Times a parked worker fired the deadline queue's earliest instant:
     /// a wall deadline fell due on a resident fleet, or a batch fleet's
@@ -121,6 +124,10 @@ pub struct Metrics {
     pub ingress_bursts: u64,
     /// Ingress batches sent down a busy worker's channel instead.
     pub ingress_handoffs: u64,
+    /// Empty batches an ingress lender sent to wake the owner of the
+    /// machine it borrowed: its burst left work, or armed a live deadline
+    /// the owner must re-plan its park around.
+    pub ingress_wakes: u64,
 }
 
 impl Metrics {
@@ -287,6 +294,7 @@ impl Metrics {
         self.idle_parks += other.idle_parks;
         self.ingress_bursts += other.ingress_bursts;
         self.ingress_handoffs += other.ingress_handoffs;
+        self.ingress_wakes += other.ingress_wakes;
         self.timers_armed += other.timers_armed;
         self.timers_fired += other.timers_fired;
         self.timers_cancelled += other.timers_cancelled;
@@ -379,6 +387,8 @@ mod tests {
         a.ingress_handoffs = 1;
         b.ingress_bursts = 8;
         b.ingress_handoffs = 2;
+        a.ingress_wakes = 4;
+        b.ingress_wakes = 1;
         a.merge(&b);
         assert_eq!(a.sessions_opened, 13);
         assert_eq!(a.sessions_closed, 13);
@@ -388,6 +398,7 @@ mod tests {
         assert_eq!((a.collections, a.collect_us_max), (5, 90));
         assert_eq!(a.idle_parks, 5);
         assert_eq!((a.ingress_bursts, a.ingress_handoffs), (38, 3));
+        assert_eq!(a.ingress_wakes, 5);
     }
 
     #[test]

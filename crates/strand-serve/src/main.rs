@@ -138,7 +138,7 @@ fn main() -> ExitCode {
                 "strand-serve: drained. sessions {}/{} (opened/closed), requests {} admitted / {} \
                  rejected, {} collections (longest {} us) reclaimed {} vars, {} idle parks, \
                  {} reductions, ingress batches {} reduced on the injecting thread / {} sent \
-                 to a busy worker",
+                 to a busy worker, {} owner wakes from the injecting thread",
                 m.sessions_opened,
                 m.sessions_closed,
                 m.requests_admitted,
@@ -150,6 +150,7 @@ fn main() -> ExitCode {
                 m.total_reductions,
                 m.ingress_bursts,
                 m.ingress_handoffs,
+                m.ingress_wakes,
             );
             if supervise {
                 eprintln!(

@@ -660,6 +660,29 @@ fn soak_supervised_sessions_complete_honoring_busy_hints() {
     assert!(report.metrics.vars_reclaimed > 0, "{:?}", report.metrics);
 }
 
+/// A supervised request's `rsend` arms a retransmit deadline that the
+/// server acks within the same burst, so that deadline is cancelled before
+/// the burst ends and never reaches the wheel: the connection thread that
+/// reduces the request on a parked shard does not wake the shard's owner
+/// for it. A few wakes stay possible, for a request whose ack crosses a
+/// burst (say, behind a heartbeat), but not one per request.
+#[test]
+fn a_supervised_request_acked_within_its_burst_wakes_no_shard() {
+    let service = MotifService::start(DOUBLER_APP, supervised_cfg(2)).expect("service boots");
+    let s = service.open_session();
+    let requests = 500i64;
+    for q in 0..requests {
+        match request_with_retry(&service, s, &q.to_string()) {
+            Response::Ok(reply) => assert_eq!(reply, (q * 2).to_string(), "request {q}"),
+            other => panic!("request {q} failed: {other:?}"),
+        }
+    }
+    service.close_session(s);
+    let m = service.shutdown().expect("clean shutdown").metrics;
+    assert!(m.ingress_wakes <= 5, "{m:?}");
+    assert!(m.timers_cancelled >= requests as u64, "{m:?}");
+}
+
 /// One session, 400 000 requests: every supervised server ends up holding
 /// a `Seen` list of ~100 000 cells (one cons per distinct message, never
 /// trimmed), which the engine must be able to let go of at shutdown — a
