@@ -274,7 +274,7 @@ pub fn fig5() -> String {
 /// F7: the Tree-Reduce-2 library in action.
 pub fn fig7() -> Table {
     let mut t = Table::new(
-        "F7: Tree-Reduce-2 (queued values, sequenced evaluation)",
+        "F7: Tree-Reduce-2 (values wait in node slots, sequenced evaluation)",
         &[
             "leaves",
             "servers",
@@ -327,7 +327,7 @@ pub fn e1_balance() -> Table {
     t
 }
 
-/// E2: memory behaviour — concurrent evaluations and queued values.
+/// E2: memory behaviour — concurrent evaluations and waiting values.
 pub fn e2_memory() -> Table {
     let mut t = Table::new(
         "E2: Tree-Reduce-1 vs Tree-Reduce-2 memory pressure (4 servers)",
@@ -335,7 +335,7 @@ pub fn e2_memory() -> Table {
             "leaves",
             "TR1 peak live evals",
             "TR2 peak live evals",
-            "TR2 peak pending queue",
+            "TR2 peak pending values",
         ],
     );
     for leaves in [16u32, 64, 256] {
@@ -350,8 +350,8 @@ pub fn e2_memory() -> Table {
         ]);
     }
     t.note("Claim (§3.5): TR1 initiates many evaluations per processor at once");
-    t.note("(grows with tree size); TR2 sequences them (stays at 1), trading a");
-    t.note("bounded pending-value queue.");
+    t.note("(grows with tree size); TR2 sequences them (stays at 1), trading");
+    t.note("values that wait in their parent's slot, fewer than the leaves.");
     t
 }
 
@@ -528,6 +528,23 @@ pub fn e6_compose() -> Table {
     t
 }
 
+/// One manager/worker run of `t(Cost)` tasks on `cfg.nodes` servers (E7):
+/// the single manager when `groups` is `None`, else the two-level
+/// hierarchy with that many groups.
+pub fn run_scheduler(groups: Option<u32>, costs: &[u64], cfg: MachineConfig) -> GoalResult {
+    let p = cfg.nodes;
+    let tasks = tasks_src(costs);
+    let (motif, goal) = match groups {
+        None => (scheduler(), format!("create({p}, start({tasks}, Results))")),
+        Some(g) => (
+            scheduler_hierarchical(),
+            format!("create({p}, start2({tasks}, Results, {g}))"),
+        ),
+    };
+    let program = motif.apply_src(BURN_TASK).expect("scheduler applies");
+    run_parsed_goal(&program, &goal, cfg).expect("scheduler runs")
+}
+
 /// E7: scheduler — single manager vs two-level hierarchy.
 pub fn e7_scheduler() -> Table {
     let mut t = Table::new(
@@ -545,22 +562,8 @@ pub fn e7_scheduler() -> Table {
     );
     let costs: Vec<u64> = vec![5; 240];
     for (p, g) in [(9u32, 2u32), (17, 4), (25, 4), (41, 8), (65, 16)] {
-        let p1 = scheduler().apply_src(BURN_TASK).expect("scheduler applies");
-        let r1 = run_parsed_goal(
-            &p1,
-            &format!("create({p}, start({}, Results))", tasks_src(&costs)),
-            MachineConfig::with_nodes(p).seed(7),
-        )
-        .expect("1-level runs");
-        let p2 = scheduler_hierarchical()
-            .apply_src(BURN_TASK)
-            .expect("scheduler2 applies");
-        let r2 = run_parsed_goal(
-            &p2,
-            &format!("create({p}, start2({}, Results, {g}))", tasks_src(&costs)),
-            MachineConfig::with_nodes(p).seed(7),
-        )
-        .expect("2-level runs");
+        let r1 = run_scheduler(None, &costs, MachineConfig::with_nodes(p).seed(7));
+        let r2 = run_scheduler(Some(g), &costs, MachineConfig::with_nodes(p).seed(7));
         let m1 = &r1.report.metrics;
         let m2 = &r2.report.metrics;
         let into1: u64 = m1.messages.iter().map(|row| row[0]).sum();
@@ -762,66 +765,81 @@ pub fn e9_future() -> Table {
     t
 }
 
+/// E10's skewed-cost program: `gen(N, V)` counts `N` tasks into `V`, task
+/// `N` burning `30 + (N mod 13)³` ticks. Each `burn` carries `@task`.
+pub const SKEWED_TASKS: &str = r#"
+    gen(0, V) :- V := 0.
+    gen(N, V) :- N > 0 |
+        cost(N, C),
+        burn(C, V1)@task,
+        N1 := N - 1,
+        gen(N1, V2),
+        add(V1, V2, V).
+    cost(N, C) :- M := N mod 13, C := 30 + M * M * M.
+    burn(C, V) :- work(C), V := 1.
+    add(V1, V2, V) :- V := V1 + V2.
+"#;
+
+/// How [`SKEWED_TASKS`] maps its tasks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mapping {
+    /// Demand dispatch: the `@task` pragma under the Sched motif (§2.2).
+    Task,
+    /// Oblivious mapping: `@random` under the Random motif (§3.3).
+    Random,
+}
+
+impl Mapping {
+    /// The pragma as the tables print it.
+    pub fn pragma(self) -> &'static str {
+        match self {
+            Mapping::Task => "@task",
+            Mapping::Random => "@random",
+        }
+    }
+}
+
+/// One run of [`SKEWED_TASKS`] with `n` tasks on `cfg.nodes` servers (E10).
+/// The `@task` run reserves node 1 as manager.
+pub fn run_skewed(mapping: Mapping, n: u32, cfg: MachineConfig) -> GoalResult {
+    let p = cfg.nodes;
+    let (program, goal) = match mapping {
+        Mapping::Task => (
+            motifs::task_scheduler_with_entries(&[("gen", 2)]).apply_src(SKEWED_TASKS),
+            motifs::boot_goal(p, "gen", &[&n.to_string(), "V"]),
+        ),
+        Mapping::Random => (
+            motifs::random_with_entries(&[("gen", 2)])
+                .apply_src(&SKEWED_TASKS.replace("@task", "@random")),
+            format!("create({p}, gen({n}, V))"),
+        ),
+    };
+    let program = program.expect("task motif applies");
+    run_parsed_goal(&program, &goal, cfg).expect("skewed tasks run")
+}
+
 /// E10: the `@task` pragma (demand scheduling, §2.2) vs `@random`
 /// (oblivious mapping, §3.3) on one skewed-cost program.
 pub fn e10_pragma() -> Table {
-    const APP_TASK: &str = r#"
-        gen(0, V) :- V := 0.
-        gen(N, V) :- N > 0 |
-            cost(N, C),
-            burn(C, V1)@task,
-            N1 := N - 1,
-            gen(N1, V2),
-            add(V1, V2, V).
-        cost(N, C) :- M := N mod 13, C := 30 + M * M * M.
-        burn(C, V) :- work(C), V := 1.
-        add(V1, V2, V) :- V := V1 + V2.
-    "#;
-    let app_random = APP_TASK.replace("@task", "@random");
     let mut t = Table::new(
         "E10: @task (demand) vs @random (oblivious) on skewed tasks",
         &["P", "tasks", "mapping", "makespan", "imbalance", "value ok"],
     );
     for (p, n) in [(5u32, 40u32), (9, 40), (9, 120)] {
-        // Demand-driven via the Sched motif.
-        let prog = motifs::task_scheduler_with_entries(&[("gen", 2)])
-            .apply_src(APP_TASK)
-            .expect("Sched applies");
-        let goal = motifs::boot_goal(p, "gen", &[&n.to_string(), "V"]);
-        let r = run_parsed_goal(&prog, &goal, MachineConfig::with_nodes(p).seed(13))
-            .expect("task version runs");
-        t.row(vec![
-            p.to_string(),
-            n.to_string(),
-            "@task".into(),
-            r.report.metrics.makespan.to_string(),
-            r.report
-                .metrics
-                .imbalance()
-                .map_or("n/a".into(), |x| format!("{x:.2}")),
-            (r.bindings["V"].to_string() == n.to_string()).to_string(),
-        ]);
-        // Oblivious random mapping via the Random motif.
-        let prog = motifs::random_with_entries(&[("gen", 2)])
-            .apply_src(&app_random)
-            .expect("Random applies");
-        let r = run_parsed_goal(
-            &prog,
-            &format!("create({p}, gen({n}, V))"),
-            MachineConfig::with_nodes(p).seed(13),
-        )
-        .expect("random version runs");
-        t.row(vec![
-            p.to_string(),
-            n.to_string(),
-            "@random".into(),
-            r.report.metrics.makespan.to_string(),
-            r.report
-                .metrics
-                .imbalance()
-                .map_or("n/a".into(), |x| format!("{x:.2}")),
-            (r.bindings["V"].to_string() == n.to_string()).to_string(),
-        ]);
+        for mapping in [Mapping::Task, Mapping::Random] {
+            let r = run_skewed(mapping, n, MachineConfig::with_nodes(p).seed(13));
+            t.row(vec![
+                p.to_string(),
+                n.to_string(),
+                mapping.pragma().into(),
+                r.report.metrics.makespan.to_string(),
+                r.report
+                    .metrics
+                    .imbalance()
+                    .map_or("n/a".into(), |x| format!("{x:.2}")),
+                (r.bindings["V"].to_string() == n.to_string()).to_string(),
+            ]);
+        }
     }
     t.note("Heavily skewed task costs (cubic in N mod 13). Demand dispatch");
     t.note("adapts to skew; oblivious random mapping leaves the unlucky node");
@@ -1063,6 +1081,108 @@ pub fn a2_faults() -> Table {
     t
 }
 
+/// A motif the `scale` table sweeps, on the workload it is measured with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scaled {
+    /// A balanced tree of `ARITH_EVAL` nodes on 8 servers; the unit is a leaf.
+    Tree(TreeReduce),
+    /// E7's 5-tick tasks on 9 servers, one manager; the unit is a task.
+    Scheduler,
+    /// As [`Scaled::Scheduler`] under the two-level hierarchy, 2 groups.
+    Scheduler2,
+    /// E10's skewed tasks on 9 servers, mapped `@task`.
+    Sched,
+    /// E10's skewed tasks on 9 servers, mapped `@random`.
+    Random,
+}
+
+impl Scaled {
+    pub const ALL: [Scaled; 6] = [
+        Scaled::Tree(Tr1),
+        Scaled::Tree(Tr2),
+        Scaled::Scheduler,
+        Scaled::Scheduler2,
+        Scaled::Sched,
+        Scaled::Random,
+    ];
+
+    /// The motif's name as the tables print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scaled::Tree(motif) => motif.name(),
+            Scaled::Scheduler => "Scheduler",
+            Scaled::Scheduler2 => "Scheduler-2-level",
+            Scaled::Sched => "Sched (@task)",
+            Scaled::Random => "Random",
+        }
+    }
+
+    /// Three sizes 16x apart, in units: leaves for a tree, tasks otherwise.
+    pub fn sizes(self) -> [u32; 3] {
+        match self {
+            Scaled::Tree(_) => [256, 1024, 4096],
+            _ => [240, 960, 3840],
+        }
+    }
+
+    /// The workload at `size` units on the simulator, or on a fleet of
+    /// `threads` worker threads.
+    pub fn run(self, size: u32, threads: Option<u32>) -> GoalResult {
+        let nodes = if matches!(self, Scaled::Tree(_)) {
+            8
+        } else {
+            9
+        };
+        let mut cfg = MachineConfig::with_nodes(nodes).seed(1);
+        if let Some(threads) = threads {
+            cfg = cfg.parallel(threads);
+        }
+        match self {
+            Scaled::Tree(motif) => {
+                let tree = balanced_tree_src(size.ilog2());
+                let goal = motif.goal(nodes, &tree);
+                run_parsed_goal(&motif.program(ARITH_EVAL), &goal, cfg)
+                    .expect("tree reduction runs")
+            }
+            Scaled::Scheduler => run_scheduler(None, &vec![5; size as usize], cfg),
+            Scaled::Scheduler2 => run_scheduler(Some(2), &vec![5; size as usize], cfg),
+            Scaled::Sched => run_skewed(Mapping::Task, size, cfg),
+            Scaled::Random => run_skewed(Mapping::Random, size, cfg),
+        }
+    }
+}
+
+/// Scale: the cost per unit of work of six motifs at three sizes 16x apart.
+pub fn scale() -> Table {
+    let mut t = Table::new(
+        "Scale: cost per unit of work across sizes (simulator)",
+        &[
+            "motif",
+            "units",
+            "reductions/unit",
+            "messages/unit",
+            "suspensions/unit",
+        ],
+    );
+    for motif in Scaled::ALL {
+        for size in motif.sizes() {
+            let m = motif.run(size, None).report.metrics;
+            let per_unit = |count: u64| format!("{:.2}", count as f64 / size as f64);
+            t.row(vec![
+                motif.name().into(),
+                size.to_string(),
+                per_unit(m.total_reductions),
+                per_unit(m.total_messages()),
+                per_unit(m.suspensions),
+            ]);
+        }
+    }
+    t.note("Units are leaves for the tree motifs, tasks otherwise. A library whose");
+    t.note("cost per unit grows with the size shows here as a column that climbs;");
+    t.note("tests/claims.rs holds reductions/unit flat and equal on 2 threads.");
+    t
+}
+
 /// Run status sanity helper shared by tests.
 pub fn completed(r: &GoalResult) -> bool {
     r.report.status == RunStatus::Completed
@@ -1090,6 +1210,7 @@ const EXPERIMENTS: &[(&str, Render)] = &[
     ("e10-pragma", || e10_pragma().render()),
     ("a1-latency", || a1_latency().render()),
     ("a2-faults", || a2_faults().render()),
+    ("scale", || scale().render()),
     ("e8-sim", || e8_sim().render()),
     ("e1-threads", || e1_threads().render()),
     ("b1-parallel", || crate::b1_parallel().render()),

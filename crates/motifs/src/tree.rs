@@ -7,12 +7,12 @@
 //! * [`tree_reduce_1_halting`] — the §3.3 extension: a short circuit is
 //!   threaded through `reduce/2`, and the network halts when the circuit
 //!   closes;
-//! * [`tree_reduce_2`] — the queue-based `Tree-Reduce-2` of §3.5: every
-//!   node is labeled (sibling leaves share a label, a parent takes its left
-//!   child's label), values queue per processor, and evaluation is
-//!   sequenced so one node evaluation runs at a time per processor — the
-//!   labeling guarantees *at most one of each node's offspring values
-//!   crosses processors*.
+//! * [`tree_reduce_2`] — the `Tree-Reduce-2` of §3.5: every node is
+//!   labeled (sibling leaves share a label, a parent takes its left child's
+//!   label), a value waits in its parent's slot on its processor until its
+//!   sibling arrives, and evaluation is sequenced so one node evaluation
+//!   runs at a time per processor — the labeling guarantees *at most one of
+//!   each node's offspring values crosses processors*.
 //!
 //! The user supplies `eval(Op, Left, Right, Value)`; both motifs provide
 //! the same interface (§3.6: *"These provide the same interface to the
@@ -82,30 +82,33 @@ watch(done) :- halt.
 /// `info(Data, ParentId, ParentLabel, Side)` for the node with preorder id
 /// `i`. Labels: a leaf picks a random processor (sharing with its sibling
 /// when both are leaves); an interior node takes its left child's label.
-/// Leaf values are sent to their parent's label; each server queues values
-/// (`pending` gauge) and evaluates one node at a time, forwarding results
-/// to the grandparent's label. The root value binds `Result` and halts the
-/// network.
+/// Leaf values are sent to their parent's label. Each server keeps one slot
+/// per node id: the first of two siblings waits in their parent's slot
+/// (`pending` gauge), and the second evaluates the parent, one node at a
+/// time per server, forwarding the result to the grandparent's label. A
+/// value costs O(1) however many wait. The root value binds `Result` and
+/// halts the network.
 pub const TREE2_LIBRARY: &str = r#"
 % Tree-Reduce-2 library (the analogue of the paper's Figure 7).
-server(In) :- serve(In, st(Table, Result, [])).
+server(In) :- serve(In, st(Table, Result, Slots, 0)).
 
 serve([tr2(Tree, Result)|In], St) :-
     setup(Tree, Result),
     serve(In, St).
-serve([tree(T, R)|In], st(TV, RV, Pend)) :-
+serve([tree(T, R)|In], st(TV, RV, SV, Pend)) :-
     TV = T, RV = R,
-    serve(In, st(TV, RV, Pend)).
-serve([value(P, Side, V)|In], st(T, R, Pend)) :-
-    take(P, Pend, Found, Pend1),
-    handle(Found, P, Side, V, In, st(T, R, Pend1)).
+    length(T, N), make_tuple(N, SV),
+    serve(In, st(TV, RV, SV, Pend)).
+serve([value(P, Side, V)|In], st(T, R, S, Pend)) :-
+    put_arg(P, S, pv(Side, V), Won),
+    handle(Won, P, V, In, st(T, R, S, Pend)).
 % Initial leaf values arrive as lvalue messages — same handling, but kept
 % a distinct message type so experiment E3 can separate the one-time data
 % distribution from the offspring-value communication the paper's bound is
 % about.
-serve([lvalue(P, Side, V)|In], st(T, R, Pend)) :-
-    take(P, Pend, Found, Pend1),
-    handle(Found, P, Side, V, In, st(T, R, Pend1)).
+serve([lvalue(P, Side, V)|In], st(T, R, S, Pend)) :-
+    put_arg(P, S, pv(Side, V), Won),
+    handle(Won, P, V, In, st(T, R, S, Pend)).
 serve([halt|_], _).
 
 % --- preprocessing: ids, labels, table, initial dispatch ---
@@ -135,11 +138,8 @@ build(tree(Op, A, B), Table, Id, Next, PId, PLbl, Side, _, MyLbl, Ls, Ls0) :-
     hints(A, B, LA, HA, HB),
     IdA := Id + 1,
     build(A, Table, IdA, NA, Id, MyLbl, l, HA, LA, Ls, Ls1),
-    build(B, Table, NA, Next, Id, MyLbl, r, HB, LB, Ls1, Ls0),
-    use_label(LB),
+    build(B, Table, NA, Next, Id, MyLbl, r, HB, _, Ls1, Ls0),
     put_arg(Id, Table, info(op(Op), PId, PLbl, Side)).
-
-use_label(_).
 
 % Sibling leaves share one label (the paper's restriction); otherwise both
 % children label themselves independently.
@@ -167,32 +167,28 @@ dispatch(ok, [lv(PId, Side, V, PLbl)|Ls]) :-
     send(PLbl, lvalue(PId, Side, V)),
     dispatch(ok, Ls).
 
-% --- per-server value queue and sequenced evaluation ---
+% --- pending values keyed by node id, and sequenced evaluation ---
 
-take(_, [], Found, Pend1) :- Found := none, Pend1 := [].
-take(P, [pv(P, S, V)|T], Found, Pend1) :- Found := found(S, V), Pend1 := T.
-take(P, [pv(Q, S, V)|T], Found, Pend1) :- P =\= Q |
-    Pend1 := [pv(Q, S, V)|T1],
-    take(P, T, Found, T1).
-
-handle(none, P, S, V, In, st(T, R, Pend)) :-
-    llen(Pend, L0), L := L0 + 1, gauge(pending, L),
-    serve(In, st(T, R, [pv(P, S, V)|Pend])).
-handle(found(S1, V1), P, _, V2, In, St) :-
-    orient(S1, V1, V2, VL, VR),
-    evalstep(P, VL, VR, In, St).
-
-orient(l, V1, V2, VL, VR) :- VL := V1, VR := V2.
-orient(r, V1, V2, VL, VR) :- VL := V2, VR := V1.
-
-evalstep(P, VL, VR, In, st(T, R, Pend)) :-
+% A value claims its parent's slot with put_arg/4's test-and-set: the
+% first of two siblings waits there (yes); the second finds it (no) and
+% evaluates the parent.
+handle(yes, _, _, In, st(T, R, S, Pend)) :-
+    Pend1 := Pend + 1, gauge(pending, Pend1),
+    serve(In, st(T, R, S, Pend1)).
+handle(no, P, V2, In, st(T, R, S, Pend)) :-
+    Pend1 := Pend - 1,
+    arg(P, S, PV),
+    orient(PV, V2, VL, VR),
     arg(P, T, Info),
-    evalgo(Info, VL, VR, In, st(T, R, Pend)).
+    evalgo(Info, VL, VR, In, st(T, R, S, Pend1)).
 
-evalgo(info(op(Op), GP, GL, Side), VL, VR, In, st(T, R, Pend)) :-
+orient(pv(l, V1), V2, VL, VR) :- VL := V1, VR := V2.
+orient(pv(r, V1), V2, VL, VR) :- VL := V2, VR := V1.
+
+evalgo(info(op(Op), GP, GL, Side), VL, VR, In, st(T, R, S, Pend)) :-
     eval(Op, VL, VR, PV),
     forward(PV, GP, GL, Side, R, Done),
-    resume(Done, In, st(T, R, Pend)).
+    resume(Done, In, st(T, R, S, Pend)).
 
 resume(done, In, St) :- serve(In, St).
 
@@ -203,9 +199,6 @@ forward(PV, -1, _, _, R, Done) :- data(PV) |
 forward(PV, GP, GL, Side, _, Done) :- GP >= 0, data(PV) |
     send(GL, value(GP, Side, PV)),
     Done := done.
-
-llen([], N) :- N := 0.
-llen([_|T], N) :- llen(T, N1), N := N1 + 1.
 "#;
 
 /// `Tree-Reduce-2 = Server ∘ TreeReduce2Core` (§3.5).
@@ -385,34 +378,38 @@ mod tests {
 
     #[test]
     fn both_motifs_agree_on_random_trees() {
-        // §3.6: same interface, same results, different algorithms.
-        for seed in [1u64, 2, 3] {
-            let tree = random_tree_src(12, seed);
+        // §3.6: same interface, same results, different algorithms. The
+        // 2 000-leaf trees leave thousands of values waiting in slots, and
+        // TR2 runs on two threads too, where they arrive in another order.
+        let small = [1u64, 2, 3].map(|seed| (12, seed));
+        let large = [4u64, 5, 6, 7, 8].map(|seed| (2000, seed));
+        for (leaves, seed) in small.into_iter().chain(large) {
+            let tree = random_tree_src(leaves, seed);
             let expected = sequential_reduce(&tree).to_string();
+            let sim = MachineConfig::with_nodes(3).seed(seed);
             let p1 = tree_reduce_1().apply_src(ARITH_EVAL).unwrap();
             let r1 = run_parsed_goal(
                 &p1,
                 &format!("create(3, reduce({tree}, Value))"),
-                MachineConfig::with_nodes(3).seed(seed),
+                sim.clone(),
             )
             .unwrap();
             assert_eq!(
                 r1.bindings["Value"].to_string(),
                 expected,
-                "TR1 seed {seed}"
+                "TR1 {leaves} leaves, seed {seed}"
             );
             let p2 = tree_reduce_2().apply_src(ARITH_EVAL).unwrap();
-            let r2 = run_parsed_goal(
-                &p2,
-                &format!("create(3, tr2({tree}, Value))"),
-                MachineConfig::with_nodes(3).seed(seed),
-            )
-            .unwrap();
-            assert_eq!(
-                r2.bindings["Value"].to_string(),
-                expected,
-                "TR2 seed {seed}"
-            );
+            for cfg in [sim.clone(), sim.clone().parallel(2)] {
+                let backend = cfg.backend;
+                let r2 =
+                    run_parsed_goal(&p2, &format!("create(3, tr2({tree}, Value))"), cfg).unwrap();
+                assert_eq!(
+                    r2.bindings["Value"].to_string(),
+                    expected,
+                    "TR2 {leaves} leaves, seed {seed}, {backend:?}"
+                );
+            }
         }
     }
 

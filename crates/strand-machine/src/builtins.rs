@@ -398,7 +398,7 @@ impl Machine {
 
             // `gauge(Name, Value)`: record a named per-node gauge; the
             // metrics keep the maximum seen (used by experiment E2 to track
-            // pending-value queue lengths in Tree-Reduce-2).
+            // the values waiting for a sibling in Tree-Reduce-2).
             (sym::GAUGE, [name_t, value_t]) => {
                 let gname = self.store.deref(name_t);
                 match (gname.functor(), self.store.deref(value_t)) {

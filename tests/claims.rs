@@ -1,13 +1,10 @@
 //! Integration tests for the paper's evaluation claims (E1–E8 in
 //! EXPERIMENTS.md), at sizes small enough for CI.
 
-use algorithmic_motifs::motifs::scheduler::{
-    scheduler, scheduler_hierarchical, tasks_src, BURN_TASK,
-};
 use algorithmic_motifs::motifs::{random_tree_src, ARITH_EVAL};
 use algorithmic_motifs::strand_machine::{run_parsed_goal, MachineConfig};
 use bench::TreeReduce::{self, Tr1, Tr2};
-use bench::{heavy_eval, run_tree, uniform_eval};
+use bench::{heavy_eval, run_scheduler, run_skewed, run_tree, uniform_eval, Mapping, Scaled};
 
 #[test]
 fn e1_random_mapping_balances_when_tree_is_large() {
@@ -37,7 +34,7 @@ fn e2_tr1_stacks_evaluations_tr2_sequences_them() {
         r1.report.metrics.max_peak_tracked()
     );
     assert_eq!(r2.report.metrics.max_peak_tracked(), 1, "TR2 sequences");
-    // TR2's price: a pending-value queue, bounded by the tree size.
+    // TR2's price: values wait in their parent's slot, fewer than the leaves.
     let pend = r2.report.metrics.max_gauge("pending");
     assert!((1..96).contains(&pend), "pending {pend}");
 }
@@ -113,21 +110,9 @@ fn e6_composition_is_free() {
 #[test]
 fn e7_hierarchy_cuts_manager_load() {
     let costs: Vec<u64> = vec![5; 120];
-    let p = 17u32;
-    let p1 = scheduler().apply_src(BURN_TASK).unwrap();
-    let r1 = run_parsed_goal(
-        &p1,
-        &format!("create({p}, start({}, Results))", tasks_src(&costs)),
-        MachineConfig::with_nodes(p).seed(7),
-    )
-    .unwrap();
-    let p2 = scheduler_hierarchical().apply_src(BURN_TASK).unwrap();
-    let r2 = run_parsed_goal(
-        &p2,
-        &format!("create({p}, start2({}, Results, 4))", tasks_src(&costs)),
-        MachineConfig::with_nodes(p).seed(7),
-    )
-    .unwrap();
+    let cfg = MachineConfig::with_nodes(17).seed(7);
+    let r1 = run_scheduler(None, &costs, cfg.clone());
+    let r2 = run_scheduler(Some(4), &costs, cfg);
     assert_eq!(r1.bindings["Results"].as_proper_list().unwrap().len(), 120);
     assert_eq!(r2.bindings["Results"].as_proper_list().unwrap().len(), 120);
     assert!(r2.report.metrics.busy[0] * 2 < r1.report.metrics.busy[0]);
@@ -137,38 +122,10 @@ fn e7_hierarchy_cuts_manager_load() {
 fn e10_task_pragma_beats_oblivious_mapping_on_skew() {
     // §2.2's scheduler pragma (demand dispatch) vs §3.3's random mapping
     // on one skewed-cost program.
-    const APP: &str = r#"
-        gen(0, V) :- V := 0.
-        gen(N, V) :- N > 0 |
-            cost(N, C),
-            burn(C, V1)@task,
-            N1 := N - 1,
-            gen(N1, V2),
-            add(V1, V2, V).
-        cost(N, C) :- M := N mod 13, C := 30 + M * M * M.
-        burn(C, V) :- work(C), V := 1.
-        add(V1, V2, V) :- V := V1 + V2.
-    "#;
-    let p = 9u32;
     let n = 80u32;
-    let task_prog = algorithmic_motifs::motifs::task_scheduler_with_entries(&[("gen", 2)])
-        .apply_src(APP)
-        .unwrap();
-    let task_run = run_parsed_goal(
-        &task_prog,
-        &algorithmic_motifs::motifs::boot_goal(p, "gen", &[&n.to_string(), "V"]),
-        MachineConfig::with_nodes(p).seed(13),
-    )
-    .unwrap();
-    let rand_prog = algorithmic_motifs::motifs::random_with_entries(&[("gen", 2)])
-        .apply_src(&APP.replace("@task", "@random"))
-        .unwrap();
-    let rand_run = run_parsed_goal(
-        &rand_prog,
-        &format!("create({p}, gen({n}, V))"),
-        MachineConfig::with_nodes(p).seed(13),
-    )
-    .unwrap();
+    let cfg = MachineConfig::with_nodes(9).seed(13);
+    let task_run = run_skewed(Mapping::Task, n, cfg.clone());
+    let rand_run = run_skewed(Mapping::Random, n, cfg);
     assert_eq!(task_run.bindings["V"].to_string(), n.to_string());
     assert_eq!(rand_run.bindings["V"].to_string(), n.to_string());
     assert!(
@@ -177,6 +134,44 @@ fn e10_task_pragma_beats_oblivious_mapping_on_skew() {
         task_run.report.metrics.makespan,
         rand_run.report.metrics.makespan
     );
+}
+
+#[test]
+fn per_unit_reductions_are_flat_across_sizes_and_threads() {
+    // A library whose work per leaf or per task grows with the workload is
+    // a scaling bug, whatever its makespan. Each motif's reductions per unit
+    // vary < 10 % over sizes 16x apart, and 2 threads do the simulator's
+    // work within 10 %. Tree-Reduce-2 sequences one evaluation per server,
+    // so arrival order must not cost it work: 1 % between engines.
+    for motif in Scaled::ALL {
+        let per_unit = |size: u32, threads| {
+            motif.run(size, threads).report.metrics.total_reductions as f64 / size as f64
+        };
+        let bound = if motif == Scaled::Tree(Tr2) {
+            0.01
+        } else {
+            0.10
+        };
+        let mut sim = Vec::new();
+        for size in motif.sizes() {
+            let (one, two) = (per_unit(size, None), per_unit(size, Some(2)));
+            assert!(
+                (two - one).abs() < bound * one,
+                "{} at {size}: {two:.2} per unit on 2 threads, {one:.2} on the simulator",
+                motif.name()
+            );
+            sim.push(one);
+        }
+        let (lo, hi) = sim
+            .iter()
+            .fold((f64::MAX, 0f64), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        assert!(
+            hi < 1.10 * lo,
+            "{} per unit over {:?}: {sim:.2?}",
+            motif.name(),
+            motif.sizes()
+        );
+    }
 }
 
 #[test]

@@ -26,6 +26,7 @@ const VERBS: &[&str] = &[
     "a1-latency",
     "a2-faults",
     "e8-sim",
+    "scale",
 ];
 
 /// The verbs that run on threads or read the clock, so their tables move
